@@ -1,14 +1,16 @@
 // Microbenchmarks (google-benchmark) for the building blocks: lock
-// manager, hotspot footprint (AVL+LRU), geo-scheduler planning, SQL parse
-// + rewrite, event loop and zipfian sampling. These quantify the DM-side
-// overheads the paper reports as negligible (Fig. 6c "analysis ~1ms" for
-// a whole transaction; the per-call costs here are sub-microsecond).
+// manager, hotspot footprint (hash index + LRU), geo-scheduler planning,
+// SQL parse + rewrite, event loop, network delivery and zipfian sampling.
+// These quantify the DM-side overheads the paper reports as negligible
+// (Fig. 6c "analysis ~1ms" for a whole transaction; the per-call costs
+// here are sub-microsecond).
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
 #include "core/geo_scheduler.h"
 #include "core/hotspot_footprint.h"
 #include "sim/event_loop.h"
+#include "sim/network.h"
 #include "sql/parser.h"
 #include "sql/rewriter.h"
 #include "storage/lock_manager.h"
@@ -103,6 +105,42 @@ void BM_FootprintForecast(benchmark::State& state) {
 }
 BENCHMARK(BM_FootprintForecast);
 
+// The footprint full at its default 100k capacity, as a long YCSB run
+// leaves it, with keys drawn as the YCSB generator draws them from four
+// 100k-record partitions (a zipf(0.7) partition, then zipf(0.7) within
+// it). A little under half of the dispatched keys miss and evict a record
+// (the miss_rate counter). One iteration is a five-key round as the DM
+// consults it: forecast and abort probability, dispatch, completion.
+void BM_FootprintAtCapacity(benchmark::State& state) {
+  constexpr uint64_t kPerPartition = 100000;
+  core::HotspotFootprint fp;
+  Rng rng(5);
+  auto draw = [&rng]() {
+    const uint64_t lo =
+        BoundedZipfSample(0, 4 * kPerPartition, 0.7, rng) / kPerPartition *
+        kPerPartition;
+    return RecordKey{1, BoundedZipfSample(lo, lo + kPerPartition, 0.7, rng)};
+  };
+  std::vector<RecordKey> keys(5);
+  auto round = [&]() {
+    for (auto& key : keys) key = draw();
+    benchmark::DoNotOptimize(fp.ForecastLel(keys));
+    benchmark::DoNotOptimize(fp.AbortProbability(keys));
+    fp.OnDispatch(keys);
+    fp.OnComplete(keys, 1000, true);
+  };
+  while (fp.evictions() < 200000) round();  // fill, then churn a while
+  const uint64_t evictions_before = fp.evictions();
+  for (auto _ : state) round();
+  // At capacity every miss inserts one record and evicts one.
+  state.counters["miss_rate"] =
+      static_cast<double>(fp.evictions() - evictions_before) /
+      static_cast<double>(state.iterations() * keys.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(keys.size()));
+}
+BENCHMARK(BM_FootprintAtCapacity);
+
 void BM_SchedulerPlanRound(benchmark::State& state) {
   sim::EventLoop loop;
   sim::Network net(&loop, sim::LatencyMatrix(8));
@@ -155,6 +193,52 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventLoopScheduleRun);
+
+// Event loop under the simulator's event mix: network deliveries (whose
+// closures carry the in-flight message) interleaved with lock-wait style
+// timeouts, half of which the delivery handler cancels before they fire.
+struct BenchMessage : sim::MessageBase {
+  size_t index = 0;
+  size_t WireSize() const override { return 96; }
+};
+
+void BM_NetworkDeliveryWithTimeouts(benchmark::State& state) {
+  constexpr int kNodes = 4;
+  constexpr size_t kBatch = 256;
+  sim::EventLoop loop;
+  sim::LatencyMatrix matrix(kNodes);
+  for (int a = 0; a < kNodes; ++a) {
+    for (int b = a + 1; b < kNodes; ++b) {
+      matrix.SetSymmetric(a, b, sim::LinkSpec::FromRttMs(10.0 * (a + b)));
+    }
+  }
+  sim::Network net(&loop, matrix);
+  std::vector<sim::EventId> timeouts(kBatch, sim::kInvalidEvent);
+  uint64_t fired = 0;
+  for (int node = 0; node < kNodes; ++node) {
+    net.RegisterNode(node, [&](std::unique_ptr<sim::MessageBase> msg) {
+      const size_t i = static_cast<BenchMessage&>(*msg).index;
+      if (i % 2 == 0) loop.Cancel(timeouts[i]);
+    });
+  }
+  for (auto _ : state) {
+    for (size_t i = 0; i < kBatch; ++i) {
+      auto msg = std::make_unique<BenchMessage>();
+      msg->from = static_cast<NodeId>(i % kNodes);
+      msg->to = static_cast<NodeId>((i + 1) % kNodes);
+      msg->index = i;
+      net.Send(std::move(msg));
+      timeouts[i] = loop.Schedule(MsToMicros(50), [&fired, i]() {
+        fired += i;
+      });
+    }
+    loop.Run();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          static_cast<int64_t>(kBatch));
+}
+BENCHMARK(BM_NetworkDeliveryWithTimeouts);
 
 void BM_BoundedZipfSample(benchmark::State& state) {
   Rng rng(4);

@@ -8,191 +8,99 @@
 namespace geotp {
 namespace core {
 
-struct HotspotFootprint::Node {
-  RecordKey key;
-  RecordStats stats;
-  Node* left = nullptr;
-  Node* right = nullptr;
-  int height = 1;
-  // Intrusive LRU links.
-  Node* lru_prev = nullptr;
-  Node* lru_next = nullptr;
-};
-
 HotspotFootprint::HotspotFootprint(FootprintConfig config)
-    : config_(config) {
+    : config_(config), index_(16) {
   GEOTP_CHECK(config_.capacity > 0, "capacity must be positive");
 }
 
-HotspotFootprint::~HotspotFootprint() { FreeTree(root_); }
-
-void HotspotFootprint::FreeTree(Node* node) {
-  if (node == nullptr) return;
-  FreeTree(node->left);
-  FreeTree(node->right);
-  delete node;
-}
-
 // ---------------------------------------------------------------------------
-// AVL primitives
+// Hash index (linear probing)
 // ---------------------------------------------------------------------------
 
-int HotspotFootprint::HeightOf(Node* node) {
-  return node == nullptr ? 0 : node->height;
-}
-
-void HotspotFootprint::UpdateHeight(Node* node) {
-  node->height = 1 + std::max(HeightOf(node->left), HeightOf(node->right));
-}
-
-HotspotFootprint::Node* HotspotFootprint::RotateLeft(Node* node) {
-  Node* pivot = node->right;
-  node->right = pivot->left;
-  pivot->left = node;
-  UpdateHeight(node);
-  UpdateHeight(pivot);
-  return pivot;
-}
-
-HotspotFootprint::Node* HotspotFootprint::RotateRight(Node* node) {
-  Node* pivot = node->left;
-  node->left = pivot->right;
-  pivot->right = node;
-  UpdateHeight(node);
-  UpdateHeight(pivot);
-  return pivot;
-}
-
-HotspotFootprint::Node* HotspotFootprint::Rebalance(Node* node) {
-  UpdateHeight(node);
-  const int balance = HeightOf(node->left) - HeightOf(node->right);
-  if (balance > 1) {
-    if (HeightOf(node->left->left) < HeightOf(node->left->right)) {
-      node->left = RotateLeft(node->left);
-    }
-    return RotateRight(node);
+size_t HotspotFootprint::Probe(const RecordKey& key) const {
+  const size_t mask = index_.size() - 1;
+  size_t pos = RecordKeyHash()(key) & mask;
+  while (index_[pos].slot != kNil && !(index_[pos].Key() == key)) {
+    pos = (pos + 1) & mask;
   }
-  if (balance < -1) {
-    if (HeightOf(node->right->right) < HeightOf(node->right->left)) {
-      node->right = RotateRight(node->right);
-    }
-    return RotateLeft(node);
-  }
-  return node;
+  return pos;
 }
 
-HotspotFootprint::Node* HotspotFootprint::Insert(Node* node,
-                                                 const RecordKey& key,
-                                                 Node** out) {
-  if (node == nullptr) {
-    Node* fresh = new Node();
-    fresh->key = key;
-    fresh->stats.w_lat = config_.initial_w_lat;
-    *out = fresh;
-    return fresh;
-  }
-  if (key < node->key) {
-    node->left = Insert(node->left, key, out);
-  } else if (node->key < key) {
-    node->right = Insert(node->right, key, out);
-  } else {
-    *out = node;
-    return node;
-  }
-  return Rebalance(node);
-}
-
-HotspotFootprint::Node* HotspotFootprint::MinNode(Node* node) {
-  while (node->left != nullptr) node = node->left;
-  return node;
-}
-
-HotspotFootprint::Node* HotspotFootprint::Remove(Node* node,
-                                                 const RecordKey& key) {
-  if (node == nullptr) return nullptr;
-  if (key < node->key) {
-    node->left = Remove(node->left, key);
-  } else if (node->key < key) {
-    node->right = Remove(node->right, key);
-  } else {
-    if (node->left == nullptr || node->right == nullptr) {
-      Node* child = node->left != nullptr ? node->left : node->right;
-      delete node;
-      node = child;
-    } else {
-      // Two children: splice the in-order successor's payload in, then
-      // remove the successor node. LRU links must follow the payload.
-      Node* successor = MinNode(node->right);
-      node->key = successor->key;
-      node->stats = successor->stats;
-      // Re-point the LRU list entry of `successor` at `node`.
-      LruUnlink(node);
-      if (successor->lru_prev != nullptr) {
-        successor->lru_prev->lru_next = node;
-      } else if (lru_head_ == successor) {
-        lru_head_ = node;
-      }
-      if (successor->lru_next != nullptr) {
-        successor->lru_next->lru_prev = node;
-      } else if (lru_tail_ == successor) {
-        lru_tail_ = node;
-      }
-      node->lru_prev = successor->lru_prev;
-      node->lru_next = successor->lru_next;
-      // Detach successor from LRU so the recursive Remove's unlink of it
-      // (via delete path) cannot corrupt the list.
-      successor->lru_prev = successor->lru_next = nullptr;
-      // Mark: the successor node itself is deleted below; its LRU entry
-      // was transplanted.
-      node->right = Remove(node->right, node->key);
+void HotspotFootprint::IndexInsert(const RecordKey& key, Slot slot) {
+  if (2 * (size_ + 1) > index_.size()) {
+    std::vector<IndexEntry> old(2 * index_.size());
+    old.swap(index_);
+    for (const IndexEntry& entry : old) {
+      if (entry.slot != kNil) index_[Probe(entry.Key())] = entry;
     }
   }
-  if (node == nullptr) return nullptr;
-  return Rebalance(node);
+  index_[Probe(key)] = IndexEntry{key.key, key.table, slot};
+  ++size_;
+  ordered_stale_ = true;
+}
+
+void HotspotFootprint::IndexErase(const RecordKey& key) {
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless that would move it before its home position.
+  const size_t mask = index_.size() - 1;
+  size_t hole = Probe(key);
+  for (size_t i = (hole + 1) & mask; index_[i].slot != kNil;
+       i = (i + 1) & mask) {
+    const size_t home = RecordKeyHash()(index_[i].Key()) & mask;
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      index_[hole] = index_[i];
+      hole = i;
+    }
+  }
+  index_[hole].slot = kNil;
+  --size_;
+  ordered_stale_ = true;
 }
 
 // ---------------------------------------------------------------------------
 // LRU primitives
 // ---------------------------------------------------------------------------
 
-void HotspotFootprint::LruPushFront(Node* node) {
-  node->lru_prev = nullptr;
-  node->lru_next = lru_head_;
-  if (lru_head_ != nullptr) lru_head_->lru_prev = node;
-  lru_head_ = node;
-  if (lru_tail_ == nullptr) lru_tail_ = node;
+void HotspotFootprint::LruPushFront(Slot slot) {
+  Node& node = nodes_[slot];
+  node.lru_prev = kNil;
+  node.lru_next = lru_head_;
+  if (lru_head_ != kNil) nodes_[lru_head_].lru_prev = slot;
+  lru_head_ = slot;
+  if (lru_tail_ == kNil) lru_tail_ = slot;
 }
 
-void HotspotFootprint::LruUnlink(Node* node) {
-  if (node->lru_prev != nullptr) {
-    node->lru_prev->lru_next = node->lru_next;
-  } else if (lru_head_ == node) {
-    lru_head_ = node->lru_next;
+void HotspotFootprint::LruUnlink(Slot slot) {
+  Node& node = nodes_[slot];
+  if (node.lru_prev != kNil) {
+    nodes_[node.lru_prev].lru_next = node.lru_next;
+  } else {
+    lru_head_ = node.lru_next;
   }
-  if (node->lru_next != nullptr) {
-    node->lru_next->lru_prev = node->lru_prev;
-  } else if (lru_tail_ == node) {
-    lru_tail_ = node->lru_prev;
+  if (node.lru_next != kNil) {
+    nodes_[node.lru_next].lru_prev = node.lru_prev;
+  } else {
+    lru_tail_ = node.lru_prev;
   }
-  node->lru_prev = node->lru_next = nullptr;
+  node.lru_prev = node.lru_next = kNil;
 }
 
-void HotspotFootprint::EvictIfNeeded() {
-  while (size_ > config_.capacity && lru_tail_ != nullptr) {
-    // Do not evict records with transactions in flight (their a_cnt would
-    // be lost and Eq. 9 would undercount the queue), nor the LRU head —
-    // it is the record being touched right now.
-    Node* victim = lru_tail_;
-    while (victim != nullptr &&
-           (victim->stats.a_cnt > 0 || victim == lru_head_)) {
-      victim = victim->lru_prev;
+void HotspotFootprint::MakeRoom() {
+  // Walk from the cold end. Records with transactions in flight are never
+  // evicted (their a_cnt would be lost and Eq. 9 would undercount the
+  // queue); if every record is busy, allow a soft overflow.
+  Slot victim = lru_tail_;
+  while (size_ >= config_.capacity) {
+    while (victim != kNil && nodes_[victim].stats.a_cnt > 0) {
+      victim = nodes_[victim].lru_prev;
     }
-    if (victim == nullptr) return;  // everything busy; allow soft overflow
-    const RecordKey key = victim->key;
+    if (victim == kNil) return;
+    const Slot warmer = nodes_[victim].lru_prev;
     LruUnlink(victim);
-    root_ = Remove(root_, key);
-    --size_;
+    IndexErase(nodes_[victim].key);
+    free_.push_back(victim);
     ++evictions_;
+    victim = warmer;
   }
 }
 
@@ -200,50 +108,36 @@ void HotspotFootprint::EvictIfNeeded() {
 // Public API
 // ---------------------------------------------------------------------------
 
-HotspotFootprint::Node* HotspotFootprint::FindNode(
-    const RecordKey& key) const {
-  Node* node = root_;
-  while (node != nullptr) {
-    if (key < node->key) {
-      node = node->left;
-    } else if (node->key < key) {
-      node = node->right;
-    } else {
-      return node;
-    }
-  }
-  return nullptr;
+HotspotFootprint::Slot HotspotFootprint::FindNode(const RecordKey& key) const {
+  return index_[Probe(key)].slot;
 }
 
-HotspotFootprint::Node* HotspotFootprint::Touch(const RecordKey& key) {
-  Node* node = nullptr;
-  root_ = Insert(root_, key, &node);
-  if (node->lru_prev == nullptr && node->lru_next == nullptr &&
-      lru_head_ != node) {
-    // Fresh node (not yet in the LRU list).
-    ++size_;
-    LruPushFront(node);
-    if (size_ > config_.capacity) {
-      EvictIfNeeded();
-      // The eviction's AVL removal splices payloads across nodes (the
-      // two-children delete transplants the in-order successor), so the
-      // pointer captured above may now name a DIFFERENT record — or freed
-      // memory. Re-resolve by key; the LRU head itself is never evicted.
-      node = FindNode(key);
-      GEOTP_CHECK(node != nullptr, "touched record evicted under us");
-    }
-  } else {
-    LruUnlink(node);
-    LruPushFront(node);
+HotspotFootprint::Node& HotspotFootprint::Touch(const RecordKey& key) {
+  Slot slot = FindNode(key);
+  if (slot != kNil) {
+    LruUnlink(slot);
+    LruPushFront(slot);
+    return nodes_[slot];
   }
+  MakeRoom();
+  if (free_.empty()) {
+    slot = static_cast<Slot>(nodes_.size());
+    nodes_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  IndexInsert(key, slot);
+  Node& node = nodes_[slot];
+  node.key = key;
+  node.stats = RecordStats{};
+  node.stats.w_lat = config_.initial_w_lat;
+  LruPushFront(slot);
   return node;
 }
 
 void HotspotFootprint::OnDispatch(const std::vector<RecordKey>& keys) {
-  for (const RecordKey& key : keys) {
-    Node* node = Touch(key);
-    node->stats.a_cnt++;
-  }
+  for (const RecordKey& key : keys) Touch(key).stats.a_cnt++;
 }
 
 void HotspotFootprint::OnComplete(const std::vector<RecordKey>& keys,
@@ -252,14 +146,13 @@ void HotspotFootprint::OnComplete(const std::vector<RecordKey>& keys,
   // Eq. 4 weights: w_r = w_lat_r / sum of w_lat over the accessed records.
   double w_sum = 0.0;
   for (const RecordKey& key : keys) {
-    Node* node = FindNode(key);
-    w_sum += node != nullptr ? node->stats.w_lat : config_.initial_w_lat;
+    const Slot slot = FindNode(key);
+    w_sum += slot != kNil ? nodes_[slot].stats.w_lat : config_.initial_w_lat;
   }
   if (w_sum <= 0.0) w_sum = 1.0;
 
   for (const RecordKey& key : keys) {
-    Node* node = Touch(key);
-    RecordStats& stats = node->stats;
+    RecordStats& stats = Touch(key).stats;
     if (committed) {
       const double weight = stats.w_lat > 0.0 ? stats.w_lat / w_sum
                                               : 1.0 / keys.size();
@@ -276,8 +169,10 @@ void HotspotFootprint::OnComplete(const std::vector<RecordKey>& keys,
 
 void HotspotFootprint::OnRelease(const std::vector<RecordKey>& keys) {
   for (const RecordKey& key : keys) {
-    Node* node = FindNode(key);
-    if (node != nullptr && node->stats.a_cnt > 0) node->stats.a_cnt--;
+    const Slot slot = FindNode(key);
+    if (slot != kNil && nodes_[slot].stats.a_cnt > 0) {
+      nodes_[slot].stats.a_cnt--;
+    }
   }
 }
 
@@ -285,8 +180,8 @@ Micros HotspotFootprint::ForecastLel(
     const std::vector<RecordKey>& keys) const {
   double total = 0.0;
   for (const RecordKey& key : keys) {
-    const Node* node = FindNode(key);
-    if (node != nullptr) total += node->stats.w_lat;
+    const Slot slot = FindNode(key);
+    if (slot != kNil) total += nodes_[slot].stats.w_lat;
   }
   return static_cast<Micros>(total);
 }
@@ -295,9 +190,9 @@ double HotspotFootprint::AbortProbability(
     const std::vector<RecordKey>& keys) const {
   double success = 1.0;
   for (const RecordKey& key : keys) {
-    const Node* node = FindNode(key);
-    if (node == nullptr) continue;
-    const RecordStats& stats = node->stats;
+    const Slot slot = FindNode(key);
+    if (slot == kNil) continue;
+    const RecordStats& stats = nodes_[slot].stats;
     const auto queue_len =
         static_cast<double>(std::max<int64_t>(stats.a_cnt - 1, 0));
     if (queue_len <= 0.0) continue;
@@ -307,31 +202,29 @@ double HotspotFootprint::AbortProbability(
 }
 
 const RecordStats* HotspotFootprint::Lookup(const RecordKey& key) const {
-  const Node* node = FindNode(key);
-  return node == nullptr ? nullptr : &node->stats;
+  const Slot slot = FindNode(key);
+  return slot == kNil ? nullptr : &nodes_[slot].stats;
 }
 
 std::vector<std::pair<RecordKey, RecordStats>> HotspotFootprint::Range(
     const RecordKey& lo, const RecordKey& hi) const {
-  std::vector<std::pair<RecordKey, RecordStats>> out;
-  // Iterative in-order traversal pruned to [lo, hi].
-  std::vector<Node*> stack;
-  Node* node = root_;
-  while (node != nullptr || !stack.empty()) {
-    while (node != nullptr) {
-      if (node->key < lo) {
-        node = node->right;  // entire left subtree below range
-      } else {
-        stack.push_back(node);
-        node = node->left;
-      }
+  // The balancer asks for every shard range in one tick, so sort the
+  // record set once and reuse the order until a record comes or goes.
+  if (ordered_stale_) {
+    ordered_.clear();
+    for (const IndexEntry& entry : index_) {
+      if (entry.slot != kNil) ordered_.emplace_back(entry.Key(), entry.slot);
     }
-    if (stack.empty()) break;
-    node = stack.back();
-    stack.pop_back();
-    if (hi < node->key) break;
-    out.emplace_back(node->key, node->stats);
-    node = node->right;
+    std::sort(ordered_.begin(), ordered_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    ordered_stale_ = false;
+  }
+  std::vector<std::pair<RecordKey, RecordStats>> out;
+  auto it = std::lower_bound(
+      ordered_.begin(), ordered_.end(), lo,
+      [](const auto& entry, const RecordKey& key) { return entry.first < key; });
+  for (; it != ordered_.end() && !(hi < it->first); ++it) {
+    out.emplace_back(it->first, nodes_[it->second].stats);
   }
   return out;
 }
@@ -356,33 +249,33 @@ HotspotFootprint::HeatHistogram HotspotFootprint::Histogram(
 }
 
 size_t HotspotFootprint::ApproxBytes() const {
-  return size_ * (sizeof(Node) + 16);
+  return nodes_.capacity() * sizeof(Node) + free_.capacity() * sizeof(Slot) +
+         index_.size() * sizeof(IndexEntry) +
+         ordered_.capacity() * sizeof(ordered_[0]);
 }
 
 bool HotspotFootprint::CheckInvariants() const {
-  // Recursive lambda validating order and balance, returning height or -1.
-  struct Checker {
-    static int Check(Node* node, const RecordKey* lo, const RecordKey* hi) {
-      if (node == nullptr) return 0;
-      if (lo != nullptr && !(*lo < node->key)) return -1;
-      if (hi != nullptr && !(node->key < *hi)) return -1;
-      const int lh = Check(node->left, lo, &node->key);
-      if (lh < 0) return -1;
-      const int rh = Check(node->right, &node->key, hi);
-      if (rh < 0) return -1;
-      if (std::abs(lh - rh) > 1) return -1;
-      if (node->height != 1 + std::max(lh, rh)) return -1;
-      return 1 + std::max(lh, rh);
+  size_t indexed = 0;
+  for (const IndexEntry& entry : index_) {
+    if (entry.slot == kNil) continue;
+    ++indexed;
+    if (entry.slot >= nodes_.size() ||
+        !(nodes_[entry.slot].key == entry.Key()) ||
+        FindNode(entry.Key()) != entry.slot) {
+      return false;
     }
-  };
-  if (Checker::Check(root_, nullptr, nullptr) < 0) return false;
-  // LRU list size must match the tree size.
-  size_t lru_count = 0;
-  for (Node* node = lru_head_; node != nullptr; node = node->lru_next) {
-    ++lru_count;
-    if (lru_count > size_ + 1) return false;
   }
-  return lru_count == size_;
+  if (indexed != size_ || size_ + free_.size() != nodes_.size()) return false;
+  // The LRU list is well linked and holds exactly the indexed records.
+  size_t lru_count = 0;
+  Slot prev = kNil;
+  for (Slot slot = lru_head_; slot != kNil; slot = nodes_[slot].lru_next) {
+    if (++lru_count > size_) return false;
+    const Node& node = nodes_[slot];
+    if (node.lru_prev != prev || FindNode(node.key) != slot) return false;
+    prev = slot;
+  }
+  return prev == lru_tail_ && lru_count == size_;
 }
 
 }  // namespace core

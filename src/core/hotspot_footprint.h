@@ -7,16 +7,22 @@
 //   c_cnt_r  — committed transactions that accessed r
 //   a_cnt_r  — transactions currently accessing r
 //
-// The records are organized in an AVL tree (point and range access in
-// O(log n)) with an intrusive LRU list evicting cold entries, exactly as
-// the paper describes. w_lat updates follow Eq. 4: the measured local
-// execution latency LEL(Tij) of a subtransaction is split across the
-// records it touched proportionally to their current w_lat, then folded
-// in with coefficient alpha.
+// The paper keeps the records in an AVL tree with an LRU list evicting
+// cold entries. Here they live in one contiguous node array reached
+// through an open-addressing hash index, with the LRU list linked by
+// array index, so every point operation (the DM consults several per key
+// per round) is O(1). Only the shard balancer's periodic tick needs key
+// order; Range() and Histogram() scan and sort for it.
+//
+// w_lat updates follow Eq. 4: the measured local execution latency
+// LEL(Tij) of a subtransaction is split across the records it touched
+// proportionally to their current w_lat, then folded in with coefficient
+// alpha.
 #ifndef GEOTP_CORE_HOTSPOT_FOOTPRINT_H_
 #define GEOTP_CORE_HOTSPOT_FOOTPRINT_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -52,7 +58,6 @@ struct RecordStats {
 class HotspotFootprint {
  public:
   explicit HotspotFootprint(FootprintConfig config = FootprintConfig());
-  ~HotspotFootprint();
 
   HotspotFootprint(const HotspotFootprint&) = delete;
   HotspotFootprint& operator=(const HotspotFootprint&) = delete;
@@ -80,11 +85,13 @@ class HotspotFootprint {
   /// `keys`: 1 - prod (c/t)^max(a-1, 0).
   double AbortProbability(const std::vector<RecordKey>& keys) const;
 
-  /// Point lookup (nullptr if not tracked). Does not touch LRU order.
+  /// Point lookup (nullptr if not tracked). Does not touch LRU order. The
+  /// pointer is valid until the next OnDispatch/OnComplete.
   const RecordStats* Lookup(const RecordKey& key) const;
 
-  /// Ordered range scan [lo, hi] — the paper stores hot records in an AVL
-  /// tree precisely to support predicate (range) estimation in O(log n).
+  /// Ordered range scan [lo, hi] (predicate estimation). Sorts every
+  /// tracked record on the first call after the record set changed
+  /// (O(n log n)), then answers by binary search: O(log n + matches).
   std::vector<std::pair<RecordKey, RecordStats>> Range(
       const RecordKey& lo, const RecordKey& hi) const;
 
@@ -107,40 +114,61 @@ class HotspotFootprint {
   size_t size() const { return size_; }
   uint64_t evictions() const { return evictions_; }
 
-  /// Approximate resident bytes (memory proxy for Fig. 6b).
+  /// Approximate resident bytes (memory proxy for Fig. 6b): node array,
+  /// free list, hash index and the Range() order.
   size_t ApproxBytes() const;
 
-  /// Validates AVL balance and BST order; test hook.
+  /// Validates that the index, the node array and the LRU list agree;
+  /// test hook.
   bool CheckInvariants() const;
 
  private:
-  struct Node;
+  /// Position in nodes_; kNil ends the LRU list or marks a missing key.
+  using Slot = uint32_t;
+  static constexpr Slot kNil = UINT32_MAX;
 
-  Node* FindNode(const RecordKey& key) const;
-  /// Finds or inserts (possibly evicting); returns the node.
-  Node* Touch(const RecordKey& key);
+  struct Node {
+    RecordKey key;
+    RecordStats stats;
+    Slot lru_prev = kNil;  ///< toward the head (more recent)
+    Slot lru_next = kNil;  ///< toward the tail (colder)
+  };
 
-  // AVL primitives.
-  static int HeightOf(Node* node);
-  static void UpdateHeight(Node* node);
-  static Node* RotateLeft(Node* node);
-  static Node* RotateRight(Node* node);
-  static Node* Rebalance(Node* node);
-  Node* Insert(Node* node, const RecordKey& key, Node** out);
-  Node* Remove(Node* node, const RecordKey& key);
-  static Node* MinNode(Node* node);
-  void FreeTree(Node* node);
+  /// Hash index entry (16 bytes: the key's fields plus its node);
+  /// slot == kNil marks an empty position.
+  struct IndexEntry {
+    uint64_t key = 0;
+    uint32_t table = 0;
+    Slot slot = kNil;
+    RecordKey Key() const { return RecordKey{table, key}; }
+  };
 
-  // LRU primitives (intrusive list; head = most recent).
-  void LruPushFront(Node* node);
-  void LruUnlink(Node* node);
-  void EvictIfNeeded();
+  /// Index position holding `key`, or the empty position where it goes.
+  size_t Probe(const RecordKey& key) const;
+  void IndexInsert(const RecordKey& key, Slot slot);
+  void IndexErase(const RecordKey& key);
+
+  Slot FindNode(const RecordKey& key) const;
+  /// Finds or inserts (possibly evicting others); moves it to the LRU head.
+  Node& Touch(const RecordKey& key);
+  /// Evicts cold records until one more fits within capacity.
+  void MakeRoom();
+
+  // LRU primitives (head = most recent).
+  void LruPushFront(Slot slot);
+  void LruUnlink(Slot slot);
 
   FootprintConfig config_;
-  Node* root_ = nullptr;
-  Node* lru_head_ = nullptr;
-  Node* lru_tail_ = nullptr;
+  std::vector<Node> nodes_;
+  std::vector<Slot> free_;  ///< evicted slots, reused by the next insert
+  /// Open addressing, power-of-two size, at most half full.
+  std::vector<IndexEntry> index_;
   size_t size_ = 0;
+  /// Records sorted by key for Range(); rebuilt when the set has changed.
+  mutable std::vector<std::pair<RecordKey, Slot>> ordered_;
+  mutable bool ordered_stale_ = false;
+  Slot lru_head_ = kNil;
+  Slot lru_tail_ = kNil;
   uint64_t evictions_ = 0;
 };
 

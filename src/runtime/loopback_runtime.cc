@@ -494,11 +494,20 @@ void LoopbackRuntime::Shutdown() {
     shut_down_ = true;
   }
   transport_.Shutdown();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [node, executor] : executors_) {
-    (void)node;
-    executor->Stop();
+  // Stop() joins the executor thread, and a callback still draining on it
+  // may Send() locally, which resolves the destination through
+  // ExecutorFor() and so takes mu_. Joining with mu_ held deadlocks; stop
+  // a snapshot instead (executors are never erased, so the pointers stay
+  // valid).
+  std::vector<ActorExecutor*> executors;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& [node, executor] : executors_) {
+      (void)node;
+      executors.push_back(executor.get());
+    }
   }
+  for (ActorExecutor* executor : executors) executor->Stop();
 }
 
 }  // namespace runtime

@@ -148,7 +148,7 @@ void ShardBalancer::PlanRangeOps() {
   if (!catalog.HasShardMap()) return;
   const ShardMap& map = catalog.shard_map();
 
-  // Per-range heat since the last tick, from the footprint's AVL range
+  // Per-range heat since the last tick, from the footprint's range
   // scans (the same statistics that drive the Eq. 5/9 forecasts). The
   // footprint is an LRU cache: evictions reset per-record t_cnt, so the
   // cumulative sum can shrink between ticks. A shrunken sum means the

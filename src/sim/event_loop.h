@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.h"
@@ -57,7 +55,7 @@ class EventLoop : public runtime::ITimer {
   /// Runs at most one event. Returns false if the queue is empty.
   bool Step();
 
-  bool Empty() const { return queue_.size() == cancelled_.size(); }
+  bool Empty() const { return live_ == 0; }
 
   /// Total events processed since construction (CPU-work proxy, Fig. 6a).
   uint64_t events_processed() const { return events_processed_; }
@@ -67,26 +65,45 @@ class EventLoop : public runtime::ITimer {
   void Clear();
 
  private:
-  struct Event {
+  // An EventId packs (generation << 32 | slot). A slot holds one pending
+  // callback; its generation advances when the slot's heap entry leaves
+  // the heap, fired or cancelled, so ids of fired or cancelled events go
+  // stale and never match the slot's next event. Generations start at 1,
+  // so no id is 0. (A stale id could only alias after 2^32 reuses of its
+  // slot.)
+  struct Slot {
+    std::function<void()> fn;
+    uint32_t generation = 1;
+    bool pending = false;  ///< scheduled, not yet fired or cancelled
+  };
+  /// Heap entries are plain data; the callback stays in its slot, so heap
+  /// sifts never move a std::function.
+  struct Entry {
     Micros when;
     uint64_t seq;
-    EventId id;
-    std::function<void()> fn;
+    uint32_t slot;
   };
-  struct EventCmp {
-    bool operator()(const Event& a, const Event& b) const {
+  /// Heap order: earliest first, FIFO (by seq) within one instant.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
 
+  /// Pops cancelled entries off the top of the heap.
+  void DropCancelledTop();
+  /// Pops the top entry, retires its slot and returns its callback (empty
+  /// if the entry was cancelled).
+  std::function<void()> PopTop();
+
   Micros now_ = 0;
   uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
   uint64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventCmp> queue_;
-  std::unordered_set<EventId> cancelled_;
-  std::unordered_set<EventId> pending_;  // scheduled, not yet fired/cancelled
+  std::vector<Entry> heap_;  ///< binary min-heap under Later
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
+  size_t live_ = 0;  ///< pending (scheduled, not cancelled) events
 };
 
 }  // namespace sim

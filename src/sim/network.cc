@@ -51,32 +51,43 @@ void Network::Send(std::unique_ptr<MessageBase> msg) {
   ++total_messages_;
 
   const Micros delay = matrix_.SampleOneWay(from, to, rng_);
-  // std::function requires copyable callables, so park the unique_ptr in a
-  // shared holder; the event fires exactly once and moves it out.
-  auto holder = std::make_shared<std::unique_ptr<MessageBase>>(std::move(msg));
-  loop_->Schedule(delay, [this, to, holder]() {
-    if (partitioned_[static_cast<size_t>(to)]) return;  // dropped at the NIC
-    auto& handler = handlers_[static_cast<size_t>(to)];
-    GEOTP_CHECK(handler != nullptr, "no handler for node " << to);
-    stats_[static_cast<size_t>(to)].messages_received++;
-    obs::Profiler& profiler = obs::GlobalProfiler();
-    if (!profiler.enabled()) {
-      handler(std::move(*holder));
-      return;
-    }
-    // Sim-perf profile (ROADMAP direction 4): host time the simulator
-    // spends handling each message kind — virtual time is stopped here,
-    // so this is pure simulator overhead attribution.
-    const int msg_type = static_cast<int>((*holder)->type());
-    const auto t0 = std::chrono::steady_clock::now();
-    handler(std::move(*holder));
-    const auto t1 = std::chrono::steady_clock::now();
-    profiler.RecordHandler(
-        msg_type,
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count()));
-  });
+  uint32_t slot;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  }
+  in_flight_[slot] = std::move(msg);
+  loop_->Schedule(delay, [this, slot]() { Deliver(slot); });
+}
+
+void Network::Deliver(uint32_t slot) {
+  std::unique_ptr<MessageBase> msg = std::move(in_flight_[slot]);
+  free_in_flight_.push_back(slot);
+  const NodeId to = msg->to;
+  if (partitioned_[static_cast<size_t>(to)]) return;  // dropped at the NIC
+  auto& handler = handlers_[static_cast<size_t>(to)];
+  GEOTP_CHECK(handler != nullptr, "no handler for node " << to);
+  stats_[static_cast<size_t>(to)].messages_received++;
+  obs::Profiler& profiler = obs::GlobalProfiler();
+  if (!profiler.enabled()) {
+    handler(std::move(msg));
+    return;
+  }
+  // Sim-perf profile: host time the simulator spends handling each
+  // message kind — virtual time is stopped here, so this is pure
+  // simulator overhead attribution.
+  const int msg_type = static_cast<int>(msg->type());
+  const auto t0 = std::chrono::steady_clock::now();
+  handler(std::move(msg));
+  const auto t1 = std::chrono::steady_clock::now();
+  profiler.RecordHandler(
+      msg_type,
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count()));
 }
 
 const TrafficStats& Network::StatsFor(NodeId node) const {

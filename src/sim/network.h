@@ -68,12 +68,22 @@ class Network : public runtime::ITransport {
   uint64_t total_messages() const { return total_messages_; }
 
  private:
+  /// Delivers the message parked in `slot` (or drops it at a partitioned
+  /// receiver) and frees the slot.
+  void Deliver(uint32_t slot);
+
   EventLoop* loop_;
   LatencyMatrix matrix_;
   Rng rng_;
   std::vector<Handler> handlers_;
   std::vector<TrafficStats> stats_;
   std::vector<bool> partitioned_;
+  /// Messages between Send() and delivery. The delivery event captures
+  /// only (this, slot), which fits std::function's inline buffer, so a send
+  /// allocates nothing beyond the message itself. Messages whose events
+  /// are dropped unfired are freed with the network.
+  std::vector<std::unique_ptr<MessageBase>> in_flight_;
+  std::vector<uint32_t> free_in_flight_;
   uint64_t total_messages_ = 0;
 };
 

@@ -1,6 +1,7 @@
 // Tests for the virtual-time discrete-event loop.
 #include "sim/event_loop.h"
 
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -152,6 +153,113 @@ TEST(EventLoopTest, ManyEventsStressOrdering) {
   }
   loop.Run();
   EXPECT_TRUE(monotonic);
+}
+
+// Ids are (slot, generation) pairs and slots are recycled: an id must
+// stay dead once its event fired or was cancelled, even after a new event
+// took over its slot.
+TEST(EventLoopTest, StaleIdAfterSlotReuseDoesNotCancel) {
+  EventLoop loop;
+  const EventId fired = loop.Schedule(10, []() {});
+  loop.Run();
+  const EventId cancelled = loop.Schedule(10, []() {});
+  EXPECT_TRUE(loop.Cancel(cancelled));
+  loop.Run();  // pops the cancelled entry, freeing its slot
+
+  int runs = 0;
+  const EventId fresh = loop.Schedule(10, [&]() { runs++; });
+  EXPECT_NE(fresh, fired);
+  EXPECT_NE(fresh, cancelled);
+  EXPECT_FALSE(loop.Cancel(fired));
+  EXPECT_FALSE(loop.Cancel(cancelled));
+  EXPECT_FALSE(loop.Empty());
+  loop.Run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(loop.Cancel(fresh));
+}
+
+TEST(EventLoopTest, CancelFromInsideFiringCallback) {
+  EventLoop loop;
+  bool victim_fired = false;
+  EventId self = kInvalidEvent;
+  EventId victim = kInvalidEvent;
+  bool cancelled_victim = false;
+  bool cancelled_self = true;
+  self = loop.Schedule(10, [&]() {
+    cancelled_victim = loop.Cancel(victim);
+    cancelled_self = loop.Cancel(self);  // already firing: not pending
+  });
+  victim = loop.Schedule(10, [&]() { victim_fired = true; });
+  EXPECT_EQ(loop.Run(), 1u);
+  EXPECT_TRUE(cancelled_victim);
+  EXPECT_FALSE(cancelled_self);
+  EXPECT_FALSE(victim_fired);
+  EXPECT_TRUE(loop.Empty());
+}
+
+TEST(EventLoopTest, ClearThenReuse) {
+  EventLoop loop;
+  std::vector<EventId> old_ids;
+  for (int i = 0; i < 5; ++i) old_ids.push_back(loop.Schedule(i, []() {}));
+  loop.Clear();
+  EXPECT_TRUE(loop.Empty());
+  for (EventId id : old_ids) EXPECT_FALSE(loop.Cancel(id));
+
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    loop.Schedule(5 - i, [&order, i]() { order.push_back(i); });
+  }
+  const EventId dropped = loop.Schedule(1, [&order]() { order.push_back(9); });
+  EXPECT_TRUE(loop.Cancel(dropped));
+  EXPECT_EQ(loop.Run(), 5u);
+  EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 1, 0}));
+}
+
+TEST(EventLoopTest, EmptyCountsOnlyLiveEvents) {
+  EventLoop loop;
+  const EventId a = loop.Schedule(10, []() {});
+  const EventId b = loop.Schedule(20, []() {});
+  EXPECT_TRUE(loop.Cancel(a));
+  EXPECT_FALSE(loop.Empty());  // b is still pending
+  EXPECT_TRUE(loop.Cancel(b));
+  EXPECT_TRUE(loop.Empty());  // two cancelled entries remain in the heap
+  EXPECT_FALSE(loop.Step());
+  EXPECT_EQ(loop.events_processed(), 0u);
+
+  loop.Schedule(5, []() {});
+  EXPECT_FALSE(loop.Empty());
+  EXPECT_TRUE(loop.Step());
+  EXPECT_TRUE(loop.Empty());
+}
+
+// A cancelled callback is destroyed when its entry surfaces; whatever it
+// captured may schedule from its destructor, growing the slot table.
+TEST(EventLoopTest, CancelledCallbackMayScheduleWhenDestroyed) {
+  EventLoop loop;
+  int fired = 0;
+  {
+    const std::shared_ptr<void> on_destroy(nullptr, [&](void*) {
+      for (int i = 0; i < 64; ++i) loop.Schedule(1, [&fired]() { fired++; });
+    });
+    const EventId id = loop.Schedule(10, [on_destroy]() {});
+    EXPECT_TRUE(loop.Cancel(id));
+  }
+  EXPECT_TRUE(loop.Empty());
+  EXPECT_EQ(loop.Run(), 64u);  // popping the cancelled entry schedules 64
+  EXPECT_EQ(fired, 64);
+  EXPECT_TRUE(loop.Empty());
+}
+
+TEST(EventLoopTest, RunUntilSkipsCancelledHead) {
+  EventLoop loop;
+  int fired = 0;
+  const EventId head = loop.Schedule(10, [&]() { fired += 100; });
+  loop.Schedule(20, [&]() { fired++; });
+  loop.Schedule(30, [&]() { fired++; });
+  EXPECT_TRUE(loop.Cancel(head));
+  EXPECT_EQ(loop.RunUntil(20), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(loop.Empty());
 }
 
 }  // namespace

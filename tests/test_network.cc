@@ -161,6 +161,46 @@ TEST(NetworkTest, ProtocolMessagesRoundTripThroughBase) {
   EXPECT_EQ(seen, protocol::Vote::kPrepared);
 }
 
+// Messages parked in flight are owned by the network: one dropped at a
+// partitioned receiver dies at delivery time, and one whose delivery event
+// never runs (the loop was cleared) dies with the network.
+struct CountedMessage : MessageBase {
+  explicit CountedMessage(int* live) : live(live) { ++*live; }
+  ~CountedMessage() override { --*live; }
+  size_t WireSize() const override { return 64; }
+  int* live;
+};
+
+TEST(NetworkTest, DroppedMessagesAreFreed) {
+  int live = 0;
+  EventLoop loop;
+  {
+    Network net(&loop, TwoNodeMatrix(10.0));
+    int delivered = 0;
+    net.RegisterNode(0, [](std::unique_ptr<MessageBase>) {});
+    net.RegisterNode(1, [&](std::unique_ptr<MessageBase>) { delivered++; });
+    auto send = [&]() {
+      auto msg = std::make_unique<CountedMessage>(&live);
+      msg->from = 0;
+      msg->to = 1;
+      net.Send(std::move(msg));
+    };
+    send();
+    net.Partition(1);
+    loop.Run();
+    EXPECT_EQ(delivered, 0);
+    EXPECT_EQ(live, 0);
+
+    net.Restore(1);
+    for (int i = 0; i < 3; ++i) send();
+    EXPECT_EQ(live, 3);
+    loop.Clear();
+    loop.Run();
+    EXPECT_EQ(delivered, 0);
+  }
+  EXPECT_EQ(live, 0);
+}
+
 }  // namespace
 }  // namespace sim
 }  // namespace geotp
