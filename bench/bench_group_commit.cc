@@ -13,7 +13,7 @@
 // summary line states the measured reduction).
 // WAN accounting: a second, replicated scenario measures the bytes the
 // leader->follower log shipping puts on the (simulated) WAN, raw shipping
-// vs the negotiated block compression. Acceptance additionally requires a
+// vs the block compression. Acceptance additionally requires a
 // >= 2x compression ratio on the shipped entry batches (the "wan:" line;
 // scripts/run_bench.sh lifts it into BENCH_group_commit.json).
 #include <cstdio>
@@ -68,7 +68,7 @@ void PrintDetail(const Row& row) {
 // DM runner does not wire replication). The leaders' shippers count every
 // entry batch twice — packed bytes before the codec and bytes actually
 // sent — so one compressed run yields the ratio directly, and a raw run
-// (wan_compression off everywhere, so the codec negotiates down) provides
+// (wan_compression off everywhere, so every batch ships plain) provides
 // the wire-parity baseline.
 // ---------------------------------------------------------------------------
 

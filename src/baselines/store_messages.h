@@ -25,12 +25,14 @@ struct StoreReadRequest : sim::MessageBase {
   TxnId txn = kInvalidTxn;
   uint64_t req_id = 0;
   std::vector<RecordKey> keys;
+  GEOTP_WIRE_FIELDS(txn, req_id, keys)
   size_t WireSize() const override { return 48 + keys.size() * 16; }
 };
 
 struct ReadResult {
   int64_t value = 0;
   uint64_t version = 0;
+  GEOTP_WIRE_FIELDS(value, version)
 };
 
 struct StoreReadResponse : sim::MessageBase {
@@ -41,6 +43,7 @@ struct StoreReadResponse : sim::MessageBase {
   uint64_t req_id = 0;
   Status status;
   std::vector<ReadResult> results;
+  GEOTP_WIRE_FIELDS(txn, req_id, status, results)
   size_t WireSize() const override { return 48 + results.size() * 16; }
 };
 
@@ -50,6 +53,7 @@ struct StagedOp {
   uint64_t expected_version = 0;
   bool is_write = false;
   int64_t write_value = 0;
+  GEOTP_WIRE_FIELDS(key, expected_version, is_write, write_value)
 };
 
 /// Consensus-commit prepare: validate read versions, install intents.
@@ -59,6 +63,7 @@ struct StorePrepareRequest : sim::MessageBase {
   }
   TxnId txn = kInvalidTxn;
   std::vector<StagedOp> ops;
+  GEOTP_WIRE_FIELDS(txn, ops)
   size_t WireSize() const override { return 48 + ops.size() * 32; }
 };
 
@@ -68,6 +73,7 @@ struct StorePrepareResponse : sim::MessageBase {
   }
   TxnId txn = kInvalidTxn;
   Status status;
+  GEOTP_WIRE_FIELDS(txn, status)
 };
 
 /// Promote (commit=true) or discard (commit=false) the txn's intents.
@@ -77,6 +83,7 @@ struct StoreDecisionRequest : sim::MessageBase {
   }
   TxnId txn = kInvalidTxn;
   bool commit = true;
+  GEOTP_WIRE_FIELDS(txn, commit)
 };
 
 struct StoreDecisionAck : sim::MessageBase {
@@ -85,6 +92,7 @@ struct StoreDecisionAck : sim::MessageBase {
   }
   TxnId txn = kInvalidTxn;
   bool commit = true;
+  GEOTP_WIRE_FIELDS(txn, commit)
 };
 
 // ---------------------------------------------------------------------------
@@ -100,6 +108,7 @@ struct YbBatchRequest : sim::MessageBase {
   TxnId txn = kInvalidTxn;
   uint64_t req_id = 0;
   std::vector<StagedOp> ops;  ///< expected_version unused (pessimistic write)
+  GEOTP_WIRE_FIELDS(txn, req_id, ops)
   size_t WireSize() const override { return 48 + ops.size() * 32; }
 };
 
@@ -111,6 +120,7 @@ struct YbBatchResponse : sim::MessageBase {
   uint64_t req_id = 0;
   Status status;
   std::vector<ReadResult> results;  ///< read ops only, in order
+  GEOTP_WIRE_FIELDS(txn, req_id, status, results)
 };
 
 /// Asynchronous intent resolution after the status record committed.
@@ -120,6 +130,7 @@ struct YbResolveRequest : sim::MessageBase {
   }
   TxnId txn = kInvalidTxn;
   bool commit = true;
+  GEOTP_WIRE_FIELDS(txn, commit)
 };
 
 }  // namespace baselines

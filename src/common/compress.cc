@@ -215,21 +215,13 @@ const char* WireCodecName(WireCodec codec) {
   return "?";
 }
 
-uint32_t SupportedCodecMask() {
-  uint32_t mask = kCodecRawBit | kCodecBlockBit;
-#ifdef GEOTP_WITH_ZSTD
-  mask |= kCodecZstdBit;
-#endif
-  return mask;
-}
-
-WireCodec PickWireCodec(uint32_t peer_mask, bool wan_compression) {
+WireCodec SenderCodec(bool wan_compression) {
   if (!wan_compression) return WireCodec::kRaw;
 #ifdef GEOTP_WITH_ZSTD
-  if ((peer_mask & kCodecZstdBit) != 0) return WireCodec::kZstd;
+  return WireCodec::kZstd;
+#else
+  return WireCodec::kBlock;
 #endif
-  if ((peer_mask & kCodecBlockBit) != 0) return WireCodec::kBlock;
-  return WireCodec::kRaw;
 }
 
 ICompressor* CompressorFor(WireCodec codec) {

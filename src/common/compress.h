@@ -14,11 +14,12 @@
 // ShardSeedDecline): equal hash means the destination already holds the
 // chunk byte-for-byte and declines the retransfer.
 //
-// Codecs are negotiated per connection with a bitmask piggybacked on acks
-// (raw is always supported), so mixed-version actors interoperate: a
-// sender ships raw frames until the peer advertises a codec. zstd slots
-// in behind GEOTP_WITH_ZSTD (CMake option) without changing any call
-// site; the repo builds offline with the block codec alone.
+// There is no negotiation: `wan_compression` is a sender-side deployment
+// knob (SenderCodec), and every receiver decodes whatever codec a frame
+// names, whatever its own knob says. zstd slots in behind GEOTP_WITH_ZSTD
+// (CMake option) without changing any call site; the repo builds offline
+// with the block codec alone. A build without zstd drops a zstd frame as
+// corrupt (DecodePayload fails), so mixing such builds is unsupported.
 #ifndef GEOTP_COMMON_COMPRESS_H_
 #define GEOTP_COMMON_COMPRESS_H_
 
@@ -46,20 +47,12 @@ enum class WireCodec : uint8_t {
 };
 
 const char* WireCodecName(WireCodec codec);
+constexpr WireCodec WireMax(WireCodec) { return WireCodec::kZstd; }
 
-/// Capability bits for per-connection negotiation (ack piggyback).
-constexpr uint32_t kCodecRawBit = 1u << 0;
-constexpr uint32_t kCodecBlockBit = 1u << 1;
-constexpr uint32_t kCodecZstdBit = 1u << 2;
-
-/// Every codec this build can decode (raw | block, + zstd when compiled
-/// in). This is what an actor advertises on its acks.
-uint32_t SupportedCodecMask();
-
-/// The codec a sender should use toward a peer advertising `peer_mask`,
-/// honouring the local `wan_compression` knob. An empty mask (a peer that
-/// predates negotiation) always resolves to raw.
-WireCodec PickWireCodec(uint32_t peer_mask, bool wan_compression);
+/// The codec a WAN sender ships under: this build's best compressor
+/// (zstd under GEOTP_WITH_ZSTD, else the block codec) when the sender's
+/// `wan_compression` knob is on, raw when it is off.
+WireCodec SenderCodec(bool wan_compression);
 
 /// Compression seam (SNIPPETS.md snippet 2 idiom): implementations are
 /// stateless per call, so one process-wide instance per codec suffices.

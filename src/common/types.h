@@ -10,6 +10,19 @@
 #include <functional>
 #include <string>
 
+/// Names a wire struct's fields once, in wire order. The serializer in
+/// common/wire.h visits this list to encode and to decode the struct, so
+/// a field added here is on the wire everywhere the struct travels.
+#define GEOTP_WIRE_FIELDS(...)      \
+  template <class V>                \
+  void Fields(V& v) {               \
+    v(__VA_ARGS__);                 \
+  }                                 \
+  template <class V>                \
+  void Fields(V& v) const {         \
+    v(__VA_ARGS__);                 \
+  }
+
 namespace geotp {
 
 /// Virtual time point / duration, in microseconds.
@@ -58,6 +71,7 @@ constexpr TxnId MakeTxnId(uint32_t middleware_ordinal, uint64_t seq) {
 struct Xid {
   TxnId txn_id = kInvalidTxn;
   NodeId data_source = kInvalidNode;
+  GEOTP_WIRE_FIELDS(txn_id, data_source)
 
   bool operator==(const Xid& other) const {
     return txn_id == other.txn_id && data_source == other.data_source;
@@ -78,6 +92,7 @@ struct XidHash {
 struct RecordKey {
   uint32_t table = 0;
   uint64_t key = 0;
+  GEOTP_WIRE_FIELDS(table, key)
 
   bool operator==(const RecordKey& other) const {
     return table == other.table && key == other.key;

@@ -68,11 +68,10 @@ struct DataSourceConfig {
   /// lost by the network are re-sent when no stream progress happened for
   /// this long; duplicates are re-acked at the receiver's position.
   Micros migration_resend_timeout = MsToMicros(600);
-  /// WAN frugality: compress log-shipping batches and migration/bootstrap
-  /// snapshot chunks (common/compress.h). Negotiated per connection — a
-  /// sender only compresses toward a peer that advertised a shared codec
-  /// on an ack, so an actor with this off (or an older build without the
-  /// envelope at all) keeps exchanging plain frames with everyone.
+  /// WAN frugality: compress the log-shipping batches and migration/
+  /// bootstrap snapshot chunks this node sends (common/compress.h). A
+  /// sender-side knob: receivers decode compressed and plain frames alike,
+  /// whatever their own setting.
   bool wan_compression = true;
   /// Overload control: bound on the engine run queue (live branches,
   /// including parked lock waiters). A NEW branch (begin_branch batch)

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/compress.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "sharding/shard_map.h"
@@ -28,6 +29,7 @@ struct ClientOp {
   bool is_write = false;
   int64_t value = 0;     ///< write literal or delta
   bool is_delta = false; ///< UPDATE ... SET val = val + value
+  GEOTP_WIRE_FIELDS(key, is_write, value, is_delta)
 };
 
 // ---------------------------------------------------------------------------
@@ -49,6 +51,7 @@ struct ClientRoundRequest : sim::MessageBase {
   uint32_t tenant = 0;
   std::vector<ClientOp> ops;
   bool last_round = false;
+  GEOTP_WIRE_FIELDS(client_tag, txn_id, tenant, ops, last_round)
   size_t WireSize() const override { return 64 + ops.size() * 24; }
 };
 
@@ -60,6 +63,7 @@ struct ClientRoundResponse : sim::MessageBase {
   TxnId txn_id = kInvalidTxn;
   Status status;
   std::vector<int64_t> values;  ///< read results, in op order
+  GEOTP_WIRE_FIELDS(client_tag, txn_id, status, values)
   size_t WireSize() const override { return 64 + values.size() * 8; }
 };
 
@@ -71,6 +75,7 @@ struct ClientFinishRequest : sim::MessageBase {
   uint64_t client_tag = 0;
   TxnId txn_id = kInvalidTxn;
   bool commit = true;
+  GEOTP_WIRE_FIELDS(client_tag, txn_id, commit)
 };
 
 /// Final transaction outcome to the client.
@@ -81,6 +86,7 @@ struct ClientTxnResult : sim::MessageBase {
   uint64_t client_tag = 0;
   TxnId txn_id = kInvalidTxn;
   Status status;
+  GEOTP_WIRE_FIELDS(client_tag, txn_id, status)
 };
 
 /// Shed reply: the DM refused to admit a NEW transaction (in-flight
@@ -97,6 +103,7 @@ struct OverloadedResponse : sim::MessageBase {
   /// Suggested minimum backoff before retrying; grows while the DM keeps
   /// shedding so persistent overload pushes clients further out.
   Micros retry_after_hint = 0;
+  GEOTP_WIRE_FIELDS(client_tag, tenant, retry_after_hint)
   size_t WireSize() const override { return 48; }
 };
 
@@ -121,6 +128,8 @@ struct BranchExecuteRequest : sim::MessageBase {
   std::vector<NodeId> peers;
   /// Middleware to send the implicit-prepare vote to.
   NodeId coordinator = kInvalidNode;
+  GEOTP_WIRE_FIELDS(xid, round_seq, begin_branch, ops, last_statement, peers,
+                    coordinator)
   size_t WireSize() const override { return 96 + ops.size() * 24; }
 };
 
@@ -137,6 +146,8 @@ struct BranchExecuteResponse : sim::MessageBase {
   Micros local_exec_latency = 0;
   /// True if the branch already rolled back locally (failure path).
   bool rolled_back = false;
+  GEOTP_WIRE_FIELDS(xid, round_seq, status, values, local_exec_latency,
+                    rolled_back)
   size_t WireSize() const override { return 96 + values.size() * 8; }
 };
 
@@ -147,6 +158,7 @@ struct PrepareRequest : sim::MessageBase {
     return sim::MessageType::kPrepareRequest;
   }
   Xid xid;
+  GEOTP_WIRE_FIELDS(xid)
 };
 
 /// Vote values, per Algorithm 1.
@@ -159,6 +171,7 @@ enum class Vote : uint8_t {
 };
 
 const char* VoteName(Vote vote);
+constexpr Vote WireMax(Vote) { return Vote::kRollbacked; }
 
 struct VoteMessage : sim::MessageBase {
   sim::MessageType type() const override {
@@ -166,6 +179,7 @@ struct VoteMessage : sim::MessageBase {
   }
   Xid xid;
   Vote vote = Vote::kPrepared;
+  GEOTP_WIRE_FIELDS(xid, vote)
 };
 
 /// Several explicit prepares bound for one data source, coalesced by the
@@ -176,6 +190,7 @@ struct PrepareBatch : sim::MessageBase {
     return sim::MessageType::kPrepareBatch;
   }
   std::vector<Xid> xids;
+  GEOTP_WIRE_FIELDS(xids)
   size_t WireSize() const override { return 48 + xids.size() * 24; }
 };
 
@@ -188,6 +203,7 @@ struct DecisionRequest : sim::MessageBase {
   Xid xid;
   bool commit = true;
   bool one_phase = false;
+  GEOTP_WIRE_FIELDS(xid, commit, one_phase)
 };
 
 struct DecisionAck : sim::MessageBase {
@@ -201,6 +217,7 @@ struct DecisionAck : sim::MessageBase {
   /// two-phase commit of a prepared branch would be an atomicity bug.
   bool one_phase = false;
   Status status;
+  GEOTP_WIRE_FIELDS(xid, committed, one_phase, status)
 };
 
 /// One decision of a DecisionBatch.
@@ -208,6 +225,7 @@ struct DecisionItem {
   Xid xid;
   bool commit = true;
   bool one_phase = false;
+  GEOTP_WIRE_FIELDS(xid, commit, one_phase)
 };
 
 /// Several decisions bound for one data source, coalesced like
@@ -218,6 +236,7 @@ struct DecisionBatch : sim::MessageBase {
     return sim::MessageType::kDecisionBatch;
   }
   std::vector<DecisionItem> items;
+  GEOTP_WIRE_FIELDS(items)
   size_t WireSize() const override { return 48 + items.size() * 24; }
 };
 
@@ -233,6 +252,7 @@ struct PeerAbortRequest : sim::MessageBase {
   }
   TxnId txn_id = kInvalidTxn;
   NodeId origin = kInvalidNode;  ///< the data source where the failure hit
+  GEOTP_WIRE_FIELDS(txn_id, origin)
 };
 
 // ---------------------------------------------------------------------------
@@ -258,6 +278,9 @@ enum class ReplEntryType : uint8_t {
 };
 
 const char* ReplEntryTypeName(ReplEntryType type);
+constexpr ReplEntryType WireMax(ReplEntryType) {
+  return ReplEntryType::kMigrationEnd;
+}
 
 /// Control payload of the kMigration* entry types: everything a promoted
 /// source leader needs to re-fence / re-report / abort the migration
@@ -274,6 +297,8 @@ struct MigrationRecord {
   /// acked when the cutover was journaled, so a promoted leader continues
   /// numbering here for drain commits of installed prepared branches.
   uint64_t delta_next_seq = 1;
+  GEOTP_WIRE_FIELDS(migration_id, range, dest, dest_leader, new_version,
+                    balancer, timeout, delta_next_seq)
 };
 
 /// One write of a replicated branch, as an absolute value (deltas are
@@ -281,6 +306,7 @@ struct MigrationRecord {
 struct ReplWrite {
   RecordKey key;
   int64_t value = 0;
+  GEOTP_WIRE_FIELDS(key, value)
 };
 
 /// One entry of a replica group's shipped WAL.
@@ -314,6 +340,9 @@ struct ReplEntry {
   /// the uncompressed wire payload) — the identity the decline handshake
   /// compares against the source's re-offer. 0 for deltas.
   uint64_t ingest_content_hash = 0;
+  GEOTP_WIRE_FIELDS(index, epoch, type, xid, coordinator, at, writes, migration,
+                    ingest_migration_id, ingest_chunk_seq, ingest_delta_seq,
+                    ingest_content_hash)
 };
 
 /// Leader -> follower log shipping. Empty `entries` is a heartbeat; both
@@ -344,12 +373,14 @@ struct ReplAppendRequest : sim::MessageBase {
   // FNV hash of the UNCOMPRESSED packed bytes) before the receiver unpacks
   // it back into `entries`. A frame failing the check is dropped whole —
   // the follower's nack/retransmit path recovers, nothing half-applies.
-  // The leader only builds an envelope once the follower's ack advertised
-  // a codec (mixed-version actors keep receiving plain `entries`).
-  uint8_t payload_codec = 0;  ///< common::WireCodec
+  // A leader with wan_compression off ships plain `entries` instead.
+  common::WireCodec payload_codec = common::WireCodec::kRaw;
   uint32_t payload_uncompressed_len = 0;
   uint64_t payload_hash = 0;
   std::string payload;
+  GEOTP_WIRE_FIELDS(group, epoch, prev_index, prev_epoch, entries,
+                    commit_watermark, compact_floor, payload_codec,
+                    payload_uncompressed_len, payload_hash, payload)
   size_t WireSize() const override {
     size_t bytes = 64;
     if (!payload.empty()) return bytes + payload.size();
@@ -367,10 +398,7 @@ struct ReplAppendAck : sim::MessageBase {
   /// Highest log index the follower holds after processing the append.
   uint64_t ack_index = 0;
   bool ok = true;  ///< false: log gap — leader rewinds to ack_index + 1
-  /// Codecs this follower can decode (common::SupportedCodecMask, gated by
-  /// its wan_compression knob). 0 — the default a pre-negotiation actor
-  /// sends — keeps the leader shipping plain entries.
-  uint32_t codec_mask = 0;
+  GEOTP_WIRE_FIELDS(group, epoch, ack_index, ok)
   size_t WireSize() const override { return 48; }
 };
 
@@ -386,6 +414,7 @@ struct ReplVoteRequest : sim::MessageBase {
   /// quorum-committed entries from a newer epoch.
   uint64_t last_log_epoch = 0;
   uint64_t last_log_index = 0;
+  GEOTP_WIRE_FIELDS(group, epoch, last_log_epoch, last_log_index)
   size_t WireSize() const override { return 48; }
 };
 
@@ -397,6 +426,7 @@ struct ReplVoteResponse : sim::MessageBase {
   uint64_t epoch = 0;
   bool granted = false;
   uint64_t voter_last_index = 0;
+  GEOTP_WIRE_FIELDS(group, epoch, granted, voter_last_index)
   size_t WireSize() const override { return 48; }
 };
 
@@ -409,6 +439,7 @@ struct LeaderAnnounce : sim::MessageBase {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;
   NodeId leader = kInvalidNode;
+  GEOTP_WIRE_FIELDS(group, epoch, leader)
   size_t WireSize() const override { return 48; }
 };
 
@@ -421,6 +452,7 @@ struct NotLeaderResponse : sim::MessageBase {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;
   NodeId leader_hint = kInvalidNode;  ///< kInvalidNode while electing
+  GEOTP_WIRE_FIELDS(group, epoch, leader_hint)
   size_t WireSize() const override { return 48; }
 };
 
@@ -435,6 +467,7 @@ struct FollowerReadRequest : sim::MessageBase {
   uint64_t round_seq = 0;
   std::vector<RecordKey> keys;
   Micros max_staleness = 0;
+  GEOTP_WIRE_FIELDS(group, txn_id, round_seq, keys, max_staleness)
   size_t WireSize() const override { return 64 + keys.size() * 16; }
 };
 
@@ -448,6 +481,7 @@ struct FollowerReadResponse : sim::MessageBase {
   bool ok = false;  ///< false: staleness bound exceeded — retry at the leader
   Micros staleness = 0;
   std::vector<int64_t> values;
+  GEOTP_WIRE_FIELDS(group, txn_id, round_seq, ok, staleness, values)
   size_t WireSize() const override { return 64 + values.size() * 8; }
 };
 
@@ -472,6 +506,8 @@ struct ShardMigrateRequest : sim::MessageBase {
   /// unfences) after twice this, so a balancer that died mid-migration
   /// cannot wedge the range in the fenced state forever.
   Micros timeout = 0;
+  GEOTP_WIRE_FIELDS(migration_id, range, dest, dest_leader, new_version,
+                    timeout)
   size_t WireSize() const override { return 96; }
 };
 
@@ -483,6 +519,7 @@ struct ShardMigrateCancel : sim::MessageBase {
     return sim::MessageType::kShardMigrateCancel;
   }
   uint64_t migration_id = 0;
+  GEOTP_WIRE_FIELDS(migration_id)
   size_t WireSize() const override { return 48; }
 };
 
@@ -494,10 +531,11 @@ struct ShardMigrateCancel : sim::MessageBase {
 ///    chunks outstanding, so a slow destination backpressures the source
 ///    instead of flooding the event loop. `last` marks the final chunk.
 ///  * replication snapshot bootstrap (migration_id == 0): group leader ->
-///    follower whose log was fully compacted away, carrying the leader's
-///    full applied store; base_index/base_epoch position the follower's
-///    (empty) log at the compaction boundary so shipping resumes from the
-///    retained tail.
+///    follower whose log was fully compacted away, carrying one chunk
+///    (seq >= 1) of the stream a ShardSeedOffer announced; once every
+///    non-declined chunk landed, base_index/base_epoch position the
+///    follower's (empty) log at the compaction boundary so shipping
+///    resumes from the retained tail.
 struct ShardSnapshotChunk : sim::MessageBase {
   sim::MessageType type() const override {
     return sim::MessageType::kShardSnapshotChunk;
@@ -505,7 +543,7 @@ struct ShardSnapshotChunk : sim::MessageBase {
   uint64_t migration_id = 0;
   NodeId group = kInvalidNode;   ///< dest logical group / repl group id
   sharding::ShardRange range;    ///< moving range (migration only)
-  uint64_t seq = 0;              ///< 1-based chunk sequence (migration only)
+  uint64_t seq = 0;              ///< 1-based chunk sequence
   bool last = false;             ///< final chunk of the stream
   uint64_t epoch = 0;            ///< leadership epoch (bootstrap only)
   uint64_t base_index = 0;       ///< log index covered through (bootstrap)
@@ -518,10 +556,13 @@ struct ShardSnapshotChunk : sim::MessageBase {
   // identity in the re-seed handshake: the destination journals it with
   // the ingest (ReplEntry::ingest_content_hash) and declines the chunk
   // when the source re-offers the same hash after a failover.
-  uint8_t payload_codec = 0;  ///< common::WireCodec
+  common::WireCodec payload_codec = common::WireCodec::kRaw;
   uint32_t payload_uncompressed_len = 0;
   uint64_t content_hash = 0;  ///< hash of the packed (uncompressed) records
   std::string payload;
+  GEOTP_WIRE_FIELDS(migration_id, group, range, seq, last, epoch, base_index,
+                    base_epoch, records, payload_codec,
+                    payload_uncompressed_len, content_hash, payload)
   size_t WireSize() const override {
     if (!payload.empty()) return 112 + payload.size();
     return 112 + records.size() * 16;
@@ -540,9 +581,7 @@ struct ShardSnapshotAck : sim::MessageBase {
   uint64_t migration_id = 0;
   uint64_t seq = 0;     ///< highest contiguously applied chunk
   uint64_t credit = 1;  ///< additional chunks the receiver will buffer
-  /// Codecs the destination can decode (0 = pre-negotiation actor: the
-  /// source keeps shipping plain records).
-  uint32_t codec_mask = 0;
+  GEOTP_WIRE_FIELDS(migration_id, seq, credit)
   size_t WireSize() const override { return 48; }
 };
 
@@ -557,6 +596,7 @@ struct ShardDeltaBatch : sim::MessageBase {
   uint64_t migration_id = 0;
   uint64_t seq = 0;  ///< 1-based batch sequence
   std::vector<ReplWrite> writes;
+  GEOTP_WIRE_FIELDS(migration_id, seq, writes)
   size_t WireSize() const override { return 64 + writes.size() * 16; }
 };
 
@@ -566,6 +606,7 @@ struct ShardDeltaAck : sim::MessageBase {
   }
   uint64_t migration_id = 0;
   uint64_t seq = 0;  ///< highest contiguously applied batch
+  GEOTP_WIRE_FIELDS(migration_id, seq)
   size_t WireSize() const override { return 48; }
 };
 
@@ -586,6 +627,7 @@ struct ShardCutoverReady : sim::MessageBase {
   /// unreplicated sources, where the stale-epoch compare still gates the
   /// publish.
   bool logged = false;
+  GEOTP_WIRE_FIELDS(migration_id, range, logged)
   size_t WireSize() const override { return 96; }
 };
 
@@ -598,6 +640,7 @@ struct ShardMigrateAborted : sim::MessageBase {
     return sim::MessageType::kShardMigrateAborted;
   }
   uint64_t migration_id = 0;
+  GEOTP_WIRE_FIELDS(migration_id)
   size_t WireSize() const override { return 48; }
 };
 
@@ -614,6 +657,7 @@ struct SeedDigest {
   RecordKey lo;       ///< first key the chunk covers
   RecordKey hi;       ///< last key the chunk covers
   bool last = false;  ///< final chunk of the stream
+  GEOTP_WIRE_FIELDS(seq, hash, lo, hi, last)
 };
 
 /// Source -> destination: "this is the chunk stream; decline what you
@@ -625,9 +669,8 @@ struct SeedDigest {
 ///    ingest journal confirms and the stream resumes after it — no
 ///    timeout-cancel, no full re-copy.
 ///  * follower bootstrap (migration_id == 0): sent by the group leader
-///    instead of one monolithic store snapshot. base_index/base_epoch
-///    position the follower's log exactly as the old single-chunk path
-///    did, once every non-declined chunk has been applied.
+///    to re-seed a follower. base_index/base_epoch position the
+///    follower's log once every non-declined chunk has been applied.
 struct ShardSeedOffer : sim::MessageBase {
   sim::MessageType type() const override {
     return sim::MessageType::kShardSeedOffer;
@@ -639,13 +682,15 @@ struct ShardSeedOffer : sim::MessageBase {
   uint64_t base_index = 0;      ///< bootstrap only (see ShardSnapshotChunk)
   uint64_t base_epoch = 0;
   std::vector<SeedDigest> digests;
+  GEOTP_WIRE_FIELDS(migration_id, group, range, epoch, base_index, base_epoch,
+                    digests)
   size_t WireSize() const override { return 96 + digests.size() * 48; }
 };
 
 /// Destination -> source: the chunks (by seq) the receiver already holds
 /// and therefore declines, plus its resume state. Everything NOT declined
-/// is (re)sent. Also the natural carrier of the receiver's codec mask and
-/// credit for the resumed stream.
+/// is (re)sent. Also the natural carrier of the receiver's credit for the
+/// resumed stream.
 struct ShardSeedDecline : sim::MessageBase {
   sim::MessageType type() const override {
     return sim::MessageType::kShardSeedDecline;
@@ -657,8 +702,8 @@ struct ShardSeedDecline : sim::MessageBase {
   /// Migration resume: highest contiguously applied delta batch — the
   /// source resends its unacked deltas past this.
   uint64_t delta_seq = 0;
-  uint64_t credit = 1;      ///< flow-control grant for the resumed stream
-  uint32_t codec_mask = 0;  ///< codecs the receiver decodes
+  uint64_t credit = 1;  ///< flow-control grant for the resumed stream
+  GEOTP_WIRE_FIELDS(migration_id, group, epoch, declined, delta_seq, credit)
   size_t WireSize() const override { return 64 + declined.size() * 8; }
 };
 
@@ -670,6 +715,7 @@ struct ShardMapUpdate : sim::MessageBase {
     return sim::MessageType::kShardMapUpdate;
   }
   std::vector<sharding::ShardRange> entries;
+  GEOTP_WIRE_FIELDS(entries)
   size_t WireSize() const override { return 48 + entries.size() * 32; }
 };
 
@@ -684,6 +730,7 @@ struct ShardRedirect : sim::MessageBase {
   TxnId txn_id = kInvalidTxn;
   uint64_t round_seq = 0;
   sharding::ShardRange entry;  ///< owner = the range's current owner
+  GEOTP_WIRE_FIELDS(txn_id, round_seq, entry)
   size_t WireSize() const override { return 96; }
 };
 
@@ -702,6 +749,7 @@ struct PingRequest : sim::MessageBase {
   /// missed a publish converges within one ping interval instead of
   /// waiting to bounce off a redirect.
   uint64_t shard_epoch = 0;
+  GEOTP_WIRE_FIELDS(seq, sent_at, shard_epoch)
   size_t WireSize() const override { return 40; }
 };
 
@@ -730,6 +778,8 @@ struct PingResponse : sim::MessageBase {
   /// Piggybacked map when the ping's shard_epoch was behind this node's
   /// map (empty otherwise). The DM adopts the entries.
   std::vector<sharding::ShardRange> map_entries;
+  GEOTP_WIRE_FIELDS(seq, sent_at, inflight, run_queue, run_queue_limit,
+                    shard_epoch, map_entries)
   size_t WireSize() const override { return 48 + map_entries.size() * 32; }
 };
 

@@ -1,204 +1,26 @@
 #include "protocol/wan_codec.h"
 
-#include <cstring>
+#include "common/wire.h"
 
 namespace geotp {
 namespace protocol {
-namespace {
-
-// Minimal little-endian writer/reader. The reader never reads past the
-// end: every Get* checks remaining bytes and latches a failure flag the
-// caller tests once at the end (so decode code stays linear).
-class Writer {
- public:
-  explicit Writer(std::string* out) : out_(out) {}
-  void PutU8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
-  void PutU32(uint32_t v) { PutFixed(&v, sizeof(v)); }
-  void PutU64(uint64_t v) { PutFixed(&v, sizeof(v)); }
-  void PutI32(int32_t v) { PutFixed(&v, sizeof(v)); }
-  void PutI64(int64_t v) { PutFixed(&v, sizeof(v)); }
-
- private:
-  void PutFixed(const void* v, size_t n) {
-    // Little-endian hosts only (matches runtime/codec.cc's assumption).
-    out_->append(static_cast<const char*>(v), n);
-  }
-  std::string* out_;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::string& in) : in_(in) {}
-  uint8_t GetU8() {
-    uint8_t v = 0;
-    GetFixed(&v, sizeof(v));
-    return v;
-  }
-  uint32_t GetU32() {
-    uint32_t v = 0;
-    GetFixed(&v, sizeof(v));
-    return v;
-  }
-  uint64_t GetU64() {
-    uint64_t v = 0;
-    GetFixed(&v, sizeof(v));
-    return v;
-  }
-  int32_t GetI32() {
-    int32_t v = 0;
-    GetFixed(&v, sizeof(v));
-    return v;
-  }
-  int64_t GetI64() {
-    int64_t v = 0;
-    GetFixed(&v, sizeof(v));
-    return v;
-  }
-  /// Sanity bound for a decoded element count: each element needs at
-  /// least `min_bytes` more input, so a forged count cannot force a giant
-  /// reserve.
-  bool FitsCount(uint32_t count, size_t min_bytes) const {
-    return !failed_ && static_cast<size_t>(count) * min_bytes <=
-                           in_.size() - pos_;
-  }
-  bool AtEnd() const { return pos_ == in_.size(); }
-  bool ok() const { return !failed_; }
-
- private:
-  void GetFixed(void* v, size_t n) {
-    if (failed_ || in_.size() - pos_ < n) {
-      failed_ = true;
-      return;
-    }
-    std::memcpy(v, in_.data() + pos_, n);
-    pos_ += n;
-  }
-  const std::string& in_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
-
-void PutWrite(Writer* w, const ReplWrite& write) {
-  w->PutU32(write.key.table);
-  w->PutU64(write.key.key);
-  w->PutI64(write.value);
-}
-
-ReplWrite GetWrite(Reader* r) {
-  ReplWrite write;
-  write.key.table = r->GetU32();
-  write.key.key = r->GetU64();
-  write.value = r->GetI64();
-  return write;
-}
-
-constexpr size_t kWriteBytes = 20;
-
-}  // namespace
 
 std::string PackWrites(const std::vector<ReplWrite>& writes) {
-  std::string out;
-  out.reserve(4 + writes.size() * kWriteBytes);
-  Writer w(&out);
-  w.PutU32(static_cast<uint32_t>(writes.size()));
-  for (const ReplWrite& write : writes) PutWrite(&w, write);
-  return out;
+  return wire::Pack(writes);
 }
 
 bool UnpackWrites(const std::string& bytes,
                   std::vector<ReplWrite>* writes) {
-  writes->clear();
-  Reader r(bytes);
-  const uint32_t count = r.GetU32();
-  if (!r.FitsCount(count, kWriteBytes)) return false;
-  writes->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) writes->push_back(GetWrite(&r));
-  return r.ok() && r.AtEnd();
+  return wire::Unpack(bytes, writes);
 }
 
 std::string PackEntries(const std::vector<ReplEntry>& entries) {
-  std::string out;
-  Writer w(&out);
-  w.PutU32(static_cast<uint32_t>(entries.size()));
-  for (const ReplEntry& e : entries) {
-    w.PutU64(e.index);
-    w.PutU64(e.epoch);
-    w.PutU8(static_cast<uint8_t>(e.type));
-    w.PutU64(e.xid.txn_id);
-    w.PutI32(e.xid.data_source);
-    w.PutI32(e.coordinator);
-    w.PutI64(e.at);
-    w.PutU32(static_cast<uint32_t>(e.writes.size()));
-    for (const ReplWrite& write : e.writes) PutWrite(&w, write);
-    w.PutU8(e.migration != nullptr ? 1 : 0);
-    if (e.migration != nullptr) {
-      const MigrationRecord& m = *e.migration;
-      w.PutU64(m.migration_id);
-      w.PutU32(m.range.table);
-      w.PutU64(m.range.lo);
-      w.PutU64(m.range.hi);
-      w.PutI32(m.range.owner);
-      w.PutU64(m.range.version);
-      w.PutI32(m.dest);
-      w.PutI32(m.dest_leader);
-      w.PutU64(m.new_version);
-      w.PutI32(m.balancer);
-      w.PutI64(m.timeout);
-      w.PutU64(m.delta_next_seq);
-    }
-    w.PutU64(e.ingest_migration_id);
-    w.PutU64(e.ingest_chunk_seq);
-    w.PutU64(e.ingest_delta_seq);
-    w.PutU64(e.ingest_content_hash);
-  }
-  return out;
+  return wire::Pack(entries);
 }
 
 bool UnpackEntries(const std::string& bytes,
                    std::vector<ReplEntry>* entries) {
-  entries->clear();
-  Reader r(bytes);
-  const uint32_t count = r.GetU32();
-  // 62 = fixed bytes of a minimal entry (no writes, no migration record).
-  if (!r.FitsCount(count, 62)) return false;
-  entries->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    ReplEntry e;
-    e.index = r.GetU64();
-    e.epoch = r.GetU64();
-    e.type = static_cast<ReplEntryType>(r.GetU8());
-    e.xid.txn_id = r.GetU64();
-    e.xid.data_source = r.GetI32();
-    e.coordinator = r.GetI32();
-    e.at = r.GetI64();
-    const uint32_t writes = r.GetU32();
-    if (!r.FitsCount(writes, kWriteBytes)) return false;
-    e.writes.reserve(writes);
-    for (uint32_t j = 0; j < writes; ++j) e.writes.push_back(GetWrite(&r));
-    if (r.GetU8() != 0) {
-      auto m = std::make_shared<MigrationRecord>();
-      m->migration_id = r.GetU64();
-      m->range.table = r.GetU32();
-      m->range.lo = r.GetU64();
-      m->range.hi = r.GetU64();
-      m->range.owner = r.GetI32();
-      m->range.version = r.GetU64();
-      m->dest = r.GetI32();
-      m->dest_leader = r.GetI32();
-      m->new_version = r.GetU64();
-      m->balancer = r.GetI32();
-      m->timeout = r.GetI64();
-      m->delta_next_seq = r.GetU64();
-      e.migration = std::move(m);
-    }
-    e.ingest_migration_id = r.GetU64();
-    e.ingest_chunk_seq = r.GetU64();
-    e.ingest_delta_seq = r.GetU64();
-    e.ingest_content_hash = r.GetU64();
-    if (!r.ok()) return false;
-    entries->push_back(std::move(e));
-  }
-  return r.ok() && r.AtEnd();
+  return wire::Unpack(bytes, entries);
 }
 
 EnvelopeBytes SealAppendPayload(common::WireCodec codec,
@@ -208,14 +30,12 @@ EnvelopeBytes SealAppendPayload(common::WireCodec codec,
   const std::string raw = PackEntries(req->entries);
   bytes.raw = raw.size();
   if (codec == common::WireCodec::kRaw) {
-    // Pre-negotiation receiver: ship the plain vector (no envelope); it
-    // still counts as raw-sized WAN traffic.
+    // Compression off: ship the plain vector (no envelope); it still
+    // counts as raw-sized WAN traffic.
     bytes.wire = raw.size();
     return bytes;
   }
-  const common::WireCodec used =
-      common::EncodePayload(codec, raw, &req->payload);
-  req->payload_codec = static_cast<uint8_t>(used);
+  req->payload_codec = common::EncodePayload(codec, raw, &req->payload);
   req->payload_uncompressed_len = static_cast<uint32_t>(raw.size());
   req->payload_hash = common::ContentHash64(raw);
   req->entries.clear();
@@ -226,9 +46,9 @@ EnvelopeBytes SealAppendPayload(common::WireCodec codec,
 bool OpenAppendPayload(ReplAppendRequest* req) {
   if (req->payload.empty()) return true;  // plain (or heartbeat) frame
   std::string raw;
-  if (!common::DecodePayload(
-          static_cast<common::WireCodec>(req->payload_codec), req->payload,
-          req->payload_uncompressed_len, req->payload_hash, &raw)) {
+  if (!common::DecodePayload(req->payload_codec, req->payload,
+                             req->payload_uncompressed_len,
+                             req->payload_hash, &raw)) {
     return false;
   }
   if (!UnpackEntries(raw, &req->entries)) return false;
@@ -242,15 +62,13 @@ EnvelopeBytes SealChunkPayload(common::WireCodec codec,
   const std::string raw = PackWrites(chunk->records);
   bytes.raw = raw.size();
   // Always set: the hash is the chunk's identity in the re-seed
-  // handshake, whatever codec the stream negotiated.
+  // handshake, whatever codec the chunk ships under.
   chunk->content_hash = common::ContentHash64(raw);
   if (codec == common::WireCodec::kRaw) {
     bytes.wire = raw.size();
     return bytes;
   }
-  const common::WireCodec used =
-      common::EncodePayload(codec, raw, &chunk->payload);
-  chunk->payload_codec = static_cast<uint8_t>(used);
+  chunk->payload_codec = common::EncodePayload(codec, raw, &chunk->payload);
   chunk->payload_uncompressed_len = static_cast<uint32_t>(raw.size());
   chunk->records.clear();
   bytes.wire = chunk->payload.size();
@@ -260,10 +78,9 @@ EnvelopeBytes SealChunkPayload(common::WireCodec codec,
 bool OpenChunkPayload(ShardSnapshotChunk* chunk) {
   if (chunk->payload.empty()) return true;
   std::string raw;
-  if (!common::DecodePayload(
-          static_cast<common::WireCodec>(chunk->payload_codec),
-          chunk->payload, chunk->payload_uncompressed_len,
-          chunk->content_hash, &raw)) {
+  if (!common::DecodePayload(chunk->payload_codec, chunk->payload,
+                             chunk->payload_uncompressed_len,
+                             chunk->content_hash, &raw)) {
     return false;
   }
   if (!UnpackWrites(raw, &chunk->records)) return false;

@@ -4,10 +4,11 @@
 // (ReplAppendRequest) and migration/bootstrap ShardSnapshotChunks — ship
 // their record vectors as one packed byte string so the payload can be
 // compressed and hash-verified as a unit (src/common/compress.h). The
-// packed format here is deliberately independent of the loopback runtime's
-// message codec (runtime/codec.cc): it is the CONTENT being transported,
-// not the frame — the same packed bytes travel inside a sim message object
-// or inside a TCP frame unchanged, which is what makes the content hash a
+// packed form is the vector exactly as the loopback message codec lays it
+// out — both run the one serializer in common/wire.h over the structs'
+// GEOTP_WIRE_FIELDS lists. It is the CONTENT being transported, not the
+// frame: the same packed bytes travel inside a sim message object or
+// inside a TCP frame unchanged, which is what makes the content hash a
 // stable chunk identity across runtimes and across retries.
 //
 // All decode paths are bounds-checked and total: malformed bytes yield
@@ -36,10 +37,10 @@ std::string PackEntries(const std::vector<ReplEntry>& entries);
 bool UnpackEntries(const std::string& bytes,
                    std::vector<ReplEntry>* entries);
 
-/// Seals `req->entries` into the WAN envelope under `codec` (kRaw leaves
-/// the plain vector in place — a pre-negotiation receiver must still see
-/// `entries`). Returns {raw_bytes, wire_bytes} of the batch for the WAN
-/// accounting counters.
+/// Seals `req->entries` into the WAN envelope under `codec` (kRaw, the
+/// sender's compression knob off, leaves the plain vector in place).
+/// Returns {raw_bytes, wire_bytes} of the batch for the WAN accounting
+/// counters.
 struct EnvelopeBytes {
   size_t raw = 0;
   size_t wire = 0;

@@ -114,11 +114,10 @@ void LogShipper::ShipTo(NodeId follower, Progress& progress) {
   stats_.entries_shipped += req->entries.size();
   if (!req->entries.empty()) {
     stats_.append_batches_shipped++;
-    // Seal the batch into the compressed WAN envelope under the codec the
-    // follower negotiated (raw until its first ack arrives).
+    // Seal the batch into the compressed WAN envelope (plain entries when
+    // the knob is off).
     const protocol::EnvelopeBytes bytes = protocol::SealAppendPayload(
-        common::PickWireCodec(progress.codec_mask, wan_compression_),
-        req.get());
+        common::SenderCodec(wan_compression_), req.get());
     stats_.wan_bytes_raw += bytes.raw;
     stats_.wan_bytes_wire += bytes.wire;
   }
@@ -133,9 +132,6 @@ void LogShipper::OnAck(NodeId follower, const ReplAppendAck& ack) {
   if (it == followers_.end()) return;
   stats_.acks_received++;
   Progress& progress = it->second;
-  // Every ack re-advertises the follower's codec support; later batches
-  // to this follower may compress.
-  progress.codec_mask = ack.codec_mask;
   if (!ack.ok) {
     // Log gap at the follower: rewind and retransmit from its tail.
     progress.next_index = ack.ack_index + 1;

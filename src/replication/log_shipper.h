@@ -115,7 +115,7 @@ struct LogShipperStats {
   uint64_t snapshots_sent = 0;  ///< bootstrap snapshots to wiped followers
   /// WAN accounting for shipped entry batches: packed size before
   /// compression vs bytes actually put on the wire (equal when a batch
-  /// ships raw — pre-negotiation follower or compression disabled).
+  /// ships raw — compression disabled on this leader).
   uint64_t wan_bytes_raw = 0;
   uint64_t wan_bytes_wire = 0;
 };
@@ -135,9 +135,8 @@ class LogShipper {
     snapshot_sender_ = std::move(sender);
   }
 
-  /// Leader-side compression knob (DataSourceConfig::wan_compression).
-  /// Even when on, a batch only compresses after the follower advertised
-  /// a shared codec on an ack — until then frames ship raw.
+  /// Leader-side compression knob (DataSourceConfig::wan_compression):
+  /// on, batches ship compressed (common::SenderCodec); off, plain.
   void set_wan_compression(bool on) { wan_compression_ = on; }
 
   /// Activates shipping for a leadership term. `floor` is the commit
@@ -179,9 +178,6 @@ class LogShipper {
   struct Progress {
     uint64_t next_index = 1;   ///< first entry to ship next
     uint64_t match_index = 0;  ///< highest index known replicated
-    /// Codecs the follower advertised on its last ack (0 until the first
-    /// ack arrives: ship raw so a mixed-version peer always interops).
-    uint32_t codec_mask = 0;
   };
 
   void ShipTo(NodeId follower, Progress& progress);

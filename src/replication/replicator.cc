@@ -82,11 +82,6 @@ Replicator::Replicator(datasource::DataSourceNode* node, GroupConfig group)
   shipper_.set_wan_compression(node_->config().wan_compression);
 }
 
-uint32_t Replicator::LocalCodecMask() const {
-  return node_->config().wan_compression ? common::SupportedCodecMask()
-                                         : common::kCodecRawBit;
-}
-
 runtime::ITimer* Replicator::loop() const { return node_->loop(); }
 runtime::ITransport* Replicator::network() const { return node_->network(); }
 NodeId Replicator::self() const { return node_->id(); }
@@ -322,7 +317,6 @@ void Replicator::OnAppend(const ReplAppendRequest& req) {
   ack->from = self();
   ack->to = req.from;
   ack->group = group_.logical;
-  ack->codec_mask = LocalCodecMask();
   if (req.epoch < election_.epoch()) {
     // Stale leader: tell it the current epoch so it steps down.
     ack->epoch = election_.epoch();
@@ -601,7 +595,6 @@ void Replicator::OnSeedOffer(const protocol::ShardSeedOffer& offer) {
     ack->to = offer.from;
     ack->group = group_.logical;
     ack->epoch = election_.epoch();
-    ack->codec_mask = LocalCodecMask();
     ack->ok = true;
     ack->ack_index = consistent_prefix_;
     network()->Send(std::move(ack));
@@ -617,7 +610,6 @@ void Replicator::OnSeedOffer(const protocol::ShardSeedOffer& offer) {
   decline->migration_id = 0;
   decline->group = group_.logical;
   decline->epoch = election_.epoch();
-  decline->codec_mask = LocalCodecMask();
   PendingBootstrap pending;
   pending.base_index = offer.base_index;
   pending.base_epoch = offer.base_epoch;
@@ -648,8 +640,8 @@ void Replicator::OnSeedDecline(const protocol::ShardSeedDecline& decline) {
   stats_.bootstrap_chunks_declined += decline.declined.size();
   const std::set<uint64_t> declined(decline.declined.begin(),
                                     decline.declined.end());
-  const common::WireCodec codec = common::PickWireCodec(
-      decline.codec_mask, node_->config().wan_compression);
+  const common::WireCodec codec =
+      common::SenderCodec(node_->config().wan_compression);
   for (const protocol::SeedDigest& digest : stream.digests) {
     if (declined.count(digest.seq) > 0) continue;
     auto chunk = std::make_unique<protocol::ShardSnapshotChunk>();
@@ -706,7 +698,6 @@ void Replicator::FinishBootstrapInstall() {
   ack->to = election_.leader();
   ack->group = group_.logical;
   ack->epoch = election_.epoch();
-  ack->codec_mask = LocalCodecMask();
   ack->ok = true;
   ack->ack_index = consistent_prefix_;
   network()->Send(std::move(ack));
@@ -714,6 +705,8 @@ void Replicator::FinishBootstrapInstall() {
 
 void Replicator::OnBootstrapSnapshot(
     const protocol::ShardSnapshotChunk& chunk) {
+  // Stream chunks are numbered from 1; no sender produces seq 0.
+  if (chunk.seq == 0) return;
   if (chunk.epoch < election_.epoch()) return;  // stale leader
   const bool epoch_changed = chunk.epoch > election_.epoch();
   if (epoch_changed || election_.leader() != chunk.from ||
@@ -722,47 +715,18 @@ void Replicator::OnBootstrapSnapshot(
     SyncRoleState();
   }
   last_leader_contact_ = loop()->Now();
-  if (chunk.seq != 0) {
-    // A chunk of the offered seed stream. Records apply immediately (the
-    // store persists them even across a crash, turning them into declines
-    // on the next offer round); the log repositions only once the last
-    // missing chunk lands, exactly like the legacy whole-store install.
-    if (!pending_bootstrap_.has_value() ||
-        pending_bootstrap_->base_index != chunk.base_index) {
-      return;  // stale stream; the next offer round resynchronizes
-    }
-    for (const protocol::ReplWrite& w : chunk.records) {
-      node_->engine().store().Apply(w.key, w.value);
-    }
-    pending_bootstrap_->missing.erase(chunk.seq);
-    if (pending_bootstrap_->missing.empty()) FinishBootstrapInstall();
-    return;
+  // Records apply immediately (the store persists them even across a
+  // crash, turning them into declines on the next offer round); the log
+  // repositions only once the last missing chunk lands.
+  if (!pending_bootstrap_.has_value() ||
+      pending_bootstrap_->base_index != chunk.base_index) {
+    return;  // stale stream; the next offer round resynchronizes
   }
-  // Legacy monolithic snapshot (seq == 0) from a mixed-version leader.
-  if (chunk.base_index > applied_index_) {
-    for (const protocol::ReplWrite& w : chunk.records) {
-      node_->engine().store().Apply(w.key, w.value);
-    }
-    log_.ResetTo(chunk.base_index, chunk.base_epoch);
-    consistent_prefix_ = chunk.base_index;
-    follower_watermark_ = chunk.base_index;
-    applied_index_ = chunk.base_index;
-    compact_floor_ = std::max(compact_floor_, chunk.base_index);
-    unresolved_prepares_.clear();
-    commit_entries_.clear();
-    unresolved_migrations_.clear();
-    fresh_as_of_ = loop()->Now();
-    stats_.snapshot_installs++;
+  for (const protocol::ReplWrite& w : chunk.records) {
+    node_->engine().store().Apply(w.key, w.value);
   }
-  auto ack = std::make_unique<ReplAppendAck>();
-  ack->from = self();
-  ack->to = chunk.from;
-  ack->group = group_.logical;
-  ack->epoch = election_.epoch();
-  ack->codec_mask = LocalCodecMask();
-  ack->ok = true;
-  ack->ack_index = consistent_prefix_;
-  network()->Send(std::move(ack));
+  pending_bootstrap_->missing.erase(chunk.seq);
+  if (pending_bootstrap_->missing.empty()) FinishBootstrapInstall();
 }
 
 void Replicator::WipeForBootstrap() {

@@ -2,16 +2,20 @@
 // serialized to a flat byte string and rebuilt on the far side of a TCP
 // socket.
 //
-// Format: little-endian fixed-width integers, length-prefixed strings and
-// vectors. The first two bytes are the MessageType tag, then `from`/`to`,
-// then the type's fields in declaration order. The format is a process-
-// boundary transport detail, not a storage format — there is no version
-// negotiation; both ends of a loopback deployment run the same binary.
+// Format: the envelope (u16 MessageType tag, `from`, `to`, then a trace
+// presence byte and, when sampled, the three span ids), then the struct's
+// fields in the order its GEOTP_WIRE_FIELDS list names them, laid out by
+// the shared serializer in common/wire.h (little-endian fixed-width
+// integers, one-byte enums, length-prefixed strings and vectors). codec.cc
+// holds only the envelope and the one MessageType -> struct list. The
+// format is a process-boundary transport detail, not a storage format —
+// there is no version negotiation; both ends of a loopback deployment run
+// the same binary.
 //
 // The simulator never touches this codec (messages cross sim::Network as
-// live C++ objects); the contract tests round-trip every type through it
-// so a message added without codec support fails CI instead of failing at
-// runtime in the loopback smoke.
+// live C++ objects); the contract tests pin every type's bytes against
+// golden frames and fuzz the decoder, so a message added without codec
+// support fails CI instead of failing at runtime in the loopback smoke.
 #ifndef GEOTP_RUNTIME_CODEC_H_
 #define GEOTP_RUNTIME_CODEC_H_
 
@@ -28,8 +32,9 @@ namespace runtime {
 std::string EncodeMessage(const MessageBase& msg);
 
 /// Rebuilds a message from EncodeMessage output. Returns nullptr on a
-/// malformed or truncated buffer (the loopback transport drops the frame
-/// and logs; a bounds overrun never reads past the buffer).
+/// malformed or truncated buffer, trailing bytes, or an enum byte past its
+/// last enumerator (the loopback transport drops the frame and logs; a
+/// bounds overrun never reads past the buffer).
 std::unique_ptr<MessageBase> DecodeMessage(const std::string& bytes);
 
 }  // namespace runtime

@@ -151,9 +151,14 @@ void ActorExecutor::Run() {
 
 namespace {
 
-bool WriteAll(int fd, const char* data, size_t len) {
+/// Writes all of `data`. Sockets go through send(MSG_NOSIGNAL), so a
+/// write to a peer process that already exited (a child quitting at
+/// shutdown while pings are still in flight) fails with EPIPE instead of
+/// raising a SIGPIPE that kills this process.
+bool WriteAll(int fd, const char* data, size_t len, bool socket) {
   while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
+    const ssize_t n = socket ? ::send(fd, data, len, MSG_NOSIGNAL)
+                             : ::write(fd, data, len);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -256,7 +261,7 @@ void LoopbackTransport::Send(std::unique_ptr<MessageBase> msg) {
     // buffer cannot wedge local delivery.
     std::lock_guard<std::mutex> lock(*write_mu);
     if (shutdown_.load()) return;  // fd is closed (or about to be)
-    if (!WriteAll(fd, frame.data(), frame.size())) {
+    if (!WriteAll(fd, frame.data(), frame.size(), /*socket=*/true)) {
       GEOTP_WARN("loopback: write to node " << to << " failed");
       return;
     }
@@ -441,7 +446,7 @@ void LoopbackStableStorage::Run() {
     jobs_.pop_front();
     lock.unlock();
     if (!job.batch.empty()) {
-      WriteAll(fd_, job.batch.data(), job.batch.size());
+      WriteAll(fd_, job.batch.data(), job.batch.size(), /*socket=*/false);
     }
     ::fdatasync(fd_);
     fsyncs_.fetch_add(1);

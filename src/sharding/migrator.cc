@@ -26,17 +26,6 @@ using protocol::ShardSeedOffer;
 using protocol::ShardSnapshotAck;
 using protocol::ShardSnapshotChunk;
 
-namespace {
-
-/// Codecs this node accepts on inbound chunk payloads, advertised on
-/// every ack/decline so the sender can compress.
-uint32_t LocalCodecMask(const datasource::DataSourceNode* node) {
-  return node->config().wan_compression ? common::SupportedCodecMask()
-                                        : common::kCodecRawBit;
-}
-
-}  // namespace
-
 bool ShardMigrator::HandleMessage(sim::MessageBase* msg) {
   switch (msg->type()) {
     case sim::MessageType::kShardMigrateRequest:
@@ -145,7 +134,6 @@ void ShardMigrator::OnMigrateRequest(const ShardMigrateRequest& req) {
     if (req.dest_leader != kInvalidNode &&
         req.dest_leader != existing->dest_leader) {
       existing->dest_leader = req.dest_leader;
-      existing->peer_codec_mask = 0;  // renegotiate with the new leader
       SendSeedOffer(*existing);
     }
     return;
@@ -283,13 +271,10 @@ void ShardMigrator::SendChunk(Outbound& out, uint64_t seq,
   chunk->seq = seq;
   chunk->last = last;
   chunk->records = records;
-  // Seal under whatever the destination advertised (raw until its first
-  // ack). Sealing always stamps the content hash — raw chunks too — so
-  // the receiver's journal has the identity a later re-offer compares.
+  // Sealing always stamps the content hash — raw chunks too — so the
+  // receiver's journal has the identity a later re-offer compares.
   const protocol::EnvelopeBytes bytes = protocol::SealChunkPayload(
-      common::PickWireCodec(out.peer_codec_mask,
-                            node_->config().wan_compression),
-      chunk.get());
+      common::SenderCodec(node_->config().wan_compression), chunk.get());
   stats_.wan_bytes_raw += bytes.raw;
   stats_.wan_bytes_wire += bytes.wire;
   out.sent_digests[seq].hash = chunk->content_hash;
@@ -332,7 +317,6 @@ void ShardMigrator::OnSnapshotAck(const ShardSnapshotAck& ack) {
   if (ack.seq >= out->acked_chunk_seq) {
     out->credit = std::max<uint64_t>(1, ack.credit);
   }
-  out->peer_codec_mask = ack.codec_mask;
   if (ack.seq > out->acked_chunk_seq) {
     out->acked_chunk_seq = ack.seq;
     out->unacked.erase(out->unacked.begin(),
@@ -675,7 +659,6 @@ void ShardMigrator::SendChunkAck(uint64_t migration_id, NodeId source) {
   // room for. Never zero — the grant rides on an apply ack, so at least
   // one slot just freed.
   ack->credit = window > buffered ? window - buffered : 1;
-  ack->codec_mask = LocalCodecMask(node_);
   node_->network()->Send(std::move(ack));
 }
 
@@ -910,7 +893,6 @@ void ShardMigrator::OnSeedOffer(const ShardSeedOffer& offer) {
       std::max<uint64_t>(1, node_->config().migration_stream_window);
   const uint64_t buffered = in.pending_chunks.size();
   decline->credit = window > buffered ? window - buffered : 1;
-  decline->codec_mask = LocalCodecMask(node_);
   node_->network()->Send(std::move(decline));
 }
 
@@ -918,7 +900,6 @@ void ShardMigrator::OnSeedDecline(const ShardSeedDecline& decline) {
   if (decline.migration_id == 0) return;  // bootstrap path (Replicator's)
   Outbound* out = FindOutbound(decline.migration_id);
   if (out == nullptr) return;
-  out->peer_codec_mask = decline.codec_mask;
   stats_.chunks_declined += decline.declined.size();
   // The new leader's journaled delta position supersedes the old ack
   // trail; resend only the unacked suffix past it.

@@ -194,9 +194,6 @@ class ShardMigrator {
     /// bulk source-side memory; flow control bounds it to the credit
     /// window.
     std::map<uint64_t, std::vector<protocol::ReplWrite>> unacked;
-    /// Codecs the destination advertised (ShardSnapshotAck /
-    /// ShardSeedDecline); 0 until the first ack — chunks ship raw.
-    uint32_t peer_codec_mask = 0;
     /// Per-chunk send record, kept PAST the ack (a few words per chunk):
     /// a destination-leader failover re-offer must replay the ORIGINAL
     /// hashes the old leader journaled, and resuming after the declined
@@ -270,8 +267,8 @@ class ShardMigrator {
   /// Builds + sends chunks while the receiver's credit window allows.
   void PumpChunks(uint64_t migration_id);
   /// Sends one already-built chunk (fresh or retransmit): seals it into
-  /// the negotiated WAN envelope, counts the bytes, and records the
-  /// content hash in `sent_digests`.
+  /// the WAN envelope (common::SenderCodec), counts the bytes, and records
+  /// the content hash in `sent_digests`.
   void SendChunk(Outbound& out, uint64_t seq,
                  const std::vector<protocol::ReplWrite>& records, bool last);
   /// Arms the per-migration retransmit check chain.

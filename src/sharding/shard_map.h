@@ -38,6 +38,7 @@ struct ShardRange {
   NodeId owner = kInvalidNode;
   /// Map epoch at which this range's placement last changed (0 = initial).
   uint64_t version = 0;
+  GEOTP_WIRE_FIELDS(table, lo, hi, owner, version)
 
   bool Contains(const RecordKey& key) const {
     return key.table == table && key.key >= lo && key.key < hi;

@@ -89,6 +89,12 @@ void ClientDriver::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
   }
 }
 
+size_t ClientDriver::InFlight() const {
+  size_t n = 0;
+  for (const Terminal& term : terminals_) n += term.awaiting ? 1 : 0;
+  return n;
+}
+
 void ClientDriver::StartFreshTxn(Terminal& term) {
   if (stopped_) return;
   term.spec = generator_->Next(term.rng);
@@ -117,6 +123,7 @@ void ClientDriver::SubmitRound(Terminal& term) {
   req->ops = term.spec.rounds[term.next_round];
   req->last_round = term.next_round + 1 == term.spec.rounds.size();
   term.next_round++;
+  term.awaiting = true;
   network_->Send(std::move(req));
 }
 
@@ -151,6 +158,7 @@ void ClientDriver::OnTxnResult(const ClientTxnResult& result) {
   GEOTP_CHECK(result.client_tag < terminals_.size(), "bad tag");
   Terminal& term = terminals_[result.client_tag];
   if (term.txn_id != kInvalidTxn && term.txn_id != result.txn_id) return;
+  term.awaiting = false;
 
   const Micros now = timer_->Now();
   TypeStats& per_type = type_stats_[term.spec.type_tag];
@@ -199,6 +207,7 @@ void ClientDriver::OnOverloaded(const protocol::OverloadedResponse& shed) {
   Terminal& term = terminals_[shed.client_tag];
   // Sheds happen before a TxnId is assigned; anything else is stale.
   if (term.txn_id != kInvalidTxn) return;
+  term.awaiting = false;
 
   const Micros now = timer_->Now();
   if (InWindow(now)) {

@@ -91,6 +91,11 @@ class ClientDriver {
   /// on the driver's own executor/loop.
   void Stop() { stopped_ = true; }
 
+  /// Terminals whose current attempt still awaits its outcome from the
+  /// DM. After Stop(), 0 means every transaction has finished and been
+  /// reported to the commit observer.
+  size_t InFlight() const;
+
   /// Observer invoked (on the driver's executor) with the spec of every
   /// COMMITTED transaction, in commit order — the loopback smoke feeds its
   /// sequential oracle from this.
@@ -123,6 +128,9 @@ class ClientDriver {
     TxnId txn_id = kInvalidTxn;
     Micros first_submit = 0;  ///< submission of attempt #1 (latency anchor)
     int attempts = 0;
+    /// A request of the current attempt is outstanding: set on submit,
+    /// cleared by the attempt's ClientTxnResult or OverloadedResponse.
+    bool awaiting = false;
     Rng rng{0};
   };
 

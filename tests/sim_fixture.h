@@ -49,7 +49,7 @@ class MiniCluster {
     /// applied (migration stream knobs, apply costs, ...).
     std::function<void(datasource::DataSourceConfig*)> ds_tweak;
     /// Per-node variant of ds_tweak (applied after it), for asymmetric
-    /// deployments — e.g. mixed-version WAN codec negotiation tests.
+    /// deployments — e.g. a WAN compression knob set on some nodes only.
     std::function<void(NodeId, datasource::DataSourceConfig*)> ds_tweak_node;
   };
 

@@ -180,20 +180,6 @@ TEST(BlockCodec, RandomGarbageNeverCrashes) {
   }
 }
 
-TEST(Negotiation, MaskAndPick) {
-  EXPECT_TRUE(common::SupportedCodecMask() & common::kCodecRawBit);
-  EXPECT_TRUE(common::SupportedCodecMask() & common::kCodecBlockBit);
-  // Peer advertises nothing (pre-negotiation actor): raw.
-  EXPECT_EQ(common::PickWireCodec(0, true), WireCodec::kRaw);
-  // Peer supports block but local knob is off: raw.
-  EXPECT_EQ(common::PickWireCodec(common::SupportedCodecMask(), false),
-            WireCodec::kRaw);
-  // Both sides capable and willing: block.
-  EXPECT_EQ(common::PickWireCodec(
-                common::kCodecRawBit | common::kCodecBlockBit, true),
-            WireCodec::kBlock);
-}
-
 TEST(WanCodec, WritesRoundTripAndIdentity) {
   std::mt19937_64 rng(5);
   std::vector<ReplWrite> writes;
@@ -321,8 +307,8 @@ TEST(WanCodec, SealOpenChunkEnvelope) {
   ASSERT_TRUE(chunk.records.empty());
   ASSERT_TRUE(protocol::OpenChunkPayload(&chunk));
   EXPECT_EQ(chunk.records.size(), 256u);
-  // Raw sealing still stamps the hash (re-seed identity) and keeps the
-  // plain records for pre-negotiation receivers.
+  // Raw sealing (compression off) still stamps the hash (re-seed
+  // identity) and keeps the plain records.
   protocol::ShardSnapshotChunk raw_chunk;
   raw_chunk.records = chunk.records;
   protocol::SealChunkPayload(WireCodec::kRaw, &raw_chunk);

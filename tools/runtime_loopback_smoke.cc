@@ -348,7 +348,15 @@ int RunParent(const char* self, const std::string& out_path) {
     driver.Stop();
     return 0;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  // Drain: snapshot the oracle only once every in-flight transaction has
+  // its outcome. A commit landing after the snapshot would be in the
+  // stores but not in the oracle — a false mismatch on a loaded machine.
+  const auto drain_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (OnExecutor(client_timer, [&]() { return driver.InFlight(); }) > 0 &&
+         std::chrono::steady_clock::now() < drain_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
 
   const metrics::RunStats stats =
       OnExecutor(client_timer, [&]() { return driver.stats(); });
