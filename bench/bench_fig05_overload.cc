@@ -80,7 +80,7 @@ void PrintPoint(const SweepPoint& p, bool controlled) {
               static_cast<unsigned long long>(p.result.run.sheds),
               static_cast<unsigned long long>(p.result.run.retries),
               static_cast<unsigned long long>(
-                  controlled ? p.result.run_queue_rejections : 0));
+                  controlled ? p.result.sources.run_queue_rejections : 0));
   std::fflush(stdout);
 }
 

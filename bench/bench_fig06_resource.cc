@@ -46,8 +46,8 @@ int main() {
   for (int p = 0; p < static_cast<int>(metrics::TxnPhase::kNumPhases); ++p) {
     const auto phase = static_cast<metrics::TxnPhase>(p);
     std::printf("%-12s %8.2fms %8.2fms %8.2fms\n", metrics::TxnPhaseName(phase),
-                r.dm.breakdown.MeanMs(phase), r.dm.breakdown.P50Ms(phase),
-                r.dm.breakdown.P99Ms(phase));
+                r.breakdown.MeanMs(phase), r.breakdown.P50Ms(phase),
+                r.breakdown.P99Ms(phase));
   }
   std::printf("mean end-to-end latency: %.1f ms\n", r.MeanLatencyMs());
   // Shard-map visibility: migrations (if any) show up in the perf
@@ -82,16 +82,16 @@ int main() {
   const auto o = RunTracked(oc);
   std::printf("admitted=%llu shed_inflight=%llu shed_tenant=%llu "
               "shed_dispatch=%llu shed_source=%llu\n",
-              static_cast<unsigned long long>(o.dm.overload.admitted),
-              static_cast<unsigned long long>(o.dm.overload.shed_inflight),
-              static_cast<unsigned long long>(o.dm.overload.shed_tenant),
-              static_cast<unsigned long long>(o.dm.overload.shed_dispatch),
-              static_cast<unsigned long long>(o.dm.overload.shed_source));
+              static_cast<unsigned long long>(o.overload.admitted),
+              static_cast<unsigned long long>(o.overload.shed_inflight),
+              static_cast<unsigned long long>(o.overload.shed_tenant),
+              static_cast<unsigned long long>(o.overload.shed_dispatch),
+              static_cast<unsigned long long>(o.overload.shed_source));
   std::printf("peak_inflight=%llu peak_dispatch_queue=%llu "
               "run_queue_rejections=%llu\n",
-              static_cast<unsigned long long>(o.dm.overload.peak_inflight),
-              static_cast<unsigned long long>(o.dm.overload.peak_dispatch_queue),
-              static_cast<unsigned long long>(o.run_queue_rejections));
+              static_cast<unsigned long long>(o.overload.peak_inflight),
+              static_cast<unsigned long long>(o.overload.peak_dispatch_queue),
+              static_cast<unsigned long long>(o.sources.run_queue_rejections));
   std::printf("client: sheds=%llu retries=%llu retry_exhausted=%llu "
               "tput=%.1f txn/s\n",
               static_cast<unsigned long long>(o.run.sheds),

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 /// Names a wire struct's fields once, in wire order. The serializer in
 /// common/wire.h visits this list to encode and to decode the struct, so
@@ -23,7 +25,40 @@
     v(__VA_ARGS__);                 \
   }
 
+/// Names a stats struct's uint64_t counters once. Registry export
+/// (obs::MetricsRegistry::RegisterStats) and cross-node aggregation
+/// (metrics::Accumulate) walk this list. Wrap a high-water field in
+/// HighWater(...) so aggregation takes the max instead of the sum. A
+/// member left out of the list fails the static_assert.
+#define GEOTP_STAT_FIELDS(...)                                           \
+  GEOTP_WIRE_FIELDS(__VA_ARGS__)                                         \
+  const char* FieldNames() const {                                       \
+    static_assert(sizeof(*this) ==                                       \
+                      sizeof(uint64_t) *                                 \
+                          decltype(::geotp::CountStatFields(             \
+                              __VA_ARGS__))::value,                      \
+                  "a stats field is missing from GEOTP_STAT_FIELDS");    \
+    return #__VA_ARGS__;                                                 \
+  }
+
 namespace geotp {
+
+/// A GEOTP_STAT_FIELDS entry marked as a high-water mark.
+template <class T>
+struct HighWaterRef {
+  T& value;
+  operator T&() const { return value; }  // NOLINT implicit
+};
+template <class T>
+HighWaterRef<T> HighWater(T& value) {
+  return {value};
+}
+/// Declared only: GEOTP_STAT_FIELDS counts its list with it, unevaluated.
+template <class... F>
+std::integral_constant<size_t, sizeof...(F)> CountStatFields(const F&...);
+
+/// Splits FieldNames() into bare names: "a, HighWater(b)" -> {"a", "b"}.
+std::vector<std::string> SplitStatFieldNames(const char* list);
 
 /// Virtual time point / duration, in microseconds.
 using Micros = int64_t;

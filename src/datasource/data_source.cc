@@ -67,49 +67,25 @@ obs::TraceContext DataSourceNode::BranchTrace(TxnId txn) const {
 void DataSourceNode::RegisterMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
   const std::string prefix = "ds." + std::to_string(id_) + ".";
-  auto gauge = [&](const char* name, std::function<double()> fn) {
-    registry->RegisterGauge(prefix + name, std::move(fn));
-  };
-  auto count = [](uint64_t v) { return static_cast<double>(v); };
-  gauge("commits", [this, count]() { return count(stats_.commits); });
-  gauge("rollbacks", [this, count]() { return count(stats_.rollbacks); });
-  gauge("batches_executed",
-        [this, count]() { return count(stats_.batches_executed); });
-  gauge("ops_executed",
-        [this, count]() { return count(stats_.ops_executed); });
-  gauge("lock_timeouts",
-        [this, count]() { return count(stats_.lock_timeouts); });
-  gauge("decentralized_prepares",
-        [this, count]() { return count(stats_.decentralized_prepares); });
-  gauge("explicit_prepares",
-        [this, count]() { return count(stats_.explicit_prepares); });
-  gauge("early_aborts_sent",
-        [this, count]() { return count(stats_.early_aborts_sent); });
-  gauge("run_queue_rejections",
-        [this, count]() { return count(stats_.run_queue_rejections); });
-  gauge("inflight_branches",
-        [this, count]() { return count(engine_.ActiveCount()); });
-  gauge("wal_fsyncs",
-        [this, count]() { return count(wal_device_->fsyncs()); });
-  gauge("wal_bytes",
-        [this, count]() { return count(wal_device_->bytes_flushed()); });
-  // WAN frugality: payload bytes before/after the wire codec, across both
-  // long-haul streams this node sources (log shipping + migration chunks).
-  gauge("wan_bytes_raw", [this, count]() {
-    uint64_t raw = migrator_->stats().wan_bytes_raw;
-    if (replicator_ != nullptr) {
-      raw += replicator_->stats().wan_bytes_raw +
-             replicator_->shipper_stats().wan_bytes_raw;
-    }
-    return count(raw);
+  registry->RegisterStats(prefix, stats_);
+  registry->RegisterStats(prefix + "locks.", engine_.locks().stats());
+  registry->RegisterStats(prefix + "group_commit.", committer_.stats());
+  registry->RegisterStats(prefix + "migrator.", migrator_->stats());
+  registry->RegisterStats(prefix + "agent.", agent_->stats());
+  if (replicator_ != nullptr) {
+    registry->RegisterStats(prefix + "replicator.", replicator_->stats());
+    registry->RegisterStats(prefix + "shipper.", replicator_->shipper_stats());
+    registry->RegisterStats(prefix + "election.",
+                            replicator_->election_stats());
+  }
+  registry->RegisterGauge(prefix + "inflight_branches", [this]() {
+    return static_cast<double>(engine_.ActiveCount());
   });
-  gauge("wan_bytes_wire", [this, count]() {
-    uint64_t wire = migrator_->stats().wan_bytes_wire;
-    if (replicator_ != nullptr) {
-      wire += replicator_->stats().wan_bytes_wire +
-              replicator_->shipper_stats().wan_bytes_wire;
-    }
-    return count(wire);
+  registry->RegisterGauge(prefix + "wal_fsyncs", [this]() {
+    return static_cast<double>(wal_device_->fsyncs());
+  });
+  registry->RegisterGauge(prefix + "wal_bytes", [this]() {
+    return static_cast<double>(wal_device_->bytes_flushed());
   });
 }
 

@@ -113,6 +113,12 @@ struct DataSourceStats {
   uint64_t shard_map_serves = 0;    ///< pongs that carried the map to a behind DM
   // Overload control.
   uint64_t run_queue_rejections = 0;  ///< new branches refused at a full queue
+  GEOTP_STAT_FIELDS(batches_executed, ops_executed, lock_timeouts,
+                    decentralized_prepares, explicit_prepares,
+                    early_aborts_sent, early_aborts_received, commits,
+                    rollbacks, shard_fenced_rejections, shard_redirects_sent,
+                    HighWater(peak_inflight), shard_map_serves,
+                    run_queue_rejections)
 };
 
 class DataSourceNode {
@@ -160,8 +166,9 @@ class DataSourceNode {
   /// True if this node currently executes/holds the branch of `txn`.
   bool HasBranch(TxnId txn) const { return branches_.count(txn) > 0; }
 
-  /// Registers this source's stats as named gauges on `registry` (see
-  /// MiddlewareNode::AttachMetrics for the lifetime contract).
+  /// Registers this source's stats, its subsystems' stats and its
+  /// live-state gauges on `registry` (see MiddlewareNode::AttachMetrics
+  /// for the lifetime contract).
   void RegisterMetrics(obs::MetricsRegistry* registry);
 
   /// Common setting ❶ (§V-A): when a DM disconnects, its branches that

@@ -33,6 +33,8 @@ struct GeoAgentStats {
   uint64_t peer_aborts_sent = 0;
   uint64_t peer_aborts_received = 0;
   uint64_t tombstone_hits = 0;
+  GEOTP_STAT_FIELDS(prepares_initiated, peer_aborts_sent,
+                    peer_aborts_received, tombstone_hits)
 };
 
 class GeoAgent {

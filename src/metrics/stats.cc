@@ -1,7 +1,5 @@
 #include "metrics/stats.h"
 
-#include <sstream>
-
 #include "common/logging.h"
 
 namespace geotp {
@@ -64,16 +62,6 @@ double PhaseBreakdown::P99Ms(TxnPhase phase) const {
 
 const Histogram& PhaseBreakdown::histogram(TxnPhase phase) const {
   return hist_[static_cast<int>(phase)];
-}
-
-std::string PhaseBreakdown::ToString() const {
-  std::ostringstream oss;
-  for (int i = 0; i < kN; ++i) {
-    const auto phase = static_cast<TxnPhase>(i);
-    if (i > 0) oss << ", ";
-    oss << TxnPhaseName(phase) << "=" << MeanMs(phase) << "ms";
-  }
-  return oss.str();
 }
 
 ThroughputSeries::ThroughputSeries(Micros interval) : interval_(interval) {

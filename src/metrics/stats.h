@@ -1,9 +1,11 @@
 // Experiment-level statistics: throughput accounting, abort-rate tracking,
-// per-phase latency breakdown (Fig. 6c), and time-series sampling
-// (Fig. 11b plots throughput over simulated time).
+// per-phase latency breakdown (Fig. 6c), time-series sampling (Fig. 11b
+// plots throughput over simulated time), and cross-node aggregation of
+// the GEOTP_STAT_FIELDS stats structs.
 #ifndef GEOTP_METRICS_STATS_H_
 #define GEOTP_METRICS_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,7 +41,6 @@ class PhaseBreakdown {
   double P50Ms(TxnPhase phase) const;
   double P99Ms(TxnPhase phase) const;
   const Histogram& histogram(TxnPhase phase) const;
-  std::string ToString() const;
 
  private:
   static constexpr int kN = static_cast<int>(TxnPhase::kNumPhases);
@@ -64,7 +65,6 @@ struct RunStats {
   Histogram latency;                ///< all committed txns
   Histogram centralized_latency;    ///< committed single-source txns
   Histogram distributed_latency;    ///< committed multi-source txns
-  PhaseBreakdown breakdown;
 
   double ThroughputTps() const {
     return measured_duration <= 0
@@ -97,6 +97,27 @@ class ThroughputSeries {
   Micros interval_;
   std::vector<uint64_t> counts_;
 };
+
+namespace internal {
+inline void AccumulateField(uint64_t& into, uint64_t from) { into += from; }
+inline void AccumulateField(HighWaterRef<uint64_t> into,
+                            HighWaterRef<const uint64_t> from) {
+  into.value = std::max(into.value, from.value);
+}
+}  // namespace internal
+
+/// Folds one node's stats into a cross-node total: counters are summed,
+/// HighWater fields keep the max. Walks the struct's GEOTP_STAT_FIELDS.
+template <class S>
+void Accumulate(S* into, const S& from) {
+  auto visit_into = [&](auto&&... dst) {
+    auto visit_from = [&](auto&&... src) {
+      (internal::AccumulateField(dst, src), ...);
+    };
+    from.Fields(visit_from);
+  };
+  into->Fields(visit_into);
+}
 
 }  // namespace metrics
 }  // namespace geotp

@@ -141,41 +141,25 @@ MiddlewareNode::MiddlewareNode(runtime::ActorEnv env, uint32_t ordinal,
 MiddlewareNode::~MiddlewareNode() = default;
 
 void MiddlewareNode::AttachMetrics(obs::MetricsRegistry* registry) {
-  metrics_ = registry;
   if (registry == nullptr) return;
   const std::string prefix = "dm." + std::to_string(ordinal_) + ".";
-  auto gauge = [&](const char* name, std::function<double()> fn) {
-    registry->RegisterGauge(prefix + name, std::move(fn));
-  };
-  auto count = [](uint64_t v) { return static_cast<double>(v); };
-  gauge("committed", [this, count]() { return count(stats_.committed); });
-  gauge("aborted", [this, count]() { return count(stats_.aborted); });
-  gauge("inflight", [this, count]() { return count(txns_.size()); });
-  gauge("admission_blocks",
-        [this, count]() { return count(stats_.admission_blocks); });
-  gauge("admission_aborts",
-        [this, count]() { return count(stats_.admission_aborts); });
-  gauge("sheds", [this, count]() { return count(admission_.stats().Sheds()); });
-  gauge("log_flushes", [this, count]() { return count(stats_.log_flushes); });
-  gauge("log_entries_flushed",
-        [this, count]() { return count(stats_.log_entries_flushed); });
-  gauge("dispatches_coalesced",
-        [this, count]() { return count(stats_.dispatches_coalesced); });
-  gauge("failovers_observed",
-        [this, count]() { return count(stats_.failovers_observed); });
-  gauge("branch_retries",
-        [this, count]() { return count(stats_.branch_retries); });
-  gauge("follower_reads",
-        [this, count]() { return count(stats_.follower_reads); });
-  gauge("shard_redirects",
-        [this, count]() { return count(stats_.shard_redirects); });
-  gauge("dispatch_depth",
-        [this, count]() { return count(MaxDispatchDepth()); });
+  registry->RegisterStats(prefix, stats_);
+  registry->RegisterStats(prefix + "overload.", admission_.stats());
+  registry->RegisterStats(prefix + "log_commit.", log_committer_.stats());
+  if (balancer_ != nullptr) {
+    registry->RegisterStats(prefix + "balancer.", balancer_->stats());
+  }
+  registry->RegisterGauge(prefix + "inflight", [this]() {
+    return static_cast<double>(txns_.size());
+  });
+  registry->RegisterGauge(prefix + "dispatch_depth", [this]() {
+    return static_cast<double>(MaxDispatchDepth());
+  });
   for (int i = 0; i < static_cast<int>(metrics::TxnPhase::kNumPhases); ++i) {
     const auto phase = static_cast<metrics::TxnPhase>(i);
     registry->RegisterHistogram(
         prefix + "phase." + metrics::TxnPhaseName(phase),
-        [this, phase]() { return &stats_.breakdown.histogram(phase); });
+        [this, phase]() { return &breakdown_.histogram(phase); });
   }
 }
 
@@ -302,7 +286,6 @@ void MiddlewareNode::OnClientRound(const ClientRoundRequest& req) {
         ShedClientRound(req);
         return;
       }
-      stats_.overload = admission_.stats();
     }
     id = MakeTxnId(ordinal_, next_seq_++);
     Txn txn;
@@ -781,37 +764,29 @@ void MiddlewareNode::DispatchDecision(Txn& txn, bool commit, bool one_phase) {
 // ---------------------------------------------------------------------------
 
 void MiddlewareNode::QueuePrepare(NodeId dest, const Xid& xid) {
-  pending_prepares_[dest].push_back(xid);
-  admission_.NoteDispatchDepth(pending_prepares_[dest].size() +
-                               pending_decisions_[dest].size());
+  DispatchQueue& queue = dispatch_queues_[dest];
+  queue.prepares.push_back(xid);
+  admission_.NoteDispatchDepth(queue.depth());
   ScheduleDispatchFlush();
 }
 
 void MiddlewareNode::QueueDecision(NodeId dest, const Xid& xid, bool commit,
                                    bool one_phase) {
-  pending_decisions_[dest].push_back(
-      protocol::DecisionItem{xid, commit, one_phase});
-  admission_.NoteDispatchDepth(pending_prepares_[dest].size() +
-                               pending_decisions_[dest].size());
+  DispatchQueue& queue = dispatch_queues_[dest];
+  queue.decisions.push_back(protocol::DecisionItem{xid, commit, one_phase});
+  admission_.NoteDispatchDepth(queue.depth());
   ScheduleDispatchFlush();
 }
 
 size_t MiddlewareNode::MaxDispatchDepth() const {
   size_t depth = 0;
-  for (const auto& [dest, xids] : pending_prepares_) {
-    size_t d = xids.size();
-    auto it = pending_decisions_.find(dest);
-    if (it != pending_decisions_.end()) d += it->second.size();
-    depth = std::max(depth, d);
-  }
-  for (const auto& [dest, items] : pending_decisions_) {
-    depth = std::max(depth, items.size());
+  for (const auto& [dest, queue] : dispatch_queues_) {
+    depth = std::max(depth, queue.depth());
   }
   return depth;
 }
 
 void MiddlewareNode::ShedClientRound(const ClientRoundRequest& req) {
-  stats_.overload = admission_.stats();
   auto shed = std::make_unique<protocol::OverloadedResponse>();
   shed->from = id_;
   shed->to = req.from;
@@ -833,11 +808,13 @@ void MiddlewareNode::ScheduleDispatchFlush() {
 void MiddlewareNode::FlushDispatchQueues() {
   dispatch_flush_scheduled_ = false;
   if (crashed_) {
-    pending_prepares_.clear();
-    pending_decisions_.clear();
+    dispatch_queues_.clear();
     return;
   }
-  for (auto& [dest, xids] : pending_prepares_) {
+  // Every destination's prepares leave before any decision.
+  for (auto& [dest, queue] : dispatch_queues_) {
+    std::vector<Xid>& xids = queue.prepares;
+    if (xids.empty()) continue;
     stats_.prepare_requests_sent += xids.size();
     if (xids.size() == 1) {
       auto prep = std::make_unique<PrepareRequest>();
@@ -859,8 +836,9 @@ void MiddlewareNode::FlushDispatchQueues() {
     stats_.dispatches_coalesced += batch->xids.size() - 1;
     network_->Send(std::move(batch));
   }
-  pending_prepares_.clear();
-  for (auto& [dest, items] : pending_decisions_) {
+  for (auto& [dest, queue] : dispatch_queues_) {
+    std::vector<protocol::DecisionItem>& items = queue.decisions;
+    if (items.empty()) continue;
     stats_.decisions_sent += items.size();
     if (items.size() == 1) {
       auto decision = std::make_unique<DecisionRequest>();
@@ -881,7 +859,7 @@ void MiddlewareNode::FlushDispatchQueues() {
     stats_.dispatches_coalesced += batch->items.size() - 1;
     network_->Send(std::move(batch));
   }
-  pending_decisions_.clear();
+  dispatch_queues_.clear();
 }
 
 void MiddlewareNode::OnDecisionAck(const DecisionAck& ack) {
@@ -967,17 +945,15 @@ void MiddlewareNode::FinishTxn(Txn& txn, bool committed) {
       if (p.begun) ++begun;
     }
     if (begun > 1) stats_.committed_distributed++;
-    stats_.breakdown.Record(metrics::TxnPhase::kAnalysis, txn.analysis_total);
-    stats_.breakdown.Record(metrics::TxnPhase::kExecution,
-                            txn.ts_exec_done - txn.ts_begin);
+    breakdown_.Record(metrics::TxnPhase::kAnalysis, txn.analysis_total);
+    breakdown_.Record(metrics::TxnPhase::kExecution,
+                      txn.ts_exec_done - txn.ts_begin);
     if (txn.ts_votes > 0 && txn.ts_commit_req > 0) {
-      stats_.breakdown.Record(
-          metrics::TxnPhase::kPrepare,
-          std::max<Micros>(0, txn.ts_votes - txn.ts_commit_req));
+      breakdown_.Record(metrics::TxnPhase::kPrepare,
+                        std::max<Micros>(0, txn.ts_votes - txn.ts_commit_req));
     }
     if (txn.ts_decision > 0) {
-      stats_.breakdown.Record(metrics::TxnPhase::kCommit,
-                              now - txn.ts_decision);
+      breakdown_.Record(metrics::TxnPhase::kCommit, now - txn.ts_decision);
     }
   } else {
     stats_.aborted++;
@@ -992,7 +968,6 @@ void MiddlewareNode::FinishTxn(Txn& txn, bool committed) {
   network_->Send(std::move(result));
   if (config_.overload.enabled()) {
     admission_.Release(txn.tenant);
-    stats_.overload = admission_.stats();
   }
   txns_.erase(txn.id);
 }
@@ -1129,15 +1104,6 @@ void MiddlewareNode::OnShardMapUpdate(const protocol::ShardMapUpdate& update) {
 
 void MiddlewareNode::OnPingResponse(const protocol::PingResponse& pong) {
   monitor_->OnPong(pong);
-  // Metrics sampling rides the monitor tick: pongs arrive once per ping
-  // interval per target, so space samples by the interval.
-  if (metrics_ != nullptr) {
-    const Micros now = loop()->Now();
-    if (now - last_metrics_sample_ >= config_.monitor.ping_interval) {
-      last_metrics_sample_ = now;
-      metrics_->Sample(now);
-    }
-  }
   // Anti-entropy, both directions. A source that saw our stale epoch sent
   // its map along: adopt it (bounds DM staleness by one ping interval
   // instead of one redirect). A source whose own epoch trails the catalog
@@ -1255,8 +1221,7 @@ void MiddlewareNode::Crash() {
   // Decisions in the decision log's open batch were never durable: the
   // crash loses them (their transactions resolve via presumed abort).
   log_committer_.Reset();
-  pending_prepares_.clear();
-  pending_decisions_.clear();
+  dispatch_queues_.clear();
 }
 
 void MiddlewareNode::Restart(

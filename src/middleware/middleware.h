@@ -140,9 +140,15 @@ struct MiddlewareStats {
   uint64_t shard_map_pulls = 0;     ///< maps adopted from ping anti-entropy
   uint64_t shard_map_pushes = 0;    ///< maps pushed to behind data sources
   uint64_t committed_distributed = 0;  ///< commits with >1 begun participant
-  /// Overload control (mirror of the admission controller's counters).
-  OverloadStats overload;
-  metrics::PhaseBreakdown breakdown;
+  GEOTP_STAT_FIELDS(committed, aborted, admission_blocks, admission_aborts,
+                    prepare_requests_sent, decisions_sent, follower_reads,
+                    follower_read_fallbacks, failovers_observed,
+                    branch_retries, presumed_aborts, log_flushes,
+                    log_entries_flushed, prepare_batches_sent,
+                    decision_batches_sent, dispatches_coalesced,
+                    HighWater(shard_map_epoch), shard_redirects,
+                    shard_reroutes, shard_map_pulls, shard_map_pushes,
+                    committed_distributed)
 };
 
 /// Durable commit/abort decision log (survives DM crashes).
@@ -169,6 +175,8 @@ class MiddlewareNode {
   bool crashed() const { return crashed_; }
   const MiddlewareConfig& config() const { return config_; }
   const MiddlewareStats& stats() const { return stats_; }
+  /// Per-phase latency of finished transactions (the Fig. 6c breakdown).
+  const metrics::PhaseBreakdown& breakdown() const { return breakdown_; }
   core::LatencyMonitor& monitor() { return *monitor_; }
   core::HotspotFootprint& footprint() { return *footprint_; }
   Catalog& catalog() { return catalog_; }
@@ -191,9 +199,9 @@ class MiddlewareNode {
   /// Overload-control state (budget occupancy, shed counters).
   const AdmissionController& admission() const { return admission_; }
 
-  /// Registers this DM's stats as named gauges on `registry` and samples
-  /// the registry on every latency-monitor ping tick. The registry must
-  /// outlive this node (or be detached with AttachMetrics(nullptr)).
+  /// Registers this DM's stats, its subsystems' stats and its live-state
+  /// gauges on `registry` (nullptr: no-op). The gauges borrow this node:
+  /// snapshot the registry before the node is destroyed.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
   /// Crash simulation: in-memory transaction state is lost; the decision
@@ -364,10 +372,8 @@ class MiddlewareNode {
   /// Dedicated stream for trace-sampling decisions so enabling tracing
   /// never perturbs `rng_` (scheduling/jitter draws stay identical).
   Rng trace_rng_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  /// Last Sample() on the registry (spaced by the monitor ping interval).
-  Micros last_metrics_sample_ = 0;
   MiddlewareStats stats_;
+  metrics::PhaseBreakdown breakdown_;
   AdmissionController admission_;
   std::vector<DecisionLogEntry> log_;  // durable
   /// Group committer of the decision log: concurrent FlushLog calls share
@@ -379,8 +385,12 @@ class MiddlewareNode {
   std::unordered_map<TxnId, Txn> txns_;
 
   // Same-tick dispatch coalescing (one envelope per destination).
-  std::map<NodeId, std::vector<Xid>> pending_prepares_;
-  std::map<NodeId, std::vector<protocol::DecisionItem>> pending_decisions_;
+  struct DispatchQueue {
+    std::vector<Xid> prepares;
+    std::vector<protocol::DecisionItem> decisions;
+    size_t depth() const { return prepares.size() + decisions.size(); }
+  };
+  std::map<NodeId, DispatchQueue> dispatch_queues_;
   bool dispatch_flush_scheduled_ = false;
   /// Last shard-map anti-entropy push per behind node (pushes are spaced
   /// by about one RTT; see OnPingResponse).

@@ -86,6 +86,9 @@ struct OverloadStats {
   uint64_t shed_source = 0;
   uint64_t peak_inflight = 0;        ///< high-water admitted in flight
   uint64_t peak_dispatch_queue = 0;  ///< high-water per-dest queue depth
+  GEOTP_STAT_FIELDS(admitted, shed_inflight, shed_tenant, shed_dispatch,
+                    shed_source, HighWater(peak_inflight),
+                    HighWater(peak_dispatch_queue))
 
   uint64_t Sheds() const {
     return shed_inflight + shed_tenant + shed_dispatch + shed_source;

@@ -5,13 +5,6 @@
 namespace geotp {
 namespace obs {
 
-Counter* MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
-}
-
 void MetricsRegistry::RegisterGauge(const std::string& name, GaugeFn fn) {
   std::lock_guard<std::mutex> lock(mu_);
   gauges_[name] = std::move(fn);
@@ -21,21 +14,6 @@ void MetricsRegistry::RegisterHistogram(const std::string& name,
                                         HistogramFn fn) {
   std::lock_guard<std::mutex> lock(mu_);
   histograms_[name] = std::move(fn);
-}
-
-void MetricsRegistry::Sample(Micros now) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, double>> point;
-  point.reserve(gauges_.size());
-  for (const auto& [name, fn] : gauges_) {
-    point.emplace_back(name, fn());
-  }
-  samples_.emplace_back(now, std::move(point));
-  if (samples_.size() > kMaxSamples) {
-    samples_.erase(samples_.begin(),
-                   samples_.begin() +
-                       static_cast<long>(samples_.size() - kMaxSamples));
-  }
 }
 
 namespace {
@@ -54,16 +32,9 @@ void JsonKey(std::ostream& os, const std::string& name) {
 std::string MetricsRegistry::SnapshotJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
-  os << "{\"counters\":{";
+  os.precision(17);  // round-trips every double; counters print exactly
+  os << "{\"gauges\":{";
   bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    if (!first) os << ",";
-    first = false;
-    JsonKey(os, name);
-    os << counter->value();
-  }
-  os << "},\"gauges\":{";
-  first = true;
   for (const auto& [name, fn] : gauges_) {
     if (!first) os << ",";
     first = false;
@@ -82,41 +53,19 @@ std::string MetricsRegistry::SnapshotJson() const {
        << ",\"p50_us\":" << h->P50() << ",\"p95_us\":" << h->P95()
        << ",\"p99_us\":" << h->P99() << ",\"max_us\":" << h->max() << "}";
   }
-  os << "},\"samples\":[";
-  first = true;
-  for (const auto& [when, point] : samples_) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"t_us\":" << when << ",\"values\":{";
-    bool pfirst = true;
-    for (const auto& [name, value] : point) {
-      if (!pfirst) os << ",";
-      pfirst = false;
-      JsonKey(os, name);
-      os << value;
-    }
-    os << "}}";
-  }
-  os << "]}";
+  os << "}}";
   return os.str();
 }
 
 void MetricsRegistry::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
   gauges_.clear();
   histograms_.clear();
-  samples_.clear();
 }
 
 size_t MetricsRegistry::gauge_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return gauges_.size();
-}
-
-size_t MetricsRegistry::sample_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return samples_.size();
 }
 
 MetricsRegistry& GlobalMetrics() {

@@ -1,36 +1,27 @@
-// MetricsRegistry: one named surface over the scattered stats structs.
+// MetricsRegistry: one named snapshot surface over the stats structs.
 //
-// The subsystems already keep careful counters (MiddlewareStats,
-// DataSourceStats, ReplicatorStats, ShardMigratorStats, RunStats, ...) —
-// what was missing is a uniform way to snapshot and export them. The
-// registry therefore does not replace the structs or their increment
-// sites; it overlays them:
+// Each subsystem keeps its own stats struct, which names its fields once
+// with GEOTP_STAT_FIELDS (common/types.h). The registry overlays them:
 //
-//  * counters  — owned relaxed-atomic uint64s for new instrumentation;
-//  * gauges    — callbacks evaluated at snapshot/sample time, which is how
-//    the existing structs are absorbed (each node registers closures that
-//    read its own stats; see MiddlewareNode/DataSourceNode::RegisterMetrics);
+//  * gauges     — callbacks evaluated at snapshot time. RegisterStats
+//    registers one per field of a struct's list, so a counter added to a
+//    struct exports without further code. Nodes add the few live-state
+//    gauges by hand (MiddlewareNode::AttachMetrics,
+//    DataSourceNode::RegisterMetrics);
 //  * histograms — callbacks returning a metrics::Histogram* whose
 //    count/mean/p50/p99 land in the snapshot.
 //
-// Export is a JSON document (SnapshotJson). Periodic sampling rides the
-// DM's latency-monitor ping tick: Sample(now) evaluates every gauge and
-// appends a point to a bounded time series included in the export.
-//
-// Callback lifetime: gauges borrow the objects they read. Snapshot or
-// sample only while the deployment is alive (the runner snapshots before
-// teardown), or clear callbacks with Clear().
+// SnapshotJson exports both; integral gauge values print exactly.
+// Gauges borrow the objects they read: snapshot only while the deployment
+// is alive (the runner snapshots before teardown), or Clear() first.
 #ifndef GEOTP_OBS_METRICS_REGISTRY_H_
 #define GEOTP_OBS_METRICS_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -39,56 +30,48 @@
 namespace geotp {
 namespace obs {
 
-/// Owned monotonic counter. Pointer-stable for the registry's lifetime.
-class Counter {
- public:
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
-
 class MetricsRegistry {
  public:
   using GaugeFn = std::function<double()>;
   using HistogramFn = std::function<const metrics::Histogram*()>;
 
-  /// Returns (creating on first use) the counter named `name`.
-  Counter* counter(const std::string& name);
-
-  /// Registers a gauge evaluated at snapshot/sample time. Re-registering
-  /// a name replaces the callback.
+  /// Registers a gauge evaluated at snapshot time. Re-registering a name
+  /// replaces the callback.
   void RegisterGauge(const std::string& name, GaugeFn fn);
+
+  /// Registers one gauge `<prefix><field>` per field of `stats`'s
+  /// GEOTP_STAT_FIELDS list. `stats` is borrowed like any gauge source.
+  template <class S>
+  void RegisterStats(const std::string& prefix, const S& stats) {
+    const std::vector<std::string> names =
+        SplitStatFieldNames(stats.FieldNames());
+    size_t next = 0;
+    auto visit = [&](const auto&... fields) {
+      (RegisterStat(prefix + names[next++], fields), ...);
+    };
+    stats.Fields(visit);
+  }
 
   /// Registers a histogram source; the snapshot stores its summary.
   void RegisterHistogram(const std::string& name, HistogramFn fn);
 
-  /// Evaluates every gauge and appends a (now, values) point to the
-  /// bounded series (oldest points are discarded past kMaxSamples).
-  void Sample(Micros now);
-
-  /// Full JSON export: counters, gauges (current values), histogram
-  /// summaries, and the sampled series.
+  /// Full JSON export: gauges (current values) and histogram summaries.
   std::string SnapshotJson() const;
 
-  /// Drops every metric, callback, and sample.
+  /// Drops every gauge and histogram callback.
   void Clear();
 
   size_t gauge_count() const;
-  size_t sample_count() const;
 
  private:
-  static constexpr size_t kMaxSamples = 4096;
+  /// HighWater entries convert to their field.
+  void RegisterStat(const std::string& name, const uint64_t& value) {
+    RegisterGauge(name, [&value]() { return static_cast<double>(value); });
+  }
 
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, GaugeFn> gauges_;
   std::map<std::string, HistogramFn> histograms_;
-  /// Gauge names frozen at each sample (gauges may register after the
-  /// first sample; points carry their own name list).
-  std::vector<std::pair<Micros, std::vector<std::pair<std::string, double>>>>
-      samples_;
 };
 
 MetricsRegistry& GlobalMetrics();

@@ -27,6 +27,8 @@ struct ElectionStats {
   uint64_t votes_refused = 0;
   uint64_t terms_won = 0;
   uint64_t step_downs = 0;
+  GEOTP_STAT_FIELDS(elections_started, votes_granted, votes_refused,
+                    terms_won, step_downs)
 };
 
 class ElectionState {

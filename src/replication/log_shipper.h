@@ -118,6 +118,9 @@ struct LogShipperStats {
   /// ships raw — compression disabled on this leader).
   uint64_t wan_bytes_raw = 0;
   uint64_t wan_bytes_wire = 0;
+  GEOTP_STAT_FIELDS(entries_shipped, append_batches_shipped, acks_received,
+                    retransmissions, quorum_callbacks_fired, snapshots_sent,
+                    wan_bytes_raw, wan_bytes_wire)
 };
 
 class LogShipper {

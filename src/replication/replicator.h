@@ -56,6 +56,13 @@ struct ReplicatorStats {
   uint64_t bootstrap_chunks_sent = 0;
   uint64_t wan_bytes_raw = 0;   ///< packed bootstrap-chunk bytes pre-codec
   uint64_t wan_bytes_wire = 0;  ///< bytes actually shipped
+  GEOTP_STAT_FIELDS(appends_received, entries_applied, promotions,
+                    prepared_installs, revotes_sent, follower_reads_served,
+                    follower_reads_rejected, not_leader_rejections,
+                    log_entries_truncated, snapshot_installs,
+                    migration_records_appended, migration_handoffs,
+                    bootstrap_offers_sent, bootstrap_chunks_declined,
+                    bootstrap_chunks_sent, wan_bytes_raw, wan_bytes_wire)
 };
 
 class Replicator {

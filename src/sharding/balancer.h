@@ -128,6 +128,10 @@ struct BalancerStats {
   /// failover there — the source re-offers sent-chunk hashes and resumes
   /// past the declined prefix instead of waiting for the timeout cancel.
   uint64_t migrations_repointed = 0;
+  GEOTP_STAT_FIELDS(ticks, migrations_started, migrations_completed,
+                    migrations_cancelled, map_publishes, splits, merges,
+                    capacity_deferrals, logged_epoch_overrides,
+                    aborted_by_source, migrations_repointed)
 };
 
 class ShardBalancer {

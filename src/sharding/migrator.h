@@ -106,6 +106,16 @@ struct ShardMigratorStats {
   uint64_t chunks_declined = 0;
   uint64_t wan_bytes_raw = 0;   ///< packed chunk bytes before the codec
   uint64_t wan_bytes_wire = 0;  ///< chunk bytes actually sent (incl. resends)
+  GEOTP_STAT_FIELDS(migrations_started, migrations_cancelled,
+                    cutovers_reported, snapshot_records_sent,
+                    snapshot_chunks_sent, chunk_retransmits,
+                    HighWater(peak_unacked_chunks), streams_completed,
+                    delta_batches_sent, delta_writes_sent, fence_aborts,
+                    snapshot_records_applied, snapshot_chunks_applied,
+                    HighWater(peak_buffered_chunks), delta_batches_applied,
+                    chunk_records_superseded, migration_resumes,
+                    migration_aborts_from_log, seed_offers_sent,
+                    chunks_declined, wan_bytes_raw, wan_bytes_wire)
 };
 
 class ShardMigrator {

@@ -50,12 +50,7 @@ struct GroupCommitStats {
   uint64_t fsyncs = 0;          ///< flushes completed
   uint64_t entries = 0;         ///< entries made durable
   uint64_t max_batch_entries = 0;
-  /// Mean entries per flush — the amortization factor Fig. 6 cares about.
-  double MeanBatchEntries() const {
-    return fsyncs == 0 ? 0.0
-                       : static_cast<double>(entries) /
-                             static_cast<double>(fsyncs);
-  }
+  GEOTP_STAT_FIELDS(fsyncs, entries, HighWater(max_batch_entries))
 };
 
 class GroupCommitter {

@@ -42,6 +42,8 @@ struct LockStats {
   uint64_t cancellations = 0;
   uint64_t upgrades = 0;
   uint64_t deadlocks = 0;
+  GEOTP_STAT_FIELDS(grants_immediate, grants_after_wait, cancellations,
+                    upgrades, deadlocks)
 };
 
 class LockManager {

@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -180,6 +179,8 @@ ExperimentResult RunExperimentInner(const ExperimentConfig& config) {
   ExperimentResult result;
   result.run = driver.stats();
   result.dm = dm.stats();
+  result.breakdown = dm.breakdown();
+  result.overload = dm.admission().stats();
   result.per_type = driver.type_stats();
   result.tenants = driver.tenant_stats();
   result.throughput_series = driver.series().Points();
@@ -187,39 +188,11 @@ ExperimentResult RunExperimentInner(const ExperimentConfig& config) {
   result.network_messages = network.total_messages();
   result.footprint_bytes = dm.footprint().ApproxBytes();
   for (const auto& src : sources) {
-    result.run_queue_rejections += src->stats().run_queue_rejections;
     result.wal_entries += src->engine().wal().entries().size();
     result.wal_fsyncs += src->engine().wal().fsyncs();
-    const storage::GroupCommitStats& gc = src->committer().stats();
-    result.group_commit.fsyncs += gc.fsyncs;
-    result.group_commit.entries += gc.entries;
-    result.group_commit.max_batch_entries = std::max(
-        result.group_commit.max_batch_entries, gc.max_batch_entries);
-    const sharding::ShardMigratorStats& ms = src->migrator().stats();
-    result.migration.migrations_started += ms.migrations_started;
-    result.migration.migrations_cancelled += ms.migrations_cancelled;
-    result.migration.cutovers_reported += ms.cutovers_reported;
-    result.migration.snapshot_records_sent += ms.snapshot_records_sent;
-    result.migration.snapshot_chunks_sent += ms.snapshot_chunks_sent;
-    result.migration.chunk_retransmits += ms.chunk_retransmits;
-    result.migration.streams_completed += ms.streams_completed;
-    result.migration.delta_batches_sent += ms.delta_batches_sent;
-    result.migration.delta_writes_sent += ms.delta_writes_sent;
-    result.migration.fence_aborts += ms.fence_aborts;
-    result.migration.snapshot_records_applied += ms.snapshot_records_applied;
-    result.migration.snapshot_chunks_applied += ms.snapshot_chunks_applied;
-    result.migration.delta_batches_applied += ms.delta_batches_applied;
-    result.migration.chunk_records_superseded += ms.chunk_records_superseded;
-    result.migration.migration_resumes += ms.migration_resumes;
-    result.migration.migration_aborts_from_log += ms.migration_aborts_from_log;
-    result.migration.seed_offers_sent += ms.seed_offers_sent;
-    result.migration.chunks_declined += ms.chunks_declined;
-    result.migration.wan_bytes_raw += ms.wan_bytes_raw;
-    result.migration.wan_bytes_wire += ms.wan_bytes_wire;
-    result.migration.peak_unacked_chunks = std::max(
-        result.migration.peak_unacked_chunks, ms.peak_unacked_chunks);
-    result.migration.peak_buffered_chunks = std::max(
-        result.migration.peak_buffered_chunks, ms.peak_buffered_chunks);
+    metrics::Accumulate(&result.sources, src->stats());
+    metrics::Accumulate(&result.group_commit, src->committer().stats());
+    metrics::Accumulate(&result.migration, src->migrator().stats());
   }
   // Snapshot observability state before the nodes (which the registry's
   // gauge callbacks borrow) go out of scope.

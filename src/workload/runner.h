@@ -98,11 +98,11 @@ struct ExperimentConfig {
 struct ExperimentResult {
   metrics::RunStats run;
   middleware::MiddlewareStats dm;
+  metrics::PhaseBreakdown breakdown;  ///< the DM's per-phase latency
+  middleware::OverloadStats overload;  ///< the DM's admission controller
   std::unordered_map<int, TypeStats> per_type;
   /// Per-tenant driver accounting (multi-tenant overload runs).
   std::unordered_map<uint32_t, TenantStats> tenants;
-  /// New branches refused at a full run queue, summed over data sources.
-  uint64_t run_queue_rejections = 0;
   std::vector<std::pair<double, double>> throughput_series;
   uint64_t events_processed = 0;
   uint64_t network_messages = 0;
@@ -115,11 +115,12 @@ struct ExperimentResult {
   // WAL entries vs physical fsyncs diverge under group commit.
   uint64_t wal_entries = 0;
   uint64_t wal_fsyncs = 0;
-  storage::GroupCommitStats group_commit;  ///< summed; max_batch is the max
-  /// Streaming shard migration, aggregated over all data sources: counters
-  /// are summed, the peak_* watermarks are the max over nodes. The
-  /// rebalance bench reads these to assert the credit window bounded the
-  /// source's stream memory.
+  /// Aggregated over all data sources with metrics::Accumulate: counters
+  /// are summed, high-water fields are the max over nodes.
+  datasource::DataSourceStats sources;
+  storage::GroupCommitStats group_commit;
+  /// The rebalance bench reads the peaks to assert the credit window
+  /// bounded the source's stream memory.
   sharding::ShardMigratorStats migration;
   /// GlobalMetrics() snapshot taken before teardown (collect_metrics runs
   /// only; empty otherwise). Gauges/histograms borrow node state, so this
@@ -133,13 +134,6 @@ struct ExperimentResult {
   double FsyncsPerCommit() const {
     return run.committed == 0 ? 0.0
                               : static_cast<double>(wal_fsyncs) /
-                                    static_cast<double>(run.committed);
-  }
-
-  /// Host microseconds of simulation per committed transaction.
-  double WallMicrosPerCommit() const {
-    return run.committed == 0 ? 0.0
-                              : wall_seconds * 1e6 /
                                     static_cast<double>(run.committed);
   }
 

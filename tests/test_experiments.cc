@@ -155,8 +155,8 @@ TEST(ExperimentTest, BreakdownIsPopulated) {
   ExperimentConfig config = Base();
   config.system = SystemKind::kGeoTP;
   const auto result = RunExperiment(config);
-  EXPECT_GT(result.dm.breakdown.count(metrics::TxnPhase::kExecution), 0u);
-  EXPECT_GT(result.dm.breakdown.MeanMs(metrics::TxnPhase::kExecution), 1.0);
+  EXPECT_GT(result.breakdown.count(metrics::TxnPhase::kExecution), 0u);
+  EXPECT_GT(result.breakdown.MeanMs(metrics::TxnPhase::kExecution), 1.0);
 }
 
 TEST(ExperimentTest, SystemNamesAreDistinct) {

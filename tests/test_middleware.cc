@@ -132,6 +132,27 @@ TEST(MiddlewareTest, VotesArriveBeforeCommitRequest) {
   EXPECT_GT(total, MsToMicros(95));
 }
 
+TEST(MiddlewareTest, DispatchSendsNoEmptyEnvelopes) {
+  // GeoTP queues only decisions (the prepare was decentralized); SSP
+  // queues prepares, then decisions. Neither may flush an empty batch of
+  // the other kind, which would also wrap dispatches_coalesced.
+  for (auto config : {&MiddlewareConfig::GeoTP, &MiddlewareConfig::SSP}) {
+    MiniCluster cluster(WithDm(config()));
+    ASSERT_TRUE(cluster
+                    .RunTxn(1, {MiniCluster::Write(cluster.KeyOn(0, 1), 1),
+                                MiniCluster::Write(cluster.KeyOn(1, 1), 2)})
+                    .ok());
+    const middleware::MiddlewareStats& stats = cluster.dm().stats();
+    EXPECT_EQ(stats.prepare_requests_sent, config == &MiddlewareConfig::SSP
+                                               ? 2u
+                                               : 0u);
+    EXPECT_EQ(stats.decisions_sent, 2u);
+    EXPECT_EQ(stats.prepare_batches_sent, 0u);
+    EXPECT_EQ(stats.decision_batches_sent, 0u);
+    EXPECT_EQ(stats.dispatches_coalesced, 0u);
+  }
+}
+
 TEST(MiddlewareTest, LockConflictOnSharedRecordSerializes) {
   MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
   const RecordKey hot = cluster.KeyOn(0, 1);
@@ -272,7 +293,7 @@ TEST(MiddlewareTest, BreakdownRecordsAllPhases) {
       MiniCluster::Write(cluster.KeyOn(0, 1), 1),
       MiniCluster::Write(cluster.KeyOn(1, 1), 2),
   }).ok());
-  const auto& breakdown = cluster.dm().stats().breakdown;
+  const auto& breakdown = cluster.dm().breakdown();
   EXPECT_GT(breakdown.total(metrics::TxnPhase::kAnalysis), 0);
   EXPECT_GT(breakdown.total(metrics::TxnPhase::kExecution), 0);
   EXPECT_GT(breakdown.total(metrics::TxnPhase::kCommit), 0);

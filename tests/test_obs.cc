@@ -17,6 +17,7 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "sim/topology.h"
+#include "sim_fixture.h"
 #include "workload/driver.h"
 #include "workload/runner.h"
 #include "workload/ycsb.h"
@@ -351,35 +352,125 @@ TEST(TraceExperimentTest, SpansStayWellFormedAcrossLeaderFailover) {
 // Metrics registry.
 // ---------------------------------------------------------------------------
 
-TEST(MetricsRegistryTest, CountersGaugesHistogramsSnapshot) {
+TEST(MetricsRegistryTest, GaugesHistogramsSnapshot) {
   obs::MetricsRegistry registry;
-  registry.counter("dm.0.retries")->Add(3);
-  registry.counter("dm.0.retries")->Add(2);
-  EXPECT_EQ(registry.counter("dm.0.retries")->value(), 5u);
-
   double gauge_value = 1.5;
   registry.RegisterGauge("ds.2.inflight", [&]() { return gauge_value; });
+  registry.RegisterGauge("ds.2.commits", []() { return 3667232.0; });
 
   metrics::Histogram hist;
   hist.Record(100);
   hist.Record(200);
   registry.RegisterHistogram("dm.0.phase.execution", [&]() { return &hist; });
+  EXPECT_EQ(registry.gauge_count(), 2u);
 
-  registry.Sample(/*now=*/1000);
+  std::string json = registry.SnapshotJson();
+  EXPECT_NE(json.find("\"ds.2.inflight\":1.5"), std::string::npos) << json;
+  // Counters print exactly, not in 6-digit scientific notation.
+  EXPECT_NE(json.find("\"ds.2.commits\":3667232"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dm.0.phase.execution\":{\"count\":2"),
+            std::string::npos)
+      << json;
+  // Gauges are evaluated at snapshot time.
   gauge_value = 4.0;
-  registry.Sample(/*now=*/2000);
-  EXPECT_EQ(registry.sample_count(), 2u);
-  EXPECT_EQ(registry.gauge_count(), 1u);
-
-  const std::string json = registry.SnapshotJson();
-  EXPECT_NE(json.find("\"dm.0.retries\""), std::string::npos);
-  EXPECT_NE(json.find("\"ds.2.inflight\""), std::string::npos);
-  EXPECT_NE(json.find("\"dm.0.phase.execution\""), std::string::npos);
-  EXPECT_NE(json.find("\"samples\""), std::string::npos);
+  json = registry.SnapshotJson();
+  EXPECT_NE(json.find("\"ds.2.inflight\":4"), std::string::npos) << json;
 
   registry.Clear();
   EXPECT_EQ(registry.gauge_count(), 0u);
-  EXPECT_EQ(registry.sample_count(), 0u);
+  EXPECT_EQ(registry.SnapshotJson(), "{\"gauges\":{},\"histograms\":{}}");
+}
+
+struct ProbeStats {
+  uint64_t sent = 0;
+  uint64_t peak_depth = 0;
+  uint64_t dropped = 0;
+  GEOTP_STAT_FIELDS(sent, HighWater(peak_depth), dropped)
+};
+
+TEST(MetricsRegistryTest, RegisterStatsExportsEveryListedField) {
+  ProbeStats probe;
+  obs::MetricsRegistry registry;
+  registry.RegisterStats("ds.3.probe.", probe);
+  EXPECT_EQ(registry.gauge_count(), 3u);
+  probe.sent = 7;
+  probe.peak_depth = 2;
+  probe.dropped = 1;
+  EXPECT_EQ(registry.SnapshotJson(),
+            "{\"gauges\":{\"ds.3.probe.dropped\":1,\"ds.3.probe.peak_depth\":2,"
+            "\"ds.3.probe.sent\":7},\"histograms\":{}}");
+}
+
+TEST(MetricsRegistryTest, AccumulateSumsCountersAndMaxesHighWater) {
+  ProbeStats total;
+  metrics::Accumulate(&total, ProbeStats{3, 5, 1});
+  metrics::Accumulate(&total, ProbeStats{4, 2, 0});
+  EXPECT_EQ(total.sent, 7u);
+  EXPECT_EQ(total.peak_depth, 5u);
+  EXPECT_EQ(total.dropped, 1u);
+
+  // The real structs mark their watermarks the same way.
+  storage::GroupCommitStats gc;
+  metrics::Accumulate(&gc, storage::GroupCommitStats{10, 40, 8});
+  metrics::Accumulate(&gc, storage::GroupCommitStats{5, 30, 12});
+  EXPECT_EQ(gc.fsyncs, 15u);
+  EXPECT_EQ(gc.entries, 70u);
+  EXPECT_EQ(gc.max_batch_entries, 12u);
+  sharding::ShardMigratorStats a;
+  sharding::ShardMigratorStats b;
+  a.snapshot_chunks_sent = 4;
+  a.peak_unacked_chunks = 6;
+  b.snapshot_chunks_sent = 3;
+  b.peak_unacked_chunks = 2;
+  b.peak_buffered_chunks = 9;
+  metrics::Accumulate(&a, b);
+  EXPECT_EQ(a.snapshot_chunks_sent, 7u);
+  EXPECT_EQ(a.peak_unacked_chunks, 6u);
+  EXPECT_EQ(a.peak_buffered_chunks, 9u);
+}
+
+TEST(MetricsRegistryTest, ReplicatedShardedClusterExportsEveryStatsStruct) {
+  testing_support::MiniCluster::Options options;
+  options.replication_factor = 3;
+  options.sharding = true;
+  options.dm.balancer.enabled = true;
+  testing_support::MiniCluster cluster(options);
+  obs::MetricsRegistry registry;
+  cluster.dm().AttachMetrics(&registry);
+  for (datasource::DataSourceNode* source : cluster.source_ptrs()) {
+    source->RegisterMetrics(&registry);
+  }
+  for (uint64_t tag = 1; tag <= 3; ++tag) {
+    ASSERT_TRUE(cluster
+                    .RunTxn(tag, {testing_support::MiniCluster::Write(
+                                      cluster.KeyOn(0, tag), 1),
+                                  testing_support::MiniCluster::Write(
+                                      cluster.KeyOn(1, tag), 2)})
+                    .ok());
+  }
+  const std::string json = registry.SnapshotJson();
+  // One named field from each of the eleven stats structs.
+  for (const char* name : {
+           "dm.0.committed",                    // MiddlewareStats
+           "dm.0.overload.admitted",            // OverloadStats
+           "dm.0.log_commit.fsyncs",            // GroupCommitStats (DM log)
+           "dm.0.balancer.ticks",               // BalancerStats
+           "ds.2.commits",                      // DataSourceStats
+           "ds.2.locks.grants_immediate",       // LockStats
+           "ds.2.group_commit.max_batch_entries",  // GroupCommitStats
+           "ds.2.migrator.migrations_started",  // ShardMigratorStats
+           "ds.2.agent.prepares_initiated",     // GeoAgentStats
+           "ds.2.replicator.appends_received",  // ReplicatorStats
+           "ds.2.shipper.entries_shipped",      // LogShipperStats
+           "ds.2.election.elections_started",   // ElectionStats
+       }) {
+    EXPECT_NE(json.find("\"" + std::string(name) + "\":"), std::string::npos)
+        << name;
+  }
+  EXPECT_NE(json.find("\"dm.0.committed\":3,"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"ds.2.shipper.entries_shipped\":0,"),
+            std::string::npos)
+      << "the leader shipped no log entries";
 }
 
 TEST(MetricsRegistryTest, ExperimentCollectsNodeMetrics) {
@@ -392,12 +483,16 @@ TEST(MetricsRegistryTest, ExperimentCollectsNodeMetrics) {
   config.collect_metrics = true;
   const auto result = workload::RunExperiment(config);
   ASSERT_GT(result.run.committed, 0u);
-  // DM gauges, per-source gauges, and the phase histograms all export.
-  EXPECT_NE(result.metrics_json.find("\"dm.0.committed\""), std::string::npos);
-  EXPECT_NE(result.metrics_json.find("\"ds.2.commits\""), std::string::npos);
-  EXPECT_NE(result.metrics_json.find("dm.0.phase."), std::string::npos);
-  // Periodic sampling rode the latency-monitor ping tick.
-  EXPECT_NE(result.metrics_json.find("\"samples\""), std::string::npos);
+  // DM and per-source stats, their subsystems, and the phase histograms
+  // all export; the snapshot is taken with the DM's final counts.
+  const std::string& json = result.metrics_json;
+  EXPECT_NE(json.find("\"dm.0.committed\":" +
+                      std::to_string(result.dm.committed) + ","),
+            std::string::npos);
+  EXPECT_NE(json.find("\"dm.0.overload.admitted\""), std::string::npos);
+  EXPECT_NE(json.find("\"ds.2.commits\""), std::string::npos);
+  EXPECT_NE(json.find("\"ds.2.locks.deadlocks\""), std::string::npos);
+  EXPECT_NE(json.find("\"dm.0.phase."), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

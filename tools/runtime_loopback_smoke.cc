@@ -17,7 +17,8 @@
 //
 // Output: a JSON report (measured throughput next to the simulator's
 // prediction for the same configuration) on stdout and optionally to
-// --out=<path>. Exit code 0 = oracle held.
+// --out=<path>, with the merged trace next to it as <path>_trace.json.
+// Exit code 0 = oracle held. The run's data directory is removed on exit.
 //
 // Child protocol (stdin/stdout line-oriented):
 //   child -> parent:  "PORT <n>"   after binding its listener
@@ -38,6 +39,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -262,6 +264,16 @@ int RunParent(const char* self, const std::string& out_path) {
   EnableFullTracing();
   const std::string data_dir =
       "/tmp/geotp-loopback-" + std::to_string(getpid());
+  // Every process's WALs, decision log and span files live here. Declared
+  // before the runtime so the directory is removed, on every exit path,
+  // after the runtime has closed its files.
+  struct RemoveOnExit {
+    std::string dir;
+    ~RemoveOnExit() {
+      std::error_code ignored;
+      std::filesystem::remove_all(dir, ignored);
+    }
+  } remove_data_dir{data_dir};
 
   // -- spawn children, collect their ports ---------------------------------
   std::vector<Child> children;
@@ -477,22 +489,22 @@ int RunParent(const char* self, const std::string& out_path) {
     per_pid.emplace_back(static_cast<int>(i + 1), std::move(spans));
   }
   const TraceCheck trace_check = CheckMergedTrace(per_pid);
-  std::string trace_path = out_path.empty() ? data_dir + "/trace" : out_path;
-  const std::string json_suffix = ".json";
-  if (trace_path.size() > json_suffix.size() &&
-      trace_path.compare(trace_path.size() - json_suffix.size(),
-                         json_suffix.size(), json_suffix) == 0) {
-    trace_path.resize(trace_path.size() - json_suffix.size());
-  }
-  trace_path += "_trace.json";
-  {
+  std::cerr << "merged trace: " << trace_check.total_spans << " spans, "
+            << trace_check.full_chain_traces
+            << " full-chain cross-process traces\n";
+  if (!out_path.empty()) {
+    std::string trace_path = out_path;
+    const std::string json_suffix = ".json";
+    if (trace_path.size() > json_suffix.size() &&
+        trace_path.compare(trace_path.size() - json_suffix.size(),
+                           json_suffix.size(), json_suffix) == 0) {
+      trace_path.resize(trace_path.size() - json_suffix.size());
+    }
+    trace_path += "_trace.json";
     std::ofstream out(trace_path);
     out << obs::ChromeTraceJson(per_pid);
+    std::cerr << "merged trace written to " << trace_path << "\n";
   }
-  std::cerr << "merged trace: " << trace_path << " ("
-            << trace_check.total_spans << " spans, "
-            << trace_check.full_chain_traces
-            << " full-chain cross-process traces)\n";
 
   // -- sim prediction + report ---------------------------------------------
   const double predicted_tps = SimPredictedTps();
