@@ -4,6 +4,7 @@
 #ifndef GEOTP_BENCH_BENCH_COMMON_H_
 #define GEOTP_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +14,7 @@
 
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "sim/topology.h"
 #include "workload/runner.h"
 
 namespace geotp {
@@ -48,6 +50,52 @@ inline void PrintRow(const std::string& label, const ExperimentResult& r) {
 }
 
 inline std::string Label(SystemKind system) { return SystemName(system); }
+
+/// The topology of the replicated scenarios: client + DM in one region;
+/// data source i in region i at rtts_ms[i] from both, with two followers
+/// co-located in its region (the builder defaults same-region links to the
+/// LAN RTT) 1 ms further away; sources reach each other at the larger of
+/// their two RTTs.
+struct ReplicatedTopology {
+  NodeId client = kInvalidNode;
+  NodeId dm = kInvalidNode;
+  std::vector<std::vector<NodeId>> groups;  ///< seed leader first
+  sim::LatencyMatrix matrix{1};
+};
+
+inline ReplicatedTopology MakeReplicatedTopology(
+    const std::vector<double>& rtts_ms) {
+  sim::TopologyBuilder builder;
+  ReplicatedTopology topo;
+  topo.client = builder.AddNode(sim::NodeRole::kClient, "c1", "bj");
+  topo.dm = builder.AddNode(sim::NodeRole::kMiddleware, "dm1", "bj");
+  builder.SetRttMs(topo.client, topo.dm, 0.5);
+  for (size_t i = 0; i < rtts_ms.size(); ++i) {
+    const NodeId leader =
+        builder.AddNode(sim::NodeRole::kDataSource,
+                        "ds" + std::to_string(i + 1),
+                        "region" + std::to_string(i));
+    builder.SetRttMs(topo.dm, leader, rtts_ms[i]);
+    builder.SetRttMs(topo.client, leader, rtts_ms[i]);
+    for (size_t j = 0; j < i; ++j) {
+      builder.SetRttMs(topo.groups[j][0], leader,
+                       std::max(rtts_ms[i], rtts_ms[j]));
+    }
+    topo.groups.push_back({leader});
+  }
+  for (size_t i = 0; i < rtts_ms.size(); ++i) {
+    for (int k = 0; k < 2; ++k) {
+      const NodeId follower =
+          builder.AddNode(sim::NodeRole::kDataSource, "follower",
+                          "region" + std::to_string(i));
+      builder.SetRttMs(topo.dm, follower, rtts_ms[i] + 1.0);
+      builder.SetRttMs(topo.client, follower, rtts_ms[i] + 1.0);
+      topo.groups[i].push_back(follower);
+    }
+  }
+  topo.matrix = builder.Build();
+  return topo;
+}
 
 /// Process-wide accumulator for the host wall-clock cost of every tracked
 /// simulation in a bench binary. The acceptance benches print the summary

@@ -1,14 +1,14 @@
 // Figure 15: multi-region deployment — two middlewares, each co-located
 // with its own clients, sharing the four data sources. DM1 sees RTTs
 // {0, 27, 73, 251} ms; DM2 sees {251, 226, 175, 0} ms (paper §VII-I).
-// Assembled from library pieces directly (the single-DM runner does not
-// cover this topology).
+// Built from a workload::Deployment (the single-DM runner does not cover
+// this topology).
 #include <memory>
 
 #include "bench_common.h"
-#include "datasource/data_source.h"
-#include "middleware/middleware.h"
+#include "runtime/sim_runtime.h"
 #include "sim/topology.h"
+#include "workload/deployment.h"
 #include "workload/driver.h"
 #include "workload/ycsb.h"
 
@@ -53,17 +53,7 @@ MultiRegionResult Run(workload::SystemKind system, bool two_middlewares) {
 
   sim::EventLoop loop;
   sim::Network network(&loop, builder.Build());
-
-  middleware::MiddlewareConfig dm_config = ConfigForSystem(system);
-  std::vector<std::unique_ptr<datasource::DataSourceNode>> nodes;
-  for (NodeId ds : sources) {
-    datasource::DataSourceConfig ds_config =
-        datasource::DataSourceConfig::MySql();
-    ds_config.early_abort = dm_config.early_abort;
-    nodes.push_back(
-        std::make_unique<datasource::DataSourceNode>(ds, &network, ds_config));
-    nodes.back()->Attach();
-  }
+  runtime::SimRuntime runtime(&loop, &network);
 
   workload::YcsbConfig ycsb;
   ycsb.data_sources = sources;
@@ -75,31 +65,29 @@ MultiRegionResult Run(workload::SystemKind system, bool two_middlewares) {
   workload::YcsbConfig ycsb2 = ycsb;
   ycsb2.mirror_keyspace = true;
   workload::YcsbGenerator gen2(ycsb2);
-  middleware::Catalog catalog1, catalog2;
-  gen1.RegisterTables(&catalog1);
-  gen2.RegisterTables(&catalog2);
 
-  middleware::MiddlewareNode node_dm1(dm1, 0, &network, std::move(catalog1),
-                                      dm_config);
-  node_dm1.Attach();
-  middleware::MiddlewareNode node_dm2(dm2, 1, &network, std::move(catalog2),
-                                      dm_config);
-  node_dm2.Attach();
+  workload::Deployment deployment;
+  deployment.system = system;
+  deployment.middlewares = {dm1, dm2};
+  for (NodeId ds : sources) deployment.groups.push_back({ds});
+  gen1.RegisterTables(&deployment.catalog);
+  deployment.dm = ConfigForSystem(system);
+  const std::unique_ptr<workload::Cluster> cluster =
+      workload::Build(deployment, &runtime);
 
   workload::DriverConfig driver_config;
   driver_config.terminals = two_middlewares ? 32 : 64;
   driver_config.warmup = SecToMicros(4);
   driver_config.measure = SecToMicros(24);
-  workload::ClientDriver driver1(client1, &network, dm1, &gen1,
+  workload::ClientDriver driver1(runtime.EnvFor(client1), dm1, &gen1,
                                  driver_config);
   driver1.Attach();
   driver1.Start();
   std::unique_ptr<workload::ClientDriver> driver2;
   if (two_middlewares) {
     driver_config.seed = 4242;
-    driver2 = std::make_unique<workload::ClientDriver>(client2, &network,
-                                                       dm2, &gen2,
-                                                       driver_config);
+    driver2 = std::make_unique<workload::ClientDriver>(
+        runtime.EnvFor(client2), dm2, &gen2, driver_config);
     driver2->Attach();
     driver2->Start();
   } else {
@@ -132,84 +120,33 @@ struct FailoverResult {
 };
 
 FailoverResult RunFailover(workload::SystemKind system, bool kill_leader) {
-  sim::TopologyBuilder builder;
-  const NodeId client = builder.AddNode(sim::NodeRole::kClient, "c1", "bj");
-  const NodeId dm = builder.AddNode(sim::NodeRole::kMiddleware, "dm1", "bj");
-  const double rtts[4] = {0.5, 27, 73, 251};
+  const ReplicatedTopology topo = MakeReplicatedTopology({0.5, 27, 73, 251});
   std::vector<NodeId> sources;
-  std::vector<std::vector<NodeId>> replica_groups;
-  for (int i = 0; i < 4; ++i) {
-    const std::string region = "region" + std::to_string(i);
-    sources.push_back(builder.AddNode(sim::NodeRole::kDataSource,
-                                      "ds" + std::to_string(i + 1), region));
-  }
-  // Two followers per source, co-located in the leader's region (the
-  // builder defaults same-region links to the LAN RTT).
-  for (int i = 0; i < 4; ++i) {
-    const std::string region = "region" + std::to_string(i);
-    std::vector<NodeId> group = {sources[static_cast<size_t>(i)]};
-    for (int k = 0; k < 2; ++k) {
-      const NodeId f = builder.AddNode(
-          sim::NodeRole::kDataSource,
-          "ds" + std::to_string(i + 1) + "f" + std::to_string(k), region);
-      group.push_back(f);
-      builder.SetRttMs(dm, f, rtts[i] + 1.0);
-      builder.SetRttMs(client, f, rtts[i] + 1.0);
-    }
-    replica_groups.push_back(std::move(group));
-  }
-  for (int i = 0; i < 4; ++i) {
-    builder.SetRttMs(dm, sources[static_cast<size_t>(i)], rtts[i]);
-    builder.SetRttMs(client, sources[static_cast<size_t>(i)], rtts[i]);
-    for (int j = 0; j < i; ++j) {
-      builder.SetRttMs(sources[static_cast<size_t>(j)],
-                       sources[static_cast<size_t>(i)],
-                       std::max(rtts[i], rtts[j]));
-    }
-  }
-  builder.SetRttMs(client, dm, 0.5);
-
+  for (const auto& group : topo.groups) sources.push_back(group[0]);
   sim::EventLoop loop;
-  sim::Network network(&loop, builder.Build());
+  sim::Network network(&loop, topo.matrix);
+  runtime::SimRuntime runtime(&loop, &network);
 
-  middleware::MiddlewareConfig dm_config = ConfigForSystem(system);
-  middleware::Catalog catalog;
   workload::YcsbConfig ycsb;
   ycsb.data_sources = sources;
   ycsb.theta = 0.9;
   ycsb.distributed_ratio = 0.2;
   workload::YcsbGenerator gen(ycsb);
-  gen.RegisterTables(&catalog);
-  for (const auto& group : replica_groups) {
-    catalog.SetReplicaGroup(group[0], group);
-  }
-
-  std::vector<std::unique_ptr<datasource::DataSourceNode>> nodes;
-  for (const auto& group : replica_groups) {
-    for (NodeId replica : group) {
-      datasource::DataSourceConfig ds_config =
-          datasource::DataSourceConfig::MySql();
-      ds_config.early_abort = dm_config.early_abort;
-      auto node = std::make_unique<datasource::DataSourceNode>(
-          replica, &network, ds_config);
-      replication::GroupConfig repl;
-      repl.logical = group[0];
-      repl.replicas = group;
-      repl.middlewares = {dm};
-      node->EnableReplication(repl);
-      node->Attach();
-      nodes.push_back(std::move(node));
-    }
-  }
-  middleware::MiddlewareNode node_dm(dm, 0, &network, std::move(catalog),
-                                     dm_config);
-  node_dm.Attach();
+  workload::Deployment deployment;
+  deployment.system = system;
+  deployment.middlewares = {topo.dm};
+  deployment.groups = topo.groups;
+  gen.RegisterTables(&deployment.catalog);
+  deployment.dm = ConfigForSystem(system);
+  const std::unique_ptr<workload::Cluster> cluster =
+      workload::Build(deployment, &runtime);
 
   workload::DriverConfig driver_config;
   driver_config.terminals = 48;
   driver_config.warmup = SecToMicros(4);
   driver_config.measure = SecToMicros(20);
-  workload::ClientDriver driver(client, &network, dm, &gen, driver_config);
+  workload::ClientDriver driver(runtime.EnvFor(topo.client), topo.dm, &gen,
+                                driver_config);
   driver.Attach();
   driver.Start();
 
@@ -217,16 +154,16 @@ FailoverResult RunFailover(workload::SystemKind system, bool kill_leader) {
   // one-third into the measurement window.
   if (kill_leader) {
     loop.ScheduleAt(driver_config.warmup + driver_config.measure / 3,
-                    [&nodes]() { nodes[0]->Crash(); });
+                    [&cluster]() { cluster->sources()[0]->Crash(); });
   }
   loop.RunUntil(driver_config.warmup + driver_config.measure);
 
   FailoverResult result;
   result.tput = driver.stats().ThroughputTps();
   result.abort_rate = driver.stats().AbortRate();
-  result.failovers = node_dm.stats().failovers_observed;
-  result.branch_retries = node_dm.stats().branch_retries;
-  for (auto& node : nodes) {
+  result.failovers = cluster->dm().stats().failovers_observed;
+  result.branch_retries = cluster->dm().stats().branch_retries;
+  for (const auto& node : cluster->sources()) {
     if (!node->crashed() && node->replicator()->IsLeader() &&
         node->replicator()->group_id() == sources[0]) {
       result.new_leader = node->id();

@@ -20,10 +20,9 @@
 #include <memory>
 
 #include "bench_common.h"
-#include "datasource/data_source.h"
-#include "middleware/middleware.h"
 #include "replication/replicator.h"
-#include "sim/topology.h"
+#include "runtime/sim_runtime.h"
+#include "workload/deployment.h"
 #include "workload/driver.h"
 #include "workload/ycsb.h"
 
@@ -64,8 +63,8 @@ void PrintDetail(const Row& row) {
 
 // ---------------------------------------------------------------------------
 // WAN log-shipping accounting: two 3-replica groups behind one DM, same
-// YCSB mix as the sweep above, assembled from library pieces (the single-
-// DM runner does not wire replication). The leaders' shippers count every
+// YCSB mix as the sweep above, built from a workload::Deployment (the
+// single-DM runner does not wire replication). The leaders' shippers count every
 // entry batch twice — packed bytes before the codec and bytes actually
 // sent — so one compressed run yields the ratio directly, and a raw run
 // (wan_compression off everywhere, so every batch ships plain) provides
@@ -79,86 +78,40 @@ struct WanResult {
 };
 
 WanResult RunWanShipping(bool compressed) {
-  sim::TopologyBuilder builder;
-  const NodeId client = builder.AddNode(sim::NodeRole::kClient, "c1", "bj");
-  const NodeId dm = builder.AddNode(sim::NodeRole::kMiddleware, "dm1", "bj");
-  const double rtts[2] = {27, 73};
-  std::vector<NodeId> sources;
-  std::vector<std::vector<NodeId>> groups;
-  for (int i = 0; i < 2; ++i) {
-    sources.push_back(builder.AddNode(sim::NodeRole::kDataSource,
-                                      "ds" + std::to_string(i + 1),
-                                      "region" + std::to_string(i)));
-  }
-  for (int i = 0; i < 2; ++i) {
-    const std::string region = "region" + std::to_string(i);
-    std::vector<NodeId> group = {sources[static_cast<size_t>(i)]};
-    for (int k = 0; k < 2; ++k) {
-      const NodeId f = builder.AddNode(
-          sim::NodeRole::kDataSource,
-          "ds" + std::to_string(i + 1) + "f" + std::to_string(k), region);
-      builder.SetRttMs(dm, f, rtts[i] + 1.0);
-      builder.SetRttMs(client, f, rtts[i] + 1.0);
-      group.push_back(f);
-    }
-    groups.push_back(std::move(group));
-  }
-  for (int i = 0; i < 2; ++i) {
-    builder.SetRttMs(dm, sources[static_cast<size_t>(i)], rtts[i]);
-    builder.SetRttMs(client, sources[static_cast<size_t>(i)], rtts[i]);
-  }
-  builder.SetRttMs(sources[0], sources[1], 73);
-  builder.SetRttMs(client, dm, 0.5);
-
+  const ReplicatedTopology topo = MakeReplicatedTopology({27, 73});
   sim::EventLoop loop;
-  sim::Network network(&loop, builder.Build());
+  sim::Network network(&loop, topo.matrix);
+  runtime::SimRuntime runtime(&loop, &network);
 
-  middleware::MiddlewareConfig dm_config =
-      workload::ConfigForSystem(SystemKind::kGeoTP);
-  middleware::Catalog catalog;
   workload::YcsbConfig ycsb;
-  ycsb.data_sources = sources;
+  ycsb.data_sources = {topo.groups[0][0], topo.groups[1][0]};
   ycsb.theta = 0.7;
   ycsb.distributed_ratio = 0.2;
   workload::YcsbGenerator gen(ycsb);
-  gen.RegisterTables(&catalog);
-  for (const auto& group : groups) catalog.SetReplicaGroup(group[0], group);
-
-  std::vector<std::unique_ptr<datasource::DataSourceNode>> nodes;
-  for (const auto& group : groups) {
-    for (NodeId replica : group) {
-      datasource::DataSourceConfig ds_config =
-          datasource::DataSourceConfig::MySql();
-      ds_config.early_abort = dm_config.early_abort;
-      ds_config.group_commit.enabled = true;
-      ds_config.wan_compression = compressed;
-      auto node = std::make_unique<datasource::DataSourceNode>(
-          replica, &network, ds_config);
-      replication::GroupConfig repl;
-      repl.logical = group[0];
-      repl.replicas = group;
-      repl.middlewares = {dm};
-      node->EnableReplication(repl);
-      node->Attach();
-      nodes.push_back(std::move(node));
-    }
-  }
-  middleware::MiddlewareNode node_dm(dm, 0, &network, std::move(catalog),
-                                     dm_config);
-  node_dm.Attach();
+  workload::Deployment deployment;
+  deployment.middlewares = {topo.dm};
+  deployment.groups = topo.groups;
+  gen.RegisterTables(&deployment.catalog);
+  deployment.ds_tweak = [compressed](NodeId, datasource::DataSourceConfig* ds) {
+    ds->group_commit.enabled = true;
+    ds->wan_compression = compressed;
+  };
+  const std::unique_ptr<workload::Cluster> cluster =
+      workload::Build(deployment, &runtime);
 
   workload::DriverConfig driver_config;
   driver_config.terminals = 64;
   driver_config.warmup = SecToMicros(2);
   driver_config.measure = SecToMicros(12);
-  workload::ClientDriver driver(client, &network, dm, &gen, driver_config);
+  workload::ClientDriver driver(runtime.EnvFor(topo.client), topo.dm, &gen,
+                                driver_config);
   driver.Attach();
   driver.Start();
   loop.RunUntil(driver_config.warmup + driver_config.measure);
 
   WanResult out;
   out.committed = driver.stats().committed;
-  for (const auto& node : nodes) {
+  for (const auto& node : cluster->sources()) {
     if (node->replicator() != nullptr && node->replicator()->IsLeader()) {
       out.raw += node->replicator()->shipper_stats().wan_bytes_raw;
       out.wire += node->replicator()->shipper_stats().wan_bytes_wire;

@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the building blocks: lock
 // manager, hotspot footprint (hash index + LRU), geo-scheduler planning,
-// SQL parse + rewrite, event loop, network delivery and zipfian sampling.
+// event loop, network delivery and zipfian sampling.
 // These quantify the DM-side overheads the paper reports as negligible
 // (Fig. 6c "analysis ~1ms" for a whole transaction; the per-call costs
 // here are sub-microsecond).
@@ -11,8 +11,6 @@
 #include "core/hotspot_footprint.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
-#include "sql/parser.h"
-#include "sql/rewriter.h"
 #include "storage/lock_manager.h"
 
 namespace geotp {
@@ -144,7 +142,7 @@ BENCHMARK(BM_FootprintAtCapacity);
 void BM_SchedulerPlanRound(benchmark::State& state) {
   sim::EventLoop loop;
   sim::Network net(&loop, sim::LatencyMatrix(8));
-  core::LatencyMonitor monitor(0, &net, {});
+  core::LatencyMonitor monitor(0, &net, &loop, {});
   core::HotspotFootprint fp;
   core::SchedulerConfig config;
   config.policy = core::SchedulerPolicy::kLatencyAwareForecast;
@@ -160,27 +158,6 @@ void BM_SchedulerPlanRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchedulerPlanRound);
-
-void BM_ParseUpdate(benchmark::State& state) {
-  sql::Parser parser;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(parser.Parse(
-        "UPDATE savings SET val = val + 100 WHERE key = 74321; "
-        "/* last statement */"));
-  }
-}
-BENCHMARK(BM_ParseUpdate);
-
-void BM_RewriteBranchPrepare(benchmark::State& state) {
-  const Xid xid{1234567, 3};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sql::Rewriter::BranchPrepare(sql::Dialect::kMySql, xid));
-    benchmark::DoNotOptimize(
-        sql::Rewriter::BranchPrepare(sql::Dialect::kPostgres, xid));
-  }
-}
-BENCHMARK(BM_RewriteBranchPrepare);
 
 void BM_EventLoopScheduleRun(benchmark::State& state) {
   for (auto _ : state) {

@@ -8,20 +8,16 @@ using namespace geotp::bench;
 
 int main() {
   PrintHeader("Table I — heterogeneous deployments (YCSB MC)");
+  const storage::EngineConfig my = storage::MySqlEngineConfig();
+  const storage::EngineConfig pg = storage::PostgresEngineConfig();
   struct Scenario {
     const char* name;
-    std::vector<sql::Dialect> dialects;
+    std::vector<storage::EngineConfig> engines;
   };
   const Scenario scenarios[] = {
-      {"S1 (all MySQL)",
-       {sql::Dialect::kMySql, sql::Dialect::kMySql, sql::Dialect::kMySql,
-        sql::Dialect::kMySql}},
-      {"S2 (PG/My mixed)",
-       {sql::Dialect::kPostgres, sql::Dialect::kMySql, sql::Dialect::kPostgres,
-        sql::Dialect::kMySql}},
-      {"S3 (all PostgreSQL)",
-       {sql::Dialect::kPostgres, sql::Dialect::kPostgres,
-        sql::Dialect::kPostgres, sql::Dialect::kPostgres}},
+      {"S1 (all MySQL)", {my, my, my, my}},
+      {"S2 (PG/My mixed)", {pg, my, pg, my}},
+      {"S3 (all PostgreSQL)", {pg, pg, pg, pg}},
   };
   std::printf("%-20s %-8s %-12s %18s %18s\n", "scenario", "dr", "system",
               "throughput(txn/s)", "avg latency(ms)");
@@ -30,7 +26,7 @@ int main() {
       for (SystemKind system : {SystemKind::kSSP, SystemKind::kGeoTP}) {
         ExperimentConfig config = DefaultConfig();
         config.system = system;
-        config.dialects = scenario.dialects;
+        config.engines = scenario.engines;
         config.ycsb.theta = 0.9;
         config.ycsb.distributed_ratio = dr;
         const auto r = RunTracked(config);

@@ -1,24 +1,19 @@
 // The paper's running example (§III, Fig. 3): Alice transfers $100 to
 // Bob. Bob's account lives in a PostgreSQL instance co-located with the
 // middleware (DS1); Alice's account lives in a MySQL instance 100ms away
-// (DS2). This example shows the whole GeoTP pipeline at the API level:
-//
-//   1. the client writes annotated SQL ("/* last statement */"),
-//   2. the parser extracts statements + the annotation,
-//   3. the rewriter emits each engine's XA dialect (what the geo-agent
-//      executes for the decentralized prepare),
-//   4. a two-node simulated deployment runs the transfer under GeoTP and
-//      under classic 2PC (SSP), printing the commit latency difference —
-//      the eliminated WAN round trip of §IV-A.
+// (DS2). The client sends both updates in one round marked as the last
+// statement ("/* last statement */" in the paper), so the geo-agents can
+// prepare their branches right after executing them. The example runs
+// the transfer on a two-source simulated deployment under GeoTP and under
+// classic 2PC (SSP) and prints the commit latency difference — the
+// eliminated WAN round trip of §IV-A.
 #include <cstdio>
 #include <memory>
 
-#include "datasource/data_source.h"
-#include "middleware/middleware.h"
 #include "protocol/messages.h"
+#include "runtime/sim_runtime.h"
 #include "sim/network.h"
-#include "sql/parser.h"
-#include "sql/rewriter.h"
+#include "workload/deployment.h"
 
 using namespace geotp;
 
@@ -28,10 +23,18 @@ constexpr uint32_t kSavings = 1;
 constexpr uint64_t kBob = 7;       // key on DS1 (node-local offset 7)
 constexpr uint64_t kAlice = 1005;  // key on DS2 (1000 keys per node)
 
-// Assembles client(0) + DM(1) + PostgreSQL DS(2, 10ms) + MySQL DS(3,
-// 100ms), runs the transfer, returns the client-observed latency in ms.
-double RunTransfer(const middleware::MiddlewareConfig& dm_config,
-                   const std::vector<sql::ParsedStatement>& script) {
+protocol::ClientOp AddTo(uint64_t account, int64_t amount) {
+  protocol::ClientOp op;
+  op.key = RecordKey{kSavings, account};
+  op.is_write = true;
+  op.is_delta = true;
+  op.value = amount;
+  return op;
+}
+
+// Builds client(0) + DM(1) + PostgreSQL DS(2, 10ms) + MySQL DS(3, 100ms),
+// runs the transfer, returns the client-observed latency in ms.
+double RunTransfer(const middleware::MiddlewareConfig& dm_config) {
   sim::LatencyMatrix matrix(4);
   matrix.SetSymmetric(0, 1, sim::LinkSpec::FromRttMs(0.5));
   matrix.SetSymmetric(1, 2, sim::LinkSpec::FromRttMs(10.0));
@@ -41,53 +44,40 @@ double RunTransfer(const middleware::MiddlewareConfig& dm_config,
   matrix.SetSymmetric(2, 3, sim::LinkSpec::FromRttMs(100.0));
   sim::EventLoop loop;
   sim::Network network(&loop, matrix);
+  runtime::SimRuntime runtime(&loop, &network);
 
-  datasource::DataSourceConfig pg = datasource::DataSourceConfig::Postgres();
-  datasource::DataSourceConfig my = datasource::DataSourceConfig::MySql();
-  pg.early_abort = my.early_abort = dm_config.early_abort;
-  datasource::DataSourceNode ds1(2, &network, pg);
-  datasource::DataSourceNode ds2(3, &network, my);
-  ds1.Attach();
-  ds2.Attach();
-  // Seed the balances.
-  ds1.engine().store().Put(RecordKey{kSavings, kBob}, 500);
-  ds2.engine().store().Put(RecordKey{kSavings, kAlice}, 300);
+  workload::Deployment deployment;
+  deployment.middlewares = {1};
+  deployment.groups = {{2}, {3}};
+  deployment.catalog.AddRangePartitionedTable(kSavings, 1000, {2, 3});
+  deployment.dm = dm_config;
+  deployment.ds_tweak = [](NodeId node, datasource::DataSourceConfig* ds) {
+    if (node == 2) ds->engine = storage::PostgresEngineConfig();
+  };
+  // The opening balances.
+  deployment.records = {{RecordKey{kSavings, kBob}, 1, 500},
+                        {RecordKey{kSavings, kAlice}, 1, 300}};
+  const std::unique_ptr<workload::Cluster> cluster =
+      workload::Build(deployment, &runtime);
 
-  middleware::Catalog catalog;
-  catalog.AddRangePartitionedTable(kSavings, 1000, {2, 3});
-  middleware::MiddlewareNode dm(1, 0, &network, std::move(catalog),
-                                dm_config);
-  dm.Attach();
-
-  // Translate the parsed script into one client round (the DM receives
-  // the DML batch; BEGIN/COMMIT frame it).
+  // The whole transfer is one client round: debit Alice, credit Bob.
   auto round = std::make_unique<protocol::ClientRoundRequest>();
   round->from = 0;
   round->to = 1;
   round->client_tag = 1;
-  for (const auto& stmt : script) {
-    if (!stmt.IsDml()) continue;
-    protocol::ClientOp op;
-    op.key = RecordKey{kSavings, stmt.key};
-    op.is_write = stmt.IsWrite();
-    op.value = stmt.value;
-    op.is_delta = stmt.is_delta;
-    round->ops.push_back(op);
-    if (stmt.is_last) round->last_round = true;
-  }
+  round->ops = {AddTo(kAlice, -100), AddTo(kBob, 100)};
+  round->last_round = true;
 
   Micros done_at = 0;
-  TxnId txn_id = kInvalidTxn;
   bool committed = false;
   network.RegisterNode(0, [&](std::unique_ptr<sim::MessageBase> msg) {
     if (auto* resp =
             dynamic_cast<protocol::ClientRoundResponse*>(msg.get())) {
-      txn_id = resp->txn_id;
       auto finish = std::make_unique<protocol::ClientFinishRequest>();
       finish->from = 0;
       finish->to = 1;
       finish->client_tag = 1;
-      finish->txn_id = txn_id;
+      finish->txn_id = resp->txn_id;
       finish->commit = true;
       network.Send(std::move(finish));
     } else if (auto* result =
@@ -99,14 +89,13 @@ double RunTransfer(const middleware::MiddlewareConfig& dm_config,
   network.Send(std::move(round));
   loop.RunUntil(SecToMicros(5));
 
-  std::printf("    Bob (DS1/PostgreSQL):   $%lld\n",
-              static_cast<long long>(
-                  ds1.engine().store().Get(RecordKey{kSavings, kBob})->value));
-  std::printf("    Alice (DS2/MySQL):      $%lld\n",
-              static_cast<long long>(ds2.engine()
-                                         .store()
-                                         .Get(RecordKey{kSavings, kAlice})
-                                         ->value));
+  auto balance = [&cluster](size_t source, uint64_t account) {
+    const auto record = cluster->sources()[source]->engine().store().Get(
+        RecordKey{kSavings, account});
+    return static_cast<long long>(record->value);
+  };
+  std::printf("    Bob (DS1/PostgreSQL):   $%lld\n", balance(0, kBob));
+  std::printf("    Alice (DS2/MySQL):      $%lld\n", balance(1, kAlice));
   std::printf("    committed: %s\n", committed ? "yes" : "NO");
   return MicrosToMs(done_at);
 }
@@ -114,68 +103,19 @@ double RunTransfer(const middleware::MiddlewareConfig& dm_config,
 }  // namespace
 
 int main() {
-  // 1. The client's annotated transaction, exactly as in the paper Fig. 3.
-  const char* kScript =
-      "BEGIN;"
-      "UPDATE savings SET val = val + -100 WHERE key = 1005;"
-      "UPDATE savings SET val = val + 100 WHERE key = 7; /* last statement */;"
-      "COMMIT;";
-  std::printf("client SQL:\n%s\n\n", kScript);
+  std::printf(
+      "client transaction (one round, last statement):\n"
+      "    savings[%llu] += -100   (Alice, DS2/MySQL)\n"
+      "    savings[%llu] += 100    (Bob, DS1/PostgreSQL)\n",
+      static_cast<unsigned long long>(kAlice),
+      static_cast<unsigned long long>(kBob));
 
-  sql::Parser parser;
-  auto parsed = parser.ParseScript(kScript);
-  if (!parsed.ok()) {
-    std::printf("parse error: %s\n", parsed.status().ToString().c_str());
-    return 1;
-  }
-
-  // 2./3. What the rewriter sends to each engine.
-  const Xid bob_branch{1, 2};    // PostgreSQL branch
-  const Xid alice_branch{1, 3};  // MySQL branch
-  std::printf("rewritten for PostgreSQL (DS1, Bob):\n");
-  for (const auto& sql : sql::Rewriter::BranchBegin(sql::Dialect::kPostgres,
-                                                    bob_branch)) {
-    std::printf("    %s\n", sql.c_str());
-  }
-  for (const auto& stmt : parsed.value()) {
-    if (stmt.IsDml() && stmt.key == kBob) {
-      std::printf("    %s\n",
-                  sql::Rewriter::RewriteDml(sql::Dialect::kPostgres, stmt)
-                      .c_str());
-    }
-  }
-  for (const auto& sql : sql::Rewriter::BranchPrepare(sql::Dialect::kPostgres,
-                                                      bob_branch)) {
-    std::printf("    %s   <- geo-agent, decentralized prepare\n",
-                sql.c_str());
-  }
-  std::printf("rewritten for MySQL (DS2, Alice):\n");
-  for (const auto& sql :
-       sql::Rewriter::BranchBegin(sql::Dialect::kMySql, alice_branch)) {
-    std::printf("    %s\n", sql.c_str());
-  }
-  for (const auto& stmt : parsed.value()) {
-    if (stmt.IsDml() && stmt.key == kAlice) {
-      std::printf(
-          "    %s\n",
-          sql::Rewriter::RewriteDml(sql::Dialect::kMySql, stmt).c_str());
-    }
-  }
-  for (const auto& sql : sql::Rewriter::BranchPrepare(sql::Dialect::kMySql,
-                                                      alice_branch)) {
-    std::printf("    %s   <- geo-agent, decentralized prepare\n",
-                sql.c_str());
-  }
-
-  // 4. Run it under both commit protocols.
   std::printf("\nrunning under SSP (classic XA 2PC, 3 WAN round trips):\n");
-  const double ssp_ms =
-      RunTransfer(middleware::MiddlewareConfig::SSP(), parsed.value());
+  const double ssp_ms = RunTransfer(middleware::MiddlewareConfig::SSP());
   std::printf("    commit latency: %.1f ms\n", ssp_ms);
 
   std::printf("\nrunning under GeoTP (decentralized prepare, 2 round trips):\n");
-  const double geotp_ms =
-      RunTransfer(middleware::MiddlewareConfig::GeoTP(), parsed.value());
+  const double geotp_ms = RunTransfer(middleware::MiddlewareConfig::GeoTP());
   std::printf("    commit latency: %.1f ms\n", geotp_ms);
 
   std::printf("\nGeoTP saved %.1f ms — the prepare phase's WAN round trip.\n",

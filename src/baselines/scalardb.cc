@@ -14,17 +14,18 @@ using protocol::ClientRoundRequest;
 using protocol::ClientRoundResponse;
 using protocol::ClientTxnResult;
 
-ScalarDbNode::ScalarDbNode(NodeId id, sim::Network* network,
-                           middleware::Catalog catalog, ScalarDbConfig config)
-    : id_(id),
-      network_(network),
+ScalarDbNode::ScalarDbNode(runtime::ActorEnv env, middleware::Catalog catalog,
+                           ScalarDbConfig config)
+    : id_(env.node),
+      network_(env.transport),
+      timer_(env.timer),
       catalog_(std::move(catalog)),
       config_(std::move(config)),
       footprint_(std::make_unique<core::HotspotFootprint>(config_.footprint)),
       monitor_(std::make_unique<core::LatencyMonitor>(
-          id, network, network->loop(), catalog_.AllDataSources(),
+          id_, network_, timer_, catalog_.AllDataSources(),
           config_.monitor)),
-      rng_(0x5CA1A3DB + id) {
+      rng_(0x5CA1A3DB + id_) {
   core::SchedulerConfig sched;
   if (config_.plus) {
     // Eq. 3 postponing over the monitor's latency estimates. The Eq. 9

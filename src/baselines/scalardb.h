@@ -27,7 +27,7 @@
 #include "core/latency_monitor.h"
 #include "middleware/catalog.h"
 #include "protocol/messages.h"
-#include "sim/network.h"
+#include "runtime/runtime.h"
 
 namespace geotp {
 namespace baselines {
@@ -50,7 +50,7 @@ struct ScalarDbStats {
 
 class ScalarDbNode {
  public:
-  ScalarDbNode(NodeId id, sim::Network* network, middleware::Catalog catalog,
+  ScalarDbNode(runtime::ActorEnv env, middleware::Catalog catalog,
                ScalarDbConfig config);
   ~ScalarDbNode();
 
@@ -58,7 +58,7 @@ class ScalarDbNode {
 
   NodeId id() const { return id_; }
   const ScalarDbStats& stats() const { return stats_; }
-  sim::EventLoop* loop() { return network_->loop(); }
+  runtime::ITimer* loop() { return timer_; }
 
  private:
   struct Staged {
@@ -97,7 +97,8 @@ class ScalarDbNode {
   Txn* FindTxn(TxnId id);
 
   NodeId id_;
-  sim::Network* network_;
+  runtime::ITransport* network_;
+  runtime::ITimer* timer_;
   middleware::Catalog catalog_;
   ScalarDbConfig config_;
   std::unique_ptr<core::HotspotFootprint> footprint_;

@@ -7,9 +7,11 @@
 namespace geotp {
 namespace baselines {
 
-StoreNode::StoreNode(NodeId id, sim::Network* network,
-                     storage::EngineConfig cost_model)
-    : id_(id), network_(network), cost_(cost_model) {}
+StoreNode::StoreNode(runtime::ActorEnv env, storage::EngineConfig cost_model)
+    : id_(env.node),
+      network_(env.transport),
+      timer_(env.timer),
+      cost_(cost_model) {}
 
 void StoreNode::Attach() {
   network_->RegisterNode(id_, [this](std::unique_ptr<sim::MessageBase> msg) {

@@ -9,8 +9,7 @@
 
 #include "baselines/store_messages.h"
 #include "protocol/messages.h"
-#include "sim/event_loop.h"
-#include "sim/network.h"
+#include "runtime/runtime.h"
 #include "storage/engine.h"
 #include "storage/versioned_store.h"
 
@@ -27,7 +26,7 @@ struct StoreNodeStats {
 
 class StoreNode {
  public:
-  StoreNode(NodeId id, sim::Network* network,
+  StoreNode(runtime::ActorEnv env,
             storage::EngineConfig cost_model = storage::EngineConfig());
 
   void Attach();
@@ -35,7 +34,7 @@ class StoreNode {
   NodeId id() const { return id_; }
   storage::VersionedStore& store() { return store_; }
   const StoreNodeStats& stats() const { return stats_; }
-  sim::EventLoop* loop() { return network_->loop(); }
+  runtime::ITimer* loop() { return timer_; }
 
  private:
   void HandleMessage(std::unique_ptr<sim::MessageBase> msg);
@@ -44,7 +43,8 @@ class StoreNode {
   void OnDecision(const StoreDecisionRequest& req);
 
   NodeId id_;
-  sim::Network* network_;
+  runtime::ITransport* network_;
+  runtime::ITimer* timer_;
   storage::EngineConfig cost_;
   storage::VersionedStore store_;
   StoreNodeStats stats_;

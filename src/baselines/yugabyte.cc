@@ -13,10 +13,14 @@ using protocol::ClientRoundRequest;
 using protocol::ClientRoundResponse;
 using protocol::ClientTxnResult;
 
-YbTabletNode::YbTabletNode(NodeId id, sim::Network* network,
+YbTabletNode::YbTabletNode(runtime::ActorEnv env,
                            const middleware::Catalog* catalog,
                            YbConfig config)
-    : id_(id), network_(network), catalog_(catalog), config_(config) {}
+    : id_(env.node),
+      network_(env.transport),
+      timer_(env.timer),
+      catalog_(catalog),
+      config_(config) {}
 
 void YbTabletNode::Attach() {
   network_->RegisterNode(id_, [this](std::unique_ptr<sim::MessageBase> msg) {

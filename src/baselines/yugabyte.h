@@ -50,15 +50,15 @@ struct YbStats {
 
 class YbTabletNode {
  public:
-  YbTabletNode(NodeId id, sim::Network* network,
-               const middleware::Catalog* catalog, YbConfig config);
+  YbTabletNode(runtime::ActorEnv env, const middleware::Catalog* catalog,
+               YbConfig config);
 
   void Attach();
 
   NodeId id() const { return id_; }
   storage::VersionedStore& store() { return store_; }
   const YbStats& stats() const { return stats_; }
-  sim::EventLoop* loop() { return network_->loop(); }
+  runtime::ITimer* loop() { return timer_; }
 
  private:
   struct Txn {
@@ -97,7 +97,8 @@ class YbTabletNode {
   Txn* FindTxn(TxnId id);
 
   NodeId id_;
-  sim::Network* network_;
+  runtime::ITransport* network_;
+  runtime::ITimer* timer_;
   const middleware::Catalog* catalog_;
   YbConfig config_;
   storage::VersionedStore store_;

@@ -46,13 +46,6 @@ class LatencyMonitor {
                  runtime::ITimer* timer, std::vector<NodeId> targets,
                  LatencyMonitorConfig config = LatencyMonitorConfig());
 
-  /// Simulated-deployment convenience: the timer is the network's loop.
-  LatencyMonitor(NodeId self, sim::Network* network,
-                 std::vector<NodeId> targets,
-                 LatencyMonitorConfig config = LatencyMonitorConfig())
-      : LatencyMonitor(self, network, network->loop(), std::move(targets),
-                       config) {}
-
   /// Re-evaluated before every ping round, so probes follow failovers
   /// (the ROADMAP stale-leader bug: without this the monitor kept pinging
   /// the crashed seed leader forever). Without a provider the constructor

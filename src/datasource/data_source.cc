@@ -21,19 +21,11 @@ using protocol::PrepareRequest;
 using protocol::Vote;
 using protocol::VoteMessage;
 
-DataSourceNode::DataSourceNode(NodeId id, sim::Network* network,
-                               DataSourceConfig config)
-    : DataSourceNode(runtime::ActorEnv{id, network->loop(), network, nullptr},
-                     config) {}
-
 DataSourceNode::DataSourceNode(runtime::ActorEnv env, DataSourceConfig config)
     : id_(env.node),
       network_(env.transport),
       timer_(env.timer),
-      wal_device_(env.storage != nullptr
-                      ? env.storage->OpenStorage(env.node, "wal")
-                      : std::make_unique<runtime::SimStableStorage>(
-                            env.timer)),
+      wal_device_(env.OpenStorage("wal")),
       config_(config),
       engine_(config.engine),
       committer_(timer_, wal_device_.get(), config.group_commit),

@@ -31,7 +31,6 @@
 #include "sharding/migrator.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
-#include "sql/rewriter.h"
 #include "storage/engine.h"
 #include "storage/group_commit.h"
 
@@ -39,7 +38,6 @@ namespace geotp {
 namespace datasource {
 
 struct DataSourceConfig {
-  sql::Dialect dialect = sql::Dialect::kMySql;
   storage::EngineConfig engine;
   /// Geo-agent <-> database LAN round trip (the decentralized prepare costs
   /// one of these instead of a WAN round trip; paper §IV-A).
@@ -83,13 +81,11 @@ struct DataSourceConfig {
 
   static DataSourceConfig MySql() {
     DataSourceConfig config;
-    config.dialect = sql::Dialect::kMySql;
     config.engine = storage::MySqlEngineConfig();
     return config;
   }
   static DataSourceConfig Postgres() {
     DataSourceConfig config;
-    config.dialect = sql::Dialect::kPostgres;
     config.engine = storage::PostgresEngineConfig();
     return config;
   }
@@ -123,11 +119,9 @@ struct DataSourceStats {
 
 class DataSourceNode {
  public:
-  /// Runtime-seam constructor: the node runs on whatever backend `env`
-  /// belongs to (sim event loop or a loopback actor thread).
+  /// The node runs on whatever backend `env` belongs to (sim event loop or
+  /// a loopback actor thread).
   DataSourceNode(runtime::ActorEnv env, DataSourceConfig config);
-  /// Simulated-deployment convenience (tests, benches, the runner).
-  DataSourceNode(NodeId id, sim::Network* network, DataSourceConfig config);
 
   /// Registers the node's message handler with the network.
   void Attach();

@@ -104,22 +104,13 @@ MiddlewareConfig MiddlewareConfig::GeoTP() {
 // Lifecycle
 // ---------------------------------------------------------------------------
 
-MiddlewareNode::MiddlewareNode(NodeId id, uint32_t ordinal,
-                               sim::Network* network, Catalog catalog,
-                               MiddlewareConfig config)
-    : MiddlewareNode(runtime::ActorEnv{id, network->loop(), network, nullptr},
-                     ordinal, std::move(catalog), std::move(config)) {}
-
 MiddlewareNode::MiddlewareNode(runtime::ActorEnv env, uint32_t ordinal,
                                Catalog catalog, MiddlewareConfig config)
     : id_(env.node),
       ordinal_(ordinal),
       network_(env.transport),
       timer_(env.timer),
-      log_device_(env.storage != nullptr
-                      ? env.storage->OpenStorage(env.node, "decision.log")
-                      : std::make_unique<runtime::SimStableStorage>(
-                            env.timer)),
+      log_device_(env.OpenStorage("decision.log")),
       catalog_(std::move(catalog)),
       config_(std::move(config)),
       footprint_(std::make_unique<core::HotspotFootprint>(config_.footprint)),

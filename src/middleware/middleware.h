@@ -159,13 +159,10 @@ struct DecisionLogEntry {
 
 class MiddlewareNode {
  public:
-  /// Runtime-seam constructor: the DM runs on whatever backend `env`
-  /// belongs to (sim event loop or a loopback actor thread).
+  /// The DM runs on whatever backend `env` belongs to (sim event loop or
+  /// a loopback actor thread).
   MiddlewareNode(runtime::ActorEnv env, uint32_t ordinal, Catalog catalog,
                  MiddlewareConfig config);
-  /// Simulated-deployment convenience (tests, benches, the runner).
-  MiddlewareNode(NodeId id, uint32_t ordinal, sim::Network* network,
-                 Catalog catalog, MiddlewareConfig config);
   ~MiddlewareNode();
 
   /// Registers with the network and starts the latency monitor.

@@ -27,6 +27,7 @@
 #include <string>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/types.h"
 #include "runtime/message.h"
 
@@ -158,6 +159,12 @@ struct ActorEnv {
   ITimer* timer = nullptr;
   ITransport* transport = nullptr;
   IStorageFactory* storage = nullptr;
+
+  /// Opens this actor's durable device `name`.
+  std::unique_ptr<IStableStorage> OpenStorage(const std::string& name) const {
+    GEOTP_CHECK(storage != nullptr, "node " << node << " has no storage");
+    return storage->OpenStorage(node, name);
+  }
 };
 
 /// A runtime backend: transports, per-actor timers, and storage devices

@@ -41,8 +41,6 @@ class Network : public runtime::ITransport {
 
   Network(EventLoop* loop, LatencyMatrix matrix, uint64_t seed = 42);
 
-  EventLoop* loop() { return loop_; }
-
   /// The latency matrix is mutable at runtime to model latency changes
   /// (Fig. 11b re-shapes links every 40 simulated seconds).
   LatencyMatrix& matrix() { return matrix_; }

@@ -48,8 +48,7 @@ struct EngineConfig {
 };
 
 /// Engine-flavour presets used for the heterogeneous-deployment study
-/// (Table I). The numbers differ slightly so S1/S2/S3 are distinguishable;
-/// the XA dialect differences live in src/sql.
+/// (Table I). The numbers differ slightly so S1/S2/S3 are distinguishable.
 EngineConfig MySqlEngineConfig();
 EngineConfig PostgresEngineConfig();
 

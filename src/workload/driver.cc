@@ -14,13 +14,6 @@ using protocol::ClientRoundRequest;
 using protocol::ClientRoundResponse;
 using protocol::ClientTxnResult;
 
-ClientDriver::ClientDriver(NodeId client_node, sim::Network* network,
-                           NodeId coordinator, WorkloadGenerator* generator,
-                           DriverConfig config)
-    : ClientDriver(runtime::ActorEnv{client_node, network->loop(), network,
-                                     nullptr},
-                   coordinator, generator, config) {}
-
 ClientDriver::ClientDriver(runtime::ActorEnv env, NodeId coordinator,
                            WorkloadGenerator* generator, DriverConfig config)
     : client_node_(env.node),

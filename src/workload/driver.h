@@ -71,12 +71,9 @@ struct TenantStats {
 
 class ClientDriver {
  public:
-  /// Runtime-seam constructor: the driver runs on whatever backend `env`
-  /// belongs to (sim event loop or a loopback actor thread).
+  /// The driver runs on whatever backend `env` belongs to (sim event loop or
+  /// a loopback actor thread).
   ClientDriver(runtime::ActorEnv env, NodeId coordinator,
-               WorkloadGenerator* generator, DriverConfig config);
-  /// Simulated-deployment convenience (tests, benches, the runner).
-  ClientDriver(NodeId client_node, sim::Network* network, NodeId coordinator,
                WorkloadGenerator* generator, DriverConfig config);
 
   /// Registers the client node handler. Call once before Start().
@@ -110,7 +107,6 @@ class ClientDriver {
   }
 
   const metrics::RunStats& stats() const { return stats_; }
-  metrics::RunStats& mutable_stats() { return stats_; }
   const metrics::ThroughputSeries& series() const { return series_; }
   const std::unordered_map<int, TypeStats>& type_stats() const {
     return type_stats_;

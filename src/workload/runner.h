@@ -1,6 +1,7 @@
-// Experiment runner: assembles a full simulated deployment (topology,
-// data sources, middleware or baseline system, client driver), runs it for
-// warmup + measurement, and returns the metrics every bench/test consumes.
+// Experiment runner: describes a full simulated deployment (topology,
+// data sources, middleware or baseline system), builds it, drives it with
+// a client for warmup + measurement, and returns the metrics every
+// bench/test consumes.
 //
 // This is the library's top-level convenience API; examples/quickstart.cpp
 // shows it end to end.
@@ -15,32 +16,16 @@
 #include "datasource/data_source.h"
 #include "metrics/stats.h"
 #include "middleware/middleware.h"
-#include "sql/rewriter.h"
+#include "sim/event_loop.h"
+#include "sim/network.h"
+#include "storage/engine.h"
+#include "workload/deployment.h"
 #include "workload/driver.h"
 #include "workload/tpcc.h"
 #include "workload/ycsb.h"
 
 namespace geotp {
 namespace workload {
-
-/// Every system the paper evaluates.
-enum class SystemKind : int {
-  kSSP,         ///< ShardingSphere, XA 2PC
-  kSSPLocal,    ///< ShardingSphere "local" mode (no atomicity)
-  kQuro,        ///< QURO reordering on the SSP platform
-  kChiller,     ///< Chiller scheduling on the GeoTP platform
-  kGeoTPO1,     ///< decentralized prepare only (ablation)
-  kGeoTPO1O2,   ///< + latency-aware scheduling (ablation)
-  kGeoTP,       ///< full GeoTP (O1~O3)
-  kScalarDb,    ///< ScalarDB-style middleware (DM-side concurrency control)
-  kScalarDbPlus,///< ScalarDB + GeoTP's scheduling & heuristics
-  kYugabyte,    ///< YugabyteDB-style distributed database
-};
-
-const char* SystemName(SystemKind kind);
-
-/// Middleware preset for a given system (middleware-based systems only).
-middleware::MiddlewareConfig ConfigForSystem(SystemKind kind);
 
 enum class WorkloadKind { kYcsb, kTpcc };
 
@@ -51,8 +36,9 @@ struct ExperimentConfig {
   /// RTTs from DM to each data source in ms (paper default topology).
   std::vector<double> ds_rtts_ms = {0.0, 27.0, 73.0, 251.0};
   double jitter_frac = 0.0;
-  /// Engine flavour per data source; defaults to all-MySQL (paper default).
-  std::vector<sql::Dialect> dialects;
+  /// Engine cost model per data source; sources past the end of the list
+  /// (all of them when it is empty) run the MySQL preset (paper default).
+  std::vector<storage::EngineConfig> engines;
 
   YcsbConfig ycsb;  ///< data_sources filled in by the runner
   TpccConfig tpcc;  ///< data_sources filled in by the runner
@@ -62,7 +48,7 @@ struct ExperimentConfig {
   /// (ablations over alpha, ping interval, admission knobs, ...).
   std::function<void(middleware::MiddlewareConfig*)> dm_tweak;
 
-  /// Hook to tweak each data source's config after the dialect preset is
+  /// Hook to tweak each data source's config after the engine preset is
   /// applied (group-commit policy, fsync costs, ...).
   std::function<void(datasource::DataSourceConfig*)> ds_tweak;
 
@@ -95,7 +81,9 @@ struct ExperimentConfig {
   uint64_t seed = 42;
 };
 
-struct ExperimentResult {
+/// The inherited SourceTotals sum WAL, group-commit, source and migration
+/// stats over every data source (middleware systems only).
+struct ExperimentResult : Cluster::SourceTotals {
   metrics::RunStats run;
   middleware::MiddlewareStats dm;
   metrics::PhaseBreakdown breakdown;  ///< the DM's per-phase latency
@@ -111,17 +99,6 @@ struct ExperimentResult {
   /// the companion metric — what the prediction itself cost to compute.
   double wall_seconds = 0.0;
   size_t footprint_bytes = 0;
-  // Durability accounting across all data sources (middleware systems):
-  // WAL entries vs physical fsyncs diverge under group commit.
-  uint64_t wal_entries = 0;
-  uint64_t wal_fsyncs = 0;
-  /// Aggregated over all data sources with metrics::Accumulate: counters
-  /// are summed, high-water fields are the max over nodes.
-  datasource::DataSourceStats sources;
-  storage::GroupCommitStats group_commit;
-  /// The rebalance bench reads the peaks to assert the credit window
-  /// bounded the source's stream memory.
-  sharding::ShardMigratorStats migration;
   /// GlobalMetrics() snapshot taken before teardown (collect_metrics runs
   /// only; empty otherwise). Gauges/histograms borrow node state, so this
   /// is the only safe place to evaluate them.
@@ -145,9 +122,9 @@ struct ExperimentResult {
   }
 };
 
-/// Runs one experiment to completion. Middleware-based systems route
-/// through MiddlewareNode; ScalarDB/Yugabyte systems assemble their own
-/// coordinators (src/baselines).
+/// Runs one experiment to completion: describes the deployment, builds it
+/// on the simulator (workload/deployment.h), drives it with one client
+/// and collects the metrics. Every SystemKind takes this one path.
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
 }  // namespace workload

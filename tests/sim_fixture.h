@@ -7,13 +7,11 @@
 #include <memory>
 #include <vector>
 
-#include "datasource/data_source.h"
-#include "middleware/middleware.h"
 #include "protocol/messages.h"
-#include "replication/replication_config.h"
-#include "sharding/shard_map.h"
+#include "runtime/sim_runtime.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
+#include "workload/deployment.h"
 
 namespace geotp {
 namespace testing_support {
@@ -118,64 +116,35 @@ class MiniCluster {
       }
     }
     network_ = std::make_unique<sim::Network>(&loop_, matrix);
+    runtime_ = std::make_unique<runtime::SimRuntime>(&loop_, network_.get());
 
-    middleware::Catalog catalog;
+    workload::Deployment deployment;
+    deployment.middlewares = dm_ids;
     std::vector<NodeId> ds_ids;
-    for (int i = 0; i < n; ++i) ds_ids.push_back(2 + i);
-    catalog.AddRangePartitionedTable(options.table, options.keys_per_node,
-                                     ds_ids);
-    if (options.sharding) {
-      catalog.InstallShardMap(sharding::ShardMap::FromRangePartition(
-          options.table, options.keys_per_node, ds_ids,
-          options.chunks_per_source));
-    }
-
     for (int i = 0; i < n; ++i) {
-      std::vector<NodeId> replicas = {2 + i};
+      ds_ids.push_back(2 + i);
+      std::vector<NodeId> group = {2 + i};
       for (int k = 0; k < followers_per_group; ++k) {
-        replicas.push_back(follower_id(i, k));
+        group.push_back(follower_id(i, k));
       }
-      if (rf > 1) catalog.SetReplicaGroup(2 + i, replicas);
-
-      for (NodeId replica : replicas) {
-        datasource::DataSourceConfig config =
-            datasource::DataSourceConfig::MySql();
-        config.early_abort = options.dm.early_abort;
-        config.group_commit = options.group_commit;
-        if (options.ds_tweak) options.ds_tweak(&config);
-        if (options.ds_tweak_node) options.ds_tweak_node(replica, &config);
-        auto node = std::make_unique<datasource::DataSourceNode>(
-            replica, network_.get(), config);
-        if (rf > 1) {
-          replication::GroupConfig group;
-          group.logical = 2 + i;
-          group.replicas = replicas;
-          group.middlewares = dm_ids;
-          group.config = options.repl;
-          node->EnableReplication(group);
-        }
-        node->Attach();
-        if (replica == 2 + i) {
-          sources_.push_back(std::move(node));
-        } else {
-          followers_.push_back(std::move(node));
-        }
-      }
+      deployment.groups.push_back(std::move(group));
     }
-    for (size_t j = 0; j < dm_ids.size(); ++j) {
-      middleware::MiddlewareConfig dm_config = options.dm;
-      if (j > 0) {
-        dm_config.balancer.enabled = false;  // one balancer per deployment
-      } else if (dm_config.balancer.enabled) {
-        dm_config.balancer.peer_middlewares.assign(dm_ids.begin() + 1,
-                                                   dm_ids.end());
-      }
-      auto dm = std::make_unique<middleware::MiddlewareNode>(
-          dm_ids[j], /*ordinal=*/static_cast<uint32_t>(j), network_.get(),
-          catalog, dm_config);
-      dm->Attach();
-      dms_.push_back(std::move(dm));
+    deployment.catalog.AddRangePartitionedTable(options.table,
+                                                options.keys_per_node, ds_ids);
+    if (options.sharding) {
+      deployment.shard_map = sharding::ShardMap::FromRangePartition(
+          options.table, options.keys_per_node, ds_ids,
+          options.chunks_per_source);
     }
+    deployment.dm = options.dm;
+    deployment.repl = options.repl;
+    deployment.ds_tweak = [this](NodeId node,
+                                 datasource::DataSourceConfig* config) {
+      config->group_commit = options_.group_commit;
+      if (options_.ds_tweak) options_.ds_tweak(config);
+      if (options_.ds_tweak_node) options_.ds_tweak_node(node, config);
+    };
+    cluster_ = workload::Build(deployment, runtime_.get());
 
     network_->RegisterNode(0, [this](std::unique_ptr<sim::MessageBase> msg) {
       OnClientMessage(std::move(msg));
@@ -184,27 +153,21 @@ class MiniCluster {
 
   sim::EventLoop& loop() { return loop_; }
   sim::Network& network() { return *network_; }
-  middleware::MiddlewareNode& dm() { return *dms_.front(); }
+  middleware::MiddlewareNode& dm() { return cluster_->dm(); }
   /// Middleware `j` (0 = the primary at node id 1).
   middleware::MiddlewareNode& dm(int j) {
-    return *dms_[static_cast<size_t>(j)];
+    return cluster_->dm(static_cast<size_t>(j));
   }
   datasource::DataSourceNode& source(int i) {
-    return *sources_[static_cast<size_t>(i)];
+    return *replica_group(i).front();
   }
   /// Follower `k` of data source `i` (replication_factor > 1 only).
   datasource::DataSourceNode& follower(int i, int k) {
-    const int per_group = options_.replication_factor - 1;
-    return *followers_[static_cast<size_t>(i * per_group + k)];
+    return *replica_group(i)[static_cast<size_t>(k + 1)];
   }
   /// All replicas of group `i`: the seed leader first, then followers.
-  std::vector<datasource::DataSourceNode*> replica_group(int i) {
-    std::vector<datasource::DataSourceNode*> group = {
-        sources_[static_cast<size_t>(i)].get()};
-    for (int k = 0; k < options_.replication_factor - 1; ++k) {
-      group.push_back(&follower(i, k));
-    }
-    return group;
+  const std::vector<datasource::DataSourceNode*>& replica_group(int i) {
+    return cluster_->group(static_cast<size_t>(i));
   }
   /// The replica currently leading group `i` (nullptr mid-election).
   datasource::DataSourceNode* leader_of(int i) {
@@ -216,10 +179,16 @@ class MiniCluster {
     }
     return nullptr;
   }
+  /// Every replica: the seed leaders first, then the followers.
   std::vector<datasource::DataSourceNode*> source_ptrs() {
     std::vector<datasource::DataSourceNode*> out;
-    for (auto& src : sources_) out.push_back(src.get());
-    for (auto& src : followers_) out.push_back(src.get());
+    for (int i = 0; i < options_.num_data_sources; ++i) {
+      out.push_back(&source(i));
+    }
+    for (int i = 0; i < options_.num_data_sources; ++i) {
+      out.insert(out.end(), replica_group(i).begin() + 1,
+                 replica_group(i).end());
+    }
     return out;
   }
 
@@ -368,9 +337,8 @@ class MiniCluster {
   Options options_;
   sim::EventLoop loop_;
   std::unique_ptr<sim::Network> network_;
-  std::vector<std::unique_ptr<datasource::DataSourceNode>> sources_;
-  std::vector<std::unique_ptr<datasource::DataSourceNode>> followers_;
-  std::vector<std::unique_ptr<middleware::MiddlewareNode>> dms_;
+  std::unique_ptr<runtime::SimRuntime> runtime_;
+  std::unique_ptr<workload::Cluster> cluster_;
   std::map<uint64_t, ClientTxn> txns_;
   std::vector<protocol::ShardCutoverReady> cutovers_;
   std::vector<protocol::ShardMigrateAborted> aborted_;

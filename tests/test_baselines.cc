@@ -4,6 +4,7 @@
 #include "baselines/scalardb.h"
 #include "baselines/store_node.h"
 #include "baselines/yugabyte.h"
+#include "runtime/sim_runtime.h"
 #include "workload/runner.h"
 
 namespace geotp {
@@ -23,7 +24,8 @@ class StoreNodeTest : public ::testing::Test {
     sim::LatencyMatrix matrix(2);
     matrix.SetSymmetric(0, 1, sim::LinkSpec::FromRttMs(10.0));
     net_ = std::make_unique<sim::Network>(&loop_, matrix);
-    store_ = std::make_unique<StoreNode>(1, net_.get());
+    rt_ = std::make_unique<runtime::SimRuntime>(&loop_, net_.get());
+    store_ = std::make_unique<StoreNode>(rt_->EnvFor(1));
     store_->Attach();
     net_->RegisterNode(0, [this](std::unique_ptr<sim::MessageBase> msg) {
       if (auto* read = dynamic_cast<StoreReadResponse*>(msg.get())) {
@@ -38,6 +40,7 @@ class StoreNodeTest : public ::testing::Test {
 
   sim::EventLoop loop_;
   std::unique_ptr<sim::Network> net_;
+  std::unique_ptr<runtime::SimRuntime> rt_;
   std::unique_ptr<StoreNode> store_;
   std::vector<StoreReadResponse> reads_;
   std::vector<StorePrepareResponse> prepares_;

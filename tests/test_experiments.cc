@@ -145,8 +145,10 @@ TEST(ExperimentTest, JitterProducesVariedLatencies) {
 TEST(ExperimentTest, HeterogeneousDialectsWork) {
   ExperimentConfig config = Base();
   config.system = SystemKind::kGeoTP;
-  config.dialects = {sql::Dialect::kPostgres, sql::Dialect::kMySql,
-                     sql::Dialect::kPostgres, sql::Dialect::kMySql};
+  config.engines = {storage::PostgresEngineConfig(),
+                    storage::MySqlEngineConfig(),
+                    storage::PostgresEngineConfig(),
+                    storage::MySqlEngineConfig()};
   const auto result = RunExperiment(config);
   EXPECT_GT(result.run.committed, 100u);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "datasource/data_source.h"
+#include "runtime/sim_runtime.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
 
@@ -19,22 +20,24 @@ class MonitorTest : public ::testing::Test {
     matrix.SetSymmetric(0, 1, sim::LinkSpec::FromRttMs(40.0));
     matrix.SetSymmetric(0, 2, sim::LinkSpec::FromRttMs(100.0));
     net_ = std::make_unique<sim::Network>(&loop_, matrix);
+    rt_ = std::make_unique<runtime::SimRuntime>(&loop_, net_.get());
     ds1_ = std::make_unique<datasource::DataSourceNode>(
-        1, net_.get(), datasource::DataSourceConfig::MySql());
+        rt_->EnvFor(1), datasource::DataSourceConfig::MySql());
     ds2_ = std::make_unique<datasource::DataSourceNode>(
-        2, net_.get(), datasource::DataSourceConfig::MySql());
+        rt_->EnvFor(2), datasource::DataSourceConfig::MySql());
     ds1_->Attach();
     ds2_->Attach();
   }
 
   sim::EventLoop loop_;
   std::unique_ptr<sim::Network> net_;
+  std::unique_ptr<runtime::SimRuntime> rt_;
   std::unique_ptr<datasource::DataSourceNode> ds1_;
   std::unique_ptr<datasource::DataSourceNode> ds2_;
 };
 
 TEST_F(MonitorTest, LearnsRttFromPings) {
-  LatencyMonitor monitor(0, net_.get(), {1, 2});
+  LatencyMonitor monitor(0, net_.get(), &loop_, {1, 2});
   net_->RegisterNode(0, [&](std::unique_ptr<sim::MessageBase> msg) {
     auto* pong = dynamic_cast<protocol::PingResponse*>(msg.get());
     ASSERT_NE(pong, nullptr);
@@ -52,12 +55,12 @@ TEST_F(MonitorTest, LearnsRttFromPings) {
 }
 
 TEST_F(MonitorTest, UnknownNodeEstimateIsZero) {
-  LatencyMonitor monitor(0, net_.get(), {1});
+  LatencyMonitor monitor(0, net_.get(), &loop_, {1});
   EXPECT_EQ(monitor.RttEstimate(2), 0);
 }
 
 TEST_F(MonitorTest, MaxRttPicksLargest) {
-  LatencyMonitor monitor(0, net_.get(), {1, 2});
+  LatencyMonitor monitor(0, net_.get(), &loop_, {1, 2});
   net_->RegisterNode(0, [&](std::unique_ptr<sim::MessageBase> msg) {
     auto* pong = dynamic_cast<protocol::PingResponse*>(msg.get());
     monitor.OnPong(*pong);
@@ -72,7 +75,7 @@ TEST_F(MonitorTest, MaxRttPicksLargest) {
 TEST_F(MonitorTest, AdaptsToLatencyChange) {
   // The Fig. 11b scenario: the link latency changes at runtime and the
   // EWMA estimate follows within a fraction of a second.
-  LatencyMonitor monitor(0, net_.get(), {1});
+  LatencyMonitor monitor(0, net_.get(), &loop_, {1});
   net_->RegisterNode(0, [&](std::unique_ptr<sim::MessageBase> msg) {
     auto* pong = dynamic_cast<protocol::PingResponse*>(msg.get());
     monitor.OnPong(*pong);
@@ -94,7 +97,7 @@ TEST_F(MonitorTest, AdaptsToLatencyChange) {
 TEST_F(MonitorTest, EwmaSmoothsOutliers) {
   LatencyMonitorConfig config;
   config.ewma_alpha = 0.9;
-  LatencyMonitor monitor(0, net_.get(), {1}, config);
+  LatencyMonitor monitor(0, net_.get(), &loop_, {1}, config);
   // Seed with a stable estimate.
   protocol::PingResponse pong;
   pong.from = 1;
@@ -110,7 +113,7 @@ TEST_F(MonitorTest, EwmaSmoothsOutliers) {
 }
 
 TEST_F(MonitorTest, StopHaltsPinging) {
-  LatencyMonitor monitor(0, net_.get(), {1});
+  LatencyMonitor monitor(0, net_.get(), &loop_, {1});
   net_->RegisterNode(0, [&](std::unique_ptr<sim::MessageBase> msg) {
     auto* pong = dynamic_cast<protocol::PingResponse*>(msg.get());
     monitor.OnPong(*pong);

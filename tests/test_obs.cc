@@ -16,8 +16,10 @@
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "runtime/sim_runtime.h"
 #include "sim/topology.h"
 #include "sim_fixture.h"
+#include "workload/deployment.h"
 #include "workload/driver.h"
 #include "workload/runner.h"
 #include "workload/ycsb.h"
@@ -282,52 +284,35 @@ TEST(TraceExperimentTest, SpansStayWellFormedAcrossLeaderFailover) {
 
   sim::EventLoop loop;
   sim::Network network(&loop, builder.Build());
+  runtime::SimRuntime runtime(&loop, &network);
 
-  middleware::MiddlewareConfig dm_config = middleware::MiddlewareConfig::GeoTP();
-  middleware::Catalog catalog;
   workload::YcsbConfig ycsb;
   ycsb.data_sources = sources;
   ycsb.distributed_ratio = 0.5;
   workload::YcsbGenerator gen(ycsb);
-  gen.RegisterTables(&catalog);
-  for (const auto& group : groups) catalog.SetReplicaGroup(group[0], group);
-
-  std::vector<std::unique_ptr<datasource::DataSourceNode>> nodes;
-  for (const auto& group : groups) {
-    for (NodeId replica : group) {
-      datasource::DataSourceConfig ds_config =
-          datasource::DataSourceConfig::MySql();
-      ds_config.early_abort = dm_config.early_abort;
-      auto node = std::make_unique<datasource::DataSourceNode>(
-          replica, &network, ds_config);
-      replication::GroupConfig repl;
-      repl.logical = group[0];
-      repl.replicas = group;
-      repl.middlewares = {dm};
-      node->EnableReplication(repl);
-      node->Attach();
-      nodes.push_back(std::move(node));
-    }
-  }
-  middleware::MiddlewareNode node_dm(dm, 0, &network, std::move(catalog),
-                                     dm_config);
-  node_dm.Attach();
+  workload::Deployment deployment;
+  deployment.middlewares = {dm};
+  deployment.groups = groups;
+  gen.RegisterTables(&deployment.catalog);
+  const std::unique_ptr<workload::Cluster> cluster =
+      workload::Build(deployment, &runtime);
 
   workload::DriverConfig driver_config;
   driver_config.terminals = 16;
   driver_config.warmup = MsToMicros(500);
   driver_config.measure = SecToMicros(6);
-  workload::ClientDriver driver(client, &network, dm, &gen, driver_config);
+  workload::ClientDriver driver(runtime.EnvFor(client), dm, &gen,
+                                driver_config);
   driver.Attach();
   driver.Start();
 
   // Kill the hot group's leader one third into the window — transactions
   // with prepares in flight against it see the failover.
   loop.ScheduleAt(driver_config.warmup + driver_config.measure / 3,
-                  [&nodes]() { nodes[0]->Crash(); });
+                  [&cluster]() { cluster->sources()[0]->Crash(); });
   loop.RunUntil(driver_config.warmup + driver_config.measure);
 
-  EXPECT_GE(node_dm.stats().failovers_observed, 1u);
+  EXPECT_GE(cluster->dm().stats().failovers_observed, 1u);
   EXPECT_GT(driver.stats().committed, 50u);
 
   const std::vector<obs::SpanRecord> spans = obs::GlobalTracer().Snapshot();

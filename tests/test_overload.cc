@@ -417,21 +417,14 @@ TEST(OverloadLoopbackTest, ShedsAcrossRealSockets) {
   config.data_dir = ::testing::TempDir() + "geotp-overload-loopback";
   runtime::LoopbackRuntime rt(config);
 
-  datasource::DataSourceNode source_a(rt.EnvFor(2),
-                                      datasource::DataSourceConfig::MySql());
-  datasource::DataSourceNode source_b(rt.EnvFor(3),
-                                      datasource::DataSourceConfig::MySql());
-  source_a.Attach();
-  source_b.Attach();
-
-  middleware::Catalog catalog;
-  catalog.AddRangePartitionedTable(/*table=*/1, /*keys_per_node=*/1000,
-                                   {2, 3});
-  middleware::MiddlewareConfig dm_config = MiddlewareConfig::GeoTP();
-  dm_config.overload.max_inflight = 2;
-  middleware::MiddlewareNode dm(rt.EnvFor(1), /*ordinal=*/0, catalog,
-                                dm_config);
-  dm.Attach();
+  workload::Deployment deployment;
+  deployment.middlewares = {1};
+  deployment.groups = {{2}, {3}};
+  deployment.catalog.AddRangePartitionedTable(/*table=*/1,
+                                              /*keys_per_node=*/1000, {2, 3});
+  deployment.dm.overload.max_inflight = 2;
+  const std::unique_ptr<workload::Cluster> cluster =
+      workload::Build(deployment, &rt);
 
   std::mutex mu;
   int responses = 0;
@@ -472,9 +465,10 @@ TEST(OverloadLoopbackTest, ShedsAcrossRealSockets) {
   EXPECT_EQ(responses, 2);
   EXPECT_EQ(sheds, 6);
   EXPECT_GE(worst_hint, MsToMicros(5));
-  EXPECT_EQ(dm.admission().InFlight(), 2u);
-  EXPECT_EQ(dm.admission().stats().admitted, 2u);
-  EXPECT_EQ(dm.admission().stats().shed_inflight, 6u);
+  const middleware::AdmissionController& admission = cluster->dm().admission();
+  EXPECT_EQ(admission.InFlight(), 2u);
+  EXPECT_EQ(admission.stats().admitted, 2u);
+  EXPECT_EQ(admission.stats().shed_inflight, 6u);
 }
 
 }  // namespace

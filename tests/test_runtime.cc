@@ -7,7 +7,8 @@
 // plus a codec section that round-trips every MessageType through the
 // loopback wire format, pins each type's bytes against a golden frame and
 // fuzzes the decoder (a message added without codec support fails here,
-// not at runtime in the smoke).
+// not at runtime in the smoke), and the non-middleware baselines run on
+// the loopback runtime.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -18,6 +19,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/store_messages.h"
@@ -32,6 +34,9 @@
 #include "sim/event_loop.h"
 #include "sim/latency.h"
 #include "sim/network.h"
+#include "workload/deployment.h"
+#include "workload/driver.h"
+#include "workload/ycsb.h"
 
 namespace geotp {
 namespace runtime {
@@ -1103,6 +1108,71 @@ TEST(RuntimeCodecTest, FuzzedGoldenFramesDecodeSafely) {
   // Most flips land in fixed-width fields and decode to other values.
   EXPECT_GT(accepted, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// The non-middleware baselines on the loopback runtime: each deployment is
+// built from a workload::Deployment on one in-process LoopbackRuntime (one
+// thread per actor) and driven by a closed-loop client in real time.
+// ---------------------------------------------------------------------------
+
+class BaselineLoopbackTest
+    : public ::testing::TestWithParam<workload::SystemKind> {};
+
+TEST_P(BaselineLoopbackTest, CommitsWithoutFailures) {
+  constexpr NodeId kClient = 0;
+  constexpr NodeId kCoordinator = 1;
+  const std::vector<NodeId> sources = {2, 3};
+  const bool yugabyte = GetParam() == workload::SystemKind::kYugabyte;
+
+  LoopbackConfig config;
+  config.data_dir = ::testing::TempDir() + "geotp-baseline-loopback";
+  LoopbackRuntime rt(config);
+
+  workload::YcsbConfig ycsb;
+  ycsb.data_sources = sources;
+  ycsb.records_per_node = 1000;
+  ycsb.distributed_ratio = 0.5;
+  workload::YcsbGenerator generator(ycsb);
+  workload::Deployment deployment;
+  deployment.system = GetParam();
+  if (!yugabyte) deployment.middlewares = {kCoordinator};
+  deployment.groups = {{sources[0]}, {sources[1]}};
+  generator.RegisterTables(&deployment.catalog);
+  const std::unique_ptr<workload::Cluster> cluster =
+      workload::Build(deployment, &rt);
+
+  workload::DriverConfig driver_config;
+  driver_config.terminals = 8;
+  driver_config.warmup = 0;
+  driver_config.measure = MsToMicros(300);
+  workload::ClientDriver driver(rt.EnvFor(kClient),
+                                yugabyte ? sources[0] : kCoordinator,
+                                &generator, driver_config);
+  if (yugabyte) {
+    const middleware::Catalog& catalog = cluster->catalog();
+    driver.SetRouter([&catalog](const workload::TxnSpec& spec) {
+      return workload::FirstKeyOwner(catalog, spec);
+    });
+  }
+  driver.Attach();
+  rt.TimerFor(kClient)->Schedule(0, [&driver]() { driver.Start(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  rt.Shutdown();  // joins every actor thread: the stats below are final
+
+  const metrics::RunStats& stats = driver.stats();
+  EXPECT_GT(stats.committed, 0u);
+  EXPECT_EQ(stats.aborted, 0u);
+  EXPECT_EQ(stats.retry_exhausted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Baselines, BaselineLoopbackTest,
+    ::testing::Values(workload::SystemKind::kScalarDb,
+                      workload::SystemKind::kYugabyte),
+    [](const ::testing::TestParamInfo<workload::SystemKind>& info) {
+      return info.param == workload::SystemKind::kYugabyte ? "Yugabyte"
+                                                            : "ScalarDb";
+    });
 
 }  // namespace
 }  // namespace runtime

@@ -20,7 +20,7 @@ class FakeMonitorFixture {
  public:
   FakeMonitorFixture()
       : loop_(), net_(&loop_, sim::LatencyMatrix(8)),
-        monitor_(0, &net_, {}) {}
+        monitor_(0, &net_, &loop_, {}) {}
 
   // Injects an RTT estimate by faking a pong round trip.
   void SetRtt(NodeId node, Micros rtt) {

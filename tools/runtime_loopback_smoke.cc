@@ -52,10 +52,9 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "datasource/data_source.h"
-#include "middleware/middleware.h"
 #include "obs/trace.h"
 #include "runtime/loopback_runtime.h"
+#include "workload/deployment.h"
 #include "workload/driver.h"
 #include "workload/runner.h"
 #include "workload/ycsb.h"
@@ -82,6 +81,16 @@ workload::YcsbConfig SmokeYcsb() {
   return ycsb;
 }
 
+/// The whole smoke deployment. Every process builds from this one
+/// description and hosts its own part of it.
+workload::Deployment SmokeDeployment() {
+  workload::Deployment deployment;
+  deployment.middlewares = {kMiddleware};
+  for (NodeId node : kDataSources) deployment.groups.push_back({node});
+  workload::YcsbGenerator(SmokeYcsb()).RegisterTables(&deployment.catalog);
+  return deployment;
+}
+
 void EnableFullTracing() {
   obs::TraceConfig trace_config;
   trace_config.sample_rate = 1.0;
@@ -104,7 +113,7 @@ int RunChild(NodeId node, const std::string& data_dir) {
   runtime::LoopbackRuntime rt(config);
   std::cout << "PORT " << rt.port() << "\n" << std::flush;
 
-  std::unique_ptr<datasource::DataSourceNode> source;
+  std::unique_ptr<workload::Cluster> cluster;
   std::string line;
   while (std::getline(std::cin, line)) {
     std::istringstream in(line);
@@ -116,9 +125,7 @@ int RunChild(NodeId node, const std::string& data_dir) {
       in >> peer >> port;
       rt.AddRoute(peer, port);
     } else if (cmd == "START") {
-      source = std::make_unique<datasource::DataSourceNode>(
-          rt.EnvFor(node), datasource::DataSourceConfig::MySql());
-      source->Attach();
+      cluster = workload::Build(SmokeDeployment(), &rt, {node});
       std::cout << "READY\n" << std::flush;
     } else if (cmd == "QUIT") {
       break;
@@ -317,15 +324,10 @@ int RunParent(const char* self, const std::string& out_path) {
     }
   }
 
-  workload::YcsbConfig ycsb = SmokeYcsb();
-  workload::YcsbGenerator generator(ycsb);
-  middleware::Catalog catalog;
-  generator.RegisterTables(&catalog);
+  const std::unique_ptr<workload::Cluster> cluster =
+      workload::Build(SmokeDeployment(), &rt, {kMiddleware});
 
-  middleware::MiddlewareNode dm(rt.EnvFor(kMiddleware), /*ordinal=*/0,
-                                std::move(catalog),
-                                middleware::MiddlewareConfig::GeoTP());
-  dm.Attach();
+  workload::YcsbGenerator generator(SmokeYcsb());
 
   workload::DriverConfig driver_config;
   driver_config.terminals = kTerminals;
