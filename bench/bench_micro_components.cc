@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the building blocks: lock
-// manager, hotspot footprint (hash index + LRU), geo-scheduler planning,
-// event loop, network delivery and zipfian sampling.
+// manager, record store, transaction engine, hotspot footprint (hash index
+// + LRU), geo-scheduler planning, event loop, network delivery and
+// zipfian sampling.
 // These quantify the DM-side overheads the paper reports as negligible
 // (Fig. 6c "analysis ~1ms" for a whole transaction; the per-call costs
 // here are sub-microsecond).
@@ -11,7 +12,9 @@
 #include "core/hotspot_footprint.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
+#include "storage/engine.h"
 #include "storage/lock_manager.h"
+#include "storage/record_store.h"
 
 namespace geotp {
 namespace {
@@ -72,6 +75,70 @@ void BM_DeadlockCheckDeepChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeadlockCheckDeepChain)->Arg(8)->Arg(32);
+
+// A data source's table of 100k records read at zipf(0.7) keys, the YCSB
+// access skew: one probe per lookup.
+void BM_RecordStoreLookup(benchmark::State& state) {
+  constexpr uint64_t kRecords = 100000;
+  storage::RecordStore store;
+  for (uint64_t k = 0; k < kRecords; ++k) {
+    store.Put(RecordKey{1, k}, static_cast<int64_t>(k));
+  }
+  Rng rng(6);
+  std::vector<RecordKey> keys(4096);
+  for (auto& key : keys) {
+    key = RecordKey{1, BoundedZipfSample(0, kRecords, 0.7, rng)};
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.Get(keys[next]));
+    next = (next + 1) & (keys.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RecordStoreLookup);
+
+// One branch's life on a free engine: begin, five row operations at
+// zipf(0.7) keys (reads and read-modify-writes) whose locks are all
+// granted synchronously, then prepare and commit.
+void BM_EngineExecuteOpUncontended(benchmark::State& state) {
+  constexpr uint64_t kRecords = 100000;
+  storage::TransactionEngine engine(storage::MySqlEngineConfig());
+  for (uint64_t k = 0; k < kRecords; ++k) {
+    engine.store().Put(RecordKey{1, k}, 0);
+  }
+  Rng rng(7);
+  std::vector<RecordKey> keys(4096);
+  for (auto& key : keys) {
+    key = RecordKey{1, BoundedZipfSample(0, kRecords, 0.7, rng)};
+  }
+  size_t next = 0;
+  uint64_t txn = 1;
+  int64_t sum = 0;
+  bool ok = true;
+  for (auto _ : state) {
+    const Xid xid{txn++, 0};
+    ok &= engine.Begin(xid).ok();
+    for (int i = 0; i < 5; ++i) {
+      storage::Operation op;
+      op.key = keys[next];
+      next = (next + 1) & (keys.size() - 1);
+      op.is_write = i % 2 == 1;
+      op.write_value = 1;
+      op.is_delta = true;
+      engine.ExecuteOp(xid, op, [&](Status st, int64_t value) {
+        ok &= st.ok();
+        sum += value;
+      });
+    }
+    ok &= engine.Prepare(xid, 0).ok();
+    ok &= engine.Commit(xid, 0).ok();
+  }
+  if (!ok) state.SkipWithError("an engine call failed");
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * 5);
+}
+BENCHMARK(BM_EngineExecuteOpUncontended);
 
 void BM_FootprintDispatchComplete(benchmark::State& state) {
   core::HotspotFootprint fp;

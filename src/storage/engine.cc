@@ -59,7 +59,12 @@ void TransactionEngine::ExecuteOp(const Xid& xid, const Operation& op,
               "one outstanding op per branch: " << xid.ToString());
 
   const LockMode mode = op.is_write ? LockMode::kExclusive : LockMode::kShared;
-  // Capture by value: `op` lives on the caller's stack.
+  if (locks_.TryLock(xid, op.key, mode)) {
+    RunGranted(*data, op, callback);
+    return;
+  }
+  // Contended: park (or be refused as a deadlock victim). Capture by
+  // value: `op` lives on the caller's stack.
   const Operation operation = op;
   const Xid owner = xid;
   LockRequestId id = locks_.RequestLock(
@@ -75,20 +80,7 @@ void TransactionEngine::ExecuteOp(const Xid& xid, const Operation& op,
           cb(Status::Aborted("branch gone while waiting"), 0);
           return;
         }
-        if (operation.is_write) {
-          auto existing = store_.Get(operation.key);
-          const int64_t base = existing ? existing->value : 0;
-          txn->undo.push_back(UndoEntry{
-              operation.key, base, existing ? existing->version : 0});
-          const int64_t final_value =
-              operation.is_delta ? base + operation.write_value
-                                 : operation.write_value;
-          store_.Apply(operation.key, final_value);
-          cb(Status::OK(), final_value);
-        } else {
-          auto record = store_.Get(operation.key);
-          cb(Status::OK(), record ? record->value : 0);
-        }
+        RunGranted(*txn, operation, cb);
       });
   if (id != kInvalidLockRequest) {
     // Parked. The callback above fires later; remember the id so Rollback
@@ -97,6 +89,22 @@ void TransactionEngine::ExecuteOp(const Xid& xid, const Operation& op,
     GEOTP_CHECK(txn != nullptr, "txn vanished while parking");
     txn->pending_request = id;
   }
+}
+
+void TransactionEngine::RunGranted(TxnData& txn, const Operation& op,
+                                   const OpCallback& callback) {
+  if (!op.is_write) {
+    auto record = store_.Get(op.key);
+    callback(Status::OK(), record ? record->value : 0);
+    return;
+  }
+  // One probe: read the base, log it for undo, write in place. The slot
+  // reference dies before the callback, which may insert.
+  int64_t& value = store_.FindOrInsert(op.key);
+  txn.undo.push_back(UndoEntry{op.key, value});
+  value = op.is_delta ? value + op.write_value : op.write_value;
+  const int64_t final_value = value;
+  callback(Status::OK(), final_value);
 }
 
 bool TransactionEngine::HasPendingOp(const Xid& xid) const {
@@ -164,12 +172,11 @@ TransactionEngine::CommittedRecords(
     uncommitted.insert(first_undo.begin(), first_undo.end());
   }
   std::vector<std::pair<RecordKey, int64_t>> records;
-  for (const auto& [key, record] : store_.records()) {
-    if (filter && !filter(key)) continue;
+  store_.ForEach([&](const RecordKey& key, int64_t value) {
+    if (filter && !filter(key)) return;
     auto it = uncommitted.find(key);
-    records.emplace_back(key,
-                         it != uncommitted.end() ? it->second : record.value);
-  }
+    records.emplace_back(key, it != uncommitted.end() ? it->second : value);
+  });
   return records;
 }
 
@@ -179,18 +186,13 @@ Status TransactionEngine::InstallPreparedBranch(
   GEOTP_RETURN_NOT_OK(Begin(xid));
   TxnData* data = Find(xid);
   for (const auto& [key, value] : writes) {
-    bool granted = false;
-    const LockRequestId id = locks_.RequestLock(
-        xid, key, LockMode::kExclusive,
-        [&granted](Status status) { granted = status.ok(); });
     // The engine is quiescent during failover promotion, so every lock
     // grant is synchronous.
-    GEOTP_CHECK(id == kInvalidLockRequest && granted,
-                "install: lock contention on " << key.ToString());
-    auto existing = store_.Get(key);
-    data->undo.push_back(UndoEntry{key, existing ? existing->value : 0,
-                                   existing ? existing->version : 0});
-    store_.Apply(key, value);
+    const bool granted = locks_.TryLock(xid, key, LockMode::kExclusive);
+    GEOTP_CHECK(granted, "install: lock contention on " << key.ToString());
+    int64_t& slot = store_.FindOrInsert(key);
+    data->undo.push_back(UndoEntry{key, slot});
+    slot = value;
   }
   data->state = TxnState::kPrepared;
   wal_.Append(WalEntryType::kPrepare, xid, now);

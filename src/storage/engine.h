@@ -149,7 +149,6 @@ class TransactionEngine {
   struct UndoEntry {
     RecordKey key;
     int64_t old_value;
-    uint64_t old_version;
   };
   struct TxnData {
     TxnState state = TxnState::kActive;
@@ -160,6 +159,9 @@ class TransactionEngine {
   TxnData* Find(const Xid& xid);
   const TxnData* Find(const Xid& xid) const;
   void Finish(const Xid& xid, TxnData& data, TxnState final_state);
+  /// Applies `op` under its granted lock and fires `callback`.
+  void RunGranted(TxnData& txn, const Operation& op,
+                  const OpCallback& callback);
 
   EngineConfig config_;
   RecordStore store_;

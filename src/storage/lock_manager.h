@@ -10,12 +10,18 @@
 // (invoking the callback before returning) or parks the request. Waiters
 // are woken by ReleaseAll(). Timeouts are driven from outside via
 // CancelRequest() — the data-source node schedules the 5 s lock-wait
-// timeout on the event loop.
+// timeout on the event loop. TryLock() is the callback-free fast path: a
+// caller tries it first and builds a callback only for a request that
+// must park.
+//
+// Lock state lives inline in a KeyTable slot: the first holder inline, any
+// further (shared) holders and the waiters in vectors. A grant therefore
+// allocates nothing in the table; only a parked request does.
 #ifndef GEOTP_STORAGE_LOCK_MANAGER_H_
 #define GEOTP_STORAGE_LOCK_MANAGER_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
@@ -23,6 +29,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "storage/key_table.h"
 
 namespace geotp {
 namespace storage {
@@ -69,6 +76,14 @@ class LockManager {
   LockRequestId RequestLock(const Xid& owner, const RecordKey& key,
                             LockMode mode, LockCallback callback);
 
+  /// The synchronous half of RequestLock(): grants and returns true iff
+  /// RequestLock() would grant at once (re-entrant, immediate upgrade or
+  /// compatible with an empty queue), counting the same stats. Otherwise
+  /// changes nothing and returns false; the caller then calls
+  /// RequestLock(), which parks the request or refuses it as a deadlock
+  /// victim.
+  bool TryLock(const Xid& owner, const RecordKey& key, LockMode mode);
+
   /// Cancels a parked request (lock-wait timeout or early abort). The
   /// callback fires with the given status. No-op if already granted.
   void CancelRequest(LockRequestId id, Status status);
@@ -90,7 +105,48 @@ class LockManager {
   /// Total parked requests across all keys.
   size_t total_waiters() const { return parked_.size(); }
 
+  /// Keys with a holder or a waiter, and owners holding at least one lock:
+  /// both return to 0 once every owner released and every parked request
+  /// was granted or cancelled (the table's memory is bounded by live
+  /// locks).
+  size_t locked_keys() const { return locks_.size(); }
+  size_t owners() const { return held_by_owner_.size(); }
+
  private:
+  struct Holder {
+    Xid owner;
+    LockMode mode = LockMode::kShared;
+  };
+
+  /// The holders of one key. A lone holder — the common case — sits inline;
+  /// further shared holders spill into `rest_`. Order is unspecified.
+  class HolderSet {
+   public:
+    size_t size() const { return has_first_ ? 1 + rest_.size() : 0; }
+    bool empty() const { return !has_first_; }
+    Holder* Find(const Xid& owner);
+    const Holder* Find(const Xid& owner) const {
+      return const_cast<HolderSet*>(this)->Find(owner);
+    }
+    void Add(const Xid& owner, LockMode mode);
+    void Erase(const Xid& owner);
+    /// True if pred(holder) holds for some holder.
+    template <typename Pred>
+    bool Any(Pred&& pred) const {
+      if (!has_first_) return false;
+      if (pred(first_)) return true;
+      for (const Holder& holder : rest_) {
+        if (pred(holder)) return true;
+      }
+      return false;
+    }
+
+   private:
+    bool has_first_ = false;
+    Holder first_;
+    std::vector<Holder> rest_;
+  };
+
   struct Waiter {
     LockRequestId id;
     Xid owner;
@@ -99,11 +155,46 @@ class LockManager {
     LockCallback callback;
   };
 
+  /// The parked requests of one key, front = next to grant. A vector with
+  /// a consumed prefix: granting the front is O(1), and the prefix is
+  /// dropped once it outgrows the live part (or the queue drains).
+  class WaitQueue {
+   public:
+    using iterator = std::vector<Waiter>::iterator;
+    bool empty() const { return head_ == items_.size(); }
+    size_t size() const { return items_.size() - head_; }
+    iterator begin() {
+      return items_.begin() + static_cast<ptrdiff_t>(head_);
+    }
+    iterator end() { return items_.end(); }
+    const Waiter* begin() const { return items_.data() + head_; }
+    const Waiter* end() const { return items_.data() + items_.size(); }
+    Waiter& front() { return items_[head_]; }
+
+    void push_back(Waiter waiter);
+    /// Upgrades jump the queue.
+    void push_front(Waiter waiter);
+    void pop_front();
+    void erase(iterator it);
+
+   private:
+    /// Drops the consumed prefix when it is all of the vector or at least
+    /// half of it.
+    void Compact();
+
+    std::vector<Waiter> items_;
+    size_t head_ = 0;
+  };
+
   struct LockState {
     LockMode mode = LockMode::kShared;       // meaningful iff !holders.empty()
-    std::unordered_map<Xid, LockMode, XidHash> holders;
-    std::deque<Waiter> queue;
+    HolderSet holders;
+    WaitQueue queue;
   };
+
+  /// TryLock() on an already looked-up state.
+  bool TryGrant(const Xid& owner, const RecordKey& key, LockState& state,
+                LockMode mode);
 
   /// Grants as many queued waiters as compatibility allows (FIFO).
   void ProcessQueue(const RecordKey& key, LockState& state,
@@ -121,7 +212,7 @@ class LockManager {
     return held == LockMode::kShared && requested == LockMode::kShared;
   }
 
-  std::unordered_map<RecordKey, LockState, RecordKeyHash> locks_;
+  KeyTable<LockState> locks_;
   // Reverse index: parked request id -> key (for cancellation).
   std::unordered_map<LockRequestId, RecordKey> parked_;
   // Which key each transaction currently waits on (wait-for graph edges).

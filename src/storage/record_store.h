@@ -1,57 +1,62 @@
 // In-memory record store: the "table" hosted by a data source.
 //
-// Records carry a value and a commit version. The versions serve two
-// purposes: (1) the ScalarDB-style baseline validates them at prepare time
-// (consensus commit), and (2) the serializability property tests replay
-// committed histories against them.
+// One open-addressing KeyTable of values: a read, and a write with its
+// undo entry, each cost one probe. Keys never written are absent and read
+// as 0 on every node.
 #ifndef GEOTP_STORAGE_RECORD_STORE_H_
 #define GEOTP_STORAGE_RECORD_STORE_H_
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 
-#include "common/status.h"
 #include "common/types.h"
+#include "storage/key_table.h"
 
 namespace geotp {
 namespace storage {
 
 struct Record {
   int64_t value = 0;
-  uint64_t version = 0;
 };
 
 class RecordStore {
  public:
-  /// Pre-populates `count` keys of `table` with `initial_value` each.
-  void LoadTable(uint32_t table, uint64_t count, int64_t initial_value = 0);
-
   /// Inserts or overwrites a record (bulk-load path, not transactional).
-  void Put(const RecordKey& key, int64_t value);
-
-  std::optional<Record> Get(const RecordKey& key) const;
-
-  /// Transactional write: applies the value, bumps the version.
-  /// Missing keys are created (YCSB/TPC-C only update pre-loaded keys, but
-  /// inserts — e.g. TPC-C NewOrder rows — land here too).
-  void Apply(const RecordKey& key, int64_t value);
-
-  size_t size() const { return records_.size(); }
-
-  /// All resident records, for snapshot transfer (shard migration and
-  /// replication follower bootstrap). Keys never written are absent and
-  /// read as 0 on every node, so a snapshot of residents is complete.
-  const std::unordered_map<RecordKey, Record, RecordKeyHash>& records()
-      const {
-    return records_;
+  void Put(const RecordKey& key, int64_t value) {
+    table_.FindOrInsert(key) = value;
   }
 
-  /// Rough resident-bytes estimate (memory proxy, Fig. 6b).
-  size_t ApproxBytes() const;
+  std::optional<Record> Get(const RecordKey& key) const {
+    const int64_t* value = table_.Find(key);
+    if (value == nullptr) return std::nullopt;
+    return Record{*value};
+  }
+
+  /// Transactional write (replication apply, migration install): inserts
+  /// or overwrites like Put. YCSB/TPC-C mostly update pre-loaded keys, but
+  /// inserts — e.g. TPC-C NewOrder rows — land here too.
+  void Apply(const RecordKey& key, int64_t value) { Put(key, value); }
+
+  /// The value slot of `key`, created as 0 if absent: one probe for a
+  /// read-modify-write. Valid until the next insert.
+  int64_t& FindOrInsert(const RecordKey& key) {
+    return table_.FindOrInsert(key);
+  }
+
+  size_t size() const { return table_.size(); }
+
+  /// Calls fn(key, value) once per resident record, in no particular
+  /// order (snapshot transfer: shard migration and replication follower
+  /// bootstrap, whose callers sort). A snapshot of residents is complete,
+  /// since absent keys read as 0 everywhere.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    table_.ForEach(std::forward<Fn>(fn));
+  }
 
  private:
-  std::unordered_map<RecordKey, Record, RecordKeyHash> records_;
+  KeyTable<int64_t> table_;
 };
 
 }  // namespace storage

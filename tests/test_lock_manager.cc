@@ -3,6 +3,7 @@
 // randomized property test checking structural invariants.
 #include "storage/lock_manager.h"
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -252,55 +253,32 @@ TEST(LockManagerTest, NoFalsePositiveOnSharedChain) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized property test: after arbitrary request/release/cancel traffic
+// Randomized property tests: after arbitrary request/release/cancel traffic
 // every grant is compatibility-consistent and nothing leaks.
 // ---------------------------------------------------------------------------
 
-TEST(LockManagerPropertyTest, RandomTrafficKeepsInvariants) {
-  Rng rng(0xFEED);
-  LockManager lm;
-  constexpr int kTxns = 24;
-  constexpr int kKeys = 8;
+/// Random lock traffic: each step one transaction requests a lock, releases
+/// everything (commit/abort) or times out its parked request.
+class RandomTraffic {
+ public:
+  RandomTraffic(uint64_t seed, int txns, uint64_t keys)
+      : rng_(seed), keys_(keys), txns_(static_cast<size_t>(txns)) {}
 
-  struct TxnState {
-    std::map<uint64_t, LockMode> held;
-    LockRequestId pending = kInvalidLockRequest;
-    uint64_t pending_key = 0;
-    LockMode pending_mode = LockMode::kShared;
-  };
-  std::vector<TxnState> txns(kTxns);
-
-  auto check_consistency = [&]() {
-    // No key may have an X holder together with any other holder.
-    for (uint64_t k = 0; k < kKeys; ++k) {
-      int x_holders = 0, s_holders = 0;
-      for (int t = 0; t < kTxns; ++t) {
-        auto it = txns[static_cast<size_t>(t)].held.find(k);
-        if (it == txns[static_cast<size_t>(t)].held.end()) continue;
-        (it->second == LockMode::kExclusive ? x_holders : s_holders)++;
-      }
-      ASSERT_LE(x_holders, 1) << "key " << k;
-      if (x_holders == 1) {
-        ASSERT_EQ(s_holders, 0) << "key " << k;
-      }
-    }
-  };
-
-  for (int step = 0; step < 20000; ++step) {
-    const int t = static_cast<int>(rng.NextU64(kTxns));
-    TxnState& txn = txns[static_cast<size_t>(t)];
-    const double action = rng.NextDouble();
+  void Step(LockManager& lm) {
+    const size_t t = static_cast<size_t>(rng_.NextU64(txns_.size()));
+    TxnState& txn = txns_[t];
+    const double action = rng_.NextDouble();
     if (action < 0.6 && txn.pending == kInvalidLockRequest) {
-      const uint64_t k = rng.NextU64(kKeys);
+      const uint64_t k = rng_.NextU64(keys_);
       const LockMode mode =
-          rng.NextBool(0.5) ? LockMode::kShared : LockMode::kExclusive;
+          rng_.NextBool(0.5) ? LockMode::kShared : LockMode::kExclusive;
       // NOTE: the callback may fire much later (on another txn's release),
       // so it captures only long-lived state.
+      std::vector<TxnState>& txns = txns_;
       LockRequestId id = lm.RequestLock(
-          T(static_cast<uint64_t>(t)), K(k), mode,
-          [&txns, t, k, mode](Status st) {
+          T(t), K(k), mode, [&txns, t, k, mode](Status st) {
             if (st.ok()) {
-              auto& held = txns[static_cast<size_t>(t)].held;
+              auto& held = txns[t].held;
               auto it = held.find(k);
               if (it == held.end() || mode == LockMode::kExclusive) {
                 held[k] = it != held.end() &&
@@ -308,44 +286,184 @@ TEST(LockManagerPropertyTest, RandomTrafficKeepsInvariants) {
                               ? LockMode::kExclusive
                               : mode;
               }
-              txns[static_cast<size_t>(t)].pending = kInvalidLockRequest;
+              txns[t].pending = kInvalidLockRequest;
             }
           });
-      if (id != kInvalidLockRequest) {
-        txn.pending = id;
-        txn.pending_key = k;
-        txn.pending_mode = mode;
-      }
+      if (id != kInvalidLockRequest) txn.pending = id;
     } else if (action < 0.8) {
       // Release everything (commit/abort).
       if (txn.pending != kInvalidLockRequest) {
         lm.CancelRequest(txn.pending, Status::Aborted("release"));
         txn.pending = kInvalidLockRequest;
       }
-      lm.ReleaseAll(T(static_cast<uint64_t>(t)));
+      lm.ReleaseAll(T(t));
       txn.held.clear();
     } else if (txn.pending != kInvalidLockRequest) {
       // Timeout the pending request.
       lm.CancelRequest(txn.pending, Status::TimedOut("timeout"));
       txn.pending = kInvalidLockRequest;
     }
-    if (step % 500 == 0) check_consistency();
+  }
+
+  /// No key may have an X holder together with any other holder.
+  void CheckConsistency() const {
+    for (uint64_t k = 0; k < keys_; ++k) {
+      int x_holders = 0, s_holders = 0;
+      for (const TxnState& txn : txns_) {
+        auto it = txn.held.find(k);
+        if (it == txn.held.end()) continue;
+        (it->second == LockMode::kExclusive ? x_holders : s_holders)++;
+      }
+      ASSERT_LE(x_holders, 1) << "key " << k;
+      if (x_holders == 1) {
+        ASSERT_EQ(s_holders, 0) << "key " << k;
+      }
+    }
+  }
+
+  /// Cancels every parked request and releases every owner.
+  void Drain(LockManager& lm) {
+    for (size_t t = 0; t < txns_.size(); ++t) {
+      TxnState& txn = txns_[t];
+      if (txn.pending != kInvalidLockRequest) {
+        lm.CancelRequest(txn.pending, Status::Aborted("drain"));
+        txn.pending = kInvalidLockRequest;
+      }
+      lm.ReleaseAll(T(t));
+      txn.held.clear();
+    }
+  }
+
+ private:
+  struct TxnState {
+    std::map<uint64_t, LockMode> held;
+    LockRequestId pending = kInvalidLockRequest;
+  };
+
+  Rng rng_;
+  uint64_t keys_;
+  std::vector<TxnState> txns_;
+};
+
+TEST(LockManagerPropertyTest, RandomTrafficKeepsInvariants) {
+  LockManager lm;
+  constexpr uint64_t kKeys = 8;
+  RandomTraffic traffic(0xFEED, /*txns=*/24, kKeys);
+  for (int step = 0; step < 20000; ++step) {
+    traffic.Step(lm);
+    if (step % 500 == 0) traffic.CheckConsistency();
   }
 
   // Drain: release everything; nothing may remain held or parked.
-  for (int t = 0; t < kTxns; ++t) {
-    TxnState& txn = txns[static_cast<size_t>(t)];
-    if (txn.pending != kInvalidLockRequest) {
-      lm.CancelRequest(txn.pending, Status::Aborted("drain"));
-    }
-    lm.ReleaseAll(T(static_cast<uint64_t>(t)));
-    txn.held.clear();
-  }
+  traffic.Drain(lm);
   EXPECT_EQ(lm.total_waiters(), 0u);
   for (uint64_t k = 0; k < kKeys; ++k) {
     EXPECT_EQ(lm.HoldersOn(K(k)), 0u);
     EXPECT_EQ(lm.WaitersOn(K(k)), 0u);
   }
+}
+
+// Bounded memory: once every owner released and every parked request was
+// cancelled, the lock table holds no key and no owner. A wider key space
+// than above makes the table grow and shift entries on erase.
+TEST(LockManagerPropertyTest, DrainedTableIsEmpty) {
+  for (uint64_t seed : {1, 2, 3}) {
+    LockManager lm;
+    RandomTraffic traffic(seed, /*txns=*/32, /*keys=*/256);
+    size_t peak_keys = 0;
+    for (int step = 0; step < 20000; ++step) {
+      traffic.Step(lm);
+      peak_keys = std::max(peak_keys, lm.locked_keys());
+      if (step % 1000 == 0) traffic.CheckConsistency();
+    }
+    EXPECT_GT(peak_keys, 16u) << "seed " << seed;
+    traffic.Drain(lm);
+    EXPECT_EQ(lm.locked_keys(), 0u) << "seed " << seed;
+    EXPECT_EQ(lm.owners(), 0u) << "seed " << seed;
+    EXPECT_EQ(lm.total_waiters(), 0u) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// TryLock: the synchronous grant path counts exactly as RequestLock does.
+// ---------------------------------------------------------------------------
+
+void AddDelta(LockStats* total, const LockStats& after,
+              const LockStats& before) {
+  total->grants_immediate += after.grants_immediate - before.grants_immediate;
+  total->grants_after_wait +=
+      after.grants_after_wait - before.grants_after_wait;
+  total->cancellations += after.cancellations - before.cancellations;
+  total->upgrades += after.upgrades - before.upgrades;
+  total->deadlocks += after.deadlocks - before.deadlocks;
+}
+
+/// Owner 1's script: fresh S, re-entrant S, S->X upgrade, fresh X, S
+/// covered by X, fresh S on another key. Contended, owner 2 first takes a
+/// conflicting lock on the step's key (X on a fresh key, S beside an
+/// upgrade) and releases once owner 1 parked, so every non-re-entrant step
+/// is granted after a wait. With `try_first` each step goes through
+/// TryLock() and falls back to RequestLock(), as the engine does.
+/// Returns owner 1's summed per-step stats deltas.
+LockStats RunScript(bool contended, bool try_first) {
+  struct Step {
+    uint64_t key;
+    LockMode mode;
+  };
+  const Step script[] = {{1, LockMode::kShared},    {1, LockMode::kShared},
+                         {1, LockMode::kExclusive}, {2, LockMode::kExclusive},
+                         {2, LockMode::kShared},    {3, LockMode::kShared}};
+  LockManager lm;
+  LockStats total;
+  for (const Step& step : script) {
+    const bool held = lm.Holds(T(1), K(step.key), LockMode::kShared);
+    const bool reentrant = lm.Holds(T(1), K(step.key), step.mode);
+    if (contended && !reentrant) {
+      Capture blocker;
+      lm.RequestLock(T(2), K(step.key),
+                     held ? LockMode::kShared : LockMode::kExclusive,
+                     blocker.Cb());
+      EXPECT_TRUE(blocker.fired && blocker.status.ok());
+    }
+    const LockStats before = lm.stats();
+    Capture grant;
+    if (!try_first || !lm.TryLock(T(1), K(step.key), step.mode)) {
+      const LockRequestId id =
+          lm.RequestLock(T(1), K(step.key), step.mode, grant.Cb());
+      EXPECT_EQ(id != kInvalidLockRequest, contended && !reentrant);
+      lm.ReleaseAll(T(2));
+      EXPECT_TRUE(grant.fired && grant.status.ok());
+    }
+    AddDelta(&total, lm.stats(), before);
+    EXPECT_TRUE(lm.Holds(T(1), K(step.key), step.mode));
+  }
+  lm.ReleaseAll(T(1));
+  EXPECT_EQ(lm.locked_keys(), 0u);
+  EXPECT_EQ(lm.owners(), 0u);
+  return total;
+}
+
+TEST(LockManagerTest, TryLockCountsLikeRequestLock) {
+  for (bool contended : {false, true}) {
+    const LockStats via_try = RunScript(contended, /*try_first=*/true);
+    const LockStats via_request = RunScript(contended, /*try_first=*/false);
+    EXPECT_EQ(via_try.grants_immediate, via_request.grants_immediate);
+    EXPECT_EQ(via_try.grants_after_wait, via_request.grants_after_wait);
+    EXPECT_EQ(via_try.upgrades, via_request.upgrades);
+    EXPECT_EQ(via_try.cancellations, 0u);
+    EXPECT_EQ(via_try.deadlocks, 0u);
+  }
+  // The parked path counts the same grants and upgrades as the
+  // synchronous one; only their split between immediate and after-wait
+  // moves (the two re-entrant steps stay immediate).
+  const LockStats sync = RunScript(/*contended=*/false, /*try_first=*/true);
+  const LockStats parked = RunScript(/*contended=*/true, /*try_first=*/true);
+  EXPECT_EQ(sync.grants_immediate, 6u);
+  EXPECT_EQ(sync.grants_after_wait, 0u);
+  EXPECT_EQ(parked.grants_immediate, 2u);
+  EXPECT_EQ(parked.grants_after_wait, 4u);
+  EXPECT_EQ(sync.upgrades, 1u);
+  EXPECT_EQ(parked.upgrades, 1u);
 }
 
 }  // namespace
