@@ -93,7 +93,7 @@ MultiRegionResult Run(workload::SystemKind system, bool two_middlewares) {
   } else {
     // Single-middleware baseline still registers a handler for client2 /
     // dm2 so stray messages (none expected) are not fatal.
-    network.RegisterNode(client2, [](std::unique_ptr<sim::MessageBase>) {});
+    network.RegisterNode(client2, [](std::unique_ptr<runtime::MessageBase>) {});
   }
 
   loop.RunUntil(driver_config.warmup + driver_config.measure);

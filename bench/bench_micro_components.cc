@@ -241,7 +241,7 @@ BENCHMARK(BM_EventLoopScheduleRun);
 // Event loop under the simulator's event mix: network deliveries (whose
 // closures carry the in-flight message) interleaved with lock-wait style
 // timeouts, half of which the delivery handler cancels before they fire.
-struct BenchMessage : sim::MessageBase {
+struct BenchMessage : runtime::MessageBase {
   size_t index = 0;
   size_t WireSize() const override { return 96; }
 };
@@ -260,7 +260,7 @@ void BM_NetworkDeliveryWithTimeouts(benchmark::State& state) {
   std::vector<sim::EventId> timeouts(kBatch, sim::kInvalidEvent);
   uint64_t fired = 0;
   for (int node = 0; node < kNodes; ++node) {
-    net.RegisterNode(node, [&](std::unique_ptr<sim::MessageBase> msg) {
+    net.RegisterNode(node, [&](std::unique_ptr<runtime::MessageBase> msg) {
       const size_t i = static_cast<BenchMessage&>(*msg).index;
       if (i % 2 == 0) loop.Cancel(timeouts[i]);
     });

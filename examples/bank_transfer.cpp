@@ -70,7 +70,7 @@ double RunTransfer(const middleware::MiddlewareConfig& dm_config) {
 
   Micros done_at = 0;
   bool committed = false;
-  network.RegisterNode(0, [&](std::unique_ptr<sim::MessageBase> msg) {
+  network.RegisterNode(0, [&](std::unique_ptr<runtime::MessageBase> msg) {
     if (auto* resp =
             dynamic_cast<protocol::ClientRoundResponse*>(msg.get())) {
       auto finish = std::make_unique<protocol::ClientFinishRequest>();

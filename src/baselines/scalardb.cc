@@ -46,30 +46,31 @@ ScalarDbNode::ScalarDbNode(runtime::ActorEnv env, middleware::Catalog catalog,
 ScalarDbNode::~ScalarDbNode() = default;
 
 void ScalarDbNode::Attach() {
-  network_->RegisterNode(id_, [this](std::unique_ptr<sim::MessageBase> msg) {
-    HandleMessage(std::move(msg));
-  });
+  network_->RegisterNode(
+      id_, [this](std::unique_ptr<runtime::MessageBase> msg) {
+        HandleMessage(std::move(msg));
+      });
   if (config_.plus) monitor_->Start();
 }
 
-void ScalarDbNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
+void ScalarDbNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
   switch (msg->type()) {
-    case sim::MessageType::kClientRoundRequest:
+    case runtime::MessageType::kClientRoundRequest:
       OnClientRound(static_cast<ClientRoundRequest&>(*msg));
       return;
-    case sim::MessageType::kStoreReadResponse:
+    case runtime::MessageType::kStoreReadResponse:
       OnReadResponse(static_cast<StoreReadResponse&>(*msg));
       return;
-    case sim::MessageType::kClientFinishRequest:
+    case runtime::MessageType::kClientFinishRequest:
       OnClientFinish(static_cast<ClientFinishRequest&>(*msg));
       return;
-    case sim::MessageType::kStorePrepareResponse:
+    case runtime::MessageType::kStorePrepareResponse:
       OnPrepareResponse(static_cast<StorePrepareResponse&>(*msg));
       return;
-    case sim::MessageType::kStoreDecisionAck:
+    case runtime::MessageType::kStoreDecisionAck:
       OnDecisionAck(static_cast<StoreDecisionAck&>(*msg));
       return;
-    case sim::MessageType::kPingResponse:
+    case runtime::MessageType::kPingResponse:
       monitor_->OnPong(static_cast<protocol::PingResponse&>(*msg));
       return;
     default:

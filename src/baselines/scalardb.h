@@ -84,7 +84,7 @@ class ScalarDbNode {
     uint64_t round_seq = 0;
   };
 
-  void HandleMessage(std::unique_ptr<sim::MessageBase> msg);
+  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   void OnClientRound(const protocol::ClientRoundRequest& req);
   void PlanRound(TxnId id);
   void OnReadResponse(const StoreReadResponse& resp);

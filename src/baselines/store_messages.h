@@ -12,21 +12,17 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "sim/network.h"
+#include "runtime/message.h"
 
 namespace geotp {
 namespace baselines {
 
 /// Versioned read of a batch of records.
-struct StoreReadRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStoreReadRequest;
-  }
+struct StoreReadRequest : runtime::Message<StoreReadRequest> {
   TxnId txn = kInvalidTxn;
   uint64_t req_id = 0;
   std::vector<RecordKey> keys;
   GEOTP_WIRE_FIELDS(txn, req_id, keys)
-  size_t WireSize() const override { return 48 + keys.size() * 16; }
 };
 
 struct ReadResult {
@@ -35,16 +31,12 @@ struct ReadResult {
   GEOTP_WIRE_FIELDS(value, version)
 };
 
-struct StoreReadResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStoreReadResponse;
-  }
+struct StoreReadResponse : runtime::Message<StoreReadResponse> {
   TxnId txn = kInvalidTxn;
   uint64_t req_id = 0;
   Status status;
   std::vector<ReadResult> results;
   GEOTP_WIRE_FIELDS(txn, req_id, status, results)
-  size_t WireSize() const override { return 48 + results.size() * 16; }
 };
 
 /// One staged operation for prepare-time validation.
@@ -57,39 +49,26 @@ struct StagedOp {
 };
 
 /// Consensus-commit prepare: validate read versions, install intents.
-struct StorePrepareRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStorePrepareRequest;
-  }
+struct StorePrepareRequest : runtime::Message<StorePrepareRequest> {
   TxnId txn = kInvalidTxn;
   std::vector<StagedOp> ops;
   GEOTP_WIRE_FIELDS(txn, ops)
-  size_t WireSize() const override { return 48 + ops.size() * 32; }
 };
 
-struct StorePrepareResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStorePrepareResponse;
-  }
+struct StorePrepareResponse : runtime::Message<StorePrepareResponse> {
   TxnId txn = kInvalidTxn;
   Status status;
   GEOTP_WIRE_FIELDS(txn, status)
 };
 
 /// Promote (commit=true) or discard (commit=false) the txn's intents.
-struct StoreDecisionRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStoreDecisionRequest;
-  }
+struct StoreDecisionRequest : runtime::Message<StoreDecisionRequest> {
   TxnId txn = kInvalidTxn;
   bool commit = true;
   GEOTP_WIRE_FIELDS(txn, commit)
 };
 
-struct StoreDecisionAck : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kStoreDecisionAck;
-  }
+struct StoreDecisionAck : runtime::Message<StoreDecisionAck> {
   TxnId txn = kInvalidTxn;
   bool commit = true;
   GEOTP_WIRE_FIELDS(txn, commit)
@@ -101,21 +80,14 @@ struct StoreDecisionAck : sim::MessageBase {
 
 /// Execute a batch at an owner tablet: reads return committed values;
 /// writes install provisional intents immediately (fail-fast on conflict).
-struct YbBatchRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kYbBatchRequest;
-  }
+struct YbBatchRequest : runtime::Message<YbBatchRequest> {
   TxnId txn = kInvalidTxn;
   uint64_t req_id = 0;
   std::vector<StagedOp> ops;  ///< expected_version unused (pessimistic write)
   GEOTP_WIRE_FIELDS(txn, req_id, ops)
-  size_t WireSize() const override { return 48 + ops.size() * 32; }
 };
 
-struct YbBatchResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kYbBatchResponse;
-  }
+struct YbBatchResponse : runtime::Message<YbBatchResponse> {
   TxnId txn = kInvalidTxn;
   uint64_t req_id = 0;
   Status status;
@@ -124,10 +96,7 @@ struct YbBatchResponse : sim::MessageBase {
 };
 
 /// Asynchronous intent resolution after the status record committed.
-struct YbResolveRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kYbResolveRequest;
-  }
+struct YbResolveRequest : runtime::Message<YbResolveRequest> {
   TxnId txn = kInvalidTxn;
   bool commit = true;
   GEOTP_WIRE_FIELDS(txn, commit)

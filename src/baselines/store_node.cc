@@ -14,23 +14,24 @@ StoreNode::StoreNode(runtime::ActorEnv env, storage::EngineConfig cost_model)
       cost_(cost_model) {}
 
 void StoreNode::Attach() {
-  network_->RegisterNode(id_, [this](std::unique_ptr<sim::MessageBase> msg) {
-    HandleMessage(std::move(msg));
-  });
+  network_->RegisterNode(
+      id_, [this](std::unique_ptr<runtime::MessageBase> msg) {
+        HandleMessage(std::move(msg));
+      });
 }
 
-void StoreNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
+void StoreNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
   switch (msg->type()) {
-    case sim::MessageType::kStoreReadRequest:
+    case runtime::MessageType::kStoreReadRequest:
       OnRead(static_cast<StoreReadRequest&>(*msg));
       return;
-    case sim::MessageType::kStorePrepareRequest:
+    case runtime::MessageType::kStorePrepareRequest:
       OnPrepare(static_cast<StorePrepareRequest&>(*msg));
       return;
-    case sim::MessageType::kStoreDecisionRequest:
+    case runtime::MessageType::kStoreDecisionRequest:
       OnDecision(static_cast<StoreDecisionRequest&>(*msg));
       return;
-    case sim::MessageType::kPingRequest: {
+    case runtime::MessageType::kPingRequest: {
       auto& ping = static_cast<protocol::PingRequest&>(*msg);
       auto pong = std::make_unique<protocol::PingResponse>();
       pong->from = id_;

@@ -37,7 +37,7 @@ class StoreNode {
   runtime::ITimer* loop() { return timer_; }
 
  private:
-  void HandleMessage(std::unique_ptr<sim::MessageBase> msg);
+  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   void OnRead(const StoreReadRequest& req);
   void OnPrepare(const StorePrepareRequest& req);
   void OnDecision(const StoreDecisionRequest& req);

@@ -23,29 +23,30 @@ YbTabletNode::YbTabletNode(runtime::ActorEnv env,
       config_(config) {}
 
 void YbTabletNode::Attach() {
-  network_->RegisterNode(id_, [this](std::unique_ptr<sim::MessageBase> msg) {
-    HandleMessage(std::move(msg));
-  });
+  network_->RegisterNode(
+      id_, [this](std::unique_ptr<runtime::MessageBase> msg) {
+        HandleMessage(std::move(msg));
+      });
 }
 
-void YbTabletNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
+void YbTabletNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
   switch (msg->type()) {
-    case sim::MessageType::kClientRoundRequest:
+    case runtime::MessageType::kClientRoundRequest:
       OnClientRound(static_cast<ClientRoundRequest&>(*msg));
       return;
-    case sim::MessageType::kYbBatchResponse:
+    case runtime::MessageType::kYbBatchResponse:
       OnBatchResponse(static_cast<YbBatchResponse&>(*msg));
       return;
-    case sim::MessageType::kClientFinishRequest:
+    case runtime::MessageType::kClientFinishRequest:
       OnClientFinish(static_cast<ClientFinishRequest&>(*msg));
       return;
-    case sim::MessageType::kYbBatchRequest:
+    case runtime::MessageType::kYbBatchRequest:
       OnBatch(static_cast<YbBatchRequest&>(*msg));
       return;
-    case sim::MessageType::kYbResolveRequest:
+    case runtime::MessageType::kYbResolveRequest:
       OnResolve(static_cast<YbResolveRequest&>(*msg));
       return;
-    case sim::MessageType::kPingRequest: {
+    case runtime::MessageType::kPingRequest: {
       auto& ping = static_cast<protocol::PingRequest&>(*msg);
       auto pong = std::make_unique<protocol::PingResponse>();
       pong->from = id_;

@@ -74,7 +74,7 @@ class YbTabletNode {
     int conflict_retries_left = 0;
   };
 
-  void HandleMessage(std::unique_ptr<sim::MessageBase> msg);
+  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   // Coordinator role.
   void OnClientRound(const protocol::ClientRoundRequest& req);
   void DispatchLocalBatch(TxnId id, std::vector<StagedOp> ops,

@@ -2,9 +2,9 @@
 // driven by each struct's field list.
 //
 // A wire struct names its fields once, in wire order, with
-// GEOTP_WIRE_FIELDS (common/types.h). Writer and Reader visit that list
-// and recurse into nested structs; the only types they spell out by hand
-// are the leaves:
+// GEOTP_WIRE_FIELDS (common/types.h). Writer, Sizer and Reader visit that
+// list and recurse into nested structs; the only types they spell out by
+// hand are the leaves:
 //
 //   arithmetic       fixed width, little-endian (bool is one 0/1 byte)
 //   enum             one byte; decoding rejects a byte past WireMax(E{})
@@ -43,9 +43,24 @@ using EnableIfEnum = std::enable_if_t<std::is_enum_v<T>, int>;
 template <class T>
 using EnableIfStruct = std::enable_if_t<std::is_class_v<T>, int>;
 
-class Writer {
+/// Where a writer's bytes go: appended to a string, or only counted.
+struct StringSink {
+  std::string* out;
+  void Append(const void* p, size_t n) {
+    out->append(static_cast<const char*>(p), n);
+  }
+};
+struct CountSink {
+  size_t bytes = 0;
+  void Append(const void*, size_t n) { bytes += n; }
+};
+
+/// The encoding visitor. Writer and Sizer are this one visitor over the
+/// two sinks, so an encoded size can never drift from the encoding.
+template <class Sink>
+class BasicWriter {
  public:
-  explicit Writer(std::string* out) : out_(out) {}
+  explicit BasicWriter(Sink sink) : sink_(sink) {}
 
   /// Field-list visitor entry point: writes each field in order.
   template <class... Ts>
@@ -53,11 +68,11 @@ class Writer {
     (Put(fields), ...);
   }
 
-  void Put(bool v) { out_->push_back(v ? 1 : 0); }
+  void Put(bool v) { Put(static_cast<uint8_t>(v ? 1 : 0)); }
   template <class T, EnableIfArithmetic<T> = 0>
   void Put(T v) {
     // Little-endian hosts only; the codec has never run elsewhere.
-    out_->append(reinterpret_cast<const char*>(&v), sizeof(v));
+    sink_.Append(&v, sizeof(v));
   }
   template <class E, EnableIfEnum<E> = 0>
   void Put(E v) {
@@ -66,7 +81,7 @@ class Writer {
   }
   void Put(const std::string& s) {
     Put(static_cast<uint32_t>(s.size()));
-    out_->append(s);
+    sink_.Append(s.data(), s.size());
   }
   void Put(const Status& s) {
     Put(s.code());
@@ -87,8 +102,21 @@ class Writer {
     s.Fields(*this);
   }
 
- private:
-  std::string* out_;
+ protected:
+  Sink sink_;
+};
+
+/// Appends the encoding to a string.
+class Writer : public BasicWriter<StringSink> {
+ public:
+  explicit Writer(std::string* out) : BasicWriter(StringSink{out}) {}
+};
+
+/// Sums the encoded size without storing or allocating anything.
+class Sizer : public BasicWriter<CountSink> {
+ public:
+  Sizer() : BasicWriter(CountSink()) {}
+  size_t bytes() const { return sink_.bytes; }
 };
 
 /// Encoded size of a default-constructed T: the fewest bytes any T can
@@ -96,12 +124,9 @@ class Writer {
 /// a decoded element count before anything is allocated for it.
 template <class T>
 size_t MinBytes() {
-  static const size_t bytes = [] {
-    std::string out;
-    Writer(&out).Put(T{});
-    return out.size();
-  }();
-  return bytes;
+  Sizer sizer;
+  sizer.Put(T{});
+  return sizer.bytes();
 }
 
 class Reader {

@@ -35,9 +35,10 @@ DataSourceNode::DataSourceNode(runtime::ActorEnv env, DataSourceConfig config)
 }
 
 void DataSourceNode::Attach() {
-  network_->RegisterNode(id_, [this](std::unique_ptr<sim::MessageBase> msg) {
-    HandleMessage(std::move(msg));
-  });
+  network_->RegisterNode(
+      id_, [this](std::unique_ptr<runtime::MessageBase> msg) {
+        HandleMessage(std::move(msg));
+      });
   // Same executor-affinity rule as MiddlewareNode::Attach: announces sent by
   // Replicator::Start can draw same-tick replies on the actor thread, so the
   // start itself must run there rather than on the attaching thread.
@@ -136,9 +137,9 @@ bool DataSourceNode::RedirectIfNotLeader(NodeId requester) {
   return true;
 }
 
-void DataSourceNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
+void DataSourceNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
   if (crashed_) return;
-  if (msg->type() == sim::MessageType::kFollowerReadRequest) {
+  if (msg->type() == runtime::MessageType::kFollowerReadRequest) {
     // Shard guard ahead of the replicator: a follower of a group the map
     // no longer places these keys on must not serve them (its copy froze
     // at cutover while its replication freshness keeps advancing). A
@@ -172,25 +173,25 @@ void DataSourceNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
   }
   if (migrator_->HandleMessage(msg.get())) return;
   switch (msg->type()) {
-    case sim::MessageType::kBranchExecuteRequest: {
+    case runtime::MessageType::kBranchExecuteRequest: {
       auto& exec = static_cast<BranchExecuteRequest&>(*msg);
       if (RedirectIfNotLeader(exec.from)) return;
       OnExecute(exec);
       return;
     }
-    case sim::MessageType::kPrepareRequest: {
+    case runtime::MessageType::kPrepareRequest: {
       auto& prep = static_cast<PrepareRequest&>(*msg);
       if (RedirectIfNotLeader(prep.from)) return;
       OnPrepare(prep.xid, prep.from);
       return;
     }
-    case sim::MessageType::kPrepareBatch: {
+    case runtime::MessageType::kPrepareBatch: {
       auto& batch = static_cast<PrepareBatch&>(*msg);
       if (RedirectIfNotLeader(batch.from)) return;
       for (const Xid& xid : batch.xids) OnPrepare(xid, batch.from);
       return;
     }
-    case sim::MessageType::kDecisionRequest: {
+    case runtime::MessageType::kDecisionRequest: {
       auto& decision = static_cast<DecisionRequest&>(*msg);
       if (RedirectIfNotLeader(decision.from)) return;
       OnDecision(DecisionItem{decision.xid, decision.commit,
@@ -198,7 +199,7 @@ void DataSourceNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
                  decision.from);
       return;
     }
-    case sim::MessageType::kDecisionBatch: {
+    case runtime::MessageType::kDecisionBatch: {
       auto& batch = static_cast<DecisionBatch&>(*msg);
       if (RedirectIfNotLeader(batch.from)) return;
       for (const DecisionItem& item : batch.items) {
@@ -206,10 +207,10 @@ void DataSourceNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
       }
       return;
     }
-    case sim::MessageType::kPeerAbortRequest:
+    case runtime::MessageType::kPeerAbortRequest:
       agent_->OnPeerAbort(static_cast<PeerAbortRequest&>(*msg));
       return;
-    case sim::MessageType::kPingRequest:
+    case runtime::MessageType::kPingRequest:
       OnPing(static_cast<PingRequest&>(*msg));
       return;
     default:
@@ -217,27 +218,27 @@ void DataSourceNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
   }
 }
 
-bool DataSourceNode::ParkedDuringPromotion(sim::MessageType type) {
+bool DataSourceNode::ParkedDuringPromotion(runtime::MessageType type) {
   switch (type) {
-    case sim::MessageType::kBranchExecuteRequest:
-    case sim::MessageType::kPrepareRequest:
-    case sim::MessageType::kPrepareBatch:
-    case sim::MessageType::kDecisionRequest:
-    case sim::MessageType::kDecisionBatch:
-    case sim::MessageType::kPeerAbortRequest:
+    case runtime::MessageType::kBranchExecuteRequest:
+    case runtime::MessageType::kPrepareRequest:
+    case runtime::MessageType::kPrepareBatch:
+    case runtime::MessageType::kDecisionRequest:
+    case runtime::MessageType::kDecisionBatch:
+    case runtime::MessageType::kPeerAbortRequest:
     // A snapshot cut during the barrier would miss the inherited writes.
-    case sim::MessageType::kShardMigrateRequest:
+    case runtime::MessageType::kShardMigrateRequest:
     // Destination-side ingest raw-applies to the store; admitted during
     // the barrier it would race the deferred inherited-entry applies just
     // like an exec would. (Bootstrap snapshots — migration_id 0 — are
     // consumed by the Replicator before parking is consulted.)
-    case sim::MessageType::kShardSnapshotChunk:
-    case sim::MessageType::kShardDeltaBatch:
+    case runtime::MessageType::kShardSnapshotChunk:
+    case runtime::MessageType::kShardDeltaBatch:
     // A seed offer answered during the barrier would consult an ingest
     // journal the deferred inherited-entry applies are still extending —
     // the decline would under-claim and chunks would re-cross the WAN.
-    case sim::MessageType::kShardSeedOffer:
-    case sim::MessageType::kShardSeedDecline:
+    case runtime::MessageType::kShardSeedOffer:
+    case runtime::MessageType::kShardSeedDecline:
       return true;
     default:
       return false;
@@ -256,7 +257,7 @@ void DataSourceNode::OnReplicatorReady() {
     parked_.clear();
     return;
   }
-  std::vector<std::unique_ptr<sim::MessageBase>> replay;
+  std::vector<std::unique_ptr<runtime::MessageBase>> replay;
   replay.swap(parked_);
   for (auto& msg : replay) {
     HandleMessage(std::move(msg));

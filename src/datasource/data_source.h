@@ -242,11 +242,11 @@ class DataSourceNode {
   /// is gone or was never sampled).
   obs::TraceContext BranchTrace(TxnId txn) const;
 
-  void HandleMessage(std::unique_ptr<sim::MessageBase> msg);
+  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   /// Promotion barrier (see Replicator::ReadyToServe): true for message
   /// types that read or mutate transactional state and therefore must not
   /// run while a freshly promoted leader's store is behind its log.
-  static bool ParkedDuringPromotion(sim::MessageType type);
+  static bool ParkedDuringPromotion(runtime::MessageType type);
   void OnExecute(const protocol::BranchExecuteRequest& req);
   void RunNextOp(const std::shared_ptr<ExecState>& state);
   void FinishExecSuccess(const std::shared_ptr<ExecState>& state);
@@ -276,7 +276,7 @@ class DataSourceNode {
   std::unordered_map<TxnId, BranchInfo> branches_;
   /// Client-facing messages held while the replicator's promotion barrier
   /// is up; replayed in arrival order via OnReplicatorReady().
-  std::vector<std::unique_ptr<sim::MessageBase>> parked_;
+  std::vector<std::unique_ptr<runtime::MessageBase>> parked_;
 };
 
 }  // namespace datasource

@@ -155,9 +155,10 @@ void MiddlewareNode::AttachMetrics(obs::MetricsRegistry* registry) {
 }
 
 void MiddlewareNode::Attach() {
-  network_->RegisterNode(id_, [this](std::unique_ptr<sim::MessageBase> msg) {
-    HandleMessage(std::move(msg));
-  });
+  network_->RegisterNode(
+      id_, [this](std::unique_ptr<runtime::MessageBase> msg) {
+        HandleMessage(std::move(msg));
+      });
   // Probe the *physical* replicas serving each logical source: the current
   // leader (aliased to the logical id so scheduling estimates survive a
   // failover) and its followers (so follower-read routing can pick the
@@ -184,44 +185,44 @@ void MiddlewareNode::Attach() {
   });
 }
 
-void MiddlewareNode::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
+void MiddlewareNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
   if (crashed_) return;
   switch (msg->type()) {
-    case sim::MessageType::kClientRoundRequest:
+    case runtime::MessageType::kClientRoundRequest:
       OnClientRound(static_cast<ClientRoundRequest&>(*msg));
       return;
-    case sim::MessageType::kBranchExecuteResponse:
+    case runtime::MessageType::kBranchExecuteResponse:
       OnExecResponse(static_cast<BranchExecuteResponse&>(*msg));
       return;
-    case sim::MessageType::kVoteMessage:
+    case runtime::MessageType::kVoteMessage:
       OnVote(static_cast<VoteMessage&>(*msg));
       return;
-    case sim::MessageType::kClientFinishRequest:
+    case runtime::MessageType::kClientFinishRequest:
       OnClientFinish(static_cast<ClientFinishRequest&>(*msg));
       return;
-    case sim::MessageType::kDecisionAck:
+    case runtime::MessageType::kDecisionAck:
       OnDecisionAck(static_cast<DecisionAck&>(*msg));
       return;
-    case sim::MessageType::kFollowerReadResponse:
+    case runtime::MessageType::kFollowerReadResponse:
       OnFollowerReadResponse(static_cast<FollowerReadResponse&>(*msg));
       return;
-    case sim::MessageType::kLeaderAnnounce:
+    case runtime::MessageType::kLeaderAnnounce:
       OnLeaderAnnounce(static_cast<LeaderAnnounce&>(*msg));
       return;
-    case sim::MessageType::kNotLeaderResponse:
+    case runtime::MessageType::kNotLeaderResponse:
       OnNotLeader(static_cast<NotLeaderResponse&>(*msg));
       return;
-    case sim::MessageType::kPingResponse:
+    case runtime::MessageType::kPingResponse:
       OnPingResponse(static_cast<PingResponse&>(*msg));
       return;
-    case sim::MessageType::kShardMapUpdate:
+    case runtime::MessageType::kShardMapUpdate:
       OnShardMapUpdate(static_cast<protocol::ShardMapUpdate&>(*msg));
       return;
-    case sim::MessageType::kShardRedirect:
+    case runtime::MessageType::kShardRedirect:
       OnShardRedirect(static_cast<protocol::ShardRedirect&>(*msg));
       return;
-    case sim::MessageType::kShardCutoverReady:
-    case sim::MessageType::kShardMigrateAborted:
+    case runtime::MessageType::kShardCutoverReady:
+    case runtime::MessageType::kShardMigrateAborted:
       if (balancer_ != nullptr) balancer_->HandleMessage(msg.get());
       return;
     default:

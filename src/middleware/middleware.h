@@ -274,7 +274,7 @@ class MiddlewareNode {
     obs::SpanHandle commit_span = obs::kInvalidSpan;
   };
 
-  void HandleMessage(std::unique_ptr<sim::MessageBase> msg);
+  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   void OnClientRound(const protocol::ClientRoundRequest& req);
   void PlanAndDispatchRound(TxnId id);
   void OnExecResponse(const protocol::BranchExecuteResponse& resp);

@@ -1,6 +1,7 @@
 // Wire messages exchanged between clients, middlewares, geo-agents and
-// data sources. Everything derives from sim::MessageBase so the simulated
-// network can deliver it with per-link latency.
+// data sources. Each derives from runtime::Message<Self>, which supplies
+// its tag from the message list in runtime/message.h and its exact wire
+// size from its GEOTP_WIRE_FIELDS list.
 //
 // Naming follows the paper's Algorithm 1: data sources answer the implicit
 // prepare with votes (PREPARED / FAILURE / IDLE / ROLLBACK_ONLY /
@@ -16,14 +17,14 @@
 #include "common/compress.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "runtime/message.h"
 #include "sharding/shard_map.h"
-#include "sim/network.h"
 
 namespace geotp {
 namespace protocol {
 
-/// One record operation as submitted by a client (already parsed /
-/// partition-routed form; the SQL path in src/sql produces these).
+/// One record operation as submitted by a client (the workload generators
+/// in src/workload produce these; the DM routes each by its key).
 struct ClientOp {
   RecordKey key;
   bool is_write = false;
@@ -39,10 +40,7 @@ struct ClientOp {
 /// One interactive round of a transaction. The first round opens the
 /// transaction; `last_round` carries the last-statement annotation that
 /// lets GeoTP trigger the decentralized prepare (paper §IV-A).
-struct ClientRoundRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kClientRoundRequest;
-  }
+struct ClientRoundRequest : runtime::Message<ClientRoundRequest> {
   uint64_t client_tag = 0;  ///< client-side correlation handle
   TxnId txn_id = kInvalidTxn;  ///< 0 on the first round; DM assigns
   /// Tenant the transaction belongs to. The DM's admission controller
@@ -52,26 +50,18 @@ struct ClientRoundRequest : sim::MessageBase {
   std::vector<ClientOp> ops;
   bool last_round = false;
   GEOTP_WIRE_FIELDS(client_tag, txn_id, tenant, ops, last_round)
-  size_t WireSize() const override { return 64 + ops.size() * 24; }
 };
 
-struct ClientRoundResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kClientRoundResponse;
-  }
+struct ClientRoundResponse : runtime::Message<ClientRoundResponse> {
   uint64_t client_tag = 0;
   TxnId txn_id = kInvalidTxn;
   Status status;
   std::vector<int64_t> values;  ///< read results, in op order
   GEOTP_WIRE_FIELDS(client_tag, txn_id, status, values)
-  size_t WireSize() const override { return 64 + values.size() * 8; }
 };
 
 /// COMMIT (or ROLLBACK) submitted by the client.
-struct ClientFinishRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kClientFinishRequest;
-  }
+struct ClientFinishRequest : runtime::Message<ClientFinishRequest> {
   uint64_t client_tag = 0;
   TxnId txn_id = kInvalidTxn;
   bool commit = true;
@@ -79,10 +69,7 @@ struct ClientFinishRequest : sim::MessageBase {
 };
 
 /// Final transaction outcome to the client.
-struct ClientTxnResult : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kClientTxnResult;
-  }
+struct ClientTxnResult : runtime::Message<ClientTxnResult> {
   uint64_t client_tag = 0;
   TxnId txn_id = kInvalidTxn;
   Status status;
@@ -94,17 +81,13 @@ struct ClientTxnResult : sim::MessageBase {
 /// executed — the client may retry after backing off at least
 /// `retry_after_hint`. Only ever sent before a TxnId is assigned;
 /// admitted transactions always finish with ClientTxnResult.
-struct OverloadedResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kOverloadedResponse;
-  }
+struct OverloadedResponse : runtime::Message<OverloadedResponse> {
   uint64_t client_tag = 0;
   uint32_t tenant = 0;  ///< echo of the request's tenant
   /// Suggested minimum backoff before retrying; grows while the DM keeps
   /// shedding so persistent overload pushes clients further out.
   Micros retry_after_hint = 0;
   GEOTP_WIRE_FIELDS(client_tag, tenant, retry_after_hint)
-  size_t WireSize() const override { return 48; }
 };
 
 // ---------------------------------------------------------------------------
@@ -112,10 +95,7 @@ struct OverloadedResponse : sim::MessageBase {
 // ---------------------------------------------------------------------------
 
 /// Executes a batch of operations of one subtransaction branch.
-struct BranchExecuteRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kBranchExecuteRequest;
-  }
+struct BranchExecuteRequest : runtime::Message<BranchExecuteRequest> {
   Xid xid;
   uint64_t round_seq = 0;
   bool begin_branch = false;      ///< first batch for this branch
@@ -130,13 +110,9 @@ struct BranchExecuteRequest : sim::MessageBase {
   NodeId coordinator = kInvalidNode;
   GEOTP_WIRE_FIELDS(xid, round_seq, begin_branch, ops, last_statement, peers,
                     coordinator)
-  size_t WireSize() const override { return 96 + ops.size() * 24; }
 };
 
-struct BranchExecuteResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kBranchExecuteResponse;
-  }
+struct BranchExecuteResponse : runtime::Message<BranchExecuteResponse> {
   Xid xid;
   uint64_t round_seq = 0;
   Status status;
@@ -148,15 +124,11 @@ struct BranchExecuteResponse : sim::MessageBase {
   bool rolled_back = false;
   GEOTP_WIRE_FIELDS(xid, round_seq, status, values, local_exec_latency,
                     rolled_back)
-  size_t WireSize() const override { return 96 + values.size() * 8; }
 };
 
 /// Explicit prepare request (classic 2PC path, and the "notify sources not
 /// processing the last statement" case of §III).
-struct PrepareRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kPrepareRequest;
-  }
+struct PrepareRequest : runtime::Message<PrepareRequest> {
   Xid xid;
   GEOTP_WIRE_FIELDS(xid)
 };
@@ -173,10 +145,7 @@ enum class Vote : uint8_t {
 const char* VoteName(Vote vote);
 constexpr Vote WireMax(Vote) { return Vote::kRollbacked; }
 
-struct VoteMessage : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kVoteMessage;
-  }
+struct VoteMessage : runtime::Message<VoteMessage> {
   Xid xid;
   Vote vote = Vote::kPrepared;
   GEOTP_WIRE_FIELDS(xid, vote)
@@ -185,31 +154,21 @@ struct VoteMessage : sim::MessageBase {
 /// Several explicit prepares bound for one data source, coalesced by the
 /// DM's dispatch queue when they go out in the same event-loop tick (group
 /// commit at the DM releases many decisions/prepares at once).
-struct PrepareBatch : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kPrepareBatch;
-  }
+struct PrepareBatch : runtime::Message<PrepareBatch> {
   std::vector<Xid> xids;
   GEOTP_WIRE_FIELDS(xids)
-  size_t WireSize() const override { return 48 + xids.size() * 24; }
 };
 
 /// Final decision from the DM. `one_phase` commits an un-prepared branch
 /// directly (XA COMMIT ... ONE PHASE; centralized transactions).
-struct DecisionRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kDecisionRequest;
-  }
+struct DecisionRequest : runtime::Message<DecisionRequest> {
   Xid xid;
   bool commit = true;
   bool one_phase = false;
   GEOTP_WIRE_FIELDS(xid, commit, one_phase)
 };
 
-struct DecisionAck : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kDecisionAck;
-  }
+struct DecisionAck : runtime::Message<DecisionAck> {
   Xid xid;
   bool committed = false;
   /// Echo of the request's one_phase flag: a failed one-phase commit is a
@@ -231,13 +190,9 @@ struct DecisionItem {
 /// Several decisions bound for one data source, coalesced like
 /// PrepareBatch. The source processes items in order and acks each one
 /// individually (acks carry per-transaction status).
-struct DecisionBatch : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kDecisionBatch;
-  }
+struct DecisionBatch : runtime::Message<DecisionBatch> {
   std::vector<DecisionItem> items;
   GEOTP_WIRE_FIELDS(items)
-  size_t WireSize() const override { return 48 + items.size() * 24; }
 };
 
 // ---------------------------------------------------------------------------
@@ -246,10 +201,7 @@ struct DecisionBatch : sim::MessageBase {
 
 /// Proactive peer-abort notification, sent data-source to data-source
 /// without DM coordination.
-struct PeerAbortRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kPeerAbortRequest;
-  }
+struct PeerAbortRequest : runtime::Message<PeerAbortRequest> {
   TxnId txn_id = kInvalidTxn;
   NodeId origin = kInvalidNode;  ///< the data source where the failure hit
   GEOTP_WIRE_FIELDS(txn_id, origin)
@@ -347,10 +299,7 @@ struct ReplEntry {
 
 /// Leader -> follower log shipping. Empty `entries` is a heartbeat; both
 /// carry the quorum commit watermark so followers can apply.
-struct ReplAppendRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kReplAppendRequest;
-  }
+struct ReplAppendRequest : runtime::Message<ReplAppendRequest> {
   NodeId group = kInvalidNode;  ///< logical data source id
   uint64_t epoch = 0;
   /// Index of the entry immediately before `entries` (0 = log start).
@@ -381,32 +330,19 @@ struct ReplAppendRequest : sim::MessageBase {
   GEOTP_WIRE_FIELDS(group, epoch, prev_index, prev_epoch, entries,
                     commit_watermark, compact_floor, payload_codec,
                     payload_uncompressed_len, payload_hash, payload)
-  size_t WireSize() const override {
-    size_t bytes = 64;
-    if (!payload.empty()) return bytes + payload.size();
-    for (const ReplEntry& e : entries) bytes += 48 + e.writes.size() * 16;
-    return bytes;
-  }
 };
 
-struct ReplAppendAck : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kReplAppendAck;
-  }
+struct ReplAppendAck : runtime::Message<ReplAppendAck> {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;  ///< follower's current epoch (leader steps down if newer)
   /// Highest log index the follower holds after processing the append.
   uint64_t ack_index = 0;
   bool ok = true;  ///< false: log gap — leader rewinds to ack_index + 1
   GEOTP_WIRE_FIELDS(group, epoch, ack_index, ok)
-  size_t WireSize() const override { return 48; }
 };
 
 /// Candidate -> replica during leader election.
-struct ReplVoteRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kReplVoteRequest;
-  }
+struct ReplVoteRequest : runtime::Message<ReplVoteRequest> {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;  ///< candidate's proposed (incremented) epoch
   /// (epoch of last log entry, log length): voters compare these
@@ -415,66 +351,46 @@ struct ReplVoteRequest : sim::MessageBase {
   uint64_t last_log_epoch = 0;
   uint64_t last_log_index = 0;
   GEOTP_WIRE_FIELDS(group, epoch, last_log_epoch, last_log_index)
-  size_t WireSize() const override { return 48; }
 };
 
-struct ReplVoteResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kReplVoteResponse;
-  }
+struct ReplVoteResponse : runtime::Message<ReplVoteResponse> {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;
   bool granted = false;
   uint64_t voter_last_index = 0;
   GEOTP_WIRE_FIELDS(group, epoch, granted, voter_last_index)
-  size_t WireSize() const override { return 48; }
 };
 
 /// Broadcast by a freshly elected leader to the middlewares so they update
 /// routing and retry in-flight branches.
-struct LeaderAnnounce : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kLeaderAnnounce;
-  }
+struct LeaderAnnounce : runtime::Message<LeaderAnnounce> {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;
   NodeId leader = kInvalidNode;
   GEOTP_WIRE_FIELDS(group, epoch, leader)
-  size_t WireSize() const override { return 48; }
 };
 
 /// Sent by a replica that received coordinator traffic while not being the
 /// group's leader (stale middleware routing).
-struct NotLeaderResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kNotLeaderResponse;
-  }
+struct NotLeaderResponse : runtime::Message<NotLeaderResponse> {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;
   NodeId leader_hint = kInvalidNode;  ///< kInvalidNode while electing
   GEOTP_WIRE_FIELDS(group, epoch, leader_hint)
-  size_t WireSize() const override { return 48; }
 };
 
 /// Stale-bounded read of committed data served by a follower, used for
 /// read-only branches when the middleware enables follower reads.
-struct FollowerReadRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kFollowerReadRequest;
-  }
+struct FollowerReadRequest : runtime::Message<FollowerReadRequest> {
   NodeId group = kInvalidNode;
   TxnId txn_id = kInvalidTxn;
   uint64_t round_seq = 0;
   std::vector<RecordKey> keys;
   Micros max_staleness = 0;
   GEOTP_WIRE_FIELDS(group, txn_id, round_seq, keys, max_staleness)
-  size_t WireSize() const override { return 64 + keys.size() * 16; }
 };
 
-struct FollowerReadResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kFollowerReadResponse;
-  }
+struct FollowerReadResponse : runtime::Message<FollowerReadResponse> {
   NodeId group = kInvalidNode;
   TxnId txn_id = kInvalidTxn;
   uint64_t round_seq = 0;
@@ -482,7 +398,6 @@ struct FollowerReadResponse : sim::MessageBase {
   Micros staleness = 0;
   std::vector<int64_t> values;
   GEOTP_WIRE_FIELDS(group, txn_id, round_seq, ok, staleness, values)
-  size_t WireSize() const override { return 64 + values.size() * 8; }
 };
 
 // ---------------------------------------------------------------------------
@@ -493,10 +408,7 @@ struct FollowerReadResponse : sim::MessageBase {
 /// replica group `dest`. The cutover will publish the range at
 /// `new_version`; until then the map is unchanged and the source serves
 /// (and, once fenced, drains) the range.
-struct ShardMigrateRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardMigrateRequest;
-  }
+struct ShardMigrateRequest : runtime::Message<ShardMigrateRequest> {
   uint64_t migration_id = 0;
   sharding::ShardRange range;   ///< owner field = current owner (source)
   NodeId dest = kInvalidNode;   ///< destination logical group
@@ -508,19 +420,14 @@ struct ShardMigrateRequest : sim::MessageBase {
   Micros timeout = 0;
   GEOTP_WIRE_FIELDS(migration_id, range, dest, dest_leader, new_version,
                     timeout)
-  size_t WireSize() const override { return 96; }
 };
 
 /// Balancer -> source leader: abandon a timed-out migration (e.g. the
 /// source crashed mid-copy and a promoted leader has no migration state,
 /// or the destination never acked). Unfences the range.
-struct ShardMigrateCancel : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardMigrateCancel;
-  }
+struct ShardMigrateCancel : runtime::Message<ShardMigrateCancel> {
   uint64_t migration_id = 0;
   GEOTP_WIRE_FIELDS(migration_id)
-  size_t WireSize() const override { return 48; }
 };
 
 /// Bulk record transfer. Two users share this install path:
@@ -536,10 +443,7 @@ struct ShardMigrateCancel : sim::MessageBase {
 ///    non-declined chunk landed, base_index/base_epoch position the
 ///    follower's (empty) log at the compaction boundary so shipping
 ///    resumes from the retained tail.
-struct ShardSnapshotChunk : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardSnapshotChunk;
-  }
+struct ShardSnapshotChunk : runtime::Message<ShardSnapshotChunk> {
   uint64_t migration_id = 0;
   NodeId group = kInvalidNode;   ///< dest logical group / repl group id
   sharding::ShardRange range;    ///< moving range (migration only)
@@ -563,10 +467,6 @@ struct ShardSnapshotChunk : sim::MessageBase {
   GEOTP_WIRE_FIELDS(migration_id, group, range, seq, last, epoch, base_index,
                     base_epoch, records, payload_codec,
                     payload_uncompressed_len, content_hash, payload)
-  size_t WireSize() const override {
-    if (!payload.empty()) return 112 + payload.size();
-    return 112 + records.size() * 16;
-  }
 };
 
 /// Dest leader -> source leader: chunk `seq` (and everything before it) is
@@ -574,49 +474,34 @@ struct ShardSnapshotChunk : sim::MessageBase {
 /// the receiver's flow-control grant: the source may send chunks up to
 /// seq + credit. Duplicate chunks re-ack with the current position so a
 /// lost ack cannot wedge the stream.
-struct ShardSnapshotAck : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardSnapshotAck;
-  }
+struct ShardSnapshotAck : runtime::Message<ShardSnapshotAck> {
   uint64_t migration_id = 0;
   uint64_t seq = 0;     ///< highest contiguously applied chunk
   uint64_t credit = 1;  ///< additional chunks the receiver will buffer
   GEOTP_WIRE_FIELDS(migration_id, seq, credit)
-  size_t WireSize() const override { return 48; }
 };
 
 /// Source leader -> dest leader: writes committed on the moving range
 /// after the snapshot cut. Sequenced per migration; the destination
 /// applies batches in order (absolute values, so application is
 /// idempotent).
-struct ShardDeltaBatch : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardDeltaBatch;
-  }
+struct ShardDeltaBatch : runtime::Message<ShardDeltaBatch> {
   uint64_t migration_id = 0;
   uint64_t seq = 0;  ///< 1-based batch sequence
   std::vector<ReplWrite> writes;
   GEOTP_WIRE_FIELDS(migration_id, seq, writes)
-  size_t WireSize() const override { return 64 + writes.size() * 16; }
 };
 
-struct ShardDeltaAck : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardDeltaAck;
-  }
+struct ShardDeltaAck : runtime::Message<ShardDeltaAck> {
   uint64_t migration_id = 0;
   uint64_t seq = 0;  ///< highest contiguously applied batch
   GEOTP_WIRE_FIELDS(migration_id, seq)
-  size_t WireSize() const override { return 48; }
 };
 
 /// Source leader -> balancer: the range is fenced, every in-flight branch
 /// on it drained (or aborted) and every delta acked by the destination —
 /// the balancer may publish the new placement.
-struct ShardCutoverReady : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardCutoverReady;
-  }
+struct ShardCutoverReady : runtime::Message<ShardCutoverReady> {
   uint64_t migration_id = 0;
   sharding::ShardRange range;  ///< owner = destination, version = new
   /// True when the source group journaled a MigrationCutover record through
@@ -628,20 +513,15 @@ struct ShardCutoverReady : sim::MessageBase {
   /// publish.
   bool logged = false;
   GEOTP_WIRE_FIELDS(migration_id, range, logged)
-  size_t WireSize() const override { return 96; }
 };
 
 /// Source leader -> balancer: a promoted source leader inherited a
 /// MigrationBegin record with no Cutover — the stream state died with the
 /// deposed leader, so it aborted the migration from the log (journaling a
 /// MigrationEnd). The balancer cancels instead of waiting for the timeout.
-struct ShardMigrateAborted : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardMigrateAborted;
-  }
+struct ShardMigrateAborted : runtime::Message<ShardMigrateAborted> {
   uint64_t migration_id = 0;
   GEOTP_WIRE_FIELDS(migration_id)
-  size_t WireSize() const override { return 48; }
 };
 
 /// One chunk's identity in an incremental re-seed offer: its stream
@@ -671,10 +551,7 @@ struct SeedDigest {
 ///  * follower bootstrap (migration_id == 0): sent by the group leader
 ///    to re-seed a follower. base_index/base_epoch position the
 ///    follower's log once every non-declined chunk has been applied.
-struct ShardSeedOffer : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardSeedOffer;
-  }
+struct ShardSeedOffer : runtime::Message<ShardSeedOffer> {
   uint64_t migration_id = 0;
   NodeId group = kInvalidNode;  ///< dest logical group / repl group id
   sharding::ShardRange range;   ///< moving range (migration only)
@@ -684,17 +561,13 @@ struct ShardSeedOffer : sim::MessageBase {
   std::vector<SeedDigest> digests;
   GEOTP_WIRE_FIELDS(migration_id, group, range, epoch, base_index, base_epoch,
                     digests)
-  size_t WireSize() const override { return 96 + digests.size() * 48; }
 };
 
 /// Destination -> source: the chunks (by seq) the receiver already holds
 /// and therefore declines, plus its resume state. Everything NOT declined
 /// is (re)sent. Also the natural carrier of the receiver's credit for the
 /// resumed stream.
-struct ShardSeedDecline : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardSeedDecline;
-  }
+struct ShardSeedDecline : runtime::Message<ShardSeedDecline> {
   uint64_t migration_id = 0;
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;  ///< receiver's epoch (stale offers die here)
@@ -704,44 +577,32 @@ struct ShardSeedDecline : sim::MessageBase {
   uint64_t delta_seq = 0;
   uint64_t credit = 1;  ///< flow-control grant for the resumed stream
   GEOTP_WIRE_FIELDS(migration_id, group, epoch, declined, delta_seq, credit)
-  size_t WireSize() const override { return 64 + declined.size() * 8; }
 };
 
 /// Balancer -> every DM and data-source replica: authoritative shard map.
 /// Receivers adopt entries per-range by version (last-writer-wins under
 /// the single balancer writer), so the epoch switch is atomic per actor.
-struct ShardMapUpdate : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardMapUpdate;
-  }
+struct ShardMapUpdate : runtime::Message<ShardMapUpdate> {
   std::vector<sharding::ShardRange> entries;
   GEOTP_WIRE_FIELDS(entries)
-  size_t WireSize() const override { return 48 + entries.size() * 32; }
 };
 
 /// Data source -> DM: "WrongShardEpoch" bounce of a batch routed under a
 /// stale map. Carries the patched range so the DM adopts it and re-routes
 /// the batch (or aborts the transaction when the branch already executed
 /// earlier rounds here).
-struct ShardRedirect : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kShardRedirect;
-  }
+struct ShardRedirect : runtime::Message<ShardRedirect> {
   TxnId txn_id = kInvalidTxn;
   uint64_t round_seq = 0;
   sharding::ShardRange entry;  ///< owner = the range's current owner
   GEOTP_WIRE_FIELDS(txn_id, round_seq, entry)
-  size_t WireSize() const override { return 96; }
 };
 
 // ---------------------------------------------------------------------------
 // Latency monitoring (paper §VI: ping thread at 10 ms intervals)
 // ---------------------------------------------------------------------------
 
-struct PingRequest : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kPingRequest;
-  }
+struct PingRequest : runtime::Message<PingRequest> {
   uint64_t seq = 0;
   Micros sent_at = 0;
   /// Shard-map anti-entropy: the sender's (DM's) shard-map epoch. A data
@@ -750,13 +611,9 @@ struct PingRequest : sim::MessageBase {
   /// waiting to bounce off a redirect.
   uint64_t shard_epoch = 0;
   GEOTP_WIRE_FIELDS(seq, sent_at, shard_epoch)
-  size_t WireSize() const override { return 40; }
 };
 
-struct PingResponse : sim::MessageBase {
-  sim::MessageType type() const override {
-    return sim::MessageType::kPingResponse;
-  }
+struct PingResponse : runtime::Message<PingResponse> {
   uint64_t seq = 0;
   Micros sent_at = 0;
   /// Capacity signal: branches in flight at the responding engine (live
@@ -780,7 +637,6 @@ struct PingResponse : sim::MessageBase {
   std::vector<sharding::ShardRange> map_entries;
   GEOTP_WIRE_FIELDS(seq, sent_at, inflight, run_queue, run_queue_limit,
                     shard_epoch, map_entries)
-  size_t WireSize() const override { return 48 + map_entries.size() * 32; }
 };
 
 }  // namespace protocol

@@ -253,9 +253,9 @@ std::optional<uint64_t> Replicator::CommitEntryIndex(TxnId txn) const {
 // Message handling
 // ---------------------------------------------------------------------------
 
-bool Replicator::HandleMessage(sim::MessageBase* msg) {
+bool Replicator::HandleMessage(runtime::MessageBase* msg) {
   switch (msg->type()) {
-    case sim::MessageType::kReplAppendRequest: {
+    case runtime::MessageType::kReplAppendRequest: {
       auto& req = static_cast<ReplAppendRequest&>(*msg);
       if (!protocol::OpenAppendPayload(&req)) {
         // Corrupt envelope (hash or bounds check failed): drop the whole
@@ -265,19 +265,19 @@ bool Replicator::HandleMessage(sim::MessageBase* msg) {
       OnAppend(req);
       return true;
     }
-    case sim::MessageType::kReplAppendAck:
+    case runtime::MessageType::kReplAppendAck:
       OnAppendAck(static_cast<ReplAppendAck&>(*msg));
       return true;
-    case sim::MessageType::kReplVoteRequest:
+    case runtime::MessageType::kReplVoteRequest:
       OnVoteRequest(static_cast<ReplVoteRequest&>(*msg));
       return true;
-    case sim::MessageType::kReplVoteResponse:
+    case runtime::MessageType::kReplVoteResponse:
       OnVoteResponse(static_cast<ReplVoteResponse&>(*msg));
       return true;
-    case sim::MessageType::kFollowerReadRequest:
+    case runtime::MessageType::kFollowerReadRequest:
       OnFollowerRead(static_cast<FollowerReadRequest&>(*msg));
       return true;
-    case sim::MessageType::kShardSnapshotChunk: {
+    case runtime::MessageType::kShardSnapshotChunk: {
       // migration_id == 0 marks a replication bootstrap snapshot; shard
       // migration chunks fall through to the ShardMigrator.
       auto& chunk = static_cast<protocol::ShardSnapshotChunk&>(*msg);
@@ -290,7 +290,7 @@ bool Replicator::HandleMessage(sim::MessageBase* msg) {
       OnBootstrapSnapshot(chunk);
       return true;
     }
-    case sim::MessageType::kShardSeedOffer: {
+    case runtime::MessageType::kShardSeedOffer: {
       const auto& offer = static_cast<protocol::ShardSeedOffer&>(*msg);
       if (offer.migration_id != 0 || offer.group != group_.logical) {
         return false;  // migration-resume offer: the ShardMigrator handles it
@@ -298,7 +298,7 @@ bool Replicator::HandleMessage(sim::MessageBase* msg) {
       OnSeedOffer(offer);
       return true;
     }
-    case sim::MessageType::kShardSeedDecline: {
+    case runtime::MessageType::kShardSeedDecline: {
       const auto& decline = static_cast<protocol::ShardSeedDecline&>(*msg);
       if (decline.migration_id != 0 || decline.group != group_.logical) {
         return false;

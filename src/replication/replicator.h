@@ -169,7 +169,7 @@ class Replicator {
   // ----- lifecycle --------------------------------------------------------
 
   /// Consumes replication traffic. Returns false for unrelated messages.
-  bool HandleMessage(sim::MessageBase* msg);
+  bool HandleMessage(runtime::MessageBase* msg);
 
   /// Crash: timers stop, volatile shipping state drops; the log (a WAL)
   /// and applied store survive, mirroring the engine's crash semantics.

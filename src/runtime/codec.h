@@ -2,20 +2,21 @@
 // serialized to a flat byte string and rebuilt on the far side of a TCP
 // socket.
 //
-// Format: the envelope (u16 MessageType tag, `from`, `to`, then a trace
-// presence byte and, when sampled, the three span ids), then the struct's
-// fields in the order its GEOTP_WIRE_FIELDS list names them, laid out by
-// the shared serializer in common/wire.h (little-endian fixed-width
-// integers, one-byte enums, length-prefixed strings and vectors). codec.cc
-// holds only the envelope and the one MessageType -> struct list. The
+// Format: the envelope (MessageBase::Envelope: u16 MessageType tag,
+// `from`, `to`, then a trace presence byte and, when sampled, the three
+// span ids), then the struct's fields in the order its GEOTP_WIRE_FIELDS
+// list names them, laid out by the shared serializer in common/wire.h
+// (little-endian fixed-width integers, one-byte enums, length-prefixed
+// strings and vectors). The tag -> struct dispatch is generated from the
+// message list in runtime/message.h, so codec.cc names no message. The
 // format is a process-boundary transport detail, not a storage format —
 // there is no version negotiation; both ends of a loopback deployment run
 // the same binary.
 //
-// The simulator never touches this codec (messages cross sim::Network as
-// live C++ objects); the contract tests pin every type's bytes against
-// golden frames and fuzz the decoder, so a message added without codec
-// support fails CI instead of failing at runtime in the loopback smoke.
+// The simulator never runs this codec (messages cross sim::Network as
+// live C++ objects), but its byte counts are each message's WireSize(),
+// the exact size of the frame this codec writes. The contract tests pin
+// every type's bytes against golden frames and fuzz the decoder.
 #ifndef GEOTP_RUNTIME_CODEC_H_
 #define GEOTP_RUNTIME_CODEC_H_
 
@@ -27,8 +28,8 @@
 namespace geotp {
 namespace runtime {
 
-/// Serializes `msg` (tag + from/to + fields). Aborts on a message type the
-/// codec does not know — every type in MessageType must be encodable.
+/// Serializes `msg` (envelope + fields); exactly msg.WireSize() bytes.
+/// Aborts on a message off the message list (a test fake).
 std::string EncodeMessage(const MessageBase& msg);
 
 /// Rebuilds a message from EncodeMessage output. Returns nullptr on a

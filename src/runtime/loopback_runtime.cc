@@ -229,11 +229,7 @@ void LoopbackTransport::Send(std::unique_ptr<MessageBase> msg) {
   }
   if (local) {
     // Local fast path: no serialization, straight onto the mailbox.
-    ActorExecutor* executor = executor_for_(to);
-    auto* raw = msg.release();
-    executor->Post([this, raw]() {
-      DeliverLocal(std::unique_ptr<MessageBase>(raw));
-    });
+    PostDelivery(executor_for_(to), std::move(msg));
     return;
   }
   const int fd = ConnectionTo(to);
@@ -267,6 +263,14 @@ void LoopbackTransport::Send(std::unique_ptr<MessageBase> msg) {
     }
   }
   frames_sent_.fetch_add(1);
+}
+
+void LoopbackTransport::PostDelivery(ActorExecutor* executor,
+                                     std::unique_ptr<MessageBase> msg) {
+  // Boxed rather than released: a stopping executor drops the closure
+  // unrun, and the box then still frees the message.
+  auto box = std::make_shared<std::unique_ptr<MessageBase>>(std::move(msg));
+  executor->Post([this, box]() { DeliverLocal(std::move(*box)); });
 }
 
 void LoopbackTransport::DeliverLocal(std::unique_ptr<MessageBase> msg) {
@@ -365,10 +369,7 @@ void LoopbackTransport::ReadLoop(int fd) {
       GEOTP_WARN( "loopback: frame for unhosted node " << msg->to);
       continue;
     }
-    auto* raw = msg.release();
-    executor->Post([this, raw]() {
-      DeliverLocal(std::unique_ptr<MessageBase>(raw));
-    });
+    PostDelivery(executor, std::move(msg));
   }
   ::close(fd);
 }

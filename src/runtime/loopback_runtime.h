@@ -136,6 +136,7 @@ class LoopbackTransport : public ITransport {
   void ReadLoop(int fd);
   /// Connects (once, cached) to the process owning `node`; -1 = no route.
   int ConnectionTo(NodeId node);
+  void PostDelivery(ActorExecutor* executor, std::unique_ptr<MessageBase> msg);
   void DeliverLocal(std::unique_ptr<MessageBase> msg);
 
   ExecutorLookup executor_for_;

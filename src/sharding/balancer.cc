@@ -39,12 +39,12 @@ void ShardBalancer::ArmTick(uint64_t generation) {
   });
 }
 
-bool ShardBalancer::HandleMessage(sim::MessageBase* msg) {
+bool ShardBalancer::HandleMessage(runtime::MessageBase* msg) {
   switch (msg->type()) {
-    case sim::MessageType::kShardCutoverReady:
+    case runtime::MessageType::kShardCutoverReady:
       OnCutoverReady(static_cast<ShardCutoverReady&>(*msg));
       return true;
-    case sim::MessageType::kShardMigrateAborted: {
+    case runtime::MessageType::kShardMigrateAborted: {
       const auto& aborted = static_cast<protocol::ShardMigrateAborted&>(*msg);
       OnMigrateAborted(aborted.migration_id);
       return true;

@@ -143,7 +143,7 @@ class ShardBalancer {
 
   /// Consumes ShardCutoverReady / ShardMigrateAborted. Returns false for
   /// unrelated messages.
-  bool HandleMessage(sim::MessageBase* msg);
+  bool HandleMessage(runtime::MessageBase* msg);
 
   /// Chaos/test hook: splits the range covering (`table`, `at`) at `at`,
   /// publishes the new boundaries. Refused (false) when the split point is

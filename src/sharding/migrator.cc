@@ -26,15 +26,15 @@ using protocol::ShardSeedOffer;
 using protocol::ShardSnapshotAck;
 using protocol::ShardSnapshotChunk;
 
-bool ShardMigrator::HandleMessage(sim::MessageBase* msg) {
+bool ShardMigrator::HandleMessage(runtime::MessageBase* msg) {
   switch (msg->type()) {
-    case sim::MessageType::kShardMigrateRequest:
+    case runtime::MessageType::kShardMigrateRequest:
       OnMigrateRequest(static_cast<ShardMigrateRequest&>(*msg));
       return true;
-    case sim::MessageType::kShardMigrateCancel:
+    case runtime::MessageType::kShardMigrateCancel:
       OnMigrateCancel(static_cast<ShardMigrateCancel&>(*msg));
       return true;
-    case sim::MessageType::kShardSnapshotChunk: {
+    case runtime::MessageType::kShardSnapshotChunk: {
       auto& chunk = static_cast<ShardSnapshotChunk&>(*msg);
       // A corrupt envelope is dropped whole — never half-applied; the
       // source's resend timer recovers it. (Bootstrap chunks were already
@@ -43,22 +43,22 @@ bool ShardMigrator::HandleMessage(sim::MessageBase* msg) {
       OnSnapshotChunk(chunk);
       return true;
     }
-    case sim::MessageType::kShardSnapshotAck:
+    case runtime::MessageType::kShardSnapshotAck:
       OnSnapshotAck(static_cast<ShardSnapshotAck&>(*msg));
       return true;
-    case sim::MessageType::kShardDeltaBatch:
+    case runtime::MessageType::kShardDeltaBatch:
       OnDeltaBatch(static_cast<ShardDeltaBatch&>(*msg));
       return true;
-    case sim::MessageType::kShardDeltaAck:
+    case runtime::MessageType::kShardDeltaAck:
       OnDeltaAck(static_cast<ShardDeltaAck&>(*msg));
       return true;
-    case sim::MessageType::kShardMapUpdate:
+    case runtime::MessageType::kShardMapUpdate:
       OnMapUpdate(static_cast<ShardMapUpdate&>(*msg));
       return true;
-    case sim::MessageType::kShardSeedOffer:
+    case runtime::MessageType::kShardSeedOffer:
       OnSeedOffer(static_cast<ShardSeedOffer&>(*msg));
       return true;
-    case sim::MessageType::kShardSeedDecline:
+    case runtime::MessageType::kShardSeedDecline:
       OnSeedDecline(static_cast<ShardSeedDecline&>(*msg));
       return true;
     default:

@@ -123,7 +123,7 @@ class ShardMigrator {
   explicit ShardMigrator(datasource::DataSourceNode* node) : node_(node) {}
 
   /// Consumes sharding traffic. Returns false for unrelated messages.
-  bool HandleMessage(sim::MessageBase* msg);
+  bool HandleMessage(runtime::MessageBase* msg);
 
   /// Routing verdict for an incoming execute batch.
   enum class RouteCheck {

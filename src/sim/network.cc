@@ -37,7 +37,7 @@ bool Network::IsPartitioned(NodeId node) const {
   return partitioned_[static_cast<size_t>(node)];
 }
 
-void Network::Send(std::unique_ptr<MessageBase> msg) {
+void Network::Send(std::unique_ptr<runtime::MessageBase> msg) {
   const NodeId from = msg->from;
   const NodeId to = msg->to;
   GEOTP_CHECK(from >= 0 && from < num_nodes(), "from " << from);
@@ -64,7 +64,7 @@ void Network::Send(std::unique_ptr<MessageBase> msg) {
 }
 
 void Network::Deliver(uint32_t slot) {
-  std::unique_ptr<MessageBase> msg = std::move(in_flight_[slot]);
+  std::unique_ptr<runtime::MessageBase> msg = std::move(in_flight_[slot]);
   free_in_flight_.push_back(slot);
   const NodeId to = msg->to;
   if (partitioned_[static_cast<size_t>(to)]) return;  // dropped at the NIC

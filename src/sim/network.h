@@ -20,12 +20,6 @@
 namespace geotp {
 namespace sim {
 
-// MessageType / MessageBase moved to runtime/message.h so they are shared
-// by every execution backend; aliased here because the whole protocol
-// layer spells them sim::MessageType / sim::MessageBase.
-using MessageType = runtime::MessageType;
-using MessageBase = runtime::MessageBase;
-
 /// Per-node traffic counters.
 struct TrafficStats {
   uint64_t messages_sent = 0;
@@ -60,7 +54,7 @@ class Network : public runtime::ITransport {
 
   /// Sends a message; delivery is scheduled after one sampled one-way delay.
   /// `msg->from` / `msg->to` must be filled in by the caller.
-  void Send(std::unique_ptr<MessageBase> msg) override;
+  void Send(std::unique_ptr<runtime::MessageBase> msg) override;
 
   const TrafficStats& StatsFor(NodeId node) const;
   uint64_t total_messages() const { return total_messages_; }
@@ -80,7 +74,7 @@ class Network : public runtime::ITransport {
   /// only (this, slot), which fits std::function's inline buffer, so a send
   /// allocates nothing beyond the message itself. Messages whose events
   /// are dropped unfired are freed with the network.
-  std::vector<std::unique_ptr<MessageBase>> in_flight_;
+  std::vector<std::unique_ptr<runtime::MessageBase>> in_flight_;
   std::vector<uint32_t> free_in_flight_;
   uint64_t total_messages_ = 0;
 };

@@ -34,7 +34,7 @@ ClientDriver::ClientDriver(runtime::ActorEnv env, NodeId coordinator,
 
 void ClientDriver::Attach() {
   network_->RegisterNode(client_node_,
-                         [this](std::unique_ptr<sim::MessageBase> msg) {
+                         [this](std::unique_ptr<runtime::MessageBase> msg) {
                            HandleMessage(std::move(msg));
                          });
 }
@@ -66,15 +66,15 @@ void ClientDriver::Start() {
   }
 }
 
-void ClientDriver::HandleMessage(std::unique_ptr<sim::MessageBase> msg) {
+void ClientDriver::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
   switch (msg->type()) {
-    case sim::MessageType::kClientRoundResponse:
+    case runtime::MessageType::kClientRoundResponse:
       OnRoundResponse(static_cast<ClientRoundResponse&>(*msg));
       return;
-    case sim::MessageType::kClientTxnResult:
+    case runtime::MessageType::kClientTxnResult:
       OnTxnResult(static_cast<ClientTxnResult&>(*msg));
       return;
-    case sim::MessageType::kOverloadedResponse:
+    case runtime::MessageType::kOverloadedResponse:
       OnOverloaded(static_cast<protocol::OverloadedResponse&>(*msg));
       return;
     default:

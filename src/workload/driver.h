@@ -130,7 +130,7 @@ class ClientDriver {
     Rng rng{0};
   };
 
-  void HandleMessage(std::unique_ptr<sim::MessageBase> msg);
+  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   void OnRoundResponse(const protocol::ClientRoundResponse& resp);
   void OnTxnResult(const protocol::ClientTxnResult& result);
   void OnOverloaded(const protocol::OverloadedResponse& shed);

@@ -146,9 +146,10 @@ class MiniCluster {
     };
     cluster_ = workload::Build(deployment, runtime_.get());
 
-    network_->RegisterNode(0, [this](std::unique_ptr<sim::MessageBase> msg) {
-      OnClientMessage(std::move(msg));
-    });
+    network_->RegisterNode(
+        0, [this](std::unique_ptr<runtime::MessageBase> msg) {
+          OnClientMessage(std::move(msg));
+        });
   }
 
   sim::EventLoop& loop() { return loop_; }
@@ -309,7 +310,7 @@ class MiniCluster {
   }
 
  private:
-  void OnClientMessage(std::unique_ptr<sim::MessageBase> msg) {
+  void OnClientMessage(std::unique_ptr<runtime::MessageBase> msg) {
     if (auto* round = dynamic_cast<protocol::ClientRoundResponse*>(msg.get())) {
       ClientTxn& txn = txns_[round->client_tag];
       txn.txn_id = round->txn_id;

@@ -27,7 +27,7 @@ class StoreNodeTest : public ::testing::Test {
     rt_ = std::make_unique<runtime::SimRuntime>(&loop_, net_.get());
     store_ = std::make_unique<StoreNode>(rt_->EnvFor(1));
     store_->Attach();
-    net_->RegisterNode(0, [this](std::unique_ptr<sim::MessageBase> msg) {
+    net_->RegisterNode(0, [this](std::unique_ptr<runtime::MessageBase> msg) {
       if (auto* read = dynamic_cast<StoreReadResponse*>(msg.get())) {
         reads_.push_back(*read);
       } else if (auto* prep = dynamic_cast<StorePrepareResponse*>(msg.get())) {

@@ -20,6 +20,7 @@
 
 #include "common/compress.h"
 #include "protocol/wan_codec.h"
+#include "runtime/codec.h"
 
 namespace geotp {
 namespace {
@@ -273,15 +274,18 @@ TEST(WanCodec, SealOpenAppendEnvelope) {
     e.writes.push_back(ReplWrite{RecordKey{1, 1000 + i}, 5});
     req.entries.push_back(std::move(e));
   }
-  const size_t plain_count = req.entries.size();
+  const protocol::ReplAppendRequest plain = req;
   const auto bytes =
       protocol::SealAppendPayload(WireCodec::kBlock, &req);
   ASSERT_TRUE(req.entries.empty());
   ASSERT_FALSE(req.payload.empty());
   EXPECT_LT(bytes.wire, bytes.raw);  // structured entries must compress
-  EXPECT_EQ(req.WireSize(), 64 + req.payload.size());
+  // The traffic accounting counts the sealed frame, so the simulator sees
+  // the compression too.
+  EXPECT_EQ(req.WireSize(), runtime::EncodeMessage(req).size());
+  EXPECT_LT(req.WireSize(), plain.WireSize());
   ASSERT_TRUE(protocol::OpenAppendPayload(&req));
-  EXPECT_EQ(req.entries.size(), plain_count);
+  EXPECT_EQ(req.entries.size(), plain.entries.size());
   EXPECT_TRUE(req.payload.empty());
   // Corrupt envelope: flip a payload byte — the open must fail whole.
   protocol::ReplAppendRequest corrupt;

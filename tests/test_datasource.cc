@@ -40,7 +40,7 @@ class DataSourceTest : public ::testing::Test {
                                             DataSourceConfig::Postgres());
     ds1_->Attach();
     ds2_->Attach();
-    net_->RegisterNode(0, [this](std::unique_ptr<sim::MessageBase> msg) {
+    net_->RegisterNode(0, [this](std::unique_ptr<runtime::MessageBase> msg) {
       if (auto* resp = dynamic_cast<BranchExecuteResponse*>(msg.get())) {
         exec_responses_.push_back(*resp);
       } else if (auto* vote = dynamic_cast<VoteMessage*>(msg.get())) {

@@ -38,7 +38,7 @@ class MonitorTest : public ::testing::Test {
 
 TEST_F(MonitorTest, LearnsRttFromPings) {
   LatencyMonitor monitor(0, net_.get(), &loop_, {1, 2});
-  net_->RegisterNode(0, [&](std::unique_ptr<sim::MessageBase> msg) {
+  net_->RegisterNode(0, [&](std::unique_ptr<runtime::MessageBase> msg) {
     auto* pong = dynamic_cast<protocol::PingResponse*>(msg.get());
     ASSERT_NE(pong, nullptr);
     monitor.OnPong(*pong);
@@ -61,7 +61,7 @@ TEST_F(MonitorTest, UnknownNodeEstimateIsZero) {
 
 TEST_F(MonitorTest, MaxRttPicksLargest) {
   LatencyMonitor monitor(0, net_.get(), &loop_, {1, 2});
-  net_->RegisterNode(0, [&](std::unique_ptr<sim::MessageBase> msg) {
+  net_->RegisterNode(0, [&](std::unique_ptr<runtime::MessageBase> msg) {
     auto* pong = dynamic_cast<protocol::PingResponse*>(msg.get());
     monitor.OnPong(*pong);
   });
@@ -76,7 +76,7 @@ TEST_F(MonitorTest, AdaptsToLatencyChange) {
   // The Fig. 11b scenario: the link latency changes at runtime and the
   // EWMA estimate follows within a fraction of a second.
   LatencyMonitor monitor(0, net_.get(), &loop_, {1});
-  net_->RegisterNode(0, [&](std::unique_ptr<sim::MessageBase> msg) {
+  net_->RegisterNode(0, [&](std::unique_ptr<runtime::MessageBase> msg) {
     auto* pong = dynamic_cast<protocol::PingResponse*>(msg.get());
     monitor.OnPong(*pong);
   });
@@ -114,7 +114,7 @@ TEST_F(MonitorTest, EwmaSmoothsOutliers) {
 
 TEST_F(MonitorTest, StopHaltsPinging) {
   LatencyMonitor monitor(0, net_.get(), &loop_, {1});
-  net_->RegisterNode(0, [&](std::unique_ptr<sim::MessageBase> msg) {
+  net_->RegisterNode(0, [&](std::unique_ptr<runtime::MessageBase> msg) {
     auto* pong = dynamic_cast<protocol::PingResponse*>(msg.get());
     monitor.OnPong(*pong);
   });

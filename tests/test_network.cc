@@ -10,7 +10,7 @@ namespace geotp {
 namespace sim {
 namespace {
 
-struct TestMessage : MessageBase {
+struct TestMessage : runtime::MessageBase {
   int payload = 0;
   size_t WireSize() const override { return 128; }
 };
@@ -26,8 +26,8 @@ TEST(NetworkTest, DeliversAfterOneWayLatency) {
   Network net(&loop, TwoNodeMatrix(100.0));
   Micros delivered_at = -1;
   int payload = 0;
-  net.RegisterNode(0, [](std::unique_ptr<MessageBase>) {});
-  net.RegisterNode(1, [&](std::unique_ptr<MessageBase> msg) {
+  net.RegisterNode(0, [](std::unique_ptr<runtime::MessageBase>) {});
+  net.RegisterNode(1, [&](std::unique_ptr<runtime::MessageBase> msg) {
     delivered_at = loop.Now();
     payload = static_cast<TestMessage*>(msg.get())->payload;
   });
@@ -45,14 +45,14 @@ TEST(NetworkTest, RoundTripTakesFullRtt) {
   EventLoop loop;
   Network net(&loop, TwoNodeMatrix(100.0));
   Micros done_at = -1;
-  net.RegisterNode(1, [&](std::unique_ptr<MessageBase> msg) {
+  net.RegisterNode(1, [&](std::unique_ptr<runtime::MessageBase> msg) {
     auto reply = std::make_unique<TestMessage>();
     reply->from = 1;
     reply->to = 0;
     (void)msg;
     net.Send(std::move(reply));
   });
-  net.RegisterNode(0, [&](std::unique_ptr<MessageBase>) {
+  net.RegisterNode(0, [&](std::unique_ptr<runtime::MessageBase>) {
     done_at = loop.Now();
   });
   auto msg = std::make_unique<TestMessage>();
@@ -67,8 +67,8 @@ TEST(NetworkTest, PartitionedReceiverDropsMessages) {
   EventLoop loop;
   Network net(&loop, TwoNodeMatrix(10.0));
   bool delivered = false;
-  net.RegisterNode(1,
-                   [&](std::unique_ptr<MessageBase>) { delivered = true; });
+  net.RegisterNode(
+      1, [&](std::unique_ptr<runtime::MessageBase>) { delivered = true; });
   net.Partition(1);
   auto msg = std::make_unique<TestMessage>();
   msg->from = 0;
@@ -82,8 +82,8 @@ TEST(NetworkTest, PartitionedSenderCannotSend) {
   EventLoop loop;
   Network net(&loop, TwoNodeMatrix(10.0));
   bool delivered = false;
-  net.RegisterNode(1,
-                   [&](std::unique_ptr<MessageBase>) { delivered = true; });
+  net.RegisterNode(
+      1, [&](std::unique_ptr<runtime::MessageBase>) { delivered = true; });
   net.Partition(0);
   auto msg = std::make_unique<TestMessage>();
   msg->from = 0;
@@ -97,7 +97,8 @@ TEST(NetworkTest, RestoreResumesDelivery) {
   EventLoop loop;
   Network net(&loop, TwoNodeMatrix(10.0));
   int delivered = 0;
-  net.RegisterNode(1, [&](std::unique_ptr<MessageBase>) { delivered++; });
+  net.RegisterNode(
+      1, [&](std::unique_ptr<runtime::MessageBase>) { delivered++; });
   net.Partition(1);
   EXPECT_TRUE(net.IsPartitioned(1));
   net.Restore(1);
@@ -114,8 +115,8 @@ TEST(NetworkTest, MessageInFlightWhenPartitionHappensIsDropped) {
   EventLoop loop;
   Network net(&loop, TwoNodeMatrix(100.0));
   bool delivered = false;
-  net.RegisterNode(1,
-                   [&](std::unique_ptr<MessageBase>) { delivered = true; });
+  net.RegisterNode(
+      1, [&](std::unique_ptr<runtime::MessageBase>) { delivered = true; });
   auto msg = std::make_unique<TestMessage>();
   msg->from = 0;
   msg->to = 1;
@@ -129,7 +130,7 @@ TEST(NetworkTest, MessageInFlightWhenPartitionHappensIsDropped) {
 TEST(NetworkTest, TrafficAccounting) {
   EventLoop loop;
   Network net(&loop, TwoNodeMatrix(10.0));
-  net.RegisterNode(1, [](std::unique_ptr<MessageBase>) {});
+  net.RegisterNode(1, [](std::unique_ptr<runtime::MessageBase>) {});
   for (int i = 0; i < 5; ++i) {
     auto msg = std::make_unique<TestMessage>();
     msg->from = 0;
@@ -147,7 +148,7 @@ TEST(NetworkTest, ProtocolMessagesRoundTripThroughBase) {
   EventLoop loop;
   Network net(&loop, TwoNodeMatrix(10.0));
   protocol::Vote seen = protocol::Vote::kFailure;
-  net.RegisterNode(1, [&](std::unique_ptr<MessageBase> msg) {
+  net.RegisterNode(1, [&](std::unique_ptr<runtime::MessageBase> msg) {
     auto* vote = dynamic_cast<protocol::VoteMessage*>(msg.get());
     ASSERT_NE(vote, nullptr);
     seen = vote->vote;
@@ -164,7 +165,7 @@ TEST(NetworkTest, ProtocolMessagesRoundTripThroughBase) {
 // Messages parked in flight are owned by the network: one dropped at a
 // partitioned receiver dies at delivery time, and one whose delivery event
 // never runs (the loop was cleared) dies with the network.
-struct CountedMessage : MessageBase {
+struct CountedMessage : runtime::MessageBase {
   explicit CountedMessage(int* live) : live(live) { ++*live; }
   ~CountedMessage() override { --*live; }
   size_t WireSize() const override { return 64; }
@@ -177,8 +178,9 @@ TEST(NetworkTest, DroppedMessagesAreFreed) {
   {
     Network net(&loop, TwoNodeMatrix(10.0));
     int delivered = 0;
-    net.RegisterNode(0, [](std::unique_ptr<MessageBase>) {});
-    net.RegisterNode(1, [&](std::unique_ptr<MessageBase>) { delivered++; });
+    net.RegisterNode(0, [](std::unique_ptr<runtime::MessageBase>) {});
+    net.RegisterNode(
+      1, [&](std::unique_ptr<runtime::MessageBase>) { delivered++; });
     auto send = [&]() {
       auto msg = std::make_unique<CountedMessage>(&live);
       msg->from = 0;

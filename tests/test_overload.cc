@@ -432,11 +432,11 @@ TEST(OverloadLoopbackTest, ShedsAcrossRealSockets) {
   Micros worst_hint = 0;
   std::atomic<int> total{0};
   rt.transport()->RegisterNode(
-      0, [&](std::unique_ptr<sim::MessageBase> msg) {
+      0, [&](std::unique_ptr<runtime::MessageBase> msg) {
         std::lock_guard<std::mutex> lock(mu);
-        if (msg->type() == sim::MessageType::kClientRoundResponse) {
+        if (msg->type() == runtime::MessageType::kClientRoundResponse) {
           responses++;
-        } else if (msg->type() == sim::MessageType::kOverloadedResponse) {
+        } else if (msg->type() == runtime::MessageType::kOverloadedResponse) {
           auto& shed = static_cast<protocol::OverloadedResponse&>(*msg);
           sheds++;
           worst_hint = std::max(worst_hint, shed.retry_after_hint);

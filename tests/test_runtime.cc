@@ -295,6 +295,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, RuntimeContractTest,
 
 void ExpectRoundTrip(const MessageBase& msg) {
   const std::string bytes = EncodeMessage(msg);
+  // WireSize() is the frame, not an estimate: the simulator counts exactly
+  // the bytes the loopback transport writes.
+  EXPECT_EQ(msg.WireSize(), bytes.size())
+      << "WireSize mismatch for type " << static_cast<int>(msg.type());
   std::unique_ptr<MessageBase> decoded = DecodeMessage(bytes);
   ASSERT_NE(decoded, nullptr)
       << "decode failed for type " << static_cast<int>(msg.type());
