@@ -41,24 +41,57 @@ inline uint32_t Hash32(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-void PutExtLength(std::string* out, size_t extra) {
+/// Worst-case compressed size: every match sequence spends at most its
+/// literal run's length-extension bytes beyond the input it covers, and
+/// the final literal run adds a token and one extension byte.
+constexpr size_t CompressBound(size_t len) { return len + len / 255 + 16; }
+
+uint8_t* PutExtLength(uint8_t* op, size_t extra) {
   while (extra >= 255) {
-    out->push_back(static_cast<char>(255));
+    *op++ = 255;
     extra -= 255;
   }
-  out->push_back(static_cast<char>(extra));
+  *op++ = static_cast<uint8_t>(extra);
+  return op;
 }
+
+/// The match finder's hash table, one per thread. Each slot carries the
+/// generation of the call that wrote it beside the position, so a new call
+/// sees an empty table without clearing it: WAN batches are a few hundred
+/// bytes, far fewer than the table's 8192 slots.
+struct MatchTable {
+  uint32_t generation = 0;
+  uint64_t slots[1u << kHashBits] = {};  ///< generation << 32 | position
+
+  /// Starts a call: every slot written by an earlier call reads empty.
+  void NextCall() {
+    if (++generation == 0) {  // wrapped: stale stamps could match again
+      std::memset(slots, 0, sizeof(slots));
+      generation = 1;
+    }
+  }
+  /// Stores `pos` in slot `h` and returns the position it held in this
+  /// call, or -1 if it was empty.
+  int64_t Exchange(uint32_t h, size_t pos) {
+    const uint64_t old = slots[h];
+    slots[h] = (uint64_t{generation} << 32) | static_cast<uint32_t>(pos);
+    if ((old >> 32) != generation) return -1;
+    return static_cast<int64_t>(static_cast<uint32_t>(old));
+  }
+};
 
 class BlockCompressor : public ICompressor {
  public:
   WireCodec codec() const override { return WireCodec::kBlock; }
 
-  std::string Compress(const uint8_t* data, size_t len) override {
-    std::string out;
-    if (len == 0) return out;
-    out.reserve(len / 2 + 16);
-    uint32_t table[1u << kHashBits];  // position + 1; 0 = empty
-    std::memset(table, 0, sizeof(table));
+  void Compress(const uint8_t* data, size_t len, std::string* out) override {
+    out->clear();
+    if (len == 0) return;
+    out->resize(CompressBound(len));
+    uint8_t* const begin = reinterpret_cast<uint8_t*>(&(*out)[0]);
+    uint8_t* op = begin;
+    thread_local MatchTable table;
+    table.NextCall();
 
     const auto emit = [&](size_t lit_from, size_t lit_n, size_t match_len,
                           size_t offset) {
@@ -68,23 +101,24 @@ class BlockCompressor : public ICompressor {
         const size_t m = match_len - kMinMatch;
         match_token = m < 15 ? m : 15;
       }
-      out.push_back(static_cast<char>((lit_token << 4) | match_token));
-      if (lit_token == 15) PutExtLength(&out, lit_n - 15);
-      out.append(reinterpret_cast<const char*>(data) + lit_from, lit_n);
+      *op++ = static_cast<uint8_t>((lit_token << 4) | match_token);
+      if (lit_token == 15) op = PutExtLength(op, lit_n - 15);
+      std::memcpy(op, data + lit_from, lit_n);
+      op += lit_n;
       if (match_len == 0) return;  // final, literal-only sequence
-      out.push_back(static_cast<char>(offset & 0xFF));
-      out.push_back(static_cast<char>((offset >> 8) & 0xFF));
-      if (match_token == 15) PutExtLength(&out, match_len - kMinMatch - 15);
+      *op++ = static_cast<uint8_t>(offset & 0xFF);
+      *op++ = static_cast<uint8_t>((offset >> 8) & 0xFF);
+      if (match_token == 15) {
+        op = PutExtLength(op, match_len - kMinMatch - 15);
+      }
     };
 
     size_t anchor = 0;
     size_t ip = 0;
     while (ip + kMinMatch <= len) {
-      const uint32_t h = Hash32(Read32(data + ip));
-      const uint32_t cand_plus1 = table[h];
-      table[h] = static_cast<uint32_t>(ip + 1);
-      if (cand_plus1 != 0) {
-        const size_t cand = cand_plus1 - 1;
+      const int64_t previous = table.Exchange(Hash32(Read32(data + ip)), ip);
+      if (previous >= 0) {
+        const size_t cand = static_cast<size_t>(previous);
         const size_t offset = ip - cand;
         if (offset >= 1 && offset <= kMaxOffset &&
             Read32(data + cand) == Read32(data + ip)) {
@@ -102,7 +136,7 @@ class BlockCompressor : public ICompressor {
     // sequence then produces output, so any truncation of the stream is
     // detectable by the decoder's exact-length check.
     if (anchor < len) emit(anchor, len - anchor, 0, 0);
-    return out;
+    out->resize(static_cast<size_t>(op - begin));
   }
 };
 
@@ -113,9 +147,13 @@ class BlockDecompressor : public IDecompressor {
   bool Decompress(const uint8_t* data, size_t len, size_t expected_len,
                   std::string* out) override {
     out->clear();
-    if (expected_len > kMaxPayload) return false;
-    out->reserve(expected_len < (size_t{1} << 20) ? expected_len
-                                                  : size_t{1} << 20);
+    // One input byte yields at most 255 output bytes (a length-extension
+    // byte), so a forged length that no stream of `len` bytes can reach
+    // is rejected before anything is allocated for it.
+    if (expected_len > kMaxPayload || expected_len / 255 > len) return false;
+    out->resize(expected_len);
+    uint8_t* const dst = reinterpret_cast<uint8_t*>(&(*out)[0]);
+    size_t op = 0;  // bytes produced
     size_t ip = 0;
     const auto read_ext = [&](size_t* value) -> bool {
       uint8_t b;
@@ -127,37 +165,49 @@ class BlockDecompressor : public IDecompressor {
       } while (b == 255);
       return true;
     };
+    const auto fail = [out]() {
+      out->clear();
+      return false;
+    };
     while (ip < len) {
       const uint8_t token = data[ip++];
       size_t lit = token >> 4;
-      if (lit == 15 && !read_ext(&lit)) return false;
-      if (lit > len - ip) return false;
-      if (lit > expected_len - out->size()) return false;
-      out->append(reinterpret_cast<const char*>(data) + ip, lit);
+      if (lit == 15 && !read_ext(&lit)) return fail();
+      if (lit > len - ip) return fail();
+      if (lit > expected_len - op) return fail();
+      std::memcpy(dst + op, data + ip, lit);
+      op += lit;
       ip += lit;
       if (ip == len) {
         // Stream ends after literals: the final sequence. A non-zero
         // match nibble here is a dangling half-sequence — malformed.
-        if ((token & 0x0F) != 0) return false;
+        if ((token & 0x0F) != 0) return fail();
         break;
       }
-      if (len - ip < 2) return false;
+      if (len - ip < 2) return fail();
       const size_t offset =
           static_cast<size_t>(data[ip]) |
           (static_cast<size_t>(data[ip + 1]) << 8);
       ip += 2;
-      if (offset == 0 || offset > out->size()) return false;
+      if (offset == 0 || offset > op) return fail();
       size_t match = token & 0x0F;
-      if (match == 15 && !read_ext(&match)) return false;
+      if (match == 15 && !read_ext(&match)) return fail();
       match += kMinMatch;
-      if (match > expected_len - out->size()) return false;
-      // Byte-by-byte: offsets shorter than the match repeat the produced
-      // tail (RLE-style), so a bulk memcpy would read bytes not written
-      // yet.
-      const size_t src = out->size() - offset;
-      for (size_t i = 0; i < match; ++i) out->push_back((*out)[src + i]);
+      if (match > expected_len - op) return fail();
+      const size_t src = op - offset;
+      if (offset >= match) {
+        // The source lies wholly in the produced prefix: one bulk copy.
+        std::memcpy(dst + op, dst + src, match);
+      } else {
+        // Offsets shorter than the match repeat the produced tail
+        // (RLE-style): copy byte by byte so each read sees the byte the
+        // previous step wrote.
+        for (size_t i = 0; i < match; ++i) dst[op + i] = dst[src + i];
+      }
+      op += match;
     }
-    return ip == len && out->size() == expected_len;
+    if (ip != len || op != expected_len) return fail();
+    return true;
   }
 };
 
@@ -165,14 +215,15 @@ class BlockDecompressor : public IDecompressor {
 class ZstdCompressor : public ICompressor {
  public:
   WireCodec codec() const override { return WireCodec::kZstd; }
-  std::string Compress(const uint8_t* data, size_t len) override {
-    std::string out;
-    out.resize(ZSTD_compressBound(len));
+  void Compress(const uint8_t* data, size_t len, std::string* out) override {
+    out->resize(ZSTD_compressBound(len));
     const size_t n =
-        ZSTD_compress(&out[0], out.size(), data, len, /*level=*/3);
-    if (ZSTD_isError(n)) return std::string(reinterpret_cast<const char*>(data), len);
-    out.resize(n);
-    return out;
+        ZSTD_compress(&(*out)[0], out->size(), data, len, /*level=*/3);
+    if (ZSTD_isError(n)) {
+      out->assign(reinterpret_cast<const char*>(data), len);
+      return;
+    }
+    out->resize(n);
   }
 };
 
@@ -262,12 +313,9 @@ WireCodec EncodePayload(WireCodec want, const std::string& raw,
                         std::string* wire) {
   ICompressor* compressor = CompressorFor(want);
   if (compressor != nullptr) {
-    std::string compressed = compressor->Compress(
-        reinterpret_cast<const uint8_t*>(raw.data()), raw.size());
-    if (compressed.size() < raw.size()) {
-      *wire = std::move(compressed);
-      return want;
-    }
+    compressor->Compress(reinterpret_cast<const uint8_t*>(raw.data()),
+                         raw.size(), wire);
+    if (wire->size() < raw.size()) return want;
   }
   *wire = raw;  // incompressible (or codec unavailable): ship raw
   return WireCodec::kRaw;

@@ -54,15 +54,19 @@ constexpr WireCodec WireMax(WireCodec) { return WireCodec::kZstd; }
 /// `wan_compression` knob is on, raw when it is off.
 WireCodec SenderCodec(bool wan_compression);
 
-/// Compression seam (SNIPPETS.md snippet 2 idiom): implementations are
-/// stateless per call, so one process-wide instance per codec suffices.
+/// Compression seam (SNIPPETS.md snippet 2 idiom): one process-wide
+/// instance per codec. Output depends only on the input bytes; whatever
+/// state an implementation reuses between calls (the block codec's match
+/// table) is per thread and never leaks from one call into the next, so
+/// concurrent callers on loopback executors need no locking.
 class ICompressor {
  public:
   virtual ~ICompressor() = default;
   virtual WireCodec codec() const = 0;
-  /// Compresses `len` bytes at `data`. Always succeeds (worst case the
-  /// output expands; callers fall back to raw when that loses).
-  virtual std::string Compress(const uint8_t* data, size_t len) = 0;
+  /// Compresses `len` bytes at `data` into `out`, replacing its contents
+  /// and reusing its capacity. Always succeeds (worst case the output
+  /// expands; callers fall back to raw when that loses).
+  virtual void Compress(const uint8_t* data, size_t len, std::string* out) = 0;
 };
 
 class IDecompressor {
@@ -85,7 +89,8 @@ IDecompressor* DecompressorFor(WireCodec codec);
 ///
 /// EncodePayload: compresses `raw` under `want` (falling back to raw when
 /// the codec is unavailable or the compressed form is not smaller) and
-/// returns the codec actually used; `wire` receives the bytes to ship.
+/// returns the codec actually used; `wire` receives the bytes to ship
+/// (its capacity is reused).
 WireCodec EncodePayload(WireCodec want, const std::string& raw,
                         std::string* wire);
 /// DecodePayload: inverse of EncodePayload plus end-to-end verification.

@@ -107,26 +107,52 @@ double Rng::NextExponential(double mean) {
 Rng Rng::Fork() { return Rng(NextU64()); }
 
 uint64_t BoundedZipfSample(uint64_t lo, uint64_t hi, double theta, Rng& rng) {
-  if (hi <= lo + 1) return lo;
+  return BoundedZipf(lo, hi, theta).Sample(rng);
+}
+
+BoundedZipf::BoundedZipf(uint64_t lo, uint64_t hi, double theta)
+    : lo_(lo), hi_(hi) {
+  if (hi <= lo + 1) {
+    shape_ = Shape::kPoint;
+    return;
+  }
   // Integrate the density x^-theta over [a, b] = [lo + 1, hi + 1) and
   // invert the CDF at a uniform sample.
-  const double a = static_cast<double>(lo + 1);
+  a_ = static_cast<double>(lo + 1);
   const double b = static_cast<double>(hi + 1);
+  if (theta < 1e-9) {
+    shape_ = Shape::kUniform;
+    span_ = b - a_;
+  } else if (std::abs(theta - 1.0) < 1e-9) {
+    shape_ = Shape::kLog;
+    span_ = b / a_;
+  } else {
+    shape_ = Shape::kPower;
+    const double one_minus = 1.0 - theta;
+    fa_ = std::pow(a_, one_minus);
+    span_ = std::pow(b, one_minus) - fa_;
+    exponent_ = 1.0 / one_minus;
+  }
+}
+
+uint64_t BoundedZipf::Sample(Rng& rng) const {
+  if (shape_ == Shape::kPoint) return lo_;
   const double u = rng.NextDouble();
   double x;
-  if (theta < 1e-9) {
-    x = a + u * (b - a);
-  } else if (std::abs(theta - 1.0) < 1e-9) {
-    x = a * std::pow(b / a, u);
-  } else {
-    const double one_minus = 1.0 - theta;
-    const double fa = std::pow(a, one_minus);
-    const double fb = std::pow(b, one_minus);
-    x = std::pow(fa + u * (fb - fa), 1.0 / one_minus);
+  switch (shape_) {
+    case Shape::kUniform:
+      x = a_ + u * span_;
+      break;
+    case Shape::kLog:
+      x = a_ * std::pow(span_, u);
+      break;
+    default:
+      x = std::pow(fa_ + u * span_, exponent_);
+      break;
   }
   auto key = static_cast<uint64_t>(x) - 1;  // undo the +1 shift
-  if (key < lo) key = lo;
-  if (key >= hi) key = hi - 1;
+  if (key < lo_) key = lo_;
+  if (key >= hi_) key = hi_ - 1;
   return key;
 }
 

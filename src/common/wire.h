@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -89,8 +90,14 @@ class BasicWriter {
   }
   template <class T>
   void Put(const std::vector<T>& v) {
-    Put(static_cast<uint32_t>(v.size()));
-    for (const T& item : v) Put(item);
+    PutRange(v.begin(), v.end());
+  }
+  /// The vector encoding of the elements in [first, last): a run of any
+  /// container packs without being copied into a vector first.
+  template <class It>
+  void PutRange(It first, It last) {
+    Put(static_cast<uint32_t>(std::distance(first, last)));
+    for (; first != last; ++first) Put(*first);
   }
   template <class T>
   void Put(const std::shared_ptr<const T>& p) {
@@ -121,12 +128,16 @@ class Sizer : public BasicWriter<CountSink> {
 
 /// Encoded size of a default-constructed T: the fewest bytes any T can
 /// occupy (its vectors and strings are empty, its pointers absent). Bounds
-/// a decoded element count before anything is allocated for it.
+/// a decoded element count before anything is allocated for it. Sized
+/// once per type.
 template <class T>
 size_t MinBytes() {
-  Sizer sizer;
-  sizer.Put(T{});
-  return sizer.bytes();
+  static const size_t bytes = [] {
+    Sizer sizer;
+    sizer.Put(T{});
+    return sizer.bytes();
+  }();
+  return bytes;
 }
 
 class Reader {
@@ -222,7 +233,9 @@ class Reader {
 };
 
 /// Whole-buffer helpers: `Pack` encodes one value; `Unpack` decodes one
-/// and succeeds only if it consumed the buffer exactly.
+/// and succeeds only if it consumed the buffer exactly. Decoding assigns
+/// every field, so `value` may hold an earlier value whose vectors and
+/// strings then reuse their capacity.
 template <class T>
 std::string Pack(const T& value) {
   std::string out;

@@ -1,11 +1,22 @@
 #include "datasource/data_source.h"
 
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace geotp {
 namespace datasource {
+namespace {
+
+/// True when std::function keeps a callable of type F in its own small
+/// buffer instead of a heap block: at most two pointers, trivially
+/// copyable (libstdc++'s rule).
+template <class F>
+constexpr bool kStoredInline =
+    sizeof(F) <= 2 * sizeof(void*) && std::is_trivially_copyable_v<F>;
+
+}  // namespace
 
 using protocol::BranchExecuteRequest;
 using protocol::BranchExecuteResponse;
@@ -110,12 +121,9 @@ void DataSourceNode::AfterLocalPrepare(const Xid& xid, NodeId coordinator,
     deliver_vote();
   };
   if (replicator_ != nullptr && replicator_->IsLeader()) {
-    std::vector<protocol::ReplWrite> writes;
-    for (const auto& [key, value] : engine_.WriteSetOf(xid)) {
-      writes.push_back(protocol::ReplWrite{key, value});
-    }
-    replicator_->ReplicatePrepare(xid, std::move(writes), coordinator,
-                                  std::move(deliver));
+    replicator_->ReplicatePrepare(
+        xid, engine_.WriteSetOf<protocol::ReplWrite>(xid), coordinator,
+        std::move(deliver));
     return;
   }
   deliver();
@@ -344,11 +352,42 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
   }
 
   stats_.batches_executed++;
+  RegisterExec(state);
   RunNextOp(state);
 }
 
+void DataSourceNode::RegisterExec(const std::shared_ptr<ExecState>& state) {
+  uint32_t slot;
+  if (free_exec_slots_.empty()) {
+    slot = static_cast<uint32_t>(exec_slots_.size());
+    exec_slots_.emplace_back();
+  } else {
+    slot = free_exec_slots_.back();
+    free_exec_slots_.pop_back();
+  }
+  exec_slots_[slot].state = state;
+  state->handle = (uint64_t{exec_slots_[slot].generation} << 32) | slot;
+}
+
+std::shared_ptr<DataSourceNode::ExecState> DataSourceNode::LiveExec(
+    uint64_t handle) const {
+  const ExecSlot& slot = exec_slots_[static_cast<uint32_t>(handle)];
+  if (slot.generation != handle >> 32) return nullptr;
+  return slot.state;
+}
+
+void DataSourceNode::RetireExec(ExecState& state) {
+  GEOTP_CHECK(state.handle != 0, "batch " << state.xid.ToString()
+                                          << " finished twice");
+  const auto index = static_cast<uint32_t>(state.handle);
+  ExecSlot& slot = exec_slots_[index];
+  slot.generation++;
+  slot.state.reset();
+  free_exec_slots_.push_back(index);
+  state.handle = 0;
+}
+
 void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
-  if (state->finished) return;
   if (state->next_op >= state->ops.size()) {
     FinishExecSuccess(state);
     return;
@@ -362,48 +401,55 @@ void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
   // would read a stale base while the batch waits in a lock queue.
   op.is_delta = cop.is_delta;
 
-  auto self = this;
   state->timeout_event = sim::kInvalidEvent;
-  engine_.ExecuteOp(
-      state->xid, op,
-      [self, state, is_write = cop.is_write](Status status, int64_t value) {
-        if (state->timeout_event != sim::kInvalidEvent) {
-          self->loop()->Cancel(state->timeout_event);
-          state->timeout_event = sim::kInvalidEvent;
-        }
-        if (state->finished) return;
-        if (!status.ok()) {
-          self->FinishExecFailure(state, status);
-          return;
-        }
-        // Lock granted and the operation applied; charge the row cost.
-        const Micros cost = is_write ? self->config_.engine.write_cost
-                                     : self->config_.engine.read_cost;
-        self->stats_.ops_executed++;
-        self->loop()->Schedule(cost, [self, state, value]() {
-          if (state->finished) return;
-          state->values.push_back(value);
-          state->next_op++;
-          self->RunNextOp(state);
-        });
-      });
+  const uint64_t handle = state->handle;
+  const auto on_op = [this, handle](Status status, int64_t value) {
+    const std::shared_ptr<ExecState> state = LiveExec(handle);
+    if (state == nullptr) return;  // finished; its timeout is gone too
+    if (state->timeout_event != sim::kInvalidEvent) {
+      loop()->Cancel(state->timeout_event);
+      state->timeout_event = sim::kInvalidEvent;
+    }
+    if (!status.ok()) {
+      FinishExecFailure(state, status);
+      return;
+    }
+    // Lock granted and the operation applied; charge the row cost.
+    const bool is_write = state->ops[state->next_op].is_write;
+    const Micros cost =
+        is_write ? config_.engine.write_cost : config_.engine.read_cost;
+    stats_.ops_executed++;
+    state->pending_value = value;
+    const auto after_row_cost = [this, handle]() {
+      const std::shared_ptr<ExecState> state = LiveExec(handle);
+      if (state == nullptr) return;
+      state->values.push_back(state->pending_value);
+      state->next_op++;
+      RunNextOp(state);
+    };
+    static_assert(kStoredInline<decltype(after_row_cost)>);
+    loop()->Schedule(cost, after_row_cost);
+  };
+  static_assert(kStoredInline<decltype(on_op)>);
+  engine_.ExecuteOp(state->xid, op, on_op);
 
   // If the request parked in the lock queue, arm the lock-wait timeout
   // (innodb_lock_wait_timeout; paper default 5 s).
   if (engine_.HasPendingOp(state->xid)) {
     state->timeout_event = loop()->Schedule(
-        config_.engine.lock_wait_timeout, [self, state]() {
+        config_.engine.lock_wait_timeout, [this, handle]() {
+          const std::shared_ptr<ExecState> state = LiveExec(handle);
+          if (state == nullptr) return;
           state->timeout_event = sim::kInvalidEvent;
-          if (state->finished) return;
-          self->stats_.lock_timeouts++;
-          self->engine_.CancelPendingOp(
+          stats_.lock_timeouts++;
+          engine_.CancelPendingOp(
               state->xid, Status::TimedOut("lock wait timeout"));
         });
   }
 }
 
 void DataSourceNode::FinishExecSuccess(const std::shared_ptr<ExecState>& state) {
-  state->finished = true;
+  RetireExec(*state);
   SendExecuteResponse(state, Status::OK(), /*rolled_back=*/false);
   if (state->last_statement) {
     auto it = branches_.find(state->xid.txn_id);
@@ -416,8 +462,7 @@ void DataSourceNode::FinishExecSuccess(const std::shared_ptr<ExecState>& state) 
 
 void DataSourceNode::FinishExecFailure(const std::shared_ptr<ExecState>& state,
                                        Status status) {
-  if (state->finished) return;
-  state->finished = true;
+  RetireExec(*state);
   if (state->timeout_event != sim::kInvalidEvent) {
     loop()->Cancel(state->timeout_event);
     state->timeout_event = sim::kInvalidEvent;
@@ -601,12 +646,8 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
                     trace, "ds.commit_quorum", id_, loop()->Now());
               }
             }
-            std::vector<protocol::ReplWrite> writes;
-            for (const auto& [key, value] : engine_.WriteSetOf(xid)) {
-              writes.push_back(protocol::ReplWrite{key, value});
-            }
             replicator_->ReplicateCommit(
-                xid, std::move(writes),
+                xid, engine_.WriteSetOf<protocol::ReplWrite>(xid),
                 [this, quorum, finish = std::move(finish)]() {
                   if (quorum != obs::kInvalidSpan) {
                     obs::GlobalTracer().EndSpan(quorum, loop()->Now());

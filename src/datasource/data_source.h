@@ -218,8 +218,20 @@ class DataSourceNode {
     Micros started_at = 0;
     NodeId reply_to = kInvalidNode;
     sim::EventId timeout_event = sim::kInvalidEvent;
-    bool finished = false;
     obs::SpanHandle exec_span = obs::kInvalidSpan;
+    /// exec_slots_ handle while the ops run; 0 before and once finished.
+    uint64_t handle = 0;
+    int64_t pending_value = 0;  ///< value of the op paying its row cost
+  };
+  /// One running batch. The per-op closures capture {this, handle}: 16
+  /// trivially copyable bytes, which std::function stores inline, so an
+  /// op's lock callback and row-cost timer allocate nothing (a captured
+  /// shared_ptr would force a heap block each). A slot is freed when its
+  /// batch finishes; a closure that outlives it sees a newer generation
+  /// and does nothing.
+  struct ExecSlot {
+    std::shared_ptr<ExecState> state;
+    uint32_t generation = 1;  ///< never 0, so no live handle is 0
   };
 
   friend class replication::Replicator;
@@ -248,6 +260,12 @@ class DataSourceNode {
   /// run while a freshly promoted leader's store is behind its log.
   static bool ParkedDuringPromotion(runtime::MessageType type);
   void OnExecute(const protocol::BranchExecuteRequest& req);
+  /// Gives `state` a slot and a handle for the closures of its ops.
+  void RegisterExec(const std::shared_ptr<ExecState>& state);
+  /// The batch `handle` names, or nullptr once it finished.
+  std::shared_ptr<ExecState> LiveExec(uint64_t handle) const;
+  /// Frees the slot of a finishing batch (its handle becomes 0).
+  void RetireExec(ExecState& state);
   void RunNextOp(const std::shared_ptr<ExecState>& state);
   void FinishExecSuccess(const std::shared_ptr<ExecState>& state);
   void FinishExecFailure(const std::shared_ptr<ExecState>& state,
@@ -274,6 +292,8 @@ class DataSourceNode {
   bool crashed_ = false;
 
   std::unordered_map<TxnId, BranchInfo> branches_;
+  std::vector<ExecSlot> exec_slots_;
+  std::vector<uint32_t> free_exec_slots_;
   /// Client-facing messages held while the replicator's promotion barrier
   /// is up; replayed in arrival order via OnReplicatorReady().
   std::vector<std::unique_ptr<runtime::MessageBase>> parked_;

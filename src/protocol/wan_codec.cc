@@ -1,7 +1,5 @@
 #include "protocol/wan_codec.h"
 
-#include "common/wire.h"
-
 namespace geotp {
 namespace protocol {
 
@@ -15,7 +13,9 @@ bool UnpackWrites(const std::string& bytes,
 }
 
 std::string PackEntries(const std::vector<ReplEntry>& entries) {
-  return wire::Pack(entries);
+  std::string out;
+  PackEntriesInto(entries.begin(), entries.end(), &out);
+  return out;
 }
 
 bool UnpackEntries(const std::string& bytes,
@@ -23,29 +23,58 @@ bool UnpackEntries(const std::string& bytes,
   return wire::Unpack(bytes, entries);
 }
 
+namespace {
+
+/// Decoded payload bytes live only until they are unpacked, so one buffer
+/// per thread serves every frame a thread opens.
+std::string& OpenBuffer() {
+  thread_local std::string buffer;
+  return buffer;
+}
+
+}  // namespace
+
+void SealEntries(common::WireCodec codec, const std::string& raw,
+                 SealedEntries* sealed) {
+  sealed->bytes.raw = raw.size();
+  if (codec == common::WireCodec::kRaw) {
+    // Compression off: the plain vector ships (no envelope); it still
+    // counts as raw-sized WAN traffic.
+    sealed->codec = common::WireCodec::kRaw;
+    sealed->uncompressed_len = 0;
+    sealed->hash = 0;
+    sealed->payload.clear();
+    sealed->bytes.wire = raw.size();
+    return;
+  }
+  sealed->codec = common::EncodePayload(codec, raw, &sealed->payload);
+  sealed->uncompressed_len = static_cast<uint32_t>(raw.size());
+  sealed->hash = common::ContentHash64(raw);
+  sealed->bytes.wire = sealed->payload.size();
+}
+
+void AttachSealed(const SealedEntries& sealed, ReplAppendRequest* req) {
+  req->payload_codec = sealed.codec;
+  req->payload_uncompressed_len = sealed.uncompressed_len;
+  req->payload_hash = sealed.hash;
+  req->payload = sealed.payload;
+}
+
 EnvelopeBytes SealAppendPayload(common::WireCodec codec,
                                 ReplAppendRequest* req) {
-  EnvelopeBytes bytes;
-  if (req->entries.empty()) return bytes;  // heartbeats stay bare
-  const std::string raw = PackEntries(req->entries);
-  bytes.raw = raw.size();
-  if (codec == common::WireCodec::kRaw) {
-    // Compression off: ship the plain vector (no envelope); it still
-    // counts as raw-sized WAN traffic.
-    bytes.wire = raw.size();
-    return bytes;
+  if (req->entries.empty()) return EnvelopeBytes();  // heartbeats stay bare
+  SealedEntries sealed;
+  SealEntries(codec, PackEntries(req->entries), &sealed);
+  if (!sealed.payload.empty()) {
+    req->entries.clear();
+    AttachSealed(sealed, req);
   }
-  req->payload_codec = common::EncodePayload(codec, raw, &req->payload);
-  req->payload_uncompressed_len = static_cast<uint32_t>(raw.size());
-  req->payload_hash = common::ContentHash64(raw);
-  req->entries.clear();
-  bytes.wire = req->payload.size();
-  return bytes;
+  return sealed.bytes;
 }
 
 bool OpenAppendPayload(ReplAppendRequest* req) {
   if (req->payload.empty()) return true;  // plain (or heartbeat) frame
-  std::string raw;
+  std::string& raw = OpenBuffer();
   if (!common::DecodePayload(req->payload_codec, req->payload,
                              req->payload_uncompressed_len,
                              req->payload_hash, &raw)) {
@@ -77,7 +106,7 @@ EnvelopeBytes SealChunkPayload(common::WireCodec codec,
 
 bool OpenChunkPayload(ShardSnapshotChunk* chunk) {
   if (chunk->payload.empty()) return true;
-  std::string raw;
+  std::string& raw = OpenBuffer();
   if (!common::DecodePayload(chunk->payload_codec, chunk->payload,
                              chunk->payload_uncompressed_len,
                              chunk->content_hash, &raw)) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/compress.h"
+#include "common/wire.h"
 #include "protocol/messages.h"
 
 namespace geotp {
@@ -34,17 +35,43 @@ bool UnpackWrites(const std::string& bytes, std::vector<ReplWrite>* writes);
 /// Packed form of a shipped entry batch (everything a follower needs to
 /// append, including migration control records and ingest provenance).
 std::string PackEntries(const std::vector<ReplEntry>& entries);
+/// The same bytes for a run of entries held in any container (the
+/// replication log), written into `out` over its old contents.
+template <class It>
+void PackEntriesInto(It first, It last, std::string* out) {
+  out->clear();
+  wire::Writer(out).PutRange(first, last);
+}
 bool UnpackEntries(const std::string& bytes,
                    std::vector<ReplEntry>* entries);
 
-/// Seals `req->entries` into the WAN envelope under `codec` (kRaw, the
-/// sender's compression knob off, leaves the plain vector in place).
-/// Returns {raw_bytes, wire_bytes} of the batch for the WAN accounting
+/// {raw_bytes, wire_bytes} of a sealed batch, for the WAN accounting
 /// counters.
 struct EnvelopeBytes {
   size_t raw = 0;
   size_t wire = 0;
 };
+
+/// One entry batch sealed for the WAN: packed, compressed and hashed
+/// once. A leader copies it into every frame that ships the same batch.
+struct SealedEntries {
+  common::WireCodec codec = common::WireCodec::kRaw;
+  uint32_t uncompressed_len = 0;
+  uint64_t hash = 0;
+  /// Empty when the batch ships as plain entries (compression knob off).
+  std::string payload;
+  EnvelopeBytes bytes;
+};
+/// Seals the packed batch `raw` under `codec` into `sealed`, reusing its
+/// payload buffer. kRaw (the sender's compression knob off) seals
+/// nothing: the batch ships as plain entries, counted at its packed size.
+void SealEntries(common::WireCodec codec, const std::string& raw,
+                 SealedEntries* sealed);
+/// Makes `sealed` the envelope of `req` (a copy of its payload).
+void AttachSealed(const SealedEntries& sealed, ReplAppendRequest* req);
+
+/// Seals `req->entries` into the WAN envelope under `codec` (kRaw leaves
+/// the plain vector in place): SealEntries over PackEntries, attached.
 EnvelopeBytes SealAppendPayload(common::WireCodec codec,
                                 ReplAppendRequest* req);
 /// Reverses SealAppendPayload: verifies + unpacks the envelope back into

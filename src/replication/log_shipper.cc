@@ -19,6 +19,7 @@ void LogShipper::Activate(NodeId group, uint64_t epoch,
   active_ = true;
   activation_++;
   ship_scheduled_ = false;
+  sealed_first_ = 0;
   group_ = group;
   epoch_ = epoch;
   quorum_size_ = quorum_size;
@@ -38,6 +39,7 @@ void LogShipper::Deactivate() {
   active_ = false;
   activation_++;
   ship_scheduled_ = false;
+  sealed_first_ = 0;
   pending_.clear();
 }
 
@@ -45,9 +47,7 @@ uint64_t LogShipper::AppendAndShip(ReplEntry entry, QuorumCallback on_quorum) {
   GEOTP_CHECK(active_, "AppendAndShip on inactive shipper");
   entry.epoch = epoch_;
   const uint64_t index = log_->Append(std::move(entry));
-  if (on_quorum != nullptr) {
-    pending_.emplace(index, std::move(on_quorum));
-  }
+  if (on_quorum != nullptr) AddPending(index, std::move(on_quorum));
   // Coalesce: every entry appended in this event-loop tick (a group-commit
   // flush appends many) ships in ONE request per follower, acked as one.
   ScheduleShip();
@@ -85,7 +85,20 @@ void LogShipper::AwaitQuorum(uint64_t index, QuorumCallback on_quorum) {
     on_quorum();
     return;
   }
-  pending_.emplace(index, std::move(on_quorum));
+  AddPending(index, std::move(on_quorum));
+}
+
+void LogShipper::AddPending(uint64_t index, QuorumCallback on_quorum) {
+  if (pending_.empty() || pending_.back().first <= index) {
+    pending_.emplace_back(index, std::move(on_quorum));
+    return;
+  }
+  // An older index (a retry awaiting an existing entry): after every
+  // callback at or below it.
+  const auto at = std::upper_bound(
+      pending_.begin(), pending_.end(), index,
+      [](uint64_t i, const auto& pending) { return i < pending.first; });
+  pending_.emplace(at, index, std::move(on_quorum));
 }
 
 void LogShipper::ShipTo(NodeId follower, Progress& progress) {
@@ -101,6 +114,7 @@ void LogShipper::ShipTo(NodeId follower, Progress& progress) {
     snapshot_sender_(follower);
     progress.next_index = log_->first_index();
   }
+  const uint64_t last = log_->last_index();
   auto req = std::make_unique<ReplAppendRequest>();
   req->from = self_;
   req->to = follower;
@@ -108,22 +122,39 @@ void LogShipper::ShipTo(NodeId follower, Progress& progress) {
   req->epoch = epoch_;
   req->prev_index = progress.next_index - 1;
   req->prev_epoch = log_->EpochAt(req->prev_index);
-  req->entries = log_->Slice(progress.next_index, log_->last_index());
   req->commit_watermark = commit_watermark_;
   req->compact_floor = std::min(MinMatchIndex(), commit_watermark_);
-  stats_.entries_shipped += req->entries.size();
-  if (!req->entries.empty()) {
+  if (progress.next_index <= last) {
+    // The sealed envelope (plain entries when the knob is off); every
+    // follower at this next index gets the same bytes.
+    const protocol::SealedEntries& sealed = Seal(progress.next_index, last);
+    if (sealed.payload.empty()) {
+      const auto [first, end] = log_->Range(progress.next_index, last);
+      req->entries.assign(first, end);
+    } else {
+      protocol::AttachSealed(sealed, req.get());
+    }
+    stats_.entries_shipped += last - progress.next_index + 1;
     stats_.append_batches_shipped++;
-    // Seal the batch into the compressed WAN envelope (plain entries when
-    // the knob is off).
-    const protocol::EnvelopeBytes bytes = protocol::SealAppendPayload(
-        common::SenderCodec(wan_compression_), req.get());
-    stats_.wan_bytes_raw += bytes.raw;
-    stats_.wan_bytes_wire += bytes.wire;
+    stats_.wan_bytes_raw += sealed.bytes.raw;
+    stats_.wan_bytes_wire += sealed.bytes.wire;
   }
   network_->Send(std::move(req));
   // Optimistically advance; a failed ack rewinds next_index.
-  progress.next_index = log_->last_index() + 1;
+  progress.next_index = last + 1;
+}
+
+const protocol::SealedEntries& LogShipper::Seal(uint64_t first,
+                                                uint64_t last) {
+  if (sealed_first_ == first && sealed_last_ == last) return sealed_;
+  const auto [begin, end] = log_->Range(first, last);
+  protocol::PackEntriesInto(begin, end, &packed_);
+  protocol::SealEntries(common::SenderCodec(wan_compression_), packed_,
+                        &sealed_);
+  sealed_first_ = first;
+  sealed_last_ = last;
+  stats_.batches_sealed++;
+  return sealed_;
 }
 
 void LogShipper::OnAck(NodeId follower, const ReplAppendAck& ack) {
@@ -146,23 +177,31 @@ void LogShipper::OnAck(NodeId follower, const ReplAppendAck& ack) {
 
 void LogShipper::AdvanceWatermark() {
   // k-th largest replicated index across {leader} ∪ followers, where
-  // k = quorum size. The leader holds its whole log.
-  std::vector<uint64_t> indexes;
-  indexes.push_back(log_->last_index());
+  // k = quorum size: the highest index at least k members hold. The
+  // leader holds its whole log.
+  if (followers_.size() + 1 < quorum_size_) return;  // can never reach it
+  const uint64_t leader_index = log_->last_index();
+  const auto held_by_quorum = [&](uint64_t index) {
+    size_t holders = leader_index >= index ? 1 : 0;
+    for (const auto& [follower, progress] : followers_) {
+      if (progress.match_index >= index) holders++;
+    }
+    return holders >= quorum_size_;
+  };
+  uint64_t quorum_index = held_by_quorum(leader_index) ? leader_index : 0;
   for (const auto& [follower, progress] : followers_) {
-    indexes.push_back(progress.match_index);
+    if (progress.match_index > quorum_index &&
+        held_by_quorum(progress.match_index)) {
+      quorum_index = progress.match_index;
+    }
   }
-  if (indexes.size() < quorum_size_) return;  // can never reach quorum
-  std::sort(indexes.begin(), indexes.end(), std::greater<uint64_t>());
-  const uint64_t quorum_index = indexes[quorum_size_ - 1];
   if (quorum_index <= commit_watermark_) return;
   commit_watermark_ = quorum_index;
 
   // Fire callbacks for every index now at quorum, in log order.
-  while (!pending_.empty() &&
-         pending_.begin()->first <= commit_watermark_) {
-    QuorumCallback cb = std::move(pending_.begin()->second);
-    pending_.erase(pending_.begin());
+  while (!pending_.empty() && pending_.front().first <= commit_watermark_) {
+    QuorumCallback cb = std::move(pending_.front().second);
+    pending_.pop_front();
     stats_.quorum_callbacks_fired++;
     cb();
   }

@@ -11,12 +11,14 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
-#include <map>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "protocol/messages.h"
+#include "protocol/wan_codec.h"
 #include "replication/replication_config.h"
 #include "runtime/runtime.h"
 #include "sim/network.h"
@@ -89,15 +91,21 @@ class ReplicationLog {
     return dropped;
   }
 
-  /// Entries in [from, to] (clamped), for shipping. `from` must not reach
-  /// into the compacted prefix.
+  using const_iterator = std::deque<protocol::ReplEntry>::const_iterator;
+  /// The stored entries in [from, to], clamped to the retained range.
+  std::pair<const_iterator, const_iterator> Range(uint64_t from,
+                                                  uint64_t to) const {
+    from = std::max(from, first_index());
+    to = std::min(to, last_index());
+    if (from > to) return {entries_.end(), entries_.end()};
+    return {entries_.begin() + static_cast<ptrdiff_t>(from - offset_ - 1),
+            entries_.begin() + static_cast<ptrdiff_t>(to - offset_)};
+  }
+
+  /// Copies of the entries in [from, to] (clamped).
   std::vector<protocol::ReplEntry> Slice(uint64_t from, uint64_t to) const {
-    std::vector<protocol::ReplEntry> out;
-    for (uint64_t i = std::max(from, first_index());
-         i <= to && i <= last_index(); ++i) {
-      out.push_back(At(i));
-    }
-    return out;
+    const auto [first, last] = Range(from, to);
+    return std::vector<protocol::ReplEntry>(first, last);
   }
 
  private:
@@ -113,14 +121,17 @@ struct LogShipperStats {
   uint64_t retransmissions = 0;
   uint64_t quorum_callbacks_fired = 0;
   uint64_t snapshots_sent = 0;  ///< bootstrap snapshots to wiped followers
-  /// WAN accounting for shipped entry batches: packed size before
-  /// compression vs bytes actually put on the wire (equal when a batch
-  /// ships raw — compression disabled on this leader).
+  /// WAN accounting for shipped entry batches, per frame: packed size
+  /// before compression vs bytes actually put on the wire (equal when a
+  /// batch ships raw — compression disabled on this leader).
   uint64_t wan_bytes_raw = 0;
   uint64_t wan_bytes_wire = 0;
+  /// Batches packed, compressed and hashed. Followers at the same next
+  /// index share one seal, so this trails append_batches_shipped.
+  uint64_t batches_sealed = 0;
   GEOTP_STAT_FIELDS(entries_shipped, append_batches_shipped, acks_received,
                     retransmissions, quorum_callbacks_fired, snapshots_sent,
-                    wan_bytes_raw, wan_bytes_wire)
+                    wan_bytes_raw, wan_bytes_wire, batches_sealed)
 };
 
 class LogShipper {
@@ -158,7 +169,7 @@ class LogShipper {
   /// group of one), the callback fires synchronously. Pass nullptr for
   /// fire-and-forget entries (aborts). Entries appended within one
   /// event-loop tick leave as ONE ReplAppendRequest per follower, acked as
-  /// one batch.
+  /// one batch, and sealed once for every follower at the same next index.
   uint64_t AppendAndShip(protocol::ReplEntry entry, QuorumCallback on_quorum);
 
   /// Lowest index known replicated on every follower (conservative: 0
@@ -167,7 +178,9 @@ class LogShipper {
   uint64_t MinMatchIndex() const;
 
   /// Registers an extra quorum callback for an existing entry (decision
-  /// retries after failover). Fires immediately if already quorum-durable.
+  /// retries after failover). Fires immediately if already quorum-durable;
+  /// otherwise after every callback registered for a lower index or
+  /// earlier for the same one.
   void AwaitQuorum(uint64_t index, QuorumCallback on_quorum);
 
   /// Processes a follower ack; advances the watermark and fires callbacks.
@@ -184,9 +197,15 @@ class LogShipper {
   };
 
   void ShipTo(NodeId follower, Progress& progress);
+  /// The entries [first, last] sealed for the WAN: packed straight from
+  /// the log into a reused buffer, compressed and hashed, unless the last
+  /// seal already covers exactly that range.
+  const protocol::SealedEntries& Seal(uint64_t first, uint64_t last);
   /// Coalesced shipping: one delay-0 event per tick ships every pending
   /// entry to every lagging follower in one request each.
   void ScheduleShip();
+  /// Queues `on_quorum` behind every callback for an index <= `index`.
+  void AddPending(uint64_t index, QuorumCallback on_quorum);
   void AdvanceWatermark();
 
   NodeId self_;
@@ -204,8 +223,16 @@ class LogShipper {
   uint64_t activation_ = 0;
   std::unordered_map<NodeId, Progress> followers_;
   uint64_t commit_watermark_ = 0;
-  /// Pending quorum callbacks, keyed by entry index (fired in order).
-  std::multimap<uint64_t, QuorumCallback> pending_;
+  /// Pending quorum callbacks in index order, FIFO among equal indexes.
+  /// Appends arrive in index order, so almost every insert is at the back.
+  std::deque<std::pair<uint64_t, QuorumCallback>> pending_;
+  /// The last sealed batch and the log range it covers (sealed_first_ 0:
+  /// none). Leader log entries never change within a term, so the seal
+  /// stays valid until Activate/Deactivate.
+  uint64_t sealed_first_ = 0;
+  uint64_t sealed_last_ = 0;
+  protocol::SealedEntries sealed_;
+  std::string packed_;  ///< reused pack buffer
   LogShipperStats stats_;
 };
 

@@ -142,10 +142,9 @@ void Replicator::ReplicatePrepare(const Xid& xid,
                                   NodeId coordinator,
                                   QuorumCallback on_quorum) {
   GEOTP_CHECK(IsLeader(), "ReplicatePrepare on non-leader");
-  auto it = unresolved_prepares_.find(xid.txn_id);
-  if (it != unresolved_prepares_.end()) {
+  if (const uint64_t staged = unresolved_prepares_.Get(xid.txn_id)) {
     // Duplicate (e.g. a middleware prepare retry): wait on the entry.
-    shipper_.AwaitQuorum(it->second, std::move(on_quorum));
+    shipper_.AwaitQuorum(staged, std::move(on_quorum));
     return;
   }
   ReplEntry entry;
@@ -156,7 +155,7 @@ void Replicator::ReplicatePrepare(const Xid& xid,
   entry.at = loop()->Now();
   const uint64_t index =
       shipper_.AppendAndShip(std::move(entry), std::move(on_quorum));
-  unresolved_prepares_[xid.txn_id] = index;
+  unresolved_prepares_.Add(xid.txn_id, index);
 }
 
 void Replicator::ReplicateCommit(const Xid& xid,
@@ -171,12 +170,11 @@ void Replicator::ReplicateIngest(const Xid& xid,
                                  uint64_t delta_seq, uint64_t content_hash,
                                  QuorumCallback on_quorum) {
   GEOTP_CHECK(IsLeader(), "ReplicateIngest on non-leader");
-  auto it = commit_entries_.find(xid.txn_id);
-  if (it != commit_entries_.end()) {
-    shipper_.AwaitQuorum(it->second, std::move(on_quorum));
+  if (const uint64_t committed = commit_entries_.Get(xid.txn_id)) {
+    shipper_.AwaitQuorum(committed, std::move(on_quorum));
     return;
   }
-  unresolved_prepares_.erase(xid.txn_id);
+  unresolved_prepares_.Resolve(xid.txn_id);
   ReplEntry entry;
   entry.type = ReplEntryType::kCommit;
   entry.xid = xid;
@@ -188,7 +186,7 @@ void Replicator::ReplicateIngest(const Xid& xid,
   entry.ingest_content_hash = content_hash;
   const uint64_t index =
       shipper_.AppendAndShip(std::move(entry), std::move(on_quorum));
-  commit_entries_[xid.txn_id] = index;
+  commit_entries_.Put(xid.txn_id, index);
 }
 
 void Replicator::ReplicateMigrationRecord(
@@ -233,20 +231,20 @@ void Replicator::TrackMigrationRecord(protocol::ReplEntryType type,
 
 void Replicator::ReplicateAbortIfPrepared(TxnId txn) {
   if (!IsLeader()) return;
-  auto it = unresolved_prepares_.find(txn);
-  if (it == unresolved_prepares_.end()) return;
+  const uint64_t staged = unresolved_prepares_.Get(txn);
+  if (staged == 0) return;
   ReplEntry entry;
   entry.type = ReplEntryType::kAbort;
-  entry.xid = log_.At(it->second).xid;
+  entry.xid = log_.At(staged).xid;
   entry.at = loop()->Now();
-  unresolved_prepares_.erase(it);
+  unresolved_prepares_.Resolve(txn);
   shipper_.AppendAndShip(std::move(entry), nullptr);
 }
 
 std::optional<uint64_t> Replicator::CommitEntryIndex(TxnId txn) const {
-  auto it = commit_entries_.find(txn);
-  if (it == commit_entries_.end()) return std::nullopt;
-  return it->second;
+  const uint64_t index = commit_entries_.Get(txn);
+  if (index == 0) return std::nullopt;
+  return index;
 }
 
 // ---------------------------------------------------------------------------
@@ -257,12 +255,15 @@ bool Replicator::HandleMessage(runtime::MessageBase* msg) {
   switch (msg->type()) {
     case runtime::MessageType::kReplAppendRequest: {
       auto& req = static_cast<ReplAppendRequest&>(*msg);
-      if (!protocol::OpenAppendPayload(&req)) {
-        // Corrupt envelope (hash or bounds check failed): drop the whole
-        // frame. No ack — the leader's heartbeat retransmit recovers.
-        return true;
-      }
-      OnAppend(req);
+      // A sealed frame opens into the entry vector the previous one left
+      // behind (OnAppend moved its entries into the log), reusing its
+      // capacity, and hands it back afterwards.
+      const bool sealed = !req.payload.empty();
+      if (sealed) req.entries.swap(opened_entries_);
+      // A corrupt envelope (hash or bounds check failed) drops the whole
+      // frame. No ack — the leader's heartbeat retransmit recovers.
+      if (protocol::OpenAppendPayload(&req)) OnAppend(req);
+      if (sealed) req.entries.swap(opened_entries_);
       return true;
     }
     case runtime::MessageType::kReplAppendAck:
@@ -311,7 +312,7 @@ bool Replicator::HandleMessage(runtime::MessageBase* msg) {
   }
 }
 
-void Replicator::OnAppend(const ReplAppendRequest& req) {
+void Replicator::OnAppend(ReplAppendRequest& req) {
   stats_.appends_received++;
   auto ack = std::make_unique<ReplAppendAck>();
   ack->from = self();
@@ -347,7 +348,7 @@ void Replicator::OnAppend(const ReplAppendRequest& req) {
     return;
   }
 
-  for (const ReplEntry& entry : req.entries) {
+  for (ReplEntry& entry : req.entries) {
     // Entries at or below our compacted prefix are quorum-applied
     // duplicates (a conservative retransmit after leadership churn).
     if (entry.index < log_.first_index()) continue;
@@ -361,7 +362,7 @@ void Replicator::OnAppend(const ReplAppendRequest& req) {
       TruncateFrom(entry.index);
     }
     GEOTP_CHECK(entry.index == log_.last_index() + 1, "log gap in append");
-    AppendTracked(entry);
+    AppendTracked(std::move(entry));
   }
 
   const uint64_t verified = req.prev_index + req.entries.size();
@@ -379,25 +380,27 @@ void Replicator::OnAppend(const ReplAppendRequest& req) {
   network()->Send(std::move(ack));
 }
 
-void Replicator::AppendTracked(const ReplEntry& entry) {
-  const uint64_t index = log_.Append(entry);
-  switch (entry.type) {
+void Replicator::AppendTracked(ReplEntry entry) {
+  const uint64_t index = log_.Append(std::move(entry));
+  const ReplEntry& appended = log_.At(index);
+  switch (appended.type) {
     case ReplEntryType::kPrepare:
-      unresolved_prepares_[entry.xid.txn_id] = index;
+      unresolved_prepares_.Add(appended.xid.txn_id, index);
       break;
     case ReplEntryType::kCommit:
-      unresolved_prepares_.erase(entry.xid.txn_id);
-      commit_entries_[entry.xid.txn_id] = index;
+      unresolved_prepares_.Resolve(appended.xid.txn_id);
+      commit_entries_.Put(appended.xid.txn_id, index);
       break;
     case ReplEntryType::kAbort:
-      unresolved_prepares_.erase(entry.xid.txn_id);
+      unresolved_prepares_.Resolve(appended.xid.txn_id);
       break;
     case ReplEntryType::kMigrationBegin:
     case ReplEntryType::kMigrationCutover:
     case ReplEntryType::kMigrationEnd:
-      GEOTP_CHECK(entry.migration != nullptr,
+      GEOTP_CHECK(appended.migration != nullptr,
                   "migration entry without a record");
-      TrackMigrationRecord(entry.type, entry.migration->migration_id, index);
+      TrackMigrationRecord(appended.type, appended.migration->migration_id,
+                           index);
       break;
   }
 }
@@ -418,8 +421,11 @@ void Replicator::MaybeTruncateLog() {
   } else {
     safe = std::min({safe, applied_index_, compact_floor_});
   }
-  for (const auto& [txn, index] : unresolved_prepares_) {
-    safe = std::min(safe, index - 1);
+  // The pins below only lower `safe`: skip scanning them when the bound
+  // already leaves nothing to compact (the common case between floors).
+  if (safe <= log_.offset()) return;
+  if (const uint64_t oldest = unresolved_prepares_.Oldest()) {
+    safe = std::min(safe, oldest - 1);
   }
   // Unresolved migration records are pinned like prepares: a promotion
   // must still read them to resume or abort the migration.
@@ -431,13 +437,8 @@ void Replicator::MaybeTruncateLog() {
 
 void Replicator::TruncateFrom(uint64_t from) {
   log_.TruncateFrom(from);
-  for (auto it = unresolved_prepares_.begin();
-       it != unresolved_prepares_.end();) {
-    it = it->second >= from ? unresolved_prepares_.erase(it) : std::next(it);
-  }
-  for (auto it = commit_entries_.begin(); it != commit_entries_.end();) {
-    it = it->second >= from ? commit_entries_.erase(it) : std::next(it);
-  }
+  unresolved_prepares_.EraseFrom(from);
+  commit_entries_.EraseFrom(from);
   for (auto it = unresolved_migrations_.begin();
        it != unresolved_migrations_.end();) {
     if (it->second.begin_index >= from) {
@@ -893,9 +894,9 @@ void Replicator::FinishPromotion() {
 void Replicator::InstallStagedPrepares() {
   std::vector<std::pair<uint64_t, TxnId>> staged;
   staged.reserve(unresolved_prepares_.size());
-  for (const auto& [txn, index] : unresolved_prepares_) {
+  unresolved_prepares_.ForEach([&staged](TxnId txn, uint64_t index) {
     staged.emplace_back(index, txn);
-  }
+  });
   std::sort(staged.begin(), staged.end());
   for (const auto& [index, txn] : staged) {
     const ReplEntry& entry = log_.At(index);

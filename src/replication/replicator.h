@@ -27,6 +27,7 @@
 #include "replication/log_shipper.h"
 #include "runtime/runtime.h"
 #include "replication/replication_config.h"
+#include "replication/txn_index_map.h"
 #include "sim/event_loop.h"
 
 namespace geotp {
@@ -186,7 +187,8 @@ class Replicator {
   void WipeForBootstrap();
 
  private:
-  void OnAppend(const protocol::ReplAppendRequest& req);
+  /// Moves the request's entries into the log.
+  void OnAppend(protocol::ReplAppendRequest& req);
   void OnAppendAck(const protocol::ReplAppendAck& ack);
   void OnVoteRequest(const protocol::ReplVoteRequest& req);
   void OnVoteResponse(const protocol::ReplVoteResponse& resp);
@@ -239,7 +241,7 @@ class Replicator {
   void ApplyCommitted(uint64_t target);
   void ApplyEntry(const protocol::ReplEntry& entry);
   /// Appends one entry and maintains the prepare/commit tracking maps.
-  void AppendTracked(const protocol::ReplEntry& entry);
+  void AppendTracked(protocol::ReplEntry entry);
   /// Maintains unresolved_migrations_ for one migration record.
   void TrackMigrationRecord(protocol::ReplEntryType type,
                             uint64_t migration_id, uint64_t index);
@@ -262,6 +264,8 @@ class Replicator {
   ElectionState election_;
   ReplicationLog log_;
   LogShipper shipper_;
+  /// Decode target of sealed appends, kept for its capacity.
+  std::vector<protocol::ReplEntry> opened_entries_;
 
   // Follower-side state.
   /// Prefix of the log verified to match the current leader's log.
@@ -277,7 +281,7 @@ class Replicator {
 
   /// Prepare entries without a later commit/abort entry (txn -> index).
   /// On promotion these become in-doubt engine branches.
-  std::unordered_map<TxnId, uint64_t> unresolved_prepares_;
+  UnresolvedPrepares unresolved_prepares_;
   /// Migration control records without a MigrationEnd (id -> state). On
   /// promotion these are handed to the ShardMigrator to resume (Cutover
   /// logged) or abort (Begin only).
@@ -287,7 +291,7 @@ class Replicator {
   };
   std::unordered_map<uint64_t, MigrationTrack> unresolved_migrations_;
   /// Commit entry per transaction (for idempotent decision retries).
-  std::unordered_map<TxnId, uint64_t> commit_entries_;
+  TxnIndexMap commit_entries_;
 
   // ----- incremental bootstrap re-seed state -----
   /// Leader side, per lagging follower: the offer currently outstanding.

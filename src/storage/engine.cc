@@ -136,26 +136,6 @@ Status TransactionEngine::Prepare(const Xid& xid, Micros now) {
   return Status::OK();
 }
 
-std::vector<std::pair<RecordKey, int64_t>> TransactionEngine::WriteSetOf(
-    const Xid& xid) const {
-  std::vector<std::pair<RecordKey, int64_t>> writes;
-  const TxnData* data = Find(xid);
-  if (data == nullptr) return writes;
-  for (const UndoEntry& undo : data->undo) {
-    bool seen = false;
-    for (const auto& [key, value] : writes) {
-      if (key == undo.key) {
-        seen = true;
-        break;
-      }
-    }
-    if (seen) continue;  // several writes to one key: one final value
-    auto record = store_.Get(undo.key);
-    writes.emplace_back(undo.key, record ? record->value : 0);
-  }
-  return writes;
-}
-
 std::vector<std::pair<RecordKey, int64_t>>
 TransactionEngine::CommittedRecords(
     const std::function<bool(const RecordKey&)>& filter) const {

@@ -102,10 +102,13 @@ class TransactionEngine {
   /// Fails with kAborted if there is a pending (unfinished) operation.
   Status Prepare(const Xid& xid, Micros now);
 
-  /// The branch's write set as (key, final absolute value) pairs, deduped
-  /// by key. Valid while the branch is ACTIVE or PREPARED (undo entries
-  /// still present). Used to ship writes to replication followers.
-  std::vector<std::pair<RecordKey, int64_t>> WriteSetOf(const Xid& xid) const;
+  /// The branch's write set as (key, final absolute value) elements, one
+  /// per key in first-write order, each built as `Write{key, value}`.
+  /// Valid while the branch is ACTIVE or PREPARED (undo entries still
+  /// present). Used to ship writes to replication followers, which build
+  /// their wire element type directly.
+  template <class Write = std::pair<RecordKey, int64_t>>
+  std::vector<Write> WriteSetOf(const Xid& xid) const;
 
   /// Committed values of the resident records accepted by `filter` (all
   /// of them when empty). Writes of live (ACTIVE / PREPARED) branches are
@@ -169,6 +172,23 @@ class TransactionEngine {
   Wal wal_;
   std::unordered_map<Xid, TxnData, XidHash> txns_;
 };
+
+template <class Write>
+std::vector<Write> TransactionEngine::WriteSetOf(const Xid& xid) const {
+  std::vector<Write> writes;
+  const TxnData* data = Find(xid);
+  if (data == nullptr) return writes;
+  const std::vector<UndoEntry>& undo = data->undo;
+  writes.reserve(undo.size());
+  for (size_t i = 0; i < undo.size(); ++i) {
+    bool seen = false;
+    for (size_t j = 0; j < i && !seen; ++j) seen = undo[j].key == undo[i].key;
+    if (seen) continue;  // several writes to one key: one final value
+    auto record = store_.Get(undo[i].key);
+    writes.push_back(Write{undo[i].key, record ? record->value : 0});
+  }
+  return writes;
+}
 
 }  // namespace storage
 }  // namespace geotp

@@ -7,10 +7,18 @@
 namespace geotp {
 namespace workload {
 
-YcsbGenerator::YcsbGenerator(YcsbConfig config) : config_(std::move(config)) {
+YcsbGenerator::YcsbGenerator(YcsbConfig config)
+    : config_(std::move(config)),
+      global_(0, config_.records_per_node * config_.data_sources.size(),
+              config_.theta) {
   GEOTP_CHECK(!config_.data_sources.empty(), "need data sources");
   GEOTP_CHECK(config_.ops_per_txn >= 1, "need ops");
   GEOTP_CHECK(config_.rounds >= 1, "need rounds");
+  for (size_t node = 0; node < config_.data_sources.size(); ++node) {
+    const uint64_t lo = node * config_.records_per_node;
+    partitions_.emplace_back(lo, lo + config_.records_per_node,
+                             config_.theta);
+  }
 }
 
 void YcsbGenerator::RegisterTables(middleware::Catalog* catalog) const {
@@ -31,17 +39,10 @@ uint64_t YcsbGenerator::SampleKey(size_t node_idx, Rng& rng) {
   if (config_.mirror_keyspace) {
     // Sample the mirrored node's range in the unmirrored distribution,
     // then reflect: the hot head lands on the LAST partition.
-    const uint64_t mirrored_node =
-        config_.data_sources.size() - 1 - node_idx;
-    const uint64_t lo = mirrored_node * config_.records_per_node;
-    const uint64_t sample = BoundedZipfSample(
-        lo, lo + config_.records_per_node, config_.theta, rng);
-    return total - 1 - sample;
+    const size_t mirrored_node = config_.data_sources.size() - 1 - node_idx;
+    return total - 1 - partitions_[mirrored_node].Sample(rng);
   }
-  const uint64_t lo =
-      static_cast<uint64_t>(node_idx) * config_.records_per_node;
-  return BoundedZipfSample(lo, lo + config_.records_per_node, config_.theta,
-                           rng);
+  return partitions_[node_idx].Sample(rng);
 }
 
 TxnSpec YcsbGenerator::Next(Rng& rng) {
@@ -58,8 +59,7 @@ TxnSpec YcsbGenerator::Next(Rng& rng) {
   if (config_.pin_anchor_to_first_node) {
     nodes.push_back(0);
   } else {
-    uint64_t anchor_key =
-        BoundedZipfSample(0, total_keys, config_.theta, rng);
+    uint64_t anchor_key = global_.Sample(rng);
     if (config_.mirror_keyspace) anchor_key = total_keys - 1 - anchor_key;
     nodes.push_back(
         static_cast<size_t>(anchor_key / config_.records_per_node));

@@ -54,6 +54,10 @@ class YcsbGenerator : public WorkloadGenerator {
   uint64_t SampleKey(size_t node_idx, Rng& rng);
 
   YcsbConfig config_;
+  /// The global zipf over the whole key space (anchor-node choice) and
+  /// restricted to each node's partition, built once.
+  BoundedZipf global_;
+  std::vector<BoundedZipf> partitions_;
 };
 
 }  // namespace workload

@@ -92,6 +92,107 @@ TEST(BlockCodec, RoundTripAdversarialShapes) {
   }
 }
 
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+/// A fixed shipped batch: 12 commit entries of 2 writes each, packed the
+/// way a leader packs its log.
+std::string FixedEntryBatch() {
+  std::vector<ReplEntry> entries;
+  for (uint64_t i = 1; i <= 12; ++i) {
+    ReplEntry e;
+    e.index = 40 + i;
+    e.epoch = 3;
+    e.xid = Xid{9000 + i, 2};
+    e.coordinator = 1;
+    e.at = static_cast<Micros>(1000 * i);
+    const auto value = static_cast<int64_t>(100 + i % 4);
+    e.writes.push_back(ReplWrite{RecordKey{1, 5000 + 7 * i}, value});
+    e.writes.push_back(ReplWrite{RecordKey{2, 64 + i}, -5});
+    entries.push_back(std::move(e));
+  }
+  return protocol::PackEntries(entries);
+}
+
+std::string BlockCompress(const std::string& raw) {
+  std::string out;
+  common::CompressorFor(WireCodec::kBlock)
+      ->Compress(reinterpret_cast<const uint8_t*>(raw.data()), raw.size(),
+                 &out);
+  return out;
+}
+
+// The WAN ratio gates and the bytes on the wire rest on these exact
+// bytes; they were taken from the codec before its match table and output
+// buffer were reused across calls.
+TEST(BlockCodec, PinnedBytesOfAnEntryBatch) {
+  EXPECT_EQ(Hex(BlockCompress(FixedEntryBatch())),
+            "620c000000290001001203070042000129230a00930200000001000000e81a00"
+            "041000228f132000126507001000180013410c0022fbff0100030f000f070007"
+            "132a1b00035c003b00012a760022d0072200005e000086001396760012661700"
+            "01760013420c000f760016132b31000576001b2b760022b80b2200047600139d"
+            "76001267170001760013430c000f760016132c31000576001b2c760022a00f22"
+            "0004760013a476001264170001760013440c000f760016132d31000576001b2d"
+            "76001388660004760013ab100008d801134545000f760016132e31000576001b"
+            "2e7600227017220004760013b2760008d801124623001f00760016132f310005"
+            "76001b2f760022581b220004760013b9760008d801124723000f760017133031"
+            "000576001b30760022401f220004760013c0760008d801124823000f76001713"
+            "3131000576001b3176001b28100013c7760008d801134945000f620116133231"
+            "000576001b326600221027220004ec0013ce760008d801124a23000fec001713"
+            "3331000576001b33760013f8480404760013d5760008d801134b45000fec0016"
+            "133431000576001b34760013e0e60204760013dc760008d801134c45000f7600"
+            "16");
+}
+
+// Reused per-thread state must not leak from one call into the next. B
+// is A without its first k bytes: positions B leaves in the match table
+// point, read in A's coordinates, at earlier bytes of A that repeat
+// later (the batch repeats with the entry stride), so a table that kept
+// them would offer matches a fresh table does not have.
+TEST(BlockCodec, NoStateLeaksAcrossCalls) {
+  const std::string a = FixedEntryBatch();
+  const std::string first = BlockCompress(a);
+  for (size_t k = 1; k < 150; ++k) {
+    const std::string b = a.substr(k);
+    const std::string middle = BlockCompress(b);
+    ASSERT_EQ(BlockCompress(a), first) << "after compressing A[" << k << ":]";
+    // A reused output buffer holding other bytes is overwritten whole.
+    std::string into = middle;
+    common::CompressorFor(WireCodec::kBlock)
+        ->Compress(reinterpret_cast<const uint8_t*>(a.data()), a.size(),
+                   &into);
+    ASSERT_EQ(into, first);
+  }
+}
+
+// A hand-assembled stream with one match whose offset is at least its
+// length (a bulk copy from the produced prefix) and one whose offset is
+// shorter (it repeats the bytes it is producing).
+TEST(BlockCodec, DecodesDisjointAndOverlappingMatches) {
+  const std::string stream = std::string("\x80") + "abcdefgh" +  // 8 lits
+                             std::string("\x08\x00", 2) +  // offset 8, len 4
+                             std::string("\x03\x03\x00", 3) +  // off 3, len 7
+                             "\x10z";                             // 1 literal
+  const std::string expected = "abcdefgh" "abcd" "bcdbcdb" "z";
+  std::string out;
+  ASSERT_TRUE(common::DecompressorFor(WireCodec::kBlock)
+                  ->Decompress(reinterpret_cast<const uint8_t*>(stream.data()),
+                               stream.size(), expected.size(), &out));
+  EXPECT_EQ(out, expected);
+  // The compressor emits both kinds for a repeated block then a run.
+  const std::string both = "abcdefghabcdefgh" + std::string(40, 'x') + "end";
+  const std::string wire = BlockCompress(both);
+  EXPECT_LT(wire.size(), both.size());
+  ExpectRoundTrip(WireCodec::kBlock, both);
+}
+
 TEST(BlockCodec, IncompressibleFallsBackToRaw) {
   std::mt19937_64 rng(7);
   const std::string raw = RandomBytes(&rng, 2048);

@@ -4,11 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <random>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "replication/log_shipper.h"
 #include "replication/replicator.h"
+#include "replication/txn_index_map.h"
+#include "runtime/codec.h"
 #include "sim_fixture.h"
 
 namespace geotp {
@@ -72,6 +78,295 @@ TEST(ReplicationLogTest, PrefixTruncationKeepsGlobalIndexing) {
   entry.type = protocol::ReplEntryType::kCommit;
   entry.xid = Xid{200, 2};
   EXPECT_EQ(log.Append(entry), 7u);
+}
+
+// ---------------------------------------------------------------------------
+// LogShipper in isolation: sealing, per-frame accounting, quorum order
+// ---------------------------------------------------------------------------
+
+/// Transport that keeps every sent message for inspection.
+class CapturingTransport : public runtime::ITransport {
+ public:
+  void RegisterNode(NodeId, Handler) override {}
+  void Send(std::unique_ptr<runtime::MessageBase> msg) override {
+    sent.push_back(std::move(msg));
+  }
+  /// The append frames sent so far, in send order; clears the capture.
+  std::vector<protocol::ReplAppendRequest> TakeAppends() {
+    std::vector<protocol::ReplAppendRequest> out;
+    for (const auto& msg : sent) {
+      if (msg->type() == runtime::MessageType::kReplAppendRequest) {
+        out.push_back(static_cast<const protocol::ReplAppendRequest&>(*msg));
+      }
+    }
+    sent.clear();
+    return out;
+  }
+  std::vector<std::unique_ptr<runtime::MessageBase>> sent;
+};
+
+protocol::ReplEntry CommitEntry(TxnId txn) {
+  protocol::ReplEntry entry;
+  entry.type = protocol::ReplEntryType::kCommit;
+  entry.xid = Xid{txn, 1};
+  for (uint64_t k = 0; k < 3; ++k) {
+    entry.writes.push_back(
+        protocol::ReplWrite{RecordKey{1, 1000 + txn * 3 + k}, 7});
+  }
+  return entry;
+}
+
+protocol::ReplAppendAck AckUpTo(uint64_t index, bool ok = true) {
+  protocol::ReplAppendAck ack;
+  ack.epoch = 1;
+  ack.ack_index = index;
+  ack.ok = ok;
+  return ack;
+}
+
+/// The entries a frame carries, opened like a follower would.
+std::vector<protocol::ReplEntry> Opened(protocol::ReplAppendRequest frame) {
+  EXPECT_TRUE(protocol::OpenAppendPayload(&frame));
+  return frame.entries;
+}
+
+TEST(LogShipperTest, OneTickSealsOnceForCaughtUpFollowers) {
+  sim::EventLoop loop;
+  CapturingTransport transport;
+  replication::ReplicationLog log;
+  replication::LogShipper shipper(1, &transport, &loop, &log);
+  shipper.Activate(/*group=*/1, /*epoch=*/1, {2, 3}, /*quorum_size=*/2, 0);
+  for (TxnId txn = 1; txn <= 3; ++txn) {
+    shipper.AppendAndShip(CommitEntry(txn), nullptr);
+  }
+  loop.Run();
+
+  std::vector<protocol::ReplAppendRequest> frames = transport.TakeAppends();
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(shipper.stats().batches_sealed, 1u);
+  ASSERT_FALSE(frames[0].payload.empty());  // compressed envelope
+  EXPECT_NE(frames[0].to, frames[1].to);
+  // Byte-identical frames apart from the addressee.
+  frames[1].to = frames[0].to;
+  EXPECT_EQ(runtime::EncodeMessage(frames[0]),
+            runtime::EncodeMessage(frames[1]));
+  // The sealed payload opens to exactly what the log holds.
+  const std::vector<protocol::ReplEntry> shipped = Opened(frames[0]);
+  ASSERT_EQ(shipped.size(), 3u);
+  EXPECT_EQ(protocol::PackEntries(shipped),
+            protocol::PackEntries(log.Slice(1, 3)));
+  // Accounting stays per frame: two frames of three entries each.
+  const replication::LogShipperStats& stats = shipper.stats();
+  EXPECT_EQ(stats.append_batches_shipped, 2u);
+  EXPECT_EQ(stats.entries_shipped, 6u);
+  EXPECT_EQ(stats.wan_bytes_raw, 2 * frames[0].payload_uncompressed_len);
+  EXPECT_EQ(stats.wan_bytes_wire, 2 * frames[0].payload.size());
+  EXPECT_LT(stats.wan_bytes_wire, stats.wan_bytes_raw);
+}
+
+TEST(LogShipperTest, LaggingFollowerGetsItsOwnBatch) {
+  sim::EventLoop loop;
+  CapturingTransport transport;
+  replication::ReplicationLog log;
+  replication::LogShipper shipper(1, &transport, &loop, &log);
+  shipper.Activate(1, 1, {2, 3}, 2, 0);
+  for (TxnId txn = 1; txn <= 3; ++txn) {
+    shipper.AppendAndShip(CommitEntry(txn), nullptr);
+  }
+  loop.Run();
+  uint64_t raw = 0;
+  uint64_t wire = 0;
+  for (const protocol::ReplAppendRequest& frame : transport.TakeAppends()) {
+    raw += frame.payload_uncompressed_len;
+    wire += frame.payload.size();
+  }
+  shipper.OnAck(2, AckUpTo(3));  // follower 3 never acks
+
+  // Entry 4 is appended; the heartbeat runs before the coalesced ship
+  // event, so follower 2 needs [4, 4] and follower 3 rewinds to [1, 4].
+  shipper.AppendAndShip(CommitEntry(4), nullptr);
+  shipper.Tick();
+  loop.Run();  // the ship event then finds both followers caught up
+  const std::vector<protocol::ReplAppendRequest> frames =
+      transport.TakeAppends();
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(shipper.stats().batches_sealed, 3u);
+  for (const protocol::ReplAppendRequest& frame : frames) {
+    const std::vector<protocol::ReplEntry> entries = Opened(frame);
+    ASSERT_FALSE(entries.empty());
+    if (frame.to == 2) {
+      EXPECT_EQ(frame.prev_index, 3u);
+      ASSERT_EQ(entries.size(), 1u);
+      EXPECT_EQ(entries[0].index, 4u);
+    } else {
+      EXPECT_EQ(frame.to, 3u);
+      EXPECT_EQ(frame.prev_index, 0u);
+      ASSERT_EQ(entries.size(), 4u);
+      EXPECT_EQ(entries.front().index, 1u);
+    }
+    raw += frame.payload_uncompressed_len;
+    wire += frame.payload.size();
+  }
+  // Per-frame counters over all four frames (3 + 3 + 1 + 4 entries).
+  const replication::LogShipperStats& stats = shipper.stats();
+  EXPECT_EQ(stats.append_batches_shipped, 4u);
+  EXPECT_EQ(stats.entries_shipped, 11u);
+  EXPECT_EQ(stats.wan_bytes_raw, raw);
+  EXPECT_EQ(stats.wan_bytes_wire, wire);
+}
+
+TEST(LogShipperTest, PlainEntriesWhenCompressionIsOff) {
+  sim::EventLoop loop;
+  CapturingTransport transport;
+  replication::ReplicationLog log;
+  replication::LogShipper shipper(1, &transport, &loop, &log);
+  shipper.set_wan_compression(false);
+  shipper.Activate(1, 1, {2, 3}, 2, 0);
+  shipper.AppendAndShip(CommitEntry(1), nullptr);
+  shipper.AppendAndShip(CommitEntry(2), nullptr);
+  loop.Run();
+  const std::vector<protocol::ReplAppendRequest> frames =
+      transport.TakeAppends();
+  ASSERT_EQ(frames.size(), 2u);
+  const size_t packed = protocol::PackEntries(log.Slice(1, 2)).size();
+  for (const protocol::ReplAppendRequest& frame : frames) {
+    EXPECT_TRUE(frame.payload.empty());
+    EXPECT_EQ(protocol::PackEntries(frame.entries),
+              protocol::PackEntries(log.Slice(1, 2)));
+  }
+  EXPECT_EQ(shipper.stats().batches_sealed, 1u);
+  EXPECT_EQ(shipper.stats().wan_bytes_raw, 2 * packed);
+  EXPECT_EQ(shipper.stats().wan_bytes_wire, 2 * packed);
+}
+
+TEST(LogShipperTest, QuorumCallbacksFireInIndexOrderFifoAmongEquals) {
+  sim::EventLoop loop;
+  CapturingTransport transport;
+  replication::ReplicationLog log;
+  replication::LogShipper shipper(1, &transport, &loop, &log);
+  shipper.Activate(1, 1, {2, 3}, 2, 0);
+  std::vector<std::string> fired;
+  const auto record = [&fired](std::string name) {
+    return [&fired, name]() { fired.push_back(name); };
+  };
+  for (TxnId txn = 1; txn <= 3; ++txn) {
+    shipper.AppendAndShip(CommitEntry(txn),
+                          record("append" + std::to_string(txn)));
+  }
+  // Retries awaiting entries older than the newest pending one.
+  shipper.AwaitQuorum(2, record("await2"));
+  shipper.AwaitQuorum(1, record("await1"));
+  shipper.AwaitQuorum(2, record("await2b"));
+  EXPECT_TRUE(fired.empty());
+  shipper.OnAck(3, AckUpTo(3));
+  EXPECT_EQ(fired, (std::vector<std::string>{"append1", "await1", "append2",
+                                             "await2", "await2b",
+                                             "append3"}));
+  // Already quorum-durable: fires at once.
+  shipper.AwaitQuorum(1, record("late"));
+  EXPECT_EQ(fired.back(), "late");
+  EXPECT_EQ(shipper.stats().quorum_callbacks_fired, 7u);
+}
+
+TEST(LogShipperTest, WatermarkIsTheQuorumSizedLargestMatch) {
+  sim::EventLoop loop;
+  CapturingTransport transport;
+  replication::ReplicationLog log;
+  replication::LogShipper shipper(1, &transport, &loop, &log);
+  // Five members, quorum three: the leader holds 9 entries.
+  shipper.Activate(1, 1, {2, 3, 4, 5}, 3, 0);
+  for (TxnId txn = 1; txn <= 9; ++txn) {
+    shipper.AppendAndShip(CommitEntry(txn), nullptr);
+  }
+  loop.Run();
+  EXPECT_EQ(shipper.commit_watermark(), 0u);
+  shipper.OnAck(2, AckUpTo(5));
+  EXPECT_EQ(shipper.commit_watermark(), 0u);  // {9, 5, 0, 0, 0}
+  shipper.OnAck(3, AckUpTo(2));
+  EXPECT_EQ(shipper.commit_watermark(), 2u);  // {9, 5, 2, 0, 0}
+  shipper.OnAck(4, AckUpTo(7));
+  EXPECT_EQ(shipper.commit_watermark(), 5u);  // {9, 7, 5, 2, 0}
+  shipper.OnAck(5, AckUpTo(9));
+  EXPECT_EQ(shipper.commit_watermark(), 7u);  // {9, 9, 7, 5, 2}
+  EXPECT_EQ(shipper.MinMatchIndex(), 2u);
+}
+
+TEST(TxnIndexMapTest, MatchesAnUnorderedMapModel) {
+  replication::TxnIndexMap map;
+  std::unordered_map<TxnId, uint64_t> model;
+  std::mt19937_64 rng(19);
+  const auto check = [&]() {
+    ASSERT_EQ(map.size(), model.size());
+    size_t visited = 0;
+    map.ForEach([&](TxnId txn, uint64_t index) {
+      ++visited;
+      ASSERT_EQ(model.count(txn), 1u);
+      EXPECT_EQ(model[txn], index);
+    });
+    EXPECT_EQ(visited, model.size());
+  };
+  // Dense ids (as transactions get) and the edge ids 0 and UINT64_MAX,
+  // through several growth steps and back-shift erases.
+  for (uint64_t step = 1; step <= 20000; ++step) {
+    TxnId txn = rng() % 3000;
+    if (step % 97 == 0) txn = 0;
+    if (step % 89 == 0) txn = UINT64_MAX;
+    switch (rng() % 3) {
+      case 0:
+      case 1:
+        map.Put(txn, step);
+        model[txn] = step;
+        break;
+      default:
+        EXPECT_EQ(map.Erase(txn), model.erase(txn) == 1);
+        break;
+    }
+    const auto it = model.find(txn);
+    EXPECT_EQ(map.Get(txn), it == model.end() ? 0 : it->second);
+    if (step % 2500 == 0) check();
+  }
+  map.EraseFrom(15000);
+  for (auto it = model.begin(); it != model.end();) {
+    it = it->second >= 15000 ? model.erase(it) : std::next(it);
+  }
+  check();
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.Get(5), 0u);
+}
+
+TEST(TxnIndexMapTest, UnresolvedPreparesKnowTheOldest) {
+  replication::UnresolvedPrepares prepares;
+  EXPECT_EQ(prepares.Oldest(), 0u);
+  std::mt19937_64 rng(7);
+  uint64_t next_index = 1;
+  for (int step = 0; step < 5000; ++step) {
+    const TxnId txn = rng() % 64;
+    switch (rng() % 5) {
+      case 0:
+      case 1:
+        prepares.Add(txn, next_index++);  // a re-prepare moves it
+        break;
+      case 2:
+      case 3:
+        prepares.Resolve(txn);
+        break;
+      default:
+        if (step % 50 == 0 && next_index > 8) {
+          next_index -= 4;  // a divergent tail is cut, then re-appended
+          prepares.EraseFrom(next_index);
+        }
+        break;
+    }
+    uint64_t oldest = 0;
+    prepares.ForEach([&oldest](TxnId, uint64_t index) {
+      if (oldest == 0 || index < oldest) oldest = index;
+    });
+    ASSERT_EQ(prepares.Oldest(), oldest) << "step " << step;
+  }
+  prepares.clear();
+  EXPECT_EQ(prepares.size(), 0u);
+  EXPECT_EQ(prepares.Oldest(), 0u);
 }
 
 TEST(ReplicationTest, CommittedWritesReachFollowers) {
