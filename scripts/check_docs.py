@@ -6,6 +6,9 @@
 2. Every src/*/ directory has a README.md.
 3. ARCHITECTURE.md references every one of those per-directory READMEs,
    so the subsystem map cannot silently go stale.
+4. Every header src/<dir>/*.h is named in src/<dir>/README.md, as
+   `name.h` or `name.{h,cc}`, so a header cannot be added or renamed
+   without its directory's map following.
 
 Exits non-zero with a per-problem report.
 """
@@ -73,6 +76,21 @@ def check_src_readmes(problems):
         needle = f"src/{entry}/README.md"
         if needle not in architecture:
             problems.append(f"ARCHITECTURE.md does not reference {needle}")
+        check_headers_named(entry, dir_path, readme, problems)
+
+
+def check_headers_named(entry, dir_path, readme, problems):
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    for name in sorted(os.listdir(dir_path)):
+        if not name.endswith(".h"):
+            continue
+        stem = name[: -len(".h")]
+        # A name preceded by a letter, digit, "_" or "/" is part of a
+        # longer name or a path into another directory, not this header.
+        pattern = rf"(?<![\w/]){re.escape(stem)}\.(h\b|\{{h,)"
+        if not re.search(pattern, text):
+            problems.append(f"src/{entry}/README.md does not name {name}")
 
 
 def main():
@@ -85,7 +103,7 @@ def main():
             print(f"  {p}")
         return 1
     print("docs check: all markdown links resolve, "
-          "all src/*/ READMEs present and referenced")
+          "all src/*/ READMEs present, referenced and naming every header")
     return 0
 
 

@@ -2,10 +2,6 @@
 
 #include <cstring>
 
-#ifdef GEOTP_WITH_ZSTD
-#include <zstd.h>
-#endif
-
 namespace geotp {
 namespace common {
 namespace {
@@ -211,36 +207,6 @@ class BlockDecompressor : public IDecompressor {
   }
 };
 
-#ifdef GEOTP_WITH_ZSTD
-class ZstdCompressor : public ICompressor {
- public:
-  WireCodec codec() const override { return WireCodec::kZstd; }
-  void Compress(const uint8_t* data, size_t len, std::string* out) override {
-    out->resize(ZSTD_compressBound(len));
-    const size_t n =
-        ZSTD_compress(&(*out)[0], out->size(), data, len, /*level=*/3);
-    if (ZSTD_isError(n)) {
-      out->assign(reinterpret_cast<const char*>(data), len);
-      return;
-    }
-    out->resize(n);
-  }
-};
-
-class ZstdDecompressor : public IDecompressor {
- public:
-  WireCodec codec() const override { return WireCodec::kZstd; }
-  bool Decompress(const uint8_t* data, size_t len, size_t expected_len,
-                  std::string* out) override {
-    if (expected_len > kMaxPayload) return false;
-    out->resize(expected_len);
-    const size_t n =
-        ZSTD_decompress(&(*out)[0], expected_len, data, len);
-    return !ZSTD_isError(n) && n == expected_len;
-  }
-};
-#endif  // GEOTP_WITH_ZSTD
-
 }  // namespace
 
 uint64_t ContentHash64(const void* data, size_t len) {
@@ -260,19 +226,12 @@ const char* WireCodecName(WireCodec codec) {
       return "raw";
     case WireCodec::kBlock:
       return "block";
-    case WireCodec::kZstd:
-      return "zstd";
   }
   return "?";
 }
 
 WireCodec SenderCodec(bool wan_compression) {
-  if (!wan_compression) return WireCodec::kRaw;
-#ifdef GEOTP_WITH_ZSTD
-  return WireCodec::kZstd;
-#else
-  return WireCodec::kBlock;
-#endif
+  return wan_compression ? WireCodec::kBlock : WireCodec::kRaw;
 }
 
 ICompressor* CompressorFor(WireCodec codec) {
@@ -281,12 +240,6 @@ ICompressor* CompressorFor(WireCodec codec) {
       static BlockCompressor block;
       return &block;
     }
-#ifdef GEOTP_WITH_ZSTD
-    case WireCodec::kZstd: {
-      static ZstdCompressor zstd;
-      return &zstd;
-    }
-#endif
     default:
       return nullptr;
   }
@@ -298,12 +251,6 @@ IDecompressor* DecompressorFor(WireCodec codec) {
       static BlockDecompressor block;
       return &block;
     }
-#ifdef GEOTP_WITH_ZSTD
-    case WireCodec::kZstd: {
-      static ZstdDecompressor zstd;
-      return &zstd;
-    }
-#endif
     default:
       return nullptr;
   }

@@ -16,10 +16,8 @@
 //
 // There is no negotiation: `wan_compression` is a sender-side deployment
 // knob (SenderCodec), and every receiver decodes whatever codec a frame
-// names, whatever its own knob says. zstd slots in behind GEOTP_WITH_ZSTD
-// (CMake option) without changing any call site; the repo builds offline
-// with the block codec alone. A build without zstd drops a zstd frame as
-// corrupt (DecodePayload fails), so mixing such builds is unsupported.
+// names, whatever its own knob says. Another codec slots in behind the
+// ICompressor seam with a new WireCodec value and no call-site change.
 #ifndef GEOTP_COMMON_COMPRESS_H_
 #define GEOTP_COMMON_COMPRESS_H_
 
@@ -42,15 +40,13 @@ inline uint64_t ContentHash64(const std::string& bytes) {
 /// and must stay stable.
 enum class WireCodec : uint8_t {
   kRaw = 0,    ///< payload is the packed bytes, uncompressed
-  kBlock = 1,  ///< self-contained LZ block codec (always available)
-  kZstd = 2,   ///< optional, behind GEOTP_WITH_ZSTD
+  kBlock = 1,  ///< self-contained LZ block codec
 };
 
 const char* WireCodecName(WireCodec codec);
-constexpr WireCodec WireMax(WireCodec) { return WireCodec::kZstd; }
+constexpr WireCodec WireMax(WireCodec) { return WireCodec::kBlock; }
 
-/// The codec a WAN sender ships under: this build's best compressor
-/// (zstd under GEOTP_WITH_ZSTD, else the block codec) when the sender's
+/// The codec a WAN sender ships under: the block codec when the sender's
 /// `wan_compression` knob is on, raw when it is off.
 WireCodec SenderCodec(bool wan_compression);
 
@@ -80,8 +76,7 @@ class IDecompressor {
                           size_t expected_len, std::string* out) = 0;
 };
 
-/// Process-wide codec registry. Returns nullptr for kRaw (no transform)
-/// and for codecs this build cannot handle.
+/// Process-wide codec registry. Returns nullptr for kRaw (no transform).
 ICompressor* CompressorFor(WireCodec codec);
 IDecompressor* DecompressorFor(WireCodec codec);
 

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "common/types.h"
+
 namespace geotp {
 
 Rng& ThreadLocalRng() {
@@ -18,10 +20,7 @@ namespace {
 
 uint64_t SplitMix64(uint64_t& x) {
   x += 0x9E3779B97F4A7C15ULL;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return Mix64(x);
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

@@ -102,6 +102,20 @@ constexpr TxnId MakeTxnId(uint32_t middleware_ordinal, uint64_t seq) {
   return (static_cast<TxnId>(middleware_ordinal) << 48) | (seq & 0xFFFFFFFFFFFFULL);
 }
 
+/// The splitmix64 finalizer: spreads every input bit across the word.
+/// The one 64-bit mix behind the flat tables' hashes, the PRNG seeding
+/// and trace ids.
+constexpr uint64_t Mix64(uint64_t h) {
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
+/// Transaction ids are dense per DM: mix them before masking to a slot.
+struct TxnIdHash {
+  size_t operator()(TxnId id) const { return static_cast<size_t>(Mix64(id)); }
+};
+
 /// XA branch identifier: global txn + participant data source.
 struct Xid {
   TxnId txn_id = kInvalidTxn;
@@ -142,14 +156,8 @@ struct RecordKey {
 
 struct RecordKeyHash {
   size_t operator()(const RecordKey& k) const {
-    uint64_t h = (static_cast<uint64_t>(k.table) << 56) ^ k.key;
-    // 64-bit mix (splitmix64 finalizer).
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebULL;
-    h ^= h >> 31;
-    return static_cast<size_t>(h);
+    return static_cast<size_t>(
+        Mix64((static_cast<uint64_t>(k.table) << 56) ^ k.key));
   }
 };
 

@@ -9,52 +9,8 @@ namespace geotp {
 namespace core {
 
 HotspotFootprint::HotspotFootprint(FootprintConfig config)
-    : config_(config), index_(16) {
+    : config_(config) {
   GEOTP_CHECK(config_.capacity > 0, "capacity must be positive");
-}
-
-// ---------------------------------------------------------------------------
-// Hash index (linear probing)
-// ---------------------------------------------------------------------------
-
-size_t HotspotFootprint::Probe(const RecordKey& key) const {
-  const size_t mask = index_.size() - 1;
-  size_t pos = RecordKeyHash()(key) & mask;
-  while (index_[pos].slot != kNil && !(index_[pos].Key() == key)) {
-    pos = (pos + 1) & mask;
-  }
-  return pos;
-}
-
-void HotspotFootprint::IndexInsert(const RecordKey& key, Slot slot) {
-  if (2 * (size_ + 1) > index_.size()) {
-    std::vector<IndexEntry> old(2 * index_.size());
-    old.swap(index_);
-    for (const IndexEntry& entry : old) {
-      if (entry.slot != kNil) index_[Probe(entry.Key())] = entry;
-    }
-  }
-  index_[Probe(key)] = IndexEntry{key.key, key.table, slot};
-  ++size_;
-  ordered_stale_ = true;
-}
-
-void HotspotFootprint::IndexErase(const RecordKey& key) {
-  // Backward-shift deletion: pull each later entry of the probe run into
-  // the hole unless that would move it before its home position.
-  const size_t mask = index_.size() - 1;
-  size_t hole = Probe(key);
-  for (size_t i = (hole + 1) & mask; index_[i].slot != kNil;
-       i = (i + 1) & mask) {
-    const size_t home = RecordKeyHash()(index_[i].Key()) & mask;
-    if (((i - home) & mask) >= ((i - hole) & mask)) {
-      index_[hole] = index_[i];
-      hole = i;
-    }
-  }
-  index_[hole].slot = kNil;
-  --size_;
-  ordered_stale_ = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -90,14 +46,15 @@ void HotspotFootprint::MakeRoom() {
   // evicted (their a_cnt would be lost and Eq. 9 would undercount the
   // queue); if every record is busy, allow a soft overflow.
   Slot victim = lru_tail_;
-  while (size_ >= config_.capacity) {
+  while (index_.size() >= config_.capacity) {
     while (victim != kNil && nodes_[victim].stats.a_cnt > 0) {
       victim = nodes_[victim].lru_prev;
     }
     if (victim == kNil) return;
     const Slot warmer = nodes_[victim].lru_prev;
     LruUnlink(victim);
-    IndexErase(nodes_[victim].key);
+    index_.Erase(nodes_[victim].key);
+    ordered_stale_ = true;
     free_.push_back(victim);
     ++evictions_;
     victim = warmer;
@@ -109,7 +66,8 @@ void HotspotFootprint::MakeRoom() {
 // ---------------------------------------------------------------------------
 
 HotspotFootprint::Slot HotspotFootprint::FindNode(const RecordKey& key) const {
-  return index_[Probe(key)].slot;
+  const Slot* slot = index_.Find(key);
+  return slot == nullptr ? kNil : *slot;
 }
 
 HotspotFootprint::Node& HotspotFootprint::Touch(const RecordKey& key) {
@@ -127,7 +85,8 @@ HotspotFootprint::Node& HotspotFootprint::Touch(const RecordKey& key) {
     slot = free_.back();
     free_.pop_back();
   }
-  IndexInsert(key, slot);
+  index_.FindOrInsert(key) = slot;
+  ordered_stale_ = true;
   Node& node = nodes_[slot];
   node.key = key;
   node.stats = RecordStats{};
@@ -212,9 +171,9 @@ std::vector<std::pair<RecordKey, RecordStats>> HotspotFootprint::Range(
   // record set once and reuse the order until a record comes or goes.
   if (ordered_stale_) {
     ordered_.clear();
-    for (const IndexEntry& entry : index_) {
-      if (entry.slot != kNil) ordered_.emplace_back(entry.Key(), entry.slot);
-    }
+    index_.ForEach([this](const RecordKey& key, Slot slot) {
+      ordered_.emplace_back(key, slot);
+    });
     std::sort(ordered_.begin(), ordered_.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     ordered_stale_ = false;
@@ -250,32 +209,32 @@ HotspotFootprint::HeatHistogram HotspotFootprint::Histogram(
 
 size_t HotspotFootprint::ApproxBytes() const {
   return nodes_.capacity() * sizeof(Node) + free_.capacity() * sizeof(Slot) +
-         index_.size() * sizeof(IndexEntry) +
+         index_.capacity() * index_.kSlotBytes +
          ordered_.capacity() * sizeof(ordered_[0]);
 }
 
 bool HotspotFootprint::CheckInvariants() const {
   size_t indexed = 0;
-  for (const IndexEntry& entry : index_) {
-    if (entry.slot == kNil) continue;
+  bool agree = true;
+  index_.ForEach([&](const RecordKey& key, Slot slot) {
     ++indexed;
-    if (entry.slot >= nodes_.size() ||
-        !(nodes_[entry.slot].key == entry.Key()) ||
-        FindNode(entry.Key()) != entry.slot) {
-      return false;
-    }
+    agree = agree && slot < nodes_.size() && nodes_[slot].key == key &&
+            FindNode(key) == slot;
+  });
+  const size_t size = index_.size();
+  if (!agree || indexed != size || size + free_.size() != nodes_.size()) {
+    return false;
   }
-  if (indexed != size_ || size_ + free_.size() != nodes_.size()) return false;
   // The LRU list is well linked and holds exactly the indexed records.
   size_t lru_count = 0;
   Slot prev = kNil;
   for (Slot slot = lru_head_; slot != kNil; slot = nodes_[slot].lru_next) {
-    if (++lru_count > size_) return false;
+    if (++lru_count > size) return false;
     const Node& node = nodes_[slot];
     if (node.lru_prev != prev || FindNode(node.key) != slot) return false;
     prev = slot;
   }
-  return prev == lru_tail_ && lru_count == size_;
+  return prev == lru_tail_ && lru_count == size;
 }
 
 }  // namespace core

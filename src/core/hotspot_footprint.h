@@ -9,8 +9,8 @@
 //
 // The paper keeps the records in an AVL tree with an LRU list evicting
 // cold entries. Here they live in one contiguous node array reached
-// through an open-addressing hash index, with the LRU list linked by
-// array index, so every point operation (the DM consults several per key
+// through a common::FlatMap index, with the LRU list linked by array
+// index, so every point operation (the DM consults several per key
 // per round) is O(1). Only the shard balancer's periodic tick needs key
 // order; Range() and Histogram() scan and sort for it.
 //
@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace geotp {
@@ -111,7 +112,7 @@ class HotspotFootprint {
   HeatHistogram Histogram(const RecordKey& lo, const RecordKey& hi,
                           size_t buckets) const;
 
-  size_t size() const { return size_; }
+  size_t size() const { return index_.size(); }
   uint64_t evictions() const { return evictions_; }
 
   /// Approximate resident bytes (memory proxy for Fig. 6b): node array,
@@ -134,20 +135,6 @@ class HotspotFootprint {
     Slot lru_next = kNil;  ///< toward the tail (colder)
   };
 
-  /// Hash index entry (16 bytes: the key's fields plus its node);
-  /// slot == kNil marks an empty position.
-  struct IndexEntry {
-    uint64_t key = 0;
-    uint32_t table = 0;
-    Slot slot = kNil;
-    RecordKey Key() const { return RecordKey{table, key}; }
-  };
-
-  /// Index position holding `key`, or the empty position where it goes.
-  size_t Probe(const RecordKey& key) const;
-  void IndexInsert(const RecordKey& key, Slot slot);
-  void IndexErase(const RecordKey& key);
-
   Slot FindNode(const RecordKey& key) const;
   /// Finds or inserts (possibly evicting others); moves it to the LRU head.
   Node& Touch(const RecordKey& key);
@@ -161,9 +148,8 @@ class HotspotFootprint {
   FootprintConfig config_;
   std::vector<Node> nodes_;
   std::vector<Slot> free_;  ///< evicted slots, reused by the next insert
-  /// Open addressing, power-of-two size, at most half full.
-  std::vector<IndexEntry> index_;
-  size_t size_ = 0;
+  /// Key -> node slot.
+  common::FlatMap<RecordKey, Slot, RecordKeyHash> index_;
   /// Records sorted by key for Range(); rebuilt when the set has changed.
   mutable std::vector<std::pair<RecordKey, Slot>> ordered_;
   mutable bool ordered_stale_ = false;

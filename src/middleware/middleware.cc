@@ -722,7 +722,7 @@ void MiddlewareNode::FlushLogAndDispatch(Txn& txn, bool commit) {
       obs::GlobalTracer().EndSpan(txn->fsync_span, loop()->Now());
       txn->fsync_span = obs::kInvalidSpan;
     }
-    log_.push_back(DecisionLogEntry{id, commit});
+    log_.FindOrInsert(id) = commit;  // a later decision overwrites
     stats_.log_entries_flushed++;
     DispatchDecision(*txn, commit, /*one_phase=*/false);
   });
@@ -1193,10 +1193,8 @@ void MiddlewareNode::OnShardRedirect(const protocol::ShardRedirect& redirect) {
 }
 
 void MiddlewareNode::ResolveOrphanVote(const VoteMessage& vote) {
-  bool committed = false;
-  for (const DecisionLogEntry& entry : log_) {
-    if (entry.txn_id == vote.xid.txn_id) committed = entry.commit;
-  }
+  const bool* logged = log_.Find(vote.xid.txn_id);
+  const bool committed = logged != nullptr && *logged;
   if (!committed) stats_.presumed_aborts++;
   QueueDecision(vote.from, vote.xid, committed, /*one_phase=*/false);
 }
@@ -1233,10 +1231,8 @@ void MiddlewareNode::Restart(
   for (auto* src : sources) {
     for (const Xid& xid : src->engine().PreparedXids()) {
       if ((xid.txn_id >> 48) != ordinal_) continue;  // another DM's txn
-      bool committed = false;
-      for (const auto& entry : log_) {
-        if (entry.txn_id == xid.txn_id) committed = entry.commit;
-      }
+      const bool* logged = log_.Find(xid.txn_id);
+      const bool committed = logged != nullptr && *logged;
       QueueDecision(src->id(), xid, committed, /*one_phase=*/false);
     }
   }

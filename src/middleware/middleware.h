@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/geo_scheduler.h"
@@ -151,11 +152,9 @@ struct MiddlewareStats {
                     committed_distributed)
 };
 
-/// Durable commit/abort decision log (survives DM crashes).
-struct DecisionLogEntry {
-  TxnId txn_id;
-  bool commit;
-};
+/// Durable commit/abort decision log (survives DM crashes): the last
+/// flushed decision of each transaction, true for commit.
+using DecisionLog = common::FlatMap<TxnId, bool, TxnIdHash>;
 
 class MiddlewareNode {
  public:
@@ -184,7 +183,7 @@ class MiddlewareNode {
   void NoteShardEpoch(uint64_t epoch) {
     stats_.shard_map_epoch = std::max(stats_.shard_map_epoch, epoch);
   }
-  const std::vector<DecisionLogEntry>& decision_log() const { return log_; }
+  const DecisionLog& decision_log() const { return log_; }
   const storage::GroupCommitter& log_committer() const {
     return log_committer_;
   }
@@ -372,7 +371,7 @@ class MiddlewareNode {
   MiddlewareStats stats_;
   metrics::PhaseBreakdown breakdown_;
   AdmissionController admission_;
-  std::vector<DecisionLogEntry> log_;  // durable
+  DecisionLog log_;  // durable; survives DM crashes
   /// Group committer of the decision log: concurrent FlushLog calls share
   /// one `log_flush_cost` flush; a DM crash loses the open batch (those
   /// decisions were never durable, so presumed abort applies).

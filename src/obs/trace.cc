@@ -11,17 +11,6 @@ namespace obs {
 
 namespace {
 
-// splitmix64 finalizer: spreads the (node, counter) structure of raw ids
-// across the whole word so trace/span ids look random in exports.
-uint64_t Mix(uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
 void JsonEscape(std::ostream& os, const std::string& s) {
   for (char c : s) {
     if (c == '"' || c == '\\') {
@@ -73,14 +62,15 @@ bool Tracer::Sample(double u01) const {
 uint64_t Tracer::NextSpanId(NodeId node) {
   const uint64_t seq = next_id_.fetch_add(1, std::memory_order_relaxed);
   // Node in the high bits keeps ids from different OS processes (which
-  // each count from 1) disjoint before the mix even runs.
-  uint64_t id = Mix((static_cast<uint64_t>(node + 1) << 40) ^ seq);
+  // each count from 1) disjoint before the mix even runs; the mix spreads
+  // that (node, counter) structure so ids look random in exports.
+  uint64_t id = Mix64((static_cast<uint64_t>(node + 1) << 40) ^ seq);
   if (id == 0) id = 1;
   return id;
 }
 
 TraceContext Tracer::NewTrace(uint64_t random, NodeId node) {
-  uint64_t id = Mix(random ^ (static_cast<uint64_t>(node + 1) << 40));
+  uint64_t id = Mix64(random ^ (static_cast<uint64_t>(node + 1) << 40));
   // 0 is "unsampled" and kSystemTraceId is reserved.
   if (id <= kSystemTraceId) id += 2;
   return TraceContext{id, 0, 0};

@@ -170,8 +170,8 @@ void Replicator::ReplicateIngest(const Xid& xid,
                                  uint64_t delta_seq, uint64_t content_hash,
                                  QuorumCallback on_quorum) {
   GEOTP_CHECK(IsLeader(), "ReplicateIngest on non-leader");
-  if (const uint64_t committed = commit_entries_.Get(xid.txn_id)) {
-    shipper_.AwaitQuorum(committed, std::move(on_quorum));
+  if (const uint64_t* committed = commit_entries_.Find(xid.txn_id)) {
+    shipper_.AwaitQuorum(*committed, std::move(on_quorum));
     return;
   }
   unresolved_prepares_.Resolve(xid.txn_id);
@@ -186,7 +186,7 @@ void Replicator::ReplicateIngest(const Xid& xid,
   entry.ingest_content_hash = content_hash;
   const uint64_t index =
       shipper_.AppendAndShip(std::move(entry), std::move(on_quorum));
-  commit_entries_.Put(xid.txn_id, index);
+  commit_entries_.FindOrInsert(xid.txn_id) = index;
 }
 
 void Replicator::ReplicateMigrationRecord(
@@ -242,9 +242,9 @@ void Replicator::ReplicateAbortIfPrepared(TxnId txn) {
 }
 
 std::optional<uint64_t> Replicator::CommitEntryIndex(TxnId txn) const {
-  const uint64_t index = commit_entries_.Get(txn);
-  if (index == 0) return std::nullopt;
-  return index;
+  const uint64_t* index = commit_entries_.Find(txn);
+  if (index == nullptr) return std::nullopt;
+  return *index;
 }
 
 // ---------------------------------------------------------------------------
@@ -389,7 +389,7 @@ void Replicator::AppendTracked(ReplEntry entry) {
       break;
     case ReplEntryType::kCommit:
       unresolved_prepares_.Resolve(appended.xid.txn_id);
-      commit_entries_.Put(appended.xid.txn_id, index);
+      commit_entries_.FindOrInsert(appended.xid.txn_id) = index;
       break;
     case ReplEntryType::kAbort:
       unresolved_prepares_.Resolve(appended.xid.txn_id);
@@ -438,7 +438,8 @@ void Replicator::MaybeTruncateLog() {
 void Replicator::TruncateFrom(uint64_t from) {
   log_.TruncateFrom(from);
   unresolved_prepares_.EraseFrom(from);
-  commit_entries_.EraseFrom(from);
+  commit_entries_.EraseIf(
+      [from](TxnId, uint64_t index) { return index >= from; });
   for (auto it = unresolved_migrations_.begin();
        it != unresolved_migrations_.end();) {
     if (it->second.begin_index >= from) {

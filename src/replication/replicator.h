@@ -21,13 +21,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "obs/trace.h"
 #include "protocol/messages.h"
 #include "replication/election.h"
 #include "replication/log_shipper.h"
 #include "runtime/runtime.h"
 #include "replication/replication_config.h"
-#include "replication/txn_index_map.h"
+#include "replication/unresolved_prepares.h"
 #include "sim/event_loop.h"
 
 namespace geotp {
@@ -291,7 +292,7 @@ class Replicator {
   };
   std::unordered_map<uint64_t, MigrationTrack> unresolved_migrations_;
   /// Commit entry per transaction (for idempotent decision retries).
-  TxnIndexMap commit_entries_;
+  common::FlatMap<TxnId, uint64_t, TxnIdHash> commit_entries_;
 
   // ----- incremental bootstrap re-seed state -----
   /// Leader side, per lagging follower: the offer currently outstanding.

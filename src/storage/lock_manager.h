@@ -14,7 +14,7 @@
 // caller tries it first and builds a callback only for a request that
 // must park.
 //
-// Lock state lives inline in a KeyTable slot: the first holder inline, any
+// Lock state lives inline in a FlatMap slot: the first holder inline, any
 // further (shared) holders and the waiters in vectors. A grant therefore
 // allocates nothing in the table; only a parked request does.
 #ifndef GEOTP_STORAGE_LOCK_MANAGER_H_
@@ -27,9 +27,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "storage/key_table.h"
 
 namespace geotp {
 namespace storage {
@@ -212,7 +212,7 @@ class LockManager {
     return held == LockMode::kShared && requested == LockMode::kShared;
   }
 
-  KeyTable<LockState> locks_;
+  common::FlatMap<RecordKey, LockState, RecordKeyHash> locks_;
   // Reverse index: parked request id -> key (for cancellation).
   std::unordered_map<LockRequestId, RecordKey> parked_;
   // Which key each transaction currently waits on (wait-for graph edges).

@@ -1,7 +1,7 @@
 // In-memory record store: the "table" hosted by a data source.
 //
-// One open-addressing KeyTable of values: a read, and a write with its
-// undo entry, each cost one probe. Keys never written are absent and read
+// One open-addressing common::FlatMap of values: a read, and a write with
+// its undo entry, each cost one probe. Keys never written are absent and read
 // as 0 on every node.
 #ifndef GEOTP_STORAGE_RECORD_STORE_H_
 #define GEOTP_STORAGE_RECORD_STORE_H_
@@ -10,8 +10,8 @@
 #include <optional>
 #include <utility>
 
+#include "common/flat_map.h"
 #include "common/types.h"
-#include "storage/key_table.h"
 
 namespace geotp {
 namespace storage {
@@ -56,7 +56,10 @@ class RecordStore {
   }
 
  private:
-  KeyTable<int64_t> table_;
+  common::FlatMap<RecordKey, int64_t, RecordKeyHash> table_;
+  // The key's fields, the occupancy word in RecordKey's padding, the value.
+  static_assert(decltype(table_)::kSlotBytes == 24,
+                "a record store slot is 24 bytes");
 };
 
 }  // namespace storage

@@ -1,6 +1,6 @@
-// Tests for the open-addressing record store and its KeyTable: randomized
-// model tests against std::map across several table growths (and, for the
-// table, erases), plus edge keys.
+// Tests for the open-addressing record store: randomized model tests
+// against std::map across several table growths, plus edge keys. The table
+// itself (erase, EraseIf) has its own model test in test_flat_map.cc.
 #include "storage/record_store.h"
 
 #include <map>
@@ -125,46 +125,6 @@ TEST(RecordStorePropertyTest, MatchesMapModelAcrossGrowth) {
     EXPECT_TRUE(visited.emplace(key, value).second) << key.ToString();
   });
   EXPECT_EQ(calls, model.size());
-  EXPECT_EQ(visited, model);
-}
-
-// Erase (the lock table's path) against a map model: backward-shift
-// deletion must keep every other key reachable from its home slot.
-TEST(KeyTablePropertyTest, EraseMatchesMapModel) {
-  Rng rng(0xE7A5E);
-  KeyTable<uint64_t> table;
-  std::map<RecordKey, uint64_t> model;
-  for (int step = 0; step < 40000; ++step) {
-    // A small key space keeps probe runs long and erases frequent.
-    const RecordKey key{static_cast<uint32_t>(rng.NextU64(2)),
-                        rng.NextU64(600)};
-    if (rng.NextBool(0.55)) {
-      const uint64_t value = rng.NextU64(1 << 20);
-      table.FindOrInsert(key) = value;
-      model[key] = value;
-    } else {
-      table.Erase(key);
-      model.erase(key);
-    }
-    ASSERT_EQ(table.size(), model.size());
-    if (step % 1000 == 0) {
-      for (uint64_t k = 0; k < 600; ++k) {
-        for (uint32_t t = 0; t < 2; ++t) {
-          const RecordKey probe{t, k};
-          auto it = model.find(probe);
-          const uint64_t* got = table.Find(probe);
-          ASSERT_EQ(got != nullptr, it != model.end()) << probe.ToString();
-          if (got != nullptr) {
-            ASSERT_EQ(*got, it->second) << probe.ToString();
-          }
-        }
-      }
-    }
-  }
-  std::map<RecordKey, uint64_t> visited;
-  table.ForEach([&](const RecordKey& key, uint64_t value) {
-    EXPECT_TRUE(visited.emplace(key, value).second) << key.ToString();
-  });
   EXPECT_EQ(visited, model);
 }
 

@@ -7,13 +7,12 @@
 #include <memory>
 #include <random>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "replication/log_shipper.h"
 #include "replication/replicator.h"
-#include "replication/txn_index_map.h"
+#include "replication/unresolved_prepares.h"
 #include "runtime/codec.h"
 #include "sim_fixture.h"
 
@@ -289,50 +288,6 @@ TEST(LogShipperTest, WatermarkIsTheQuorumSizedLargestMatch) {
   shipper.OnAck(5, AckUpTo(9));
   EXPECT_EQ(shipper.commit_watermark(), 7u);  // {9, 9, 7, 5, 2}
   EXPECT_EQ(shipper.MinMatchIndex(), 2u);
-}
-
-TEST(TxnIndexMapTest, MatchesAnUnorderedMapModel) {
-  replication::TxnIndexMap map;
-  std::unordered_map<TxnId, uint64_t> model;
-  std::mt19937_64 rng(19);
-  const auto check = [&]() {
-    ASSERT_EQ(map.size(), model.size());
-    size_t visited = 0;
-    map.ForEach([&](TxnId txn, uint64_t index) {
-      ++visited;
-      ASSERT_EQ(model.count(txn), 1u);
-      EXPECT_EQ(model[txn], index);
-    });
-    EXPECT_EQ(visited, model.size());
-  };
-  // Dense ids (as transactions get) and the edge ids 0 and UINT64_MAX,
-  // through several growth steps and back-shift erases.
-  for (uint64_t step = 1; step <= 20000; ++step) {
-    TxnId txn = rng() % 3000;
-    if (step % 97 == 0) txn = 0;
-    if (step % 89 == 0) txn = UINT64_MAX;
-    switch (rng() % 3) {
-      case 0:
-      case 1:
-        map.Put(txn, step);
-        model[txn] = step;
-        break;
-      default:
-        EXPECT_EQ(map.Erase(txn), model.erase(txn) == 1);
-        break;
-    }
-    const auto it = model.find(txn);
-    EXPECT_EQ(map.Get(txn), it == model.end() ? 0 : it->second);
-    if (step % 2500 == 0) check();
-  }
-  map.EraseFrom(15000);
-  for (auto it = model.begin(); it != model.end();) {
-    it = it->second >= 15000 ? model.erase(it) : std::next(it);
-  }
-  check();
-  map.clear();
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.Get(5), 0u);
 }
 
 TEST(TxnIndexMapTest, UnresolvedPreparesKnowTheOldest) {

@@ -1071,8 +1071,10 @@ TEST(RuntimeCodecTest, OutOfRangeEnumBytesAreRejected) {
   auto chunk = Stamped<protocol::ShardSnapshotChunk>();
   bytes = EncodeMessage(*chunk);
   ASSERT_EQ(bytes[bytes.size() - 17], 0);
-  bytes[bytes.size() - 17] = 3;
-  EXPECT_EQ(DecodeMessage(bytes), nullptr);
+  for (const char codec : {2, 3}) {
+    bytes[bytes.size() - 17] = codec;
+    EXPECT_EQ(DecodeMessage(bytes), nullptr) << "codec byte " << int{codec};
+  }
 
   // ReplEntryType: after the count, index and epoch of a packed entry.
   std::string packed = protocol::PackEntries({SampleEntry(false)});
