@@ -14,33 +14,34 @@ using protocol::ClientRoundRequest;
 using protocol::ClientRoundResponse;
 using protocol::ClientTxnResult;
 
+namespace {
+
+/// Per-round coordinator work: parse/route/schedule.
+constexpr Micros kAnalysisCost = 300;
+/// Coordinator-table commit-state record write.
+constexpr Micros kCommitStateCost = 800;
+
+}  // namespace
+
 ScalarDbNode::ScalarDbNode(runtime::ActorEnv env, middleware::Catalog catalog,
-                           ScalarDbConfig config)
+                           bool plus)
     : id_(env.node),
       network_(env.transport),
       timer_(env.timer),
       catalog_(std::move(catalog)),
-      config_(std::move(config)),
-      footprint_(std::make_unique<core::HotspotFootprint>(config_.footprint)),
+      plus_(plus),
       monitor_(std::make_unique<core::LatencyMonitor>(
-          id_, network_, timer_, catalog_.AllDataSources(),
-          config_.monitor)),
+          id_, network_, timer_, catalog_.AllDataSources())),
       rng_(0x5CA1A3DB + id_) {
+  // ScalarDB+ is Eq. 3 postponing over the monitor's latency estimates.
+  // Eq. 9 admission does not fit OCC: its heuristic models a lock wait
+  // queue (a_cnt - 1 waiters), and under ScalarDB's OCC there is no queue —
+  // accesses fail fast at prepare.
   core::SchedulerConfig sched;
-  if (config_.plus) {
-    // Eq. 3 postponing over the monitor's latency estimates. The Eq. 9
-    // admission heuristic models a lock wait queue (a_cnt - 1 waiters);
-    // under ScalarDB's OCC there is no queue — accesses fail fast at
-    // prepare — so admission is configurable and off by default here
-    // (DESIGN.md documents the deviation).
-    sched.policy = core::SchedulerPolicy::kLatencyAwareForecast;
-    sched.forecast_scale = 0.0;  // pure Eq. 3 postponing
-    sched.admission = config_.admission;
-  } else {
-    sched.policy = core::SchedulerPolicy::kImmediate;
-  }
+  sched.policy = plus_ ? core::SchedulerPolicy::kLatencyAware
+                       : core::SchedulerPolicy::kImmediate;
   scheduler_ = std::make_unique<core::GeoScheduler>(sched, monitor_.get(),
-                                                    footprint_.get());
+                                                    /*footprint=*/nullptr);
 }
 
 ScalarDbNode::~ScalarDbNode() = default;
@@ -50,7 +51,7 @@ void ScalarDbNode::Attach() {
       id_, [this](std::unique_ptr<runtime::MessageBase> msg) {
         HandleMessage(std::move(msg));
       });
-  if (config_.plus) monitor_->Start();
+  if (plus_) monitor_->Start();
 }
 
 void ScalarDbNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
@@ -98,7 +99,7 @@ void ScalarDbNode::OnClientRound(const ClientRoundRequest& req) {
   if (txn->aborting) return;
   txn->pending_ops = req.ops;
   txn->round_values.assign(req.ops.size(), 0);
-  loop()->Schedule(config_.analysis_cost, [this, id]() { PlanRound(id); });
+  loop()->Schedule(kAnalysisCost, [this, id]() { PlanRound(id); });
 }
 
 void ScalarDbNode::PlanRound(TxnId id) {
@@ -119,28 +120,10 @@ void ScalarDbNode::PlanRound(TxnId id) {
     inputs.push_back(std::move(input));
   }
 
-  const bool allow_admission = config_.plus && txn->round_seq == 0;
-  core::ScheduleDecision decision = scheduler_->ScheduleRound(
-      inputs, allow_admission ? txn->admission_attempts : -1, rng_);
-  if (allow_admission) {
-    if (decision.verdict == core::AdmissionVerdict::kBlock) {
-      stats_.admission_blocks++;
-      txn->admission_attempts++;
-      loop()->Schedule(decision.retry_backoff,
-                       [this, id]() { PlanRound(id); });
-      return;
-    }
-    if (decision.verdict == core::AdmissionVerdict::kAbort) {
-      FinishTxn(*txn, /*committed=*/false);
-      return;
-    }
-  }
-  if (config_.plus) {
-    for (const auto& input : inputs) footprint_->OnDispatch(input.keys);
-  }
+  const core::ScheduleDecision decision =
+      scheduler_->ScheduleRound(inputs, /*attempt=*/-1, rng_);
 
   txn->outstanding = groups.size();
-  txn->round_seq++;
   size_t plan_idx = 0;
   for (auto& [node, ops] : groups) {
     Staged& staged = txn->participants[node];
@@ -268,12 +251,6 @@ void ScalarDbNode::OnPrepareResponse(const StorePrepareResponse& resp) {
     stats_.prepare_conflicts++;
     txn->aborting = true;
   }
-  if (config_.plus) {
-    // Footprint feedback: prepare success stands in for commit success.
-    std::vector<RecordKey> keys;
-    for (const auto& op : staged.ops) keys.push_back(op.key);
-    footprint_->OnComplete(keys, /*measured_lel=*/0, resp.status.ok());
-  }
   if (--txn->outstanding > 0) return;
 
   if (txn->aborting) {
@@ -282,7 +259,7 @@ void ScalarDbNode::OnPrepareResponse(const StorePrepareResponse& resp) {
   }
   // Commit-state record (the coordinator table write), then promote.
   const TxnId id = txn->id;
-  loop()->Schedule(config_.commit_state_cost, [this, id]() {
+  loop()->Schedule(kCommitStateCost, [this, id]() {
     Txn* txn = FindTxn(id);
     if (txn == nullptr) return;
     DispatchDecision(*txn, /*commit=*/true);

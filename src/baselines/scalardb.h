@@ -9,10 +9,10 @@
 // what limits its scalability in the paper's Fig. 5.
 //
 // ScalarDB+ (paper §VII-A1 ④) layers GeoTP's latency-aware scheduling on
-// top: read and prepare dispatches are postponed per Eq. 3 so that
-// low-latency stores hold their intents (and expose their read versions)
-// for the minimum span, and the hotspot footprint drives late transaction
-// admission.
+// top, and only that: read and prepare dispatches are postponed per Eq. 3
+// so that low-latency stores hold their intents (and expose their read
+// versions) for the minimum span. It keeps no hotspot footprint and runs
+// no Eq. 9 late transaction admission, which does not fit OCC.
 #ifndef GEOTP_BASELINES_SCALARDB_H_
 #define GEOTP_BASELINES_SCALARDB_H_
 
@@ -23,7 +23,6 @@
 
 #include "baselines/store_messages.h"
 #include "core/geo_scheduler.h"
-#include "core/hotspot_footprint.h"
 #include "core/latency_monitor.h"
 #include "middleware/catalog.h"
 #include "protocol/messages.h"
@@ -32,26 +31,16 @@
 namespace geotp {
 namespace baselines {
 
-struct ScalarDbConfig {
-  bool plus = false;  ///< ScalarDB+ : latency-aware scheduling + heuristics
-  Micros analysis_cost = 300;
-  Micros commit_state_cost = 800;  ///< coordinator-table commit record write
-  core::LatencyMonitorConfig monitor;
-  core::FootprintConfig footprint;
-  core::AdmissionConfig admission;
-};
-
 struct ScalarDbStats {
   uint64_t committed = 0;
   uint64_t aborted = 0;
   uint64_t prepare_conflicts = 0;
-  uint64_t admission_blocks = 0;
 };
 
 class ScalarDbNode {
  public:
-  ScalarDbNode(runtime::ActorEnv env, middleware::Catalog catalog,
-               ScalarDbConfig config);
+  /// `plus` selects ScalarDB+ (Eq. 3 postponing of reads and prepares).
+  ScalarDbNode(runtime::ActorEnv env, middleware::Catalog catalog, bool plus);
   ~ScalarDbNode();
 
   void Attach();
@@ -80,8 +69,6 @@ class ScalarDbNode {
     bool aborting = false;
     bool commit_requested = false;
     size_t outstanding = 0;
-    int admission_attempts = 0;
-    uint64_t round_seq = 0;
   };
 
   void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
@@ -100,8 +87,7 @@ class ScalarDbNode {
   runtime::ITransport* network_;
   runtime::ITimer* timer_;
   middleware::Catalog catalog_;
-  ScalarDbConfig config_;
-  std::unique_ptr<core::HotspotFootprint> footprint_;
+  bool plus_;
   std::unique_ptr<core::LatencyMonitor> monitor_;
   std::unique_ptr<core::GeoScheduler> scheduler_;
   Rng rng_;

@@ -13,14 +13,26 @@ using protocol::ClientRoundRequest;
 using protocol::ClientRoundResponse;
 using protocol::ClientTxnResult;
 
+namespace {
+
+/// Per-op + fsync cost model.
+constexpr storage::EngineConfig kEngineCost{};
+/// Raft-ish local replication/flush charged on every batch and commit.
+constexpr Micros kConsensusCost = 400;
+/// Wait-on-conflict: a batch hitting a foreign intent is retried
+/// internally after this backoff, up to kConflictRetries times, before
+/// the transaction aborts to the client.
+constexpr Micros kConflictBackoff = MsToMicros(10);
+constexpr int kConflictRetries = 8;
+
+}  // namespace
+
 YbTabletNode::YbTabletNode(runtime::ActorEnv env,
-                           const middleware::Catalog* catalog,
-                           YbConfig config)
+                           const middleware::Catalog* catalog)
     : id_(env.node),
       network_(env.transport),
       timer_(env.timer),
-      catalog_(catalog),
-      config_(config) {}
+      catalog_(catalog) {}
 
 void YbTabletNode::Attach() {
   network_->RegisterNode(
@@ -79,7 +91,7 @@ void YbTabletNode::OnClientRound(const ClientRoundRequest& req) {
     txn.id = id;
     txn.client_tag = req.client_tag;
     txn.client = req.from;
-    txn.conflict_retries_left = config_.conflict_retries;
+    txn.conflict_retries_left = kConflictRetries;
     txns_.emplace(id, std::move(txn));
   }
   Txn* txn = FindTxn(id);
@@ -127,8 +139,8 @@ void YbTabletNode::DispatchLocalBatch(TxnId id, std::vector<StagedOp> ops,
                                       std::vector<size_t> slots) {
   // Local fast path: consensus append + per-op work.
   const Micros cost =
-      config_.consensus_cost +
-      static_cast<Micros>(ops.size()) * config_.cost.write_cost;
+      kConsensusCost +
+      static_cast<Micros>(ops.size()) * kEngineCost.write_cost;
   loop()->Schedule(cost, [this, id, ops = std::move(ops),
                           slots = std::move(slots)]() {
     Txn* txn = FindTxn(id);
@@ -140,7 +152,7 @@ void YbTabletNode::DispatchLocalBatch(TxnId id, std::vector<StagedOp> ops,
       // Wait-on-conflict: retry internally before aborting to the client.
       if (txn->conflict_retries_left > 0) {
         txn->conflict_retries_left--;
-        loop()->Schedule(config_.conflict_backoff, [this, id, ops, slots]() {
+        loop()->Schedule(kConflictBackoff, [this, id, ops, slots]() {
           Txn* txn = FindTxn(id);
           if (txn == nullptr || txn->aborting) return;
           DispatchLocalBatch(id, ops, slots);
@@ -200,7 +212,7 @@ void YbTabletNode::OnBatchResponse(const YbBatchResponse& resp) {
     if (txn->conflict_retries_left > 0) {
       txn->conflict_retries_left--;
       const TxnId id = pending.txn;
-      loop()->Schedule(config_.conflict_backoff,
+      loop()->Schedule(kConflictBackoff,
                        [this, pending = std::move(pending)]() {
                          Txn* txn = FindTxn(pending.txn);
                          if (txn == nullptr || txn->aborting) return;
@@ -232,7 +244,7 @@ void YbTabletNode::OnClientFinish(const ClientFinishRequest& req) {
   // Commit: flip the local transaction status record (consensus write),
   // respond to the client immediately, resolve intents asynchronously.
   const TxnId id = txn->id;
-  loop()->Schedule(config_.consensus_cost + config_.cost.commit_fsync_cost,
+  loop()->Schedule(kConsensusCost + kEngineCost.commit_fsync_cost,
                    [this, id]() {
                      Txn* txn = FindTxn(id);
                      if (txn == nullptr) return;
@@ -317,8 +329,8 @@ Status YbTabletNode::ApplyBatchLocally(TxnId txn,
 
 void YbTabletNode::OnBatch(const YbBatchRequest& req) {
   const Micros cost =
-      config_.consensus_cost +
-      static_cast<Micros>(req.ops.size()) * config_.cost.write_cost;
+      kConsensusCost +
+      static_cast<Micros>(req.ops.size()) * kEngineCost.write_cost;
   auto ops = req.ops;
   const NodeId reply_to = req.from;
   const TxnId txn = req.txn;

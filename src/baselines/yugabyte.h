@@ -29,17 +29,6 @@
 namespace geotp {
 namespace baselines {
 
-struct YbConfig {
-  storage::EngineConfig cost;  ///< per-op + fsync cost model
-  /// Raft-ish local replication/flush charged on every batch and commit.
-  Micros consensus_cost = 400;
-  /// Wait-on-conflict: a batch hitting a foreign intent is retried
-  /// internally after this backoff, up to `conflict_retries` times,
-  /// before the transaction aborts to the client.
-  Micros conflict_backoff = MsToMicros(10);
-  int conflict_retries = 8;
-};
-
 struct YbStats {
   uint64_t committed = 0;
   uint64_t aborted = 0;
@@ -50,8 +39,7 @@ struct YbStats {
 
 class YbTabletNode {
  public:
-  YbTabletNode(runtime::ActorEnv env, const middleware::Catalog* catalog,
-               YbConfig config);
+  YbTabletNode(runtime::ActorEnv env, const middleware::Catalog* catalog);
 
   void Attach();
 
@@ -100,7 +88,6 @@ class YbTabletNode {
   runtime::ITransport* network_;
   runtime::ITimer* timer_;
   const middleware::Catalog* catalog_;
-  YbConfig config_;
   storage::VersionedStore store_;
   YbStats stats_;
   uint64_t next_seq_ = 1;

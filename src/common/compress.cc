@@ -220,16 +220,6 @@ uint64_t ContentHash64(const void* data, size_t len) {
   return h;
 }
 
-const char* WireCodecName(WireCodec codec) {
-  switch (codec) {
-    case WireCodec::kRaw:
-      return "raw";
-    case WireCodec::kBlock:
-      return "block";
-  }
-  return "?";
-}
-
 WireCodec SenderCodec(bool wan_compression) {
   return wan_compression ? WireCodec::kBlock : WireCodec::kRaw;
 }

@@ -43,7 +43,6 @@ enum class WireCodec : uint8_t {
   kBlock = 1,  ///< self-contained LZ block codec
 };
 
-const char* WireCodecName(WireCodec codec);
 constexpr WireCodec WireMax(WireCodec) { return WireCodec::kBlock; }
 
 /// The codec a WAN sender ships under: the block codec when the sender's

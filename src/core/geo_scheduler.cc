@@ -38,20 +38,19 @@ ScheduleDecision GeoScheduler::ScheduleRound(
   // rounds / prepare dispatch — only whole transactions are admitted).
   if (attempt >= 0 &&
       config_.policy == SchedulerPolicy::kLatencyAwareForecast &&
-      config_.admission.enabled && footprint_ != nullptr &&
-      !participants.empty()) {
+      footprint_ != nullptr && !participants.empty()) {
     std::vector<RecordKey> all_keys;
     for (const auto& p : participants) {
       all_keys.insert(all_keys.end(), p.keys.begin(), p.keys.end());
     }
     const double abort_prob = footprint_->AbortProbability(all_keys);
-    if (abort_prob > config_.admission.min_considered_probability &&
+    if (abort_prob > kMinConsideredAbortProbability &&
         rng.NextDouble() < abort_prob) {
-      if (attempt + 1 >= config_.admission.retry_limit) {
+      if (attempt + 1 >= kAdmissionRetryLimit) {
         decision.verdict = AdmissionVerdict::kAbort;  // Algorithm 2 line 18
       } else {
         decision.verdict = AdmissionVerdict::kBlock;
-        decision.retry_backoff = config_.admission.retry_backoff;
+        decision.retry_backoff = kAdmissionRetryBackoff;
       }
       return decision;
     }

@@ -9,9 +9,9 @@
 //   forecast (Eq. 8):  t_start(Tij) = max_s (tau_s + LEL^_s)   - (tau_j + LEL^_j)
 //
 // with tau from the LatencyMonitor and LEL^ from the HotspotFootprint.
-// The forecast path additionally applies late transaction scheduling
-// (Eq. 9): transactions whose predicted abort probability is too high are
-// delayed (blocked) and eventually aborted after a retry budget.
+// The forecast path always applies late transaction scheduling (Eq. 9):
+// transactions whose predicted abort probability is too high are delayed
+// (blocked) and eventually aborted after a retry budget.
 //
 // Baseline policies are expressed in the same vocabulary:
 //  * kImmediate — dispatch everything now (SSP);
@@ -36,28 +36,25 @@ namespace core {
 enum class SchedulerPolicy : uint8_t {
   kImmediate,
   kLatencyAware,          ///< O2: Eq. 3
-  kLatencyAwareForecast,  ///< O2+O3: Eq. 8 (+ Eq. 9 when admission on)
+  kLatencyAwareForecast,  ///< O2+O3: Eq. 8 + Eq. 9 admission
   kChiller,
 };
 
 const char* SchedulerPolicyName(SchedulerPolicy policy);
 
-struct AdmissionConfig {
-  bool enabled = false;
-  /// Retry budget before the transaction is aborted (Algorithm 2 line 16).
-  int retry_limit = 10;
-  /// Delay before re-evaluating a blocked transaction. Long enough for a
-  /// hot-record queue to drain meaningfully between evaluations; too short
-  /// turns blocking into an abort storm (see bench_fig12_ablation).
-  Micros retry_backoff = MsToMicros(20);
-  /// Abort probability above which admission even bothers sampling
-  /// (tiny probabilities always admit, saving RNG noise).
-  double min_considered_probability = 0.05;
-};
+/// Eq. 9 admission retry budget before the transaction is aborted
+/// (Algorithm 2 line 16).
+constexpr int kAdmissionRetryLimit = 10;
+/// Delay before re-evaluating a blocked transaction. Long enough for a
+/// hot-record queue to drain meaningfully between evaluations; too short
+/// turns blocking into an abort storm (see bench_fig12_ablation).
+constexpr Micros kAdmissionRetryBackoff = MsToMicros(20);
+/// Abort probability above which admission even bothers sampling (tiny
+/// probabilities always admit, saving RNG noise).
+constexpr double kMinConsideredAbortProbability = 0.05;
 
 struct SchedulerConfig {
   SchedulerPolicy policy = SchedulerPolicy::kImmediate;
-  AdmissionConfig admission;
   /// Scale factor on the forecasted LEL (paper §IV-C: "in cases of
   /// inaccurate runtime predictions, we can scale down the predicted
   /// latency before incorporating it into calculations" — the measured
@@ -91,7 +88,8 @@ class GeoScheduler {
                const HotspotFootprint* footprint);
 
   /// Plans one round. `attempt` counts admission retries for this round
-  /// (Algorithm 2's retry_cnt); pass 0 on first try.
+  /// (Algorithm 2's retry_cnt); pass 0 on first try, or -1 to skip
+  /// admission. Admission runs only under kLatencyAwareForecast.
   ScheduleDecision ScheduleRound(
       const std::vector<ParticipantPlanInput>& participants, int attempt,
       Rng& rng) const;

@@ -90,7 +90,7 @@ HotspotFootprint::Node& HotspotFootprint::Touch(const RecordKey& key) {
   Node& node = nodes_[slot];
   node.key = key;
   node.stats = RecordStats{};
-  node.stats.w_lat = config_.initial_w_lat;
+  node.stats.w_lat = kInitialWLat;
   LruPushFront(slot);
   return node;
 }
@@ -106,7 +106,7 @@ void HotspotFootprint::OnComplete(const std::vector<RecordKey>& keys,
   double w_sum = 0.0;
   for (const RecordKey& key : keys) {
     const Slot slot = FindNode(key);
-    w_sum += slot != kNil ? nodes_[slot].stats.w_lat : config_.initial_w_lat;
+    w_sum += slot != kNil ? nodes_[slot].stats.w_lat : kInitialWLat;
   }
   if (w_sum <= 0.0) w_sum = 1.0;
 

@@ -36,10 +36,11 @@ struct FootprintConfig {
   size_t capacity = 100000;
   /// Weighted-update coefficient alpha in Eq. 4 (history weight).
   double alpha = 0.7;
-  /// Initial w_lat for a record first seen (us). A small value so cold
-  /// records contribute little to forecasts until measured.
-  double initial_w_lat = 100.0;
 };
+
+/// Initial w_lat for a record first seen (us). A small value so cold
+/// records contribute little to forecasts until measured.
+constexpr double kInitialWLat = 100.0;
 
 struct RecordStats {
   double w_lat = 0.0;   ///< us

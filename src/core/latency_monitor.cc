@@ -48,7 +48,7 @@ void LatencyMonitor::SendPings() {
     network_->Send(std::move(ping));
     ++pings_sent_;
   }
-  timer_->Schedule(config_.ping_interval, [this]() { SendPings(); });
+  timer_->Schedule(kPingInterval, [this]() { SendPings(); });
 }
 
 void LatencyMonitor::OnPong(const protocol::PingResponse& pong) {
@@ -94,15 +94,14 @@ void LatencyMonitor::RecordLoad(NodeId node, uint64_t inflight) {
 }
 
 void LatencyMonitor::RecordSample(NodeId node, Micros sample) {
-  if (config_.bootstrap_first_sample && !seeded_[node]) {
-    seeded_[node] = true;
+  const double alpha = config_.ewma_alpha;
+  auto it = estimates_.find(node);
+  if (it == estimates_.end()) {
     estimates_[node] = sample;
     return;
   }
-  const double alpha = config_.ewma_alpha;
-  estimates_[node] = static_cast<Micros>(
-      alpha * static_cast<double>(estimates_[node]) +
-      (1.0 - alpha) * static_cast<double>(sample));
+  it->second = static_cast<Micros>(alpha * static_cast<double>(it->second) +
+                                   (1.0 - alpha) * static_cast<double>(sample));
 }
 
 Micros LatencyMonitor::RttEstimate(NodeId node) const {
@@ -113,11 +112,6 @@ Micros LatencyMonitor::RttEstimate(NodeId node) const {
 double LatencyMonitor::LoadEstimate(NodeId node) const {
   auto it = load_estimates_.find(node);
   return it == load_estimates_.end() ? 0.0 : it->second;
-}
-
-double LatencyMonitor::OccupancyEstimate(NodeId node) const {
-  auto it = occupancy_estimates_.find(node);
-  return it == occupancy_estimates_.end() ? 0.0 : it->second;
 }
 
 double LatencyMonitor::MaxOccupancy() const {

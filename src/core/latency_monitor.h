@@ -20,12 +20,13 @@
 namespace geotp {
 namespace core {
 
+/// Ping period per data source (paper §VI: every 10 ms).
+constexpr Micros kPingInterval = MsToMicros(10);
+
 struct LatencyMonitorConfig {
-  Micros ping_interval = MsToMicros(10);
-  /// EWMA history weight: est = alpha * est + (1 - alpha) * sample.
+  /// EWMA history weight: est = alpha * est + (1 - alpha) * sample. The
+  /// first sample of a node seeds its estimate instead of decaying from 0.
   double ewma_alpha = 0.8;
-  /// Seed the estimates from the first sample instead of decaying from 0.
-  bool bootstrap_first_sample = true;
 };
 
 /// One probe destination. `node` is the physical replica to ping; `alias`
@@ -76,14 +77,11 @@ class LatencyMonitor {
   /// RTT samples, so balancer lookups by logical source id work.
   double LoadEstimate(NodeId node) const;
 
-  /// EWMA of the saturation signal (run_queue / run_queue_limit) the node
-  /// piggybacks on its pongs; 0 while the node reports no bound. Feeds the
-  /// DM admission controller's source-pressure shed decision.
-  double OccupancyEstimate(NodeId node) const;
-
-  /// Worst occupancy estimate across every node that reported one — the
-  /// admission controller sheds new work when any source is saturated
-  /// (a distributed transaction is only as fast as its slowest branch).
+  /// Worst EWMA of the saturation signal (run_queue / run_queue_limit,
+  /// 0 while a node reports no bound) that nodes piggyback on their
+  /// pongs. The DM admission controller sheds new work when any source is
+  /// saturated (a distributed transaction is only as fast as its slowest
+  /// branch).
   double MaxOccupancy() const;
 
   /// Virtual time since `node` last answered a ping (max if it never
@@ -114,7 +112,6 @@ class LatencyMonitor {
   std::unordered_map<NodeId, Micros> estimates_;
   std::unordered_map<NodeId, double> load_estimates_;
   std::unordered_map<NodeId, double> occupancy_estimates_;
-  std::unordered_map<NodeId, bool> seeded_;
   std::unordered_map<NodeId, Micros> last_pong_at_;
   /// Alias recorded for each pinged physical node in the latest round.
   std::unordered_map<NodeId, NodeId> alias_of_;

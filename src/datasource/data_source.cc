@@ -16,6 +16,9 @@ template <class F>
 constexpr bool kStoredInline =
     sizeof(F) <= 2 * sizeof(void*) && std::is_trivially_copyable_v<F>;
 
+/// Lock-wait timeout (innodb_lock_wait_timeout; paper default 5 s).
+constexpr Micros kLockWaitTimeout = SecToMicros(5);
+
 }  // namespace
 
 using protocol::BranchExecuteRequest;
@@ -73,6 +76,7 @@ void DataSourceNode::RegisterMetrics(obs::MetricsRegistry* registry) {
   const std::string prefix = "ds." + std::to_string(id_) + ".";
   registry->RegisterStats(prefix, stats_);
   registry->RegisterStats(prefix + "locks.", engine_.locks().stats());
+  registry->RegisterStats(prefix + "wal.", engine_.wal().stats());
   registry->RegisterStats(prefix + "group_commit.", committer_.stats());
   registry->RegisterStats(prefix + "migrator.", migrator_->stats());
   registry->RegisterStats(prefix + "agent.", agent_->stats());
@@ -433,11 +437,10 @@ void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
   static_assert(kStoredInline<decltype(on_op)>);
   engine_.ExecuteOp(state->xid, op, on_op);
 
-  // If the request parked in the lock queue, arm the lock-wait timeout
-  // (innodb_lock_wait_timeout; paper default 5 s).
+  // If the request parked in the lock queue, arm the lock-wait timeout.
   if (engine_.HasPendingOp(state->xid)) {
     state->timeout_event = loop()->Schedule(
-        config_.engine.lock_wait_timeout, [this, handle]() {
+        kLockWaitTimeout, [this, handle]() {
           const std::shared_ptr<ExecState> state = LiveExec(handle);
           if (state == nullptr) return;
           state->timeout_event = sim::kInvalidEvent;

@@ -39,9 +39,6 @@ namespace datasource {
 
 struct DataSourceConfig {
   storage::EngineConfig engine;
-  /// Geo-agent <-> database LAN round trip (the decentralized prepare costs
-  /// one of these instead of a WAN round trip; paper §IV-A).
-  Micros agent_lan_rtt = 300;
   /// Early abort (geo-agent notifies peers directly). Usually set from the
   /// middleware's mode; kept here because the behaviour is agent-side.
   bool early_abort = true;

@@ -7,6 +7,13 @@
 
 namespace geotp {
 namespace datasource {
+namespace {
+
+/// Geo-agent <-> database LAN round trip (the decentralized prepare costs
+/// one of these instead of a WAN round trip; paper §IV-A).
+constexpr Micros kAgentLanRtt = 300;
+
+}  // namespace
 
 using protocol::PeerAbortRequest;
 using protocol::Vote;
@@ -19,9 +26,8 @@ void GeoAgent::AsyncPrepare(const Xid& xid, const std::vector<NodeId>& peers,
   // conn.end(): one LAN hop between the agent and the database (vs. the
   // WAN round trip the DM-driven prepare would cost, §IV-A).
   const bool centralized = peers.empty();
-  const Micros lan_cost = node->config().agent_lan_rtt;
-  node->loop()->Schedule(lan_cost, [this, node, xid, peers, coordinator,
-                                    centralized]() {
+  node->loop()->Schedule(kAgentLanRtt, [this, node, xid, peers, coordinator,
+                                        centralized]() {
     if (node->crashed()) return;
     if (centralized) {
       if (node->engine().StateOf(xid) != storage::TxnState::kActive) return;

@@ -27,17 +27,18 @@ using protocol::PrepareRequest;
 using protocol::Vote;
 using protocol::VoteMessage;
 
-const char* CommitProtocolName(CommitProtocol protocol) {
-  switch (protocol) {
-    case CommitProtocol::kTwoPhase:
-      return "2pc";
-    case CommitProtocol::kDecentralized:
-      return "decentralized-prepare";
-    case CommitProtocol::kLocalNoAtomicity:
-      return "local-no-atomicity";
-  }
-  return "?";
-}
+namespace {
+
+/// Per-round DM work: parse/rewrite/route/schedule (Fig. 6c "analysis").
+constexpr Micros kAnalysisCost = 300;
+/// Commit/abort decision log fsync at the DM (Algorithm 1 FlushLog).
+constexpr Micros kLogFlushCost = 500;
+/// After a leader failover, branches whose prepare vote does not resurface
+/// within this grace period are aborted (their prepare never reached a
+/// quorum and died with the old leader).
+constexpr Micros kFailoverVoteGrace = MsToMicros(500);
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Presets (paper §VII-A1 baselines)
@@ -96,7 +97,6 @@ MiddlewareConfig MiddlewareConfig::GeoTP() {
   MiddlewareConfig config = GeoTPO1();
   config.name = "GeoTP";
   config.scheduler.policy = core::SchedulerPolicy::kLatencyAwareForecast;
-  config.scheduler.admission.enabled = true;
   return config;
 }
 
@@ -113,15 +113,15 @@ MiddlewareNode::MiddlewareNode(runtime::ActorEnv env, uint32_t ordinal,
       log_device_(env.OpenStorage("decision.log")),
       catalog_(std::move(catalog)),
       config_(std::move(config)),
-      footprint_(std::make_unique<core::HotspotFootprint>(config_.footprint)),
+      footprint_(std::make_unique<core::HotspotFootprint>()),
       monitor_(std::make_unique<core::LatencyMonitor>(
-          id_, network_, timer_, catalog_.AllDataSources(), config_.monitor)),
+          id_, network_, timer_, catalog_.AllDataSources())),
       scheduler_(std::make_unique<core::GeoScheduler>(
           config_.scheduler, monitor_.get(), footprint_.get())),
       rng_(0xD1CEBA5E + id_),
       trace_rng_(0x714ACE00 + id_),
       admission_(config_.overload),
-      log_committer_(timer_, log_device_.get(), config_.log_group_commit) {
+      log_committer_(timer_, log_device_.get(), storage::GroupCommitConfig()) {
   log_committer_.set_on_fsync([this]() { stats_.log_flushes++; });
   if (config_.balancer.enabled) {
     balancer_ =
@@ -305,13 +305,13 @@ void MiddlewareNode::OnClientRound(const ClientRoundRequest& req) {
   txn->pending_ops = req.ops;
   txn->last_round = req.last_round;
   txn->round_values.assign(req.ops.size(), 0);
-  txn->analysis_total += config_.analysis_cost;
+  txn->analysis_total += kAnalysisCost;
   if (txn->trace.valid() && txn->analysis_span == obs::kInvalidSpan) {
     txn->analysis_span = obs::GlobalTracer().BeginSpan(
         txn->trace, "dm.analysis", id_, loop()->Now());
   }
   // Parse / rewrite / route / schedule cost at the DM.
-  loop()->Schedule(config_.analysis_cost,
+  loop()->Schedule(kAnalysisCost,
                    [this, id]() { PlanAndDispatchRound(id); });
 }
 
@@ -468,7 +468,7 @@ bool MiddlewareNode::TryFollowerRead(Txn& txn, NodeId logical,
   // (attractive) value, and pinning every read to it would turn follower
   // reads into a 100% timeout path. Fall back to hashing while no
   // follower has a fresh sample.
-  const Micros freshness_bound = 10 * config_.monitor.ping_interval;
+  const Micros freshness_bound = 10 * core::kPingInterval;
   NodeId target = followers[txn.id % followers.size()];
   Micros best_rtt = 0;
   for (NodeId follower : followers) {
@@ -713,7 +713,7 @@ void MiddlewareNode::FlushLogAndDispatch(Txn& txn, bool commit) {
         txn.trace, "dm.log_fsync", id_, loop()->Now());
   }
   log_committer_.Append(
-      config_.log_flush_cost,
+      kLogFlushCost,
       "DECISION txn=" + std::to_string(id) + (commit ? " C\n" : " A\n"),
       [this, id, commit]() {
     Txn* txn = FindTxn(id);
@@ -1004,7 +1004,7 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
               config_.commit_protocol == CommitProtocol::kDecentralized) {
             const TxnId waiting = txn_id;
             loop()->Schedule(
-                config_.failover_vote_grace, [this, waiting, logical]() {
+                kFailoverVoteGrace, [this, waiting, logical]() {
                   Txn* t = FindTxn(waiting);
                   if (t == nullptr || t->aborting) return;
                   if (t->phase != Phase::kExecuting &&
@@ -1044,7 +1044,7 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
         // otherwise it died with the old leader — presume abort after a
         // grace period.
         const TxnId waiting = txn_id;
-        loop()->Schedule(config_.failover_vote_grace,
+        loop()->Schedule(kFailoverVoteGrace,
                          [this, waiting, logical]() {
                            Txn* t = FindTxn(waiting);
                            if (t == nullptr || t->aborting ||
@@ -1111,7 +1111,7 @@ void MiddlewareNode::OnPingResponse(const protocol::PingResponse& pong) {
     // unspaced push would send dozens of identical full maps per repair.
     const Micros spacing =
         std::max<Micros>(monitor_->RttEstimate(pong.from),
-                         config_.monitor.ping_interval);
+                         core::kPingInterval);
     Micros& last = shard_push_at_[pong.from];
     if (last == 0 || loop()->Now() - last >= spacing) {
       last = loop()->Now();

@@ -56,8 +56,6 @@ enum class CommitProtocol : uint8_t {
   kLocalNoAtomicity, ///< direct commit, no prepare (SSP "local" mode)
 };
 
-const char* CommitProtocolName(CommitProtocol protocol);
-
 struct MiddlewareConfig {
   std::string name = "dm";
   CommitProtocol commit_protocol = CommitProtocol::kTwoPhase;
@@ -67,13 +65,6 @@ struct MiddlewareConfig {
   /// Early abort via geo-agents (the agents do the peer notification; the
   /// DM additionally dispatches aborts so no participant is orphaned).
   bool early_abort = false;
-  /// Per-round DM work: parse/rewrite/route/schedule (Fig. 6c "analysis").
-  Micros analysis_cost = 300;
-  /// Commit/abort decision log fsync at the DM (Algorithm 1 FlushLog).
-  Micros log_flush_cost = 500;
-  /// Group-commit policy of the decision log: concurrent FlushLog calls
-  /// share one flush (the same abstraction the data sources use).
-  storage::GroupCommitConfig log_group_commit;
   /// Serve all-read batches of final-round branches from replication
   /// followers (stale-bounded; falls back to the leader on rejection).
   bool follower_reads = false;
@@ -82,12 +73,6 @@ struct MiddlewareConfig {
   /// A follower read unanswered for this long falls back to the leader
   /// (the follower may have crashed).
   Micros follower_read_timeout = MsToMicros(800);
-  /// After a leader failover, branches whose prepare vote does not
-  /// resurface within this grace period are aborted (their prepare never
-  /// reached a quorum and died with the old leader).
-  Micros failover_vote_grace = MsToMicros(500);
-  core::LatencyMonitorConfig monitor;
-  core::FootprintConfig footprint;
   /// Elastic sharding: hotspot-driven rebalancing (enable on ONE DM of a
   /// deployment; every DM handles map updates and redirects regardless).
   sharding::BalancerConfig balancer;
@@ -184,9 +169,6 @@ class MiddlewareNode {
     stats_.shard_map_epoch = std::max(stats_.shard_map_epoch, epoch);
   }
   const DecisionLog& decision_log() const { return log_; }
-  const storage::GroupCommitter& log_committer() const {
-    return log_committer_;
-  }
   runtime::ITimer* loop() { return timer_; }
 
   /// Number of transactions currently coordinated (in any phase).
@@ -373,8 +355,9 @@ class MiddlewareNode {
   AdmissionController admission_;
   DecisionLog log_;  // durable; survives DM crashes
   /// Group committer of the decision log: concurrent FlushLog calls share
-  /// one `log_flush_cost` flush; a DM crash loses the open batch (those
-  /// decisions were never durable, so presumed abort applies).
+  /// one `kLogFlushCost` flush (the same abstraction the data sources
+  /// use); a DM crash loses the open batch (those decisions were never
+  /// durable, so presumed abort applies).
   storage::GroupCommitter log_committer_;
   uint64_t next_seq_ = 1;
   bool crashed_ = false;

@@ -33,7 +33,7 @@ size_t AdmissionController::TenantShare(uint32_t tenant, Micros now) const {
   for (const auto& [id, state] : tenants_) {
     if (id == tenant) continue;
     const bool active = state.inflight > 0 ||
-                        now - state.last_arrival <= config_.tenant_active_window;
+                        now - state.last_arrival <= kTenantActiveWindow;
     if (active) active_weight += WeightOf(id);
   }
   const size_t share = static_cast<size_t>(
@@ -64,7 +64,7 @@ ShedReason AdmissionController::Consider(uint32_t tenant,
   } else if (config_.max_dispatch_queue > 0 &&
              dispatch_queue_depth >= config_.max_dispatch_queue) {
     reason = ShedReason::kDispatchQueue;
-  } else if (worst_source_occupancy >= config_.source_occupancy_shed) {
+  } else if (worst_source_occupancy >= kSourceOccupancyShed) {
     reason = ShedReason::kSourcePressure;
   }
 
@@ -106,12 +106,12 @@ void AdmissionController::Release(uint32_t tenant) {
 Micros AdmissionController::RetryHint() const {
   // Double every 8 consecutive sheds: steady overload pushes the retry
   // horizon out exponentially, a lone shed costs only the base.
-  Micros hint = config_.retry_hint_base;
+  Micros hint = kRetryHintBase;
   for (uint64_t step = consecutive_sheds_ / 8;
-       step > 0 && hint < config_.retry_hint_max; --step) {
+       step > 0 && hint < kRetryHintMax; --step) {
     hint *= 2;
   }
-  return std::min(hint, config_.retry_hint_max);
+  return std::min(hint, kRetryHintMax);
 }
 
 void AdmissionController::NoteDispatchDepth(size_t depth) {

@@ -44,28 +44,29 @@ struct OverloadConfig {
   /// a queue at or over the bound vetoes NEW admissions until it drains.
   /// 0 = no dispatch-queue pressure.
   size_t max_dispatch_queue = 0;
-  /// Source saturation: shed new admissions while any source's estimated
-  /// run-queue occupancy (run_queue / run_queue_limit EWMA from the
-  /// latency-monitor pongs) is at or above this. Only meaningful when the
-  /// data sources run a bounded queue (DataSourceConfig::max_run_queue).
-  double source_occupancy_shed = 0.95;
-  /// Retry hint attached to Overloaded replies: starts at `base` and
-  /// doubles with every 8 consecutive sheds up to `max`, so persistent
-  /// overload pushes clients exponentially further out.
-  Micros retry_hint_base = MsToMicros(5);
-  Micros retry_hint_max = MsToMicros(320);
   /// Weighted fair shares: tenant -> weight. Unlisted tenants weigh 1.
   /// A tenant's share of the in-flight budget is
   ///   max_inflight * weight / (sum of active tenants' weights),
   /// computed over *active* tenants only, so an idle tenant's share is
   /// lent out (work-conserving) and reclaimed as soon as it returns.
   std::map<uint32_t, uint32_t> tenant_weights;
-  /// A tenant counts as active while it has transactions in flight or
-  /// arrived within this window.
-  Micros tenant_active_window = MsToMicros(100);
 
   bool enabled() const { return max_inflight > 0; }
 };
+
+/// Source saturation: shed new admissions while any source's estimated
+/// run-queue occupancy (run_queue / run_queue_limit EWMA from the
+/// latency-monitor pongs) is at or above this. Only meaningful when the
+/// data sources run a bounded queue (DataSourceConfig::max_run_queue).
+constexpr double kSourceOccupancyShed = 0.95;
+/// Retry hint attached to Overloaded replies: starts at the base and
+/// doubles with every 8 consecutive sheds up to the max, so persistent
+/// overload pushes clients exponentially further out.
+constexpr Micros kRetryHintBase = MsToMicros(5);
+constexpr Micros kRetryHintMax = MsToMicros(320);
+/// A tenant counts as active while it has transactions in flight or
+/// arrived within this window.
+constexpr Micros kTenantActiveWindow = MsToMicros(100);
 
 /// Why a new transaction was (or would be) shed. kNone = admit.
 enum class ShedReason : uint8_t {

@@ -68,8 +68,6 @@ struct TraceConfig {
   double sample_rate = 0.0;
   /// Hard cap on stored spans; beyond it spans are counted but dropped.
   size_t max_spans = 1 << 20;
-  /// Exemplar count for the slowest-transactions report.
-  size_t slowest_k = 8;
 };
 
 /// Spans not tied to a sampled transaction (failover promotions, migration

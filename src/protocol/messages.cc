@@ -19,23 +19,5 @@ const char* VoteName(Vote vote) {
   return "?";
 }
 
-const char* ReplEntryTypeName(ReplEntryType type) {
-  switch (type) {
-    case ReplEntryType::kPrepare:
-      return "PREPARE";
-    case ReplEntryType::kCommit:
-      return "COMMIT";
-    case ReplEntryType::kAbort:
-      return "ABORT";
-    case ReplEntryType::kMigrationBegin:
-      return "MIGRATION_BEGIN";
-    case ReplEntryType::kMigrationCutover:
-      return "MIGRATION_CUTOVER";
-    case ReplEntryType::kMigrationEnd:
-      return "MIGRATION_END";
-  }
-  return "?";
-}
-
 }  // namespace protocol
 }  // namespace geotp

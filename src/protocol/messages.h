@@ -229,7 +229,6 @@ enum class ReplEntryType : uint8_t {
   kMigrationEnd,
 };
 
-const char* ReplEntryTypeName(ReplEntryType type);
 constexpr ReplEntryType WireMax(ReplEntryType) {
   return ReplEntryType::kMigrationEnd;
 }

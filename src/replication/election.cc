@@ -3,18 +3,6 @@
 namespace geotp {
 namespace replication {
 
-const char* RoleName(Role role) {
-  switch (role) {
-    case Role::kFollower:
-      return "follower";
-    case Role::kCandidate:
-      return "candidate";
-    case Role::kLeader:
-      return "leader";
-  }
-  return "?";
-}
-
 uint64_t ElectionState::StartElection(uint64_t own_last_log_index) {
   (void)own_last_log_index;
   stats_.elections_started++;

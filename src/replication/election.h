@@ -19,8 +19,6 @@ namespace replication {
 
 enum class Role : uint8_t { kFollower, kCandidate, kLeader };
 
-const char* RoleName(Role role);
-
 struct ElectionStats {
   uint64_t elections_started = 0;
   uint64_t votes_granted = 0;

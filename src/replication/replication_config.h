@@ -22,8 +22,6 @@ struct ReplicationConfig {
   /// election. Staggered per replica ordinal so elections do not collide.
   Micros election_timeout = MsToMicros(120);
   Micros election_stagger = MsToMicros(40);
-  /// Candidate retry backoff after a failed (split / refused) election.
-  Micros election_retry_backoff = MsToMicros(60);
 };
 
 /// Deployment wiring of one replica group.

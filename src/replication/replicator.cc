@@ -13,6 +13,9 @@ namespace replication {
 
 namespace {
 
+/// Candidate retry backoff after a failed (split / refused) election.
+constexpr Micros kElectionRetryBackoff = MsToMicros(60);
+
 /// Store-scan ordering shared by the offer builder (leader) and the span
 /// hasher (follower): digests only match if both sides pack a span's
 /// records in the same order.
@@ -769,7 +772,7 @@ void Replicator::OnElectionCheck() {
   }
   const Micros stagger = ordinal_ * group_.config.election_stagger;
   ArmElectionTimer(election_.role() == Role::kCandidate
-                       ? group_.config.election_retry_backoff + stagger
+                       ? kElectionRetryBackoff + stagger
                        : group_.config.election_timeout + stagger);
 }
 

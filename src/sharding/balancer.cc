@@ -10,6 +10,23 @@
 
 namespace geotp {
 namespace sharding {
+namespace {
+
+/// Histogram buckets for intra-range skew detection.
+constexpr size_t kSplitBuckets = 16;
+/// A contiguous sub-span holding at least this fraction of the range's
+/// heat counts as the hot sub-range. High on purpose: a mildly skewed
+/// range migrates whole in one snapshot+fence cycle; splitting it
+/// piecemeal would pay a fence window per piece and leave the warm
+/// remainder behind. Only a sharply concentrated head is worth carving
+/// out.
+constexpr double kSplitSkewFraction = 0.8;
+/// Split only when the hot sub-range spans at most this fraction of the
+/// range's width (otherwise the whole range is hot and migrating it
+/// outright is right).
+constexpr double kSplitMaxFraction = 0.5;
+
+}  // namespace
 
 using protocol::ShardCutoverReady;
 using protocol::ShardMapUpdate;
@@ -238,22 +255,20 @@ void ShardBalancer::FinishMerge(size_t idx, const SpanKey& left,
 bool ShardBalancer::TrySplit(const ShardRange& range, ShardRange* hot_child) {
   const uint64_t width = range.hi - range.lo;
   if (width < 2 * config_.split_min_keys) return false;
-  const size_t buckets =
-      std::max<size_t>(2, static_cast<size_t>(config_.split_buckets));
   const core::HotspotFootprint::HeatHistogram hist =
       dm_->footprint().Histogram(RecordKey{range.table, range.lo},
                                  RecordKey{range.table, range.hi - 1},
-                                 buckets);
+                                 kSplitBuckets);
   if (hist.empty() || hist.total == 0) return false;
 
-  // Smallest contiguous bucket window holding >= split_skew_fraction of
+  // Smallest contiguous bucket window holding >= kSplitSkewFraction of
   // the heat (two pointers).
   const uint64_t target = std::max<uint64_t>(
       1, static_cast<uint64_t>(static_cast<double>(hist.total) *
-                               config_.split_skew_fraction));
-  size_t best_lo = 0, best_hi = buckets;  // [lo, hi)
+                               kSplitSkewFraction));
+  size_t best_lo = 0, best_hi = kSplitBuckets;  // [lo, hi)
   uint64_t sum = 0;
-  for (size_t lo = 0, hi = 0; hi < buckets || sum >= target;) {
+  for (size_t lo = 0, hi = 0; hi < kSplitBuckets || sum >= target;) {
     if (sum >= target) {
       if (hi - lo < best_hi - best_lo) {
         best_lo = lo;
@@ -276,7 +291,7 @@ bool ShardBalancer::TrySplit(const ShardRange& range, ShardRange* hot_child) {
   // Only split when the hot sub-range is a small part of the span —
   // otherwise the whole range is hot and migrating it outright is right.
   if (static_cast<double>(hot_hi - hot_lo) >
-      static_cast<double>(width) * config_.split_max_fraction) {
+      static_cast<double>(width) * kSplitMaxFraction) {
     return false;
   }
 

@@ -80,19 +80,6 @@ struct BalancerConfig {
 
   // ----- online split / merge ---------------------------------------------
   bool split_enabled = true;
-  /// Histogram buckets for intra-range skew detection.
-  int split_buckets = 16;
-  /// A contiguous sub-span holding at least this fraction of the range's
-  /// heat counts as the hot sub-range. High on purpose: a mildly skewed
-  /// range migrates whole in one snapshot+fence cycle; splitting it
-  /// piecemeal would pay a fence window per piece and leave the warm
-  /// remainder behind. Only a sharply concentrated head is worth carving
-  /// out.
-  double split_skew_fraction = 0.8;
-  /// Split only when the hot sub-range spans at most this fraction of the
-  /// range's width (otherwise the whole range is hot and migrating it
-  /// outright is right).
-  double split_max_fraction = 0.5;
   /// Minimum width of a split-off sub-range (the hot window is widened to
   /// this); ranges narrower than twice this never split.
   uint64_t split_min_keys = 64;

@@ -120,7 +120,7 @@ void TransactionEngine::CancelPendingOp(const Xid& xid, Status status) {
   locks_.CancelRequest(id, std::move(status));
 }
 
-Status TransactionEngine::Prepare(const Xid& xid, Micros now) {
+Status TransactionEngine::Prepare(const Xid& xid, Micros /*now*/) {
   TxnData* data = Find(xid);
   if (data == nullptr) {
     return Status::NotFound("prepare: unknown branch " + xid.ToString());
@@ -132,7 +132,7 @@ Status TransactionEngine::Prepare(const Xid& xid, Micros now) {
     return Status::Aborted("prepare: operation still in flight");
   }
   data->state = TxnState::kPrepared;
-  wal_.Append(WalEntryType::kPrepare, xid, now);
+  wal_.AppendPrepare();
   return Status::OK();
 }
 
@@ -162,7 +162,7 @@ TransactionEngine::CommittedRecords(
 
 Status TransactionEngine::InstallPreparedBranch(
     const Xid& xid, const std::vector<std::pair<RecordKey, int64_t>>& writes,
-    Micros now) {
+    Micros /*now*/) {
   GEOTP_RETURN_NOT_OK(Begin(xid));
   TxnData* data = Find(xid);
   for (const auto& [key, value] : writes) {
@@ -175,11 +175,11 @@ Status TransactionEngine::InstallPreparedBranch(
     slot = value;
   }
   data->state = TxnState::kPrepared;
-  wal_.Append(WalEntryType::kPrepare, xid, now);
+  wal_.AppendPrepare();
   return Status::OK();
 }
 
-Status TransactionEngine::Commit(const Xid& xid, Micros now) {
+Status TransactionEngine::Commit(const Xid& xid, Micros /*now*/) {
   TxnData* data = Find(xid);
   if (data == nullptr) {
     return Status::NotFound("commit: unknown branch " + xid.ToString());
@@ -191,12 +191,12 @@ Status TransactionEngine::Commit(const Xid& xid, Micros now) {
   if (data->pending_request != kInvalidLockRequest) {
     return Status::Aborted("commit: operation still in flight");
   }
-  wal_.Append(WalEntryType::kCommit, xid, now);
+  wal_.AppendCommit();
   Finish(xid, *data, TxnState::kCommitted);
   return Status::OK();
 }
 
-Status TransactionEngine::Rollback(const Xid& xid, Micros now) {
+Status TransactionEngine::Rollback(const Xid& xid, Micros /*now*/) {
   TxnData* data = Find(xid);
   if (data == nullptr) return Status::OK();  // idempotent
   if (data->state == TxnState::kCommitted) {
@@ -214,7 +214,7 @@ Status TransactionEngine::Rollback(const Xid& xid, Micros now) {
   for (auto it = data->undo.rbegin(); it != data->undo.rend(); ++it) {
     store_.Put(it->key, it->old_value);
   }
-  wal_.Append(WalEntryType::kAbort, xid, now);
+  wal_.AppendAbort();
   Finish(xid, *data, TxnState::kAborted);
   return Status::OK();
 }

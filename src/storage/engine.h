@@ -43,8 +43,6 @@ struct EngineConfig {
   Micros write_cost = 400;
   Micros prepare_fsync_cost = 2000;
   Micros commit_fsync_cost = 1000;
-  /// Lock-wait timeout enforced by the data-source node (paper: 5 s).
-  Micros lock_wait_timeout = SecToMicros(5);
 };
 
 /// Engine-flavour presets used for the heterogeneous-deployment study

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,15 +63,6 @@ class GroupCommitter {
                  GroupCommitConfig config)
       : timer_(timer), device_(device), config_(config) {}
 
-  /// Convenience for simulated deployments: the device is an owned
-  /// SimStableStorage charging each flush's cost on `timer`.
-  GroupCommitter(runtime::ITimer* timer, GroupCommitConfig config)
-      : timer_(timer),
-        owned_device_(std::make_unique<runtime::SimStableStorage>(timer)),
-        config_(config) {
-    device_ = owned_device_.get();
-  }
-
   /// Joins the open batch. `fsync_cost` is this entry's device time if it
   /// flushed alone; the shared flush charges the max across the batch.
   /// `payload` is the entry's durable bytes (written to the device as part
@@ -106,8 +96,7 @@ class GroupCommitter {
   void FinishFlush(uint64_t generation);
 
   runtime::ITimer* timer_;
-  runtime::IStableStorage* device_ = nullptr;
-  std::unique_ptr<runtime::IStableStorage> owned_device_;
+  runtime::IStableStorage* device_;
   GroupCommitConfig config_;
   std::function<void()> on_fsync_;
   std::vector<Entry> open_;       ///< batch accepting new entries

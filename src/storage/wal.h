@@ -1,51 +1,50 @@
-// Write-ahead-log cost model and durable-state journal.
+// Write-ahead-log cost model and record counters.
 //
 // Real data sources pay an fsync on XA PREPARE and on COMMIT. In the
 // simulation the *time* cost is charged by the data-source node (it
-// schedules the fsync duration on the event loop); this class records the
-// durable entries so the recovery tests can check what survives a crash.
+// schedules the fsync duration on the event loop); this class counts the
+// records appended per type and the physical flushes. It keeps no
+// per-record state, so its memory is constant however long a node runs.
 #ifndef GEOTP_STORAGE_WAL_H_
 #define GEOTP_STORAGE_WAL_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.h"
 
 namespace geotp {
 namespace storage {
 
-enum class WalEntryType : uint8_t { kPrepare, kCommit, kAbort };
+struct WalStats {
+  uint64_t prepares = 0;  ///< prepare records appended
+  uint64_t commits = 0;   ///< commit records appended
+  uint64_t aborts = 0;    ///< abort records appended
+  uint64_t fsyncs = 0;    ///< physical log-device flushes
+  GEOTP_STAT_FIELDS(prepares, commits, aborts, fsyncs)
 
-struct WalEntry {
-  WalEntryType type;
-  Xid xid;
-  Micros at;  ///< virtual time of the fsync completion
+  /// Records appended, of every type.
+  uint64_t Entries() const { return prepares + commits + aborts; }
 };
 
 class Wal {
  public:
-  /// Appends (buffers) an entry. Appending alone is NOT durability: the
-  /// entry reaches the disk at the next fsync, which the owner reports via
-  /// NoteFsync(). Under group commit many entries share one fsync, so the
-  /// two counters diverge — Fig. 6 resource accounting needs both.
-  void Append(WalEntryType type, const Xid& xid, Micros at) {
-    entries_.push_back(WalEntry{type, xid, at});
-  }
+  /// Appends (buffers) a record. Appending alone is NOT durability: the
+  /// record reaches the disk at the next fsync, which the owner reports
+  /// via NoteFsync(). Under group commit many records share one fsync, so
+  /// the two counts diverge — Fig. 6 resource accounting needs both.
+  void AppendPrepare() { ++stats_.prepares; }
+  void AppendCommit() { ++stats_.commits; }
+  void AppendAbort() { ++stats_.aborts; }
 
   /// Records one physical log-device flush (possibly covering many
-  /// appended entries).
-  void NoteFsync() { ++fsyncs_; }
+  /// appended records).
+  void NoteFsync() { ++stats_.fsyncs; }
 
-  const std::vector<WalEntry>& entries() const { return entries_; }
-  uint64_t fsyncs() const { return fsyncs_; }
-
-  /// True if a prepare entry exists for `xid` with no later commit/abort.
-  bool IsPreparedUnresolved(const Xid& xid) const;
+  const WalStats& stats() const { return stats_; }
+  uint64_t fsyncs() const { return stats_.fsyncs; }
 
  private:
-  std::vector<WalEntry> entries_;
-  uint64_t fsyncs_ = 0;
+  WalStats stats_;
 };
 
 }  // namespace storage

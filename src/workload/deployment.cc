@@ -67,7 +67,7 @@ void Cluster::RegisterMetrics(obs::MetricsRegistry* registry) {
 Cluster::SourceTotals Cluster::Totals() const {
   SourceTotals totals;
   for (const auto& source : sources_) {
-    totals.wal_entries += source->engine().wal().entries().size();
+    totals.wal_entries += source->engine().wal().stats().Entries();
     totals.wal_fsyncs += source->engine().wal().fsyncs();
     metrics::Accumulate(&totals.sources, source->stats());
     metrics::Accumulate(&totals.group_commit, source->committer().stats());
@@ -104,10 +104,9 @@ std::unique_ptr<Cluster> Build(const Deployment& deployment,
       }
       const NodeId coordinator = deployment.middlewares.at(0);
       if (is_hosted(coordinator)) {
-        baselines::ScalarDbConfig db_config;
-        db_config.plus = deployment.system == SystemKind::kScalarDbPlus;
         cluster->scalardb_ = std::make_unique<baselines::ScalarDbNode>(
-            runtime->EnvFor(coordinator), catalog, db_config);
+            runtime->EnvFor(coordinator), catalog,
+            /*plus=*/deployment.system == SystemKind::kScalarDbPlus);
         cluster->scalardb_->Attach();
       }
       return cluster;
@@ -116,7 +115,7 @@ std::unique_ptr<Cluster> Build(const Deployment& deployment,
       for (const auto& group : deployment.groups) {
         if (!is_hosted(group[0])) continue;
         cluster->tablets_.push_back(std::make_unique<baselines::YbTabletNode>(
-            runtime->EnvFor(group[0]), &catalog, baselines::YbConfig()));
+            runtime->EnvFor(group[0]), &catalog));
         cluster->tablets_.back()->Attach();
       }
       return cluster;

@@ -184,15 +184,7 @@ void ClientDriver::OnTxnResult(const ClientTxnResult& result) {
     per_type.aborted++;
   }
   term.attempts++;
-  if (config_.retry_aborted) {
-    RetryOrGiveUp(term, /*floor_hint=*/0);
-  } else {
-    if (InWindow(now)) {
-      stats_.aborted++;
-      tenant_stats_[term.tenant].aborted++;
-    }
-    StartFreshTxn(term);
-  }
+  RetryOrGiveUp(term, /*floor_hint=*/0);
 }
 
 void ClientDriver::OnOverloaded(const protocol::OverloadedResponse& shed) {
@@ -215,14 +207,14 @@ Micros ClientDriver::NextBackoff(Terminal& term, Micros floor_hint) {
   // Ceiling doubles per attempt up to the cap; the draw is full jitter
   // over [min, ceiling] from the terminal's own RNG (deterministic, and
   // decorrelated across terminals so retries don't re-synchronize).
-  Micros ceiling = config_.retry_backoff_min;
+  Micros ceiling = kRetryBackoffMin;
   for (int i = 1; i < term.attempts && ceiling < config_.retry_backoff_max;
        ++i) {
     ceiling *= 2;
   }
   ceiling = std::min(ceiling, config_.retry_backoff_max);
   const Micros backoff =
-      term.rng.NextInt(config_.retry_backoff_min, ceiling);
+      term.rng.NextInt(kRetryBackoffMin, ceiling);
   return std::max(backoff, floor_hint);
 }
 

@@ -25,16 +25,19 @@
 namespace geotp {
 namespace workload {
 
+/// Floor of the retry backoff draw (see DriverConfig::retry_backoff_max).
+constexpr Micros kRetryBackoffMin = MsToMicros(5);
+
 struct DriverConfig {
   int terminals = 64;
   Micros warmup = SecToMicros(5);
   Micros measure = SecToMicros(20);
-  bool retry_aborted = true;
-  /// Retry backoff: capped exponential with full deterministic jitter.
-  /// Attempt k sleeps uniform(min, min * 2^(k-1)) capped at max — drawn
-  /// from the terminal's own forked RNG so sim runs stay reproducible.
-  /// An Overloaded reply's retry_after_hint raises the draw's floor.
-  Micros retry_backoff_min = MsToMicros(5);
+  /// Aborted and shed transactions are retried after a backoff: capped
+  /// exponential with full deterministic jitter. Attempt k sleeps
+  /// uniform(kRetryBackoffMin, kRetryBackoffMin * 2^(k-1)) capped at this
+  /// max — drawn from the terminal's own forked RNG so sim runs stay
+  /// reproducible. An Overloaded reply's retry_after_hint raises the
+  /// draw's floor.
   Micros retry_backoff_max = MsToMicros(20);
   /// Per-terminal retry budget: a transaction shed or aborted this many
   /// times is abandoned (a user-visible abort) and the terminal moves to

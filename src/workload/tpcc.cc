@@ -25,22 +25,6 @@ protocol::ClientOp Write(uint32_t table, uint64_t key, int64_t delta = 1) {
 
 }  // namespace
 
-const char* TpccTxnTypeName(TpccTxnType type) {
-  switch (type) {
-    case TpccTxnType::kNewOrder:
-      return "NewOrder";
-    case TpccTxnType::kPayment:
-      return "Payment";
-    case TpccTxnType::kOrderStatus:
-      return "OrderStatus";
-    case TpccTxnType::kDelivery:
-      return "Delivery";
-    case TpccTxnType::kStockLevel:
-      return "StockLevel";
-  }
-  return "?";
-}
-
 TpccGenerator::TpccGenerator(TpccConfig config) : config_(std::move(config)) {
   GEOTP_CHECK(!config_.data_sources.empty(), "need data sources");
   GEOTP_CHECK(config_.warehouses_per_node > 0, "need warehouses");

@@ -40,8 +40,6 @@ enum class TpccTxnType : int {
   kStockLevel = 4,
 };
 
-const char* TpccTxnTypeName(TpccTxnType type);
-
 struct TpccConfig {
   std::vector<NodeId> data_sources;
   uint64_t warehouses_per_node = 16;

@@ -126,12 +126,17 @@ TEST_F(EngineTest, RollbackAfterPrepareAllowed) {
 TEST_F(EngineTest, WalRecordsPrepareAndCommit) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(engine_.Prepare(T(1), 10).ok());
-  EXPECT_TRUE(engine_.wal().IsPreparedUnresolved(T(1)));
+  EXPECT_EQ(engine_.wal().stats().prepares, 1u);
+  EXPECT_EQ(engine_.wal().stats().commits, 0u);
   ASSERT_TRUE(engine_.Commit(T(1), 20).ok());
-  EXPECT_FALSE(engine_.wal().IsPreparedUnresolved(T(1)));
+  EXPECT_EQ(engine_.wal().stats().prepares, 1u);
+  EXPECT_EQ(engine_.wal().stats().commits, 1u);
+  ASSERT_TRUE(engine_.Begin(T(2)).ok());
+  ASSERT_TRUE(engine_.Rollback(T(2), 30).ok());
+  EXPECT_EQ(engine_.wal().stats().aborts, 1u);
   // Appending buffers entries; physical flushes are accounted separately
-  // (under group commit the two diverge — one fsync can cover them both).
-  EXPECT_EQ(engine_.wal().entries().size(), 2u);
+  // (under group commit the two diverge — one fsync can cover them all).
+  EXPECT_EQ(engine_.wal().stats().Entries(), 3u);
   EXPECT_EQ(engine_.wal().fsyncs(), 0u);
   engine_.NoteWalFsync();
   EXPECT_EQ(engine_.wal().fsyncs(), 1u);

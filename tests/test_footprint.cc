@@ -254,7 +254,7 @@ class ReferenceFootprint {
     double w_sum = 0.0;
     for (const RecordKey& key : keys) {
       const RecordStats* stats = Lookup(key);
-      w_sum += stats != nullptr ? stats->w_lat : config_.initial_w_lat;
+      w_sum += stats != nullptr ? stats->w_lat : kInitialWLat;
     }
     if (w_sum <= 0.0) w_sum = 1.0;
     for (const RecordKey& key : keys) {
@@ -332,7 +332,7 @@ class ReferenceFootprint {
     }
     lru_.push_front(key);
     Entry entry;
-    entry.stats.w_lat = config_.initial_w_lat;
+    entry.stats.w_lat = kInitialWLat;
     entry.lru = lru_.begin();
     records_.emplace(key, entry);
     while (records_.size() > config_.capacity) {

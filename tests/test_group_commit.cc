@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "runtime/runtime.h"
 #include "sim/event_loop.h"
 #include "sim_fixture.h"
 #include "storage/group_commit.h"
@@ -19,7 +20,8 @@ using testing_support::MiniCluster;
 
 TEST(GroupCommitterTest, SameTickAppendsShareOneFsync) {
   sim::EventLoop loop;
-  GroupCommitter committer(&loop, GroupCommitConfig());
+  runtime::SimStableStorage device(&loop);
+  GroupCommitter committer(&loop, &device, GroupCommitConfig());
   std::vector<Micros> done_at;
   for (int i = 0; i < 5; ++i) {
     committer.Append(2000, [&]() { done_at.push_back(loop.Now()); });
@@ -34,7 +36,8 @@ TEST(GroupCommitterTest, SameTickAppendsShareOneFsync) {
 
 TEST(GroupCommitterTest, FlushDurationIsMaxOfBatchCosts) {
   sim::EventLoop loop;
-  GroupCommitter committer(&loop, GroupCommitConfig());
+  runtime::SimStableStorage device(&loop);
+  GroupCommitter committer(&loop, &device, GroupCommitConfig());
   Micros cheap_done = 0;
   committer.Append(1000, [&]() { cheap_done = loop.Now(); });
   committer.Append(2200, [&]() {});
@@ -48,7 +51,8 @@ TEST(GroupCommitterTest, BatchDelayWindowAccumulatesLateArrivals) {
   sim::EventLoop loop;
   GroupCommitConfig config;
   config.max_batch_delay = 500;
-  GroupCommitter committer(&loop, config);
+  runtime::SimStableStorage device(&loop);
+  GroupCommitter committer(&loop, &device, config);
   std::vector<Micros> done_at;
   committer.Append(1000, [&]() { done_at.push_back(loop.Now()); });
   // Arrives inside the 500us window: joins the same batch.
@@ -68,7 +72,8 @@ TEST(GroupCommitterTest, FullBatchFlushesBeforeDelayExpires) {
   GroupCommitConfig config;
   config.max_batch_delay = 10000;
   config.max_batch_size = 3;
-  GroupCommitter committer(&loop, config);
+  runtime::SimStableStorage device(&loop);
+  GroupCommitter committer(&loop, &device, config);
   std::vector<Micros> done_at;
   for (int i = 0; i < 3; ++i) {
     committer.Append(1000, [&]() { done_at.push_back(loop.Now()); });
@@ -80,7 +85,8 @@ TEST(GroupCommitterTest, FullBatchFlushesBeforeDelayExpires) {
 
 TEST(GroupCommitterTest, SerialDeviceQueuesNextBatchBehindInFlightFlush) {
   sim::EventLoop loop;
-  GroupCommitter committer(&loop, GroupCommitConfig());
+  runtime::SimStableStorage device(&loop);
+  GroupCommitter committer(&loop, &device, GroupCommitConfig());
   std::vector<Micros> done_at;
   committer.Append(1000, [&]() { done_at.push_back(loop.Now()); });
   // Arrives while the first flush occupies the device: next batch.
@@ -98,7 +104,8 @@ TEST(GroupCommitterTest, BusyDeviceBacklogDrainsInMaxBatchSizeChunks) {
   sim::EventLoop loop;
   GroupCommitConfig config;
   config.max_batch_size = 2;
-  GroupCommitter committer(&loop, config);
+  runtime::SimStableStorage device(&loop);
+  GroupCommitter committer(&loop, &device, config);
   std::vector<Micros> done_at;
   committer.Append(1000, [&]() { done_at.push_back(loop.Now()); });
   // Five entries arrive while the first flush occupies the device: they
@@ -120,7 +127,8 @@ TEST(GroupCommitterTest, ResetDropsOpenBatchAndInFlightFlush) {
   sim::EventLoop loop;
   GroupCommitConfig config;
   config.max_batch_delay = 500;
-  GroupCommitter committer(&loop, config);
+  runtime::SimStableStorage device(&loop);
+  GroupCommitter committer(&loop, &device, config);
   int fired = 0;
   committer.Append(1000, [&]() { fired++; });
   loop.Schedule(100, [&]() { committer.Reset(); });  // crash mid-window
@@ -137,7 +145,8 @@ TEST(GroupCommitterTest, DisabledModeFsyncsEveryEntryIndependently) {
   sim::EventLoop loop;
   GroupCommitConfig config;
   config.enabled = false;
-  GroupCommitter committer(&loop, config);
+  runtime::SimStableStorage device(&loop);
+  GroupCommitter committer(&loop, &device, config);
   std::vector<Micros> done_at;
   for (int i = 0; i < 4; ++i) {
     committer.Append(2000, [&]() { done_at.push_back(loop.Now()); });

@@ -112,6 +112,25 @@ TEST_F(MonitorTest, EwmaSmoothsOutliers) {
   EXPECT_GT(after, before);
 }
 
+TEST_F(MonitorTest, FirstPongSeedsEstimateSecondBlends) {
+  LatencyMonitor monitor(0, net_.get(), &loop_, {1});
+  protocol::PingResponse pong;
+  pong.from = 1;
+  // The first sample of a node is its estimate, exactly.
+  pong.sent_at = -MsToMicros(40);
+  monitor.OnPong(pong);
+  EXPECT_EQ(monitor.RttEstimate(1), MsToMicros(40));
+  // The second blends at the default EWMA weight.
+  pong.sent_at = -MsToMicros(90);
+  monitor.OnPong(pong);
+  const double alpha = LatencyMonitorConfig().ewma_alpha;
+  EXPECT_EQ(monitor.RttEstimate(1),
+            static_cast<Micros>(alpha * MsToMicros(40) +
+                                (1.0 - alpha) * MsToMicros(90)));
+  EXPECT_NEAR(static_cast<double>(monitor.RttEstimate(1)),
+              static_cast<double>(MsToMicros(50)), 1.0);
+}
+
 TEST_F(MonitorTest, StopHaltsPinging) {
   LatencyMonitor monitor(0, net_.get(), &loop_, {1});
   net_->RegisterNode(0, [&](std::unique_ptr<runtime::MessageBase> msg) {

@@ -24,6 +24,9 @@ namespace geotp {
 namespace {
 
 using middleware::AdmissionController;
+using middleware::kRetryHintBase;
+using middleware::kRetryHintMax;
+using middleware::kTenantActiveWindow;
 using middleware::MiddlewareConfig;
 using middleware::OverloadConfig;
 using middleware::ShedReason;
@@ -73,22 +76,22 @@ TEST(AdmissionControllerTest, RetryHintDoublesUnderSustainedShedding) {
   // Sheds 1..7: base hint. Shed 8 crosses the first doubling step.
   for (int i = 0; i < 7; ++i) {
     admission.Consider(0, 0, 0.0, 0);
-    EXPECT_EQ(admission.RetryHint(), config.retry_hint_base);
+    EXPECT_EQ(admission.RetryHint(), kRetryHintBase);
   }
   admission.Consider(0, 0, 0.0, 0);
-  EXPECT_EQ(admission.RetryHint(), 2 * config.retry_hint_base);
+  EXPECT_EQ(admission.RetryHint(), 2 * kRetryHintBase);
   for (int i = 0; i < 8; ++i) admission.Consider(0, 0, 0.0, 0);
-  EXPECT_EQ(admission.RetryHint(), 4 * config.retry_hint_base);
+  EXPECT_EQ(admission.RetryHint(), 4 * kRetryHintBase);
 
   // Saturates at the cap no matter how long the overload lasts.
   for (int i = 0; i < 200; ++i) admission.Consider(0, 0, 0.0, 0);
-  EXPECT_EQ(admission.RetryHint(), config.retry_hint_max);
+  EXPECT_EQ(admission.RetryHint(), kRetryHintMax);
 
   // One admission resets the horizon to the base.
   admission.Release(0);
   ASSERT_EQ(admission.Consider(0, 0, 0.0, 0), ShedReason::kNone);
   admission.Consider(0, 0, 0.0, 0);
-  EXPECT_EQ(admission.RetryHint(), config.retry_hint_base);
+  EXPECT_EQ(admission.RetryHint(), kRetryHintBase);
 }
 
 TEST(AdmissionControllerTest, WeightedSharesAreWorkConserving) {
@@ -109,7 +112,7 @@ TEST(AdmissionControllerTest, WeightedSharesAreWorkConserving) {
   // Tenant 1 goes idle (releases, and its activity window expires): its
   // share is lent back to tenant 0 — work-conserving borrowing.
   admission.Release(1);
-  const Micros later = config.tenant_active_window + MsToMicros(1);
+  const Micros later = kTenantActiveWindow + MsToMicros(1);
   EXPECT_EQ(admission.TenantShare(0, later), 12u);
 }
 

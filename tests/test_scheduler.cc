@@ -207,7 +207,6 @@ TEST(SchedulerTest, AdmissionBlocksHotTransactions) {
   for (int i = 0; i < 10; ++i) fp.OnDispatch({K(1)});
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
-  config.admission.enabled = true;
   GeoScheduler sched(config, fx.monitor(), &fp);
   Rng rng(1);
   std::vector<ParticipantPlanInput> inputs(1);
@@ -229,15 +228,50 @@ TEST(SchedulerTest, AdmissionAbortsAfterRetryBudget) {
   for (int i = 0; i < 10; ++i) fp.OnDispatch({K(1)});
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
-  config.admission.enabled = true;
-  config.admission.retry_limit = 10;
   GeoScheduler sched(config, fx.monitor(), &fp);
   Rng rng(1);
   std::vector<ParticipantPlanInput> inputs(1);
   inputs[0].data_source = 1;
   inputs[0].keys = {K(1)};
-  auto decision = sched.ScheduleRound(inputs, /*attempt=*/9, rng);
+  auto decision =
+      sched.ScheduleRound(inputs, /*attempt=*/kAdmissionRetryLimit - 1, rng);
   EXPECT_EQ(decision.verdict, AdmissionVerdict::kAbort);
+}
+
+TEST(SchedulerTest, AdmissionRunsOnlyUnderForecastPolicy) {
+  // The policy alone selects Eq. 9 admission: a transaction on a record
+  // with abort probability ~1 is blocked under kLatencyAwareForecast and
+  // admitted under every other policy.
+  FakeMonitorFixture fx;
+  fx.SetRtt(1, MsToMicros(10));
+  HotspotFootprint fp;
+  for (int i = 0; i < 20; ++i) {
+    fp.OnDispatch({K(1)});
+    fp.OnComplete({K(1)}, 100, false);
+  }
+  for (int i = 0; i < 10; ++i) fp.OnDispatch({K(1)});
+  std::vector<ParticipantPlanInput> inputs(1);
+  inputs[0].data_source = 1;
+  inputs[0].keys = {K(1)};
+  for (SchedulerPolicy policy :
+       {SchedulerPolicy::kLatencyAwareForecast, SchedulerPolicy::kLatencyAware,
+        SchedulerPolicy::kChiller, SchedulerPolicy::kImmediate}) {
+    SchedulerConfig config;
+    config.policy = policy;
+    GeoScheduler sched(config, fx.monitor(), &fp);
+    Rng rng(1);
+    const ScheduleDecision decision =
+        sched.ScheduleRound(inputs, /*attempt=*/0, rng);
+    if (policy == SchedulerPolicy::kLatencyAwareForecast) {
+      EXPECT_EQ(decision.verdict, AdmissionVerdict::kBlock);
+      EXPECT_EQ(decision.retry_backoff, kAdmissionRetryBackoff);
+      EXPECT_TRUE(decision.plans.empty());
+    } else {
+      EXPECT_EQ(decision.verdict, AdmissionVerdict::kAdmit)
+          << SchedulerPolicyName(policy);
+      EXPECT_EQ(decision.plans.size(), 1u) << SchedulerPolicyName(policy);
+    }
+  }
 }
 
 TEST(SchedulerTest, AdmissionSkippedForNegativeAttempt) {
@@ -251,7 +285,6 @@ TEST(SchedulerTest, AdmissionSkippedForNegativeAttempt) {
   for (int i = 0; i < 10; ++i) fp.OnDispatch({K(1)});
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
-  config.admission.enabled = true;
   GeoScheduler sched(config, fx.monitor(), &fp);
   Rng rng(1);
   std::vector<ParticipantPlanInput> inputs(1);
@@ -268,7 +301,6 @@ TEST(SchedulerTest, AdmissionAdmitsColdTransactions) {
   HotspotFootprint fp;
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
-  config.admission.enabled = true;
   GeoScheduler sched(config, fx.monitor(), &fp);
   Rng rng(1);
   std::vector<ParticipantPlanInput> inputs(1);
