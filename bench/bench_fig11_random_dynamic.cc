@@ -5,6 +5,9 @@
 #include <algorithm>
 
 #include "bench_common.h"
+#include "sim/event_loop.h"
+#include "sim/latency.h"
+#include "sim/network.h"
 
 using namespace geotp;
 using namespace geotp::bench;

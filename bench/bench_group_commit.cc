@@ -22,6 +22,8 @@
 #include "bench_common.h"
 #include "replication/replicator.h"
 #include "runtime/sim_runtime.h"
+#include "sim/event_loop.h"
+#include "sim/network.h"
 #include "workload/deployment.h"
 #include "workload/driver.h"
 #include "workload/ycsb.h"

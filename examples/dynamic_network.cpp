@@ -5,6 +5,9 @@
 // and the monitor's live RTT estimates around the switch.
 #include <cstdio>
 
+#include "sim/event_loop.h"
+#include "sim/latency.h"
+#include "sim/network.h"
 #include "workload/runner.h"
 
 using namespace geotp;

@@ -9,6 +9,9 @@
 4. Every header src/<dir>/*.h is named in src/<dir>/README.md, as
    `name.h` or `name.{h,cc}`, so a header cannot be added or renamed
    without its directory's map following.
+5. Layering: only src/sim/, src/workload/ and src/runtime/sim_runtime.h
+   include a sim/ header. Actors see the simulator only through the
+   runtime interfaces, so they run unchanged on the loopback runtime.
 
 Exits non-zero with a per-problem report.
 """
@@ -93,17 +96,38 @@ def check_headers_named(entry, dir_path, readme, problems):
             problems.append(f"src/{entry}/README.md does not name {name}")
 
 
+SIM_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"sim/', re.M)
+SIM_INCLUDERS = ("src/sim/", "src/workload/", "src/runtime/sim_runtime.h")
+
+
+def check_sim_layering(problems):
+    src = os.path.join(REPO, "src")
+    for root, _, files in os.walk(src):
+        for name in sorted(files):
+            if not name.endswith((".h", ".cc")):
+                continue
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, REPO).replace("\\", "/")
+            if rel.startswith(SIM_INCLUDERS):
+                continue
+            with open(path, encoding="utf-8") as f:
+                if SIM_INCLUDE_RE.search(f.read()):
+                    problems.append(f"{rel} includes a sim/ header")
+
+
 def main():
     problems = []
     check_links(problems)
     check_src_readmes(problems)
+    check_sim_layering(problems)
     if problems:
         print(f"docs check: {len(problems)} problem(s)")
         for p in problems:
             print(f"  {p}")
         return 1
     print("docs check: all markdown links resolve, "
-          "all src/*/ READMEs present, referenced and naming every header")
+          "all src/*/ READMEs present, referenced and naming every header, "
+          "sim/ included only by the simulator's own layers")
     return 0
 
 

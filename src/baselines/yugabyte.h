@@ -22,7 +22,7 @@
 #include "baselines/store_messages.h"
 #include "middleware/catalog.h"
 #include "protocol/messages.h"
-#include "sim/network.h"
+#include "runtime/runtime.h"
 #include "storage/engine.h"
 #include "storage/versioned_store.h"
 

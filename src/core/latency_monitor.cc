@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "sim/event_loop.h"
 
 namespace geotp {
 namespace core {

@@ -15,7 +15,6 @@
 #include "common/types.h"
 #include "protocol/messages.h"
 #include "runtime/runtime.h"
-#include "sim/network.h"
 
 namespace geotp {
 namespace core {

@@ -1,5 +1,6 @@
 #include "datasource/data_source.h"
 
+#include <algorithm>
 #include <type_traits>
 #include <utility>
 
@@ -16,8 +17,9 @@ template <class F>
 constexpr bool kStoredInline =
     sizeof(F) <= 2 * sizeof(void*) && std::is_trivially_copyable_v<F>;
 
-/// Lock-wait timeout (innodb_lock_wait_timeout; paper default 5 s).
-constexpr Micros kLockWaitTimeout = SecToMicros(5);
+/// Geo-agent <-> database LAN round trip (the decentralized prepare costs
+/// one of these instead of a WAN round trip; paper §IV-A).
+constexpr Micros kAgentLanRtt = 300;
 
 }  // namespace
 
@@ -43,7 +45,6 @@ DataSourceNode::DataSourceNode(runtime::ActorEnv env, DataSourceConfig config)
       config_(config),
       engine_(config.engine),
       committer_(timer_, wal_device_.get(), config.group_commit),
-      agent_(std::make_unique<GeoAgent>(this)),
       migrator_(std::make_unique<sharding::ShardMigrator>(this)) {
   committer_.set_on_fsync([this]() { engine_.NoteWalFsync(); });
 }
@@ -66,9 +67,43 @@ void DataSourceNode::EnableReplication(
   replicator_ = std::make_unique<replication::Replicator>(this, group);
 }
 
-obs::TraceContext DataSourceNode::BranchTrace(TxnId txn) const {
+obs::SpanHandle DataSourceNode::BeginBranchSpan(TxnId txn,
+                                                const char* name) {
+  if (!obs::GlobalTracer().enabled()) return obs::kInvalidSpan;
   auto it = branches_.find(txn);
-  return it == branches_.end() ? obs::TraceContext{} : it->second.trace;
+  if (it == branches_.end() || !it->second.trace.valid()) {
+    return obs::kInvalidSpan;
+  }
+  return obs::GlobalTracer().BeginSpan(it->second.trace, name, id_,
+                                       loop()->Now());
+}
+
+void DataSourceNode::EndBranchSpan(obs::SpanHandle span) {
+  if (span != obs::kInvalidSpan) {
+    obs::GlobalTracer().EndSpan(span, loop()->Now());
+  }
+}
+
+void DataSourceNode::SendVote(NodeId to, const Xid& xid, Vote vote) {
+  auto msg = std::make_unique<VoteMessage>();
+  msg->from = id_;
+  msg->to = to;
+  msg->xid = xid;
+  msg->vote = vote;
+  network_->Send(std::move(msg));
+}
+
+void DataSourceNode::SendDecisionAck(NodeId to, const Xid& xid,
+                                     bool committed, bool one_phase,
+                                     Status status) {
+  auto ack = std::make_unique<DecisionAck>();
+  ack->from = id_;
+  ack->to = to;
+  ack->xid = xid;
+  ack->committed = committed;
+  ack->one_phase = one_phase;
+  ack->status = std::move(status);
+  network_->Send(std::move(ack));
 }
 
 void DataSourceNode::RegisterMetrics(obs::MetricsRegistry* registry) {
@@ -79,7 +114,6 @@ void DataSourceNode::RegisterMetrics(obs::MetricsRegistry* registry) {
   registry->RegisterStats(prefix + "wal.", engine_.wal().stats());
   registry->RegisterStats(prefix + "group_commit.", committer_.stats());
   registry->RegisterStats(prefix + "migrator.", migrator_->stats());
-  registry->RegisterStats(prefix + "agent.", agent_->stats());
   if (replicator_ != nullptr) {
     registry->RegisterStats(prefix + "replicator.", replicator_->stats());
     registry->RegisterStats(prefix + "shipper.", replicator_->shipper_stats());
@@ -95,6 +129,14 @@ void DataSourceNode::RegisterMetrics(obs::MetricsRegistry* registry) {
   registry->RegisterGauge(prefix + "wal_bytes", [this]() {
     return static_cast<double>(wal_device_->bytes_flushed());
   });
+  // Live tombstones; expired ones linger only until the next insert.
+  registry->RegisterGauge(prefix + "retained.tombstones", [this]() {
+    const Micros now = loop()->Now();
+    return static_cast<double>(std::count_if(
+        tombstones_.begin(), tombstones_.end(), [now](const auto& entry) {
+          return entry.second + kTombstoneLifetime > now;
+        }));
+  });
 }
 
 void DataSourceNode::OnIngestApplied(uint64_t migration_id,
@@ -104,25 +146,36 @@ void DataSourceNode::OnIngestApplied(uint64_t migration_id,
                                content_hash);
 }
 
-void DataSourceNode::AfterLocalPrepare(const Xid& xid, NodeId coordinator,
-                                       std::function<void()> deliver_vote) {
+void DataSourceNode::PrepareDurably(const Xid& xid, NodeId coordinator,
+                                    std::function<void()> on_refused) {
+  // The branch transitions (and the vote goes out) only when the shared
+  // fsync completes.
+  const obs::SpanHandle fsync_span =
+      BeginBranchSpan(xid.txn_id, "ds.prepare_fsync");
+  committer_.Append(
+      config_.engine.prepare_fsync_cost,
+      "PREPARE xid=" + xid.ToString() + "\n",
+      [this, xid, coordinator, fsync_span,
+       on_refused = std::move(on_refused)]() {
+        EndBranchSpan(fsync_span);
+        if (crashed_) return;
+        if (engine_.Prepare(xid, loop()->Now()).ok()) {
+          AfterLocalPrepare(xid, coordinator);
+        } else {
+          on_refused();
+        }
+      });
+}
+
+void DataSourceNode::AfterLocalPrepare(const Xid& xid, NodeId coordinator) {
   // The quorum span covers the replication wait when the group has peers;
   // without replication it closes in the same tick (a pass-through), so a
   // sampled transaction's span chain is the same shape either way.
-  obs::SpanHandle quorum = obs::kInvalidSpan;
-  if (obs::GlobalTracer().enabled()) {
-    const obs::TraceContext trace = BranchTrace(xid.txn_id);
-    if (trace.valid()) {
-      quorum = obs::GlobalTracer().BeginSpan(trace, "ds.quorum", id_,
-                                             loop()->Now());
-    }
-  }
-  auto deliver = [this, quorum,
-                  deliver_vote = std::move(deliver_vote)]() {
-    if (quorum != obs::kInvalidSpan) {
-      obs::GlobalTracer().EndSpan(quorum, loop()->Now());
-    }
-    deliver_vote();
+  const obs::SpanHandle quorum = BeginBranchSpan(xid.txn_id, "ds.quorum");
+  auto deliver = [this, xid, coordinator, quorum]() {
+    EndBranchSpan(quorum);
+    if (crashed_) return;
+    SendVote(coordinator, xid, Vote::kPrepared);
   };
   if (replicator_ != nullptr && replicator_->IsLeader()) {
     replicator_->ReplicatePrepare(
@@ -220,7 +273,7 @@ void DataSourceNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
       return;
     }
     case runtime::MessageType::kPeerAbortRequest:
-      agent_->OnPeerAbort(static_cast<PeerAbortRequest&>(*msg));
+      OnPeerAbort(static_cast<PeerAbortRequest&>(*msg));
       return;
     case runtime::MessageType::kPingRequest:
       OnPing(static_cast<PingRequest&>(*msg));
@@ -316,7 +369,7 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
   }
 
   // Early abort may have outrun this (possibly postponed) request.
-  if (agent_->IsTombstoned(req.xid.txn_id)) {
+  if (IsTombstoned(req.xid.txn_id)) {
     SendExecuteResponse(state, Status::Aborted("transaction early-aborted"),
                         /*rolled_back=*/true);
     return;
@@ -405,14 +458,14 @@ void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
   // would read a stale base while the batch waits in a lock queue.
   op.is_delta = cop.is_delta;
 
-  state->timeout_event = sim::kInvalidEvent;
+  state->timeout_event = runtime::kInvalidTimer;
   const uint64_t handle = state->handle;
   const auto on_op = [this, handle](Status status, int64_t value) {
     const std::shared_ptr<ExecState> state = LiveExec(handle);
     if (state == nullptr) return;  // finished; its timeout is gone too
-    if (state->timeout_event != sim::kInvalidEvent) {
+    if (state->timeout_event != runtime::kInvalidTimer) {
       loop()->Cancel(state->timeout_event);
-      state->timeout_event = sim::kInvalidEvent;
+      state->timeout_event = runtime::kInvalidTimer;
     }
     if (!status.ok()) {
       FinishExecFailure(state, status);
@@ -443,7 +496,7 @@ void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
         kLockWaitTimeout, [this, handle]() {
           const std::shared_ptr<ExecState> state = LiveExec(handle);
           if (state == nullptr) return;
-          state->timeout_event = sim::kInvalidEvent;
+          state->timeout_event = runtime::kInvalidTimer;
           stats_.lock_timeouts++;
           engine_.CancelPendingOp(
               state->xid, Status::TimedOut("lock wait timeout"));
@@ -457,8 +510,7 @@ void DataSourceNode::FinishExecSuccess(const std::shared_ptr<ExecState>& state) 
   if (state->last_statement) {
     auto it = branches_.find(state->xid.txn_id);
     if (it != branches_.end()) {
-      agent_->AsyncPrepare(state->xid, it->second.peers,
-                           it->second.coordinator);
+      AsyncPrepare(state->xid, it->second.peers, it->second.coordinator);
     }
   }
 }
@@ -466,24 +518,18 @@ void DataSourceNode::FinishExecSuccess(const std::shared_ptr<ExecState>& state) 
 void DataSourceNode::FinishExecFailure(const std::shared_ptr<ExecState>& state,
                                        Status status) {
   RetireExec(*state);
-  if (state->timeout_event != sim::kInvalidEvent) {
+  if (state->timeout_event != runtime::kInvalidTimer) {
     loop()->Cancel(state->timeout_event);
-    state->timeout_event = sim::kInvalidEvent;
+    state->timeout_event = runtime::kInvalidTimer;
   }
   auto it = branches_.find(state->xid.txn_id);
   if (it != branches_.end()) {
     // Local failure: roll back the branch, then (early abort) notify peers
     // directly, bypassing the DM (§IV-A, Fig. 4b).
-    const std::vector<NodeId> peers = it->second.peers;
-    const NodeId coordinator = it->second.coordinator;
+    const std::vector<NodeId> peers = std::move(it->second.peers);
     branches_.erase(it);
-    agent_->Tombstone(state->xid.txn_id);
-    (void)engine_.Rollback(state->xid, loop()->Now());
     stats_.rollbacks++;
-    if (config_.early_abort && !peers.empty()) {
-      agent_->AsyncRollback(state->xid, peers, coordinator,
-                            /*notify_dm=*/false);
-    }
+    AsyncRollback(state->xid, peers);
   }
   SendExecuteResponse(state, std::move(status), /*rolled_back=*/true);
 }
@@ -500,63 +546,117 @@ void DataSourceNode::SendExecuteResponse(
   resp->values = state->values;
   resp->local_exec_latency = loop()->Now() - state->started_at;
   resp->rolled_back = rolled_back;
-  if (state->exec_span != obs::kInvalidSpan) {
-    obs::GlobalTracer().EndSpan(state->exec_span, loop()->Now());
-    state->exec_span = obs::kInvalidSpan;
-  }
+  EndBranchSpan(state->exec_span);
+  state->exec_span = obs::kInvalidSpan;
   network_->Send(std::move(resp));
 }
 
 void DataSourceNode::OnPrepare(const Xid& xid, NodeId coordinator) {
   // Explicit prepare: the classic 2PC path, or the §III case of a source
-  // that is not processing the transaction's last statement. The prepare
-  // record joins the WAL device's open batch; the branch transitions (and
-  // the vote goes out) only when the shared fsync completes.
+  // that is not processing the transaction's last statement.
   stats_.explicit_prepares++;
-  obs::SpanHandle fsync_span = obs::kInvalidSpan;
-  if (obs::GlobalTracer().enabled()) {
-    const obs::TraceContext trace = BranchTrace(xid.txn_id);
-    if (trace.valid()) {
-      fsync_span = obs::GlobalTracer().BeginSpan(trace, "ds.prepare_fsync",
-                                                 id_, loop()->Now());
-    }
-  }
-  committer_.Append(config_.engine.prepare_fsync_cost,
-                    "PREPARE xid=" + xid.ToString() + "\n",
-                    [this, xid, coordinator, fsync_span]() {
-    if (fsync_span != obs::kInvalidSpan) {
-      obs::GlobalTracer().EndSpan(fsync_span, loop()->Now());
-    }
-    if (crashed_) return;
-    Status st = engine_.Prepare(xid, loop()->Now());
-    if (st.ok()) {
-      // Vote only after the prepare record is quorum-durable on the
-      // replica group (no-op without replication).
-      AfterLocalPrepare(xid, coordinator, [this, xid, coordinator]() {
-        if (crashed_) return;
-        auto vote = std::make_unique<VoteMessage>();
-        vote->from = id_;
-        vote->to = coordinator;
-        vote->xid = xid;
-        vote->vote = Vote::kPrepared;
-        network_->Send(std::move(vote));
-      });
-      return;
-    }
-    auto vote = std::make_unique<VoteMessage>();
-    vote->from = id_;
-    vote->to = coordinator;
-    vote->xid = xid;
-    vote->vote = Vote::kFailure;
+  PrepareDurably(xid, coordinator, [this, xid, coordinator]() {
     (void)engine_.Rollback(xid, loop()->Now());
     branches_.erase(xid.txn_id);
-    network_->Send(std::move(vote));
+    SendVote(coordinator, xid, Vote::kFailure);
   });
+}
+
+void DataSourceNode::AsyncPrepare(const Xid& xid, std::vector<NodeId> peers,
+                                  NodeId coordinator) {
+  stats_.prepares_initiated++;
+  // conn.end(): one LAN hop between the agent and the database (vs. the
+  // WAN round trip the DM-driven prepare would cost, §IV-A).
+  loop()->Schedule(kAgentLanRtt, [this, xid, peers = std::move(peers),
+                                  coordinator]() mutable {
+    if (crashed_) return;
+    if (peers.empty()) {
+      if (engine_.StateOf(xid) != storage::TxnState::kActive) return;
+      // Algorithm 1 line 8: no peers -> IDLE; the branch stays active and
+      // commits one-phase. No prepare record, no fsync.
+      SendVote(coordinator, xid, Vote::kIdle);
+      return;
+    }
+    stats_.decentralized_prepares++;
+    PrepareDurably(xid, coordinator, [this, xid, peers = std::move(peers),
+                                      coordinator]() {
+      // Rolled back while the prepare was in flight (a peer's early
+      // abort): the rollback path already reported to the DM.
+      if (engine_.StateOf(xid) != storage::TxnState::kActive) return;
+      SendVote(coordinator, xid, Vote::kFailure);
+      AsyncRollback(xid, peers);
+    });
+  });
+}
+
+void DataSourceNode::AsyncRollback(const Xid& xid,
+                                   const std::vector<NodeId>& peers) {
+  Tombstone(xid.txn_id);
+  (void)engine_.Rollback(xid, loop()->Now());
+  NoteLocalRollback(xid.txn_id);
+  if (!config_.early_abort) return;
+  for (NodeId peer : peers) {
+    if (peer == id_) continue;
+    auto req = std::make_unique<PeerAbortRequest>();
+    req->from = id_;
+    req->to = peer;
+    req->txn_id = xid.txn_id;
+    req->origin = id_;
+    network_->Send(std::move(req));
+    stats_.early_aborts_sent++;
+  }
+}
+
+void DataSourceNode::OnPeerAbort(const PeerAbortRequest& req) {
+  stats_.early_aborts_received++;
+  if (AbortBranch(req.txn_id)) return;
+  // The branch has not arrived yet (postponed dispatch) or was already
+  // finished; the tombstone refuses the former.
+  Tombstone(req.txn_id);
+  stats_.tombstone_hits++;
+}
+
+bool DataSourceNode::AbortBranch(TxnId txn) {
+  auto it = branches_.find(txn);
+  if (it == branches_.end()) return false;
+  const NodeId coordinator = it->second.coordinator;
+  const Xid xid{txn, logical_id()};
+  branches_.erase(it);
+  // The DM's abort decision clears the tombstone; expiry covers the
+  // participants it skips because they already confirmed.
+  Tombstone(txn);
+  const bool had_pending = engine_.HasPendingOp(xid);
+  (void)engine_.Rollback(xid, loop()->Now());
+  NoteLocalRollback(txn);
+  stats_.rollbacks++;
+  if (!had_pending && coordinator != kInvalidNode) {
+    SendVote(coordinator, xid, Vote::kRollbacked);
+  }
+  return true;
+}
+
+void DataSourceNode::Tombstone(TxnId txn) {
+  const Micros now = loop()->Now();
+  while (!tombstone_order_.empty() &&
+         tombstone_order_.front().first + kTombstoneLifetime <= now) {
+    const auto [at, expired] = tombstone_order_.front();
+    tombstone_order_.pop_front();
+    auto it = tombstones_.find(expired);
+    if (it != tombstones_.end() && it->second == at) tombstones_.erase(it);
+  }
+  tombstones_[txn] = now;
+  tombstone_order_.emplace_back(now, txn);
+}
+
+bool DataSourceNode::IsTombstoned(TxnId txn) const {
+  auto it = tombstones_.find(txn);
+  return it != tombstones_.end() &&
+         it->second + kTombstoneLifetime > timer_->Now();
 }
 
 void DataSourceNode::OnDecision(const DecisionItem& item,
                                 NodeId coordinator) {
-  agent_->ClearTombstone(item.xid.txn_id);
+  tombstones_.erase(item.xid.txn_id);  // the txn is finished
   const Xid xid = item.xid;
   if (item.commit) {
     const bool one_phase = item.one_phase;
@@ -571,35 +671,21 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
         replicator_->AwaitQuorum(
             *index, [this, xid, coordinator, one_phase]() {
               if (crashed_) return;
-              auto ack = std::make_unique<DecisionAck>();
-              ack->from = id_;
-              ack->to = coordinator;
-              ack->xid = xid;
-              ack->committed = true;
-              ack->one_phase = one_phase;
-              ack->status = Status::OK();
-              network_->Send(std::move(ack));
+              SendDecisionAck(coordinator, xid, /*committed=*/true,
+                              one_phase, Status::OK());
             });
         return;
       }
     }
     // The commit record shares the WAL device's flush with any concurrent
     // prepare/commit records (group commit).
-    obs::SpanHandle fsync_span = obs::kInvalidSpan;
-    if (obs::GlobalTracer().enabled()) {
-      const obs::TraceContext trace = BranchTrace(xid.txn_id);
-      if (trace.valid()) {
-        fsync_span = obs::GlobalTracer().BeginSpan(trace, "ds.commit_fsync",
-                                                   id_, loop()->Now());
-      }
-    }
+    const obs::SpanHandle fsync_span =
+        BeginBranchSpan(xid.txn_id, "ds.commit_fsync");
     committer_.Append(
         config_.engine.commit_fsync_cost,
         "COMMIT xid=" + xid.ToString() + "\n",
         [this, xid, coordinator, one_phase, fsync_span]() {
-          if (fsync_span != obs::kInvalidSpan) {
-            obs::GlobalTracer().EndSpan(fsync_span, loop()->Now());
-          }
+          EndBranchSpan(fsync_span);
           if (crashed_) return;
           auto finish = [this, xid, coordinator, one_phase]() {
             if (crashed_) return;
@@ -623,14 +709,9 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
             }
             branches_.erase(xid.txn_id);
             migrator_->OnBranchResolved();
-            auto ack = std::make_unique<DecisionAck>();
-            ack->from = id_;
-            ack->to = coordinator;
-            ack->xid = xid;
-            ack->committed = st.ok();
-            ack->one_phase = one_phase;
-            ack->status = std::move(st);
-            network_->Send(std::move(ack));
+            const bool committed = st.ok();
+            SendDecisionAck(coordinator, xid, committed, one_phase,
+                            std::move(st));
           };
           const storage::TxnState state = engine_.StateOf(xid);
           const bool committable =
@@ -641,20 +722,12 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
               committable) {
             // Quorum-replicate the commit (with its write set) before the
             // local commit becomes durable and is acknowledged.
-            obs::SpanHandle quorum = obs::kInvalidSpan;
-            if (obs::GlobalTracer().enabled()) {
-              const obs::TraceContext trace = BranchTrace(xid.txn_id);
-              if (trace.valid()) {
-                quorum = obs::GlobalTracer().BeginSpan(
-                    trace, "ds.commit_quorum", id_, loop()->Now());
-              }
-            }
+            const obs::SpanHandle quorum =
+                BeginBranchSpan(xid.txn_id, "ds.commit_quorum");
             replicator_->ReplicateCommit(
                 xid, engine_.WriteSetOf<protocol::ReplWrite>(xid),
                 [this, quorum, finish = std::move(finish)]() {
-                  if (quorum != obs::kInvalidSpan) {
-                    obs::GlobalTracer().EndSpan(quorum, loop()->Now());
-                  }
+                  EndBranchSpan(quorum);
                   finish();
                 });
           } else {
@@ -667,39 +740,8 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
     stats_.rollbacks++;
     branches_.erase(xid.txn_id);
     migrator_->OnBranchResolved();
-    auto ack = std::make_unique<DecisionAck>();
-    ack->from = id_;
-    ack->to = coordinator;
-    ack->xid = xid;
-    ack->committed = false;
-    ack->status = Status::OK();
-    network_->Send(std::move(ack));
-  }
-}
-
-void DataSourceNode::AbortBranchForMigration(TxnId txn) {
-  auto it = branches_.find(txn);
-  if (it == branches_.end()) return;
-  const NodeId coordinator = it->second.coordinator;
-  const Xid xid{txn, logical_id()};
-  branches_.erase(it);
-  // The tombstone refuses batches already in flight toward the fence; the
-  // DM's abort decision clears it.
-  agent_->Tombstone(txn);
-  // With a pending lock request, the rollback cancels it and the exec
-  // failure path reports to the DM; otherwise confirm via a ROLLBACKED
-  // vote (same split as the peer-abort path).
-  const bool had_pending = engine_.HasPendingOp(xid);
-  (void)engine_.Rollback(xid, loop()->Now());
-  NoteLocalRollback(txn);
-  stats_.rollbacks++;
-  if (!had_pending && coordinator != kInvalidNode) {
-    auto vote = std::make_unique<VoteMessage>();
-    vote->from = id_;
-    vote->to = coordinator;
-    vote->xid = xid;
-    vote->vote = Vote::kRollbacked;
-    network_->Send(std::move(vote));
+    SendDecisionAck(coordinator, xid, /*committed=*/false,
+                    /*one_phase=*/false, Status::OK());
   }
 }
 

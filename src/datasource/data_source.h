@@ -1,46 +1,63 @@
 // DataSourceNode: one geo-distributed data source — an XA-capable engine
-// (MySQL- or PostgreSQL-flavoured) fronted by a GeoTP geo-agent.
+// (MySQL- or PostgreSQL-flavoured) together with the geo-agent GeoTP
+// deploys next to it (paper §III-B).
 //
-// The node is an actor on the simulated network. It owns:
+// The node is an actor on the network. It owns:
 //   * a storage::TransactionEngine (strict 2PL + XA state machine),
 //   * the cost model (per-op execution time, fsync time, agent LAN hop),
-//   * the geo-agent, which implements the paper's two data-source-side
-//     mechanisms: decentralized prepare (§IV-A) and early abort (§IV-A).
+//   * the geo-agent role (§IV-A, Algorithm 1):
+//       - decentralized prepare (AsyncPrepare): after a branch's last
+//         statement, XA END/PREPARE over one LAN hop, vote straight to the
+//         DM — no WAN prepare round;
+//       - early abort (AsyncRollback): a failed branch notifies its peers
+//         directly (PeerAbortRequest), bypassing the DM;
+//       - tombstones: a peer abort can outrun a postponed batch, so the
+//         aborted transaction is remembered and late batches are refused.
 //
 // Batches of operations within one BranchExecuteRequest run sequentially
-// (charging engine costs on the event loop); lock waits park the batch and
+// (charging engine costs on the timer); lock waits park the batch and
 // a 5 s lock-wait timeout aborts the branch, mirroring
 // innodb_lock_wait_timeout.
 #ifndef GEOTP_DATASOURCE_DATA_SOURCE_H_
 #define GEOTP_DATASOURCE_DATA_SOURCE_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
-#include "datasource/geo_agent.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "protocol/messages.h"
 #include "replication/replicator.h"
 #include "runtime/runtime.h"
 #include "sharding/migrator.h"
-#include "sim/event_loop.h"
-#include "sim/network.h"
 #include "storage/engine.h"
 #include "storage/group_commit.h"
 
 namespace geotp {
 namespace datasource {
 
+/// Lock-wait timeout (innodb_lock_wait_timeout; paper default 5 s).
+constexpr Micros kLockWaitTimeout = SecToMicros(5);
+/// Bound on how long a DM postpones a branch dispatch: the slowest
+/// participant's RTT estimate plus scaled LEL forecast, less the branch's
+/// own (Eq. 3/8). The longest seen in any bench here is 2.2 s.
+constexpr Micros kLongestPostponement = SecToMicros(5);
+/// How long a tombstone refuses late batches. Any batch an early abort
+/// outran left its DM before the abort, so it arrives within one
+/// postponement, with the lock-wait timeout as margin; after that the
+/// tombstone can refuse nothing and expires.
+constexpr Micros kTombstoneLifetime = kLongestPostponement + kLockWaitTimeout;
+
 struct DataSourceConfig {
   storage::EngineConfig engine;
-  /// Early abort (geo-agent notifies peers directly). Usually set from the
-  /// middleware's mode; kept here because the behaviour is agent-side.
+  /// Early abort: a failed branch notifies its peers directly. Set from
+  /// the deployment's DM mode by workload::Build.
   bool early_abort = true;
   /// Group-commit policy of the WAL device: prepare/commit fsyncs from
   /// concurrent branches share one flush (enabled by default; disable for
@@ -92,10 +109,14 @@ struct DataSourceStats {
   uint64_t batches_executed = 0;
   uint64_t ops_executed = 0;
   uint64_t lock_timeouts = 0;
+  uint64_t prepares_initiated = 0;  ///< AsyncPrepare calls (incl. IDLE votes)
+  /// Prepare records written, by who asked: the node itself after a last
+  /// statement (decentralized) or the DM (explicit).
   uint64_t decentralized_prepares = 0;
   uint64_t explicit_prepares = 0;
   uint64_t early_aborts_sent = 0;
   uint64_t early_aborts_received = 0;
+  uint64_t tombstone_hits = 0;  ///< peer aborts that found no branch
   uint64_t commits = 0;
   uint64_t rollbacks = 0;
   // Elastic sharding (src/sharding).
@@ -107,8 +128,9 @@ struct DataSourceStats {
   // Overload control.
   uint64_t run_queue_rejections = 0;  ///< new branches refused at a full queue
   GEOTP_STAT_FIELDS(batches_executed, ops_executed, lock_timeouts,
-                    decentralized_prepares, explicit_prepares,
-                    early_aborts_sent, early_aborts_received, commits,
+                    prepares_initiated, decentralized_prepares,
+                    explicit_prepares, early_aborts_sent,
+                    early_aborts_received, tombstone_hits, commits,
                     rollbacks, shard_fenced_rejections, shard_redirects_sent,
                     HighWater(peak_inflight), shard_map_serves,
                     run_queue_rejections)
@@ -141,7 +163,6 @@ class DataSourceNode {
   /// The WAL device's group committer: prepare/commit durability waits go
   /// through here so concurrent branches share fsyncs.
   storage::GroupCommitter& committer() { return committer_; }
-  GeoAgent& agent() { return *agent_; }
   /// Elastic sharding: live migration + stale-epoch redirects.
   sharding::ShardMigrator& migrator() { return *migrator_; }
   const DataSourceStats& stats() const { return stats_; }
@@ -156,6 +177,10 @@ class DataSourceNode {
 
   /// True if this node currently executes/holds the branch of `txn`.
   bool HasBranch(TxnId txn) const { return branches_.count(txn) > 0; }
+
+  /// True while batches of `txn` are refused here: it was early-aborted
+  /// less than kTombstoneLifetime ago and no decision has cleared it.
+  bool IsTombstoned(TxnId txn) const;
 
   /// Registers this source's stats, its subsystems' stats and its
   /// live-state gauges on `registry` (see MiddlewareNode::AttachMetrics
@@ -187,7 +212,6 @@ class DataSourceNode {
                        uint64_t delta_seq, uint64_t content_hash);
 
  private:
-  friend class GeoAgent;
   friend class sharding::ShardMigrator;
 
   struct BranchInfo {
@@ -214,7 +238,7 @@ class DataSourceNode {
     bool last_statement = false;
     Micros started_at = 0;
     NodeId reply_to = kInvalidNode;
-    sim::EventId timeout_event = sim::kInvalidEvent;
+    runtime::TimerId timeout_event = runtime::kInvalidTimer;
     obs::SpanHandle exec_span = obs::kInvalidSpan;
     /// exec_slots_ handle while the ops run; 0 before and once finished.
     uint64_t handle = 0;
@@ -233,23 +257,44 @@ class DataSourceNode {
 
   friend class replication::Replicator;
 
-  /// Reports prepare durability: with replication, the vote is delivered
-  /// once the prepare entry reaches a quorum; without, immediately.
-  void AfterLocalPrepare(const Xid& xid, NodeId coordinator,
-                         std::function<void()> deliver_vote);
+  /// The durable prepare both prepare paths share: the prepare record
+  /// joins the WAL device's open batch (span ds.prepare_fsync); at the
+  /// shared fsync the engine prepares the branch and AfterLocalPrepare
+  /// votes PREPARED. `on_refused` runs instead when the engine refuses.
+  void PrepareDurably(const Xid& xid, NodeId coordinator,
+                      std::function<void()> on_refused);
+  /// Votes PREPARED to `coordinator`: with replication once the prepare
+  /// entry reaches a quorum (span ds.quorum), without immediately.
+  void AfterLocalPrepare(const Xid& xid, NodeId coordinator);
+  /// Algorithm 1 AsyncPrepare: after `xid`'s last statement, one LAN hop
+  /// to the engine, then IDLE (no peers: the branch commits one-phase) or
+  /// a durable prepare whose refusal early-aborts the branch.
+  void AsyncPrepare(const Xid& xid, std::vector<NodeId> peers,
+                    NodeId coordinator);
+  /// Algorithm 1 AsyncRollback: tombstones and rolls back the local branch,
+  /// then (early abort) notifies `peers` directly, bypassing the DM.
+  void AsyncRollback(const Xid& xid, const std::vector<NodeId>& peers);
+  void OnPeerAbort(const protocol::PeerAbortRequest& req);
+  /// Rolls back `txn`'s branch for a peer's early abort or the migration
+  /// fence, and tombstones it against batches still in flight. A pending
+  /// lock request is cancelled and the failing batch reports to the DM;
+  /// otherwise a ROLLBACKED vote confirms the rollback. False if no branch
+  /// of `txn` is here.
+  bool AbortBranch(TxnId txn);
+  void Tombstone(TxnId txn);
   /// Appends an abort entry if the branch had a replicated prepare entry
   /// (followers must unstage it). No-op otherwise.
   void NoteLocalRollback(TxnId txn);
   /// True if this replica must redirect coordinator traffic to the leader.
   bool RedirectIfNotLeader(NodeId requester);
-  /// Migration fence: rolls back an active branch and confirms to its
-  /// coordinator (the client retries; post-cutover the retry routes to the
-  /// shard's new owner). Mirrors the peer-abort path.
-  void AbortBranchForMigration(TxnId txn);
 
-  /// The stored trace context of `txn`'s branch (invalid when the branch
-  /// is gone or was never sampled).
-  obs::TraceContext BranchTrace(TxnId txn) const;
+  /// Opens span `name` under `txn`'s branch trace context; kInvalidSpan
+  /// when tracing is off or the branch is gone or was never sampled.
+  obs::SpanHandle BeginBranchSpan(TxnId txn, const char* name);
+  void EndBranchSpan(obs::SpanHandle span);
+  void SendVote(NodeId to, const Xid& xid, protocol::Vote vote);
+  void SendDecisionAck(NodeId to, const Xid& xid, bool committed,
+                       bool one_phase, Status status);
 
   void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   /// Promotion barrier (see Replicator::ReadyToServe): true for message
@@ -282,13 +327,18 @@ class DataSourceNode {
   DataSourceConfig config_;
   storage::TransactionEngine engine_;
   storage::GroupCommitter committer_;
-  std::unique_ptr<GeoAgent> agent_;
   std::unique_ptr<replication::Replicator> replicator_;
   std::unique_ptr<sharding::ShardMigrator> migrator_;
   DataSourceStats stats_;
   bool crashed_ = false;
 
   std::unordered_map<TxnId, BranchInfo> branches_;
+  /// Early-aborted transactions -> when they were tombstoned, plus the
+  /// same pairs in tombstoning order, which is expiry order: inserting
+  /// prunes expired entries from the front. A decision or a re-tombstone
+  /// leaves a stale pair behind, skipped when it reaches the front.
+  std::unordered_map<TxnId, Micros> tombstones_;
+  std::deque<std::pair<Micros, TxnId>> tombstone_order_;
   std::vector<ExecSlot> exec_slots_;
   std::vector<uint32_t> free_exec_slots_;
   /// Client-facing messages held while the replicator's promotion barrier

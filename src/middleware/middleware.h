@@ -40,7 +40,6 @@
 #include "obs/trace.h"
 #include "protocol/messages.h"
 #include "sharding/balancer.h"
-#include "sim/network.h"
 #include "storage/group_commit.h"
 
 namespace geotp {
@@ -62,8 +61,9 @@ struct MiddlewareConfig {
   core::SchedulerConfig scheduler;
   /// QURO preprocessing: reorder each batch reads-first/writes-last.
   bool quro_reorder = false;
-  /// Early abort via geo-agents (the agents do the peer notification; the
-  /// DM additionally dispatches aborts so no participant is orphaned).
+  /// Early abort: a failed branch's data source notifies its peers
+  /// directly. The DM never reads this; workload::Build copies it into
+  /// every DataSourceConfig of the deployment.
   bool early_abort = false;
   /// Serve all-read batches of final-round branches from replication
   /// followers (stale-bounded; falls back to the leader on rejection).

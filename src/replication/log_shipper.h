@@ -21,7 +21,6 @@
 #include "protocol/wan_codec.h"
 #include "replication/replication_config.h"
 #include "runtime/runtime.h"
-#include "sim/network.h"
 
 namespace geotp {
 namespace replication {

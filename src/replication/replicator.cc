@@ -67,7 +67,6 @@ using protocol::ReplEntryType;
 using protocol::ReplVoteRequest;
 using protocol::ReplVoteResponse;
 using protocol::Vote;
-using protocol::VoteMessage;
 
 Replicator::Replicator(datasource::DataSourceNode* node, GroupConfig group)
     : node_(node),
@@ -758,7 +757,7 @@ void Replicator::WipeForBootstrap() {
 
 void Replicator::ArmElectionTimer(Micros delay) {
   election_timer_ = loop()->Schedule(delay, [this]() {
-    election_timer_ = sim::kInvalidEvent;
+    election_timer_ = runtime::kInvalidTimer;
     OnElectionCheck();
   });
 }
@@ -799,7 +798,7 @@ void Replicator::StartElection() {
 void Replicator::ArmHeartbeatTimer() {
   heartbeat_timer_ =
       loop()->Schedule(group_.config.heartbeat_interval, [this]() {
-        heartbeat_timer_ = sim::kInvalidEvent;
+        heartbeat_timer_ = runtime::kInvalidTimer;
         if (node_->crashed() || !IsLeader()) return;
         shipper_.Tick();
         MaybeTruncateLog();
@@ -916,12 +915,7 @@ void Replicator::InstallStagedPrepares() {
       stats_.prepared_installs++;
     }
     if (entry.coordinator != kInvalidNode) {
-      auto vote = std::make_unique<VoteMessage>();
-      vote->from = self();
-      vote->to = entry.coordinator;
-      vote->xid = entry.xid;
-      vote->vote = Vote::kPrepared;
-      network()->Send(std::move(vote));
+      node_->SendVote(entry.coordinator, entry.xid, Vote::kPrepared);
       stats_.revotes_sent++;
     }
   }
@@ -942,7 +936,7 @@ void Replicator::AnnounceLeadership() {
 void Replicator::SyncRoleState() {
   if (election_.role() == Role::kLeader) return;
   RetireLeadership();
-  if (election_timer_ == sim::kInvalidEvent && !node_->crashed()) {
+  if (election_timer_ == runtime::kInvalidTimer && !node_->crashed()) {
     ArmElectionTimer(group_.config.election_timeout +
                      ordinal_ * group_.config.election_stagger);
   }
@@ -1009,13 +1003,13 @@ void Replicator::ApplyEntry(const ReplEntry& entry) {
 // ---------------------------------------------------------------------------
 
 void Replicator::OnCrash() {
-  if (election_timer_ != sim::kInvalidEvent) {
+  if (election_timer_ != runtime::kInvalidTimer) {
     loop()->Cancel(election_timer_);
-    election_timer_ = sim::kInvalidEvent;
+    election_timer_ = runtime::kInvalidTimer;
   }
-  if (heartbeat_timer_ != sim::kInvalidEvent) {
+  if (heartbeat_timer_ != runtime::kInvalidTimer) {
     loop()->Cancel(heartbeat_timer_);
-    heartbeat_timer_ = sim::kInvalidEvent;
+    heartbeat_timer_ = runtime::kInvalidTimer;
   }
   election_.StepDown();
   RetireLeadership();

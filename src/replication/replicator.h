@@ -29,7 +29,6 @@
 #include "runtime/runtime.h"
 #include "replication/replication_config.h"
 #include "replication/unresolved_prepares.h"
-#include "sim/event_loop.h"
 
 namespace geotp {
 namespace datasource {
@@ -314,8 +313,8 @@ class Replicator {
   };
   std::optional<PendingBootstrap> pending_bootstrap_;
 
-  sim::EventId election_timer_ = sim::kInvalidEvent;
-  sim::EventId heartbeat_timer_ = sim::kInvalidEvent;
+  runtime::TimerId election_timer_ = runtime::kInvalidTimer;
+  runtime::TimerId heartbeat_timer_ = runtime::kInvalidTimer;
   /// Inherited entries not yet re-quorum'd + applied (promotion barrier).
   uint64_t promotion_applies_pending_ = 0;
   /// "repl.promotion" system span (BecomeLeader -> barrier cleared).

@@ -34,7 +34,6 @@
 #include "common/types.h"
 #include "protocol/messages.h"
 #include "sharding/shard_map.h"
-#include "sim/network.h"
 
 namespace geotp {
 namespace middleware {

@@ -377,7 +377,7 @@ void ShardMigrator::FenceRange(Outbound& out) {
       }
     }
   }
-  for (TxnId txn : to_abort) node_->AbortBranchForMigration(txn);
+  for (TxnId txn : to_abort) node_->AbortBranch(txn);
   stats_.fence_aborts += to_abort.size();
 }
 

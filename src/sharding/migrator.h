@@ -60,7 +60,6 @@
 #include "protocol/messages.h"
 #include "replication/replicator.h"
 #include "sharding/shard_map.h"
-#include "sim/network.h"
 
 namespace geotp {
 namespace datasource {

@@ -5,6 +5,9 @@
 #include "baselines/store_node.h"
 #include "baselines/yugabyte.h"
 #include "runtime/sim_runtime.h"
+#include "sim/event_loop.h"
+#include "sim/latency.h"
+#include "sim/network.h"
 #include "workload/runner.h"
 
 namespace geotp {

@@ -1,6 +1,6 @@
-// Tests for the data-source node and its geo-agent: execution batches,
-// lock-wait timeouts, decentralized prepare votes, early abort and
-// tombstones.
+// Tests for the data-source node and its geo-agent role: execution
+// batches, lock-wait timeouts, decentralized and explicit prepare votes,
+// early abort and tombstones.
 #include "datasource/data_source.h"
 
 #include <gtest/gtest.h>
@@ -27,7 +27,8 @@ using protocol::VoteMessage;
 // Harness: node 0 plays the DM, nodes 1..2 are data sources.
 class DataSourceTest : public ::testing::Test {
  protected:
-  DataSourceTest() {
+  DataSourceTest() : DataSourceTest(DataSourceConfig::Postgres()) {}
+  explicit DataSourceTest(DataSourceConfig ds2_config) {
     sim::LatencyMatrix matrix(3);
     matrix.SetSymmetric(0, 1, sim::LinkSpec::FromRttMs(10.0));
     matrix.SetSymmetric(0, 2, sim::LinkSpec::FromRttMs(100.0));
@@ -36,8 +37,7 @@ class DataSourceTest : public ::testing::Test {
     rt_ = std::make_unique<runtime::SimRuntime>(&loop_, net_.get());
     ds1_ = std::make_unique<DataSourceNode>(rt_->EnvFor(1),
                                             DataSourceConfig::MySql());
-    ds2_ = std::make_unique<DataSourceNode>(rt_->EnvFor(2),
-                                            DataSourceConfig::Postgres());
+    ds2_ = std::make_unique<DataSourceNode>(rt_->EnvFor(2), ds2_config);
     ds1_->Attach();
     ds2_->Attach();
     net_->RegisterNode(0, [this](std::unique_ptr<runtime::MessageBase> msg) {
@@ -131,7 +131,7 @@ TEST_F(DataSourceTest, DistributedLastStatementVotesPrepared) {
   EXPECT_EQ(votes_[0].vote, Vote::kPrepared);
   EXPECT_EQ(ds1_->engine().StateOf(Xid{100, 1}),
             storage::TxnState::kPrepared);
-  EXPECT_EQ(ds1_->agent().stats().prepares_initiated, 1u);
+  EXPECT_EQ(ds1_->stats().prepares_initiated, 1u);
 }
 
 TEST_F(DataSourceTest, DecentralizedPrepareIsLanNotWan) {
@@ -238,14 +238,76 @@ TEST_F(DataSourceTest, PeerAbortBeforeBranchArrivalTombstones) {
   peer_abort->origin = 1;
   net_->Send(std::move(peer_abort));
   loop_.Run();
-  EXPECT_TRUE(ds2_->agent().IsTombstoned(100));
+  EXPECT_TRUE(ds2_->IsTombstoned(100));
   // The (postponed) branch arrives late and must be refused.
   SendExecute(2, 100, {Write(RecordKey{1, 2000}, 1)}, true, {1});
   loop_.Run();
   ASSERT_EQ(exec_responses_.size(), 1u);
   EXPECT_TRUE(exec_responses_[0].status.IsAborted());
   EXPECT_TRUE(exec_responses_[0].rolled_back);
-  EXPECT_EQ(ds2_->agent().stats().tombstone_hits, 1u);
+  EXPECT_EQ(ds2_->stats().tombstone_hits, 1u);
+}
+
+// DS2's group commit holds a batch 50 ms for co-travellers, so a prepare
+// record waits that long for its flush and a peer abort can land first.
+class HeldPrepareFlushTest : public DataSourceTest {
+ protected:
+  HeldPrepareFlushTest() : DataSourceTest(HeldFlushConfig()) {}
+
+  static DataSourceConfig HeldFlushConfig() {
+    DataSourceConfig config = DataSourceConfig::Postgres();
+    config.group_commit.max_batch_delay = MsToMicros(50);
+    return config;
+  }
+
+  /// DS1 early-aborts txn 100 at DS2 `delay` from now (50 ms in flight).
+  void PeerAbortAfter(Micros delay) {
+    loop_.Schedule(delay, [this]() {
+      auto req = std::make_unique<PeerAbortRequest>();
+      req->from = 1;
+      req->to = 2;
+      req->txn_id = 100;
+      req->origin = 1;
+      net_->Send(std::move(req));
+    });
+  }
+};
+
+TEST_F(HeldPrepareFlushTest, DecentralizedPrepareRefusedAfterPeerAbort) {
+  // The last statement runs at 50 ms and its prepare record waits from
+  // ~51 ms to ~101 ms; the peer abort lands at 80 ms.
+  SendExecute(2, 100, {Write(RecordKey{1, 2000}, 1)}, /*last=*/true,
+              /*peers=*/{1});
+  PeerAbortAfter(MsToMicros(30));
+  loop_.Run();
+  // The peer-abort path confirmed the rollback; the refused prepare adds
+  // nothing, not even a FAILURE vote.
+  ASSERT_EQ(votes_.size(), 1u);
+  EXPECT_EQ(votes_[0].vote, Vote::kRollbacked);
+  EXPECT_EQ(ds2_->engine().StateOf(Xid{100, 2}), storage::TxnState::kAborted);
+  EXPECT_FALSE(ds2_->HasBranch(100));
+  EXPECT_EQ(ds2_->stats().early_aborts_sent, 0u);
+}
+
+TEST_F(HeldPrepareFlushTest, ExplicitPrepareRefusedAfterPeerAbort) {
+  SendExecute(2, 100, {Write(RecordKey{1, 2000}, 1)}, /*last=*/false,
+              /*peers=*/{1});
+  loop_.Run();
+  // The prepare record waits from +50 ms to +100 ms; the peer abort lands
+  // at +80 ms.
+  auto prep = std::make_unique<PrepareRequest>();
+  prep->from = 0;
+  prep->to = 2;
+  prep->xid = Xid{100, 2};
+  net_->Send(std::move(prep));
+  PeerAbortAfter(MsToMicros(30));
+  loop_.Run();
+  // The DM asked for this prepare, so the refusal answers it.
+  ASSERT_EQ(votes_.size(), 2u);
+  EXPECT_EQ(votes_[0].vote, Vote::kRollbacked);
+  EXPECT_EQ(votes_[1].vote, Vote::kFailure);
+  EXPECT_EQ(ds2_->engine().StateOf(Xid{100, 2}), storage::TxnState::kAborted);
+  EXPECT_FALSE(ds2_->HasBranch(100));
 }
 
 TEST_F(DataSourceTest, MultipleRoundsReuseBranch) {

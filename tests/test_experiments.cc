@@ -2,6 +2,9 @@
 // on small, fast runs (the benches regenerate the full figures).
 #include <gtest/gtest.h>
 
+#include "sim/event_loop.h"
+#include "sim/latency.h"
+#include "sim/network.h"
 #include "workload/runner.h"
 
 namespace geotp {

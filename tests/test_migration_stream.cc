@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "sharding/shard_map.h"
+#include "sim/latency.h"
 #include "sim_fixture.h"
 
 namespace geotp {

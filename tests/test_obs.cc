@@ -434,7 +434,7 @@ TEST(MetricsRegistryTest, ReplicatedShardedClusterExportsEveryStatsStruct) {
                     .ok());
   }
   const std::string json = registry.SnapshotJson();
-  // One named field from each of the eleven stats structs.
+  // One named field from each of the ten stats structs.
   for (const char* name : {
            "dm.0.committed",                    // MiddlewareStats
            "dm.0.overload.admitted",            // OverloadStats
@@ -444,7 +444,7 @@ TEST(MetricsRegistryTest, ReplicatedShardedClusterExportsEveryStatsStruct) {
            "ds.2.locks.grants_immediate",       // LockStats
            "ds.2.group_commit.max_batch_entries",  // GroupCommitStats
            "ds.2.migrator.migrations_started",  // ShardMigratorStats
-           "ds.2.agent.prepares_initiated",     // GeoAgentStats
+           "ds.2.prepares_initiated",           // DataSourceStats
            "ds.2.replicator.appends_received",  // ReplicatorStats
            "ds.2.shipper.entries_shipped",      // LogShipperStats
            "ds.2.election.elections_started",   // ElectionStats

@@ -14,6 +14,7 @@
 #include "replication/replicator.h"
 #include "replication/unresolved_prepares.h"
 #include "runtime/codec.h"
+#include "sim/event_loop.h"
 #include "sim_fixture.h"
 
 namespace geotp {

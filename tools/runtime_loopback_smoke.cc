@@ -54,6 +54,7 @@
 #include "common/logging.h"
 #include "obs/trace.h"
 #include "runtime/loopback_runtime.h"
+#include "sim/topology.h"
 #include "workload/deployment.h"
 #include "workload/driver.h"
 #include "workload/runner.h"
