@@ -507,11 +507,13 @@ void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
 void DataSourceNode::FinishExecSuccess(const std::shared_ptr<ExecState>& state) {
   RetireExec(*state);
   SendExecuteResponse(state, Status::OK(), /*rolled_back=*/false);
-  if (state->last_statement) {
-    auto it = branches_.find(state->xid.txn_id);
-    if (it != branches_.end()) {
-      AsyncPrepare(state->xid, it->second.peers, it->second.coordinator);
-    }
+  if (!state->last_statement) return;
+  // Algorithm 1 line 8: a last statement with no peers votes IDLE. The DM
+  // reads that vote off this response (it sent the empty peer list), so
+  // the branch just stays active for the one-phase commit.
+  auto it = branches_.find(state->xid.txn_id);
+  if (it != branches_.end() && !it->second.peers.empty()) {
+    AsyncPrepare(state->xid, it->second.peers, it->second.coordinator);
   }
 }
 
@@ -570,13 +572,6 @@ void DataSourceNode::AsyncPrepare(const Xid& xid, std::vector<NodeId> peers,
   loop()->Schedule(kAgentLanRtt, [this, xid, peers = std::move(peers),
                                   coordinator]() mutable {
     if (crashed_) return;
-    if (peers.empty()) {
-      if (engine_.StateOf(xid) != storage::TxnState::kActive) return;
-      // Algorithm 1 line 8: no peers -> IDLE; the branch stays active and
-      // commits one-phase. No prepare record, no fsync.
-      SendVote(coordinator, xid, Vote::kIdle);
-      return;
-    }
     stats_.decentralized_prepares++;
     PrepareDurably(xid, coordinator, [this, xid, peers = std::move(peers),
                                       coordinator]() {

@@ -6,9 +6,10 @@
 //   * a storage::TransactionEngine (strict 2PL + XA state machine),
 //   * the cost model (per-op execution time, fsync time, agent LAN hop),
 //   * the geo-agent role (§IV-A, Algorithm 1):
-//       - decentralized prepare (AsyncPrepare): after a branch's last
-//         statement, XA END/PREPARE over one LAN hop, vote straight to the
-//         DM — no WAN prepare round;
+//       - decentralized prepare (AsyncPrepare): after the last statement
+//         of a branch with peers, XA END/PREPARE over one LAN hop, vote
+//         straight to the DM — no WAN prepare round (a branch without
+//         peers votes IDLE through its execute response);
 //       - early abort (AsyncRollback): a failed branch notifies its peers
 //         directly (PeerAbortRequest), bypassing the DM;
 //       - tombstones: a peer abort can outrun a postponed batch, so the
@@ -109,7 +110,7 @@ struct DataSourceStats {
   uint64_t batches_executed = 0;
   uint64_t ops_executed = 0;
   uint64_t lock_timeouts = 0;
-  uint64_t prepares_initiated = 0;  ///< AsyncPrepare calls (incl. IDLE votes)
+  uint64_t prepares_initiated = 0;  ///< AsyncPrepare calls (with peers)
   /// Prepare records written, by who asked: the node itself after a last
   /// statement (decentralized) or the DM (explicit).
   uint64_t decentralized_prepares = 0;
@@ -266,9 +267,10 @@ class DataSourceNode {
   /// Votes PREPARED to `coordinator`: with replication once the prepare
   /// entry reaches a quorum (span ds.quorum), without immediately.
   void AfterLocalPrepare(const Xid& xid, NodeId coordinator);
-  /// Algorithm 1 AsyncPrepare: after `xid`'s last statement, one LAN hop
-  /// to the engine, then IDLE (no peers: the branch commits one-phase) or
-  /// a durable prepare whose refusal early-aborts the branch.
+  /// Algorithm 1 AsyncPrepare: after the last statement of a branch with
+  /// peers, one LAN hop to the engine, then a durable prepare whose
+  /// refusal early-aborts the branch. A branch without peers never gets
+  /// here: its IDLE vote rides on the execute response.
   void AsyncPrepare(const Xid& xid, std::vector<NodeId> peers,
                     NodeId coordinator);
   /// Algorithm 1 AsyncRollback: tombstones and rolls back the local branch,

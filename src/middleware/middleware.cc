@@ -161,13 +161,15 @@ void MiddlewareNode::Attach() {
       });
   // Probe the *physical* replicas serving each logical source: the current
   // leader (aliased to the logical id so scheduling estimates survive a
-  // failover) and its followers (so follower-read routing can pick the
-  // nearest replica by measured RTT).
+  // failover) and, only while follower reads are on, its followers (so
+  // follower-read routing can pick the nearest replica by measured RTT;
+  // nothing else reads a follower's estimate).
   monitor_->SetTargetProvider([this]() {
     std::vector<core::PingTarget> targets;
     for (NodeId logical : catalog_.AllDataSources()) {
       const NodeId leader = catalog_.LeaderOf(logical);
       targets.push_back(core::PingTarget{leader, logical});
+      if (!config_.follower_reads) continue;
       for (NodeId follower : catalog_.FollowersOf(logical)) {
         targets.push_back(core::PingTarget{follower, follower});
       }
@@ -251,6 +253,14 @@ void MiddlewareNode::CloseTxnSpans(Txn& txn, Micros now) {
 MiddlewareNode::Txn* MiddlewareNode::FindTxn(TxnId id) {
   auto it = txns_.find(id);
   return it == txns_.end() ? nullptr : &it->second;
+}
+
+size_t MiddlewareNode::BegunBranches(const Txn& txn) {
+  size_t begun = 0;
+  for (const auto& [node, p] : txn.participants) {
+    if (p.begun) ++begun;
+  }
+  return begun;
 }
 
 std::vector<NodeId> MiddlewareNode::ParticipantIds(const Txn& txn) const {
@@ -445,6 +455,9 @@ void MiddlewareNode::SendBranchBatch(Txn& txn, NodeId logical,
     req->peers.push_back(catalog_.LeaderOf(node));
   }
   req->coordinator = id_;
+  // Algorithm 1 line 8: a last statement with no peers votes IDLE, and
+  // that vote is this batch's successful response (OnExecResponse).
+  p.idle_on_success = req->last_statement && req->peers.empty();
   p.begun = true;
   p.last_batch = ops;
   req->ops = std::move(ops);
@@ -562,6 +575,10 @@ void MiddlewareNode::OnExecResponse(const BranchExecuteResponse& resp) {
     return;
   }
 
+  if (p.idle_on_success) {
+    p.has_vote = true;
+    p.vote = Vote::kIdle;
+  }
   // Place read results into their slots in the client round.
   for (size_t i = 0; i < p.op_slots.size() && i < resp.values.size(); ++i) {
     txn->round_values[p.op_slots[i]] = resp.values[i];
@@ -611,7 +628,7 @@ void MiddlewareNode::StartCommit(Txn& txn) {
       return;
     }
     case CommitProtocol::kTwoPhase: {
-      if (txn.participants.size() == 1) {
+      if (BegunBranches(txn) <= 1) {
         // XA one-phase commit for centralized transactions: 1 WAN RTT.
         txn.ts_votes = loop()->Now();
         DispatchDecision(txn, /*commit=*/true, /*one_phase=*/true);
@@ -670,14 +687,23 @@ void MiddlewareNode::OnVote(const VoteMessage& vote) {
 
 void MiddlewareNode::CheckVotesComplete(Txn& txn) {
   GEOTP_CHECK(txn.phase == Phase::kWaitCommitVotes, "wrong phase");
-  size_t begun = 0;
+  const size_t begun = BegunBranches(txn);
+  if (begun > 1) {
+    // A branch voted IDLE while its only peer was a follower read, which
+    // then fell back to the leader and began a second branch: the IDLE
+    // branch must prepare after all.
+    for (auto& [node, p] : txn.participants) {
+      if (!p.begun || !p.has_vote || p.vote != Vote::kIdle) continue;
+      p.has_vote = false;
+      QueuePrepare(catalog_.LeaderOf(node), Xid{txn.id, node});
+    }
+  }
+  bool idle = false;  // only the sole begun branch may vote IDLE
   for (auto& [node, p] : txn.participants) {
     if (!p.begun) continue;
-    ++begun;
     if (!p.has_vote) return;  // still waiting (Algorithm 1 line 21)
-    const bool good_vote =
-        p.vote == Vote::kPrepared ||
-        (p.vote == Vote::kIdle && txn.participants.size() == 1);
+    idle = p.vote == Vote::kIdle;
+    const bool good_vote = p.vote == Vote::kPrepared || (idle && begun == 1);
     if (!good_vote) return;  // failure votes route through OnVote
   }
   if (begun == 0) {
@@ -691,9 +717,7 @@ void MiddlewareNode::CheckVotesComplete(Txn& txn) {
     obs::GlobalTracer().EndSpan(txn.prepare_span, txn.ts_votes);
     txn.prepare_span = obs::kInvalidSpan;
   }
-  const bool one_phase = txn.participants.size() == 1 &&
-                         txn.participants.begin()->second.vote == Vote::kIdle;
-  if (one_phase) {
+  if (idle) {
     // Centralized fast path: no decision log needed; the single source's
     // commit is the decision.
     DispatchDecision(txn, /*commit=*/true, /*one_phase=*/true);
@@ -932,11 +956,7 @@ void MiddlewareNode::FinishTxn(Txn& txn, bool committed) {
   }
   if (committed) {
     stats_.committed++;
-    size_t begun = 0;
-    for (const auto& [node, p] : txn.participants) {
-      if (p.begun) ++begun;
-    }
-    if (begun > 1) stats_.committed_distributed++;
+    if (BegunBranches(txn) > 1) stats_.committed_distributed++;
     breakdown_.Record(metrics::TxnPhase::kAnalysis, txn.analysis_total);
     breakdown_.Record(metrics::TxnPhase::kExecution,
                       txn.ts_exec_done - txn.ts_begin);

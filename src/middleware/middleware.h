@@ -201,6 +201,9 @@ class MiddlewareNode {
     protocol::Vote vote = protocol::Vote::kPrepared;
     bool rollback_confirmed = false;
     bool decision_acked = false;
+    /// The outstanding batch is a last statement sent with no peers: its
+    /// successful response doubles as the branch's IDLE vote.
+    bool idle_on_success = false;
     std::vector<RecordKey> round_keys;
     std::vector<size_t> op_slots;  ///< positions in the client round
     // Replication support.
@@ -332,6 +335,10 @@ class MiddlewareNode {
   void CloseTxnSpans(Txn& txn, Micros now);
 
   Txn* FindTxn(TxnId id);
+  /// Participants whose branch began at a source. A participant served by
+  /// a follower read sits in the map with no branch; it neither votes nor
+  /// gets a decision.
+  static size_t BegunBranches(const Txn& txn);
   std::vector<NodeId> ParticipantIds(const Txn& txn) const;
 
   NodeId id_;

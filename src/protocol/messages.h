@@ -136,7 +136,8 @@ struct PrepareRequest : runtime::Message<PrepareRequest> {
 /// Vote values, per Algorithm 1.
 enum class Vote : uint8_t {
   kPrepared,      ///< branch prepared, ready to commit
-  kIdle,          ///< branch ended but not prepared (centralized fast path)
+  kIdle,          ///< centralized branch ended, not prepared (the DM
+                  ///< reads it off the execute response; never sent)
   kFailure,       ///< prepare failed; branch rolled back
   kRollbackOnly,  ///< end failed; branch rolled back
   kRollbacked,    ///< branch rolled back (early abort / abort ack)

@@ -142,6 +142,7 @@ void LogShipper::ShipTo(NodeId follower, Progress& progress) {
   network_->Send(std::move(req));
   // Optimistically advance; a failed ack rewinds next_index.
   progress.next_index = last + 1;
+  progress.shipped = true;
 }
 
 const protocol::SealedEntries& LogShipper::Seal(uint64_t first,
@@ -210,12 +211,22 @@ void LogShipper::AdvanceWatermark() {
 void LogShipper::Tick() {
   if (!active_) return;
   for (auto& [follower, progress] : followers_) {
-    if (progress.next_index <= log_->last_index()) {
-      stats_.retransmissions++;
-      progress.next_index =
-          std::min(progress.next_index, progress.match_index + 1);
+    const bool lagging = progress.next_index <= log_->last_index();
+    // An append since the last tick already reset the follower's election
+    // timer and carried the watermark: it counts as the heartbeat (Raft
+    // §5.2). Never two skips in a row, so a follower hears the current
+    // watermark at least every other tick.
+    const bool skip = progress.shipped && !lagging && !progress.skipped;
+    progress.skipped = skip;
+    if (!skip) {
+      if (lagging) {
+        stats_.retransmissions++;
+        progress.next_index =
+            std::min(progress.next_index, progress.match_index + 1);
+      }
+      ShipTo(follower, progress);
     }
-    ShipTo(follower, progress);
+    progress.shipped = false;
   }
 }
 

@@ -186,13 +186,17 @@ class LogShipper {
   void OnAck(NodeId follower, const protocol::ReplAppendAck& ack);
 
   /// Heartbeat tick: ships pending entries to lagging followers, empty
-  /// heartbeats (with the current watermark) to caught-up ones.
+  /// heartbeats (with the current watermark) to caught-up ones. A
+  /// caught-up follower sent an append since the previous tick is
+  /// skipped, unless the previous tick skipped it too.
   void Tick();
 
  private:
   struct Progress {
     uint64_t next_index = 1;   ///< first entry to ship next
     uint64_t match_index = 0;  ///< highest index known replicated
+    bool shipped = false;      ///< sent an append since the last tick
+    bool skipped = false;      ///< the last tick sent it nothing
   };
 
   void ShipTo(NodeId follower, Progress& progress);

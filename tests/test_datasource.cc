@@ -117,8 +117,13 @@ TEST_F(DataSourceTest, CentralizedLastStatementVotesIdle) {
   SendExecute(1, 100, {Write(RecordKey{1, 1}, 1)}, /*last=*/true,
               /*peers=*/{});
   loop_.Run();
-  ASSERT_EQ(votes_.size(), 1u);
-  EXPECT_EQ(votes_[0].vote, Vote::kIdle);
+  // The IDLE vote is the execute response itself: the DM sent the empty
+  // peer list and reads the vote off the successful response. No
+  // VoteMessage, no decentralized prepare.
+  ASSERT_EQ(exec_responses_.size(), 1u);
+  EXPECT_TRUE(exec_responses_[0].status.ok());
+  EXPECT_TRUE(votes_.empty());
+  EXPECT_EQ(ds1_->stats().prepares_initiated, 0u);
   // Branch stays active for the one-phase commit.
   EXPECT_EQ(ds1_->engine().StateOf(Xid{100, 1}), storage::TxnState::kActive);
 }

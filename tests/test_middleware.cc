@@ -20,6 +20,14 @@ MiniCluster::Options WithDm(MiddlewareConfig dm) {
   return options;
 }
 
+/// Takes RTT samples, then stops the DM's pings and lets the last pongs
+/// land: from here on the network's counters see protocol messages only.
+void SilenceMonitor(MiniCluster& cluster) {
+  cluster.RunFor(500);
+  cluster.dm().monitor().Stop();
+  cluster.RunFor(500);
+}
+
 TEST(MiddlewareTest, CentralizedTxnCommits) {
   MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
   Status st = cluster.RunTxn(
@@ -151,6 +159,46 @@ TEST(MiddlewareTest, DispatchSendsNoEmptyEnvelopes) {
     EXPECT_EQ(stats.decision_batches_sent, 0u);
     EXPECT_EQ(stats.dispatches_coalesced, 0u);
   }
+}
+
+TEST(MiddlewareTest, CentralizedCommitSendsNoVote) {
+  // The IDLE vote rides on the execute response: the source sends that
+  // response and the one-phase commit's ack, nothing else.
+  MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
+  SilenceMonitor(cluster);
+  const NodeId source = cluster.source(0).id();
+  const uint64_t sent_before = cluster.network().StatsFor(source).messages_sent;
+  ASSERT_TRUE(
+      cluster.RunTxn(1, {MiniCluster::Write(cluster.KeyOn(0, 1), 1)}).ok());
+  EXPECT_EQ(cluster.network().StatsFor(source).messages_sent - sent_before,
+            2u);
+  EXPECT_EQ(cluster.source(0).stats().prepares_initiated, 0u);
+  EXPECT_EQ(cluster.source(0).stats().commits, 1u);
+  // One-phase: the decision was never logged.
+  EXPECT_EQ(cluster.dm().stats().log_entries_flushed, 0u);
+  EXPECT_EQ(cluster.dm().stats().decisions_sent, 1u);
+}
+
+TEST(MiddlewareTest, MessageBudgetPerCommit) {
+  // Every message one GeoTP commit puts on the wire, pings excluded. A
+  // change that adds a message to each transaction fails here.
+  MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
+  SilenceMonitor(cluster);
+  uint64_t before = cluster.network().total_messages();
+  // Centralized: round, execute, response (the IDLE vote), round reply;
+  // commit, one-phase decision, ack, result.
+  ASSERT_TRUE(
+      cluster.RunTxn(1, {MiniCluster::Write(cluster.KeyOn(0, 2), 1)}).ok());
+  EXPECT_EQ(cluster.network().total_messages() - before, 8u);
+
+  before = cluster.network().total_messages();
+  // Two sources: round, 2 executes, 2 responses, 2 PREPARED votes, round
+  // reply; commit, 2 decisions, 2 acks, result.
+  ASSERT_TRUE(cluster
+                  .RunTxn(2, {MiniCluster::Write(cluster.KeyOn(0, 3), 1),
+                              MiniCluster::Write(cluster.KeyOn(1, 3), 2)})
+                  .ok());
+  EXPECT_EQ(cluster.network().total_messages() - before, 14u);
 }
 
 TEST(MiddlewareTest, LockConflictOnSharedRecordSerializes) {

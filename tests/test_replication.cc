@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -213,6 +214,54 @@ TEST(LogShipperTest, LaggingFollowerGetsItsOwnBatch) {
   EXPECT_EQ(stats.entries_shipped, 11u);
   EXPECT_EQ(stats.wan_bytes_raw, raw);
   EXPECT_EQ(stats.wan_bytes_wire, wire);
+}
+
+TEST(LogShipperTest, AppendStandsInForTheNextHeartbeat) {
+  sim::EventLoop loop;
+  CapturingTransport transport;
+  replication::ReplicationLog log;
+  replication::LogShipper shipper(1, &transport, &loop, &log);
+  shipper.Activate(1, 1, {2, 3}, 2, 0);
+  shipper.AppendAndShip(CommitEntry(1), nullptr);
+  loop.Run();
+  ASSERT_EQ(transport.TakeAppends().size(), 2u);
+  shipper.OnAck(2, AckUpTo(1));  // follower 3 never acks
+
+  // Both followers got an append since the last tick and are caught up:
+  // that append was their heartbeat.
+  shipper.Tick();
+  EXPECT_TRUE(transport.TakeAppends().empty());
+  // The next tick sends an empty heartbeat to each.
+  shipper.Tick();
+  std::vector<protocol::ReplAppendRequest> frames = transport.TakeAppends();
+  ASSERT_EQ(frames.size(), 2u);
+  for (const protocol::ReplAppendRequest& frame : frames) {
+    EXPECT_TRUE(frame.entries.empty());
+    EXPECT_TRUE(frame.payload.empty());
+    EXPECT_EQ(frame.prev_index, 1u);
+  }
+
+  // Entry 2 is appended and the tick runs before the ship event: the
+  // heartbeat it sent last time does not excuse a lagging follower, and
+  // follower 3 rewinds to its match index and gets [1, 2] again.
+  const uint64_t retransmissions = shipper.stats().retransmissions;
+  shipper.AppendAndShip(CommitEntry(2), nullptr);
+  shipper.Tick();
+  loop.Run();
+  frames = transport.TakeAppends();
+  ASSERT_EQ(frames.size(), 2u);
+  for (const protocol::ReplAppendRequest& frame : frames) {
+    const std::vector<protocol::ReplEntry> entries = Opened(frame);
+    if (frame.to == 2) {
+      ASSERT_EQ(entries.size(), 1u);
+      EXPECT_EQ(entries[0].index, 2u);
+    } else {
+      EXPECT_EQ(frame.to, 3u);
+      ASSERT_EQ(entries.size(), 2u);
+      EXPECT_EQ(entries[0].index, 1u);
+    }
+  }
+  EXPECT_EQ(shipper.stats().retransmissions, retransmissions + 2);
 }
 
 TEST(LogShipperTest, PlainEntriesWhenCompressionIsOff) {
@@ -604,6 +653,76 @@ TEST(ReplicationTest, FollowerReadsAvoidCrashedFollowerWithFrozenEstimate) {
       cluster.follower(0, 1).replicator()->stats().follower_reads_served, 1u);
 }
 
+TEST(ReplicationTest, WriteWithFollowerReadCommitsOnePhase) {
+  // The last round writes on source 0 and reads source 1 through a
+  // follower. The follower read begins no branch, so the writing branch
+  // alone votes (IDLE) and commits one-phase. Counting every participant
+  // instead left the transaction waiting for a second vote forever, with
+  // the write's locks held.
+  MiniCluster::Options options = ReplicatedOptions();
+  options.dm.follower_reads = true;
+  options.dm.follower_read_stale_bound = MsToMicros(500);
+  MiniCluster cluster(options);
+  ASSERT_TRUE(cluster.RunTxn(1, {MiniCluster::Write(cluster.KeyOn(1, 4), 8)})
+                  .ok());
+  cluster.RunFor(200);
+
+  const Status st =
+      cluster.RunTxn(2, {MiniCluster::Write(cluster.KeyOn(0, 4), 5),
+                         MiniCluster::Read(cluster.KeyOn(1, 4))});
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(cluster.txn(2).round_responses[0].values[1], 8);
+  EXPECT_EQ(cluster.dm().InFlight(), 0u);
+  EXPECT_GE(cluster.dm().stats().follower_reads, 1u);
+  EXPECT_EQ(cluster.dm().stats().committed_distributed, 0u);
+  EXPECT_EQ(cluster.source(0).engine().store().Get(cluster.KeyOn(0, 4))->value,
+            5);
+}
+
+TEST(ReplicationTest, TwoPcTxnOfFollowerReadsOnlyCommits) {
+  // Under 2PC a transaction that reads two sources through followers has
+  // two participants and no begun branch: nothing to prepare, nothing to
+  // commit. Counting participants sent it to wait for votes that never
+  // come.
+  MiniCluster::Options options = ReplicatedOptions();
+  options.dm = MiddlewareConfig::SSP();
+  options.dm.follower_reads = true;
+  options.dm.follower_read_stale_bound = MsToMicros(500);
+  MiniCluster cluster(options);
+  cluster.RunFor(200);
+
+  const Status st = cluster.RunTxn(1, {MiniCluster::Read(cluster.KeyOn(0, 4)),
+                                       MiniCluster::Read(cluster.KeyOn(1, 4))});
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(cluster.dm().InFlight(), 0u);
+  EXPECT_EQ(cluster.dm().stats().follower_reads, 2u);
+  EXPECT_EQ(cluster.dm().stats().decisions_sent, 0u);
+}
+
+TEST(ReplicationTest, IdleBranchPreparesWhenFollowerReadFallsBack) {
+  // As above, but the follower is too stale and the read falls back to
+  // the leader, beginning a second branch after the write's branch voted
+  // IDLE: the write's branch is told to prepare, and both commit.
+  MiniCluster::Options options = ReplicatedOptions();
+  options.dm.follower_reads = true;
+  options.repl.heartbeat_interval = SecToMicros(5);
+  options.repl.election_timeout = SecToMicros(30);
+  options.repl.election_stagger = SecToMicros(1);
+  options.dm.follower_read_stale_bound = MsToMicros(1);
+  MiniCluster cluster(options);
+
+  const Status st =
+      cluster.RunTxn(1, {MiniCluster::Write(cluster.KeyOn(0, 4), 5),
+                         MiniCluster::Read(cluster.KeyOn(1, 4))});
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(cluster.dm().InFlight(), 0u);
+  EXPECT_GE(cluster.dm().stats().follower_read_fallbacks, 1u);
+  EXPECT_EQ(cluster.source(0).stats().explicit_prepares, 1u);
+  EXPECT_EQ(cluster.dm().stats().committed_distributed, 1u);
+  EXPECT_EQ(cluster.source(0).engine().store().Get(cluster.KeyOn(0, 4))->value,
+            5);
+}
+
 // ---------------------------------------------------------------------------
 // Log compaction & probe re-targeting
 // ---------------------------------------------------------------------------
@@ -633,10 +752,13 @@ TEST(ReplicationTest, ReplicatedLogIsTruncatedUpToQuorumAppliedIndex) {
 }
 
 TEST(ReplicationTest, LatencyMonitorRetargetsProbesAfterFailover) {
-  MiniCluster cluster(ReplicatedOptions());
+  MiniCluster::Options options = ReplicatedOptions();
+  options.dm.follower_reads = true;
+  MiniCluster cluster(options);
   cluster.RunFor(500);
-  // Pre-failover: the monitor pings the seed leader (and the followers,
-  // for nearest-replica routing), so all replicas have RTT estimates.
+  // Pre-failover: the monitor pings the seed leader (and, with follower
+  // reads on, the followers for nearest-replica routing), so all replicas
+  // have RTT estimates.
   auto& monitor = cluster.dm().monitor();
   EXPECT_GT(monitor.RttEstimate(cluster.source(0).id()), 0);
   EXPECT_GT(monitor.RttEstimate(cluster.follower(0, 0).id()), 0);
@@ -665,6 +787,28 @@ TEST(ReplicationTest, LatencyMonitorRetargetsProbesAfterFailover) {
   EXPECT_NEAR(static_cast<double>(logical_rtt),
               static_cast<double>(leader_rtt),
               static_cast<double>(leader_rtt) * 0.2 + 100.0);
+}
+
+TEST(ReplicationTest, MonitorPingsOnlyLeadersWithoutFollowerReads) {
+  MiniCluster cluster(ReplicatedOptions());
+  cluster.RunFor(500);
+  auto& monitor = cluster.dm().monitor();
+  for (int group = 0; group < 2; ++group) {
+    EXPECT_GT(monitor.RttEstimate(cluster.source(group).id()), 0);
+    for (int k = 0; k < 2; ++k) {
+      const NodeId follower = cluster.follower(group, k).id();
+      EXPECT_EQ(monitor.RttEstimate(follower), 0) << "follower " << follower;
+      EXPECT_EQ(monitor.SampleAge(follower),
+                std::numeric_limits<Micros>::max());
+    }
+  }
+  // A promoted follower is a leader: it is pinged from then on.
+  cluster.source(0).Crash();
+  cluster.RunFor(3000);
+  datasource::DataSourceNode* new_leader = cluster.leader_of(0);
+  ASSERT_NE(new_leader, nullptr);
+  EXPECT_GT(monitor.RttEstimate(new_leader->id()), 0);
+  EXPECT_LT(monitor.SampleAge(new_leader->id()), MsToMicros(500));
 }
 
 // ---------------------------------------------------------------------------
