@@ -99,6 +99,7 @@ void ScalarDbNode::OnClientRound(const ClientRoundRequest& req) {
   if (txn->aborting) return;
   txn->pending_ops = req.ops;
   txn->round_values.assign(req.ops.size(), 0);
+  txn->commit_on_round = req.commit;
   loop()->Schedule(kAnalysisCost, [this, id]() { PlanRound(id); });
 }
 
@@ -186,6 +187,10 @@ void ScalarDbNode::OnReadResponse(const StoreReadResponse& resp) {
   }
 
   if (--txn->outstanding == 0) {
+    if (txn->commit_on_round) {
+      Commit(*txn);
+      return;
+    }
     auto round = std::make_unique<ClientRoundResponse>();
     round->from = id_;
     round->to = txn->client;
@@ -200,16 +205,18 @@ void ScalarDbNode::OnReadResponse(const StoreReadResponse& resp) {
 void ScalarDbNode::OnClientFinish(const ClientFinishRequest& req) {
   Txn* txn = FindTxn(req.txn_id);
   if (txn == nullptr) return;
-  txn->commit_requested = true;
   if (txn->aborting) return;
   if (!req.commit) {
     DispatchDecision(*txn, /*commit=*/false);
     return;
   }
+  Commit(*txn);
+}
 
+void ScalarDbNode::Commit(Txn& txn) {
   // Prepare: validate versions + install intents, latency-aware in Plus.
   std::vector<core::ParticipantPlanInput> inputs;
-  for (const auto& [node, staged] : txn->participants) {
+  for (const auto& [node, staged] : txn.participants) {
     core::ParticipantPlanInput input;
     input.data_source = node;
     for (const auto& op : staged.ops) input.keys.push_back(op.key);
@@ -218,10 +225,10 @@ void ScalarDbNode::OnClientFinish(const ClientFinishRequest& req) {
   core::ScheduleDecision decision =
       scheduler_->ScheduleRound(inputs, /*attempt=*/-1, rng_);
 
-  const TxnId id = txn->id;
-  txn->outstanding = txn->participants.size();
+  const TxnId id = txn.id;
+  txn.outstanding = txn.participants.size();
   size_t plan_idx = 0;
-  for (auto& [node, staged] : txn->participants) {
+  for (auto& [node, staged] : txn.participants) {
     staged.prepare_outstanding = true;
     const Micros postpone = decision.plans[plan_idx++].postpone;
     const NodeId target = node;
@@ -306,6 +313,9 @@ void ScalarDbNode::FinishTxn(Txn& txn, bool committed) {
   result->txn_id = txn.id;
   result->status =
       committed ? Status::OK() : Status::Conflict("consensus commit");
+  if (committed && txn.commit_on_round) {
+    result->values = std::move(txn.round_values);
+  }
   network_->Send(std::move(result));
   txns_.erase(txn.id);
 }

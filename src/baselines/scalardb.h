@@ -67,7 +67,8 @@ class ScalarDbNode {
     std::vector<int64_t> round_values;
     std::vector<protocol::ClientOp> pending_ops;
     bool aborting = false;
-    bool commit_requested = false;
+    /// The client's COMMIT rode on the last round (see Commit).
+    bool commit_on_round = false;
     size_t outstanding = 0;
   };
 
@@ -76,6 +77,10 @@ class ScalarDbNode {
   void PlanRound(TxnId id);
   void OnReadResponse(const StoreReadResponse& resp);
   void OnClientFinish(const protocol::ClientFinishRequest& req);
+  /// Consensus commit: the prepare round, then the commit-state record and
+  /// the decision. Runs on the client's COMMIT, or as a commit-carrying
+  /// round completes.
+  void Commit(Txn& txn);
   void OnPrepareResponse(const StorePrepareResponse& resp);
   void OnDecisionAck(const StoreDecisionAck& ack);
   void DispatchDecision(Txn& txn, bool commit);

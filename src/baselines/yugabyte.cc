@@ -99,6 +99,7 @@ void YbTabletNode::OnClientRound(const ClientRoundRequest& req) {
   if (txn->aborting) return;
   txn->pending_ops = req.ops;
   txn->round_values.assign(req.ops.size(), 0);
+  txn->commit_on_round = req.commit;
 
   // Group by owner tablet.
   std::map<NodeId, std::vector<std::pair<StagedOp, size_t>>> groups;
@@ -190,6 +191,10 @@ void YbTabletNode::DispatchRemoteBatch(TxnId id, NodeId target,
 
 void YbTabletNode::CompleteRoundPart(Txn& txn) {
   if (--txn.outstanding > 0) return;
+  if (txn.commit_on_round) {
+    Commit(txn);
+    return;
+  }
   auto round = std::make_unique<ClientRoundResponse>();
   round->from = id_;
   round->to = txn.client;
@@ -241,9 +246,13 @@ void YbTabletNode::OnClientFinish(const ClientFinishRequest& req) {
     AbortTxn(*txn);
     return;
   }
+  Commit(*txn);
+}
+
+void YbTabletNode::Commit(Txn& txn) {
   // Commit: flip the local transaction status record (consensus write),
   // respond to the client immediately, resolve intents asynchronously.
-  const TxnId id = txn->id;
+  const TxnId id = txn.id;
   loop()->Schedule(kConsensusCost + kEngineCost.commit_fsync_cost,
                    [this, id]() {
                      Txn* txn = FindTxn(id);
@@ -301,6 +310,9 @@ void YbTabletNode::FinishTxn(Txn& txn, bool committed) {
   result->txn_id = txn.id;
   result->status =
       committed ? Status::OK() : Status::Conflict("intent conflict");
+  if (committed && txn.commit_on_round) {
+    result->values = std::move(txn.round_values);
+  }
   network_->Send(std::move(result));
   txns_.erase(txn.id);
 }

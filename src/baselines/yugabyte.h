@@ -58,6 +58,8 @@ class YbTabletNode {
     std::vector<protocol::ClientOp> pending_ops;
     size_t outstanding = 0;
     bool aborting = false;
+    /// The client's COMMIT rode on the last round (see Commit).
+    bool commit_on_round = false;
     bool single_shard = true;
     int conflict_retries_left = 0;
   };
@@ -72,6 +74,10 @@ class YbTabletNode {
   void OnBatchResponse(const YbBatchResponse& resp);
   void CompleteRoundPart(Txn& txn);
   void OnClientFinish(const protocol::ClientFinishRequest& req);
+  /// Flips the status record, answers the client and resolves intents
+  /// asynchronously. Runs on the client's COMMIT, or as a commit-carrying
+  /// round completes.
+  void Commit(Txn& txn);
   void AbortTxn(Txn& txn);
   void FinishTxn(Txn& txn, bool committed);
   // Tablet role.

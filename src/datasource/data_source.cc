@@ -335,6 +335,7 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
   state->round_seq = req.round_seq;
   state->ops = req.ops;
   state->last_statement = req.last_statement;
+  state->commit_one_phase = req.commit_one_phase;
   state->started_at = loop()->Now();
   state->reply_to = req.from;
   if (obs::GlobalTracer().enabled() && req.trace.valid()) {
@@ -404,6 +405,7 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
   }
   BranchInfo& branch = branches_[req.xid.txn_id];
   if (!branch.trace.valid()) branch.trace = req.trace;
+  if (req.commit_one_phase) branch.one_phase_batch = state;
   for (const protocol::ClientOp& op : req.ops) {
     branch.keys.push_back(op.key);
   }
@@ -506,6 +508,28 @@ void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
 
 void DataSourceNode::FinishExecSuccess(const std::shared_ptr<ExecState>& state) {
   RetireExec(*state);
+  if (state->commit_one_phase) {
+    // The batch ends the transaction's only branch and carries its COMMIT:
+    // commit now, so the locks go without waiting a WAN round trip for a
+    // decision, and respond with the durable outcome.
+    state->finished_at = loop()->Now();
+    EndBranchSpan(state->exec_span);
+    state->exec_span = obs::kInvalidSpan;
+    CommitBranch(state->xid, [this, state](Status st) {
+      if (state->decision_waiter != kInvalidNode) {
+        SendDecisionAck(state->decision_waiter, state->xid, st.ok(),
+                        /*one_phase=*/true, st);
+      }
+      if (!st.ok()) {
+        SendExecuteResponse(state, std::move(st), /*rolled_back=*/true);
+        return;
+      }
+      stats_.exec_commits++;
+      SendExecuteResponse(state, Status::OK(), /*rolled_back=*/false,
+                          /*committed=*/true);
+    });
+    return;
+  }
   SendExecuteResponse(state, Status::OK(), /*rolled_back=*/false);
   if (!state->last_statement) return;
   // Algorithm 1 line 8: a last statement with no peers votes IDLE. The DM
@@ -533,12 +557,16 @@ void DataSourceNode::FinishExecFailure(const std::shared_ptr<ExecState>& state,
     stats_.rollbacks++;
     AsyncRollback(state->xid, peers);
   }
+  if (state->decision_waiter != kInvalidNode) {
+    SendDecisionAck(state->decision_waiter, state->xid, /*committed=*/false,
+                    /*one_phase=*/true, status);
+  }
   SendExecuteResponse(state, std::move(status), /*rolled_back=*/true);
 }
 
 void DataSourceNode::SendExecuteResponse(
-    const std::shared_ptr<ExecState>& state, Status status,
-    bool rolled_back) {
+    const std::shared_ptr<ExecState>& state, Status status, bool rolled_back,
+    bool committed) {
   auto resp = std::make_unique<BranchExecuteResponse>();
   resp->from = id_;
   resp->to = state->reply_to;
@@ -546,8 +574,11 @@ void DataSourceNode::SendExecuteResponse(
   resp->round_seq = state->round_seq;
   resp->status = std::move(status);
   resp->values = state->values;
-  resp->local_exec_latency = loop()->Now() - state->started_at;
+  const Micros end =
+      state->finished_at != 0 ? state->finished_at : loop()->Now();
+  resp->local_exec_latency = end - state->started_at;
   resp->rolled_back = rolled_back;
+  resp->committed = committed;
   EndBranchSpan(state->exec_span);
   state->exec_span = obs::kInvalidSpan;
   network_->Send(std::move(resp));
@@ -653,83 +684,7 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
                                 NodeId coordinator) {
   tombstones_.erase(item.xid.txn_id);  // the txn is finished
   const Xid xid = item.xid;
-  if (item.commit) {
-    const bool one_phase = item.one_phase;
-    // Decision retry after a failover: if the commit entry already exists
-    // and the branch is gone (committed via log apply), just confirm once
-    // the entry is quorum-durable.
-    if (replicator_ != nullptr && replicator_->IsLeader()) {
-      const auto index = replicator_->CommitEntryIndex(xid.txn_id);
-      const storage::TxnState state = engine_.StateOf(xid);
-      if (index.has_value() && state != storage::TxnState::kActive &&
-          state != storage::TxnState::kPrepared) {
-        replicator_->AwaitQuorum(
-            *index, [this, xid, coordinator, one_phase]() {
-              if (crashed_) return;
-              SendDecisionAck(coordinator, xid, /*committed=*/true,
-                              one_phase, Status::OK());
-            });
-        return;
-      }
-    }
-    // The commit record shares the WAL device's flush with any concurrent
-    // prepare/commit records (group commit).
-    const obs::SpanHandle fsync_span =
-        BeginBranchSpan(xid.txn_id, "ds.commit_fsync");
-    committer_.Append(
-        config_.engine.commit_fsync_cost,
-        "COMMIT xid=" + xid.ToString() + "\n",
-        [this, xid, coordinator, one_phase, fsync_span]() {
-          EndBranchSpan(fsync_span);
-          if (crashed_) return;
-          auto finish = [this, xid, coordinator, one_phase]() {
-            if (crashed_) return;
-            // Capture the write set before Commit releases it: an active
-            // outbound migration forwards the intersecting writes to the
-            // shard's destination as deltas.
-            std::vector<std::pair<RecordKey, int64_t>> migrating_writes;
-            if (migrator_->WantsCommittedWrites()) {
-              migrating_writes = engine_.WriteSetOf(xid);
-            }
-            Status st = engine_.Commit(xid, loop()->Now());
-            if (!st.ok() && replicator_ != nullptr &&
-                replicator_->CommitEntryIndex(xid.txn_id).has_value()) {
-              // The branch already committed through the replicated log
-              // (apply callback raced a duplicate decision): success.
-              st = Status::OK();
-            }
-            if (st.ok()) {
-              stats_.commits++;
-              migrator_->OnCommittedWrites(migrating_writes);
-            }
-            branches_.erase(xid.txn_id);
-            migrator_->OnBranchResolved();
-            const bool committed = st.ok();
-            SendDecisionAck(coordinator, xid, committed, one_phase,
-                            std::move(st));
-          };
-          const storage::TxnState state = engine_.StateOf(xid);
-          const bool committable =
-              (state == storage::TxnState::kActive ||
-               state == storage::TxnState::kPrepared) &&
-              !engine_.HasPendingOp(xid);
-          if (replicator_ != nullptr && replicator_->IsLeader() &&
-              committable) {
-            // Quorum-replicate the commit (with its write set) before the
-            // local commit becomes durable and is acknowledged.
-            const obs::SpanHandle quorum =
-                BeginBranchSpan(xid.txn_id, "ds.commit_quorum");
-            replicator_->ReplicateCommit(
-                xid, engine_.WriteSetOf<protocol::ReplWrite>(xid),
-                [this, quorum, finish = std::move(finish)]() {
-                  EndBranchSpan(quorum);
-                  finish();
-                });
-          } else {
-            finish();
-          }
-        });
-  } else {
+  if (!item.commit) {
     (void)engine_.Rollback(xid, loop()->Now());
     NoteLocalRollback(xid.txn_id);
     stats_.rollbacks++;
@@ -737,7 +692,117 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
     migrator_->OnBranchResolved();
     SendDecisionAck(coordinator, xid, /*committed=*/false,
                     /*one_phase=*/false, Status::OK());
+    return;
   }
+  const bool one_phase = item.one_phase;
+  auto branch = branches_.find(xid.txn_id);
+  if (branch != branches_.end() && branch->second.one_phase_batch) {
+    // The branch's commit-carrying batch still runs or commits here: its
+    // own commit answers the decision, so the writes commit once.
+    branch->second.one_phase_batch->decision_waiter = coordinator;
+    return;
+  }
+  // Decision retry after a failover: if the commit entry already exists
+  // and the branch is gone (committed via log apply), just confirm once
+  // the entry is quorum-durable.
+  if (replicator_ != nullptr && replicator_->IsLeader()) {
+    const auto index = replicator_->CommitEntryIndex(xid.txn_id);
+    const storage::TxnState state = engine_.StateOf(xid);
+    if (index.has_value() && state != storage::TxnState::kActive &&
+        state != storage::TxnState::kPrepared) {
+      replicator_->AwaitQuorum(*index, [this, xid, coordinator, one_phase]() {
+        if (crashed_) return;
+        SendDecisionAck(coordinator, xid, /*committed=*/true, one_phase,
+                        Status::OK());
+      });
+      return;
+    }
+  }
+  CommitBranch(xid, [this, xid, coordinator, one_phase](Status st) {
+    const bool committed = st.ok();
+    SendDecisionAck(coordinator, xid, committed, one_phase, std::move(st));
+  });
+}
+
+void DataSourceNode::CommitBranch(const Xid& xid,
+                                  std::function<void(Status)> done) {
+  const storage::TxnState held = engine_.StateOf(xid);
+  if (held != storage::TxnState::kActive &&
+      held != storage::TxnState::kPrepared) {
+    // The branch died here (a crash, a rollback) or never began: there is
+    // nothing to commit, so no COMMIT record either.
+    if (branches_.erase(xid.txn_id) > 0) migrator_->OnBranchResolved();
+    done(Status::NotFound("commit: unknown branch " + xid.ToString()));
+    return;
+  }
+  // The commit record shares the WAL device's flush with any concurrent
+  // prepare/commit records (group commit).
+  const obs::SpanHandle fsync_span =
+      BeginBranchSpan(xid.txn_id, "ds.commit_fsync");
+  committer_.Append(
+      config_.engine.commit_fsync_cost, "COMMIT xid=" + xid.ToString() + "\n",
+      [this, xid, fsync_span, done = std::move(done)]() {
+        EndBranchSpan(fsync_span);
+        if (crashed_) return;
+        if (replicator_ != nullptr && !replicator_->IsLeader()) {
+          // Leadership moved while the record was flushing, and only the
+          // leader commits, through the group log. The coordinator
+          // resolves the branch at the new leader, which holds a prepared
+          // branch in doubt and never saw an un-prepared one: the latter
+          // dies here, as it would have in a crash.
+          if (engine_.StateOf(xid) == storage::TxnState::kActive) {
+            (void)engine_.Rollback(xid, loop()->Now());
+            stats_.rollbacks++;
+            branches_.erase(xid.txn_id);
+            migrator_->OnBranchResolved();
+            done(Status::Aborted("leadership moved before the commit"));
+          }
+          return;
+        }
+        auto finish = [this, xid, done]() {
+          if (crashed_) return;
+          // Capture the write set before Commit releases it: an active
+          // outbound migration forwards the intersecting writes to the
+          // shard's destination as deltas.
+          std::vector<std::pair<RecordKey, int64_t>> migrating_writes;
+          if (migrator_->WantsCommittedWrites()) {
+            migrating_writes = engine_.WriteSetOf(xid);
+          }
+          Status st = engine_.Commit(xid, loop()->Now());
+          if (!st.ok() && replicator_ != nullptr &&
+              replicator_->CommitEntryIndex(xid.txn_id).has_value()) {
+            // The branch already committed through the replicated log
+            // (apply callback raced a duplicate decision): success.
+            st = Status::OK();
+          }
+          if (st.ok()) {
+            stats_.commits++;
+            migrator_->OnCommittedWrites(migrating_writes);
+          }
+          branches_.erase(xid.txn_id);
+          migrator_->OnBranchResolved();
+          done(std::move(st));
+        };
+        const storage::TxnState state = engine_.StateOf(xid);
+        const bool committable = (state == storage::TxnState::kActive ||
+                                  state == storage::TxnState::kPrepared) &&
+                                 !engine_.HasPendingOp(xid);
+        if (replicator_ != nullptr && replicator_->IsLeader() &&
+            committable) {
+          // Quorum-replicate the commit (with its write set) before the
+          // local commit becomes durable and is acknowledged.
+          const obs::SpanHandle quorum =
+              BeginBranchSpan(xid.txn_id, "ds.commit_quorum");
+          replicator_->ReplicateCommit(
+              xid, engine_.WriteSetOf<protocol::ReplWrite>(xid),
+              [this, quorum, finish = std::move(finish)]() {
+                EndBranchSpan(quorum);
+                finish();
+              });
+        } else {
+          finish();
+        }
+      });
 }
 
 void DataSourceNode::OnPing(const PingRequest& req) {

@@ -9,7 +9,9 @@
 //       - decentralized prepare (AsyncPrepare): after the last statement
 //         of a branch with peers, XA END/PREPARE over one LAN hop, vote
 //         straight to the DM — no WAN prepare round (a branch without
-//         peers votes IDLE through its execute response);
+//         peers votes IDLE through its execute response, and one whose
+//         batch carries the client's COMMIT commits one-phase before it
+//         responds);
 //       - early abort (AsyncRollback): a failed branch notifies its peers
 //         directly (PeerAbortRequest), bypassing the DM;
 //       - tombstones: a peer abort can outrun a postponed batch, so the
@@ -119,6 +121,9 @@ struct DataSourceStats {
   uint64_t early_aborts_received = 0;
   uint64_t tombstone_hits = 0;  ///< peer aborts that found no branch
   uint64_t commits = 0;
+  /// Commits made as a commit_one_phase batch ended, with no decision
+  /// round (a subset of `commits`).
+  uint64_t exec_commits = 0;
   uint64_t rollbacks = 0;
   // Elastic sharding (src/sharding).
   uint64_t shard_fenced_rejections = 0;  ///< batches refused mid-migration
@@ -132,9 +137,9 @@ struct DataSourceStats {
                     prepares_initiated, decentralized_prepares,
                     explicit_prepares, early_aborts_sent,
                     early_aborts_received, tombstone_hits, commits,
-                    rollbacks, shard_fenced_rejections, shard_redirects_sent,
-                    HighWater(peak_inflight), shard_map_serves,
-                    run_queue_rejections)
+                    exec_commits, rollbacks, shard_fenced_rejections,
+                    shard_redirects_sent, HighWater(peak_inflight),
+                    shard_map_serves, run_queue_rejections)
 };
 
 class DataSourceNode {
@@ -215,6 +220,7 @@ class DataSourceNode {
  private:
   friend class sharding::ShardMigrator;
 
+  struct ExecState;
   struct BranchInfo {
     std::vector<NodeId> peers;
     NodeId coordinator = kInvalidNode;
@@ -227,6 +233,10 @@ class DataSourceNode {
     /// envelope, many transactions), so source-side spans of the commit
     /// path parent under the context stored here.
     obs::TraceContext trace;
+    /// The branch's commit-carrying batch, from its start until its commit
+    /// resolves. A commit decision that arrives meanwhile (a leader kept
+    /// the branch across a re-election) waits for that commit's outcome.
+    std::shared_ptr<ExecState> one_phase_batch;
   };
 
   /// In-flight execution of one BranchExecuteRequest.
@@ -237,13 +247,20 @@ class DataSourceNode {
     size_t next_op = 0;
     std::vector<int64_t> values;
     bool last_statement = false;
+    bool commit_one_phase = false;
     Micros started_at = 0;
+    /// When the ops completed, if the response waits for a commit after
+    /// them (0 otherwise): the footprint's local latency ends here.
+    Micros finished_at = 0;
     NodeId reply_to = kInvalidNode;
     runtime::TimerId timeout_event = runtime::kInvalidTimer;
     obs::SpanHandle exec_span = obs::kInvalidSpan;
     /// exec_slots_ handle while the ops run; 0 before and once finished.
     uint64_t handle = 0;
     int64_t pending_value = 0;  ///< value of the op paying its row cost
+    /// Coordinator of a commit decision that arrived while this
+    /// commit-carrying batch ran; it is acked with the batch's outcome.
+    NodeId decision_waiter = kInvalidNode;
   };
   /// One running batch. The per-op closures capture {this, handle}: 16
   /// trivially copyable bytes, which std::function stores inline, so an
@@ -316,10 +333,21 @@ class DataSourceNode {
                          Status status);
   void OnPrepare(const Xid& xid, NodeId coordinator);
   void OnDecision(const protocol::DecisionItem& item, NodeId coordinator);
+  /// Commits the branch (XA COMMIT, one- or two-phase): the COMMIT record
+  /// joins the WAL device's open batch (span ds.commit_fsync); with
+  /// replication the commit entry then reaches a quorum (span
+  /// ds.commit_quorum) before the engine commits. `done` gets the
+  /// outcome: NotFound at once, with no record, for a branch this node
+  /// does not hold, and Aborted for an un-prepared branch rolled back
+  /// because the node lost the group's leadership while the record
+  /// flushed. It never runs if the node crashes first, or if it loses
+  /// the leadership holding a prepared branch (left in doubt).
+  void CommitBranch(const Xid& xid, std::function<void(Status)> done);
   void OnPing(const protocol::PingRequest& req);
 
   void SendExecuteResponse(const std::shared_ptr<ExecState>& state,
-                           Status status, bool rolled_back);
+                           Status status, bool rolled_back,
+                           bool committed = false);
 
   NodeId id_;
   runtime::ITransport* network_;

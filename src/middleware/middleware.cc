@@ -313,7 +313,8 @@ void MiddlewareNode::OnClientRound(const ClientRoundRequest& req) {
   if (txn->aborting) return;  // result message will settle the client
 
   txn->pending_ops = req.ops;
-  txn->last_round = req.last_round;
+  txn->last_round = req.last_round || req.commit;
+  txn->commit_on_round = req.commit;
   txn->round_values.assign(req.ops.size(), 0);
   txn->analysis_total += kAnalysisCost;
   if (txn->trace.valid() && txn->analysis_span == obs::kInvalidSpan) {
@@ -458,6 +459,14 @@ void MiddlewareNode::SendBranchBatch(Txn& txn, NodeId logical,
   // Algorithm 1 line 8: a last statement with no peers votes IDLE, and
   // that vote is this batch's successful response (OnExecResponse).
   p.idle_on_success = req->last_statement && req->peers.empty();
+  // With the client's COMMIT on the round and no other branch in the
+  // transaction, the IDLE vote is already the decision: the source
+  // commits one-phase as the batch ends, a WAN round trip (and its lock
+  // hold) sooner than a DM-sent XA COMMIT ... ONE PHASE.
+  p.commit_one_phase = p.idle_on_success && txn.commit_on_round &&
+                       txn.participants.size() == 1;
+  req->commit_one_phase = p.commit_one_phase;
+  p.sent_to = req->to;
   p.begun = true;
   p.last_batch = ops;
   req->ops = std::move(ops);
@@ -583,6 +592,14 @@ void MiddlewareNode::OnExecResponse(const BranchExecuteResponse& resp) {
   for (size_t i = 0; i < p.op_slots.size() && i < resp.values.size(); ++i) {
     txn->round_values[p.op_slots[i]] = resp.values[i];
   }
+  if (resp.committed) {
+    // The only branch committed one-phase as its last batch ended, so the
+    // transaction is done: no decision to dispatch, nothing to log.
+    stats_.exec_commits++;
+    txn->ts_exec_done = loop()->Now();
+    FinishTxn(*txn, /*committed=*/true);
+    return;
+  }
   if (txn->round_outstanding > 0) txn->round_outstanding--;
   MaybeCompleteRound(*txn);
 }
@@ -590,6 +607,11 @@ void MiddlewareNode::OnExecResponse(const BranchExecuteResponse& resp) {
 void MiddlewareNode::MaybeCompleteRound(Txn& txn) {
   if (txn.aborting || txn.round_outstanding != 0) return;
   txn.ts_exec_done = loop()->Now();
+  if (txn.commit_on_round) {
+    txn.ts_commit_req = txn.ts_exec_done;
+    StartCommit(txn);
+    return;
+  }
   auto resp = std::make_unique<ClientRoundResponse>();
   resp->from = id_;
   resp->to = txn.client;
@@ -607,7 +629,6 @@ void MiddlewareNode::MaybeCompleteRound(Txn& txn) {
 void MiddlewareNode::OnClientFinish(const ClientFinishRequest& req) {
   Txn* txn = FindTxn(req.txn_id);
   if (txn == nullptr) return;  // settled already (client will see result)
-  txn->commit_requested = true;
   txn->ts_commit_req = loop()->Now();
   if (txn->aborting) return;  // abort result is on its way
   if (!req.commit) {
@@ -977,6 +998,10 @@ void MiddlewareNode::FinishTxn(Txn& txn, bool committed) {
   result->client_tag = txn.client_tag;
   result->txn_id = txn.id;
   result->status = committed ? Status::OK() : txn.abort_status;
+  // A commit-carrying round got no round response: its reads come here.
+  if (committed && txn.commit_on_round) {
+    result->values = std::move(txn.round_values);
+  }
   network_->Send(std::move(result));
   if (config_.overload.enabled()) {
     admission_.Release(txn.tenant);
@@ -1042,6 +1067,30 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
           break;
         }
         if (p.via_follower) break;       // follower-read timeout handles it
+        // A leader re-elected at a higher epoch kept the branch and still
+        // runs the batch, so its response comes as usual (a step-down
+        // that rolled a commit-carrying batch back answers with the
+        // failure). A replay there would fail: the branch exists.
+        if (catalog_.LeaderOf(logical) == p.sent_to) break;
+        if (p.commit_one_phase) {
+          // The batch carried the commit. Had the old leader made the
+          // commit quorum-durable before dying, a replay would apply the
+          // branch's writes twice. Resolve it as an in-doubt one-phase
+          // commit instead: the new leader acks it if the commit entry
+          // survived, and fails it (a clean abort) if the branch died
+          // with the old leader. The log keeps no reads, so the client's
+          // result carries none.
+          p.exec_outstanding = false;
+          p.commit_one_phase = false;
+          txn.round_values.clear();
+          txn.ts_exec_done = loop()->Now();
+          txn.phase = Phase::kCommitDispatched;
+          txn.decision_one_phase = true;
+          txn.ts_decision = txn.ts_exec_done;
+          QueueDecision(catalog_.LeaderOf(logical), Xid{txn.id, logical},
+                        /*commit=*/true, /*one_phase=*/true);
+          break;
+        }
         if (p.begun && p.begun_round + 1 == txn.round_seq) {
           // The branch began in the round now in flight: its state died
           // un-replicated with the old leader, so replaying the whole
@@ -1202,12 +1251,16 @@ void MiddlewareNode::OnShardRedirect(const protocol::ShardRedirect& redirect) {
   if (groups.count(logical) == 0) txn->participants.erase(it);
   txn->round_outstanding += groups.size() - 1;
   stats_.shard_reroutes++;
-  const uint64_t round_seq = txn->round_seq - 1;
+  // Every target joins the transaction before any batch leaves, so each
+  // batch's peer list (and its IDLE/one-phase eligibility) sees the rest.
   for (auto& [target, group] : groups) {
     Participant& q = txn->participants[target];
     q.op_slots = std::move(group.second);
     q.round_keys.clear();
     for (const ClientOp& op : group.first) q.round_keys.push_back(op.key);
+  }
+  const uint64_t round_seq = txn->round_seq - 1;
+  for (auto& [target, group] : groups) {
     SendBranchBatch(*txn, target, std::move(group.first), round_seq);
   }
 }

@@ -126,6 +126,9 @@ struct MiddlewareStats {
   uint64_t shard_map_pulls = 0;     ///< maps adopted from ping anti-entropy
   uint64_t shard_map_pushes = 0;    ///< maps pushed to behind data sources
   uint64_t committed_distributed = 0;  ///< commits with >1 begun participant
+  /// Commits the data source made as the last batch ended (the batch
+  /// carried the client's COMMIT): no decision round, no log entry.
+  uint64_t exec_commits = 0;
   GEOTP_STAT_FIELDS(committed, aborted, admission_blocks, admission_aborts,
                     prepare_requests_sent, decisions_sent, follower_reads,
                     follower_read_fallbacks, failovers_observed,
@@ -134,7 +137,7 @@ struct MiddlewareStats {
                     decision_batches_sent, dispatches_coalesced,
                     HighWater(shard_map_epoch), shard_redirects,
                     shard_reroutes, shard_map_pulls, shard_map_pushes,
-                    committed_distributed)
+                    committed_distributed, exec_commits)
 };
 
 /// Durable commit/abort decision log (survives DM crashes): the last
@@ -204,6 +207,11 @@ class MiddlewareNode {
     /// The outstanding batch is a last statement sent with no peers: its
     /// successful response doubles as the branch's IDLE vote.
     bool idle_on_success = false;
+    /// The outstanding batch carries the commit (commit_one_phase): the
+    /// source commits as it ends, so the batch is never replayed.
+    bool commit_one_phase = false;
+    /// The replica the outstanding batch went to (the leader then).
+    NodeId sent_to = kInvalidNode;
     std::vector<RecordKey> round_keys;
     std::vector<size_t> op_slots;  ///< positions in the client round
     // Replication support.
@@ -230,7 +238,9 @@ class MiddlewareNode {
     size_t round_outstanding = 0;
     std::vector<int64_t> round_values;
     bool last_round = false;
-    bool commit_requested = false;
+    /// The client's COMMIT rode on the last round: the transaction commits
+    /// when the round completes, and its result carries the round's reads.
+    bool commit_on_round = false;
     bool aborting = false;
     /// Whether the dispatched commit was one-phase (failover retries must
     /// re-send the same flavour; the commit/abort direction is the phase).

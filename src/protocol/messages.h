@@ -49,7 +49,12 @@ struct ClientRoundRequest : runtime::Message<ClientRoundRequest> {
   uint32_t tenant = 0;
   std::vector<ClientOp> ops;
   bool last_round = false;
-  GEOTP_WIRE_FIELDS(client_tag, txn_id, tenant, ops, last_round)
+  /// COMMIT rides on this (last) round: the coordinator commits as soon
+  /// as the round completes and answers with ClientTxnResult alone, which
+  /// carries the round's reads. No ClientRoundResponse and no
+  /// ClientFinishRequest follow.
+  bool commit = false;
+  GEOTP_WIRE_FIELDS(client_tag, txn_id, tenant, ops, last_round, commit)
 };
 
 struct ClientRoundResponse : runtime::Message<ClientRoundResponse> {
@@ -60,7 +65,9 @@ struct ClientRoundResponse : runtime::Message<ClientRoundResponse> {
   GEOTP_WIRE_FIELDS(client_tag, txn_id, status, values)
 };
 
-/// COMMIT (or ROLLBACK) submitted by the client.
+/// COMMIT (or ROLLBACK) submitted by the client after it saw the last
+/// round's reads. A client that commits unconditionally sets
+/// ClientRoundRequest::commit instead and never sends this.
 struct ClientFinishRequest : runtime::Message<ClientFinishRequest> {
   uint64_t client_tag = 0;
   TxnId txn_id = kInvalidTxn;
@@ -73,7 +80,11 @@ struct ClientTxnResult : runtime::Message<ClientTxnResult> {
   uint64_t client_tag = 0;
   TxnId txn_id = kInvalidTxn;
   Status status;
-  GEOTP_WIRE_FIELDS(client_tag, txn_id, status)
+  /// Read results of a commit-carrying last round, in op order (empty
+  /// otherwise, and empty when a failover left the commit in doubt and it
+  /// was resolved from the replicated log, which keeps no reads).
+  std::vector<int64_t> values;
+  GEOTP_WIRE_FIELDS(client_tag, txn_id, status, values)
 };
 
 /// Shed reply: the DM refused to admit a NEW transaction (in-flight
@@ -108,8 +119,12 @@ struct BranchExecuteRequest : runtime::Message<BranchExecuteRequest> {
   std::vector<NodeId> peers;
   /// Middleware to send the implicit-prepare vote to.
   NodeId coordinator = kInvalidNode;
+  /// The branch is the transaction's only one and this batch ends it with
+  /// the client's COMMIT: the source commits it (XA COMMIT ... ONE PHASE)
+  /// as the batch completes and responds only once the commit is durable.
+  bool commit_one_phase = false;
   GEOTP_WIRE_FIELDS(xid, round_seq, begin_branch, ops, last_statement, peers,
-                    coordinator)
+                    coordinator, commit_one_phase)
 };
 
 struct BranchExecuteResponse : runtime::Message<BranchExecuteResponse> {
@@ -122,8 +137,10 @@ struct BranchExecuteResponse : runtime::Message<BranchExecuteResponse> {
   Micros local_exec_latency = 0;
   /// True if the branch already rolled back locally (failure path).
   bool rolled_back = false;
+  /// A commit_one_phase batch committed durably: the transaction is done.
+  bool committed = false;
   GEOTP_WIRE_FIELDS(xid, round_seq, status, values, local_exec_latency,
-                    rolled_back)
+                    rolled_back, committed)
 };
 
 /// Explicit prepare request (classic 2PC path, and the "notify sources not

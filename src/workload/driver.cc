@@ -9,7 +9,6 @@
 namespace geotp {
 namespace workload {
 
-using protocol::ClientFinishRequest;
 using protocol::ClientRoundRequest;
 using protocol::ClientRoundResponse;
 using protocol::ClientTxnResult;
@@ -115,18 +114,14 @@ void ClientDriver::SubmitRound(Terminal& term) {
   req->tenant = term.tenant;
   req->ops = term.spec.rounds[term.next_round];
   req->last_round = term.next_round + 1 == term.spec.rounds.size();
+  // Every spec commits: COMMIT rides on the last round, and the outcome
+  // (with that round's reads) comes back as the ClientTxnResult. This is
+  // a client that sends its last statements and COMMIT in one message
+  // (a multi-statement query, a stored procedure); one that commits in a
+  // separate call would send a ClientFinishRequest after the response.
+  req->commit = req->last_round;
   term.next_round++;
   term.awaiting = true;
-  network_->Send(std::move(req));
-}
-
-void ClientDriver::SendFinish(Terminal& term) {
-  auto req = std::make_unique<ClientFinishRequest>();
-  req->from = client_node_;
-  req->to = router_ ? router_(term.spec) : coordinator_;
-  req->client_tag = term.tag;
-  req->txn_id = term.txn_id;
-  req->commit = true;
   network_->Send(std::move(req));
 }
 
@@ -140,11 +135,7 @@ void ClientDriver::OnRoundResponse(const ClientRoundResponse& resp) {
     // Abort in progress; the final ClientTxnResult drives the retry.
     return;
   }
-  if (term.next_round < term.spec.rounds.size()) {
-    SubmitRound(term);
-  } else {
-    SendFinish(term);
-  }
+  SubmitRound(term);
 }
 
 void ClientDriver::OnTxnResult(const ClientTxnResult& result) {

@@ -1,8 +1,9 @@
 // ClientDriver: BenchBase-style closed-loop client (paper §VII-A3).
 //
 // Runs N terminals against one coordinator endpoint. Each terminal keeps
-// exactly one transaction in flight: it submits rounds, sends COMMIT after
-// the last round's results, and — on abort — retries the same transaction
+// exactly one transaction in flight: it submits rounds, the last one
+// carrying COMMIT (every spec commits, so no reply is awaited before
+// deciding), and — on abort — retries the same transaction
 // after a short backoff (user-perceived latency therefore spans retries,
 // which is what makes the paper's high-contention latencies reach
 // seconds). Committed/aborted events are counted inside the measurement
@@ -141,7 +142,6 @@ class ClientDriver {
   void StartFreshTxn(Terminal& term);
   void ResubmitTxn(Terminal& term);
   void SubmitRound(Terminal& term);
-  void SendFinish(Terminal& term);
 
   /// Capped-exponential, jittered backoff for the terminal's next retry
   /// (attempt count already incremented); `floor_hint` is the server's

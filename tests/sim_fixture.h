@@ -209,6 +209,7 @@ class MiniCluster {
     std::vector<protocol::ClientRoundResponse> round_responses;
     bool has_result = false;
     Status result;
+    std::vector<int64_t> result_values;  ///< reads of a commit-carrying round
     Micros result_at = 0;
     // Overload control: shed replies observed for this tag.
     int sheds = 0;
@@ -217,10 +218,11 @@ class MiniCluster {
 
   /// Sends one round (to `coordinator`, default the primary DM); returns
   /// the client-side handle. `tenant` rides on the request for the DM's
-  /// per-tenant admission metering.
+  /// per-tenant admission metering. `commit` bundles the client's COMMIT
+  /// with the (last) round: the transaction's only reply is its result.
   ClientTxn* SendRound(uint64_t tag, std::vector<protocol::ClientOp> ops,
                        bool last_round, NodeId coordinator = 1,
-                       uint32_t tenant = 0) {
+                       uint32_t tenant = 0, bool commit = false) {
     ClientTxn& txn = txns_[tag];
     txn.tag = tag;
     txn.coordinator = coordinator;
@@ -233,6 +235,7 @@ class MiniCluster {
     req->tenant = tenant;
     req->ops = std::move(ops);
     req->last_round = last_round;
+    req->commit = commit;
     network_->Send(std::move(req));
     return &txn;
   }
@@ -294,6 +297,15 @@ class MiniCluster {
     return t.result;
   }
 
+  /// Convenience: runs a single-round transaction whose round carries the
+  /// COMMIT. Returns the final status.
+  Status RunBundledTxn(uint64_t tag, std::vector<protocol::ClientOp> ops) {
+    SendRound(tag, std::move(ops), /*last_round=*/true, /*coordinator=*/1,
+              /*tenant=*/0, /*commit=*/true);
+    RunFor(3000);
+    return txns_[tag].result;
+  }
+
   static protocol::ClientOp Read(RecordKey key) {
     protocol::ClientOp op;
     op.key = key;
@@ -320,6 +332,7 @@ class MiniCluster {
       ClientTxn& txn = txns_[result->client_tag];
       txn.has_result = true;
       txn.result = result->status;
+      txn.result_values = result->values;
       txn.result_at = loop_.Now();
     } else if (auto* shed =
                    dynamic_cast<protocol::OverloadedResponse*>(msg.get())) {

@@ -14,10 +14,8 @@ namespace geotp {
 namespace baselines {
 namespace {
 
-using protocol::ClientFinishRequest;
 using protocol::ClientOp;
 using protocol::ClientRoundRequest;
-using protocol::ClientRoundResponse;
 using protocol::ClientTxnResult;
 
 // Harness for the store-node level: node 0 = coordinator side.
@@ -112,6 +110,107 @@ TEST_F(StoreNodeTest, StaleVersionConflicts) {
   EXPECT_TRUE(prepares_[0].status.IsConflict());
   EXPECT_EQ(store_->stats().prepare_conflicts, 1u);
   EXPECT_FALSE(store_->store().HasIntent(RecordKey{1, 3}, 100));
+}
+
+// ---------------------------------------------------------------------------
+// COMMIT riding on the last round
+// ---------------------------------------------------------------------------
+
+// Harness: node 0 = client, node 1 = coordinator, node 2 = another data
+// node. Counts the replies each coordinator sends the client.
+class BundledCommitTest : public ::testing::Test {
+ protected:
+  BundledCommitTest() {
+    sim::LatencyMatrix matrix(3);
+    matrix.SetSymmetric(0, 1, sim::LinkSpec::FromRttMs(0.5));
+    matrix.SetSymmetric(0, 2, sim::LinkSpec::FromRttMs(20.0));
+    matrix.SetSymmetric(1, 2, sim::LinkSpec::FromRttMs(20.0));
+    net_ = std::make_unique<sim::Network>(&loop_, matrix);
+    rt_ = std::make_unique<runtime::SimRuntime>(&loop_, net_.get());
+    net_->RegisterNode(0, [this](std::unique_ptr<runtime::MessageBase> msg) {
+      if (msg->type() == runtime::MessageType::kClientRoundResponse) {
+        round_responses_++;
+      } else if (auto* result = dynamic_cast<ClientTxnResult*>(msg.get())) {
+        results_.push_back(*result);
+      }
+    });
+  }
+
+  /// Runs a one-round transaction whose round carries the COMMIT and
+  /// returns its result.
+  ClientTxnResult RunBundled(std::vector<ClientOp> ops) {
+    const size_t before = results_.size();
+    auto req = std::make_unique<ClientRoundRequest>();
+    req->from = 0;
+    req->to = 1;
+    req->client_tag = before;
+    req->ops = std::move(ops);
+    req->last_round = true;
+    req->commit = true;
+    net_->Send(std::move(req));
+    loop_.Run();
+    EXPECT_EQ(results_.size(), before + 1);
+    return results_.empty() ? ClientTxnResult() : results_.back();
+  }
+
+  static ClientOp Write(uint64_t key, int64_t value) {
+    ClientOp op;
+    op.key = RecordKey{1, key};
+    op.is_write = true;
+    op.value = value;
+    return op;
+  }
+  static ClientOp Read(uint64_t key) {
+    ClientOp op;
+    op.key = RecordKey{1, key};
+    return op;
+  }
+
+  sim::EventLoop loop_;
+  std::unique_ptr<sim::Network> net_;
+  std::unique_ptr<runtime::SimRuntime> rt_;
+  int round_responses_ = 0;
+  std::vector<ClientTxnResult> results_;
+};
+
+TEST_F(BundledCommitTest, ScalarDbCommitsAsTheRoundCompletes) {
+  middleware::Catalog catalog;
+  catalog.AddRangePartitionedTable(1, 100, {2});
+  StoreNode store(rt_->EnvFor(2));
+  store.Attach();
+  ScalarDbNode coordinator(rt_->EnvFor(1), catalog, /*plus=*/false);
+  coordinator.Attach();
+
+  const ClientTxnResult write = RunBundled({Write(3, 7)});
+  EXPECT_TRUE(write.status.ok()) << write.status.ToString();
+  EXPECT_EQ(write.values, (std::vector<int64_t>{7}));
+  const ClientTxnResult read = RunBundled({Read(3)});
+  EXPECT_TRUE(read.status.ok()) << read.status.ToString();
+  EXPECT_EQ(read.values, (std::vector<int64_t>{7}));
+  EXPECT_EQ(round_responses_, 0);
+  EXPECT_EQ(coordinator.stats().committed, 2u);
+}
+
+TEST_F(BundledCommitTest, YugabyteCommitsAsTheRoundCompletes) {
+  middleware::Catalog catalog;
+  catalog.AddRangePartitionedTable(1, 100, {1, 2});
+  YbTabletNode coordinator(rt_->EnvFor(1), &catalog);
+  YbTabletNode remote(rt_->EnvFor(2), &catalog);
+  coordinator.Attach();
+  remote.Attach();
+
+  // Distributed: one write on each tablet.
+  const ClientTxnResult write = RunBundled({Write(3, 7), Write(103, 9)});
+  EXPECT_TRUE(write.status.ok()) << write.status.ToString();
+  EXPECT_EQ(write.values, (std::vector<int64_t>{7, 9}));
+  loop_.Run();  // intents resolve asynchronously after the commit
+  const ClientTxnResult read = RunBundled({Read(103)});
+  EXPECT_TRUE(read.status.ok()) << read.status.ToString();
+  EXPECT_EQ(read.values, (std::vector<int64_t>{9}));
+  EXPECT_EQ(round_responses_, 0);
+  EXPECT_EQ(coordinator.stats().committed, 2u);
+  // Neither transaction stayed on the coordinator's own tablet.
+  EXPECT_EQ(coordinator.stats().distributed, 2u);
 }
 
 // ---------------------------------------------------------------------------

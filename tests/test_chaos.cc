@@ -4,6 +4,11 @@
 //   * the global balance sum is conserved (atomicity across failures),
 //   * no branch remains prepared/in-doubt after recovery (AC5),
 //   * no locks leak.
+// In the crash, replicated and batched harnesses a seeded half of the
+// transactions bundle COMMIT with their round, so a single-source one
+// commits one-phase at the data source as its batch ends; the rest send
+// COMMIT after the round response. `bundle_rng` is a stream of its own:
+// bundling draws nothing from `rng`, which alone sets the crash schedule.
 #include <string>
 
 #include <gtest/gtest.h>
@@ -32,6 +37,7 @@ TEST_P(ChaosTest, CrashRecoveryConservesBalances) {
   options.dm = MiddlewareConfig::GeoTP();
   MiniCluster cluster(options);
   Rng rng(GetParam());
+  Rng bundle_rng(GetParam() ^ 0xB0D1ED);  // see the file comment
   constexpr int kAccounts = 16;
   constexpr int kTxns = 80;
 
@@ -47,7 +53,8 @@ TEST_P(ChaosTest, CrashRecoveryConservesBalances) {
     cluster.SendRound(tag, {
         MiniCluster::Write(cluster.KeyOn(node_a, off_a), -amount, true),
         MiniCluster::Write(cluster.KeyOn(node_b, off_b), amount, true),
-    }, true);
+    }, true, /*coordinator=*/1, /*tenant=*/0,
+       /*commit=*/bundle_rng.NextBool(0.5));
     ++tag;
     cluster.RunFor(rng.NextU64(60));
 
@@ -116,6 +123,7 @@ TEST_P(ReplicatedChaosTest, LeaderCrashFailoverConservesBalances) {
   options.replication_factor = 3;
   MiniCluster cluster(options);
   Rng rng(GetParam());
+  Rng bundle_rng(GetParam() ^ 0xB0D1ED);  // see the file comment
   constexpr int kAccounts = 16;
   constexpr int kTxns = 60;
 
@@ -131,7 +139,8 @@ TEST_P(ReplicatedChaosTest, LeaderCrashFailoverConservesBalances) {
     cluster.SendRound(tag, {
         MiniCluster::Write(cluster.KeyOn(node_a, off_a), -amount, true),
         MiniCluster::Write(cluster.KeyOn(node_b, off_b), amount, true),
-    }, true);
+    }, true, /*coordinator=*/1, /*tenant=*/0,
+       /*commit=*/bundle_rng.NextBool(0.5));
     ++tag;
     cluster.RunFor(rng.NextU64(60));
 
@@ -199,6 +208,7 @@ TEST_P(BatchedChaosTest, BatchingPlusFailoverConservesBalances) {
   options.group_commit.max_batch_size = 8;
   MiniCluster cluster(options);
   Rng rng(GetParam());
+  Rng bundle_rng(GetParam() ^ 0xB0D1ED);  // see the file comment
   constexpr int kAccounts = 16;
   constexpr int kTxns = 60;
 
@@ -214,7 +224,8 @@ TEST_P(BatchedChaosTest, BatchingPlusFailoverConservesBalances) {
     cluster.SendRound(tag, {
         MiniCluster::Write(cluster.KeyOn(node_a, off_a), -amount, true),
         MiniCluster::Write(cluster.KeyOn(node_b, off_b), amount, true),
-    }, true);
+    }, true, /*coordinator=*/1, /*tenant=*/0,
+       /*commit=*/bundle_rng.NextBool(0.5));
     ++tag;
     cluster.RunFor(rng.NextU64(50));
 

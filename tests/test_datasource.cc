@@ -43,6 +43,8 @@ class DataSourceTest : public ::testing::Test {
     net_->RegisterNode(0, [this](std::unique_ptr<runtime::MessageBase> msg) {
       if (auto* resp = dynamic_cast<BranchExecuteResponse*>(msg.get())) {
         exec_responses_.push_back(*resp);
+        wal_commits_at_response_.push_back(
+            ds1_->engine().wal().stats().commits);
       } else if (auto* vote = dynamic_cast<VoteMessage*>(msg.get())) {
         votes_.push_back(*vote);
       } else if (auto* ack = dynamic_cast<DecisionAck*>(msg.get())) {
@@ -53,7 +55,8 @@ class DataSourceTest : public ::testing::Test {
 
   void SendExecute(NodeId ds, TxnId txn, std::vector<ClientOp> ops,
                    bool last, std::vector<NodeId> peers = {},
-                   bool begin = true, uint64_t round = 0) {
+                   bool begin = true, uint64_t round = 0,
+                   bool commit_one_phase = false) {
     auto req = std::make_unique<BranchExecuteRequest>();
     req->from = 0;
     req->to = ds;
@@ -64,6 +67,7 @@ class DataSourceTest : public ::testing::Test {
     req->last_statement = last;
     req->peers = std::move(peers);
     req->coordinator = 0;
+    req->commit_one_phase = commit_one_phase;
     net_->Send(std::move(req));
   }
 
@@ -96,6 +100,8 @@ class DataSourceTest : public ::testing::Test {
   std::unique_ptr<DataSourceNode> ds1_;
   std::unique_ptr<DataSourceNode> ds2_;
   std::vector<BranchExecuteResponse> exec_responses_;
+  /// DS1's WAL commit-record count as each execute response arrived.
+  std::vector<uint64_t> wal_commits_at_response_;
   std::vector<VoteMessage> votes_;
   std::vector<DecisionAck> acks_;
 };
@@ -126,6 +132,85 @@ TEST_F(DataSourceTest, CentralizedLastStatementVotesIdle) {
   EXPECT_EQ(ds1_->stats().prepares_initiated, 0u);
   // Branch stays active for the one-phase commit.
   EXPECT_EQ(ds1_->engine().StateOf(Xid{100, 1}), storage::TxnState::kActive);
+}
+
+TEST_F(DataSourceTest, OnePhaseBatchCommitsBeforeResponding) {
+  SendExecute(1, 100, {Write(RecordKey{1, 1}, 42)}, /*last=*/true,
+              /*peers=*/{}, /*begin=*/true, /*round=*/0,
+              /*commit_one_phase=*/true);
+  loop_.Run();
+  // The response reports a durable commit: its one COMMIT record was
+  // written before it left, and no decision round follows.
+  ASSERT_EQ(exec_responses_.size(), 1u);
+  EXPECT_TRUE(exec_responses_[0].status.ok());
+  EXPECT_TRUE(exec_responses_[0].committed);
+  EXPECT_EQ(wal_commits_at_response_[0], 1u);
+  EXPECT_EQ(ds1_->engine().wal().stats().commits, 1u);
+  EXPECT_EQ(ds1_->engine().wal().stats().prepares, 0u);
+  EXPECT_EQ(ds1_->engine().store().Get(RecordKey{1, 1})->value, 42);
+  EXPECT_FALSE(ds1_->HasBranch(100));
+  EXPECT_EQ(ds1_->engine().ActiveCount(), 0u);
+  EXPECT_EQ(ds1_->stats().exec_commits, 1u);
+  EXPECT_EQ(ds1_->stats().commits, 1u);
+  EXPECT_TRUE(votes_.empty());
+  EXPECT_TRUE(acks_.empty());
+}
+
+TEST_F(DataSourceTest, FailedOnePhaseBatchRollsBackWithoutCommitRecord) {
+  // T1 holds the lock; T2's commit-carrying batch times out behind it.
+  ds1_->engine().store().Put(RecordKey{1, 1}, 7);
+  SendExecute(1, 100, {Write(RecordKey{1, 1}, 1)}, /*last=*/false);
+  loop_.Run();
+  SendExecute(1, 200, {Write(RecordKey{1, 2}, 5), Write(RecordKey{1, 1}, 2)},
+              /*last=*/true, /*peers=*/{}, /*begin=*/true, /*round=*/0,
+              /*commit_one_phase=*/true);
+  loop_.Run();
+  ASSERT_EQ(exec_responses_.size(), 2u);
+  EXPECT_TRUE(exec_responses_[1].status.IsTimedOut());
+  EXPECT_TRUE(exec_responses_[1].rolled_back);
+  EXPECT_FALSE(exec_responses_[1].committed);
+  EXPECT_EQ(ds1_->engine().wal().stats().commits, 0u);
+  EXPECT_EQ(ds1_->stats().exec_commits, 0u);
+  const auto undone = ds1_->engine().store().Get(RecordKey{1, 2});
+  EXPECT_EQ(undone ? undone->value : 0, 0);
+  EXPECT_FALSE(ds1_->HasBranch(200));
+}
+
+TEST_F(DataSourceTest, CommitDecisionWaitsForTheRunningOnePhaseBatch) {
+  // T1 holds the lock; T2's commit-carrying batch queues behind it when a
+  // coordinator's one-phase commit decision for T2 arrives.
+  ds1_->engine().store().Put(RecordKey{1, 1}, 7);
+  SendExecute(1, 100, {Write(RecordKey{1, 1}, 1)}, /*last=*/false);
+  loop_.RunUntil(MsToMicros(20));
+  SendExecute(1, 200, {Write(RecordKey{1, 1}, 5)},
+              /*last=*/true, /*peers=*/{}, /*begin=*/true, /*round=*/0,
+              /*commit_one_phase=*/true);
+  loop_.RunUntil(MsToMicros(40));
+  SendDecision(1, 200, /*commit=*/true, /*one_phase=*/true);
+  loop_.RunUntil(MsToMicros(60));
+  EXPECT_TRUE(acks_.empty());  // answered by the batch, not alongside it
+  EXPECT_EQ(ds1_->engine().wal().stats().commits, 0u);
+
+  SendDecision(1, 100, /*commit=*/true, /*one_phase=*/true);
+  loop_.Run();
+  // One commit of T2 answers both its execute and its decision.
+  ASSERT_EQ(acks_.size(), 2u);
+  for (const DecisionAck& ack : acks_) EXPECT_TRUE(ack.committed);
+  ASSERT_EQ(exec_responses_.size(), 2u);
+  EXPECT_TRUE(exec_responses_[1].committed);
+  EXPECT_EQ(ds1_->engine().wal().stats().commits, 2u);
+  EXPECT_EQ(ds1_->engine().store().Get(RecordKey{1, 1})->value, 5);
+  EXPECT_EQ(ds1_->stats().exec_commits, 1u);
+  EXPECT_EQ(ds1_->engine().ActiveCount(), 0u);
+}
+
+TEST_F(DataSourceTest, CommitForAnUnknownBranchWritesNoRecord) {
+  SendDecision(1, 300, /*commit=*/true, /*one_phase=*/true);
+  loop_.Run();
+  ASSERT_EQ(acks_.size(), 1u);
+  EXPECT_FALSE(acks_[0].committed);
+  EXPECT_TRUE(acks_[0].status.IsNotFound());
+  EXPECT_EQ(ds1_->committer().stats().entries, 0u);
 }
 
 TEST_F(DataSourceTest, DistributedLastStatementVotesPrepared) {

@@ -199,6 +199,64 @@ TEST(MiddlewareTest, MessageBudgetPerCommit) {
                               MiniCluster::Write(cluster.KeyOn(1, 3), 2)})
                   .ok());
   EXPECT_EQ(cluster.network().total_messages() - before, 14u);
+
+  before = cluster.network().total_messages();
+  // Centralized with COMMIT on the round: round, execute, response (the
+  // branch committed one-phase as it ended), result.
+  ASSERT_TRUE(
+      cluster.RunBundledTxn(3, {MiniCluster::Write(cluster.KeyOn(0, 4), 1)})
+          .ok());
+  EXPECT_EQ(cluster.network().total_messages() - before, 4u);
+  EXPECT_EQ(cluster.dm().stats().exec_commits, 1u);
+
+  before = cluster.network().total_messages();
+  // Two sources with COMMIT on the round: round, 2 executes, 2 responses,
+  // 2 PREPARED votes, 2 decisions, 2 acks, result.
+  ASSERT_TRUE(cluster
+                  .RunBundledTxn(4, {MiniCluster::Write(cluster.KeyOn(0, 5), 1),
+                                     MiniCluster::Write(cluster.KeyOn(1, 5), 2)})
+                  .ok());
+  EXPECT_EQ(cluster.network().total_messages() - before, 12u);
+  EXPECT_EQ(cluster.dm().stats().exec_commits, 1u);
+  EXPECT_EQ(cluster.source(0).stats().exec_commits, 1u);
+}
+
+TEST(MiddlewareTest, BundledCommitReturnsReadsWithTheResult) {
+  MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
+  ASSERT_TRUE(cluster.RunTxn(1, {MiniCluster::Write(cluster.KeyOn(0, 1), 11),
+                                 MiniCluster::Write(cluster.KeyOn(1, 1), 22)})
+                  .ok());
+  // Centralized (one-phase at the source) and distributed (voted, then
+  // decided): either way the only reply is the result, with the reads.
+  ASSERT_TRUE(
+      cluster.RunBundledTxn(2, {MiniCluster::Read(cluster.KeyOn(0, 1))}).ok());
+  EXPECT_TRUE(cluster.txn(2).round_responses.empty());
+  EXPECT_EQ(cluster.txn(2).result_values, (std::vector<int64_t>{11}));
+  ASSERT_TRUE(cluster
+                  .RunBundledTxn(3, {MiniCluster::Read(cluster.KeyOn(1, 1)),
+                                     MiniCluster::Read(cluster.KeyOn(0, 1))})
+                  .ok());
+  EXPECT_TRUE(cluster.txn(3).round_responses.empty());
+  EXPECT_EQ(cluster.txn(3).result_values, (std::vector<int64_t>{22, 11}));
+  // The explicit COMMIT path keeps its reads on the round response.
+  ASSERT_TRUE(cluster.RunTxn(4, {MiniCluster::Read(cluster.KeyOn(0, 1))}).ok());
+  EXPECT_TRUE(cluster.txn(4).result_values.empty());
+  EXPECT_EQ(cluster.dm().InFlight(), 0u);
+}
+
+TEST(MiddlewareTest, TwoPhaseNeverCommitsAtTheSource) {
+  // ShardingSphere's XA sends COMMIT ONE PHASE from the middleware: under
+  // SSP a bundled COMMIT only saves the client's round trip.
+  MiniCluster cluster(WithDm(MiddlewareConfig::SSP()));
+  SilenceMonitor(cluster);
+  const uint64_t before = cluster.network().total_messages();
+  ASSERT_TRUE(
+      cluster.RunBundledTxn(1, {MiniCluster::Write(cluster.KeyOn(0, 2), 1)})
+          .ok());
+  // Round, execute, response, one-phase decision, ack, result.
+  EXPECT_EQ(cluster.network().total_messages() - before, 6u);
+  EXPECT_EQ(cluster.dm().stats().exec_commits, 0u);
+  EXPECT_EQ(cluster.dm().stats().decisions_sent, 1u);
 }
 
 TEST(MiddlewareTest, LockConflictOnSharedRecordSerializes) {

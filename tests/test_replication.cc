@@ -536,6 +536,212 @@ TEST(ReplicationTest, LeaderFailoverElectsFollowerAndConservesBalances) {
   EXPECT_EQ(new_leader->engine().ActiveCount(), 0u);
 }
 
+// A commit-carrying batch whose leader dies mid-commit is resolved as an
+// in-doubt one-phase commit, never replayed: had the commit entry reached
+// a quorum, a replay on the new leader would apply its delta twice.
+TEST(ReplicationTest, OnePhaseCommitOnAQuorumSurvivesLeaderDeathOnce) {
+  MiniCluster cluster(ReplicatedOptions());
+  const RecordKey key = cluster.KeyOn(0, 5);
+  ASSERT_TRUE(cluster.RunTxn(1, {MiniCluster::Write(key, 100)}).ok());
+  cluster.RunFor(500);
+  replication::Replicator* follower = cluster.follower(0, 0).replicator();
+  const uint64_t before = follower->log().last_index();
+
+  cluster.SendRound(2, {MiniCluster::Write(key, 5, /*delta=*/true)},
+                    /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+                    /*commit=*/true);
+  // Kill the leader the moment a follower holds the commit entry: leader
+  // and follower make a quorum, but the leader never sees the ack, so it
+  // neither commits locally nor responds.
+  for (int step = 0; step < 100000 && follower->log().last_index() == before;
+       ++step) {
+    cluster.RunFor(0.01);
+  }
+  ASSERT_GT(follower->log().last_index(), before);
+  ASSERT_FALSE(cluster.txn(2).has_result);
+  cluster.source(0).Crash();
+  cluster.RunFor(3000);  // election, announce, in-doubt resolution
+
+  ASSERT_TRUE(cluster.txn(2).has_result);
+  EXPECT_TRUE(cluster.txn(2).result.ok()) << cluster.txn(2).result.ToString();
+  // Resolved from the log, which keeps no reads.
+  EXPECT_TRUE(cluster.txn(2).result_values.empty());
+  EXPECT_EQ(cluster.dm().InFlight(), 0u);
+
+  cluster.source(0).Restart();
+  cluster.RunFor(3000);  // the old leader rejoins and catches up
+  for (datasource::DataSourceNode* replica : cluster.replica_group(0)) {
+    const auto record = replica->engine().store().Get(key);
+    ASSERT_TRUE(record.has_value()) << "replica " << replica->id();
+    EXPECT_EQ(record->value, 105) << "replica " << replica->id();
+  }
+}
+
+// The same batch with the leader dying before anything replicated: the
+// branch died with it, so the in-doubt commit fails cleanly and the
+// client sees an abort.
+TEST(ReplicationTest, OnePhaseCommitLostWithTheLeaderAborts) {
+  MiniCluster cluster(ReplicatedOptions());
+  const RecordKey key = cluster.KeyOn(0, 5);
+  ASSERT_TRUE(cluster.RunTxn(1, {MiniCluster::Write(key, 100)}).ok());
+  cluster.RunFor(500);
+  datasource::DataSourceNode& leader = cluster.source(0);
+  const uint64_t ops_before = leader.stats().ops_executed;
+  std::vector<uint64_t> records_before;
+  for (datasource::DataSourceNode* replica : cluster.replica_group(0)) {
+    records_before.push_back(replica->committer().stats().entries);
+  }
+
+  cluster.SendRound(2, {MiniCluster::Write(key, 5, /*delta=*/true)},
+                    /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+                    /*commit=*/true);
+  // Kill the leader as soon as the write applied locally.
+  for (int step = 0; step < 100000 && leader.stats().ops_executed == ops_before;
+       ++step) {
+    cluster.RunFor(0.01);
+  }
+  ASSERT_GT(leader.stats().ops_executed, ops_before);
+  leader.Crash();
+  cluster.RunFor(3000);
+
+  ASSERT_TRUE(cluster.txn(2).has_result);
+  EXPECT_FALSE(cluster.txn(2).result.ok());
+  EXPECT_EQ(cluster.dm().InFlight(), 0u);
+  // The promoted leader, which never held the branch, wrote no COMMIT
+  // record for it.
+  datasource::DataSourceNode* promoted = cluster.leader_of(0);
+  ASSERT_NE(promoted, nullptr);
+  ASSERT_NE(promoted, &leader);
+  for (size_t i = 0; i < cluster.replica_group(0).size(); ++i) {
+    if (cluster.replica_group(0)[i] != promoted) continue;
+    EXPECT_EQ(promoted->committer().stats().entries, records_before[i]);
+  }
+
+  leader.Restart();
+  cluster.RunFor(3000);
+  for (datasource::DataSourceNode* replica : cluster.replica_group(0)) {
+    const auto record = replica->engine().store().Get(key);
+    ASSERT_TRUE(record.has_value()) << "replica " << replica->id();
+    EXPECT_EQ(record->value, 100) << "replica " << replica->id();
+    EXPECT_EQ(replica->engine().ActiveCount(), 0u);
+  }
+}
+
+// A leader deposed while a commit-carrying batch waits on a lock must not
+// commit it locally once the lock frees: the commit would reach neither
+// the group log nor the new leader, and the old leader's store would
+// diverge from the group's.
+TEST(ReplicationTest, DeposedLeaderDoesNotCommitOnePhaseBatchLocally) {
+  MiniCluster cluster(ReplicatedOptions());
+  const RecordKey key = cluster.KeyOn(0, 5);
+  ASSERT_TRUE(cluster.RunTxn(1, {MiniCluster::Write(key, 100)}).ok());
+  cluster.RunFor(500);
+  datasource::DataSourceNode& old_leader = cluster.source(0);
+
+  // Txn 2 holds the row lock; txn 3's commit-carrying batch queues behind.
+  cluster.SendRound(2, {MiniCluster::Write(key, 1)}, /*last_round=*/false);
+  cluster.RunFor(100);
+  cluster.SendRound(3, {MiniCluster::Write(key, 5, /*delta=*/true)},
+                    /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+                    /*commit=*/true);
+  cluster.RunFor(100);
+  ASSERT_TRUE(old_leader.HasBranch(cluster.txn(2).txn_id));
+
+  // Cut the leader off until a follower takes over, then let it back in:
+  // it learns the new epoch and steps down with txn 3 still queued.
+  cluster.network().Partition(old_leader.id());
+  cluster.RunFor(2000);
+  cluster.network().Restore(old_leader.id());
+  cluster.RunFor(500);
+  ASSERT_FALSE(old_leader.replicator()->IsLeader());
+  ASSERT_NE(cluster.leader_of(0), nullptr);
+  ASSERT_TRUE(cluster.txn(3).has_result);
+  EXPECT_FALSE(cluster.txn(3).result.ok());  // in doubt, unknown there
+
+  // Free the lock on the old leader: txn 3's batch now runs to its end.
+  auto abort = std::make_unique<protocol::PeerAbortRequest>();
+  abort->from = 0;
+  abort->to = old_leader.id();
+  abort->txn_id = cluster.txn(2).txn_id;
+  cluster.network().Send(std::move(abort));
+  cluster.RunFor(500);
+
+  EXPECT_EQ(old_leader.stats().exec_commits, 0u);
+  EXPECT_EQ(old_leader.engine().ActiveCount(), 0u);
+  for (datasource::DataSourceNode* replica : cluster.replica_group(0)) {
+    const auto record = replica->engine().store().Get(key);
+    ASSERT_TRUE(record.has_value()) << "replica " << replica->id();
+    EXPECT_EQ(record->value, 100) << "replica " << replica->id();
+  }
+}
+
+// A term bump that re-elects the same leader leaves the batch in flight
+// there: the leader kept the branch and still runs it. A replay would
+// fail on the existing branch and abort the transaction; resolving a
+// commit-carrying batch as in doubt would race it, and its commit still
+// lands once the lock frees.
+TEST(ReplicationTest, ReelectedLeaderKeepsBatchInFlight) {
+  for (const bool bundled : {true, false}) {
+    SCOPED_TRACE(bundled ? "COMMIT on the round" : "separate COMMIT");
+    MiniCluster cluster(ReplicatedOptions());
+    const RecordKey key = cluster.KeyOn(0, 5);
+    ASSERT_TRUE(cluster.RunTxn(1, {MiniCluster::Write(key, 100)}).ok());
+    cluster.RunFor(500);
+    datasource::DataSourceNode& leader = cluster.source(0);
+    const uint64_t epoch = leader.replicator()->epoch();
+    const uint64_t failovers = cluster.dm().stats().failovers_observed;
+
+    // Txn 2 holds the row lock; txn 3's batch queues behind it.
+    cluster.SendRound(2, {MiniCluster::Write(key, 1)}, /*last_round=*/true);
+    cluster.RunFor(100);
+    cluster.SendRound(3, {MiniCluster::Write(key, 5, /*delta=*/true)},
+                      /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+                      /*commit=*/bundled);
+    cluster.RunFor(100);
+    ASSERT_EQ(leader.engine().ActiveCount(), 2u);
+
+    // A follower cut off while the group commits elsewhere falls behind
+    // and, back, forces an election with its higher term. Its stale log
+    // cannot win: the same leader is re-elected at a higher epoch.
+    datasource::DataSourceNode& follower = cluster.follower(0, 0);
+    cluster.network().Partition(follower.id());
+    cluster.SendRound(4, {MiniCluster::Write(cluster.KeyOn(0, 7), 3)},
+                      /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+                      /*commit=*/true);
+    cluster.RunFor(300);
+    ASSERT_TRUE(cluster.txn(4).has_result);
+    cluster.network().Restore(follower.id());
+    cluster.RunFor(1500);
+    ASSERT_EQ(cluster.leader_of(0), &leader);
+    ASSERT_GT(leader.replicator()->epoch(), epoch);
+    ASSERT_EQ(cluster.dm().stats().failovers_observed, failovers + 1);
+    EXPECT_FALSE(cluster.txn(3).has_result);
+    EXPECT_EQ(cluster.dm().stats().branch_retries, 0u);
+
+    // Txn 2 commits and frees the lock: txn 3's batch runs to its end.
+    cluster.SendCommit(2);
+    cluster.RunFor(1000);
+    ASSERT_TRUE(cluster.txn(2).has_result);
+    ASSERT_TRUE(cluster.txn(2).result.ok());
+    if (!bundled) {
+      ASSERT_EQ(cluster.txn(3).round_responses.size(), 1u);
+      cluster.SendCommit(3);
+      cluster.RunFor(1000);
+    }
+    ASSERT_TRUE(cluster.txn(3).has_result);
+    EXPECT_TRUE(cluster.txn(3).result.ok())
+        << cluster.txn(3).result.ToString();
+    // Txn 4, and a bundled txn 3, committed as their batches ended.
+    EXPECT_EQ(cluster.dm().stats().exec_commits, bundled ? 2u : 1u);
+    EXPECT_EQ(cluster.dm().InFlight(), 0u);
+    for (datasource::DataSourceNode* replica : cluster.replica_group(0)) {
+      const auto record = replica->engine().store().Get(key);
+      ASSERT_TRUE(record.has_value()) << "replica " << replica->id();
+      EXPECT_EQ(record->value, 6) << "replica " << replica->id();
+    }
+  }
+}
+
 TEST(ReplicationTest, RestartedLeaderRejoinsAsFollowerAndCatchesUp) {
   MiniCluster cluster(ReplicatedOptions());
   ASSERT_TRUE(cluster.RunTxn(1, {MiniCluster::Write(cluster.KeyOn(0, 1), 10)})

@@ -501,6 +501,7 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   round->tenant = 7;
   round->ops = {SampleOp(), SampleOp()};
   round->last_round = true;
+  round->commit = true;
   add(std::move(round));
 
   auto round_resp = Stamped<protocol::ClientRoundResponse>();
@@ -520,6 +521,7 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   result->client_tag = 5;
   result->txn_id = 99;
   result->status = Status::TimedOut("lock wait");
+  result->values = {4, -5};
   add(std::move(result));
 
   auto exec = Stamped<protocol::BranchExecuteRequest>();
@@ -530,6 +532,7 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   exec->last_statement = true;
   exec->peers = {2, 3, 4};
   exec->coordinator = 1;
+  exec->commit_one_phase = true;
   add(std::move(exec));
 
   auto exec_resp = Stamped<protocol::BranchExecuteResponse>();
@@ -817,7 +820,7 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "0100030000000900000001080706050403020111000000000000002200000000"
      "000000050000000000000063000000000000000700000002000000010000002a"
      "0000000000000001f9ffffffffffffff01010000002a0000000000000001f9ff"
-     "ffffffffffff0101"},
+     "ffffffffffff010101"},
     {MessageType::kClientRoundResponse,
      "0200030000000900000001080706050403020111000000000000002200000000"
      "00000005000000000000006300000000000000050f000000646561646c6f636b"
@@ -829,16 +832,16 @@ const std::map<MessageType, std::string>& GoldenHex() {
     {MessageType::kClientTxnResult,
      "0400030000000900000001080706050403020111000000000000002200000000"
      "0000000500000000000000630000000000000004090000006c6f636b20776169"
-     "74"},
+     "74020000000400000000000000fbffffffffffffff"},
     {MessageType::kBranchExecuteRequest,
      "0500030000000900000001080706050403020111000000000000002200000000"
      "0000006300000000000000020000000300000000000000010100000001000000"
      "2a0000000000000001f9ffffffffffffff010103000000020000000300000004"
-     "00000001000000"},
+     "0000000100000001"},
     {MessageType::kBranchExecuteResponse,
      "0600030000000900000001080706050403020111000000000000002200000000"
      "0000006300000000000000020000000300000000000000060d00000076657273"
-     "696f6e20636865636b010000001100000000000000fa0000000000000001"},
+     "696f6e20636865636b010000001100000000000000fa000000000000000100"},
     {MessageType::kPrepareRequest,
      "0700030000000900000001080706050403020111000000000000002200000000"
      "000000630000000000000002000000"},

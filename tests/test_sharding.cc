@@ -269,6 +269,62 @@ TEST(ShardingLive, StaleEpochDmRetriesThroughRedirect) {
   EXPECT_EQ(handle->round_responses.back().values.at(0), 88);
 }
 
+// A bounced batch that splits between its old owner and the range's new
+// one becomes two branches: each batch must name the other as its peer,
+// so neither votes IDLE nor commits one-phase on its own.
+TEST(ShardingLive, RedirectSplitOfABundledCommitPreparesBothBranches) {
+  MiniCluster::Options options = ShardedOptions();
+  options.num_middlewares = 2;  // the second DM will be left stale
+  MiniCluster c(options);
+  const NodeId dm2 = 2 + options.num_data_sources;
+
+  // Move [0, 250) from source 0 (node 2) to source 1 (node 3) behind the
+  // second DM's back, as in the test above.
+  c.network().Partition(dm2);
+  auto migrate = std::make_unique<ShardMigrateRequest>();
+  migrate->from = 0;
+  migrate->to = 2;
+  migrate->migration_id = 9;
+  migrate->range = ShardRange{options.table, 0, 250, 2, 0};
+  migrate->dest = 3;
+  migrate->dest_leader = 3;
+  migrate->new_version = 1;
+  c.network().Send(std::move(migrate));
+  c.RunFor(1500);
+  ASSERT_EQ(c.cutovers().size(), 1u);
+  ShardMap published = ShardMap::FromRangePartition(
+      options.table, options.keys_per_node, {2, 3},
+      options.chunks_per_source);
+  ASSERT_EQ(published.ranges()[0].hi, 250u);
+  ASSERT_TRUE(published.Move(0, 3, 1));
+  for (NodeId target : {NodeId{1}, NodeId{2}, NodeId{3}}) {
+    auto update = std::make_unique<ShardMapUpdate>();
+    update->from = 0;
+    update->to = target;
+    update->entries = published.ranges();
+    c.network().Send(std::move(update));
+  }
+  c.RunFor(500);
+  c.network().Restore(dm2);
+
+  // One batch to node 2 bounces: offset 5 moved to node 3, offset 300
+  // stayed. Node 2 (the lower id) is re-sent first.
+  const uint64_t prepares = c.source(0).stats().prepares_initiated;
+  c.SendRound(2,
+              {MiniCluster::Write(c.KeyOn(0, 5), 55),
+               MiniCluster::Write(c.KeyOn(0, 300), 33)},
+              /*last_round=*/true, dm2, /*tenant=*/0, /*commit=*/true);
+  c.RunFor(3000);
+  ASSERT_TRUE(c.txn(2).has_result);
+  ASSERT_TRUE(c.txn(2).result.ok()) << c.txn(2).result.ToString();
+  EXPECT_GE(c.dm(1).stats().shard_reroutes, 1u);
+  EXPECT_EQ(c.dm(1).stats().exec_commits, 0u);
+  EXPECT_EQ(c.dm(1).stats().committed_distributed, 1u);
+  EXPECT_EQ(c.source(0).stats().prepares_initiated, prepares + 1);
+  EXPECT_EQ(c.source(1).engine().store().Get(c.KeyOn(0, 5))->value, 55);
+  EXPECT_EQ(c.source(0).engine().store().Get(c.KeyOn(0, 300))->value, 33);
+}
+
 // ---------------------------------------------------------------------------
 // Crash of the source leader mid-copy
 // ---------------------------------------------------------------------------
