@@ -34,6 +34,7 @@ using protocol::PingRequest;
 using protocol::PingResponse;
 using protocol::PrepareBatch;
 using protocol::PrepareRequest;
+using protocol::ReplEntryType;
 using protocol::Vote;
 using protocol::VoteMessage;
 
@@ -47,6 +48,8 @@ DataSourceNode::DataSourceNode(runtime::ActorEnv env, DataSourceConfig config)
       committer_(timer_, wal_device_.get(), config.group_commit),
       migrator_(std::make_unique<sharding::ShardMigrator>(this)) {
   committer_.set_on_fsync([this]() { engine_.NoteWalFsync(); });
+  committer_.set_on_flush_start(
+      [this](const storage::WalRecord& record) { OnFlushStart(record); });
 }
 
 void DataSourceNode::Attach() {
@@ -155,10 +158,14 @@ void DataSourceNode::PrepareDurably(const Xid& xid, NodeId coordinator,
   committer_.Append(
       config_.engine.prepare_fsync_cost,
       "PREPARE xid=" + xid.ToString() + "\n",
+      storage::WalRecord{storage::WalRecord::Kind::kPrepare, xid, coordinator},
       [this, xid, coordinator, fsync_span,
        on_refused = std::move(on_refused)]() {
         EndBranchSpan(fsync_span);
         if (crashed_) return;
+        if (replicator_ != nullptr) {
+          replicator_->NoteRecordFlushed(ReplEntryType::kPrepare, xid);
+        }
         if (engine_.Prepare(xid, loop()->Now()).ok()) {
           AfterLocalPrepare(xid, coordinator);
         } else {
@@ -167,23 +174,124 @@ void DataSourceNode::PrepareDurably(const Xid& xid, NodeId coordinator,
       });
 }
 
+void DataSourceNode::OnFlushStart(const storage::WalRecord& record) {
+  // A group leader ships the record's entry as the record goes to the
+  // device, so the flush and the quorum round overlap; the vote or the
+  // commit still waits for both (the flush end waits on the entry).
+  if (replicator_ == nullptr || !replicator_->IsLeader()) return;
+  const storage::TxnState state = engine_.StateOf(record.xid);
+  const bool committable = (state == storage::TxnState::kActive ||
+                            state == storage::TxnState::kPrepared) &&
+                           !engine_.HasPendingOp(record.xid);
+  if (!committable) return;
+  if (record.kind == storage::WalRecord::Kind::kCommit) {
+    replicator_->ShipAtFlushStart(
+        ReplEntryType::kCommit, record.xid,
+        engine_.WriteSetOf<protocol::ReplWrite>(record.xid), kInvalidNode);
+  } else if (record.kind == storage::WalRecord::Kind::kPrepare &&
+             state == storage::TxnState::kActive) {
+    replicator_->ShipAtFlushStart(
+        ReplEntryType::kPrepare, record.xid,
+        engine_.WriteSetOf<protocol::ReplWrite>(record.xid),
+        record.coordinator);
+  }
+}
+
 void DataSourceNode::AfterLocalPrepare(const Xid& xid, NodeId coordinator) {
-  // The quorum span covers the replication wait when the group has peers;
-  // without replication it closes in the same tick (a pass-through), so a
-  // sampled transaction's span chain is the same shape either way.
+  if (replicator_ != nullptr && !replicator_->IsLeader()) {
+    // Leadership moved while the record flushed: only a prepare the
+    // group logged may be voted, and that vote is the promoted leader's
+    // (its re-vote; the DM's failover grace aborts a branch that gets
+    // none). A shipped entry is in doubt here: the group's log commits,
+    // aborts or cuts it. One that never shipped is not in the group.
+    if (replicator_->PrepareEntryIndex(xid.txn_id) == 0) {
+      (void)engine_.Rollback(xid, loop()->Now());
+      stats_.rollbacks++;
+      ForgetBranch(xid.txn_id);
+      SendVote(coordinator, xid, Vote::kFailure);
+    }
+    return;
+  }
+  // The quorum span covers the replication wait left after the local
+  // flush when the group has peers; without replication it closes in the
+  // same tick (a pass-through), so a sampled transaction's span chain is
+  // the same shape either way.
   const obs::SpanHandle quorum = BeginBranchSpan(xid.txn_id, "ds.quorum");
   auto deliver = [this, xid, coordinator, quorum]() {
     EndBranchSpan(quorum);
     if (crashed_) return;
     SendVote(coordinator, xid, Vote::kPrepared);
   };
-  if (replicator_ != nullptr && replicator_->IsLeader()) {
-    replicator_->ReplicatePrepare(
-        xid, engine_.WriteSetOf<protocol::ReplWrite>(xid), coordinator,
-        std::move(deliver));
+  if (replicator_ != nullptr) {
+    // The entry shipped as the record went to the device (or for an
+    // earlier attempt of this prepare): only its quorum is left to wait.
+    if (const uint64_t shipped = replicator_->PrepareEntryIndex(xid.txn_id)) {
+      replicator_->AwaitQuorum(shipped, std::move(deliver));
+    } else {
+      replicator_->ReplicatePrepare(
+          xid, engine_.WriteSetOf<protocol::ReplWrite>(xid), coordinator,
+          std::move(deliver));
+    }
     return;
   }
   deliver();
+}
+
+void DataSourceNode::ForgetBranch(TxnId txn) {
+  branches_.erase(txn);
+  migrator_->OnBranchResolved();
+}
+
+void DataSourceNode::SettleFromLog(TxnId txn, bool committed) {
+  ForgetBranch(txn);
+  auto it = in_doubt_commits_.find(txn);
+  if (it == in_doubt_commits_.end()) return;
+  const std::function<void(Status)> done = std::move(it->second);
+  in_doubt_commits_.erase(it);
+  // A cut entry means another leader served since: the coordinator
+  // resolves the commit there, so nothing is answered from here.
+  if (committed) done(Status::OK());
+}
+
+void DataSourceNode::DropUnloggedBranches() {
+  // Coordinators re-route every branch the group's log does not hold to
+  // the new leader (a replay, or an in-doubt decision there), so such a
+  // branch is stale here. One the log holds stays in doubt until the log
+  // settles it.
+  std::vector<TxnId> stale;
+  for (const auto& [txn, info] : branches_) {
+    if (replicator_->PrepareEntryIndex(txn) == 0 && !CommitShipped(txn)) {
+      stale.push_back(txn);
+    }
+  }
+  for (TxnId txn : stale) {
+    branches_.erase(txn);
+    // A batch still running here fails and reports as usual.
+    (void)engine_.Rollback(Xid{txn, logical_id()}, loop()->Now());
+    stats_.rollbacks++;
+  }
+  if (!stale.empty()) migrator_->OnBranchResolved();
+}
+
+Status DataSourceNode::CommitHeldBranch(const Xid& xid) {
+  // Capture the write set before Commit releases it: an active outbound
+  // migration forwards the intersecting writes to the shard's destination
+  // as deltas. Only a leader runs the stream.
+  const bool forward = migrator_->WantsCommittedWrites() &&
+                       (replicator_ == nullptr || replicator_->IsLeader());
+  std::vector<std::pair<RecordKey, int64_t>> migrating_writes;
+  if (forward) migrating_writes = engine_.WriteSetOf(xid);
+  Status st = engine_.Commit(xid, loop()->Now());
+  if (st.ok()) {
+    stats_.commits++;
+    if (forward) migrator_->OnCommittedWrites(migrating_writes);
+  }
+  return st;
+}
+
+bool DataSourceNode::CommitShipped(TxnId txn) const {
+  return replicator_ != nullptr &&
+         replicator_->CommitEntryIndex(txn).has_value();
 }
 
 void DataSourceNode::NoteLocalRollback(TxnId txn) {
@@ -643,6 +751,10 @@ void DataSourceNode::OnPeerAbort(const PeerAbortRequest& req) {
 }
 
 bool DataSourceNode::AbortBranch(TxnId txn) {
+  // A replica that is not the leader leaves its branches to the group's
+  // log (in doubt) or to the coordinator's re-route to the new leader: a
+  // rollback and a vote from here would speak for a branch it lost.
+  if (replicator_ != nullptr && !replicator_->IsLeader()) return false;
   auto it = branches_.find(txn);
   if (it == branches_.end()) return false;
   const NodeId coordinator = it->second.coordinator;
@@ -741,64 +853,74 @@ void DataSourceNode::CommitBranch(const Xid& xid,
       BeginBranchSpan(xid.txn_id, "ds.commit_fsync");
   committer_.Append(
       config_.engine.commit_fsync_cost, "COMMIT xid=" + xid.ToString() + "\n",
+      storage::WalRecord{storage::WalRecord::Kind::kCommit, xid, kInvalidNode},
       [this, xid, fsync_span, done = std::move(done)]() {
         EndBranchSpan(fsync_span);
         if (crashed_) return;
+        if (replicator_ != nullptr) {
+          replicator_->NoteRecordFlushed(ReplEntryType::kCommit, xid);
+        }
+        // The commit entry shipped as the record went to the device.
+        const bool shipped = CommitShipped(xid.txn_id);
+        const storage::TxnState state = engine_.StateOf(xid);
+        const bool held = state == storage::TxnState::kActive ||
+                          state == storage::TxnState::kPrepared;
         if (replicator_ != nullptr && !replicator_->IsLeader()) {
           // Leadership moved while the record was flushing, and only the
-          // leader commits, through the group log. The coordinator
-          // resolves the branch at the new leader, which holds a prepared
-          // branch in doubt and never saw an un-prepared one: the latter
-          // dies here, as it would have in a crash.
-          if (engine_.StateOf(xid) == storage::TxnState::kActive) {
+          // leader commits, through the group log. A shipped entry is in
+          // doubt here: the log commits the branch or cuts the entry and
+          // rolls it back (SettleFromLog), and `done` learns which. A
+          // branch gone with its entry still in the log was committed by
+          // the log already. Otherwise the coordinator resolves the branch
+          // at the new leader, which holds a prepared branch in doubt and
+          // never saw an un-prepared one: the latter dies here, as it
+          // would have in a crash.
+          if (shipped) {
+            if (held) {
+              in_doubt_commits_[xid.txn_id] = done;
+            } else {
+              done(Status::OK());
+            }
+            return;
+          }
+          if (state == storage::TxnState::kActive) {
             (void)engine_.Rollback(xid, loop()->Now());
             stats_.rollbacks++;
-            branches_.erase(xid.txn_id);
-            migrator_->OnBranchResolved();
+            ForgetBranch(xid.txn_id);
             done(Status::Aborted("leadership moved before the commit"));
           }
           return;
         }
         auto finish = [this, xid, done]() {
           if (crashed_) return;
-          // Capture the write set before Commit releases it: an active
-          // outbound migration forwards the intersecting writes to the
-          // shard's destination as deltas.
-          std::vector<std::pair<RecordKey, int64_t>> migrating_writes;
-          if (migrator_->WantsCommittedWrites()) {
-            migrating_writes = engine_.WriteSetOf(xid);
-          }
-          Status st = engine_.Commit(xid, loop()->Now());
-          if (!st.ok() && replicator_ != nullptr &&
-              replicator_->CommitEntryIndex(xid.txn_id).has_value()) {
-            // The branch already committed through the replicated log
-            // (apply callback raced a duplicate decision): success.
+          Status st = CommitHeldBranch(xid);
+          if (!st.ok() && CommitShipped(xid.txn_id)) {
+            // The branch already committed through the replicated log (an
+            // apply raced a duplicate decision, or a re-elected leader
+            // applied the entry at promotion), which counted it: success.
             st = Status::OK();
           }
-          if (st.ok()) {
-            stats_.commits++;
-            migrator_->OnCommittedWrites(migrating_writes);
-          }
-          branches_.erase(xid.txn_id);
-          migrator_->OnBranchResolved();
+          ForgetBranch(xid.txn_id);
           done(std::move(st));
         };
-        const storage::TxnState state = engine_.StateOf(xid);
-        const bool committable = (state == storage::TxnState::kActive ||
-                                  state == storage::TxnState::kPrepared) &&
-                                 !engine_.HasPendingOp(xid);
-        if (replicator_ != nullptr && replicator_->IsLeader() &&
-            committable) {
-          // Quorum-replicate the commit (with its write set) before the
-          // local commit becomes durable and is acknowledged.
+        const bool committable = held && !engine_.HasPendingOp(xid);
+        if (replicator_ != nullptr && (committable || shipped)) {
+          // The commit reaches a quorum (with its write set) before the
+          // local commit is made and acknowledged. A shipped entry is
+          // only waited on: the span covers what is left of its round.
           const obs::SpanHandle quorum =
               BeginBranchSpan(xid.txn_id, "ds.commit_quorum");
-          replicator_->ReplicateCommit(
-              xid, engine_.WriteSetOf<protocol::ReplWrite>(xid),
-              [this, quorum, finish = std::move(finish)]() {
-                EndBranchSpan(quorum);
-                finish();
-              });
+          auto on_quorum = [this, quorum, finish = std::move(finish)]() {
+            EndBranchSpan(quorum);
+            finish();
+          };
+          if (const auto index = replicator_->CommitEntryIndex(xid.txn_id)) {
+            replicator_->AwaitQuorum(*index, std::move(on_quorum));
+          } else {
+            replicator_->ReplicateCommit(
+                xid, engine_.WriteSetOf<protocol::ReplWrite>(xid),
+                std::move(on_quorum));
+          }
         } else {
           finish();
         }
@@ -834,12 +956,15 @@ void DataSourceNode::OnCoordinatorFailure(NodeId middleware) {
   for (const auto& [txn, info] : branches_) {
     if (info.coordinator != middleware) continue;
     const Xid xid{txn, logical_id()};
-    if (engine_.StateOf(xid) == storage::TxnState::kActive) {
+    // A branch whose commit entry shipped is decided: it commits.
+    if (engine_.StateOf(xid) == storage::TxnState::kActive &&
+        !CommitShipped(txn)) {
       to_abort.push_back(txn);
     }
   }
   for (TxnId txn : to_abort) {
     (void)engine_.Rollback(Xid{txn, logical_id()}, loop()->Now());
+    NoteLocalRollback(txn);
     stats_.rollbacks++;
     branches_.erase(txn);
   }
@@ -855,6 +980,7 @@ void DataSourceNode::Crash() {
   // phase (paper §V-A common setting ❷).
   engine_.Crash(loop()->Now());
   branches_.clear();
+  in_doubt_commits_.clear();
   parked_.clear();  // undelivered work dies with the node
   migrator_->OnCrash();
   if (replicator_ != nullptr) replicator_->OnCrash();

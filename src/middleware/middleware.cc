@@ -564,7 +564,9 @@ void MiddlewareNode::OnExecResponse(const BranchExecuteResponse& resp) {
   auto it = txn->participants.find(catalog_.LogicalOf(resp.from));
   if (it == txn->participants.end()) return;
   Participant& p = it->second;
-  if (!p.exec_outstanding) return;  // duplicate/stale
+  // Duplicate/stale, or from a deposed replica whose batch went to the
+  // new leader since (its rollback there says nothing of the batch).
+  if (!p.exec_outstanding || resp.from != p.sent_to) return;
   p.exec_outstanding = false;
 
   // Feed the hotspot footprint (Eq. 4 update + counter maintenance).

@@ -237,7 +237,10 @@ struct PeerAbortRequest : runtime::Message<PeerAbortRequest> {
 /// fully transferred), End resolves it (published, cancelled, or aborted).
 /// A promoted leader inherits every Begin without an End and deterministically
 /// resumes (Cutover present) or aborts (Begin only) the migration — the
-/// control state is epoch-fenced exactly like staged prepares.
+/// control state is epoch-fenced exactly like staged prepares. A promoted
+/// leader opens its term with a no-op entry (Raft §8): once that is on a
+/// quorum, no replica holding an older divergent tail can win an election,
+/// so an entry the leader does not hold can never commit later.
 enum class ReplEntryType : uint8_t {
   kPrepare,
   kCommit,
@@ -245,10 +248,11 @@ enum class ReplEntryType : uint8_t {
   kMigrationBegin,
   kMigrationCutover,
   kMigrationEnd,
+  kNoop,
 };
 
 constexpr ReplEntryType WireMax(ReplEntryType) {
-  return ReplEntryType::kMigrationEnd;
+  return ReplEntryType::kNoop;
 }
 
 /// Control payload of the kMigration* entry types: everything a promoted

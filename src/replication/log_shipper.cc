@@ -56,6 +56,27 @@ uint64_t LogShipper::AppendAndShip(ReplEntry entry, QuorumCallback on_quorum) {
   return index;
 }
 
+uint64_t LogShipper::AppendFlushing(ReplEntry entry) {
+  GEOTP_CHECK(active_, "AppendFlushing on inactive shipper");
+  entry.epoch = epoch_;
+  const uint64_t index = log_->Append(std::move(entry));
+  flushing_.push_back(index);
+  ScheduleShip();
+  return index;
+}
+
+void LogShipper::NoteFlushed(uint64_t index) {
+  // Records flush in append order, so the entry is almost always first.
+  const auto it = std::find(flushing_.begin(), flushing_.end(), index);
+  if (it == flushing_.end()) return;
+  flushing_.erase(it);
+  if (active_) AdvanceWatermark();
+}
+
+void LogShipper::DropFlushingFrom(uint64_t from) {
+  while (!flushing_.empty() && flushing_.back() >= from) flushing_.pop_back();
+}
+
 void LogShipper::ScheduleShip() {
   if (ship_scheduled_) return;
   ship_scheduled_ = true;
@@ -72,7 +93,7 @@ void LogShipper::ScheduleShip() {
 }
 
 uint64_t LogShipper::MinMatchIndex() const {
-  uint64_t min_match = log_->last_index();
+  uint64_t min_match = DurableIndex();
   for (const auto& [follower, progress] : followers_) {
     min_match = std::min(min_match, progress.match_index);
   }
@@ -179,9 +200,9 @@ void LogShipper::OnAck(NodeId follower, const ReplAppendAck& ack) {
 void LogShipper::AdvanceWatermark() {
   // k-th largest replicated index across {leader} ∪ followers, where
   // k = quorum size: the highest index at least k members hold. The
-  // leader holds its whole log.
+  // leader holds its log up to the first entry still flushing.
   if (followers_.size() + 1 < quorum_size_) return;  // can never reach it
-  const uint64_t leader_index = log_->last_index();
+  const uint64_t leader_index = DurableIndex();
   const auto held_by_quorum = [&](uint64_t index) {
     size_t holders = leader_index >= index ? 1 : 0;
     for (const auto& [follower, progress] : followers_) {

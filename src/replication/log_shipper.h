@@ -4,7 +4,8 @@
 // engine WAL it mirrors). LogShipper is active only on the leader: it
 // tracks per-follower progress Raft-style (next/match index), retransmits
 // unacked entries on the heartbeat tick, and fires quorum callbacks once an
-// entry is durable on a majority of the group (leader included).
+// entry is durable on a majority of the group (leader included, once its
+// own write of the entry is done).
 #ifndef GEOTP_REPLICATION_LOG_SHIPPER_H_
 #define GEOTP_REPLICATION_LOG_SHIPPER_H_
 
@@ -171,9 +172,30 @@ class LogShipper {
   /// one batch, and sealed once for every follower at the same next index.
   uint64_t AppendAndShip(protocol::ReplEntry entry, QuorumCallback on_quorum);
 
-  /// Lowest index known replicated on every follower (conservative: 0
-  /// until each follower acked). Used as the compaction bound so no
-  /// follower is ever asked to accept a truncated-away entry.
+  /// As AppendAndShip with no callback, for an entry whose WAL record is
+  /// still flushing here: the leader writes its own copy in parallel with
+  /// shipping it, and counts that copy toward the quorum only once
+  /// NoteFlushed(index) reports the write done (Raft thesis §10.2.1).
+  uint64_t AppendFlushing(protocol::ReplEntry entry);
+  /// The WAL record behind the entry at `index` is durable here. Runs on
+  /// any role: a step-down keeps the flushing set, so a re-elected leader
+  /// still waits for its own write.
+  void NoteFlushed(uint64_t index);
+  /// Entries whose record is still flushing, ascending.
+  const std::deque<uint64_t>& flushing() const { return flushing_; }
+  /// Forgets the flushing entries at or past `from` (a cut log tail), or
+  /// all of them (from 0: a crash lost the writes).
+  void DropFlushingFrom(uint64_t from);
+  /// The prefix of the log this replica holds durably: everything before
+  /// the first entry whose record is still flushing.
+  uint64_t DurableIndex() const {
+    return flushing_.empty() ? log_->last_index() : flushing_.front() - 1;
+  }
+
+  /// Lowest index known replicated on every member, the leader's durable
+  /// prefix included (conservative: 0 until each follower acked). Used as
+  /// the compaction bound so no follower is ever asked to accept a
+  /// truncated-away entry.
   uint64_t MinMatchIndex() const;
 
   /// Registers an extra quorum callback for an existing entry (decision
@@ -229,6 +251,8 @@ class LogShipper {
   /// Pending quorum callbacks in index order, FIFO among equal indexes.
   /// Appends arrive in index order, so almost every insert is at the back.
   std::deque<std::pair<uint64_t, QuorumCallback>> pending_;
+  /// Entries appended by AppendFlushing whose record has not flushed yet.
+  std::deque<uint64_t> flushing_;
   /// The last sealed batch and the log range it covers (sealed_first_ 0:
   /// none). Leader log entries never change within a term, so the seal
   /// stays valid until Activate/Deactivate.

@@ -102,10 +102,21 @@ std::vector<NodeId> Replicator::Followers() const {
 
 void Replicator::RetireLeadership() {
   if (!shipper_.active()) return;
-  // Everything at quorum was engine-applied while leading.
+  // Everything at quorum was engine-applied while leading, up to the first
+  // commit entry whose record was still flushing (its engine commit waits
+  // for the flush): from there on the apply path commits (or re-applies)
+  // the entries as a follower. One a promotion already applied is below
+  // applied_index_ and stays applied.
   follower_watermark_ =
       std::max(follower_watermark_, shipper_.commit_watermark());
-  applied_index_ = std::max(applied_index_, shipper_.commit_watermark());
+  uint64_t applied = shipper_.commit_watermark();
+  for (uint64_t index : shipper_.flushing()) {
+    if (log_.At(index).type == ReplEntryType::kCommit) {
+      applied = std::min(applied, index - 1);
+      break;
+    }
+  }
+  applied_index_ = std::max(applied_index_, applied);
   shipper_.Deactivate();  // drops any pending promotion-barrier callbacks
   promotion_applies_pending_ = 0;
   bootstrap_streams_.clear();  // leader-only re-seed offers die with the term
@@ -189,6 +200,42 @@ void Replicator::ReplicateIngest(const Xid& xid,
   const uint64_t index =
       shipper_.AppendAndShip(std::move(entry), std::move(on_quorum));
   commit_entries_.FindOrInsert(xid.txn_id) = index;
+}
+
+void Replicator::ShipAtFlushStart(ReplEntryType type, const Xid& xid,
+                                  std::vector<protocol::ReplWrite> writes,
+                                  NodeId coordinator) {
+  GEOTP_CHECK(IsLeader(), "ShipAtFlushStart on non-leader");
+  GEOTP_CHECK(type == ReplEntryType::kPrepare || type == ReplEntryType::kCommit,
+              "only prepare and commit records ship at flush start");
+  if (type == ReplEntryType::kPrepare
+          ? unresolved_prepares_.Get(xid.txn_id) != 0
+          : commit_entries_.Find(xid.txn_id) != nullptr) {
+    return;  // a retry's record: the entry already exists
+  }
+  ReplEntry entry;
+  entry.type = type;
+  entry.xid = xid;
+  entry.coordinator = coordinator;
+  entry.writes = std::move(writes);
+  entry.at = loop()->Now();
+  const uint64_t index = shipper_.AppendFlushing(std::move(entry));
+  if (type == ReplEntryType::kPrepare) {
+    unresolved_prepares_.Add(xid.txn_id, index);
+  } else {
+    unresolved_prepares_.Resolve(xid.txn_id);
+    commit_entries_.FindOrInsert(xid.txn_id) = index;
+  }
+}
+
+void Replicator::NoteRecordFlushed(ReplEntryType type, const Xid& xid) {
+  for (uint64_t index : shipper_.flushing()) {
+    const ReplEntry& entry = log_.At(index);
+    if (entry.type == type && entry.xid == xid) {
+      shipper_.NoteFlushed(index);
+      return;
+    }
+  }
 }
 
 void Replicator::ReplicateMigrationRecord(
@@ -334,6 +381,7 @@ void Replicator::OnAppend(ReplAppendRequest& req) {
     election_.AdoptLeader(req.from, req.epoch);
     if (epoch_changed) consistent_prefix_ = 0;
     SyncRoleState();
+    node_->DropUnloggedBranches();
   }
   last_leader_contact_ = loop()->Now();
   ack->epoch = election_.epoch();
@@ -404,6 +452,8 @@ void Replicator::AppendTracked(ReplEntry entry) {
       TrackMigrationRecord(appended.type, appended.migration->migration_id,
                            index);
       break;
+    case ReplEntryType::kNoop:
+      break;
   }
 }
 
@@ -421,7 +471,9 @@ void Replicator::MaybeTruncateLog() {
   if (IsLeader()) {
     safe = std::min(safe, shipper_.MinMatchIndex());
   } else {
-    safe = std::min({safe, applied_index_, compact_floor_});
+    // A deposed leader keeps the entries whose record still flushes.
+    safe = std::min(
+        {safe, applied_index_, compact_floor_, shipper_.DurableIndex()});
   }
   // The pins below only lower `safe`: skip scanning them when the bound
   // already leaves nothing to compact (the common case between floors).
@@ -438,6 +490,25 @@ void Replicator::MaybeTruncateLog() {
 }
 
 void Replicator::TruncateFrom(uint64_t from) {
+  // A deposed leader may still hold the branch of a cut prepare or commit
+  // entry (shipped while its record flushed): roll it back. Its locks go,
+  // and the group's log alone decides the transaction from here.
+  shipper_.DropFlushingFrom(from);
+  storage::TransactionEngine& engine = node_->engine();
+  const auto [first, last] = log_.Range(from, log_.last_index());
+  for (auto it = first; it != last; ++it) {
+    if (it->type != ReplEntryType::kPrepare &&
+        it->type != ReplEntryType::kCommit) {
+      continue;
+    }
+    const storage::TxnState state = engine.StateOf(it->xid);
+    if (state != storage::TxnState::kPrepared &&
+        state != storage::TxnState::kActive) {
+      continue;
+    }
+    (void)engine.Rollback(it->xid, loop()->Now());
+    node_->SettleFromLog(it->xid.txn_id, /*committed=*/false);
+  }
   log_.TruncateFrom(from);
   unresolved_prepares_.EraseFrom(from);
   commit_entries_.EraseIf(
@@ -587,6 +658,7 @@ void Replicator::OnSeedOffer(const protocol::ShardSeedOffer& offer) {
       election_.role() != Role::kFollower) {
     election_.AdoptLeader(offer.from, offer.epoch);
     SyncRoleState();
+    node_->DropUnloggedBranches();
   }
   last_leader_contact_ = loop()->Now();
   if (offer.base_index <= applied_index_) {
@@ -717,6 +789,7 @@ void Replicator::OnBootstrapSnapshot(
       election_.role() != Role::kFollower) {
     election_.AdoptLeader(chunk.from, chunk.epoch);
     SyncRoleState();
+    node_->DropUnloggedBranches();
   }
   last_leader_contact_ = loop()->Now();
   // Records apply immediately (the store persists them even across a
@@ -842,6 +915,14 @@ void Replicator::BecomeLeader() {
     }
     inherited.push_back(index);
   }
+  // 4. The term's no-op entry joins the barrier: until it is on a quorum,
+  //    a replica with an older divergent tail could still win an election
+  //    and commit an entry this leader would answer for as missing.
+  ReplEntry noop;
+  noop.type = ReplEntryType::kNoop;
+  noop.xid = Xid{kInvalidTxn, group_.logical};
+  noop.at = loop()->Now();
+  inherited.push_back(shipper_.AppendAndShip(std::move(noop), nullptr));
   promotion_applies_pending_ = inherited.size();
   for (uint64_t index : inherited) {
     shipper_.AwaitQuorum(index, [this, index]() {
@@ -853,10 +934,8 @@ void Replicator::BecomeLeader() {
     });
   }
   ArmHeartbeatTimer();
-  // With no inherited entries the barrier is already clear. (When there
-  // are some, the LAST AwaitQuorum callback runs FinishPromotion — even
-  // if it fired synchronously inside the loop above.)
-  if (inherited.empty()) FinishPromotion();
+  // The LAST AwaitQuorum callback runs FinishPromotion — even if it fired
+  // synchronously inside the loop above (a group of one).
 }
 
 void Replicator::FinishPromotion() {
@@ -903,7 +982,11 @@ void Replicator::InstallStagedPrepares() {
   std::sort(staged.begin(), staged.end());
   for (const auto& [index, txn] : staged) {
     const ReplEntry& entry = log_.At(index);
-    if (node_->engine().StateOf(entry.xid) != storage::TxnState::kPrepared) {
+    const storage::TxnState state = node_->engine().StateOf(entry.xid);
+    // A leader re-elected while its own PREPARE record flushes: the flush
+    // end prepares the branch and votes.
+    if (state == storage::TxnState::kActive) continue;
+    if (state != storage::TxnState::kPrepared) {
       std::vector<std::pair<RecordKey, int64_t>> writes;
       writes.reserve(entry.writes.size());
       for (const protocol::ReplWrite& w : entry.writes) {
@@ -966,10 +1049,11 @@ void Replicator::ApplyEntry(const ReplEntry& entry) {
           state == storage::TxnState::kActive) {
         // Our engine still holds the branch (this replica led when it
         // executed): a local XA commit releases locks; the data is already
-        // in place.
-        Status st = engine.Commit(entry.xid, loop()->Now());
+        // in place. It is this node's commit, counted as one.
+        Status st = node_->CommitHeldBranch(entry.xid);
+        if (!st.ok()) (void)engine.Rollback(entry.xid, loop()->Now());
+        node_->SettleFromLog(entry.xid.txn_id, /*committed=*/true);
         if (st.ok()) break;
-        (void)engine.Rollback(entry.xid, loop()->Now());
       }
       // Pure replica apply: idempotent absolute writes.
       for (const protocol::ReplWrite& w : entry.writes) {
@@ -987,6 +1071,7 @@ void Replicator::ApplyEntry(const ReplEntry& entry) {
       if (state == storage::TxnState::kPrepared ||
           state == storage::TxnState::kActive) {
         (void)engine.Rollback(entry.xid, loop()->Now());
+        node_->SettleFromLog(entry.xid.txn_id, /*committed=*/false);
       }
       break;
     case ReplEntryType::kMigrationBegin:
@@ -994,6 +1079,7 @@ void Replicator::ApplyEntry(const ReplEntry& entry) {
     case ReplEntryType::kMigrationEnd:
       // Control metadata only: no store effect. Tracking happens at append
       // time; promotion reads unresolved_migrations_.
+    case ReplEntryType::kNoop:
       break;
   }
 }
@@ -1013,6 +1099,7 @@ void Replicator::OnCrash() {
   }
   election_.StepDown();
   RetireLeadership();
+  shipper_.DropFlushingFrom(0);  // the records in flight died with the node
   pending_bootstrap_.reset();  // reassembly state is volatile
 }
 

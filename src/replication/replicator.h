@@ -163,6 +163,23 @@ class Replicator {
   /// Index of the commit entry for `txn`, if one was ever appended — used
   /// to answer duplicate commit decisions idempotently after failover.
   std::optional<uint64_t> CommitEntryIndex(TxnId txn) const;
+  /// Ships `xid`'s kPrepare or kCommit entry as its WAL record goes to the
+  /// device (no-op if the entry exists). This replica's own copy counts
+  /// toward the quorum once NoteRecordFlushed reports the record durable;
+  /// the caller waits on the entry (AwaitQuorum) after that. A commit
+  /// entry is engine-applied on the leader only once its record flushed,
+  /// so a step-down before then leaves the entry to the apply path.
+  void ShipAtFlushStart(protocol::ReplEntryType type, const Xid& xid,
+                        std::vector<protocol::ReplWrite> writes,
+                        NodeId coordinator);
+  /// The WAL record behind `xid`'s entry of `type` is durable here (any
+  /// role). No-op when the record did not ship at flush start.
+  void NoteRecordFlushed(protocol::ReplEntryType type, const Xid& xid);
+  /// Index of `txn`'s prepare entry while no commit or abort entry
+  /// resolved it; 0 when there is none.
+  uint64_t PrepareEntryIndex(TxnId txn) const {
+    return unresolved_prepares_.Get(txn);
+  }
   void AwaitQuorum(uint64_t index, QuorumCallback on_quorum) {
     shipper_.AwaitQuorum(index, std::move(on_quorum));
   }
@@ -245,7 +262,9 @@ class Replicator {
   /// Maintains unresolved_migrations_ for one migration record.
   void TrackMigrationRecord(protocol::ReplEntryType type,
                             uint64_t migration_id, uint64_t index);
-  /// Removes log entries >= `from` plus their tracking state.
+  /// Removes log entries >= `from` plus their tracking state, and rolls
+  /// back the local branch of every prepare or commit entry it cuts (the
+  /// group never logged it; a deposed leader may still hold the branch).
   void TruncateFrom(uint64_t from);
   /// Compacts the log prefix every group member has applied (bounded by
   /// unresolved prepares, which a promotion still needs to install).

@@ -365,11 +365,15 @@ void ShardMigrator::FenceRange(Outbound& out) {
   // Abort in-flight ACTIVE branches touching the range (the client driver
   // retries them; post-cutover they route to the destination). PREPARED
   // branches drain: their decision resolves here and commit write sets
-  // still forward as deltas.
+  // still forward as deltas. So does an active branch whose commit entry
+  // already shipped: it is decided.
   std::vector<TxnId> to_abort;
   for (const auto& [txn, info] : node_->branches_) {
     const Xid xid{txn, node_->logical_id()};
-    if (node_->engine().StateOf(xid) != storage::TxnState::kActive) continue;
+    if (node_->engine().StateOf(xid) != storage::TxnState::kActive ||
+        node_->CommitShipped(txn)) {
+      continue;
+    }
     for (const RecordKey& key : info.keys) {
       if (out.range.Contains(key)) {
         to_abort.push_back(txn);

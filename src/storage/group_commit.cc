@@ -8,25 +8,30 @@ namespace geotp {
 namespace storage {
 
 void GroupCommitter::Append(Micros fsync_cost, std::string payload,
-                            DurableCallback on_durable) {
+                            WalRecord record, DurableCallback on_durable) {
   if (!config_.enabled) {
     // Unbatched baseline: an independent fsync per entry, charged in
     // parallel (the pre-group-commit model).
+    const Micros now = timer_->Now();
+    if (on_flush_start_) on_flush_start_(record);
     const uint64_t generation = generation_;
     device_->Flush(std::move(payload), fsync_cost,
-                   [this, generation, cb = std::move(on_durable)]() {
+                   [this, generation, now, cb = std::move(on_durable)]() {
                      if (generation != generation_) return;  // crashed
                      stats_.fsyncs++;
                      stats_.entries++;
                      stats_.max_batch_entries =
                          std::max<uint64_t>(stats_.max_batch_entries, 1);
+                     stats_.busy_us +=
+                         static_cast<uint64_t>(timer_->Now() - now);
                      if (on_fsync_) on_fsync_();
                      cb();
                    });
     return;
   }
 
-  open_.push_back(Entry{fsync_cost, std::move(payload), std::move(on_durable)});
+  open_.push_back(Entry{fsync_cost, std::move(payload), record,
+                        timer_->Now(), std::move(on_durable)});
   if (flushing_) return;  // joins the next batch when the device frees
   if (open_.size() >= config_.max_batch_size) {
     if (open_timer_ != runtime::kInvalidTimer) {
@@ -62,23 +67,28 @@ void GroupCommitter::StartFlush() {
     open_.erase(open_.begin(),
                 open_.begin() + static_cast<ptrdiff_t>(config_.max_batch_size));
   }
+  const Micros now = timer_->Now();
+  const uint64_t generation = generation_;
   Micros cost = 0;
   std::string batch;
   for (const Entry& entry : in_flight_) {
     cost = std::max(cost, entry.cost);
     batch += entry.payload;
+    stats_.queued_us += static_cast<uint64_t>(now - entry.appended_at);
+    if (on_flush_start_) on_flush_start_(entry.record);
   }
-  const uint64_t generation = generation_;
-  device_->Flush(std::move(batch), cost,
-                 [this, generation]() { FinishFlush(generation); });
+  device_->Flush(std::move(batch), cost, [this, generation, now]() {
+    FinishFlush(generation, now);
+  });
 }
 
-void GroupCommitter::FinishFlush(uint64_t generation) {
+void GroupCommitter::FinishFlush(uint64_t generation, Micros started_at) {
   if (generation != generation_) return;  // crashed while on the device
   stats_.fsyncs++;
   stats_.entries += in_flight_.size();
   stats_.max_batch_entries =
       std::max<uint64_t>(stats_.max_batch_entries, in_flight_.size());
+  stats_.busy_us += static_cast<uint64_t>(timer_->Now() - started_at);
   if (on_fsync_) on_fsync_();
   // Waiters may append again from their callbacks; detach the batch first.
   std::vector<Entry> done = std::move(in_flight_);

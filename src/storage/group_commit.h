@@ -17,6 +17,10 @@
 //   * Reset() models a crash: the open batch and any in-flight flush are
 //     lost — no waiter ever fires, mirroring WAL entries that were
 //     buffered but never reached the disk.
+//   * The flush-start hook sees each entry's WalRecord as its batch goes to
+//     the device, before the flush, in append order. The owner starts work
+//     that may overlap the flush there (a replicated source ships the
+//     record to its followers).
 //
 // With `enabled = false` every Append schedules its own independent fsync
 // (the pre-group-commit cost model), which the benchmarks use as the
@@ -49,7 +53,20 @@ struct GroupCommitStats {
   uint64_t fsyncs = 0;          ///< flushes completed
   uint64_t entries = 0;         ///< entries made durable
   uint64_t max_batch_entries = 0;
-  GEOTP_STAT_FIELDS(fsyncs, entries, HighWater(max_batch_entries))
+  uint64_t busy_us = 0;    ///< device time of the completed flushes
+  /// Summed wait of every entry from Append until its flush started.
+  uint64_t queued_us = 0;
+  GEOTP_STAT_FIELDS(fsyncs, entries, HighWater(max_batch_entries), busy_us,
+                    queued_us)
+};
+
+/// What an entry records, as the flush-start hook sees it. The committer
+/// only carries it; an owner with no use for the hook leaves it kNone.
+struct WalRecord {
+  enum class Kind : uint8_t { kNone, kPrepare, kCommit };
+  Kind kind = Kind::kNone;
+  Xid xid;
+  NodeId coordinator = kInvalidNode;  ///< kPrepare: who gets the vote
 };
 
 class GroupCommitter {
@@ -68,10 +85,15 @@ class GroupCommitter {
   /// `payload` is the entry's durable bytes (written to the device as part
   /// of the shared flush). `on_durable` runs when that flush completes,
   /// never earlier.
-  void Append(Micros fsync_cost, std::string payload,
+  void Append(Micros fsync_cost, std::string payload, WalRecord record,
               DurableCallback on_durable);
+  void Append(Micros fsync_cost, std::string payload,
+              DurableCallback on_durable) {
+    Append(fsync_cost, std::move(payload), WalRecord(),
+           std::move(on_durable));
+  }
   void Append(Micros fsync_cost, DurableCallback on_durable) {
-    Append(fsync_cost, std::string(), std::move(on_durable));
+    Append(fsync_cost, std::string(), WalRecord(), std::move(on_durable));
   }
 
   /// Crash: drops the open batch and the in-flight flush without running
@@ -80,6 +102,11 @@ class GroupCommitter {
 
   /// Hook run once per completed flush (WAL fsync accounting).
   void set_on_fsync(std::function<void()> hook) { on_fsync_ = std::move(hook); }
+  /// Hook run once per entry as its batch goes to the device, before the
+  /// flush, in append order; never for an entry Reset() dropped.
+  void set_on_flush_start(std::function<void(const WalRecord&)> hook) {
+    on_flush_start_ = std::move(hook);
+  }
 
   const GroupCommitStats& stats() const { return stats_; }
   const GroupCommitConfig& config() const { return config_; }
@@ -89,16 +116,19 @@ class GroupCommitter {
   struct Entry {
     Micros cost;
     std::string payload;
+    WalRecord record;
+    Micros appended_at;
     DurableCallback on_durable;
   };
 
   void StartFlush();
-  void FinishFlush(uint64_t generation);
+  void FinishFlush(uint64_t generation, Micros started_at);
 
   runtime::ITimer* timer_;
   runtime::IStableStorage* device_;
   GroupCommitConfig config_;
   std::function<void()> on_fsync_;
+  std::function<void(const WalRecord&)> on_flush_start_;
   std::vector<Entry> open_;       ///< batch accepting new entries
   std::vector<Entry> in_flight_;  ///< batch whose flush is on the device
   bool flushing_ = false;

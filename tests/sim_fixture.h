@@ -330,6 +330,7 @@ class MiniCluster {
     } else if (auto* result =
                    dynamic_cast<protocol::ClientTxnResult*>(msg.get())) {
       ClientTxn& txn = txns_[result->client_tag];
+      txn.txn_id = result->txn_id;
       txn.has_result = true;
       txn.result = result->status;
       txn.result_values = result->values;

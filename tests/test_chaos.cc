@@ -274,6 +274,120 @@ TEST_P(BatchedChaosTest, BatchingPlusFailoverConservesBalances) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchedChaosTest,
                          ::testing::Values(7, 19, 42));
 
+// Deposed-mid-flush chaos: the replicated transfer workload with a wide
+// WAL batching window, where the fault is a partition instead of a crash.
+// The group's leader is cut off while its records sit in the open batch
+// or on the WAL device, so it ships entries that may never leave, often
+// loses the leadership with branches still held, and rejoins as a
+// follower with its divergent tail. Checked with the committed-write
+// ledger on every replica: each key holds exactly the committed
+// transfers, every transaction settled, and no replica holds a branch or
+// a commit left in doubt.
+class DeposedMidFlushChaosTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DeposedMidFlushChaosTest, PartitionedLeaderKeepsReplicasOnTheLedger) {
+  MiniCluster::Options options;
+  options.dm = MiddlewareConfig::GeoTP();
+  options.replication_factor = 3;
+  options.group_commit.max_batch_delay = 400;  // wide open-batch window
+  options.group_commit.max_batch_size = 8;
+  MiniCluster cluster(options);
+  Rng rng(GetParam());
+  Rng bundle_rng(GetParam() ^ 0xB0D1ED);  // see the file comment
+  const std::string repro = ReproLine(GetParam());
+  constexpr int kAccounts = 16;
+  constexpr int kTxns = 60;
+
+  struct Leg {
+    RecordKey a;
+    RecordKey b;
+    int64_t amount = 0;
+  };
+  std::map<uint64_t, Leg> ledger;
+  uint64_t tag = 1;
+  int partitions = 0;
+  for (int i = 0; i < kTxns; ++i) {
+    const int node_a = static_cast<int>(rng.NextU64(2));
+    const int node_b = static_cast<int>(rng.NextU64(2));
+    const uint64_t off_a = rng.NextU64(kAccounts);
+    uint64_t off_b = rng.NextU64(kAccounts);
+    if (node_a == node_b && off_a == off_b) off_b = (off_b + 1) % kAccounts;
+    const int64_t amount = static_cast<int64_t>(rng.NextU64(50)) + 1;
+    const RecordKey a = cluster.KeyOn(node_a, off_a);
+    const RecordKey b = cluster.KeyOn(node_b, off_b);
+    cluster.SendRound(tag, {
+        MiniCluster::Write(a, -amount, true),
+        MiniCluster::Write(b, amount, true),
+    }, true, /*coordinator=*/1, /*tenant=*/0,
+       /*commit=*/bundle_rng.NextBool(0.5));
+    ledger[tag] = Leg{a, b, amount};
+    ++tag;
+    cluster.RunFor(rng.NextU64(50));
+
+    // Occasionally cut a group's leader off the moment it has records in
+    // its WAL pipeline, for as long as the crash families keep a crashed
+    // leader down: past the election timeout, so a follower takes over.
+    if (rng.NextBool(0.1)) {
+      const int group = static_cast<int>(rng.NextU64(2));
+      auto* leader = cluster.leader_of(group);
+      if (leader == nullptr) continue;
+      for (int step = 0; step < 4000 && leader->committer().pending() == 0;
+           ++step) {
+        cluster.RunFor(0.05);
+      }
+      cluster.network().Partition(leader->id());
+      cluster.RunFor(300 + rng.NextU64(300));
+      cluster.network().Restore(leader->id());
+      ++partitions;
+    }
+  }
+
+  std::vector<bool> commit_sent(tag, false);
+  for (int pass = 0; pass < 4; ++pass) {
+    cluster.RunFor(8000);
+    for (uint64_t t = 1; t < tag; ++t) {
+      auto& txn = cluster.txn(t);
+      if (!commit_sent[t] && !txn.has_result && !txn.round_responses.empty()) {
+        cluster.SendCommit(t);
+        commit_sent[t] = true;
+      }
+    }
+  }
+  cluster.RunFor(8000);
+
+  std::map<uint64_t, int64_t> expected;
+  for (uint64_t t = 1; t < tag; ++t) {
+    auto& txn = cluster.txn(t);
+    ASSERT_TRUE(txn.has_result) << repro << " (txn " << t << " unresolved)";
+    if (!txn.result.ok()) continue;
+    expected[ledger[t].a.key] -= ledger[t].amount;
+    expected[ledger[t].b.key] += ledger[t].amount;
+  }
+  EXPECT_EQ(cluster.dm().InFlight(), 0u) << repro;
+  for (int group = 0; group < 2; ++group) {
+    ASSERT_NE(cluster.leader_of(group), nullptr)
+        << repro << " (group " << group << " has no leader)";
+    for (datasource::DataSourceNode* replica : cluster.replica_group(group)) {
+      for (uint64_t off = 0; off < kAccounts; ++off) {
+        const RecordKey key = cluster.KeyOn(group, off);
+        const auto rec = replica->engine().store().Get(key);
+        EXPECT_EQ(rec ? rec->value : 0, expected[key.key])
+            << repro << " (key " << key.key << " at replica "
+            << replica->id() << ", " << partitions << " partitions)";
+      }
+      EXPECT_TRUE(replica->engine().PreparedXids().empty())
+          << repro << " (replica " << replica->id() << ")";
+      EXPECT_EQ(replica->engine().ActiveCount(), 0u)
+          << repro << " (replica " << replica->id() << ")";
+      EXPECT_EQ(replica->InDoubtCommits(), 0u)
+          << repro << " (replica " << replica->id() << ")";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeposedMidFlushChaosTest,
+                         ::testing::Values(2, 6, 14, 23, 31, 47));
+
 // ---------------------------------------------------------------------------
 // Shard chaos: a deterministic seeded fuzzer interleaving splits, merges,
 // balancer migrations, and replica-leader crashes over live skewed

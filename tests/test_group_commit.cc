@@ -4,6 +4,9 @@
 // flush completes, and a crash loses exactly the open batch.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/runtime.h"
@@ -155,6 +158,163 @@ TEST(GroupCommitterTest, DisabledModeFsyncsEveryEntryIndependently) {
   ASSERT_EQ(done_at.size(), 4u);
   for (Micros at : done_at) EXPECT_EQ(at, 2000);  // parallel, not queued
   EXPECT_EQ(committer.stats().fsyncs, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Flush-start hook and device-time counters
+// ---------------------------------------------------------------------------
+
+/// Log device whose flushes take scripted times (the cost hint is
+/// ignored, as a real disk would) and log "flush" to `events`.
+class ScriptedDevice : public runtime::IStableStorage {
+ public:
+  ScriptedDevice(sim::EventLoop* loop, std::vector<Micros> durations,
+                 std::vector<std::string>* events)
+      : loop_(loop), durations_(std::move(durations)), events_(events) {}
+
+  void Flush(std::string batch, Micros /*cost_hint*/,
+             std::function<void()> done) override {
+    events_->push_back("flush");
+    bytes_ += batch.size();
+    const Micros duration = durations_[flushes_started_++ % durations_.size()];
+    loop_->Schedule(duration, [this, done = std::move(done)]() {
+      ++fsyncs_;
+      done();
+    });
+  }
+  uint64_t fsyncs() const override { return fsyncs_; }
+  uint64_t bytes_flushed() const override { return bytes_; }
+
+ private:
+  sim::EventLoop* loop_;
+  std::vector<Micros> durations_;
+  std::vector<std::string>* events_;
+  size_t flushes_started_ = 0;
+  uint64_t fsyncs_ = 0;
+  uint64_t bytes_ = 0;
+};
+
+storage::WalRecord CommitRecord(TxnId txn) {
+  return storage::WalRecord{storage::WalRecord::Kind::kCommit, Xid{txn, 2},
+                            kInvalidNode};
+}
+
+/// Logs "start <txn>" for every entry the hook reports.
+void LogFlushStarts(GroupCommitter* committer,
+                    std::vector<std::string>* events) {
+  committer->set_on_flush_start(
+      [events](const storage::WalRecord& record) {
+        events->push_back("start " + std::to_string(record.xid.txn_id));
+      });
+}
+
+TEST(GroupCommitterTest, FlushStartHookReportsEachEntryBeforeTheFlush) {
+  sim::EventLoop loop;
+  std::vector<std::string> events;
+  ScriptedDevice device(&loop, {1000}, &events);
+  GroupCommitter committer(&loop, &device, GroupCommitConfig());
+  LogFlushStarts(&committer, &events);
+  for (TxnId txn = 1; txn <= 3; ++txn) {
+    committer.Append(1000, "x", CommitRecord(txn),
+                     [&events]() { events.push_back("durable"); });
+  }
+  // Nothing is reported while the batch is open.
+  EXPECT_TRUE(events.empty());
+  loop.Run();
+  EXPECT_EQ(events,
+            (std::vector<std::string>{"start 1", "start 2", "start 3",
+                                      "flush", "durable", "durable",
+                                      "durable"}));
+}
+
+TEST(GroupCommitterTest, FlushStartHookFollowsBacklogSplits) {
+  sim::EventLoop loop;
+  GroupCommitConfig config;
+  config.max_batch_size = 2;
+  std::vector<std::string> events;
+  ScriptedDevice device(&loop, {1000}, &events);
+  GroupCommitter committer(&loop, &device, config);
+  LogFlushStarts(&committer, &events);
+  committer.Append(1000, "x", CommitRecord(1), []() {});
+  // Five entries queue behind the busy device and drain two per flush;
+  // each flush's entries are reported just before it, in append order.
+  loop.Schedule(500, [&]() {
+    for (TxnId txn = 2; txn <= 6; ++txn) {
+      committer.Append(1000, "x", CommitRecord(txn), []() {});
+    }
+  });
+  loop.Run();
+  EXPECT_EQ(events, (std::vector<std::string>{
+                        "start 1", "flush", "start 2", "start 3", "flush",
+                        "start 4", "start 5", "flush", "start 6", "flush"}));
+}
+
+TEST(GroupCommitterTest, FlushStartHookOnTheUnbatchedPath) {
+  sim::EventLoop loop;
+  GroupCommitConfig config;
+  config.enabled = false;
+  std::vector<std::string> events;
+  ScriptedDevice device(&loop, {1000}, &events);
+  GroupCommitter committer(&loop, &device, config);
+  LogFlushStarts(&committer, &events);
+  for (TxnId txn = 1; txn <= 3; ++txn) {
+    committer.Append(1000, "x", CommitRecord(txn), []() {});
+  }
+  EXPECT_EQ(events, (std::vector<std::string>{"start 1", "flush", "start 2",
+                                              "flush", "start 3", "flush"}));
+  loop.Run();
+  EXPECT_EQ(committer.stats().fsyncs, 3u);
+}
+
+TEST(GroupCommitterTest, FlushStartHookNeverSeesEntriesResetDropped) {
+  sim::EventLoop loop;
+  GroupCommitConfig config;
+  config.max_batch_delay = 500;
+  std::vector<std::string> events;
+  ScriptedDevice device(&loop, {1000}, &events);
+  GroupCommitter committer(&loop, &device, config);
+  LogFlushStarts(&committer, &events);
+  // Entry 1 flushes at 500; entry 2 waits behind it; entry 3 opens a
+  // window that the crash at 800 closes. Only entry 1 ever started.
+  committer.Append(1000, "x", CommitRecord(1), []() {});
+  loop.Schedule(600, [&]() {
+    committer.Append(1000, "x", CommitRecord(2), []() {});
+  });
+  loop.Schedule(700, [&]() {
+    committer.Append(1000, "x", CommitRecord(3), []() {});
+  });
+  loop.Schedule(800, [&]() { committer.Reset(); });
+  loop.Run();
+  EXPECT_EQ(events, (std::vector<std::string>{"start 1", "flush"}));
+  // After the crash the hook reports new entries again.
+  committer.Append(1000, "x", CommitRecord(4), []() {});
+  loop.Run();
+  EXPECT_EQ(events, (std::vector<std::string>{"start 1", "flush", "start 4",
+                                              "flush"}));
+}
+
+TEST(GroupCommitterTest, CountsDeviceBusyTimeAndQueueWait) {
+  sim::EventLoop loop;
+  GroupCommitConfig config;
+  config.max_batch_delay = 200;
+  std::vector<std::string> events;
+  // The device takes 700us for the first flush and 300us for the second,
+  // whatever the entries' cost hints say.
+  ScriptedDevice device(&loop, {700, 300}, &events);
+  GroupCommitter committer(&loop, &device, config);
+  committer.Append(5000, "x", CommitRecord(1), []() {});  // flushes 200-900
+  loop.Schedule(400, [&]() {
+    committer.Append(5000, "x", CommitRecord(2), []() {});
+  });
+  loop.Schedule(500, [&]() {
+    committer.Append(5000, "x", CommitRecord(3), []() {});
+  });
+  loop.Run();  // entries 2 and 3 flush 900-1200
+  const storage::GroupCommitStats& stats = committer.stats();
+  EXPECT_EQ(stats.fsyncs, 2u);
+  EXPECT_EQ(stats.busy_us, 700u + 300u);
+  // 200 for entry 1, then (900 - 400) + (900 - 500) for entries 2 and 3.
+  EXPECT_EQ(stats.queued_us, 200u + 500u + 400u);
 }
 
 // ---------------------------------------------------------------------------

@@ -319,15 +319,20 @@ TEST(TraceExperimentTest, SpansStayWellFormedAcrossLeaderFailover) {
   ExpectWellFormed(IndexByTrace(spans));
   bool promotion_seen = false;
   size_t quorum_spans = 0;
+  size_t commit_quorum_spans = 0;
   for (const obs::SpanRecord& span : spans) {
     if (span.trace_id == obs::kSystemTraceId && span.name == "repl.promotion") {
       promotion_seen = true;
       EXPECT_GE(span.Duration(), 0);
     }
+    // The entries ship as their records go to the WAL device; both spans
+    // still open at flush end and cover the quorum wait left after it.
     if (span.name == "ds.quorum") quorum_spans++;
+    if (span.name == "ds.commit_quorum") commit_quorum_spans++;
   }
   EXPECT_TRUE(promotion_seen) << "failover left no repl.promotion span";
   EXPECT_GT(quorum_spans, 0u);
+  EXPECT_GT(commit_quorum_spans, 0u);
 
   obs::GlobalTracer().Disable();
   obs::GlobalTracer().Reset();
@@ -396,11 +401,13 @@ TEST(MetricsRegistryTest, AccumulateSumsCountersAndMaxesHighWater) {
 
   // The real structs mark their watermarks the same way.
   storage::GroupCommitStats gc;
-  metrics::Accumulate(&gc, storage::GroupCommitStats{10, 40, 8});
-  metrics::Accumulate(&gc, storage::GroupCommitStats{5, 30, 12});
+  metrics::Accumulate(&gc, storage::GroupCommitStats{10, 40, 8, 900, 70});
+  metrics::Accumulate(&gc, storage::GroupCommitStats{5, 30, 12, 400, 30});
   EXPECT_EQ(gc.fsyncs, 15u);
   EXPECT_EQ(gc.entries, 70u);
   EXPECT_EQ(gc.max_batch_entries, 12u);
+  EXPECT_EQ(gc.busy_us, 1300u);
+  EXPECT_EQ(gc.queued_us, 100u);
   sharding::ShardMigratorStats a;
   sharding::ShardMigratorStats b;
   a.snapshot_chunks_sent = 4;
@@ -443,6 +450,8 @@ TEST(MetricsRegistryTest, ReplicatedShardedClusterExportsEveryStatsStruct) {
            "ds.2.commits",                      // DataSourceStats
            "ds.2.locks.grants_immediate",       // LockStats
            "ds.2.group_commit.max_batch_entries",  // GroupCommitStats
+           "ds.2.group_commit.busy_us",         // GroupCommitStats
+           "dm.0.log_commit.queued_us",         // GroupCommitStats (DM log)
            "ds.2.migrator.migrations_started",  // ShardMigratorStats
            "ds.2.prepares_initiated",           // DataSourceStats
            "ds.2.replicator.appends_received",  // ReplicatorStats

@@ -1083,7 +1083,8 @@ TEST(RuntimeCodecTest, OutOfRangeEnumBytesAreRejected) {
   std::string packed = protocol::PackEntries({SampleEntry(false)});
   std::vector<protocol::ReplEntry> back;
   ASSERT_TRUE(protocol::UnpackEntries(packed, &back));
-  packed[4 + 8 + 8] = 6;
+  packed[4 + 8 + 8] = static_cast<char>(
+      static_cast<int>(protocol::WireMax(protocol::ReplEntryType{})) + 1);
   EXPECT_FALSE(protocol::UnpackEntries(packed, &back));
 }
 
