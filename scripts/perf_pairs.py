@@ -24,6 +24,15 @@ The claim holds when the change wins at least nine tenths of the pairs
 parent's interquartile range. Every other end-to-end metric in
 BENCHMARK.json is reported as parent median -> change median against its
 bound. Exits 1 when the claim does not hold or a run is not correct.
+
+--same-commits checks bit-identity instead of a claim: it compares the
+per-seed "seed N: ... K commits" lines perfbench prints on stderr for
+parent and change in every pair, reports each difference, and exits 1 on
+any (or when a run is not correct), whatever the claimed metric did:
+
+    python3 scripts/perf_pairs.py --parent HEAD~1 --change HEAD \\
+        --workload ycsb --workload tpcc --workload hotspot \\
+        --pairs 3 --seconds 1 --same-commits
 """
 
 import argparse
@@ -37,6 +46,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS_DIR = os.path.join(ROOT, ".bench_build", "pairs")
 EPISODES_RE = re.compile(r": (\d+) episodes in ")
+COMMITS_RE = re.compile(r"^seed (\d+): setup .*?, (\d+) commits,", re.M)
 
 
 def git(*args):
@@ -60,7 +70,8 @@ def checkout(rev):
 
 
 def run(path, workload, seed, seconds):
-    """One perfbench run in checkout `path`: (result JSON, episode count)."""
+    """One perfbench run in checkout `path`: (result JSON, episode count,
+    its per-seed (seed, commits) lines)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -69,8 +80,9 @@ def run(path, workload, seed, seconds):
         sys.stderr.write(proc.stderr[-4000:])
         sys.exit("perf_pairs: perfbench failed in %s" % path)
     match = EPISODES_RE.search(proc.stderr)
-    return json.loads(proc.stdout.strip().splitlines()[-1]), (
-        int(match.group(1)) if match else -1)
+    return (json.loads(proc.stdout.strip().splitlines()[-1]),
+            int(match.group(1)) if match else -1,
+            COMMITS_RE.findall(proc.stderr))
 
 
 def quartiles(values):
@@ -82,7 +94,8 @@ def quartiles(values):
 
 
 def compare(workload, args, sides, metrics):
-    """Runs the pairs of one workload; returns True if the claim holds."""
+    """Runs the pairs of one workload; returns True if the claim holds
+    (with --same-commits: if every pair printed the same commit lines)."""
     claimed = args.metric
     lower_is_better = metrics[claimed]["better"] == "lower"
     values = {"parent": {}, "change": {}}
@@ -92,13 +105,14 @@ def compare(workload, args, sides, metrics):
         args.first_seed + args.pairs - 1, claimed))
     print("pair  seed  first   parent    change   ratio  episodes")
     wins = 0
+    identical = True
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         runs = {}
         for side in order:
-            result, episodes = run(sides[side], workload, seed, args.seconds)
-            runs[side] = (result, episodes)
+            runs[side] = run(sides[side], workload, seed, args.seconds)
+            result = runs[side][0]
             if not result["correct"] or result["failed"] != 0:
                 print("  %s seed %d: correct=%s failed=%d" % (
                     side, seed, result["correct"], result["failed"]))
@@ -114,6 +128,10 @@ def compare(workload, args, sides, metrics):
             episodes += " (differ)"
         print("%4d  %4d  %-6s %8.3f  %8.3f  %5.3fx  %s" % (
             i + 1, seed, order[0], p, c, ratio, episodes))
+        if args.same_commits and runs["parent"][2] != runs["change"][2]:
+            identical = False
+            print("  commit lines differ: parent %s, change %s" % (
+                runs["parent"][2], runs["change"][2]))
 
     pq1, pmed, pq3 = quartiles(values["parent"][claimed])
     cq1, cmed, cq3 = quartiles(values["change"][claimed])
@@ -136,6 +154,10 @@ def compare(workload, args, sides, metrics):
         print("  %-16s %12.4f -> %12.4f %-6s worse by %+.1f%% (bound %.0f%%)"
               % (name, pm, cm, spec["unit"], 100 * rel,
                  100 * spec["bound"]))
+    if args.same_commits:
+        print("per-seed commit lines: %s" % (
+            "identical in every pair" if identical else "DIFFER"))
+        return identical and ok
     return holds and ok
 
 
@@ -149,6 +171,9 @@ def main():
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--metric", default="cpu_us_per_txn")
+    parser.add_argument("--same-commits", action="store_true",
+                        help="exit 1 unless parent and change print the "
+                        "same per-seed commit lines in every pair")
     args = parser.parse_args()
     if args.pairs < 1 or args.seconds < 1:
         sys.exit("perf_pairs: --pairs and --seconds must be positive")

@@ -47,9 +47,16 @@ DataSourceNode::DataSourceNode(runtime::ActorEnv env, DataSourceConfig config)
       engine_(config.engine),
       committer_(timer_, wal_device_.get(), config.group_commit),
       migrator_(std::make_unique<sharding::ShardMigrator>(this)) {
-  committer_.set_on_fsync([this]() { engine_.NoteWalFsync(); });
-  committer_.set_on_flush_start(
-      [this](const storage::WalRecord& record) { OnFlushStart(record); });
+  // A record tagged with a replicated log entry ships that entry as its
+  // batch goes to the device, and the replica's copy of it is durable once
+  // the flush completes.
+  committer_.set_on_fsync([this]() {
+    engine_.NoteWalFsync();
+    if (replicator_ != nullptr) replicator_->OnWalFlushed();
+  });
+  committer_.set_on_flush_start([this](uint64_t tag) {
+    if (tag != 0) replicator_->OnWalFlushStart();
+  });
 }
 
 void DataSourceNode::Attach() {
@@ -140,6 +147,11 @@ void DataSourceNode::RegisterMetrics(obs::MetricsRegistry* registry) {
           return entry.second + kTombstoneLifetime > now;
         }));
   });
+  // Outcomes waiting for their commit entry to apply here.
+  registry->RegisterGauge(prefix + "retained.commit_waiters", [this]() {
+    return static_cast<double>(
+        replicator_ != nullptr ? replicator_->commit_waiters() : 0);
+  });
 }
 
 void DataSourceNode::OnIngestApplied(uint64_t migration_id,
@@ -149,68 +161,61 @@ void DataSourceNode::OnIngestApplied(uint64_t migration_id,
                                content_hash);
 }
 
+uint64_t DataSourceNode::AppendRecordEntry(ReplEntryType type,
+                                           const Xid& xid,
+                                           NodeId coordinator) {
+  const storage::TxnState state = engine_.StateOf(xid);
+  const bool loggable =
+      state == storage::TxnState::kActive ||
+      (type == ReplEntryType::kCommit && state == storage::TxnState::kPrepared);
+  if (replicator_ == nullptr || !loggable || engine_.HasPendingOp(xid)) {
+    return 0;
+  }
+  return replicator_->AppendRecordEntry(type, xid, coordinator);
+}
+
 void DataSourceNode::PrepareDurably(const Xid& xid, NodeId coordinator,
                                     std::function<void()> on_refused) {
   // The branch transitions (and the vote goes out) only when the shared
   // fsync completes.
   const obs::SpanHandle fsync_span =
       BeginBranchSpan(xid.txn_id, "ds.prepare_fsync");
+  const uint64_t tag =
+      AppendRecordEntry(ReplEntryType::kPrepare, xid, coordinator);
   committer_.Append(
       config_.engine.prepare_fsync_cost,
       "PREPARE xid=" + xid.ToString() + "\n",
-      storage::WalRecord{storage::WalRecord::Kind::kPrepare, xid, coordinator},
       [this, xid, coordinator, fsync_span,
        on_refused = std::move(on_refused)]() {
         EndBranchSpan(fsync_span);
         if (crashed_) return;
-        if (replicator_ != nullptr) {
-          replicator_->NoteRecordFlushed(ReplEntryType::kPrepare, xid);
-        }
         if (engine_.Prepare(xid, loop()->Now()).ok()) {
           AfterLocalPrepare(xid, coordinator);
         } else {
           on_refused();
         }
-      });
-}
-
-void DataSourceNode::OnFlushStart(const storage::WalRecord& record) {
-  // A group leader ships the record's entry as the record goes to the
-  // device, so the flush and the quorum round overlap; the vote or the
-  // commit still waits for both (the flush end waits on the entry).
-  if (replicator_ == nullptr || !replicator_->IsLeader()) return;
-  const storage::TxnState state = engine_.StateOf(record.xid);
-  const bool committable = (state == storage::TxnState::kActive ||
-                            state == storage::TxnState::kPrepared) &&
-                           !engine_.HasPendingOp(record.xid);
-  if (!committable) return;
-  if (record.kind == storage::WalRecord::Kind::kCommit) {
-    replicator_->ShipAtFlushStart(
-        ReplEntryType::kCommit, record.xid,
-        engine_.WriteSetOf<protocol::ReplWrite>(record.xid), kInvalidNode);
-  } else if (record.kind == storage::WalRecord::Kind::kPrepare &&
-             state == storage::TxnState::kActive) {
-    replicator_->ShipAtFlushStart(
-        ReplEntryType::kPrepare, record.xid,
-        engine_.WriteSetOf<protocol::ReplWrite>(record.xid),
-        record.coordinator);
-  }
+      },
+      tag);
 }
 
 void DataSourceNode::AfterLocalPrepare(const Xid& xid, NodeId coordinator) {
-  if (replicator_ != nullptr && !replicator_->IsLeader()) {
-    // Leadership moved while the record flushed: only a prepare the
-    // group logged may be voted, and that vote is the promoted leader's
-    // (its re-vote; the DM's failover grace aborts a branch that gets
-    // none). A shipped entry is in doubt here: the group's log commits,
-    // aborts or cuts it. One that never shipped is not in the group.
-    if (replicator_->PrepareEntryIndex(xid.txn_id) == 0) {
+  uint64_t logged = 0;
+  if (replicator_ != nullptr) {
+    logged = replicator_->PrepareEntryIndex(xid.txn_id);
+    if (logged == 0) {
+      // The entry did not ship with the record (the node did not lead
+      // when the record's batch went to the device): the group has no
+      // prepare to vote for.
       (void)engine_.Rollback(xid, loop()->Now());
       stats_.rollbacks++;
       ForgetBranch(xid.txn_id);
       SendVote(coordinator, xid, Vote::kFailure);
+      return;
     }
-    return;
+    // A replica that lost the leadership after the entry shipped leaves
+    // it in doubt: the group's log commits, aborts or cuts it, and the
+    // vote is the promoted leader's re-vote.
+    if (!replicator_->IsLeader()) return;
   }
   // The quorum span covers the replication wait left after the local
   // flush when the group has peers; without replication it closes in the
@@ -222,16 +227,8 @@ void DataSourceNode::AfterLocalPrepare(const Xid& xid, NodeId coordinator) {
     if (crashed_) return;
     SendVote(coordinator, xid, Vote::kPrepared);
   };
-  if (replicator_ != nullptr) {
-    // The entry shipped as the record went to the device (or for an
-    // earlier attempt of this prepare): only its quorum is left to wait.
-    if (const uint64_t shipped = replicator_->PrepareEntryIndex(xid.txn_id)) {
-      replicator_->AwaitQuorum(shipped, std::move(deliver));
-    } else {
-      replicator_->ReplicatePrepare(
-          xid, engine_.WriteSetOf<protocol::ReplWrite>(xid), coordinator,
-          std::move(deliver));
-    }
+  if (logged != 0) {
+    replicator_->AwaitQuorum(logged, std::move(deliver));
     return;
   }
   deliver();
@@ -242,17 +239,6 @@ void DataSourceNode::ForgetBranch(TxnId txn) {
   migrator_->OnBranchResolved();
 }
 
-void DataSourceNode::SettleFromLog(TxnId txn, bool committed) {
-  ForgetBranch(txn);
-  auto it = in_doubt_commits_.find(txn);
-  if (it == in_doubt_commits_.end()) return;
-  const std::function<void(Status)> done = std::move(it->second);
-  in_doubt_commits_.erase(it);
-  // A cut entry means another leader served since: the coordinator
-  // resolves the commit there, so nothing is answered from here.
-  if (committed) done(Status::OK());
-}
-
 void DataSourceNode::DropUnloggedBranches() {
   // Coordinators re-route every branch the group's log does not hold to
   // the new leader (a replay, or an in-doubt decision there), so such a
@@ -260,7 +246,7 @@ void DataSourceNode::DropUnloggedBranches() {
   // settles it.
   std::vector<TxnId> stale;
   for (const auto& [txn, info] : branches_) {
-    if (replicator_->PrepareEntryIndex(txn) == 0 && !CommitShipped(txn)) {
+    if (replicator_->PrepareEntryIndex(txn) == 0 && !CommitLogged(txn)) {
       stale.push_back(txn);
     }
   }
@@ -289,7 +275,7 @@ Status DataSourceNode::CommitHeldBranch(const Xid& xid) {
   return st;
 }
 
-bool DataSourceNode::CommitShipped(TxnId txn) const {
+bool DataSourceNode::CommitLogged(TxnId txn) const {
   return replicator_ != nullptr &&
          replicator_->CommitEntryIndex(txn).has_value();
 }
@@ -851,80 +837,47 @@ void DataSourceNode::CommitBranch(const Xid& xid,
   // prepare/commit records (group commit).
   const obs::SpanHandle fsync_span =
       BeginBranchSpan(xid.txn_id, "ds.commit_fsync");
+  const uint64_t tag =
+      AppendRecordEntry(ReplEntryType::kCommit, xid, kInvalidNode);
   committer_.Append(
       config_.engine.commit_fsync_cost, "COMMIT xid=" + xid.ToString() + "\n",
-      storage::WalRecord{storage::WalRecord::Kind::kCommit, xid, kInvalidNode},
-      [this, xid, fsync_span, done = std::move(done)]() {
+      [this, xid, fsync_span, done = std::move(done)]() mutable {
         EndBranchSpan(fsync_span);
         if (crashed_) return;
-        if (replicator_ != nullptr) {
-          replicator_->NoteRecordFlushed(ReplEntryType::kCommit, xid);
-        }
-        // The commit entry shipped as the record went to the device.
-        const bool shipped = CommitShipped(xid.txn_id);
-        const storage::TxnState state = engine_.StateOf(xid);
-        const bool held = state == storage::TxnState::kActive ||
-                          state == storage::TxnState::kPrepared;
-        if (replicator_ != nullptr && !replicator_->IsLeader()) {
-          // Leadership moved while the record was flushing, and only the
-          // leader commits, through the group log. A shipped entry is in
-          // doubt here: the log commits the branch or cuts the entry and
-          // rolls it back (SettleFromLog), and `done` learns which. A
-          // branch gone with its entry still in the log was committed by
-          // the log already. Otherwise the coordinator resolves the branch
-          // at the new leader, which holds a prepared branch in doubt and
-          // never saw an un-prepared one: the latter dies here, as it
-          // would have in a crash.
-          if (shipped) {
-            if (held) {
-              in_doubt_commits_[xid.txn_id] = done;
-            } else {
-              done(Status::OK());
-            }
-            return;
-          }
-          if (state == storage::TxnState::kActive) {
-            (void)engine_.Rollback(xid, loop()->Now());
-            stats_.rollbacks++;
-            ForgetBranch(xid.txn_id);
-            done(Status::Aborted("leadership moved before the commit"));
-          }
-          return;
-        }
-        auto finish = [this, xid, done]() {
-          if (crashed_) return;
+        if (replicator_ == nullptr) {
           Status st = CommitHeldBranch(xid);
-          if (!st.ok() && CommitShipped(xid.txn_id)) {
-            // The branch already committed through the replicated log (an
-            // apply raced a duplicate decision, or a re-elected leader
-            // applied the entry at promotion), which counted it: success.
-            st = Status::OK();
-          }
           ForgetBranch(xid.txn_id);
           done(std::move(st));
-        };
-        const bool committable = held && !engine_.HasPendingOp(xid);
-        if (replicator_ != nullptr && (committable || shipped)) {
-          // The commit reaches a quorum (with its write set) before the
-          // local commit is made and acknowledged. A shipped entry is
-          // only waited on: the span covers what is left of its round.
+          return;
+        }
+        if (const auto index = replicator_->CommitEntryIndex(xid.txn_id)) {
+          // The log holds the commit entry (it shipped with this record
+          // or an earlier one): the group's log decides. Its apply here
+          // commits the branch, and then `done` runs;
+          // cutting it drops `done` (the coordinator resolves the
+          // transaction at the leader that cut it). The span covers what
+          // is left of the quorum round after the flush.
           const obs::SpanHandle quorum =
               BeginBranchSpan(xid.txn_id, "ds.commit_quorum");
-          auto on_quorum = [this, quorum, finish = std::move(finish)]() {
-            EndBranchSpan(quorum);
-            finish();
-          };
-          if (const auto index = replicator_->CommitEntryIndex(xid.txn_id)) {
-            replicator_->AwaitQuorum(*index, std::move(on_quorum));
-          } else {
-            replicator_->ReplicateCommit(
-                xid, engine_.WriteSetOf<protocol::ReplWrite>(xid),
-                std::move(on_quorum));
-          }
-        } else {
-          finish();
+          replicator_->AwaitCommitApplied(
+              *index, [this, quorum, done = std::move(done)]() {
+                EndBranchSpan(quorum);
+                done(Status::OK());
+              });
+          return;
         }
-      });
+        // The entry did not ship with the record: the commit is outside
+        // the group. An un-prepared branch dies here, as in a crash; the
+        // coordinator resolves a prepared one at the leader, which holds
+        // it in doubt.
+        if (engine_.StateOf(xid) == storage::TxnState::kActive) {
+          (void)engine_.Rollback(xid, loop()->Now());
+          stats_.rollbacks++;
+          ForgetBranch(xid.txn_id);
+          done(Status::Aborted("commit entry not in the group's log"));
+        }
+      },
+      tag);
 }
 
 void DataSourceNode::OnPing(const PingRequest& req) {
@@ -956,9 +909,9 @@ void DataSourceNode::OnCoordinatorFailure(NodeId middleware) {
   for (const auto& [txn, info] : branches_) {
     if (info.coordinator != middleware) continue;
     const Xid xid{txn, logical_id()};
-    // A branch whose commit entry shipped is decided: it commits.
+    // A branch whose commit entry is in the log is decided: it commits.
     if (engine_.StateOf(xid) == storage::TxnState::kActive &&
-        !CommitShipped(txn)) {
+        !CommitLogged(txn)) {
       to_abort.push_back(txn);
     }
   }
@@ -973,6 +926,9 @@ void DataSourceNode::OnCoordinatorFailure(NodeId middleware) {
 void DataSourceNode::Crash() {
   crashed_ = true;
   network_->Partition(id_);
+  // The replicated log keeps the prefix the WAL made durable; it reads the
+  // WAL's pending records before they go.
+  if (replicator_ != nullptr) replicator_->OnCrash();
   // The WAL device's open batch dies with the node: entries waiting for a
   // group-commit fsync were never durable, so their waiters must not fire.
   committer_.Reset();
@@ -980,10 +936,8 @@ void DataSourceNode::Crash() {
   // phase (paper §V-A common setting ❷).
   engine_.Crash(loop()->Now());
   branches_.clear();
-  in_doubt_commits_.clear();
   parked_.clear();  // undelivered work dies with the node
   migrator_->OnCrash();
-  if (replicator_ != nullptr) replicator_->OnCrash();
 }
 
 void DataSourceNode::Restart() {

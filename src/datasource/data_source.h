@@ -183,9 +183,6 @@ class DataSourceNode {
 
   /// True if this node currently executes/holds the branch of `txn`.
   bool HasBranch(TxnId txn) const { return branches_.count(txn) > 0; }
-  /// Commits whose entry shipped before this replica lost the leadership,
-  /// still waiting for the group's log to settle them.
-  size_t InDoubtCommits() const { return in_doubt_commits_.size(); }
 
   /// True while batches of `txn` are refused here: it was early-aborted
   /// less than kTombstoneLifetime ago and no decision has cleared it.
@@ -285,29 +282,26 @@ class DataSourceNode {
   void PrepareDurably(const Xid& xid, NodeId coordinator,
                       std::function<void()> on_refused);
   /// Votes PREPARED to `coordinator`: with replication once the prepare
-  /// entry reaches a quorum (span ds.quorum), without immediately. A
-  /// replica that lost the leadership while the record flushed votes
-  /// FAILURE for a prepare it never shipped, and nothing for one it did.
+  /// entry reaches a quorum (span ds.quorum), without immediately. With
+  /// replication, a prepare whose entry did not ship with the record votes
+  /// FAILURE, whatever the node's role; one whose entry shipped on a node
+  /// that no longer leads stays in doubt, for the group's log to decide.
   void AfterLocalPrepare(const Xid& xid, NodeId coordinator);
-  /// Group-committer hook: a PREPARE or COMMIT record is going to the
-  /// WAL device. A group leader whose branch is still committable ships
-  /// the record's entry now, so the flush and the quorum round overlap.
-  void OnFlushStart(const storage::WalRecord& record);
+  /// On a group leader holding the branch of `xid`, appends the entry of
+  /// the PREPARE or COMMIT record about to join the WAL, and returns its
+  /// index as the record's tag; 0 (no entry) otherwise.
+  uint64_t AppendRecordEntry(protocol::ReplEntryType type, const Xid& xid,
+                             NodeId coordinator);
   /// Drops `txn` from branches_ once its branch is resolved here.
   void ForgetBranch(TxnId txn);
-  /// Replicator hook: the group's log settled the branch of `txn` held
-  /// here — an applied commit or abort entry, or a cut entry (`committed`
-  /// false). A commit left in doubt by a step-down is answered once its
-  /// entry applies; a cut one is answered by the leader that cut it.
-  void SettleFromLog(TxnId txn, bool committed);
   /// Commits the branch of `xid` held here and does a commit's
   /// bookkeeping: counts it, and (on a leader) hands its write set to an
   /// active outbound migration. Shared by CommitBranch and the replicated
   /// log's apply of a commit entry for a branch this node still holds.
   Status CommitHeldBranch(const Xid& xid);
-  /// True once this replica appended `txn`'s commit entry: the branch is
-  /// decided, and nothing here may roll it back.
-  bool CommitShipped(TxnId txn) const;
+  /// True while this replica's log holds `txn`'s commit entry: the branch
+  /// is decided, and nothing here may roll it back.
+  bool CommitLogged(TxnId txn) const;
   /// Replicator hook: this replica now follows another leader. Rolls back
   /// every branch held here that the group's log does not hold.
   void DropUnloggedBranches();
@@ -361,19 +355,18 @@ class DataSourceNode {
   void OnPrepare(const Xid& xid, NodeId coordinator);
   void OnDecision(const protocol::DecisionItem& item, NodeId coordinator);
   /// Commits the branch (XA COMMIT, one- or two-phase): the COMMIT record
-  /// joins the WAL device's open batch (span ds.commit_fsync); with
-  /// replication the commit entry ships as the record goes to the device,
-  /// and the engine commits once the flush ended and the entry reached a
-  /// quorum (span ds.commit_quorum, the wait left after the flush).
-  /// `done` gets the outcome: NotFound at once, with no record, for a
-  /// branch this node does not hold, and Aborted for an un-prepared branch
-  /// rolled back because the node lost the group's leadership before its
-  /// entry shipped. A node that lost the leadership after shipping the
-  /// entry leaves it in doubt, and `done` runs (OK) once the group's log
-  /// applies the entry here. It never runs if the node crashes first, if
-  /// the entry is cut, or if the node loses the leadership holding a
-  /// prepared branch whose entry did not ship: the coordinator resolves
-  /// those at the new leader.
+  /// joins the WAL device's open batch (span ds.commit_fsync). Without
+  /// replication the engine commits when the flush ends. With it, a
+  /// leader logs the commit entry with the record, the entry ships as the
+  /// record goes to the device, and the branch commits when the entry
+  /// applies here: once it is on a quorum and the record is durable (span
+  /// ds.commit_quorum, the wait left after the flush). `done` gets the
+  /// outcome: NotFound at once, with no record, for a branch this node
+  /// does not hold; OK when the entry applies here, whatever the node's
+  /// role by then; Aborted for an un-prepared branch whose entry did not
+  /// ship with the record. It never runs if the node crashes first, if the
+  /// entry is cut, or for a prepared branch whose entry did not ship: the
+  /// coordinator resolves those at the leader.
   void CommitBranch(const Xid& xid, std::function<void(Status)> done);
   void OnPing(const protocol::PingRequest& req);
 
@@ -395,9 +388,6 @@ class DataSourceNode {
   bool crashed_ = false;
 
   std::unordered_map<TxnId, BranchInfo> branches_;
-  /// Outcome waiters of commits whose entry shipped before this replica
-  /// lost the leadership; SettleFromLog runs them once the entry applies.
-  std::unordered_map<TxnId, std::function<void(Status)>> in_doubt_commits_;
   /// Early-aborted transactions -> when they were tombstoned, plus the
   /// same pairs in tombstoning order, which is expiry order: inserting
   /// prunes expired entries from the front. A decision or a re-tombstone

@@ -22,6 +22,7 @@ void LogShipper::Activate(NodeId group, uint64_t epoch,
   sealed_first_ = 0;
   group_ = group;
   epoch_ = epoch;
+  term_first_ = log_->last_index() + 1;
   quorum_size_ = quorum_size;
   commit_watermark_ = std::max(commit_watermark_, floor);
   followers_.clear();
@@ -44,50 +45,32 @@ void LogShipper::Deactivate() {
 }
 
 uint64_t LogShipper::AppendAndShip(ReplEntry entry, QuorumCallback on_quorum) {
-  GEOTP_CHECK(active_, "AppendAndShip on inactive shipper");
-  entry.epoch = epoch_;
-  const uint64_t index = log_->Append(std::move(entry));
+  const uint64_t index = Append(std::move(entry));
   if (on_quorum != nullptr) AddPending(index, std::move(on_quorum));
   // Coalesce: every entry appended in this event-loop tick (a group-commit
   // flush appends many) ships in ONE request per follower, acked as one.
-  ScheduleShip();
+  Ship();
   // The leader's own copy counts toward the quorum.
   AdvanceWatermark();
   return index;
 }
 
-uint64_t LogShipper::AppendFlushing(ReplEntry entry) {
-  GEOTP_CHECK(active_, "AppendFlushing on inactive shipper");
+uint64_t LogShipper::Append(ReplEntry entry) {
+  GEOTP_CHECK(active_, "append on an inactive shipper");
   entry.epoch = epoch_;
-  const uint64_t index = log_->Append(std::move(entry));
-  flushing_.push_back(index);
-  ScheduleShip();
-  return index;
+  return log_->Append(std::move(entry));
 }
 
-void LogShipper::NoteFlushed(uint64_t index) {
-  // Records flush in append order, so the entry is almost always first.
-  const auto it = std::find(flushing_.begin(), flushing_.end(), index);
-  if (it == flushing_.end()) return;
-  flushing_.erase(it);
-  if (active_) AdvanceWatermark();
-}
-
-void LogShipper::DropFlushingFrom(uint64_t from) {
-  while (!flushing_.empty() && flushing_.back() >= from) flushing_.pop_back();
-}
-
-void LogShipper::ScheduleShip() {
+void LogShipper::Ship() {
   if (ship_scheduled_) return;
   ship_scheduled_ = true;
   const uint64_t activation = activation_;
   timer_->Schedule(0, [this, activation]() {
     if (activation != activation_ || !active_) return;
     ship_scheduled_ = false;
+    const uint64_t shippable = ShippableIndex();
     for (auto& [follower, progress] : followers_) {
-      if (progress.next_index <= log_->last_index()) {
-        ShipTo(follower, progress);
-      }
+      if (progress.next_index <= shippable) ShipTo(follower, progress);
     }
   });
 }
@@ -135,7 +118,7 @@ void LogShipper::ShipTo(NodeId follower, Progress& progress) {
     snapshot_sender_(follower);
     progress.next_index = log_->first_index();
   }
-  const uint64_t last = log_->last_index();
+  const uint64_t last = ShippableIndex();
   auto req = std::make_unique<ReplAppendRequest>();
   req->from = self_;
   req->to = follower;
@@ -200,7 +183,7 @@ void LogShipper::OnAck(NodeId follower, const ReplAppendAck& ack) {
 void LogShipper::AdvanceWatermark() {
   // k-th largest replicated index across {leader} ∪ followers, where
   // k = quorum size: the highest index at least k members hold. The
-  // leader holds its log up to the first entry still flushing.
+  // leader holds its durable prefix.
   if (followers_.size() + 1 < quorum_size_) return;  // can never reach it
   const uint64_t leader_index = DurableIndex();
   const auto held_by_quorum = [&](uint64_t index) {
@@ -219,6 +202,7 @@ void LogShipper::AdvanceWatermark() {
   }
   if (quorum_index <= commit_watermark_) return;
   commit_watermark_ = quorum_index;
+  if (on_commit_) on_commit_();
 
   // Fire callbacks for every index now at quorum, in log order.
   while (!pending_.empty() && pending_.front().first <= commit_watermark_) {
@@ -231,8 +215,9 @@ void LogShipper::AdvanceWatermark() {
 
 void LogShipper::Tick() {
   if (!active_) return;
+  const uint64_t shippable = ShippableIndex();
   for (auto& [follower, progress] : followers_) {
-    const bool lagging = progress.next_index <= log_->last_index();
+    const bool lagging = progress.next_index <= shippable;
     // An append since the last tick already reset the follower's election
     // timer and carried the watermark: it counts as the heartbeat (Raft
     // §5.2). Never two skips in a row, so a follower hears the current

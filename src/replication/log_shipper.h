@@ -1,11 +1,14 @@
-// Replicated WAL storage and the leader-side shipping machinery.
+// The replicated log and the leader-side shipping machinery.
 //
-// ReplicationLog is the per-replica durable log (survives crashes, like the
-// engine WAL it mirrors). LogShipper is active only on the leader: it
-// tracks per-follower progress Raft-style (next/match index), retransmits
-// unacked entries on the heartbeat tick, and fires quorum callbacks once an
-// entry is durable on a majority of the group (leader included, once its
-// own write of the entry is done).
+// ReplicationLog is the per-replica log. A replica's durable part of it is
+// everything before the oldest entry whose WAL record is still pending in
+// the replica's GroupCommitter (the record is tagged with the entry's
+// index); a crash keeps only that prefix. LogShipper is active only on the
+// leader: it tracks per-follower progress Raft-style (next/match index),
+// ships an entry whose record is tagged only once the record's batch went
+// to the WAL device, retransmits unacked entries on the heartbeat tick, and
+// fires quorum callbacks once an entry is held by a majority of the group
+// (the leader's own copy counting once it is durable).
 #ifndef GEOTP_REPLICATION_LOG_SHIPPER_H_
 #define GEOTP_REPLICATION_LOG_SHIPPER_H_
 
@@ -22,6 +25,7 @@
 #include "protocol/wan_codec.h"
 #include "replication/replication_config.h"
 #include "runtime/runtime.h"
+#include "storage/group_commit.h"
 
 namespace geotp {
 namespace replication {
@@ -148,6 +152,17 @@ class LogShipper {
   void set_snapshot_sender(SnapshotSender sender) {
     snapshot_sender_ = std::move(sender);
   }
+  /// The replica's WAL (not owned). Its pending tags bound what ships and
+  /// what this replica holds durably; without one, every entry ships and
+  /// counts as durable once appended. A tag whose entry was cut since
+  /// (a step-down or a divergent tail) can only hold both back until its
+  /// record's flush starts or ends, never move them forward.
+  void set_wal(const storage::GroupCommitter* wal) { wal_ = wal; }
+  /// Runs whenever the commit watermark advances, before the quorum
+  /// callbacks it releases (the replicator applies the new prefix there).
+  void set_on_commit(std::function<void()> hook) {
+    on_commit_ = std::move(hook);
+  }
 
   /// Leader-side compression knob (DataSourceConfig::wan_compression):
   /// on, batches ship compressed (common::SenderCodec); off, plain.
@@ -165,31 +180,36 @@ class LogShipper {
   const LogShipperStats& stats() const { return stats_; }
 
   /// Appends `entry` to the log and schedules shipping; `on_quorum` runs
-  /// once the entry is durable on a quorum. With a quorum of one (or a
-  /// group of one), the callback fires synchronously. Pass nullptr for
+  /// once the entry is held by a quorum. With a quorum of one (or a group
+  /// of one), the callback fires synchronously. Pass nullptr for
   /// fire-and-forget entries (aborts). Entries appended within one
   /// event-loop tick leave as ONE ReplAppendRequest per follower, acked as
   /// one batch, and sealed once for every follower at the same next index.
   uint64_t AppendAndShip(protocol::ReplEntry entry, QuorumCallback on_quorum);
+  /// Appends the entry of a WAL record about to be written and tagged with
+  /// the returned index. It ships once the record's batch goes to the
+  /// device (Ship() from the flush-start hook), and this replica's copy
+  /// counts toward the quorum once the record is durable (Raft thesis
+  /// §10.2.1: the leader writes its own log while it replicates).
+  uint64_t Append(protocol::ReplEntry entry);
+  /// Coalesced shipping: one delay-0 event per tick ships everything
+  /// shippable to every lagging follower in one request each.
+  void Ship();
 
-  /// As AppendAndShip with no callback, for an entry whose WAL record is
-  /// still flushing here: the leader writes its own copy in parallel with
-  /// shipping it, and counts that copy toward the quorum only once
-  /// NoteFlushed(index) reports the write done (Raft thesis §10.2.1).
-  uint64_t AppendFlushing(protocol::ReplEntry entry);
-  /// The WAL record behind the entry at `index` is durable here. Runs on
-  /// any role: a step-down keeps the flushing set, so a re-elected leader
-  /// still waits for its own write.
-  void NoteFlushed(uint64_t index);
-  /// Entries whose record is still flushing, ascending.
-  const std::deque<uint64_t>& flushing() const { return flushing_; }
-  /// Forgets the flushing entries at or past `from` (a cut log tail), or
-  /// all of them (from 0: a crash lost the writes).
-  void DropFlushingFrom(uint64_t from);
   /// The prefix of the log this replica holds durably: everything before
-  /// the first entry whose record is still flushing.
+  /// the oldest entry whose WAL record is still pending.
   uint64_t DurableIndex() const {
-    return flushing_.empty() ? log_->last_index() : flushing_.front() - 1;
+    return Before(wal_ != nullptr ? wal_->OldestPendingTag() : 0);
+  }
+  /// The prefix of the log that may ship: everything before the oldest
+  /// entry whose WAL record has not gone to the device yet.
+  uint64_t ShippableIndex() const {
+    return Before(wal_ != nullptr ? wal_->OldestUnstartedTag() : 0);
+  }
+  /// First entry of this term that never became shippable (past
+  /// last_index() when there is none). Only this replica ever held it.
+  uint64_t FirstUnshipped() const {
+    return std::max(term_first_, ShippableIndex() + 1);
   }
 
   /// Lowest index known replicated on every member, the leader's durable
@@ -206,6 +226,9 @@ class LogShipper {
 
   /// Processes a follower ack; advances the watermark and fires callbacks.
   void OnAck(NodeId follower, const protocol::ReplAppendAck& ack);
+  /// Re-counts the quorum, this replica's durable copy included (call
+  /// once a WAL flush made more of the log durable here).
+  void AdvanceWatermark();
 
   /// Heartbeat tick: ships pending entries to lagging followers, empty
   /// heartbeats (with the current watermark) to caught-up ones. A
@@ -226,22 +249,26 @@ class LogShipper {
   /// the log into a reused buffer, compressed and hashed, unless the last
   /// seal already covers exactly that range.
   const protocol::SealedEntries& Seal(uint64_t first, uint64_t last);
-  /// Coalesced shipping: one delay-0 event per tick ships every pending
-  /// entry to every lagging follower in one request each.
-  void ScheduleShip();
   /// Queues `on_quorum` behind every callback for an index <= `index`.
   void AddPending(uint64_t index, QuorumCallback on_quorum);
-  void AdvanceWatermark();
+  /// The log prefix ending before the entry tagged `tag` (all of it for 0).
+  uint64_t Before(uint64_t tag) const {
+    return tag == 0 ? log_->last_index()
+                    : std::min(log_->last_index(), tag - 1);
+  }
 
   NodeId self_;
   runtime::ITransport* network_;
   runtime::ITimer* timer_;
   ReplicationLog* log_;
   SnapshotSender snapshot_sender_;
+  const storage::GroupCommitter* wal_ = nullptr;
+  std::function<void()> on_commit_;
   bool wan_compression_ = true;
   bool active_ = false;
   NodeId group_ = kInvalidNode;
   uint64_t epoch_ = 0;
+  uint64_t term_first_ = 1;  ///< first index appended in this term
   size_t quorum_size_ = 1;
   bool ship_scheduled_ = false;
   /// Bumped on Activate/Deactivate so stale ship events are no-ops.
@@ -251,8 +278,6 @@ class LogShipper {
   /// Pending quorum callbacks in index order, FIFO among equal indexes.
   /// Appends arrive in index order, so almost every insert is at the back.
   std::deque<std::pair<uint64_t, QuorumCallback>> pending_;
-  /// Entries appended by AppendFlushing whose record has not flushed yet.
-  std::deque<uint64_t> flushing_;
   /// The last sealed batch and the log range it covers (sealed_first_ 0:
   /// none). Leader log entries never change within a term, so the seal
   /// stays valid until Activate/Deactivate.

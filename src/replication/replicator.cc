@@ -82,6 +82,8 @@ Replicator::Replicator(datasource::DataSourceNode* node, GroupConfig group)
   shipper_.set_snapshot_sender(
       [this](NodeId follower) { SendBootstrapSnapshot(follower); });
   shipper_.set_wan_compression(node_->config().wan_compression);
+  shipper_.set_wal(&node_->committer());
+  shipper_.set_on_commit([this]() { ApplyCommitted(); });
 }
 
 runtime::ITimer* Replicator::loop() const { return node_->loop(); }
@@ -102,24 +104,16 @@ std::vector<NodeId> Replicator::Followers() const {
 
 void Replicator::RetireLeadership() {
   if (!shipper_.active()) return;
-  // Everything at quorum was engine-applied while leading, up to the first
-  // commit entry whose record was still flushing (its engine commit waits
-  // for the flush): from there on the apply path commits (or re-applies)
-  // the entries as a follower. One a promotion already applied is below
-  // applied_index_ and stays applied.
   follower_watermark_ =
       std::max(follower_watermark_, shipper_.commit_watermark());
-  uint64_t applied = shipper_.commit_watermark();
-  for (uint64_t index : shipper_.flushing()) {
-    if (log_.At(index).type == ReplEntryType::kCommit) {
-      applied = std::min(applied, index - 1);
-      break;
-    }
-  }
-  applied_index_ = std::max(applied_index_, applied);
-  shipper_.Deactivate();  // drops any pending promotion-barrier callbacks
-  promotion_applies_pending_ = 0;
+  const uint64_t unshipped = shipper_.FirstUnshipped();
+  shipper_.Deactivate();  // drops any pending quorum callbacks
+  promotion_barrier_ = 0;
   bootstrap_streams_.clear();  // leader-only re-seed offers die with the term
+  // Entries of this term that never shipped leave the log: no other
+  // replica holds them, and a record whose entry did not ship is outside
+  // the group when its flush ends.
+  CutLog(unshipped);
   // Work parked behind the barrier must not wait forever: replayed now,
   // it bounces off the not-a-leader redirect path (or is dropped by a
   // crash) instead of wedging.
@@ -147,47 +141,43 @@ Micros Replicator::Staleness() const {
 }
 
 // ---------------------------------------------------------------------------
-// Leader-side durability hooks
+// Durability hooks
 // ---------------------------------------------------------------------------
 
-void Replicator::ReplicatePrepare(const Xid& xid,
-                                  std::vector<protocol::ReplWrite> writes,
-                                  NodeId coordinator,
-                                  QuorumCallback on_quorum) {
-  GEOTP_CHECK(IsLeader(), "ReplicatePrepare on non-leader");
-  if (const uint64_t staged = unresolved_prepares_.Get(xid.txn_id)) {
-    // Duplicate (e.g. a middleware prepare retry): wait on the entry.
-    shipper_.AwaitQuorum(staged, std::move(on_quorum));
-    return;
+uint64_t Replicator::AppendRecordEntry(ReplEntryType type, const Xid& xid,
+                                       NodeId coordinator) {
+  GEOTP_CHECK(type == ReplEntryType::kPrepare || type == ReplEntryType::kCommit,
+              "only prepare and commit records have entries");
+  if (!shipper_.active()) return 0;
+  if (type == ReplEntryType::kPrepare
+          ? unresolved_prepares_.Get(xid.txn_id) != 0
+          : commit_entries_.Find(xid.txn_id) != nullptr) {
+    return 0;  // a retry's record: the entry already exists
   }
   ReplEntry entry;
-  entry.type = ReplEntryType::kPrepare;
+  entry.type = type;
   entry.xid = xid;
   entry.coordinator = coordinator;
-  entry.writes = std::move(writes);
+  entry.writes = node_->engine().WriteSetOf<protocol::ReplWrite>(xid);
   entry.at = loop()->Now();
-  const uint64_t index =
-      shipper_.AppendAndShip(std::move(entry), std::move(on_quorum));
-  unresolved_prepares_.Add(xid.txn_id, index);
+  return Track(shipper_.Append(std::move(entry)));
 }
 
-void Replicator::ReplicateCommit(const Xid& xid,
-                                 std::vector<protocol::ReplWrite> writes,
-                                 QuorumCallback on_quorum) {
-  ReplicateIngest(xid, std::move(writes), 0, 0, 0, 0, std::move(on_quorum));
+void Replicator::OnWalFlushStart() {
+  if (shipper_.active()) shipper_.Ship();
+}
+
+void Replicator::OnWalFlushed() {
+  if (shipper_.active()) shipper_.AdvanceWatermark();
+  ApplyCommitted();
 }
 
 void Replicator::ReplicateIngest(const Xid& xid,
                                  std::vector<protocol::ReplWrite> writes,
                                  uint64_t migration_id, uint64_t chunk_seq,
                                  uint64_t delta_seq, uint64_t content_hash,
-                                 QuorumCallback on_quorum) {
+                                 std::function<void()> on_applied) {
   GEOTP_CHECK(IsLeader(), "ReplicateIngest on non-leader");
-  if (const uint64_t* committed = commit_entries_.Find(xid.txn_id)) {
-    shipper_.AwaitQuorum(*committed, std::move(on_quorum));
-    return;
-  }
-  unresolved_prepares_.Resolve(xid.txn_id);
   ReplEntry entry;
   entry.type = ReplEntryType::kCommit;
   entry.xid = xid;
@@ -197,45 +187,21 @@ void Replicator::ReplicateIngest(const Xid& xid,
   entry.ingest_chunk_seq = chunk_seq;
   entry.ingest_delta_seq = delta_seq;
   entry.ingest_content_hash = content_hash;
-  const uint64_t index =
-      shipper_.AppendAndShip(std::move(entry), std::move(on_quorum));
-  commit_entries_.FindOrInsert(xid.txn_id) = index;
+  // The ack is the term's, like a quorum callback: a replica that lost the
+  // leadership leaves the stream to the next leader.
+  AwaitCommitApplied(Track(shipper_.AppendAndShip(std::move(entry), nullptr)),
+                     [this, on_applied = std::move(on_applied)]() {
+                       if (IsLeader()) on_applied();
+                     });
 }
 
-void Replicator::ShipAtFlushStart(ReplEntryType type, const Xid& xid,
-                                  std::vector<protocol::ReplWrite> writes,
-                                  NodeId coordinator) {
-  GEOTP_CHECK(IsLeader(), "ShipAtFlushStart on non-leader");
-  GEOTP_CHECK(type == ReplEntryType::kPrepare || type == ReplEntryType::kCommit,
-              "only prepare and commit records ship at flush start");
-  if (type == ReplEntryType::kPrepare
-          ? unresolved_prepares_.Get(xid.txn_id) != 0
-          : commit_entries_.Find(xid.txn_id) != nullptr) {
-    return;  // a retry's record: the entry already exists
+void Replicator::AwaitCommitApplied(uint64_t index,
+                                    std::function<void()> on_applied) {
+  if (index <= applied_index_) {
+    on_applied();
+    return;
   }
-  ReplEntry entry;
-  entry.type = type;
-  entry.xid = xid;
-  entry.coordinator = coordinator;
-  entry.writes = std::move(writes);
-  entry.at = loop()->Now();
-  const uint64_t index = shipper_.AppendFlushing(std::move(entry));
-  if (type == ReplEntryType::kPrepare) {
-    unresolved_prepares_.Add(xid.txn_id, index);
-  } else {
-    unresolved_prepares_.Resolve(xid.txn_id);
-    commit_entries_.FindOrInsert(xid.txn_id) = index;
-  }
-}
-
-void Replicator::NoteRecordFlushed(ReplEntryType type, const Xid& xid) {
-  for (uint64_t index : shipper_.flushing()) {
-    const ReplEntry& entry = log_.At(index);
-    if (entry.type == type && entry.xid == xid) {
-      shipper_.NoteFlushed(index);
-      return;
-    }
-  }
+  commit_waiters_.emplace(index, std::move(on_applied));
 }
 
 void Replicator::ReplicateMigrationRecord(
@@ -252,11 +218,7 @@ void Replicator::ReplicateMigrationRecord(
   entry.xid = Xid{kInvalidTxn, group_.logical};
   entry.migration = std::make_shared<protocol::MigrationRecord>(record);
   entry.at = loop()->Now();
-  const uint64_t index =
-      shipper_.AppendAndShip(std::move(entry), std::move(on_quorum));
-  // Mirror AppendTracked's bookkeeping for the leader's own append (the
-  // shipper appends to the log directly).
-  TrackMigrationRecord(type, record.migration_id, index);
+  Track(shipper_.AppendAndShip(std::move(entry), std::move(on_quorum)));
 }
 
 void Replicator::TrackMigrationRecord(protocol::ReplEntryType type,
@@ -286,8 +248,7 @@ void Replicator::ReplicateAbortIfPrepared(TxnId txn) {
   entry.type = ReplEntryType::kAbort;
   entry.xid = log_.At(staged).xid;
   entry.at = loop()->Now();
-  unresolved_prepares_.Resolve(txn);
-  shipper_.AppendAndShip(std::move(entry), nullptr);
+  Track(shipper_.AppendAndShip(std::move(entry), nullptr));
 }
 
 std::optional<uint64_t> Replicator::CommitEntryIndex(TxnId txn) const {
@@ -412,7 +373,7 @@ void Replicator::OnAppend(ReplAppendRequest& req) {
       TruncateFrom(entry.index);
     }
     GEOTP_CHECK(entry.index == log_.last_index() + 1, "log gap in append");
-    AppendTracked(std::move(entry));
+    Track(log_.Append(std::move(entry)));
   }
 
   const uint64_t verified = req.prev_index + req.entries.size();
@@ -420,7 +381,7 @@ void Replicator::OnAppend(ReplAppendRequest& req) {
   consistent_prefix_ = std::max(consistent_prefix_, verified);
   follower_watermark_ = std::max(
       follower_watermark_, std::min(req.commit_watermark, consistent_prefix_));
-  ApplyCommitted(follower_watermark_);
+  ApplyCommitted();
   if (applied_index_ >= req.commit_watermark) {
     fresh_as_of_ = loop()->Now();
   }
@@ -430,8 +391,7 @@ void Replicator::OnAppend(ReplAppendRequest& req) {
   network()->Send(std::move(ack));
 }
 
-void Replicator::AppendTracked(ReplEntry entry) {
-  const uint64_t index = log_.Append(std::move(entry));
+uint64_t Replicator::Track(uint64_t index) {
   const ReplEntry& appended = log_.At(index);
   switch (appended.type) {
     case ReplEntryType::kPrepare:
@@ -455,26 +415,19 @@ void Replicator::AppendTracked(ReplEntry entry) {
     case ReplEntryType::kNoop:
       break;
   }
+  return index;
 }
 
 void Replicator::MaybeTruncateLog() {
-  // Safe compaction point: everything at quorum that this replica already
-  // reflects, bounded by what EVERY group member already holds (a
+  // Safe compaction point: everything this replica already applied (so at
+  // quorum), bounded by what EVERY group member already holds (a
   // truncated entry can never be re-shipped, and any replica may be the
   // next leader). The leader computes that bound as its min follower
   // match index; followers learn it as the append-carried compact_floor.
-  // A leader reflects its whole quorum-durable prefix through local
-  // engine commits, so applied_index_ (a follower-side notion) only
-  // bounds followers. Unresolved prepares are pinned: a promotion must
-  // still install them as in-doubt branches.
-  uint64_t safe = commit_watermark();
-  if (IsLeader()) {
-    safe = std::min(safe, shipper_.MinMatchIndex());
-  } else {
-    // A deposed leader keeps the entries whose record still flushes.
-    safe = std::min(
-        {safe, applied_index_, compact_floor_, shipper_.DurableIndex()});
-  }
+  // Unresolved prepares are pinned: a promotion must still install them
+  // as in-doubt branches.
+  uint64_t safe = std::min(
+      applied_index_, IsLeader() ? shipper_.MinMatchIndex() : compact_floor_);
   // The pins below only lower `safe`: skip scanning them when the bound
   // already leaves nothing to compact (the common case between floors).
   if (safe <= log_.offset()) return;
@@ -493,7 +446,6 @@ void Replicator::TruncateFrom(uint64_t from) {
   // A deposed leader may still hold the branch of a cut prepare or commit
   // entry (shipped while its record flushed): roll it back. Its locks go,
   // and the group's log alone decides the transaction from here.
-  shipper_.DropFlushingFrom(from);
   storage::TransactionEngine& engine = node_->engine();
   const auto [first, last] = log_.Range(from, log_.last_index());
   for (auto it = first; it != last; ++it) {
@@ -507,8 +459,13 @@ void Replicator::TruncateFrom(uint64_t from) {
       continue;
     }
     (void)engine.Rollback(it->xid, loop()->Now());
-    node_->SettleFromLog(it->xid.txn_id, /*committed=*/false);
+    node_->ForgetBranch(it->xid.txn_id);
   }
+  CutLog(from);
+}
+
+void Replicator::CutLog(uint64_t from) {
+  if (from > log_.last_index()) return;
   log_.TruncateFrom(from);
   unresolved_prepares_.EraseFrom(from);
   commit_entries_.EraseIf(
@@ -522,6 +479,10 @@ void Replicator::TruncateFrom(uint64_t from) {
     if (it->second.cutover_index >= from) it->second.cutover_index = 0;
     ++it;
   }
+  // A cut commit entry never applies: its waiters are dropped, and the
+  // coordinator resolves the transaction at the leader that cut it.
+  commit_waiters_.erase(commit_waiters_.lower_bound(from),
+                        commit_waiters_.end());
   consistent_prefix_ = std::min(consistent_prefix_, from - 1);
 }
 
@@ -889,53 +850,34 @@ void Replicator::BecomeLeader() {
   }
   GEOTP_INFO("replica " << self() << " leads group " << group_.logical
                         << " at epoch " << election_.epoch());
-  // 1. Catch up the local store to the quorum-durable commit point.
-  ApplyCommitted(follower_watermark_);
-  // 2. Start shipping: followers re-verify their logs against ours.
+  // 1. Start shipping: followers re-verify their logs against ours. The
+  //    watermark starts at the commit point we know of, and the store
+  //    catches up to it.
   shipper_.Activate(group_.logical, election_.epoch(), Followers(),
                     group_.QuorumSize(), follower_watermark_);
-  // 3. Commit/abort entries past our watermark (accepted from the old
-  //    leader, quorum unknown): apply each locally once it reaches quorum
-  //    under our term. The coordinating middleware re-sends decisions after
-  //    the announce, which resolves idempotently against these entries.
-  //    Until ALL of them have applied, the store is behind the log and
-  //    this leader must not serve new branches: an exec admitted in the
-  //    gap would read the pre-failover value under a lock the deferred
-  //    raw apply then silently overwrites (lost update). The barrier
-  //    (ReadyToServe) holds prepare installation, the announce, and the
-  //    data source's parked client traffic until the last apply lands —
-  //    at most one follower round trip, and if quorum is unreachable the
-  //    group could not commit anything anyway.
-  std::vector<uint64_t> inherited;
-  for (uint64_t index = follower_watermark_ + 1; index <= log_.last_index();
-       ++index) {
-    const ReplEntryType type = log_.At(index).type;
-    if (type != ReplEntryType::kCommit && type != ReplEntryType::kAbort) {
-      continue;
-    }
-    inherited.push_back(index);
-  }
-  // 4. The term's no-op entry joins the barrier: until it is on a quorum,
-  //    a replica with an older divergent tail could still win an election
-  //    and commit an entry this leader would answer for as missing.
+  ApplyCommitted();
+  // 2. Entries past our watermark (accepted from the old leader, quorum
+  //    unknown) apply in log order once they reach quorum under our term,
+  //    like every entry. The coordinating middleware re-sends decisions
+  //    after the announce, which resolves idempotently against them. Until
+  //    ALL of them have applied, the store is behind the log and this
+  //    leader must not serve new branches: an exec admitted in the gap
+  //    would read the pre-failover value under a lock the deferred raw
+  //    apply then silently overwrites (lost update). The term's no-op
+  //    entry ends that tail, and it must reach a quorum anyway: until it
+  //    does, a replica with an older divergent tail could still win an
+  //    election and commit an entry this leader would answer for as
+  //    missing. The barrier (ReadyToServe) holds prepare installation,
+  //    the announce, and the data source's parked client traffic until
+  //    the no-op applies — at most one follower round trip, and if quorum
+  //    is unreachable the group could not commit anything anyway.
   ReplEntry noop;
   noop.type = ReplEntryType::kNoop;
   noop.xid = Xid{kInvalidTxn, group_.logical};
   noop.at = loop()->Now();
-  inherited.push_back(shipper_.AppendAndShip(std::move(noop), nullptr));
-  promotion_applies_pending_ = inherited.size();
-  for (uint64_t index : inherited) {
-    shipper_.AwaitQuorum(index, [this, index]() {
-      ApplyEntry(log_.At(index));
-      applied_index_ = std::max(applied_index_, index);
-      GEOTP_CHECK(promotion_applies_pending_ > 0,
-                  "promotion barrier underflow");
-      if (--promotion_applies_pending_ == 0) FinishPromotion();
-    });
-  }
+  promotion_barrier_ = shipper_.AppendAndShip(std::move(noop), nullptr);
   ArmHeartbeatTimer();
-  // The LAST AwaitQuorum callback runs FinishPromotion — even if it fired
-  // synchronously inside the loop above (a group of one).
+  ApplyCommitted();  // a group of one has committed the no-op already
 }
 
 void Replicator::FinishPromotion() {
@@ -1029,11 +971,24 @@ void Replicator::SyncRoleState() {
 // Apply path
 // ---------------------------------------------------------------------------
 
-void Replicator::ApplyCommitted(uint64_t target) {
-  target = std::min(target, log_.last_index());
+void Replicator::ApplyCommitted() {
+  // Committed and held durably here: a replica never applies an entry its
+  // own WAL may still lose (DurableIndex never exceeds last_index()).
+  const uint64_t target =
+      std::min(commit_watermark(), shipper_.DurableIndex());
   while (applied_index_ < target) {
     ++applied_index_;
     ApplyEntry(log_.At(applied_index_));
+    while (!commit_waiters_.empty() &&
+           commit_waiters_.begin()->first <= applied_index_) {
+      std::function<void()> waiter = std::move(commit_waiters_.begin()->second);
+      commit_waiters_.erase(commit_waiters_.begin());
+      waiter();
+    }
+  }
+  if (promotion_barrier_ != 0 && applied_index_ >= promotion_barrier_) {
+    promotion_barrier_ = 0;
+    FinishPromotion();
   }
 }
 
@@ -1052,7 +1007,7 @@ void Replicator::ApplyEntry(const ReplEntry& entry) {
         // in place. It is this node's commit, counted as one.
         Status st = node_->CommitHeldBranch(entry.xid);
         if (!st.ok()) (void)engine.Rollback(entry.xid, loop()->Now());
-        node_->SettleFromLog(entry.xid.txn_id, /*committed=*/true);
+        node_->ForgetBranch(entry.xid.txn_id);
         if (st.ok()) break;
       }
       // Pure replica apply: idempotent absolute writes.
@@ -1071,7 +1026,7 @@ void Replicator::ApplyEntry(const ReplEntry& entry) {
       if (state == storage::TxnState::kPrepared ||
           state == storage::TxnState::kActive) {
         (void)engine.Rollback(entry.xid, loop()->Now());
-        node_->SettleFromLog(entry.xid.txn_id, /*committed=*/false);
+        node_->ForgetBranch(entry.xid.txn_id);
       }
       break;
     case ReplEntryType::kMigrationBegin:
@@ -1097,9 +1052,14 @@ void Replicator::OnCrash() {
     loop()->Cancel(heartbeat_timer_);
     heartbeat_timer_ = runtime::kInvalidTimer;
   }
+  // The log keeps its durable prefix: an entry whose WAL record was still
+  // pending dies with the record. Measured before the WAL drops them; the
+  // engine's crash settles the branches of the cut entries.
+  const uint64_t durable = shipper_.DurableIndex();
   election_.StepDown();
   RetireLeadership();
-  shipper_.DropFlushingFrom(0);  // the records in flight died with the node
+  CutLog(durable + 1);
+  commit_waiters_.clear();
   pending_bootstrap_.reset();  // reassembly state is volatile
 }
 

@@ -1,11 +1,14 @@
 // Replicator: per-replica actor of one replica group.
 //
 // Each DataSourceNode owning a Replicator is a member of a replica group.
-// The leader ships WAL entries (prepare / commit / abort, with write sets)
-// to the followers and reports prepare/commit durability to the middleware
-// only after a quorum of the group holds the entry. Followers apply
-// committed write sets to their local store (giving stale-bounded follower
-// reads), detect leader failure via heartbeat loss, and elect a new leader
+// The leader logs one entry per PREPARE or COMMIT record (with its write
+// set), ships it as the record goes to the WAL device, and reports
+// prepare/commit durability to the middleware only after a quorum of the
+// group holds the entry. Every replica, the leader included, applies the
+// committed prefix of its log that it holds durably, in log order: a
+// commit entry commits the branch this node holds, or writes its values to
+// the local store (giving stale-bounded follower reads). Followers detect
+// leader failure via heartbeat loss, and elect a new leader
 // deterministically (longest log wins, election timeouts staggered by
 // replica ordinal). A promoted leader installs quorum-staged prepared
 // branches into its engine as in-doubt XA branches, re-votes them to their
@@ -15,6 +18,7 @@
 #define GEOTP_REPLICATION_REPLICATOR_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -91,7 +95,7 @@ class Replicator {
   /// harness caught). The data source parks client-facing work while this
   /// is false; it clears within one follower round trip.
   bool ReadyToServe() const {
-    return !IsLeader() || promotion_applies_pending_ == 0;
+    return !IsLeader() || promotion_barrier_ == 0;
   }
 
   const ReplicationLog& log() const { return log_; }
@@ -107,31 +111,34 @@ class Replicator {
   const ElectionStats& election_stats() const { return election_.stats(); }
   const LogShipperStats& shipper_stats() const { return shipper_.stats(); }
 
-  // ----- leader-side durability hooks (called by the data source) ---------
+  // ----- durability hooks (called by the data source) ---------------------
 
-  /// Appends a prepare entry carrying the branch write set; `on_quorum`
-  /// fires once it is durable on a quorum (the vote may then be reported).
-  /// Deduplicates: a second call for the same transaction just waits.
-  void ReplicatePrepare(const Xid& xid,
-                        std::vector<protocol::ReplWrite> writes,
-                        NodeId coordinator, QuorumCallback on_quorum);
-
-  /// Appends a commit entry carrying the final write set; `on_quorum`
-  /// fires once durable, after any internally registered apply callbacks.
-  void ReplicateCommit(const Xid& xid,
-                       std::vector<protocol::ReplWrite> writes,
-                       QuorumCallback on_quorum);
+  /// On a leader, appends the entry of `xid`'s PREPARE or COMMIT record
+  /// (with the branch's write set) and returns its index, which tags the
+  /// record in the WAL: the entry ships when the record's batch goes to the
+  /// device (OnWalFlushStart), and this replica's copy counts once the
+  /// record is durable (OnWalFlushed). Returns 0 when this replica does not
+  /// lead or the transaction already has such an entry; a leader that steps
+  /// down before the record's batch starts cuts the entry again.
+  uint64_t AppendRecordEntry(protocol::ReplEntryType type, const Xid& xid,
+                             NodeId coordinator);
+  /// Group-committer hooks: a tagged record's batch went to the device; a
+  /// flush completed (this replica's durable prefix grew).
+  void OnWalFlushStart();
+  void OnWalFlushed();
 
   /// Destination-side migration ingest: a commit entry tagged with the
   /// stream position it covers (chunk or delta seq) and the chunk's
-  /// content hash, so the chunk ack the migrator sends on quorum is
-  /// journaled in the group log — and a promoted destination leader can
-  /// later decline exactly those chunks when the source re-offers them.
+  /// content hash, so the chunk ack is journaled in the group log — and a
+  /// promoted destination leader can later decline exactly those chunks
+  /// when the source re-offers them. The records apply here as on every
+  /// replica, and `on_applied` (the ack) runs once they did, if this
+  /// replica still leads then.
   void ReplicateIngest(const Xid& xid,
                        std::vector<protocol::ReplWrite> writes,
                        uint64_t migration_id, uint64_t chunk_seq,
                        uint64_t delta_seq, uint64_t content_hash,
-                       QuorumCallback on_quorum);
+                       std::function<void()> on_applied);
 
   /// Source-side migration control records (Begin / Cutover / End).
   /// Epoch-fenced like prepares: unresolved records (Begin without End)
@@ -160,21 +167,9 @@ class Replicator {
   /// transaction (followers must unstage it). Fire-and-forget.
   void ReplicateAbortIfPrepared(TxnId txn);
 
-  /// Index of the commit entry for `txn`, if one was ever appended — used
+  /// Index of the commit entry for `txn` while the log holds one — used
   /// to answer duplicate commit decisions idempotently after failover.
   std::optional<uint64_t> CommitEntryIndex(TxnId txn) const;
-  /// Ships `xid`'s kPrepare or kCommit entry as its WAL record goes to the
-  /// device (no-op if the entry exists). This replica's own copy counts
-  /// toward the quorum once NoteRecordFlushed reports the record durable;
-  /// the caller waits on the entry (AwaitQuorum) after that. A commit
-  /// entry is engine-applied on the leader only once its record flushed,
-  /// so a step-down before then leaves the entry to the apply path.
-  void ShipAtFlushStart(protocol::ReplEntryType type, const Xid& xid,
-                        std::vector<protocol::ReplWrite> writes,
-                        NodeId coordinator);
-  /// The WAL record behind `xid`'s entry of `type` is durable here (any
-  /// role). No-op when the record did not ship at flush start.
-  void NoteRecordFlushed(protocol::ReplEntryType type, const Xid& xid);
   /// Index of `txn`'s prepare entry while no commit or abort entry
   /// resolved it; 0 when there is none.
   uint64_t PrepareEntryIndex(TxnId txn) const {
@@ -183,14 +178,22 @@ class Replicator {
   void AwaitQuorum(uint64_t index, QuorumCallback on_quorum) {
     shipper_.AwaitQuorum(index, std::move(on_quorum));
   }
+  /// Runs `on_applied` once the commit entry at `index` applied here (at
+  /// once if it already has), whatever this replica's role. Dropped if the
+  /// entry is cut or the replica crashes.
+  void AwaitCommitApplied(uint64_t index, std::function<void()> on_applied);
+  /// Waiters registered by AwaitCommitApplied that have not run yet.
+  size_t commit_waiters() const { return commit_waiters_.size(); }
 
   // ----- lifecycle --------------------------------------------------------
 
   /// Consumes replication traffic. Returns false for unrelated messages.
   bool HandleMessage(runtime::MessageBase* msg);
 
-  /// Crash: timers stop, volatile shipping state drops; the log (a WAL)
-  /// and applied store survive, mirroring the engine's crash semantics.
+  /// Crash: timers stop, volatile shipping state drops, and the log keeps
+  /// only its durable prefix: entries whose WAL record was still pending
+  /// are cut. Call before the WAL drops its pending records. The applied
+  /// store survives, mirroring the engine's crash semantics.
   void OnCrash();
 
   /// Restart: rejoins as a follower and re-verifies its log against the
@@ -236,8 +239,10 @@ class Replicator {
   uint64_t LastLogEpoch() const;
   /// Group members other than this replica.
   std::vector<NodeId> Followers() const;
-  /// Folds the shipper's quorum progress into the follower-side state and
-  /// deactivates it (deposition and crash share this).
+  /// Folds the shipper's quorum progress into the follower-side state,
+  /// cuts the entries this term never shipped (their records' flush end
+  /// finds them outside the group) and deactivates the shipper (deposition
+  /// and crash share this).
   void RetireLeadership();
 
   void ArmElectionTimer(Micros delay);
@@ -245,27 +250,32 @@ class Replicator {
   void StartElection();
   void ArmHeartbeatTimer();
   void BecomeLeader();
-  /// Runs once every inherited past-watermark entry has applied (or
-  /// immediately when there were none): installs staged prepares,
-  /// announces leadership, and lets the data source drain parked work.
+  /// Runs once the log up to the term's no-op entry has applied: installs
+  /// staged prepares, announces leadership, and lets the data source drain
+  /// parked work.
   void FinishPromotion();
   /// Recreates quorum-staged prepared branches as in-doubt XA branches in
   /// the engine and re-votes them to their coordinators.
   void InstallStagedPrepares();
   void AnnounceLeadership();
 
-  /// Applies committed entries up to `target` (follower path).
-  void ApplyCommitted(uint64_t target);
+  /// Applies the entries that are committed and durable here, in log
+  /// order, and runs their commit waiters (every role).
+  void ApplyCommitted();
   void ApplyEntry(const protocol::ReplEntry& entry);
-  /// Appends one entry and maintains the prepare/commit tracking maps.
-  void AppendTracked(protocol::ReplEntry entry);
+  /// Maintains the prepare/commit/migration tracking maps for the entry
+  /// just appended at `index`, and returns `index`.
+  uint64_t Track(uint64_t index);
   /// Maintains unresolved_migrations_ for one migration record.
   void TrackMigrationRecord(protocol::ReplEntryType type,
                             uint64_t migration_id, uint64_t index);
-  /// Removes log entries >= `from` plus their tracking state, and rolls
-  /// back the local branch of every prepare or commit entry it cuts (the
-  /// group never logged it; a deposed leader may still hold the branch).
+  /// Removes log entries >= `from` plus their tracking state and commit
+  /// waiters, and rolls back the local branch of every prepare or commit
+  /// entry it cuts (the group never logged it; a deposed leader may still
+  /// hold the branch).
   void TruncateFrom(uint64_t from);
+  /// TruncateFrom without the rollbacks.
+  void CutLog(uint64_t from);
   /// Compacts the log prefix every group member has applied (bounded by
   /// unresolved prepares, which a promotion still needs to install).
   void MaybeTruncateLog();
@@ -311,6 +321,8 @@ class Replicator {
   std::unordered_map<uint64_t, MigrationTrack> unresolved_migrations_;
   /// Commit entry per transaction (for idempotent decision retries).
   common::FlatMap<TxnId, uint64_t, TxnIdHash> commit_entries_;
+  /// AwaitCommitApplied waiters by entry index, FIFO among equal ones.
+  std::multimap<uint64_t, std::function<void()>> commit_waiters_;
 
   // ----- incremental bootstrap re-seed state -----
   /// Leader side, per lagging follower: the offer currently outstanding.
@@ -334,8 +346,9 @@ class Replicator {
 
   runtime::TimerId election_timer_ = runtime::kInvalidTimer;
   runtime::TimerId heartbeat_timer_ = runtime::kInvalidTimer;
-  /// Inherited entries not yet re-quorum'd + applied (promotion barrier).
-  uint64_t promotion_applies_pending_ = 0;
+  /// The term's no-op entry until it applied here (promotion barrier);
+  /// 0 once it has, or when not promoting.
+  uint64_t promotion_barrier_ = 0;
   /// "repl.promotion" system span (BecomeLeader -> barrier cleared).
   obs::SpanHandle promotion_span_ = obs::kInvalidSpan;
   ReplicatorStats stats_;

@@ -366,12 +366,12 @@ void ShardMigrator::FenceRange(Outbound& out) {
   // retries them; post-cutover they route to the destination). PREPARED
   // branches drain: their decision resolves here and commit write sets
   // still forward as deltas. So does an active branch whose commit entry
-  // already shipped: it is decided.
+  // is in the log: it is decided.
   std::vector<TxnId> to_abort;
   for (const auto& [txn, info] : node_->branches_) {
     const Xid xid{txn, node_->logical_id()};
     if (node_->engine().StateOf(xid) != storage::TxnState::kActive ||
-        node_->CommitShipped(txn)) {
+        node_->CommitLogged(txn)) {
       continue;
     }
     for (const RecordKey& key : info.keys) {
@@ -619,21 +619,15 @@ void ShardMigrator::ApplyRecords(std::vector<ReplWrite> records,
              done = std::move(done)]() mutable {
         if (node_->crashed()) return;
         if (!still_valid()) return;  // cancelled during the ingest delay
-        // The (leader's) local store always applies directly — the
-        // replicated entry stream below only reaches followers (a leader
-        // reflects its own appends through the engine, never through
-        // ApplyEntry).
-        for (const ReplWrite& w : records) {
-          node_->engine().store().Apply(w.key, w.value);
-        }
         replication::Replicator* repl = node_->replicator();
         if (repl != nullptr && repl->IsLeader()) {
-          // Funnel through the replica group's log so followers apply the
-          // same records via the LogShipper entry stream; the ack waits
-          // for quorum durability. The entry is tagged with the stream
-          // position it covers, journaling the chunk ack itself. The
-          // synthetic xid never collides with coordinator txn ids
-          // (middleware ordinals are small; 0xFFFF is reserved).
+          // Funnel through the replica group's log: the records apply on
+          // every replica, this leader included, as the entry commits
+          // (Replicator::ApplyEntry), and the ack waits for that apply
+          // here. The entry is tagged with the stream position it covers,
+          // journaling the chunk ack itself. The synthetic xid never
+          // collides with coordinator txn ids (middleware ordinals are
+          // small; 0xFFFF is reserved).
           const Xid xid{
               MakeTxnId(0xFFFFu,
                         (static_cast<uint64_t>(node_->id()) << 24) |
@@ -643,6 +637,9 @@ void ShardMigrator::ApplyRecords(std::vector<ReplWrite> records,
                                 chunk_seq, delta_seq, content_hash,
                                 std::move(done));
           return;
+        }
+        for (const ReplWrite& w : records) {
+          node_->engine().store().Apply(w.key, w.value);
         }
         done();
       });

@@ -6,32 +6,43 @@
 
 namespace geotp {
 namespace storage {
+namespace {
+
+/// The older of two tags, 0 meaning none.
+uint64_t Older(uint64_t a, uint64_t b) {
+  return a == 0 || (b != 0 && b < a) ? b : a;
+}
+
+}  // namespace
 
 void GroupCommitter::Append(Micros fsync_cost, std::string payload,
-                            WalRecord record, DurableCallback on_durable) {
+                            DurableCallback on_durable, uint64_t tag) {
   if (!config_.enabled) {
     // Unbatched baseline: an independent fsync per entry, charged in
     // parallel (the pre-group-commit model).
     const Micros now = timer_->Now();
-    if (on_flush_start_) on_flush_start_(record);
+    unbatched_tags_.push_back(tag);
+    if (on_flush_start_) on_flush_start_(tag);
     const uint64_t generation = generation_;
     device_->Flush(std::move(payload), fsync_cost,
-                   [this, generation, now, cb = std::move(on_durable)]() {
+                   [this, generation, now, tag, cb = std::move(on_durable)]() {
                      if (generation != generation_) return;  // crashed
+                     unbatched_tags_.erase(std::find(
+                         unbatched_tags_.begin(), unbatched_tags_.end(), tag));
                      stats_.fsyncs++;
                      stats_.entries++;
                      stats_.max_batch_entries =
                          std::max<uint64_t>(stats_.max_batch_entries, 1);
                      stats_.busy_us +=
                          static_cast<uint64_t>(timer_->Now() - now);
-                     if (on_fsync_) on_fsync_();
                      cb();
+                     if (on_fsync_) on_fsync_();
                    });
     return;
   }
 
-  open_.push_back(Entry{fsync_cost, std::move(payload), record,
-                        timer_->Now(), std::move(on_durable)});
+  open_.push_back(Entry{fsync_cost, std::move(payload), tag, timer_->Now(),
+                        std::move(on_durable)});
   if (flushing_) return;  // joins the next batch when the device frees
   if (open_.size() >= config_.max_batch_size) {
     if (open_timer_ != runtime::kInvalidTimer) {
@@ -75,7 +86,7 @@ void GroupCommitter::StartFlush() {
     cost = std::max(cost, entry.cost);
     batch += entry.payload;
     stats_.queued_us += static_cast<uint64_t>(now - entry.appended_at);
-    if (on_flush_start_) on_flush_start_(entry.record);
+    if (on_flush_start_) on_flush_start_(entry.tag);
   }
   device_->Flush(std::move(batch), cost, [this, generation, now]() {
     FinishFlush(generation, now);
@@ -89,12 +100,12 @@ void GroupCommitter::FinishFlush(uint64_t generation, Micros started_at) {
   stats_.max_batch_entries =
       std::max<uint64_t>(stats_.max_batch_entries, in_flight_.size());
   stats_.busy_us += static_cast<uint64_t>(timer_->Now() - started_at);
-  if (on_fsync_) on_fsync_();
   // Waiters may append again from their callbacks; detach the batch first.
   std::vector<Entry> done = std::move(in_flight_);
   in_flight_.clear();
   flushing_ = false;
   for (Entry& entry : done) entry.on_durable();
+  if (on_fsync_) on_fsync_();
   // Entries that arrived while the device was busy have waited long
   // enough: flush them immediately, ignoring max_batch_delay.
   if (!flushing_ && !open_.empty()) {
@@ -114,7 +125,21 @@ void GroupCommitter::Reset() {
   }
   open_.clear();
   in_flight_.clear();
+  unbatched_tags_.clear();
   flushing_ = false;
+}
+
+uint64_t GroupCommitter::OldestPendingTag() const {
+  uint64_t oldest = OldestUnstartedTag();
+  for (const Entry& entry : in_flight_) oldest = Older(oldest, entry.tag);
+  for (uint64_t tag : unbatched_tags_) oldest = Older(oldest, tag);
+  return oldest;
+}
+
+uint64_t GroupCommitter::OldestUnstartedTag() const {
+  uint64_t oldest = 0;
+  for (const Entry& entry : open_) oldest = Older(oldest, entry.tag);
+  return oldest;
 }
 
 }  // namespace storage

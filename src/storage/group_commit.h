@@ -17,10 +17,10 @@
 //   * Reset() models a crash: the open batch and any in-flight flush are
 //     lost — no waiter ever fires, mirroring WAL entries that were
 //     buffered but never reached the disk.
-//   * The flush-start hook sees each entry's WalRecord as its batch goes to
-//     the device, before the flush, in append order. The owner starts work
-//     that may overlap the flush there (a replicated source ships the
-//     record to its followers).
+//   * An entry may carry an opaque tag (a replicated source: the index of
+//     the record's log entry). The flush-start hook sees each tag as its
+//     batch goes to the device, and the oldest tag not yet started or not
+//     yet durable is queryable: the committer owns what is unflushed.
 //
 // With `enabled = false` every Append schedules its own independent fsync
 // (the pre-group-commit cost model), which the benchmarks use as the
@@ -60,15 +60,6 @@ struct GroupCommitStats {
                     queued_us)
 };
 
-/// What an entry records, as the flush-start hook sees it. The committer
-/// only carries it; an owner with no use for the hook leaves it kNone.
-struct WalRecord {
-  enum class Kind : uint8_t { kNone, kPrepare, kCommit };
-  Kind kind = Kind::kNone;
-  Xid xid;
-  NodeId coordinator = kInvalidNode;  ///< kPrepare: who gets the vote
-};
-
 class GroupCommitter {
  public:
   using DurableCallback = std::function<void()>;
@@ -84,29 +75,30 @@ class GroupCommitter {
   /// flushed alone; the shared flush charges the max across the batch.
   /// `payload` is the entry's durable bytes (written to the device as part
   /// of the shared flush). `on_durable` runs when that flush completes,
-  /// never earlier.
-  void Append(Micros fsync_cost, std::string payload, WalRecord record,
-              DurableCallback on_durable);
+  /// never earlier. `tag` is opaque to the committer (0: none).
   void Append(Micros fsync_cost, std::string payload,
-              DurableCallback on_durable) {
-    Append(fsync_cost, std::move(payload), WalRecord(),
-           std::move(on_durable));
-  }
+              DurableCallback on_durable, uint64_t tag = 0);
   void Append(Micros fsync_cost, DurableCallback on_durable) {
-    Append(fsync_cost, std::string(), WalRecord(), std::move(on_durable));
+    Append(fsync_cost, std::string(), std::move(on_durable));
   }
 
   /// Crash: drops the open batch and the in-flight flush without running
   /// any waiter. Durable (already-flushed) entries are unaffected.
   void Reset();
 
-  /// Hook run once per completed flush (WAL fsync accounting).
+  /// Hook run once per completed flush, after its entries' waiters.
   void set_on_fsync(std::function<void()> hook) { on_fsync_ = std::move(hook); }
-  /// Hook run once per entry as its batch goes to the device, before the
-  /// flush, in append order; never for an entry Reset() dropped.
-  void set_on_flush_start(std::function<void(const WalRecord&)> hook) {
+  /// Hook run with each entry's tag as its batch goes to the device,
+  /// before the flush, in append order; never for an entry Reset() dropped.
+  void set_on_flush_start(std::function<void(uint64_t tag)> hook) {
     on_flush_start_ = std::move(hook);
   }
+
+  /// Smallest nonzero tag among the entries not yet durable (0: none);
+  /// unbatched flushes finish out of order, so not the first entry's.
+  uint64_t OldestPendingTag() const;
+  /// Smallest nonzero tag among the entries whose flush has not started.
+  uint64_t OldestUnstartedTag() const;
 
   const GroupCommitStats& stats() const { return stats_; }
   const GroupCommitConfig& config() const { return config_; }
@@ -116,7 +108,7 @@ class GroupCommitter {
   struct Entry {
     Micros cost;
     std::string payload;
-    WalRecord record;
+    uint64_t tag;
     Micros appended_at;
     DurableCallback on_durable;
   };
@@ -128,9 +120,10 @@ class GroupCommitter {
   runtime::IStableStorage* device_;
   GroupCommitConfig config_;
   std::function<void()> on_fsync_;
-  std::function<void(const WalRecord&)> on_flush_start_;
+  std::function<void(uint64_t)> on_flush_start_;
   std::vector<Entry> open_;       ///< batch accepting new entries
   std::vector<Entry> in_flight_;  ///< batch whose flush is on the device
+  std::vector<uint64_t> unbatched_tags_;  ///< of unbatched flushes in flight
   bool flushing_ = false;
   runtime::TimerId open_timer_ = runtime::kInvalidTimer;
   /// Bumped by Reset() so stale scheduled events become no-ops.

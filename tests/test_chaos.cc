@@ -379,7 +379,7 @@ TEST_P(DeposedMidFlushChaosTest, PartitionedLeaderKeepsReplicasOnTheLedger) {
           << repro << " (replica " << replica->id() << ")";
       EXPECT_EQ(replica->engine().ActiveCount(), 0u)
           << repro << " (replica " << replica->id() << ")";
-      EXPECT_EQ(replica->InDoubtCommits(), 0u)
+      EXPECT_EQ(replica->replicator()->commit_waiters(), 0u)
           << repro << " (replica " << replica->id() << ")";
     }
   }

@@ -194,18 +194,12 @@ class ScriptedDevice : public runtime::IStableStorage {
   uint64_t bytes_ = 0;
 };
 
-storage::WalRecord CommitRecord(TxnId txn) {
-  return storage::WalRecord{storage::WalRecord::Kind::kCommit, Xid{txn, 2},
-                            kInvalidNode};
-}
-
-/// Logs "start <txn>" for every entry the hook reports.
+/// Logs "start <tag>" for every entry the hook reports.
 void LogFlushStarts(GroupCommitter* committer,
                     std::vector<std::string>* events) {
-  committer->set_on_flush_start(
-      [events](const storage::WalRecord& record) {
-        events->push_back("start " + std::to_string(record.xid.txn_id));
-      });
+  committer->set_on_flush_start([events](uint64_t tag) {
+    events->push_back("start " + std::to_string(tag));
+  });
 }
 
 TEST(GroupCommitterTest, FlushStartHookReportsEachEntryBeforeTheFlush) {
@@ -214,9 +208,9 @@ TEST(GroupCommitterTest, FlushStartHookReportsEachEntryBeforeTheFlush) {
   ScriptedDevice device(&loop, {1000}, &events);
   GroupCommitter committer(&loop, &device, GroupCommitConfig());
   LogFlushStarts(&committer, &events);
-  for (TxnId txn = 1; txn <= 3; ++txn) {
-    committer.Append(1000, "x", CommitRecord(txn),
-                     [&events]() { events.push_back("durable"); });
+  for (uint64_t tag = 1; tag <= 3; ++tag) {
+    committer.Append(
+        1000, "x", [&events]() { events.push_back("durable"); }, tag);
   }
   // Nothing is reported while the batch is open.
   EXPECT_TRUE(events.empty());
@@ -235,12 +229,12 @@ TEST(GroupCommitterTest, FlushStartHookFollowsBacklogSplits) {
   ScriptedDevice device(&loop, {1000}, &events);
   GroupCommitter committer(&loop, &device, config);
   LogFlushStarts(&committer, &events);
-  committer.Append(1000, "x", CommitRecord(1), []() {});
+  committer.Append(1000, "x", []() {}, 1);
   // Five entries queue behind the busy device and drain two per flush;
   // each flush's entries are reported just before it, in append order.
   loop.Schedule(500, [&]() {
-    for (TxnId txn = 2; txn <= 6; ++txn) {
-      committer.Append(1000, "x", CommitRecord(txn), []() {});
+    for (uint64_t tag = 2; tag <= 6; ++tag) {
+      committer.Append(1000, "x", []() {}, tag);
     }
   });
   loop.Run();
@@ -257,8 +251,8 @@ TEST(GroupCommitterTest, FlushStartHookOnTheUnbatchedPath) {
   ScriptedDevice device(&loop, {1000}, &events);
   GroupCommitter committer(&loop, &device, config);
   LogFlushStarts(&committer, &events);
-  for (TxnId txn = 1; txn <= 3; ++txn) {
-    committer.Append(1000, "x", CommitRecord(txn), []() {});
+  for (uint64_t tag = 1; tag <= 3; ++tag) {
+    committer.Append(1000, "x", []() {}, tag);
   }
   EXPECT_EQ(events, (std::vector<std::string>{"start 1", "flush", "start 2",
                                               "flush", "start 3", "flush"}));
@@ -276,21 +270,83 @@ TEST(GroupCommitterTest, FlushStartHookNeverSeesEntriesResetDropped) {
   LogFlushStarts(&committer, &events);
   // Entry 1 flushes at 500; entry 2 waits behind it; entry 3 opens a
   // window that the crash at 800 closes. Only entry 1 ever started.
-  committer.Append(1000, "x", CommitRecord(1), []() {});
+  committer.Append(1000, "x", []() {}, 1);
   loop.Schedule(600, [&]() {
-    committer.Append(1000, "x", CommitRecord(2), []() {});
+    committer.Append(1000, "x", []() {}, 2);
   });
   loop.Schedule(700, [&]() {
-    committer.Append(1000, "x", CommitRecord(3), []() {});
+    committer.Append(1000, "x", []() {}, 3);
   });
   loop.Schedule(800, [&]() { committer.Reset(); });
   loop.Run();
   EXPECT_EQ(events, (std::vector<std::string>{"start 1", "flush"}));
   // After the crash the hook reports new entries again.
-  committer.Append(1000, "x", CommitRecord(4), []() {});
+  committer.Append(1000, "x", []() {}, 4);
   loop.Run();
   EXPECT_EQ(events, (std::vector<std::string>{"start 1", "flush", "start 4",
                                               "flush"}));
+}
+
+TEST(GroupCommitterTest, OldestTagsFollowTheBatchThroughTheDevice) {
+  sim::EventLoop loop;
+  GroupCommitConfig config;
+  config.max_batch_delay = 500;
+  std::vector<std::string> events;
+  ScriptedDevice device(&loop, {1000}, &events);
+  GroupCommitter committer(&loop, &device, config);
+  EXPECT_EQ(committer.OldestPendingTag(), 0u);
+  // An untagged entry counts for neither query.
+  committer.Append(1000, "x", []() {}, 4);
+  committer.Append(1000, "x", []() {}, 0);
+  committer.Append(1000, "x", []() {}, 5);
+  EXPECT_EQ(committer.OldestUnstartedTag(), 4u);
+  EXPECT_EQ(committer.OldestPendingTag(), 4u);
+  std::vector<std::pair<uint64_t, uint64_t>> seen;  // {unstarted, pending}
+  const auto sample = [&]() {
+    seen.emplace_back(committer.OldestUnstartedTag(),
+                      committer.OldestPendingTag());
+  };
+  loop.Schedule(600, [&]() {
+    sample();  // the batch is on the device (500-1500)
+    committer.Append(1000, "x", []() {}, 6);  // waits for the device
+    sample();
+  });
+  loop.Schedule(1600, sample);  // 6 started at 1500
+  loop.Schedule(2600, sample);  // everything durable
+  loop.Run();
+  EXPECT_EQ(seen, (std::vector<std::pair<uint64_t, uint64_t>>{
+                      {0, 4}, {6, 4}, {0, 6}, {0, 0}}));
+}
+
+TEST(GroupCommitterTest, OldestPendingTagOnTheUnbatchedPathIsTheMinimum) {
+  sim::EventLoop loop;
+  GroupCommitConfig config;
+  config.enabled = false;
+  std::vector<std::string> events;
+  // Flushes run in parallel and finish out of order: entry 1 at 1000,
+  // entry 2 at 3000, entry 3 at 1000.
+  ScriptedDevice device(&loop, {1000, 3000, 1000}, &events);
+  GroupCommitter committer(&loop, &device, config);
+  for (uint64_t tag = 1; tag <= 3; ++tag) {
+    committer.Append(1000, "x", []() {}, tag);
+  }
+  EXPECT_EQ(committer.OldestUnstartedTag(), 0u);  // every flush started
+  EXPECT_EQ(committer.OldestPendingTag(), 1u);
+  std::vector<uint64_t> pending;
+  const auto sample = [&]() {
+    pending.push_back(committer.OldestPendingTag());
+  };
+  loop.Schedule(1500, sample);
+  loop.Schedule(3500, sample);
+  loop.Run();
+  // Entries 1 and 3 are durable at 1500; entry 2, appended between them,
+  // still bounds the durable prefix.
+  EXPECT_EQ(pending, (std::vector<uint64_t>{2, 0}));
+  // A crash drops whatever is still on the device.
+  committer.Append(1000, "x", []() {}, 9);
+  EXPECT_EQ(committer.OldestPendingTag(), 9u);
+  committer.Reset();
+  EXPECT_EQ(committer.OldestPendingTag(), 0u);
 }
 
 TEST(GroupCommitterTest, CountsDeviceBusyTimeAndQueueWait) {
@@ -302,12 +358,12 @@ TEST(GroupCommitterTest, CountsDeviceBusyTimeAndQueueWait) {
   // whatever the entries' cost hints say.
   ScriptedDevice device(&loop, {700, 300}, &events);
   GroupCommitter committer(&loop, &device, config);
-  committer.Append(5000, "x", CommitRecord(1), []() {});  // flushes 200-900
+  committer.Append(5000, "x", []() {}, 1);  // flushes 200-900
   loop.Schedule(400, [&]() {
-    committer.Append(5000, "x", CommitRecord(2), []() {});
+    committer.Append(5000, "x", []() {}, 2);
   });
   loop.Schedule(500, [&]() {
-    committer.Append(5000, "x", CommitRecord(3), []() {});
+    committer.Append(5000, "x", []() {}, 3);
   });
   loop.Run();  // entries 2 and 3 flush 900-1200
   const storage::GroupCommitStats& stats = committer.stats();

@@ -467,6 +467,48 @@ TEST(MetricsRegistryTest, ReplicatedShardedClusterExportsEveryStatsStruct) {
       << "the leader shipped no log entries";
 }
 
+// ds.<id>.retained.commit_waiters counts the commit outcomes waiting for
+// their log entry to apply: one while the entry cannot reach a quorum,
+// none once it applied.
+TEST(MetricsRegistryTest, CommitWaitersGaugeTracksEntriesAwaitingApply) {
+  testing_support::MiniCluster::Options options;
+  options.replication_factor = 3;
+  testing_support::MiniCluster cluster(options);
+  obs::MetricsRegistry registry;
+  for (datasource::DataSourceNode* source : cluster.source_ptrs()) {
+    source->RegisterMetrics(&registry);
+  }
+  const auto waiters = [&registry]() {
+    const std::string json = registry.SnapshotJson();
+    const std::string needle = "\"ds.2.retained.commit_waiters\":";
+    const size_t at = json.find(needle);
+    EXPECT_NE(at, std::string::npos) << json;
+    return at == std::string::npos
+               ? -1.0
+               : std::stod(json.substr(at + needle.size()));
+  };
+  EXPECT_EQ(waiters(), 0.0);
+  // Both followers cut off for less than an election timeout: the
+  // one-phase commit's record flushes, and its entry waits for a quorum.
+  for (int k = 0; k < 2; ++k) {
+    cluster.network().Partition(cluster.follower(0, k).id());
+  }
+  cluster.SendRound(1, {testing_support::MiniCluster::Write(
+                           cluster.KeyOn(0, 5), 7)},
+                    /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+                    /*commit=*/true);
+  cluster.RunFor(30);
+  EXPECT_EQ(waiters(), 1.0);
+  EXPECT_FALSE(cluster.txn(1).has_result);
+  for (int k = 0; k < 2; ++k) {
+    cluster.network().Restore(cluster.follower(0, k).id());
+  }
+  cluster.RunFor(500);
+  EXPECT_EQ(waiters(), 0.0);
+  ASSERT_TRUE(cluster.txn(1).has_result);
+  EXPECT_TRUE(cluster.txn(1).result.ok());
+}
+
 TEST(MetricsRegistryTest, ExperimentCollectsNodeMetrics) {
   workload::ExperimentConfig config;
   config.system = workload::SystemKind::kGeoTP;

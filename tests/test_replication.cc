@@ -775,7 +775,8 @@ void ExpectGroupSettled(MiniCluster& cluster, int group, RecordKey key,
         << "replica " << replica->id();
     EXPECT_EQ(replica->engine().ActiveCount(), 0u)
         << "replica " << replica->id();
-    EXPECT_EQ(replica->InDoubtCommits(), 0u) << "replica " << replica->id();
+    EXPECT_EQ(replica->replicator()->commit_waiters(), 0u)
+        << "replica " << replica->id();
   }
 }
 
@@ -822,6 +823,61 @@ TEST(ReplicationTest, LeaderDeposedBeforeItsPrepareShipsVotesFailure) {
     ExpectGroupSettled(cluster, 0, a, 100);
     ExpectGroupSettled(cluster, 1, b, 200);
   }
+}
+
+// A term bump that re-elects the leader while its PREPARE record still
+// waits in the open batch: the step-down cut the entry, which never
+// shipped, so at flush end the prepare is outside the group although the
+// node leads again. It votes FAILURE and the transaction aborts; the
+// re-elected leader does not ship the entry late.
+TEST(ReplicationTest, ReelectedBeforeItsPrepareShipsVotesFailure) {
+  MiniCluster cluster(SlowLeaderWalOptions(400));
+  const RecordKey a = cluster.KeyOn(0, 5);
+  const RecordKey b = cluster.KeyOn(1, 6);
+  ASSERT_TRUE(cluster.RunTxn(1, {MiniCluster::Write(a, 100),
+                                 MiniCluster::Write(b, 200)})
+                  .ok());
+  cluster.RunFor(500);
+  datasource::DataSourceNode& leader = cluster.source(0);
+  const uint64_t epoch = leader.replicator()->epoch();
+
+  // A follower cut off while the group commits falls behind; back, it
+  // forces an election its stale log cannot win.
+  datasource::DataSourceNode& follower = cluster.follower(0, 0);
+  cluster.network().Partition(follower.id());
+  ASSERT_TRUE(
+      cluster.RunBundledTxn(3, {MiniCluster::Write(cluster.KeyOn(0, 7), 3)})
+          .ok());
+  cluster.SendRound(2, {MiniCluster::Write(a, 5, /*delta=*/true),
+                        MiniCluster::Write(b, 6, /*delta=*/true)},
+                    /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+                    /*commit=*/true);
+  for (int step = 0; step < 100000 && leader.committer().pending() == 0;
+       ++step) {
+    cluster.RunFor(0.1);
+  }
+  ASSERT_EQ(leader.committer().pending(), 1u);  // the PREPARE, unstarted
+  // Its entry is the log's last, not shipped yet.
+  const replication::ReplicationLog& log = leader.replicator()->log();
+  ASSERT_EQ(log.At(log.last_index()).type, protocol::ReplEntryType::kPrepare);
+  const TxnId txn = log.At(log.last_index()).xid.txn_id;
+  replication::Replicator* other = cluster.follower(0, 1).replicator();
+  ASSERT_LT(other->log().last_index(), log.last_index());
+  cluster.network().Restore(follower.id());
+  cluster.RunFor(200);
+  ASSERT_EQ(cluster.leader_of(0), &leader);
+  ASSERT_GT(leader.replicator()->epoch(), epoch);
+  ASSERT_EQ(leader.committer().pending(), 1u);  // re-elected in the window
+  EXPECT_EQ(leader.replicator()->PrepareEntryIndex(txn), 0u);
+  cluster.RunFor(3000);
+
+  ASSERT_TRUE(cluster.txn(2).has_result);
+  EXPECT_EQ(cluster.txn(2).result.message(), "participant voted FAILURE");
+  EXPECT_EQ(other->PrepareEntryIndex(txn), 0u);
+  EXPECT_EQ(cluster.dm().InFlight(), 0u);
+  EXPECT_FALSE(leader.HasBranch(txn));
+  ExpectGroupSettled(cluster, 0, a, 100);
+  ExpectGroupSettled(cluster, 1, b, 200);
 }
 
 // A leader partitioned before its PREPARE record flushes ships the entry
@@ -906,6 +962,43 @@ TEST(ReplicationTest, LeaderDeadMidFlushAfterShippingItsCommitStillCommits) {
     cluster.RunFor(3000);
     ExpectGroupSettled(cluster, 0, key, 105);
   }
+}
+
+// A crash keeps only the durable prefix of a replica's log: the COMMIT
+// entry shipped at flush start, but its record never flushed here, so the
+// restarted replica's log ends before it. The followers committed the
+// entry without the dead leader, and the rejoined replica gets it back
+// from the new leader.
+TEST(ReplicationTest, CrashCutsTheLogBackToItsDurablePrefix) {
+  MiniCluster cluster(SlowLeaderWalOptions(0, /*commit_fsync_ms=*/30));
+  const RecordKey key = cluster.KeyOn(0, 5);
+  ASSERT_TRUE(cluster.RunTxn(1, {MiniCluster::Write(key, 100)}).ok());
+  cluster.RunFor(500);
+  datasource::DataSourceNode& leader = cluster.source(0);
+  replication::Replicator* follower = cluster.follower(0, 0).replicator();
+  const uint64_t durable = leader.replicator()->log().last_index();
+
+  cluster.SendRound(2, {MiniCluster::Write(key, 5, /*delta=*/true)},
+                    /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+                    /*commit=*/true);
+  for (int step = 0; step < 100000 && follower->log().last_index() == durable;
+       ++step) {
+    cluster.RunFor(0.01);
+  }
+  ASSERT_EQ(follower->log().last_index(), durable + 1);
+  ASSERT_EQ(leader.replicator()->log().last_index(), durable + 1);
+  ASSERT_EQ(leader.committer().pending(), 1u);  // still flushing
+  leader.Crash();
+  EXPECT_EQ(leader.replicator()->log().last_index(), durable);
+  cluster.RunFor(3000);
+  EXPECT_EQ(leader.replicator()->log().last_index(), durable);
+
+  ASSERT_TRUE(cluster.txn(2).has_result);
+  EXPECT_TRUE(cluster.txn(2).result.ok()) << cluster.txn(2).result.ToString();
+  leader.Restart();
+  cluster.RunFor(3000);
+  EXPECT_GT(leader.replicator()->log().last_index(), durable);
+  ExpectGroupSettled(cluster, 0, key, 105);
 }
 
 // A leader partitioned while its COMMIT record waits in the open batch
