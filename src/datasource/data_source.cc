@@ -260,19 +260,23 @@ void DataSourceNode::DropUnloggedBranches() {
 }
 
 Status DataSourceNode::CommitHeldBranch(const Xid& xid) {
-  // Capture the write set before Commit releases it: an active outbound
-  // migration forwards the intersecting writes to the shard's destination
-  // as deltas. Only a leader runs the stream.
-  const bool forward = migrator_->WantsCommittedWrites() &&
-                       (replicator_ == nullptr || replicator_->IsLeader());
-  std::vector<std::pair<RecordKey, int64_t>> migrating_writes;
-  if (forward) migrating_writes = engine_.WriteSetOf(xid);
+  // Capture the write set before Commit releases it.
+  std::vector<std::pair<RecordKey, int64_t>> writes;
+  if (ForwardsCommittedWrites()) writes = engine_.WriteSetOf(xid);
   Status st = engine_.Commit(xid, loop()->Now());
-  if (st.ok()) {
-    stats_.commits++;
-    if (forward) migrator_->OnCommittedWrites(migrating_writes);
-  }
+  if (st.ok()) NoteCommitted(writes);
   return st;
+}
+
+bool DataSourceNode::ForwardsCommittedWrites() const {
+  return migrator_->WantsCommittedWrites() &&
+         (replicator_ == nullptr || replicator_->IsLeader());
+}
+
+void DataSourceNode::NoteCommitted(
+    const std::vector<std::pair<RecordKey, int64_t>>& writes) {
+  stats_.commits++;
+  if (ForwardsCommittedWrites()) migrator_->OnCommittedWrites(writes);
 }
 
 bool DataSourceNode::CommitLogged(TxnId txn) const {
@@ -837,19 +841,38 @@ void DataSourceNode::CommitBranch(const Xid& xid,
   // prepare/commit records (group commit).
   const obs::SpanHandle fsync_span =
       BeginBranchSpan(xid.txn_id, "ds.commit_fsync");
+  std::string record = "COMMIT xid=" + xid.ToString() + "\n";
+  if (replicator_ == nullptr) {
+    // Early lock release: the branch commits in the engine as its record
+    // joins the batch, and only its outcome waits for the flush. The
+    // committer makes records durable in append order, so a transaction
+    // that takes these locks cannot vote or be answered before this
+    // commit is durable. The write set is read before the release: a
+    // migration forwards it at the flush's end, when later writers may
+    // have changed the rows.
+    std::vector<std::pair<RecordKey, int64_t>> writes =
+        engine_.WriteSetOf(xid);
+    Status st = engine_.CommitEarly(xid, loop()->Now());
+    committer_.Append(
+        config_.engine.commit_fsync_cost, std::move(record),
+        [this, xid, fsync_span, st = std::move(st),
+         writes = std::move(writes), done = std::move(done)]() mutable {
+          EndBranchSpan(fsync_span);
+          if (crashed_) return;
+          engine_.CommitDurable(xid);
+          if (st.ok()) NoteCommitted(writes);
+          ForgetBranch(xid.txn_id);
+          done(std::move(st));
+        });
+    return;
+  }
   const uint64_t tag =
       AppendRecordEntry(ReplEntryType::kCommit, xid, kInvalidNode);
   committer_.Append(
-      config_.engine.commit_fsync_cost, "COMMIT xid=" + xid.ToString() + "\n",
+      config_.engine.commit_fsync_cost, std::move(record),
       [this, xid, fsync_span, done = std::move(done)]() mutable {
         EndBranchSpan(fsync_span);
         if (crashed_) return;
-        if (replicator_ == nullptr) {
-          Status st = CommitHeldBranch(xid);
-          ForgetBranch(xid.txn_id);
-          done(std::move(st));
-          return;
-        }
         if (const auto index = replicator_->CommitEntryIndex(xid.txn_id)) {
           // The log holds the commit entry (it shipped with this record
           // or an earlier one): the group's log decides. Its apply here

@@ -295,10 +295,15 @@ class DataSourceNode {
   /// Drops `txn` from branches_ once its branch is resolved here.
   void ForgetBranch(TxnId txn);
   /// Commits the branch of `xid` held here and does a commit's
-  /// bookkeeping: counts it, and (on a leader) hands its write set to an
-  /// active outbound migration. Shared by CommitBranch and the replicated
-  /// log's apply of a commit entry for a branch this node still holds.
+  /// bookkeeping (NoteCommitted). The replicated log's apply of a commit
+  /// entry for a branch this node still holds goes through here.
   Status CommitHeldBranch(const Xid& xid);
+  /// True while an outbound migration needs committed write sets and this
+  /// node runs its stream (a leader, or an unreplicated source).
+  bool ForwardsCommittedWrites() const;
+  /// A commit's bookkeeping once it is durable: counts it, and hands its
+  /// write set to an active outbound migration as a delta.
+  void NoteCommitted(const std::vector<std::pair<RecordKey, int64_t>>& writes);
   /// True while this replica's log holds `txn`'s commit entry: the branch
   /// is decided, and nothing here may roll it back.
   bool CommitLogged(TxnId txn) const;
@@ -356,7 +361,9 @@ class DataSourceNode {
   void OnDecision(const protocol::DecisionItem& item, NodeId coordinator);
   /// Commits the branch (XA COMMIT, one- or two-phase): the COMMIT record
   /// joins the WAL device's open batch (span ds.commit_fsync). Without
-  /// replication the engine commits when the flush ends. With it, a
+  /// replication the engine commits as the record is appended, releasing
+  /// the branch's locks (TransactionEngine::CommitEarly), and `done`, the
+  /// commit's bookkeeping and ForgetBranch wait for the flush. With it, a
   /// leader logs the commit entry with the record, the entry ships as the
   /// record goes to the device, and the branch commits when the entry
   /// applies here: once it is on a quorum and the record is durable (span

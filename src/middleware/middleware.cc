@@ -143,6 +143,11 @@ void MiddlewareNode::AttachMetrics(obs::MetricsRegistry* registry) {
   registry->RegisterGauge(prefix + "inflight", [this]() {
     return static_cast<double>(txns_.size());
   });
+  registry->RegisterGauge(prefix + "settling", [this]() {
+    return static_cast<double>(std::count_if(
+        txns_.begin(), txns_.end(),
+        [](const auto& entry) { return entry.second.answered; }));
+  });
   registry->RegisterGauge(prefix + "dispatch_depth", [this]() {
     return static_cast<double>(MaxDispatchDepth());
   });
@@ -236,18 +241,6 @@ void MiddlewareNode::BeginPrepareSpan(Txn& txn) {
   if (!txn.trace.valid() || txn.prepare_span != obs::kInvalidSpan) return;
   txn.prepare_span = obs::GlobalTracer().BeginSpan(
       txn.trace, "dm.prepare_wait", id_, loop()->Now());
-}
-
-void MiddlewareNode::CloseTxnSpans(Txn& txn, Micros now) {
-  obs::Tracer& tracer = obs::GlobalTracer();
-  for (obs::SpanHandle* h : {&txn.analysis_span, &txn.prepare_span,
-                             &txn.fsync_span, &txn.commit_span,
-                             &txn.root_span}) {
-    if (*h != obs::kInvalidSpan) {
-      tracer.EndSpan(*h, now);
-      *h = obs::kInvalidSpan;
-    }
-  }
 }
 
 MiddlewareNode::Txn* MiddlewareNode::FindTxn(TxnId id) {
@@ -772,6 +765,13 @@ void MiddlewareNode::FlushLogAndDispatch(Txn& txn, bool commit) {
     log_.FindOrInsert(id) = commit;  // a later decision overwrites
     stats_.log_entries_flushed++;
     DispatchDecision(*txn, commit, /*one_phase=*/false);
+    // GeoTP answers a commit here: every branch is durably prepared and the
+    // decision is durable, so the outcome is fixed. The transaction settles
+    // (FinishTxn) on its last DecisionAck. SSP answers only then, as an XA
+    // commit() returns after phase 2.
+    if (commit && config_.commit_protocol == CommitProtocol::kDecentralized) {
+      if (Txn* settling = FindTxn(id)) AnswerClient(*settling, true);
+    }
   });
 }
 
@@ -966,8 +966,29 @@ void MiddlewareNode::CheckAbortDone(Txn& txn) {
 // ---------------------------------------------------------------------------
 
 void MiddlewareNode::FinishTxn(Txn& txn, bool committed) {
+  if (!txn.answered) AnswerClient(txn, committed);
+  // Settle: the commit phase (and its span) ends with the last ack.
   const Micros now = loop()->Now();
-  CloseTxnSpans(txn, now);
+  if (committed && txn.ts_decision > 0) {
+    breakdown_.Record(metrics::TxnPhase::kCommit, now - txn.ts_decision);
+  }
+  if (txn.commit_span != obs::kInvalidSpan) {
+    obs::GlobalTracer().EndSpan(txn.commit_span, now);
+  }
+  txns_.erase(txn.id);
+}
+
+void MiddlewareNode::AnswerClient(Txn& txn, bool committed) {
+  txn.answered = true;
+  const Micros now = loop()->Now();
+  obs::Tracer& tracer = obs::GlobalTracer();
+  for (obs::SpanHandle* h : {&txn.analysis_span, &txn.prepare_span,
+                             &txn.fsync_span, &txn.root_span}) {
+    if (*h != obs::kInvalidSpan) {
+      tracer.EndSpan(*h, now);
+      *h = obs::kInvalidSpan;
+    }
+  }
   // Release footprint charges for participants whose execute response
   // never arrived (dispatch skipped mid-abort, or settled early) so a_cnt
   // does not leak — a leaked a_cnt drives Eq. 9 to 1 permanently.
@@ -987,9 +1008,6 @@ void MiddlewareNode::FinishTxn(Txn& txn, bool committed) {
       breakdown_.Record(metrics::TxnPhase::kPrepare,
                         std::max<Micros>(0, txn.ts_votes - txn.ts_commit_req));
     }
-    if (txn.ts_decision > 0) {
-      breakdown_.Record(metrics::TxnPhase::kCommit, now - txn.ts_decision);
-    }
   } else {
     stats_.aborted++;
   }
@@ -1008,7 +1026,6 @@ void MiddlewareNode::FinishTxn(Txn& txn, bool committed) {
   if (config_.overload.enabled()) {
     admission_.Release(txn.tenant);
   }
-  txns_.erase(txn.id);
 }
 
 // ---------------------------------------------------------------------------

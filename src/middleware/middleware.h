@@ -174,7 +174,8 @@ class MiddlewareNode {
   const DecisionLog& decision_log() const { return log_; }
   runtime::ITimer* loop() { return timer_; }
 
-  /// Number of transactions currently coordinated (in any phase).
+  /// Number of transactions currently coordinated (in any phase, including
+  /// answered commits still waiting for their DecisionAcks).
   size_t InFlight() const { return txns_.size(); }
 
   /// Overload-control state (budget occupancy, shed counters).
@@ -230,7 +231,7 @@ class MiddlewareNode {
   struct Txn {
     TxnId id = kInvalidTxn;
     uint64_t client_tag = 0;
-    uint32_t tenant = 0;  ///< admission accounting; released at FinishTxn
+    uint32_t tenant = 0;  ///< admission accounting; released at the answer
     NodeId client = kInvalidNode;
     Phase phase = Phase::kExecuting;
     std::map<NodeId, Participant> participants;
@@ -242,6 +243,9 @@ class MiddlewareNode {
     /// when the round completes, and its result carries the round's reads.
     bool commit_on_round = false;
     bool aborting = false;
+    /// The client has its result; the transaction only settles (a GeoTP
+    /// commit waits for its DecisionAcks after the answer).
+    bool answered = false;
     /// Whether the dispatched commit was one-phase (failover retries must
     /// re-send the same flavour; the commit/abort direction is the phase).
     bool decision_one_phase = false;
@@ -318,7 +322,12 @@ class MiddlewareNode {
   void DispatchDecision(Txn& txn, bool commit, bool one_phase);
   void StartAbort(Txn& txn, Status status);
   void CheckAbortDone(Txn& txn);
+  /// Settles the transaction: answers the client unless that was done,
+  /// records the commit phase, and forgets the transaction.
   void FinishTxn(Txn& txn, bool committed);
+  /// Sends the client its result and does the outcome's accounting. The
+  /// dm.txn span ends here; dm.commit stays open until FinishTxn.
+  void AnswerClient(Txn& txn, bool committed);
 
   // ----- coalesced dispatch -----------------------------------------------
   /// Queue a prepare/decision for `dest`; everything queued within one
@@ -341,8 +350,6 @@ class MiddlewareNode {
   /// Opens the "dm.prepare_wait" span (no-op when the transaction is
   /// unsampled or the span is already open).
   void BeginPrepareSpan(Txn& txn);
-  /// Closes every DM-side span the transaction still holds open.
-  void CloseTxnSpans(Txn& txn, Micros now);
 
   Txn* FindTxn(TxnId id);
   /// Participants whose branch began at a source. A participant served by

@@ -292,7 +292,6 @@ struct ReplEntry {
   /// staged prepares to it after failover.
   NodeId coordinator = kInvalidNode;
   std::vector<ReplWrite> writes;
-  Micros at = 0;  ///< leader virtual time at append
   /// Migration control payload — set on kMigration* entries only, shared
   /// (immutable) so the rare control records don't inflate every commit
   /// entry in the replicated log.
@@ -313,7 +312,7 @@ struct ReplEntry {
   /// the uncompressed wire payload) — the identity the decline handshake
   /// compares against the source's re-offer. 0 for deltas.
   uint64_t ingest_content_hash = 0;
-  GEOTP_WIRE_FIELDS(index, epoch, type, xid, coordinator, at, writes, migration,
+  GEOTP_WIRE_FIELDS(index, epoch, type, xid, coordinator, writes, migration,
                     ingest_migration_id, ingest_chunk_seq, ingest_delta_seq,
                     ingest_content_hash)
 };

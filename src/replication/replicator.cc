@@ -159,7 +159,6 @@ uint64_t Replicator::AppendRecordEntry(ReplEntryType type, const Xid& xid,
   entry.xid = xid;
   entry.coordinator = coordinator;
   entry.writes = node_->engine().WriteSetOf<protocol::ReplWrite>(xid);
-  entry.at = loop()->Now();
   return Track(shipper_.Append(std::move(entry)));
 }
 
@@ -182,7 +181,6 @@ void Replicator::ReplicateIngest(const Xid& xid,
   entry.type = ReplEntryType::kCommit;
   entry.xid = xid;
   entry.writes = std::move(writes);
-  entry.at = loop()->Now();
   entry.ingest_migration_id = migration_id;
   entry.ingest_chunk_seq = chunk_seq;
   entry.ingest_delta_seq = delta_seq;
@@ -217,7 +215,6 @@ void Replicator::ReplicateMigrationRecord(
   entry.type = type;
   entry.xid = Xid{kInvalidTxn, group_.logical};
   entry.migration = std::make_shared<protocol::MigrationRecord>(record);
-  entry.at = loop()->Now();
   Track(shipper_.AppendAndShip(std::move(entry), std::move(on_quorum)));
 }
 
@@ -247,7 +244,6 @@ void Replicator::ReplicateAbortIfPrepared(TxnId txn) {
   ReplEntry entry;
   entry.type = ReplEntryType::kAbort;
   entry.xid = log_.At(staged).xid;
-  entry.at = loop()->Now();
   Track(shipper_.AppendAndShip(std::move(entry), nullptr));
 }
 
@@ -874,7 +870,6 @@ void Replicator::BecomeLeader() {
   ReplEntry noop;
   noop.type = ReplEntryType::kNoop;
   noop.xid = Xid{kInvalidTxn, group_.logical};
-  noop.at = loop()->Now();
   promotion_barrier_ = shipper_.AppendAndShip(std::move(noop), nullptr);
   ArmHeartbeatTimer();
   ApplyCommitted();  // a group of one has committed the no-op already

@@ -139,10 +139,16 @@ Status TransactionEngine::Prepare(const Xid& xid, Micros /*now*/) {
 std::vector<std::pair<RecordKey, int64_t>>
 TransactionEngine::CommittedRecords(
     const std::function<bool(const RecordKey&)>& filter) const {
-  // At most one live branch can hold the exclusive lock on a key, so its
-  // OLDEST undo entry (vector order) carries the pre-branch committed
-  // value.
+  // A key's writers not yet durable are the released one-phase commits
+  // (oldest first), then at most one live branch holding the exclusive
+  // lock. The OLDEST undo entry across them carries the durable value.
   std::unordered_map<RecordKey, int64_t, RecordKeyHash> uncommitted;
+  for (const auto& [xid, undo_entries] : undurable_) {
+    for (const UndoEntry& undo : undo_entries) {
+      if (filter && !filter(undo.key)) continue;
+      uncommitted.emplace(undo.key, undo.old_value);  // keeps the oldest
+    }
+  }
   for (const auto& [xid, data] : txns_) {
     std::unordered_map<RecordKey, int64_t, RecordKeyHash> first_undo;
     for (const UndoEntry& undo : data.undo) {
@@ -196,6 +202,26 @@ Status TransactionEngine::Commit(const Xid& xid, Micros /*now*/) {
   return Status::OK();
 }
 
+Status TransactionEngine::CommitEarly(const Xid& xid, Micros now) {
+  TxnData* data = Find(xid);
+  // A one-phase commit keeps its undo entries until its record is durable;
+  // Commit refuses (and undurable_ skips) a branch with an op in flight.
+  if (data != nullptr && data->state == TxnState::kActive &&
+      data->pending_request == kInvalidLockRequest) {
+    undurable_.emplace_back(xid, std::move(data->undo));
+  }
+  return Commit(xid, now);
+}
+
+void TransactionEngine::CommitDurable(const Xid& xid) {
+  for (auto it = undurable_.begin(); it != undurable_.end(); ++it) {
+    if (it->first == xid) {
+      undurable_.erase(it);
+      return;
+    }
+  }
+}
+
 Status TransactionEngine::Rollback(const Xid& xid, Micros /*now*/) {
   TxnData* data = Find(xid);
   if (data == nullptr) return Status::OK();  // idempotent
@@ -232,6 +258,16 @@ void TransactionEngine::Crash(Micros now) {
   for (const Xid& xid : to_abort) {
     (void)Rollback(xid, now);
   }
+  // A branch that wrote over a released commit logs its PREPARE after
+  // that COMMIT record, so it cannot be PREPARED while the commit is not
+  // durable: it was rolled back above. Undo the released commits, newest
+  // first.
+  for (auto it = undurable_.rbegin(); it != undurable_.rend(); ++it) {
+    for (auto undo = it->second.rbegin(); undo != it->second.rend(); ++undo) {
+      store_.Put(undo->key, undo->old_value);
+    }
+  }
+  undurable_.clear();
 }
 
 std::vector<Xid> TransactionEngine::PreparedXids() const {

@@ -10,7 +10,9 @@
 // Writes are applied in place under exclusive locks with undo entries
 // (strict 2PL, as in InnoDB); Rollback undoes them in reverse order.
 // Commit is also allowed straight from ACTIVE to model the XA one-phase
-// commit used for centralized transactions.
+// commit used for centralized transactions. CommitEarly commits before
+// the COMMIT record is durable (early lock release); a one-phase commit
+// released that way keeps its undo entries until CommitDurable.
 //
 // The engine is time-free: durations (execution cost, fsync cost) are a
 // *cost model* the data-source node charges on the event loop. Only lock
@@ -19,6 +21,7 @@
 #define GEOTP_STORAGE_ENGINE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -129,6 +132,21 @@ class TransactionEngine {
   /// one-phase path). Releases all locks.
   Status Commit(const Xid& xid, Micros now);
 
+  /// Commit with early lock release, before the branch's COMMIT record is
+  /// durable: its writes become visible and its locks go at once. A
+  /// PREPARED branch finishes as in Commit, since its durable PREPARE and
+  /// the coordinator's durable decision already fix its outcome. An ACTIVE
+  /// branch (a one-phase commit) keeps its undo entries until
+  /// CommitDurable: a Crash before then undoes it, and CommittedRecords
+  /// still treats it as live. The caller makes COMMIT records durable in
+  /// the order it called this, so a branch that takes a released lock
+  /// logs its own record after the commit it read.
+  Status CommitEarly(const Xid& xid, Micros now);
+
+  /// The COMMIT record of a branch committed by CommitEarly is durable:
+  /// drops the undo entries it kept (a no-op for any other branch).
+  void CommitDurable(const Xid& xid);
+
   /// Rolls back: undoes writes, cancels pending lock requests, releases
   /// locks. Legal from ACTIVE or PREPARED; idempotent on ABORTED.
   Status Rollback(const Xid& xid, Micros now);
@@ -137,7 +155,9 @@ class TransactionEngine {
   TxnState StateOf(const Xid& xid) const;
 
   /// Crash simulation: every non-prepared transaction is rolled back
-  /// (paper §V-A setting ❷); PREPARED branches survive as in-doubt.
+  /// (paper §V-A setting ❷); PREPARED branches survive as in-doubt. Then
+  /// the one-phase commits whose records were not durable are undone,
+  /// newest first.
   void Crash(Micros now);
 
   /// In-doubt branches after a crash/restart, for coordinator recovery.
@@ -169,6 +189,9 @@ class TransactionEngine {
   LockManager locks_;
   Wal wal_;
   std::unordered_map<Xid, TxnData, XidHash> txns_;
+  /// One-phase commits released by CommitEarly whose records are not yet
+  /// durable, oldest first, with their undo entries.
+  std::deque<std::pair<Xid, std::vector<UndoEntry>>> undurable_;
 };
 
 template <class Write>

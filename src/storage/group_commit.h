@@ -14,6 +14,11 @@
 //   * Every waiter is acked (its `on_durable` runs) only at flush
 //     completion; the flush duration is the max of the batch's per-entry
 //     costs, so a batch of one behaves exactly like an unbatched fsync.
+//   * Waiters run in append order, on both paths: an entry is durable only
+//     once every entry appended before it is. Callers rely on this: a data
+//     source releases a committing branch's locks as its COMMIT record is
+//     appended, so a transaction that took those locks appends its own
+//     record later and cannot be acked before the commit it read.
 //   * Reset() models a crash: the open batch and any in-flight flush are
 //     lost — no waiter ever fires, mirroring WAL entries that were
 //     buffered but never reached the disk.
@@ -24,11 +29,13 @@
 //
 // With `enabled = false` every Append schedules its own independent fsync
 // (the pre-group-commit cost model), which the benchmarks use as the
-// unbatched baseline.
+// unbatched baseline. Those fsyncs run in parallel and may finish out of
+// order; a finished entry's waiter is held until the earlier ones ran.
 #ifndef GEOTP_STORAGE_GROUP_COMMIT_H_
 #define GEOTP_STORAGE_GROUP_COMMIT_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -94,8 +101,7 @@ class GroupCommitter {
     on_flush_start_ = std::move(hook);
   }
 
-  /// Smallest nonzero tag among the entries not yet durable (0: none);
-  /// unbatched flushes finish out of order, so not the first entry's.
+  /// Smallest nonzero tag among the entries not yet durable (0: none).
   uint64_t OldestPendingTag() const;
   /// Smallest nonzero tag among the entries whose flush has not started.
   uint64_t OldestUnstartedTag() const;
@@ -113,8 +119,18 @@ class GroupCommitter {
     DurableCallback on_durable;
   };
 
+  /// An entry of the unbatched path: its own fsync, and whether it ended.
+  struct Unbatched {
+    uint64_t tag;
+    bool flushed;
+    DurableCallback on_durable;
+  };
+
   void StartFlush();
   void FinishFlush(uint64_t generation, Micros started_at);
+  /// Runs the waiters of the unbatched entries whose fsync ended, oldest
+  /// first, up to the first one still on the device.
+  void DeliverUnbatched();
 
   runtime::ITimer* timer_;
   runtime::IStableStorage* device_;
@@ -123,7 +139,8 @@ class GroupCommitter {
   std::function<void(uint64_t)> on_flush_start_;
   std::vector<Entry> open_;       ///< batch accepting new entries
   std::vector<Entry> in_flight_;  ///< batch whose flush is on the device
-  std::vector<uint64_t> unbatched_tags_;  ///< of unbatched flushes in flight
+  std::deque<Unbatched> unbatched_;  ///< not yet durable, in append order
+  uint64_t unbatched_base_ = 0;      ///< sequence number of unbatched_[0]
   bool flushing_ = false;
   runtime::TimerId open_timer_ = runtime::kInvalidTimer;
   /// Bumped by Reset() so stale scheduled events become no-ops.

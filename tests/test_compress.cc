@@ -112,7 +112,6 @@ std::string FixedEntryBatch() {
     e.epoch = 3;
     e.xid = Xid{9000 + i, 2};
     e.coordinator = 1;
-    e.at = static_cast<Micros>(1000 * i);
     const auto value = static_cast<int64_t>(100 + i % 4);
     e.writes.push_back(ReplWrite{RecordKey{1, 5000 + 7 * i}, value});
     e.writes.push_back(ReplWrite{RecordKey{2, 64 + i}, -5});
@@ -134,21 +133,18 @@ std::string BlockCompress(const std::string& raw) {
 // buffer were reused across calls.
 TEST(BlockCodec, PinnedBytesOfAnEntryBatch) {
   EXPECT_EQ(Hex(BlockCompress(FixedEntryBatch())),
-            "620c000000290001001203070042000129230a00930200000001000000e81a00"
-            "041000228f132000126507001000180013410c0022fbff0100030f000f070007"
-            "132a1b00035c003b00012a760022d0072200005e000086001396760012661700"
-            "01760013420c000f760016132b31000576001b2b760022b80b2200047600139d"
-            "76001267170001760013430c000f760016132c31000576001b2c760022a00f22"
-            "0004760013a476001264170001760013440c000f760016132d31000576001b2d"
-            "76001388660004760013ab100008d801134545000f760016132e31000576001b"
-            "2e7600227017220004760013b2760008d801124623001f00760016132f310005"
-            "76001b2f760022581b220004760013b9760008d801124723000f760017133031"
-            "000576001b30760022401f220004760013c0760008d801124823000f76001713"
-            "3131000576001b3176001b28100013c7760008d801134945000f620116133231"
-            "000576001b326600221027220004ec0013ce760008d801124a23000fec001713"
-            "3331000576001b33760013f8480404760013d5760008d801134b45000fec0016"
-            "133431000576001b34760013e0e60204760013dc760008d801134c45000f7600"
-            "16");
+            "620c000000290001001203070042000129230a00840200000001000000080022"
+            "8f1318001265070001180013410c0022fbff0100030f000f070007132a1b0005"
+            "6e001f2a6e000413966e001366310000860013420c000f6e0016132b3100056e"
+            "001f2b6e0004139d6e0013673100006e0013430c000f6e0016132c3100056e00"
+            "1f2c6e000413a46e0013643100006e0013440c000f6e0016132d3100056e001f"
+            "2d6e000413ab6e0008b80113453d000f6e0016132e3100056e001f2e6e000413"
+            "b26e0008b80113463d000f6e0016132f3100056e001f2f6e000413b96e0008b8"
+            "0113473d000f6e001613303100056e001f306e000413c06e0008b80113483d00"
+            "0f6e001613313100056e001f316e000413c76e0008b80113493d000f6e001613"
+            "323100056e001f326e000413ce6e0008b801134a3d000f6e001613333100056e"
+            "001f336e000413d56e0008b801134b3d000f6e001613343100056e001f346e00"
+            "0413dc6e0008b801134c3d000f6e0016");
 }
 
 // Reused per-thread state must not leak from one call into the next. B
@@ -319,7 +315,6 @@ TEST(WanCodec, EntriesRoundTrip) {
     e.type = protocol::ReplEntryType::kCommit;
     e.xid = Xid{100 + i, 2};
     e.coordinator = 1;
-    e.at = static_cast<Micros>(i * 17);
     for (uint64_t j = 0; j < i % 5; ++j) {
       e.writes.push_back(ReplWrite{RecordKey{1, i * 10 + j},
                                    static_cast<int64_t>(j)});

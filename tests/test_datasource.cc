@@ -428,6 +428,61 @@ TEST_F(DataSourceTest, CrashDropsMessagesAndAbortsActive) {
   EXPECT_EQ(exec_responses_.size(), 1u);
 }
 
+TEST_F(DataSourceTest, CommitDecisionReleasesLocksBeforeItsRecordFlushes) {
+  // T100 prepares on DS1; T200 parks on its exclusive lock.
+  SendExecute(1, 100, {Write(RecordKey{1, 1}, 1)}, true, {2});
+  loop_.Run();
+  ASSERT_EQ(votes_.size(), 1u);
+  ASSERT_EQ(votes_[0].vote, Vote::kPrepared);
+  SendExecute(1, 200, {Write(RecordKey{1, 1}, 2)}, false);
+  loop_.RunUntil(loop_.Now() + MsToMicros(10));
+  ASSERT_TRUE(ds1_->engine().HasPendingOp(Xid{200, 1}));
+  // The decision reaches DS1 5 ms after it leaves, and its COMMIT record
+  // then flushes for 1 ms. Halfway through that flush T200 already runs.
+  const Micros arrives = loop_.Now() + MsToMicros(5);
+  SendDecision(1, 100, /*commit=*/true, /*one_phase=*/false);
+  loop_.RunUntil(arrives + 500);
+  EXPECT_FALSE(ds1_->engine().HasPendingOp(Xid{200, 1}));
+  EXPECT_EQ(ds1_->engine().store().Get(RecordKey{1, 1})->value, 2);
+  // The commit is counted, and acked, only once its record is durable.
+  EXPECT_EQ(ds1_->stats().commits, 0u);
+  loop_.Run();
+  ASSERT_EQ(acks_.size(), 1u);
+  EXPECT_TRUE(acks_[0].committed);
+  EXPECT_EQ(ds1_->stats().commits, 1u);
+  ASSERT_EQ(exec_responses_.size(), 2u);
+  EXPECT_TRUE(exec_responses_[1].status.ok());
+}
+
+TEST_F(DataSourceTest, CrashUndoesOnePhaseCommitsWhoseRecordsWereLost) {
+  ds1_->engine().store().Put(RecordKey{1, 2}, 5);
+  // T100 commits one-phase, and its record flushes.
+  SendExecute(1, 100, {Write(RecordKey{1, 1}, 10)}, true, {}, true, 0,
+              /*commit_one_phase=*/true);
+  loop_.Run();
+  ASSERT_EQ(exec_responses_.size(), 1u);
+  ASSERT_TRUE(exec_responses_[0].committed);
+  // T200 commits one-phase on key 2 and releases its lock as its record
+  // joins the WAL (its flush runs 420-1420 us after arrival). T300, parked
+  // on that lock, adds 7 and appends its own record at 840 us, behind the
+  // busy device.
+  const Micros arrives = loop_.Now() + MsToMicros(5);
+  SendExecute(1, 200, {Write(RecordKey{1, 2}, 20)}, true, {}, true, 0,
+              /*commit_one_phase=*/true);
+  ClientOp add = Write(RecordKey{1, 2}, 7);
+  add.is_delta = true;
+  SendExecute(1, 300, {add}, true, {}, true, 0, /*commit_one_phase=*/true);
+  loop_.RunUntil(arrives + 1000);
+  EXPECT_EQ(ds1_->engine().store().Get(RecordKey{1, 2})->value, 27);
+  ds1_->Crash();
+  // Neither record was durable: both commits are undone. T100's stays.
+  EXPECT_EQ(ds1_->engine().store().Get(RecordKey{1, 2})->value, 5);
+  EXPECT_EQ(ds1_->engine().store().Get(RecordKey{1, 1})->value, 10);
+  loop_.Run();
+  EXPECT_EQ(exec_responses_.size(), 1u);  // no result for T200 or T300
+  EXPECT_EQ(ds1_->stats().commits, 1u);
+}
+
 TEST_F(DataSourceTest, OnCoordinatorFailureAbortsOnlyUnprepared) {
   SendExecute(1, 100, {Write(RecordKey{1, 1}, 1)}, true, {2});  // prepares
   SendExecute(1, 200, {Write(RecordKey{1, 2}, 2)}, false);      // active

@@ -210,6 +210,70 @@ TEST_F(EngineTest, CrashAbortsActiveKeepsPrepared) {
   EXPECT_EQ(engine_.store().Get(K(5))->value, 1);
 }
 
+TEST_F(EngineTest, EarlyOnePhaseCommitIsLiveUntilDurable) {
+  engine_.store().Put(K(5), 1);
+  ASSERT_TRUE(engine_.Begin(T(1)).ok());
+  ASSERT_TRUE(Exec(T(1), WriteOp(5, 7)).ok());
+  ASSERT_TRUE(engine_.CommitEarly(T(1), 10).ok());
+  // The write is visible and the lock is free at once...
+  ASSERT_TRUE(engine_.Begin(T(2)).ok());
+  int64_t read = 0;
+  ASSERT_TRUE(Exec(T(2), ReadOp(5), &read).ok());
+  EXPECT_EQ(read, 7);
+  ASSERT_TRUE(Exec(T(2), WriteOp(5, 9)).ok());
+  // ...but no snapshot ships it before its record is durable.
+  const auto value_of_5 = [this]() {
+    for (const auto& [key, value] : engine_.CommittedRecords()) {
+      if (key == K(5)) return value;
+    }
+    return int64_t{-1};
+  };
+  EXPECT_EQ(value_of_5(), 1);
+  engine_.CommitDurable(T(1));
+  EXPECT_EQ(value_of_5(), 7);  // T2 is still live
+  ASSERT_TRUE(engine_.Commit(T(2), 20).ok());
+  EXPECT_EQ(value_of_5(), 9);
+}
+
+TEST_F(EngineTest, CrashUndoesEarlyCommitsThatAreNotDurable) {
+  engine_.store().Put(K(5), 1);
+  // T1 and T2 commit early over each other; T3 writes over both and is
+  // still active. T4 commits early and its record is durable.
+  ASSERT_TRUE(engine_.Begin(T(1)).ok());
+  ASSERT_TRUE(Exec(T(1), WriteOp(5, 7)).ok());
+  ASSERT_TRUE(engine_.CommitEarly(T(1), 10).ok());
+  ASSERT_TRUE(engine_.Begin(T(2)).ok());
+  ASSERT_TRUE(Exec(T(2), WriteOp(5, 9)).ok());
+  ASSERT_TRUE(Exec(T(2), WriteOp(6, 4)).ok());
+  ASSERT_TRUE(engine_.CommitEarly(T(2), 11).ok());
+  ASSERT_TRUE(engine_.Begin(T(3)).ok());
+  ASSERT_TRUE(Exec(T(3), WriteOp(5, 11)).ok());
+  ASSERT_TRUE(engine_.Begin(T(4)).ok());
+  ASSERT_TRUE(Exec(T(4), WriteOp(7, 3)).ok());
+  ASSERT_TRUE(engine_.CommitEarly(T(4), 12).ok());
+  engine_.CommitDurable(T(4));
+
+  engine_.Crash(20);
+
+  EXPECT_EQ(engine_.store().Get(K(5))->value, 1);
+  EXPECT_EQ(engine_.store().Get(K(6))->value, 0);
+  EXPECT_EQ(engine_.store().Get(K(7))->value, 3);
+  EXPECT_EQ(engine_.ActiveCount(), 0u);
+}
+
+TEST_F(EngineTest, EarlyCommitOfAPreparedBranchIsFinal) {
+  ASSERT_TRUE(engine_.Begin(T(1)).ok());
+  ASSERT_TRUE(Exec(T(1), WriteOp(5, 7)).ok());
+  ASSERT_TRUE(engine_.Prepare(T(1), 10).ok());
+  ASSERT_TRUE(engine_.CommitEarly(T(1), 20).ok());
+  // Its outcome was already fixed: snapshots ship it, and a crash keeps it.
+  const auto records = engine_.CommittedRecords();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].second, 7);
+  engine_.Crash(30);
+  EXPECT_EQ(engine_.store().Get(K(5))->value, 7);
+}
+
 TEST_F(EngineTest, DeadlockVictimGetsAborted) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(engine_.Begin(T(2)).ok());

@@ -160,6 +160,39 @@ TEST(GroupCommitterTest, DisabledModeFsyncsEveryEntryIndependently) {
   EXPECT_EQ(committer.stats().fsyncs, 4u);
 }
 
+TEST(GroupCommitterTest, DurableCallbacksRunInAppendOrderOnBothPaths) {
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "unbatched");
+    sim::EventLoop loop;
+    GroupCommitConfig config;
+    config.enabled = batched;
+    config.max_batch_size = 2;
+    runtime::SimStableStorage device(&loop);
+    GroupCommitter committer(&loop, &device, config);
+    std::vector<int> order;
+    std::vector<Micros> done_at;
+    // A PREPARE-sized record, then records that would flush faster alone.
+    const Micros costs[] = {2000, 1000, 1500, 1000};
+    for (int i = 0; i < 4; ++i) {
+      committer.Append(costs[i], [&, i]() {
+        order.push_back(i);
+        done_at.push_back(loop.Now());
+      });
+    }
+    loop.Run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    if (batched) {
+      // Two batches of two on the serial device.
+      EXPECT_EQ(done_at, (std::vector<Micros>{2000, 2000, 3500, 3500}));
+    } else {
+      // Parallel fsyncs: the faster ones wait for the first to end.
+      EXPECT_EQ(done_at, (std::vector<Micros>{2000, 2000, 2000, 2000}));
+      EXPECT_EQ(committer.stats().fsyncs, 4u);
+      EXPECT_EQ(committer.stats().busy_us, 2000u + 1000u + 1500u + 1000u);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Flush-start hook and device-time counters
 // ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ TEST(MiddlewareTest, DecentralizedPrepareSavesAWanRoundTrip) {
 
 TEST(MiddlewareTest, VotesArriveBeforeCommitRequest) {
   // With decentralized prepare the votes are already at the DM when the
-  // client's COMMIT arrives; the commit phase costs one WAN round trip.
+  // client's COMMIT arrives, and the DM answers once its decision is
+  // durable: the commit costs the decision-log flush, no WAN round trip.
   MiniCluster cluster(WithDm(MiddlewareConfig::GeoTPO1()));
   cluster.SendRound(1, {
       MiniCluster::Write(cluster.KeyOn(0, 1), 1),
@@ -135,9 +136,53 @@ TEST(MiddlewareTest, VotesArriveBeforeCommitRequest) {
   cluster.SendCommit(1);
   cluster.RunFor(3000);
   const Micros total = cluster.txn(1).result_at - round_done;
-  // Commit phase ~ 1 RTT to the slowest source (100ms) + fsyncs + LAN.
-  EXPECT_LT(total, MsToMicros(115));
-  EXPECT_GT(total, MsToMicros(95));
+  // Client <-> DM LAN hops plus one decision-log flush (0.5 ms).
+  EXPECT_LT(total, MsToMicros(2));
+  EXPECT_GE(total, 500);
+}
+
+TEST(MiddlewareTest, GeoTpAnswersOnceTheDecisionIsDurable) {
+  // The client gets its result when the decision-log flush ends; the DM
+  // keeps the transaction, settling, until the last DecisionAck.
+  MiniCluster cluster(WithDm(MiddlewareConfig::GeoTPO1()));
+  cluster.SendRound(1, {
+      MiniCluster::Write(cluster.KeyOn(0, 1), 1),
+      MiniCluster::Write(cluster.KeyOn(1, 1), 2),
+  }, true);
+  cluster.RunFor(3000);
+  cluster.SendCommit(1);
+  cluster.RunFor(2);  // the decisions are still on the WAN
+  ASSERT_TRUE(cluster.txn(1).has_result);
+  EXPECT_TRUE(cluster.txn(1).result.ok());
+  EXPECT_EQ(cluster.dm().stats().committed, 1u);
+  EXPECT_EQ(cluster.source(0).stats().commits, 0u);
+  EXPECT_EQ(cluster.source(1).stats().commits, 0u);
+  EXPECT_EQ(cluster.dm().InFlight(), 1u);
+  cluster.RunFor(20);  // source 0 (10 ms away) acked, source 1 not yet
+  EXPECT_EQ(cluster.source(0).stats().commits, 1u);
+  EXPECT_EQ(cluster.dm().InFlight(), 1u);
+  cluster.RunFor(200);
+  EXPECT_EQ(cluster.source(1).stats().commits, 1u);
+  EXPECT_EQ(cluster.dm().InFlight(), 0u);
+  EXPECT_EQ(cluster.dm().stats().committed, 1u);
+}
+
+TEST(MiddlewareTest, SspAnswersAfterEveryDecisionAck) {
+  // An XA commit() returns after phase 2: SSP keeps its answer point.
+  MiniCluster cluster(WithDm(MiddlewareConfig::SSP()));
+  cluster.SendRound(1, {
+      MiniCluster::Write(cluster.KeyOn(0, 1), 1),
+      MiniCluster::Write(cluster.KeyOn(1, 1), 2),
+  }, true);
+  cluster.RunFor(3000);
+  const Micros commit_at = cluster.loop().Now();
+  cluster.SendCommit(1);
+  cluster.RunFor(3000);
+  ASSERT_TRUE(cluster.txn(1).has_result);
+  EXPECT_TRUE(cluster.txn(1).result.ok());
+  // Prepare round plus decision round to the 100 ms source.
+  EXPECT_GT(cluster.txn(1).result_at - commit_at, MsToMicros(200));
+  EXPECT_EQ(cluster.dm().InFlight(), 0u);
 }
 
 TEST(MiddlewareTest, DispatchSendsNoEmptyEnvelopes) {

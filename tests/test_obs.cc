@@ -509,6 +509,40 @@ TEST(MetricsRegistryTest, CommitWaitersGaugeTracksEntriesAwaitingApply) {
   EXPECT_TRUE(cluster.txn(1).result.ok());
 }
 
+// dm.<n>.settling counts the commits answered but not yet acked by every
+// participant; dm.<n>.inflight still counts them.
+TEST(MetricsRegistryTest, SettlingGaugeTracksAnsweredCommitsAwaitingAcks) {
+  testing_support::MiniCluster::Options options;
+  options.dm = middleware::MiddlewareConfig::GeoTPO1();
+  testing_support::MiniCluster cluster(options);
+  obs::MetricsRegistry registry;
+  cluster.dm().AttachMetrics(&registry);
+  const auto gauge = [&registry](const std::string& name) {
+    const std::string json = registry.SnapshotJson();
+    const std::string needle = "\"dm.0." + name + "\":";
+    const size_t at = json.find(needle);
+    EXPECT_NE(at, std::string::npos) << json;
+    return at == std::string::npos
+               ? -1.0
+               : std::stod(json.substr(at + needle.size()));
+  };
+  EXPECT_EQ(gauge("settling"), 0.0);
+  cluster.SendRound(1, {testing_support::MiniCluster::Write(
+                            cluster.KeyOn(0, 5), 7),
+                        testing_support::MiniCluster::Write(
+                            cluster.KeyOn(1, 5), 8)},
+                    /*last_round=*/true);
+  cluster.RunFor(3000);
+  cluster.SendCommit(1);
+  cluster.RunFor(2);
+  ASSERT_TRUE(cluster.txn(1).has_result);
+  EXPECT_EQ(gauge("settling"), 1.0);
+  EXPECT_EQ(gauge("inflight"), 1.0);
+  cluster.RunFor(500);
+  EXPECT_EQ(gauge("settling"), 0.0);
+  EXPECT_EQ(gauge("inflight"), 0.0);
+}
+
 TEST(MetricsRegistryTest, ExperimentCollectsNodeMetrics) {
   workload::ExperimentConfig config;
   config.system = workload::SystemKind::kGeoTP;

@@ -352,7 +352,6 @@ protocol::ReplEntry SampleEntry(bool with_migration) {
   entry.coordinator = 1;
   entry.writes.push_back(protocol::ReplWrite{RecordKey{1, 5}, 50});
   entry.writes.push_back(protocol::ReplWrite{RecordKey{1, 6}, -3});
-  entry.at = 12345;
   if (with_migration) {
     protocol::MigrationRecord record;
     record.migration_id = 8;
@@ -869,16 +868,16 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "0e00030000000900000001080706050403020111000000000000002200000000"
      "0000000200000003000000000000000a00000000000000020000000000000002"
      "0000000b000000000000000200000000000000014d0000000000000003000000"
-     "0100000039300000000000000200000001000000050000000000000032000000"
-     "00000000010000000600000000000000fdffffffffffffff0008000000000000"
-     "0002000000000000000000000000000000157c4a7fb979379e0b000000000000"
-     "000200000000000000044d000000000000000300000001000000393000000000"
-     "0000020000000100000005000000000000003200000000000000010000000600"
-     "000000000000fdffffffffffffff010800000000000000010000006400000000"
-     "000000c80000000000000004000000090000000000000005000000060000000a"
-     "000000000000000100000020a107000000000004000000000000000800000000"
-     "00000002000000000000000600000000000000157c4a7fb979379e0900000000"
-     "00000005000000000000000128000000efcdab0000000000020000007a7a"},
+     "0100000002000000010000000500000000000000320000000000000001000000"
+     "0600000000000000fdffffffffffffff00080000000000000002000000000000"
+     "000000000000000000157c4a7fb979379e0b0000000000000002000000000000"
+     "00044d0000000000000003000000010000000200000001000000050000000000"
+     "00003200000000000000010000000600000000000000fdffffffffffffff0108"
+     "00000000000000010000006400000000000000c8000000000000000400000009"
+     "0000000000000005000000060000000a000000000000000100000020a1070000"
+     "0000000400000000000000080000000000000002000000000000000600000000"
+     "000000157c4a7fb979379e090000000000000005000000000000000128000000"
+     "efcdab0000000000020000007a7a"},
     {MessageType::kReplAppendAck,
      "0f00030000000900000001080706050403020111000000000000002200000000"
      "0000000200000003000000000000000c0000000000000000"},
@@ -1020,15 +1019,15 @@ TEST(RuntimeCodecTest, WanPackersMatchTheirGoldenBytes) {
   entries[1].ingest_delta_seq = 6;
   EXPECT_EQ(Hex(protocol::PackEntries(entries)),
       "020000000b000000000000000200000000000000014d00000000000000030000"
-      "0001000000393000000000000002000000010000000500000000000000320000"
-      "0000000000010000000600000000000000fdffffffffffffff00080000000000"
-      "000002000000000000000000000000000000157c4a7fb979379e0b0000000000"
-      "00000200000000000000044d0000000000000003000000010000003930000000"
-      "0000000200000001000000050000000000000032000000000000000100000006"
-      "00000000000000fdffffffffffffff0108000000000000000100000064000000"
-      "00000000c8000000000000000400000009000000000000000500000006000000"
-      "0a000000000000000100000020a1070000000000040000000000000008000000"
-      "0000000002000000000000000600000000000000157c4a7fb979379e");
+      "0001000000020000000100000005000000000000003200000000000000010000"
+      "000600000000000000fdffffffffffffff000800000000000000020000000000"
+      "00000000000000000000157c4a7fb979379e0b00000000000000020000000000"
+      "0000044d00000000000000030000000100000002000000010000000500000000"
+      "0000003200000000000000010000000600000000000000fdffffffffffffff01"
+      "0800000000000000010000006400000000000000c80000000000000004000000"
+      "090000000000000005000000060000000a000000000000000100000020a10700"
+      "0000000004000000000000000800000000000000020000000000000006000000"
+      "00000000157c4a7fb979379e");
   EXPECT_EQ(Hex(protocol::PackWrites(entries[1].writes)),
       "0200000001000000050000000000000032000000000000000100000006000000"
       "00000000fdffffffffffffff");
