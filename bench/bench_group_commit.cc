@@ -3,8 +3,8 @@
 // The paper's Fig. 6 cost breakdown shows durability (the XA PREPARE and
 // COMMIT fsyncs) dominating data-source time. This bench quantifies how
 // much of that cost group commit amortizes: for each terminal count it
-// runs the unbatched baseline (one independent fsync per record, the
-// pre-group-commit model) against group commit at several batch-delay
+// runs the unbatched baseline (one fsync per record on the same serial
+// log device: max_batch_size = 1) against group commit at several batch-delay
 // settings, reporting committed throughput, mean latency, WAL entries vs
 // physical fsyncs, and fsyncs per committed transaction.
 //
@@ -46,7 +46,7 @@ ExperimentResult RunOne(int terminals, bool batching, Micros batch_delay) {
   config.ycsb.theta = 0.7;
   config.ycsb.distributed_ratio = 0.2;
   config.ds_tweak = [batching, batch_delay](datasource::DataSourceConfig* ds) {
-    ds->group_commit.enabled = batching;
+    if (!batching) ds->group_commit.max_batch_size = 1;
     ds->group_commit.max_batch_delay = batch_delay;
   };
   return RunTracked(config);
@@ -95,7 +95,6 @@ WanResult RunWanShipping(bool compressed) {
   deployment.groups = topo.groups;
   gen.RegisterTables(&deployment.catalog);
   deployment.ds_tweak = [compressed](NodeId, datasource::DataSourceConfig* ds) {
-    ds->group_commit.enabled = true;
     ds->wan_compression = compressed;
   };
   const std::unique_ptr<workload::Cluster> cluster =

@@ -230,11 +230,9 @@ int main() {
           ? 0.0
           : static_cast<double>(mig.wan_bytes_raw) /
                 static_cast<double>(mig.wan_bytes_wire);
-  std::printf(
-      "wan: raw_bytes=%llu wire_bytes=%llu ratio=%.2f chunks_declined=%llu\n",
-      static_cast<unsigned long long>(mig.wan_bytes_raw),
-      static_cast<unsigned long long>(mig.wan_bytes_wire), wan_ratio,
-      static_cast<unsigned long long>(mig.chunks_declined));
+  std::printf("wan: raw_bytes=%llu wire_bytes=%llu ratio=%.2f\n",
+              static_cast<unsigned long long>(mig.wan_bytes_raw),
+              static_cast<unsigned long long>(mig.wan_bytes_wire), wan_ratio);
 
   const bool sweep_pass =
       headline_p50_gain >= 0.20 || headline_dist_gain >= 0.20;

@@ -9,10 +9,10 @@
 // instead of the plain vectors. The hash is computed over the UNCOMPRESSED
 // packed bytes, so a receiver verifies end-to-end integrity after
 // decompression (a truncated or bit-flipped frame is dropped, never
-// applied) and — for migration chunks — the same hash doubles as the
-// chunk's identity in the incremental re-seed handshake (ShardSeedOffer /
-// ShardSeedDecline): equal hash means the destination already holds the
-// chunk byte-for-byte and declines the retransfer.
+// applied). The same hash identifies a store span in the follower
+// bootstrap handshake (ShardSeedOffer / ShardSeedDecline): equal hash
+// means the follower already holds the span byte-for-byte and declines
+// the retransfer.
 //
 // There is no negotiation: `wan_compression` is a sender-side deployment
 // knob (SenderCodec), and every receiver decodes whatever codec a frame
@@ -29,7 +29,7 @@ namespace geotp {
 namespace common {
 
 /// FNV-1a 64-bit content hash. Not cryptographic — it guards against
-/// corruption and identifies chunk content for re-seed declines, both
+/// corruption and identifies store spans for bootstrap declines, both
 /// within one trusted deployment.
 uint64_t ContentHash64(const void* data, size_t len);
 inline uint64_t ContentHash64(const std::string& bytes) {

@@ -154,12 +154,13 @@ void DataSourceNode::RegisterMetrics(obs::MetricsRegistry* registry) {
   });
 }
 
-void DataSourceNode::OnIngestApplied(uint64_t migration_id,
-                                     uint64_t chunk_seq, uint64_t delta_seq,
-                                     uint64_t content_hash) {
-  migrator_->NoteIngestApplied(migration_id, chunk_seq, delta_seq,
-                               content_hash);
+void DataSourceNode::OnIngestApplied(
+    uint64_t migration_id, uint64_t chunk_seq, uint64_t delta_seq,
+    const std::vector<protocol::ReplWrite>& writes) {
+  migrator_->NoteIngestApplied(migration_id, chunk_seq, delta_seq, writes);
 }
+
+void DataSourceNode::OnLogWiped() { migrator_->ForgetIngestJournal(); }
 
 uint64_t DataSourceNode::AppendRecordEntry(ReplEntryType type,
                                            const Xid& xid,
@@ -393,15 +394,12 @@ bool DataSourceNode::ParkedDuringPromotion(runtime::MessageType type) {
     case runtime::MessageType::kShardMigrateRequest:
     // Destination-side ingest raw-applies to the store; admitted during
     // the barrier it would race the deferred inherited-entry applies just
-    // like an exec would. (Bootstrap snapshots — migration_id 0 — are
-    // consumed by the Replicator before parking is consulted.)
+    // like an exec would, and the stream position it lifts from the
+    // ingest journal would trail what the group already applied.
+    // (Bootstrap snapshots — migration_id 0 — are consumed by the
+    // Replicator before parking is consulted.)
     case runtime::MessageType::kShardSnapshotChunk:
     case runtime::MessageType::kShardDeltaBatch:
-    // A seed offer answered during the barrier would consult an ingest
-    // journal the deferred inherited-entry applies are still extending —
-    // the decline would under-claim and chunks would re-cross the WAN.
-    case runtime::MessageType::kShardSeedOffer:
-    case runtime::MessageType::kShardSeedDecline:
       return true;
     default:
       return false;

@@ -212,10 +212,14 @@ class DataSourceNode {
 
   /// Replicator hook, apply path: a migration-ingest commit entry was
   /// applied on this replica. Feeds the migrator's per-migration ingest
-  /// journal, which is what lets a freshly promoted destination leader
-  /// decline already-held chunks when the source re-offers the stream.
+  /// journal, from which a freshly promoted destination leader resumes
+  /// the stream the source re-sends after a re-point.
   void OnIngestApplied(uint64_t migration_id, uint64_t chunk_seq,
-                       uint64_t delta_seq, uint64_t content_hash);
+                       uint64_t delta_seq,
+                       const std::vector<protocol::ReplWrite>& writes);
+  /// Replicator hook: the log was wiped for a bootstrap re-seed, so the
+  /// ingest journal built from its entries goes too.
+  void OnLogWiped();
 
  private:
   friend class sharding::ShardMigrator;

@@ -299,22 +299,16 @@ struct ReplEntry {
   /// Destination-side chunk-ack journaling: a commit entry that installs a
   /// migration ingest (snapshot chunk or delta batch) is tagged with the
   /// migration id and the stream position it covers, so the group log
-  /// records exactly which ack each quorum backed. Followers fold the tags
-  /// into a per-migration ingest journal (ShardMigrator::NoteIngestApplied)
-  /// — that journal is what a promoted destination leader declines from
-  /// when the source re-offers the stream (ShardSeedOffer), replacing the
-  /// balancer's timeout-cancel with resume-by-hash. 0 = not a migration
-  /// ingest.
+  /// records exactly which ack each quorum backed. Every replica folds the
+  /// tags into a per-migration ingest journal
+  /// (ShardMigrator::NoteIngestApplied); a promoted destination leader
+  /// lifts its stream position from it and skips the chunks and deltas
+  /// the source re-sends after a re-point. 0 = not a migration ingest.
   uint64_t ingest_migration_id = 0;
   uint64_t ingest_chunk_seq = 0;  ///< snapshot chunk seq (0 for deltas)
   uint64_t ingest_delta_seq = 0;  ///< delta batch seq (0 for chunks)
-  /// Content hash of the chunk's packed records (common::ContentHash64 of
-  /// the uncompressed wire payload) — the identity the decline handshake
-  /// compares against the source's re-offer. 0 for deltas.
-  uint64_t ingest_content_hash = 0;
   GEOTP_WIRE_FIELDS(index, epoch, type, xid, coordinator, writes, migration,
-                    ingest_migration_id, ingest_chunk_seq, ingest_delta_seq,
-                    ingest_content_hash)
+                    ingest_migration_id, ingest_chunk_seq, ingest_delta_seq)
 };
 
 /// Leader -> follower log shipping. Empty `entries` is a heartbeat; both
@@ -475,11 +469,9 @@ struct ShardSnapshotChunk : runtime::Message<ShardSnapshotChunk> {
   std::vector<ReplWrite> records;
   // ---- WAN envelope (src/common/compress.h) ----
   // Non-empty `payload` replaces `records` on the wire (packed via
-  // protocol::PackWrites, optionally compressed). `content_hash` is always
-  // set — even on raw chunks — because beyond integrity it is the chunk's
-  // identity in the re-seed handshake: the destination journals it with
-  // the ingest (ReplEntry::ingest_content_hash) and declines the chunk
-  // when the source re-offers the same hash after a failover.
+  // protocol::PackWrites, compressed); `content_hash` lets the receiver
+  // verify it after decompression. Sealing stamps the hash on raw chunks
+  // too, where nothing reads it.
   common::WireCodec payload_codec = common::WireCodec::kRaw;
   uint32_t payload_uncompressed_len = 0;
   uint64_t content_hash = 0;  ///< hash of the packed (uncompressed) records
@@ -544,13 +536,11 @@ struct ShardMigrateAborted : runtime::Message<ShardMigrateAborted> {
   GEOTP_WIRE_FIELDS(migration_id)
 };
 
-/// One chunk's identity in an incremental re-seed offer: its stream
+/// One chunk's identity in a follower bootstrap offer: its stream
 /// sequence, the content hash of its packed records, and the key span it
-/// covered. Migration re-offers replay the ORIGINAL per-chunk hashes the
-/// source retained, so a destination that journaled the ingest declines
-/// exactly. Bootstrap offers are built fresh from the leader's store; the
-/// key span lets the follower hash its own records over [lo, hi] and
-/// decline spans it already holds byte-for-byte.
+/// covers. The offer is built fresh from the leader's store; the key span
+/// lets the follower hash its own records over [lo, hi] and decline spans
+/// it already holds byte-for-byte.
 struct SeedDigest {
   uint64_t seq = 0;   ///< 1-based chunk sequence
   uint64_t hash = 0;  ///< ContentHash64 of the packed records
@@ -560,43 +550,25 @@ struct SeedDigest {
   GEOTP_WIRE_FIELDS(seq, hash, lo, hi, last)
 };
 
-/// Source -> destination: "this is the chunk stream; decline what you
-/// hold". Two users, like ShardSnapshotChunk:
-///  * migration resume (migration_id != 0): sent by the source leader when
-///    the balancer re-points a mid-stream migration at a freshly promoted
-///    destination leader. The digests are the chunks already sent (their
-///    original hashes); the new leader declines the prefix its replicated
-///    ingest journal confirms and the stream resumes after it — no
-///    timeout-cancel, no full re-copy.
-///  * follower bootstrap (migration_id == 0): sent by the group leader
-///    to re-seed a follower. base_index/base_epoch position the
-///    follower's log once every non-declined chunk has been applied.
+/// Group leader -> follower whose log was compacted away: "this is the
+/// chunked store; decline what you hold". base_index/base_epoch position
+/// the follower's log once every non-declined chunk has been applied.
 struct ShardSeedOffer : runtime::Message<ShardSeedOffer> {
-  uint64_t migration_id = 0;
-  NodeId group = kInvalidNode;  ///< dest logical group / repl group id
-  sharding::ShardRange range;   ///< moving range (migration only)
+  NodeId group = kInvalidNode;  ///< replica group id
   uint64_t epoch = 0;           ///< sender's leadership epoch
-  uint64_t base_index = 0;      ///< bootstrap only (see ShardSnapshotChunk)
+  uint64_t base_index = 0;      ///< see ShardSnapshotChunk
   uint64_t base_epoch = 0;
   std::vector<SeedDigest> digests;
-  GEOTP_WIRE_FIELDS(migration_id, group, range, epoch, base_index, base_epoch,
-                    digests)
+  GEOTP_WIRE_FIELDS(group, epoch, base_index, base_epoch, digests)
 };
 
-/// Destination -> source: the chunks (by seq) the receiver already holds
-/// and therefore declines, plus its resume state. Everything NOT declined
-/// is (re)sent. Also the natural carrier of the receiver's credit for the
-/// resumed stream.
+/// Follower -> group leader: the chunks (by seq) the follower already
+/// holds and therefore declines. Everything not declined is sent.
 struct ShardSeedDecline : runtime::Message<ShardSeedDecline> {
-  uint64_t migration_id = 0;
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;  ///< receiver's epoch (stale offers die here)
   std::vector<uint64_t> declined;  ///< chunk seqs held, ascending
-  /// Migration resume: highest contiguously applied delta batch — the
-  /// source resends its unacked deltas past this.
-  uint64_t delta_seq = 0;
-  uint64_t credit = 1;  ///< flow-control grant for the resumed stream
-  GEOTP_WIRE_FIELDS(migration_id, group, epoch, declined, delta_seq, credit)
+  GEOTP_WIRE_FIELDS(group, epoch, declined)
 };
 
 /// Balancer -> every DM and data-source replica: authoritative shard map.

@@ -90,8 +90,6 @@ EnvelopeBytes SealChunkPayload(common::WireCodec codec,
   EnvelopeBytes bytes;
   const std::string raw = PackWrites(chunk->records);
   bytes.raw = raw.size();
-  // Always set: the hash is the chunk's identity in the re-seed
-  // handshake, whatever codec the chunk ships under.
   chunk->content_hash = common::ContentHash64(raw);
   if (codec == common::WireCodec::kRaw) {
     bytes.wire = raw.size();

@@ -27,8 +27,8 @@ namespace geotp {
 namespace protocol {
 
 /// Canonical packed form of a record vector (20 bytes per write). The
-/// ContentHash64 of these bytes is a chunk's identity in the re-seed
-/// handshake, so the encoding must stay deterministic.
+/// ContentHash64 of these bytes is a chunk's identity in the follower
+/// bootstrap handshake, so the encoding must stay deterministic.
 std::string PackWrites(const std::vector<ReplWrite>& writes);
 bool UnpackWrites(const std::string& bytes, std::vector<ReplWrite>* writes);
 
@@ -80,8 +80,7 @@ EnvelopeBytes SealAppendPayload(common::WireCodec codec,
 /// recovers).
 bool OpenAppendPayload(ReplAppendRequest* req);
 
-/// Chunk counterpart. `content_hash` is set unconditionally (it is the
-/// chunk's re-seed identity even on raw frames).
+/// Chunk counterpart.
 EnvelopeBytes SealChunkPayload(common::WireCodec codec,
                                ShardSnapshotChunk* chunk);
 bool OpenChunkPayload(ShardSnapshotChunk* chunk);

@@ -174,7 +174,7 @@ void Replicator::OnWalFlushed() {
 void Replicator::ReplicateIngest(const Xid& xid,
                                  std::vector<protocol::ReplWrite> writes,
                                  uint64_t migration_id, uint64_t chunk_seq,
-                                 uint64_t delta_seq, uint64_t content_hash,
+                                 uint64_t delta_seq,
                                  std::function<void()> on_applied) {
   GEOTP_CHECK(IsLeader(), "ReplicateIngest on non-leader");
   ReplEntry entry;
@@ -184,7 +184,6 @@ void Replicator::ReplicateIngest(const Xid& xid,
   entry.ingest_migration_id = migration_id;
   entry.ingest_chunk_seq = chunk_seq;
   entry.ingest_delta_seq = delta_seq;
-  entry.ingest_content_hash = content_hash;
   // The ack is the term's, like a quorum callback: a replica that lost the
   // leadership leaves the stream to the next leader.
   AwaitCommitApplied(Track(shipper_.AppendAndShip(std::move(entry), nullptr)),
@@ -299,18 +298,12 @@ bool Replicator::HandleMessage(runtime::MessageBase* msg) {
     }
     case runtime::MessageType::kShardSeedOffer: {
       const auto& offer = static_cast<protocol::ShardSeedOffer&>(*msg);
-      if (offer.migration_id != 0 || offer.group != group_.logical) {
-        return false;  // migration-resume offer: the ShardMigrator handles it
-      }
-      OnSeedOffer(offer);
+      if (offer.group == group_.logical) OnSeedOffer(offer);
       return true;
     }
     case runtime::MessageType::kShardSeedDecline: {
       const auto& decline = static_cast<protocol::ShardSeedDecline&>(*msg);
-      if (decline.migration_id != 0 || decline.group != group_.logical) {
-        return false;
-      }
-      OnSeedDecline(decline);
+      if (decline.group == group_.logical) OnSeedDecline(decline);
       return true;
     }
     default:
@@ -594,7 +587,6 @@ void Replicator::SendBootstrapSnapshot(NodeId follower) {
   auto offer = std::make_unique<protocol::ShardSeedOffer>();
   offer->from = self();
   offer->to = follower;
-  offer->migration_id = 0;  // bootstrap, not a shard migration
   offer->group = group_.logical;
   offer->epoch = election_.epoch();
   offer->base_index = stream.base_index;
@@ -640,7 +632,6 @@ void Replicator::OnSeedOffer(const protocol::ShardSeedOffer& offer) {
   auto decline = std::make_unique<protocol::ShardSeedDecline>();
   decline->from = self();
   decline->to = offer.from;
-  decline->migration_id = 0;
   decline->group = group_.logical;
   decline->epoch = election_.epoch();
   PendingBootstrap pending;
@@ -775,6 +766,7 @@ void Replicator::WipeForBootstrap() {
   commit_entries_.clear();
   unresolved_migrations_.clear();
   pending_bootstrap_.reset();
+  node_->OnLogWiped();
   // NOTE: the committed store is deliberately KEPT (only the log device
   // is gone). The next seed offer hashes it span by span, so everything
   // journaled before the wipe comes back as declined chunks instead of
@@ -1009,12 +1001,12 @@ void Replicator::ApplyEntry(const ReplEntry& entry) {
       for (const protocol::ReplWrite& w : entry.writes) {
         engine.store().Apply(w.key, w.value);
       }
-      // Migration-ingest provenance: feed the migrator's journal so a
-      // promoted destination leader can decline re-offered chunks.
+      // Migration-ingest provenance: feed the migrator's journal, from
+      // which a promoted destination leader resumes the stream.
       if (entry.ingest_migration_id != 0) {
         node_->OnIngestApplied(entry.ingest_migration_id,
                                entry.ingest_chunk_seq, entry.ingest_delta_seq,
-                               entry.ingest_content_hash);
+                               entry.writes);
       }
       break;
     case ReplEntryType::kAbort:

@@ -128,17 +128,15 @@ class Replicator {
   void OnWalFlushed();
 
   /// Destination-side migration ingest: a commit entry tagged with the
-  /// stream position it covers (chunk or delta seq) and the chunk's
-  /// content hash, so the chunk ack is journaled in the group log — and a
-  /// promoted destination leader can later decline exactly those chunks
-  /// when the source re-offers them. The records apply here as on every
-  /// replica, and `on_applied` (the ack) runs once they did, if this
-  /// replica still leads then.
+  /// stream position it covers (chunk or delta seq), so the ack is
+  /// journaled in the group log and a promoted destination leader resumes
+  /// the stream past it. The records apply here as on every replica, and
+  /// `on_applied` (the ack) runs once they did, if this replica still
+  /// leads then.
   void ReplicateIngest(const Xid& xid,
                        std::vector<protocol::ReplWrite> writes,
                        uint64_t migration_id, uint64_t chunk_seq,
-                       uint64_t delta_seq, uint64_t content_hash,
-                       std::function<void()> on_applied);
+                       uint64_t delta_seq, std::function<void()> on_applied);
 
   /// Source-side migration control records (Begin / Cutover / End).
   /// Epoch-fenced like prepares: unresolved records (Begin without End)

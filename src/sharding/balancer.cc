@@ -88,9 +88,10 @@ void ShardBalancer::RepointFailedDestinations() {
     // leader's ordering buffer died with it, but every acked chunk and
     // delta is quorum-durable in the group's log — so instead of letting
     // the timeout cancel-and-restart the whole transfer, point the source
-    // at the new leader. It re-offers the sent chunks' content hashes and
-    // the new leader declines the prefix its ingest journal holds; only
-    // the tail re-crosses the WAN. The timeout stays armed as backstop.
+    // at the new leader. It re-sends its unacked chunks and deltas, and
+    // the new leader skips what its ingest journal shows applied; only
+    // the unacked tail re-crosses the WAN. The timeout stays armed as
+    // backstop.
     m.dest_leader_epoch = dest_epoch;
     stats_.migrations_repointed++;
     GEOTP_INFO("balancer: re-pointing migration "

@@ -111,8 +111,8 @@ struct BalancerStats {
   /// timeout.
   uint64_t aborted_by_source = 0;
   /// In-flight migrations re-pointed at a new destination leader after a
-  /// failover there — the source re-offers sent-chunk hashes and resumes
-  /// past the declined prefix instead of waiting for the timeout cancel.
+  /// failover there — the source re-sends its unacked chunks and deltas
+  /// instead of waiting for the timeout cancel.
   uint64_t migrations_repointed = 0;
   GEOTP_STAT_FIELDS(ticks, migrations_started, migrations_completed,
                     migrations_cancelled, map_publishes, splits, merges,
@@ -188,7 +188,7 @@ class ShardBalancer {
   void CancelExpired();
   /// Detects a destination-leader epoch change on an in-flight migration
   /// and re-sends the ShardMigrateRequest with the new leader; the source
-  /// treats the duplicate as a re-point and re-seeds by hash decline.
+  /// treats the duplicate as a re-point and re-sends what is unacked.
   void RepointFailedDestinations();
   /// One round of range maintenance: at most one split OR one merge
   /// (publishing the new boundaries), else migration planning. A split's

@@ -21,8 +21,6 @@ using protocol::ShardMapUpdate;
 using protocol::ShardMigrateAborted;
 using protocol::ShardMigrateCancel;
 using protocol::ShardMigrateRequest;
-using protocol::ShardSeedDecline;
-using protocol::ShardSeedOffer;
 using protocol::ShardSnapshotAck;
 using protocol::ShardSnapshotChunk;
 
@@ -54,12 +52,6 @@ bool ShardMigrator::HandleMessage(runtime::MessageBase* msg) {
       return true;
     case runtime::MessageType::kShardMapUpdate:
       OnMapUpdate(static_cast<ShardMapUpdate&>(*msg));
-      return true;
-    case runtime::MessageType::kShardSeedOffer:
-      OnSeedOffer(static_cast<ShardSeedOffer&>(*msg));
-      return true;
-    case runtime::MessageType::kShardSeedDecline:
-      OnSeedDecline(static_cast<ShardSeedDecline&>(*msg));
       return true;
     default:
       return false;
@@ -127,14 +119,16 @@ void ShardMigrator::OnMigrateRequest(const ShardMigrateRequest& req) {
   if (repl != nullptr && !repl->IsLeader()) return;
   if (Outbound* existing = FindOutbound(req.migration_id)) {
     // Duplicate — unless the balancer re-pointed the stream at a new
-    // destination leader (the old one failed over). Instead of cancelling
-    // and restarting cold, re-offer the sent chunks' content hashes: the
-    // new leader declines what its replicated ingest journal already
-    // holds and the stream resumes past the declined prefix.
+    // destination leader (the old one failed over). Re-send everything
+    // unacked there, verbatim: the new leader re-acks what its group
+    // already applied and the stream carries on from its position.
     if (req.dest_leader != kInvalidNode &&
         req.dest_leader != existing->dest_leader) {
       existing->dest_leader = req.dest_leader;
-      SendSeedOffer(*existing);
+      ResendChunks(*existing);
+      for (const auto& [seq, writes] : existing->unacked_deltas) {
+        SendDelta(*existing, seq, writes);
+      }
     }
     return;
   }
@@ -241,11 +235,6 @@ void ShardMigrator::PumpChunks(uint64_t migration_id) {
     stats_.snapshot_chunks_sent++;
     stats_.snapshot_records_sent += records.size();
     SendChunk(*out, seq, records, last);
-    // SendChunk recorded the chunk's content hash; pin the resume point
-    // that follows it (a decline of [1..seq] restarts the scan here).
-    Outbound::SentDigest& digest = out->sent_digests[seq];
-    digest.next_cursor = out->scan_cursor;
-    digest.exhausted = out->scan_exhausted;
     if (obs::GlobalTracer().enabled()) {
       out->chunk_spans[seq] = obs::GlobalTracer().BeginSpan(
           obs::SystemContext(), "migrate.chunk", node_->id(),
@@ -271,14 +260,30 @@ void ShardMigrator::SendChunk(Outbound& out, uint64_t seq,
   chunk->seq = seq;
   chunk->last = last;
   chunk->records = records;
-  // Sealing always stamps the content hash — raw chunks too — so the
-  // receiver's journal has the identity a later re-offer compares.
   const protocol::EnvelopeBytes bytes = protocol::SealChunkPayload(
       common::SenderCodec(node_->config().wan_compression), chunk.get());
   stats_.wan_bytes_raw += bytes.raw;
   stats_.wan_bytes_wire += bytes.wire;
-  out.sent_digests[seq].hash = chunk->content_hash;
   node_->network()->Send(std::move(chunk));
+}
+
+void ShardMigrator::ResendChunks(Outbound& out) {
+  for (const auto& [seq, records] : out.unacked) {
+    stats_.chunk_retransmits++;
+    SendChunk(out, seq, records, seq == out.last_chunk_seq);
+  }
+  out.last_progress_at = node_->loop()->Now();
+}
+
+void ShardMigrator::SendDelta(const Outbound& out, uint64_t seq,
+                              std::vector<ReplWrite> writes) {
+  auto batch = std::make_unique<ShardDeltaBatch>();
+  batch->from = node_->id();
+  batch->to = out.dest_leader;
+  batch->migration_id = out.id;
+  batch->seq = seq;
+  batch->writes = std::move(writes);
+  node_->network()->Send(std::move(batch));
 }
 
 void ShardMigrator::ArmResendTimer(uint64_t migration_id) {
@@ -296,12 +301,7 @@ void ShardMigrator::ArmResendTimer(uint64_t migration_id) {
       // No progress in a full window: chunks (or their acks) were lost.
       // Re-send everything outstanding; duplicates re-ack at the
       // receiver's position, so a lost ack also recovers here.
-      for (const auto& [seq, records] : late->unacked) {
-        stats_.chunk_retransmits++;
-        SendChunk(*late, seq,
-                  records, seq == late->last_chunk_seq);
-      }
-      late->last_progress_at = node_->loop()->Now();
+      ResendChunks(*late);
     }
     ArmResendTimer(migration_id);
   });
@@ -395,18 +395,11 @@ void ShardMigrator::OnCommittedWrites(
       }
     }
     if (intersecting.empty()) continue;
-    auto batch = std::make_unique<ShardDeltaBatch>();
-    batch->from = node_->id();
-    batch->to = out.dest_leader;
-    batch->migration_id = out.id;
-    batch->seq = out.next_seq++;
+    const uint64_t seq = out.next_seq++;
     stats_.delta_batches_sent++;
     stats_.delta_writes_sent += intersecting.size();
-    batch->writes = intersecting;
-    // Kept until acked: a destination-leader failover resends the suffix
-    // past the new leader's journaled delta position.
-    out.unacked_deltas[batch->seq] = std::move(intersecting);
-    node_->network()->Send(std::move(batch));
+    SendDelta(out, seq, intersecting);
+    out.unacked_deltas[seq] = std::move(intersecting);
   }
 }
 
@@ -601,7 +594,7 @@ void ShardMigrator::OnInheritedMigrations(
 
 void ShardMigrator::ApplyRecords(std::vector<ReplWrite> records,
                                  uint64_t migration_id, uint64_t chunk_seq,
-                                 uint64_t delta_seq, uint64_t content_hash,
+                                 uint64_t delta_seq,
                                  std::function<bool()> still_valid,
                                  std::function<void()> done) {
   // Bulk ingest takes real engine time, charged per chunk (per-record
@@ -615,12 +608,15 @@ void ShardMigrator::ApplyRecords(std::vector<ReplWrite> records,
       node_->config().migration_apply_cost;
   node_->loop()->Schedule(
       cost, [this, records = std::move(records), migration_id, chunk_seq,
-             delta_seq, content_hash, still_valid = std::move(still_valid),
+             delta_seq, still_valid = std::move(still_valid),
              done = std::move(done)]() mutable {
         if (node_->crashed()) return;
         if (!still_valid()) return;  // cancelled during the ingest delay
         replication::Replicator* repl = node_->replicator();
-        if (repl != nullptr && repl->IsLeader()) {
+        if (repl != nullptr) {
+          // A deposed leader leaves the ingest to the next one, which
+          // finds it unapplied in the group's journal.
+          if (!repl->IsLeader()) return;
           // Funnel through the replica group's log: the records apply on
           // every replica, this leader included, as the entry commits
           // (Replicator::ApplyEntry), and the ack waits for that apply
@@ -634,8 +630,7 @@ void ShardMigrator::ApplyRecords(std::vector<ReplWrite> records,
                             ++synthetic_seq_),
               node_->logical_id()};
           repl->ReplicateIngest(xid, std::move(records), migration_id,
-                                chunk_seq, delta_seq, content_hash,
-                                std::move(done));
+                                chunk_seq, delta_seq, std::move(done));
           return;
         }
         for (const ReplWrite& w : records) {
@@ -643,6 +638,33 @@ void ShardMigrator::ApplyRecords(std::vector<ReplWrite> records,
         }
         done();
       });
+}
+
+uint64_t ShardMigrator::Term() const {
+  const replication::Replicator* repl = node_->replicator();
+  return repl != nullptr ? repl->epoch() : 0;
+}
+
+ShardMigrator::Inbound& ShardMigrator::InboundFor(uint64_t migration_id) {
+  Inbound& in = inbound_[migration_id];
+  const uint64_t term = Term();
+  if (in.term == term) return in;
+  // First ingest traffic of this leadership term. An ingest started in an
+  // earlier term never completes here (its ack belonged to that term), and
+  // the group may have applied more of the stream than this replica led:
+  // the journal is complete by now, as ingest traffic parks until the
+  // promotion barrier clears.
+  in.term = term;
+  in.applying = false;
+  auto it = ingest_journal_.find(migration_id);
+  if (it != ingest_journal_.end()) {
+    const IngestJournal& journal = it->second;
+    in.applied_chunk_seq = std::max(in.applied_chunk_seq, journal.chunk_seq);
+    in.applied_seq = std::max(in.applied_seq, journal.delta_seq);
+    in.delta_written.insert(journal.delta_keys.begin(),
+                            journal.delta_keys.end());
+  }
+  return in;
 }
 
 void ShardMigrator::SendChunkAck(uint64_t migration_id, NodeId source) {
@@ -672,11 +694,12 @@ void ShardMigrator::OnSnapshotChunk(const ShardSnapshotChunk& chunk) {
   if (retired_inbound_.count(chunk.migration_id) > 0) return;  // cancelled
   const NodeId source = chunk.from;
   const uint64_t id = chunk.migration_id;
-  Inbound& in = inbound_[id];
+  Inbound& in = InboundFor(id);
   if (in.range.hi == 0) in.range = chunk.range;
   if (chunk.seq <= in.applied_chunk_seq) {
-    // Retransmit of an applied chunk (its ack was lost): re-ack the
-    // current position so the source advances.
+    // Retransmit of an applied chunk (its ack was lost, or the group
+    // applied it under an earlier leader): re-ack the current position so
+    // the source advances.
     SendChunkAck(id, source);
     return;
   }
@@ -686,10 +709,7 @@ void ShardMigrator::OnSnapshotChunk(const ShardSnapshotChunk& chunk) {
   if (!already_buffered && in.pending_chunks.size() >= window) {
     return;  // credit overrun; the retransmit path recovers
   }
-  Inbound::BufferedChunk& buffered = in.pending_chunks[chunk.seq];
-  buffered.records = chunk.records;
-  buffered.last = chunk.last;
-  buffered.content_hash = chunk.content_hash;
+  in.pending_chunks[chunk.seq] = chunk.records;
   stats_.peak_buffered_chunks = std::max<uint64_t>(
       stats_.peak_buffered_chunks, in.pending_chunks.size());
   DrainIngest(id, source);
@@ -699,10 +719,24 @@ void ShardMigrator::OnDeltaBatch(const ShardDeltaBatch& batch) {
   replication::Replicator* repl = node_->replicator();
   if (repl != nullptr && !repl->IsLeader()) return;
   if (retired_inbound_.count(batch.migration_id) > 0) return;  // cancelled
-  Inbound& in = inbound_[batch.migration_id];
-  if (batch.seq <= in.applied_seq) return;  // duplicate
+  Inbound& in = InboundFor(batch.migration_id);
+  if (batch.seq <= in.applied_seq) {
+    // Duplicate: re-ack the current position (see OnSnapshotChunk).
+    SendDeltaAck(batch.migration_id, batch.from, in.applied_seq);
+    return;
+  }
   in.pending[batch.seq] = batch.writes;
   DrainIngest(batch.migration_id, batch.from);
+}
+
+void ShardMigrator::SendDeltaAck(uint64_t migration_id, NodeId source,
+                                 uint64_t seq) {
+  auto ack = std::make_unique<ShardDeltaAck>();
+  ack->from = node_->id();
+  ack->to = source;
+  ack->migration_id = migration_id;
+  ack->seq = seq;
+  node_->network()->Send(std::move(ack));
 }
 
 void ShardMigrator::DrainIngest(uint64_t migration_id, NodeId source) {
@@ -710,9 +744,20 @@ void ShardMigrator::DrainIngest(uint64_t migration_id, NodeId source) {
   if (it == inbound_.end()) return;
   Inbound& in = it->second;
   if (in.applying) return;  // one bounded ingest at a time
-  const auto still_inbound = [this, migration_id]() {
+  // An ingest belongs to the term that started it: a later term lifted
+  // (or will lift) the position from the journal instead.
+  const uint64_t term = in.term;
+  const auto live_in_term = [this, migration_id, term]() -> Inbound* {
     auto live = inbound_.find(migration_id);
-    return live != inbound_.end() && live->second.applying;
+    if (live == inbound_.end() || live->second.term != term ||
+        Term() != term) {
+      return nullptr;
+    }
+    return &live->second;
+  };
+  const auto still_inbound = [live_in_term]() {
+    Inbound* live = live_in_term();
+    return live != nullptr && live->applying;
   };
 
   // Deltas first: they are small, carry post-cut (newer) values, and
@@ -729,23 +774,15 @@ void ShardMigrator::DrainIngest(uint64_t migration_id, NodeId source) {
     in.pending.erase(in.pending.begin());
     in.applying = true;
     const uint64_t seq = in.applied_seq + 1;
-    if (!in.stream_complete) {
-      for (const ReplWrite& w : writes) in.delta_written.insert(w.key);
-    }
-    ApplyRecords(std::move(writes), migration_id, 0, seq,
-                 /*content_hash=*/0, still_inbound,
-                 [this, source, migration_id, seq]() {
-                   auto live = inbound_.find(migration_id);
-                   if (live == inbound_.end()) return;  // cancelled
-                   live->second.applying = false;
-                   live->second.applied_seq = seq;
+    for (const ReplWrite& w : writes) in.delta_written.insert(w.key);
+    ApplyRecords(std::move(writes), migration_id, 0, seq, still_inbound,
+                 [this, source, migration_id, seq, live_in_term]() {
+                   Inbound* live = live_in_term();
+                   if (live == nullptr) return;  // cancelled or deposed
+                   live->applying = false;
+                   live->applied_seq = seq;
                    stats_.delta_batches_applied++;
-                   auto ack = std::make_unique<ShardDeltaAck>();
-                   ack->from = node_->id();
-                   ack->to = source;
-                   ack->migration_id = migration_id;
-                   ack->seq = seq;
-                   node_->network()->Send(std::move(ack));
+                   SendDeltaAck(migration_id, source, seq);
                    DrainIngest(migration_id, source);
                  });
     return;
@@ -762,205 +799,50 @@ void ShardMigrator::DrainIngest(uint64_t migration_id, NodeId source) {
     in.pending_chunks.erase(in.pending_chunks.begin());
   }
   auto chunk_it = in.pending_chunks.find(in.applied_chunk_seq + 1);
-  if (chunk_it != in.pending_chunks.end()) {
-    Inbound::BufferedChunk chunk = std::move(chunk_it->second);
-    in.pending_chunks.erase(chunk_it);
-    // Deltas interleave behind the stream cursor: any key a delta already
-    // wrote carries a post-cut (newer) value, so the chunk's committed-
-    // cut copy must not overwrite it. Ingests are serialized by the
-    // `applying` flag, so the set cannot change during this one.
-    std::vector<ReplWrite> records;
-    records.reserve(chunk.records.size());
-    for (ReplWrite& w : chunk.records) {
-      if (in.delta_written.count(w.key) > 0) {
-        stats_.chunk_records_superseded++;
-        continue;
-      }
-      records.push_back(std::move(w));
+  if (chunk_it == in.pending_chunks.end()) return;
+  std::vector<ReplWrite> chunk = std::move(chunk_it->second);
+  in.pending_chunks.erase(chunk_it);
+  // Deltas interleave behind the stream cursor: any key a delta already
+  // wrote carries a post-cut (newer) value, so the chunk's committed-cut
+  // copy must not overwrite it. Ingests are serialized by the `applying`
+  // flag, so the set cannot change during this one.
+  std::vector<ReplWrite> records;
+  records.reserve(chunk.size());
+  for (ReplWrite& w : chunk) {
+    if (in.delta_written.count(w.key) > 0) {
+      stats_.chunk_records_superseded++;
+      continue;
     }
-    const uint64_t seq = in.applied_chunk_seq + 1;
-    const bool last = chunk.last;
-    const size_t record_count = records.size();
-    in.applying = true;
-    // The journaled hash is the FULL chunk's identity (pre-supersede):
-    // that is what the source's digest for this seq carries, so that is
-    // what a re-offer after a leader failover must match against.
-    ApplyRecords(std::move(records), migration_id, seq, 0,
-                 chunk.content_hash, still_inbound,
-                 [this, migration_id, source, seq, last, record_count]() {
-                   auto live = inbound_.find(migration_id);
-                   if (live == inbound_.end()) return;  // cancelled
-                   Inbound& applied = live->second;
-                   applied.applying = false;
-                   applied.applied_chunk_seq = seq;
-                   // Counted only here: a cancel or crash during the
-                   // ingest delay means the records never hit the store.
-                   stats_.snapshot_chunks_applied++;
-                   stats_.snapshot_records_applied += record_count;
-                   if (last) {
-                     applied.stream_complete = true;
-                     applied.delta_written.clear();
-                   }
-                   SendChunkAck(migration_id, source);
-                   DrainIngest(migration_id, source);
-                 });
-    return;
+    records.push_back(std::move(w));
   }
-
+  const uint64_t seq = in.applied_chunk_seq + 1;
+  const size_t record_count = records.size();
+  in.applying = true;
+  ApplyRecords(std::move(records), migration_id, seq, 0, still_inbound,
+               [this, migration_id, source, seq, record_count,
+                live_in_term]() {
+                 Inbound* live = live_in_term();
+                 if (live == nullptr) return;  // cancelled or deposed
+                 live->applying = false;
+                 live->applied_chunk_seq = seq;
+                 // Counted only here: a cancel or crash during the ingest
+                 // delay means the records never hit the store.
+                 stats_.snapshot_chunks_applied++;
+                 stats_.snapshot_records_applied += record_count;
+                 SendChunkAck(migration_id, source);
+                 DrainIngest(migration_id, source);
+               });
 }
-
-// ---------------------------------------------------------------------------
-// Hash-decline resume: re-seed a re-pointed stream instead of restarting
-// ---------------------------------------------------------------------------
 
 void ShardMigrator::NoteIngestApplied(uint64_t migration_id,
                                       uint64_t chunk_seq, uint64_t delta_seq,
-                                      uint64_t content_hash) {
+                                      const std::vector<ReplWrite>& writes) {
   if (retired_inbound_.count(migration_id) > 0) return;
   IngestJournal& journal = ingest_journal_[migration_id];
-  if (chunk_seq != 0) journal.chunk_hashes[chunk_seq] = content_hash;
-  journal.max_delta_seq = std::max(journal.max_delta_seq, delta_seq);
-}
-
-void ShardMigrator::SendSeedOffer(Outbound& out) {
-  stats_.seed_offers_sent++;
-  auto offer = std::make_unique<ShardSeedOffer>();
-  offer->from = node_->id();
-  offer->to = out.dest_leader;
-  offer->migration_id = out.id;
-  offer->group = out.dest;
-  offer->range = out.range;
-  // Replay the ORIGINAL hashes, not fresh scans: the destination's journal
-  // holds what was actually sent, and values here may have moved on.
-  for (const auto& [seq, sent] : out.sent_digests) {
-    protocol::SeedDigest digest;
-    digest.seq = seq;
-    digest.hash = sent.hash;
-    digest.last = sent.exhausted;
-    offer->digests.push_back(digest);
-  }
-  node_->network()->Send(std::move(offer));
-}
-
-void ShardMigrator::OnSeedOffer(const ShardSeedOffer& offer) {
-  // migration_id == 0 offers are replication bootstrap re-seeds; on a
-  // replicated node the Replicator consumed them before this handler.
-  if (offer.migration_id == 0) return;
-  replication::Replicator* repl = node_->replicator();
-  if (repl != nullptr && !repl->IsLeader()) return;
-  if (retired_inbound_.count(offer.migration_id) > 0) return;  // done here
-  const uint64_t id = offer.migration_id;
-  Inbound& in = inbound_[id];
-  if (in.range.hi == 0) in.range = offer.range;
-  // Walk the offered digests: extend the held prefix with every chunk the
-  // replicated ingest journal holds under the SAME content hash — those
-  // are quorum-durable on this replica set and need not re-cross the WAN.
-  const auto journal_it = ingest_journal_.find(id);
-  uint64_t held = in.applied_chunk_seq;
-  bool exhausted_at_held = in.stream_complete;
-  for (const protocol::SeedDigest& digest : offer.digests) {
-    if (digest.seq <= held) continue;
-    if (digest.seq != held + 1) break;  // gap: prefix cannot extend
-    if (journal_it == ingest_journal_.end()) break;
-    const auto hash_it = journal_it->second.chunk_hashes.find(digest.seq);
-    if (hash_it == journal_it->second.chunk_hashes.end() ||
-        hash_it->second != digest.hash) {
-      break;
-    }
-    held = digest.seq;
-    exhausted_at_held = digest.last;
-  }
-  in.applied_chunk_seq = held;
-  if (journal_it != ingest_journal_.end()) {
-    in.applied_seq =
-        std::max(in.applied_seq, journal_it->second.max_delta_seq);
-  }
-  in.pending_chunks.erase(in.pending_chunks.begin(),
-                          in.pending_chunks.upper_bound(held));
-  if (exhausted_at_held && !in.stream_complete) {
-    in.stream_complete = true;
-    in.delta_written.clear();
-  }
-  auto decline = std::make_unique<ShardSeedDecline>();
-  decline->from = node_->id();
-  decline->to = offer.from;
-  decline->migration_id = id;
-  decline->group = offer.group;
-  for (uint64_t seq = 1; seq <= held; ++seq) {
-    decline->declined.push_back(seq);
-  }
-  decline->delta_seq = in.applied_seq;
-  const uint64_t window =
-      std::max<uint64_t>(1, node_->config().migration_stream_window);
-  const uint64_t buffered = in.pending_chunks.size();
-  decline->credit = window > buffered ? window - buffered : 1;
-  node_->network()->Send(std::move(decline));
-}
-
-void ShardMigrator::OnSeedDecline(const ShardSeedDecline& decline) {
-  if (decline.migration_id == 0) return;  // bootstrap path (Replicator's)
-  Outbound* out = FindOutbound(decline.migration_id);
-  if (out == nullptr) return;
-  stats_.chunks_declined += decline.declined.size();
-  // The new leader's journaled delta position supersedes the old ack
-  // trail; resend only the unacked suffix past it.
-  out->acked_seq = std::max(out->acked_seq, decline.delta_seq);
-  out->unacked_deltas.erase(
-      out->unacked_deltas.begin(),
-      out->unacked_deltas.upper_bound(out->acked_seq));
-  for (const auto& [seq, writes] : out->unacked_deltas) {
-    auto batch = std::make_unique<ShardDeltaBatch>();
-    batch->from = node_->id();
-    batch->to = out->dest_leader;
-    batch->migration_id = out->id;
-    batch->seq = seq;
-    batch->writes = writes;
-    stats_.delta_batches_sent++;
-    node_->network()->Send(std::move(batch));
-  }
-  if (!out->stream_complete) {
-    // Rewind the chunk stream to the end of the declined prefix. Chunks
-    // past it are re-scanned fresh (values may have moved on — absolute
-    // values keep the duplicate application idempotent) rather than
-    // replayed from a buffer.
-    const uint64_t held =
-        decline.declined.empty() ? 0 : decline.declined.back();
-    out->acked_chunk_seq = std::max(out->acked_chunk_seq, held);
-    out->next_chunk_seq = out->acked_chunk_seq + 1;
-    out->unacked.clear();
-    for (auto& [seq, span] : out->chunk_spans) {
-      obs::GlobalTracer().EndSpan(span, node_->loop()->Now());
-    }
-    out->chunk_spans.clear();
-    const auto digest = out->sent_digests.find(out->acked_chunk_seq);
-    if (digest != out->sent_digests.end()) {
-      out->scan_cursor = digest->second.next_cursor;
-      out->scan_exhausted = digest->second.exhausted;
-    } else {
-      out->scan_cursor = out->range.lo;
-      out->scan_exhausted = false;
-    }
-    out->last_chunk_seq =
-        out->scan_exhausted ? out->acked_chunk_seq : 0;
-    out->sent_digests.erase(
-        out->sent_digests.upper_bound(out->acked_chunk_seq),
-        out->sent_digests.end());
-    out->credit = std::max<uint64_t>(1, decline.credit);
-    out->last_progress_at = node_->loop()->Now();
-    if (out->last_chunk_seq != 0 &&
-        out->acked_chunk_seq >= out->last_chunk_seq) {
-      // Everything was declined and the scan had finished: the stream is
-      // complete without another chunk crossing the WAN.
-      out->stream_complete = true;
-      stats_.streams_completed++;
-      FenceRange(*out);
-      MaybeReportCutover(*out);
-      return;
-    }
-    PumpChunks(out->id);
-    return;
-  }
-  MaybeReportCutover(*out);
+  journal.chunk_seq = std::max(journal.chunk_seq, chunk_seq);
+  if (delta_seq == 0) return;
+  journal.delta_seq = std::max(journal.delta_seq, delta_seq);
+  for (const ReplWrite& w : writes) journal.delta_keys.insert(w.key);
 }
 
 // ---------------------------------------------------------------------------
@@ -984,14 +866,15 @@ void ShardMigrator::OnMapUpdate(const ShardMapUpdate& update) {
     }
   }
   // Destination side: once the map places a migration's range here, its
-  // delta stream is over (the source only reported cutover after every
-  // delta was acked) — the ordering buffer can go.
+  // stream is over (the source only reported cutover after every chunk
+  // and delta was acked) — the ordering buffer can go. This leader may
+  // never have seen the last chunk: a predecessor may have applied it.
   for (auto it = inbound_.begin(); it != inbound_.end();) {
-    const ShardRange* range =
-        map_.RangeOf(RecordKey{it->second.range.table, it->second.range.lo});
-    const bool complete = it->second.stream_complete && range != nullptr &&
+    const ShardRange& moving = it->second.range;
+    const ShardRange* range = map_.RangeOf(RecordKey{moving.table, moving.lo});
+    const bool complete = moving.hi != 0 && range != nullptr &&
                           range->owner == self &&
-                          range->version >= it->second.range.version;
+                          range->version >= moving.version;
     if (complete) {
       retired_inbound_.insert(it->first);
       ingest_journal_.erase(it->first);
@@ -1005,10 +888,6 @@ void ShardMigrator::OnMapUpdate(const ShardMapUpdate& update) {
 void ShardMigrator::OnCrash() {
   outbound_.clear();
   inbound_.clear();
-  // The ingest journal is volatile by design: a replica that crashed
-  // rebuilds it only from entries applied after restart, so a leader
-  // promoted from it declines nothing and takes the full resend instead.
-  ingest_journal_.clear();
 }
 
 }  // namespace sharding

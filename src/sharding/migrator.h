@@ -33,7 +33,13 @@
 //    and acks are quorum-durable — the journaled tag is the crash-
 //    consistent ChunkAck record.
 //
-// Failover: all stream state is volatile, but the Begin/Cutover records
+// Destination failover: every replica folds the journaled tags into an
+// ingest journal. When the balancer re-points a stream at a promoted
+// destination leader, the source re-sends its unacked chunks and deltas
+// verbatim; the new leader lifts its stream position from the journal
+// and re-acks what its group already applied.
+//
+// Source failover: stream state is volatile, but the Begin/Cutover records
 // survive in the group log. A promoted source leader inherits every
 // unresolved migration (Replicator::FinishPromotion) and resolves it
 // deterministically: Cutover logged -> re-fence the range and re-report
@@ -97,12 +103,7 @@ struct ShardMigratorStats {
   // Failover path (replicated migration state).
   uint64_t migration_resumes = 0;         ///< cutover re-reported from log
   uint64_t migration_aborts_from_log = 0; ///< Begin-only inherited, aborted
-  // WAN-frugal streaming: compressed chunks + hash-decline resume.
-  uint64_t seed_offers_sent = 0;  ///< re-point offers (source role)
-  /// Chunks a re-pointed destination leader declined because its
-  /// replicated ingest journal already held them — bytes the failover
-  /// did NOT re-cross the WAN with.
-  uint64_t chunks_declined = 0;
+  // WAN-frugal streaming: compressed chunks.
   uint64_t wan_bytes_raw = 0;   ///< packed chunk bytes before the codec
   uint64_t wan_bytes_wire = 0;  ///< chunk bytes actually sent (incl. resends)
   GEOTP_STAT_FIELDS(migrations_started, migrations_cancelled,
@@ -113,8 +114,8 @@ struct ShardMigratorStats {
                     snapshot_records_applied, snapshot_chunks_applied,
                     HighWater(peak_buffered_chunks), delta_batches_applied,
                     chunk_records_superseded, migration_resumes,
-                    migration_aborts_from_log, seed_offers_sent,
-                    chunks_declined, wan_bytes_raw, wan_bytes_wire)
+                    migration_aborts_from_log, wan_bytes_raw,
+                    wan_bytes_wire)
 };
 
 class ShardMigrator {
@@ -166,16 +167,19 @@ class ShardMigrator {
 
   /// Crash: stream and fence state are volatile. Migrations journaled in
   /// the replicated log are resumed or aborted by the promoted leader;
-  /// unreplicated ones time out at the balancer and are cancelled.
+  /// unreplicated ones time out at the balancer and are cancelled. The
+  /// ingest journal survives, like the store it describes.
   void OnCrash();
 
   /// Replicator apply hook (via DataSourceNode::OnIngestApplied): a
-  /// migration-ingest entry landed on this replica. The per-migration
-  /// journal built here is what a freshly promoted destination leader
-  /// answers a ShardSeedOffer with — chunks whose hash it holds are
-  /// declined instead of re-crossing the WAN.
+  /// migration-ingest entry landed on this replica. A freshly promoted
+  /// destination leader lifts its stream position from the journal built
+  /// here. `writes` are the ingest's records (a delta's keys are kept).
   void NoteIngestApplied(uint64_t migration_id, uint64_t chunk_seq,
-                         uint64_t delta_seq, uint64_t content_hash);
+                         uint64_t delta_seq,
+                         const std::vector<protocol::ReplWrite>& writes);
+  /// The log the ingest journal was built from was wiped.
+  void ForgetIngestJournal() { ingest_journal_.clear(); }
 
   const ShardMap& map() const { return map_; }
   const ShardMigratorStats& stats() const { return stats_; }
@@ -199,22 +203,12 @@ class ShardMigrator {
     uint64_t scan_cursor = 0;      ///< next key offset to scan
     bool scan_exhausted = false;
     bool stream_complete = false;  ///< every chunk acked
-    /// Sent-but-unacked chunks, kept for retransmit. The stream's only
-    /// bulk source-side memory; flow control bounds it to the credit
+    /// Sent-but-unacked chunks, kept verbatim for retransmit. The stream's
+    /// only bulk source-side memory; flow control bounds it to the credit
     /// window.
     std::map<uint64_t, std::vector<protocol::ReplWrite>> unacked;
-    /// Per-chunk send record, kept PAST the ack (a few words per chunk):
-    /// a destination-leader failover re-offer must replay the ORIGINAL
-    /// hashes the old leader journaled, and resuming after the declined
-    /// prefix needs the scan cursor that followed each chunk.
-    struct SentDigest {
-      uint64_t hash = 0;
-      uint64_t next_cursor = 0;   ///< scan_cursor after this chunk
-      bool exhausted = false;     ///< scan ended with this chunk
-    };
-    std::map<uint64_t, SentDigest> sent_digests;
-    /// Sent-but-unacked delta batches: a re-pointed stream resends the
-    /// suffix past the new destination leader's journaled delta position.
+    /// Sent-but-unacked delta batches, re-sent when the stream is
+    /// re-pointed at a new destination leader.
     std::map<uint64_t, std::vector<protocol::ReplWrite>> unacked_deltas;
     /// "migrate.chunk" system spans (first send -> ack), keyed like
     /// `unacked`; retransmits extend the original span.
@@ -234,22 +228,19 @@ class ShardMigrator {
   };
   struct Inbound {
     ShardRange range;  ///< for pruning once the map places it here
+    /// Leadership term the stream position below belongs to (0 when
+    /// unreplicated). A new term re-derives it from the ingest journal.
+    uint64_t term = 0;
     /// An ingest (chunk or delta) is mid-apply: record application charges
     /// `migration_apply_cost` per record on the event loop, so later
     /// ingests queue behind the one in flight.
     bool applying = false;
     // ---- chunk stream ----
     uint64_t applied_chunk_seq = 0;  ///< highest contiguously applied chunk
-    bool stream_complete = false;    ///< every chunk applied
-    struct BufferedChunk {
-      std::vector<protocol::ReplWrite> records;
-      bool last = false;
-      uint64_t content_hash = 0;  ///< journaled with the ingest entry
-    };
     /// Out-of-order chunks, bounded by the credit window we advertise.
-    std::map<uint64_t, BufferedChunk> pending_chunks;
-    /// Keys a delta wrote before the stream completed: a chunk arriving
-    /// later must not overwrite them with its older committed-cut value.
+    std::map<uint64_t, std::vector<protocol::ReplWrite>> pending_chunks;
+    /// Keys a delta wrote: a chunk applied later must not overwrite them
+    /// with its older committed-cut value.
     std::unordered_set<RecordKey, RecordKeyHash> delta_written;
     // ---- deltas ----
     uint64_t applied_seq = 0;  ///< highest contiguously applied delta
@@ -263,23 +254,18 @@ class ShardMigrator {
   void OnDeltaBatch(const protocol::ShardDeltaBatch& batch);
   void OnDeltaAck(const protocol::ShardDeltaAck& ack);
   void OnMapUpdate(const protocol::ShardMapUpdate& update);
-  /// Destination side of a re-pointed stream: declines the journaled
-  /// prefix, adopts the resume position, and grants credit for the rest.
-  void OnSeedOffer(const protocol::ShardSeedOffer& offer);
-  /// Source side: rewinds the stream to the declined prefix's end and
-  /// resumes pumping (fresh scans) toward the new destination leader.
-  void OnSeedDecline(const protocol::ShardSeedDecline& decline);
-  /// Re-offers the sent-chunk digests to the (new) destination leader.
-  void SendSeedOffer(Outbound& out);
 
   Outbound* FindOutbound(uint64_t migration_id);
   /// Builds + sends chunks while the receiver's credit window allows.
   void PumpChunks(uint64_t migration_id);
   /// Sends one already-built chunk (fresh or retransmit): seals it into
-  /// the WAN envelope (common::SenderCodec), counts the bytes, and records
-  /// the content hash in `sent_digests`.
+  /// the WAN envelope (common::SenderCodec) and counts the bytes.
   void SendChunk(Outbound& out, uint64_t seq,
                  const std::vector<protocol::ReplWrite>& records, bool last);
+  /// Re-sends every unacked chunk to the current destination leader.
+  void ResendChunks(Outbound& out);
+  void SendDelta(const Outbound& out, uint64_t seq,
+                 std::vector<protocol::ReplWrite> writes);
   /// Arms the per-migration retransmit check chain.
   void ArmResendTimer(uint64_t migration_id);
   /// Journals one migration control record if this node leads a replica
@@ -307,14 +293,21 @@ class ShardMigrator {
   /// range may have landed newer values by then).
   void ApplyRecords(std::vector<protocol::ReplWrite> records,
                     uint64_t migration_id, uint64_t chunk_seq,
-                    uint64_t delta_seq, uint64_t content_hash,
-                    std::function<bool()> still_valid,
+                    uint64_t delta_seq, std::function<bool()> still_valid,
                     std::function<void()> done);
+  /// Leadership term ingest runs under (0 when unreplicated).
+  uint64_t Term() const;
+  /// The destination's stream state for `migration_id`, created on first
+  /// use. On the first ingest traffic of a leadership term, the position
+  /// is lifted to the ingest journal and an ingest left mid-apply by an
+  /// earlier term is dropped.
+  Inbound& InboundFor(uint64_t migration_id);
   /// Applies the next buffered ingest (chunk in seq order first, else
   /// delta in seq order), one at a time.
   void DrainIngest(uint64_t migration_id, NodeId source);
   /// Acks the destination's current chunk position + credit grant.
   void SendChunkAck(uint64_t migration_id, NodeId source);
+  void SendDeltaAck(uint64_t migration_id, NodeId source, uint64_t seq);
 
   datasource::DataSourceNode* node_;
   ShardMap map_;  ///< adopted placement (empty until the first update)
@@ -327,12 +320,14 @@ class ShardMigrator {
   /// and few, so the set stays small.
   std::unordered_set<uint64_t> retired_inbound_;
   /// Per-migration record of quorum-durable ingests applied on THIS
-  /// replica (fed by the replicator's apply path). Volatile — a crash
-  /// clears it and a promoted leader simply declines nothing, falling
-  /// back to a full resend. Pruned when the migration retires.
+  /// replica (fed by the replicator's apply path). Ingests apply in
+  /// order, so both seqs are contiguous prefixes. Survives a crash, like
+  /// the applied store; dropped at cancel, at retire and by a log wipe.
   struct IngestJournal {
-    std::map<uint64_t, uint64_t> chunk_hashes;  ///< chunk seq -> hash
-    uint64_t max_delta_seq = 0;
+    uint64_t chunk_seq = 0;  ///< highest applied chunk
+    uint64_t delta_seq = 0;  ///< highest applied delta batch
+    /// Keys the applied deltas wrote (see Inbound::delta_written).
+    std::unordered_set<RecordKey, RecordKeyHash> delta_keys;
   };
   std::map<uint64_t, IngestJournal> ingest_journal_;  ///< by migration id
   uint64_t synthetic_seq_ = 0;  ///< synthetic txn ids for record applies

@@ -17,27 +17,6 @@ uint64_t Older(uint64_t a, uint64_t b) {
 
 void GroupCommitter::Append(Micros fsync_cost, std::string payload,
                             DurableCallback on_durable, uint64_t tag) {
-  if (!config_.enabled) {
-    // Unbatched baseline: an independent fsync per entry, charged in
-    // parallel (the pre-group-commit model). The flushes may finish out of
-    // order; their waiters still run in append order (DeliverUnbatched).
-    const Micros now = timer_->Now();
-    const uint64_t seq = unbatched_base_ + unbatched_.size();
-    unbatched_.push_back(Unbatched{tag, false, std::move(on_durable)});
-    if (on_flush_start_) on_flush_start_(tag);
-    const uint64_t generation = generation_;
-    device_->Flush(std::move(payload), fsync_cost,
-                   [this, generation, now, seq]() {
-                     if (generation != generation_) return;  // crashed
-                     stats_.fsyncs++;
-                     stats_.busy_us +=
-                         static_cast<uint64_t>(timer_->Now() - now);
-                     unbatched_[seq - unbatched_base_].flushed = true;
-                     DeliverUnbatched();
-                   });
-    return;
-  }
-
   open_.push_back(Entry{fsync_cost, std::move(payload), tag, timer_->Now(),
                         std::move(on_durable)});
   if (flushing_) return;  // joins the next batch when the device frees
@@ -114,18 +93,6 @@ void GroupCommitter::FinishFlush(uint64_t generation, Micros started_at) {
   }
 }
 
-void GroupCommitter::DeliverUnbatched() {
-  while (!unbatched_.empty() && unbatched_.front().flushed) {
-    DurableCallback on_durable = std::move(unbatched_.front().on_durable);
-    unbatched_.pop_front();
-    unbatched_base_++;
-    stats_.entries++;
-    stats_.max_batch_entries = std::max<uint64_t>(stats_.max_batch_entries, 1);
-    on_durable();
-    if (on_fsync_) on_fsync_();
-  }
-}
-
 void GroupCommitter::Reset() {
   generation_++;
   if (open_timer_ != runtime::kInvalidTimer) {
@@ -134,15 +101,12 @@ void GroupCommitter::Reset() {
   }
   open_.clear();
   in_flight_.clear();
-  unbatched_base_ += unbatched_.size();
-  unbatched_.clear();
   flushing_ = false;
 }
 
 uint64_t GroupCommitter::OldestPendingTag() const {
   uint64_t oldest = OldestUnstartedTag();
   for (const Entry& entry : in_flight_) oldest = Older(oldest, entry.tag);
-  for (const Unbatched& entry : unbatched_) oldest = Older(oldest, entry.tag);
   return oldest;
 }
 

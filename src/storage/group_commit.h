@@ -14,8 +14,8 @@
 //   * Every waiter is acked (its `on_durable` runs) only at flush
 //     completion; the flush duration is the max of the batch's per-entry
 //     costs, so a batch of one behaves exactly like an unbatched fsync.
-//   * Waiters run in append order, on both paths: an entry is durable only
-//     once every entry appended before it is. Callers rely on this: a data
+//   * Waiters run in append order: an entry is durable only once every
+//     entry appended before it is. Callers rely on this: a data
 //     source releases a committing branch's locks as its COMMIT record is
 //     appended, so a transaction that took those locks appends its own
 //     record later and cannot be acked before the commit it read.
@@ -27,15 +27,12 @@
 //     batch goes to the device, and the oldest tag not yet started or not
 //     yet durable is queryable: the committer owns what is unflushed.
 //
-// With `enabled = false` every Append schedules its own independent fsync
-// (the pre-group-commit cost model), which the benchmarks use as the
-// unbatched baseline. Those fsyncs run in parallel and may finish out of
-// order; a finished entry's waiter is held until the earlier ones ran.
+// `max_batch_size = 1` gives every entry its own fsync on the same serial
+// device: the unbatched baseline the benchmarks compare against.
 #ifndef GEOTP_STORAGE_GROUP_COMMIT_H_
 #define GEOTP_STORAGE_GROUP_COMMIT_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -47,12 +44,10 @@ namespace geotp {
 namespace storage {
 
 struct GroupCommitConfig {
-  /// false: one independent fsync per entry (legacy per-txn schedule).
-  bool enabled = true;
   /// How long an open batch waits for co-travellers before flushing.
   /// 0 still merges every append from the same event-loop tick.
   Micros max_batch_delay = 0;
-  /// A batch this full flushes immediately.
+  /// A batch this full flushes immediately (1: no group commit).
   size_t max_batch_size = 64;
 };
 
@@ -119,18 +114,8 @@ class GroupCommitter {
     DurableCallback on_durable;
   };
 
-  /// An entry of the unbatched path: its own fsync, and whether it ended.
-  struct Unbatched {
-    uint64_t tag;
-    bool flushed;
-    DurableCallback on_durable;
-  };
-
   void StartFlush();
   void FinishFlush(uint64_t generation, Micros started_at);
-  /// Runs the waiters of the unbatched entries whose fsync ended, oldest
-  /// first, up to the first one still on the device.
-  void DeliverUnbatched();
 
   runtime::ITimer* timer_;
   runtime::IStableStorage* device_;
@@ -139,8 +124,6 @@ class GroupCommitter {
   std::function<void(uint64_t)> on_flush_start_;
   std::vector<Entry> open_;       ///< batch accepting new entries
   std::vector<Entry> in_flight_;  ///< batch whose flush is on the device
-  std::deque<Unbatched> unbatched_;  ///< not yet durable, in append order
-  uint64_t unbatched_base_ = 0;      ///< sequence number of unbatched_[0]
   bool flushing_ = false;
   runtime::TimerId open_timer_ = runtime::kInvalidTimer;
   /// Bumped by Reset() so stale scheduled events become no-ops.

@@ -134,17 +134,17 @@ std::string BlockCompress(const std::string& raw) {
 TEST(BlockCodec, PinnedBytesOfAnEntryBatch) {
   EXPECT_EQ(Hex(BlockCompress(FixedEntryBatch())),
             "620c000000290001001203070042000129230a00840200000001000000080022"
-            "8f1318001265070001180013410c0022fbff0100030f000f070007132a1b0005"
-            "6e001f2a6e000413966e001366310000860013420c000f6e0016132b3100056e"
-            "001f2b6e0004139d6e0013673100006e0013430c000f6e0016132c3100056e00"
-            "1f2c6e000413a46e0013643100006e0013440c000f6e0016132d3100056e001f"
-            "2d6e000413ab6e0008b80113453d000f6e0016132e3100056e001f2e6e000413"
-            "b26e0008b80113463d000f6e0016132f3100056e001f2f6e000413b96e0008b8"
-            "0113473d000f6e001613303100056e001f306e000413c06e0008b80113483d00"
-            "0f6e001613313100056e001f316e000413c76e0008b80113493d000f6e001613"
-            "323100056e001f326e000413ce6e0008b801134a3d000f6e001613333100056e"
-            "001f336e000413d56e0008b801134b3d000f6e001613343100056e001f346e00"
-            "0413dc6e0008b801134c3d000f6e0016");
+            "8f1318001265070001180013410c0022fbff0100030f000e0700132a13000566"
+            "001f2a6600041396660013663100007e0013420c000f66000e132b2900056600"
+            "1f2b660004139d66001367310000660013430c000f66000e132c29000566001f"
+            "2c66000413a466001364310000660013440c000f66000e132d29000566001f2d"
+            "66000413ab660008980113453d000f66000e132e29000566001f2e66000413b2"
+            "660008980113463d000f66000e132f29000566001f2f66000413b96600089801"
+            "13473d000f66000e133029000566001f3066000413c0660008980113483d000f"
+            "66000e133129000566001f3166000413c7660008980113493d000f66000e1332"
+            "29000566001f3266000413ce6600089801134a3d000f66000e13332900056600"
+            "1f3366000413d56600089801134b3d000f66000e133429000566001f34660004"
+            "13dc6600089801134c3d000f66000e");
 }
 
 // Reused per-thread state must not leak from one call into the next. B
@@ -333,7 +333,6 @@ TEST(WanCodec, EntriesRoundTrip) {
     }
     e.ingest_migration_id = i % 3 == 0 ? 8 : 0;
     e.ingest_chunk_seq = i % 3 == 0 ? 2 : 0;
-    e.ingest_content_hash = i % 3 == 0 ? 0xABCDEFu : 0;
     entries.push_back(std::move(e));
   }
   const std::string packed = protocol::PackEntries(entries);
@@ -345,7 +344,7 @@ TEST(WanCodec, EntriesRoundTrip) {
     EXPECT_EQ(back[i].epoch, entries[i].epoch);
     EXPECT_EQ(back[i].xid, entries[i].xid);
     EXPECT_EQ(back[i].writes.size(), entries[i].writes.size());
-    EXPECT_EQ(back[i].ingest_content_hash, entries[i].ingest_content_hash);
+    EXPECT_EQ(back[i].ingest_chunk_seq, entries[i].ingest_chunk_seq);
     EXPECT_EQ(back[i].migration != nullptr,
               entries[i].migration != nullptr);
   }
@@ -407,8 +406,8 @@ TEST(WanCodec, SealOpenChunkEnvelope) {
   ASSERT_TRUE(chunk.records.empty());
   ASSERT_TRUE(protocol::OpenChunkPayload(&chunk));
   EXPECT_EQ(chunk.records.size(), 256u);
-  // Raw sealing (compression off) still stamps the hash (re-seed
-  // identity) and keeps the plain records.
+  // Raw sealing (compression off) still stamps the hash and keeps the
+  // plain records.
   protocol::ShardSnapshotChunk raw_chunk;
   raw_chunk.records = chunk.records;
   protocol::SealChunkPayload(WireCodec::kRaw, &raw_chunk);

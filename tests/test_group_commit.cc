@@ -144,53 +144,26 @@ TEST(GroupCommitterTest, ResetDropsOpenBatchAndInFlightFlush) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(GroupCommitterTest, DisabledModeFsyncsEveryEntryIndependently) {
+TEST(GroupCommitterTest, DurableCallbacksRunInAppendOrder) {
   sim::EventLoop loop;
   GroupCommitConfig config;
-  config.enabled = false;
+  config.max_batch_size = 2;
   runtime::SimStableStorage device(&loop);
   GroupCommitter committer(&loop, &device, config);
+  std::vector<int> order;
   std::vector<Micros> done_at;
+  // A PREPARE-sized record, then records that would flush faster alone.
+  const Micros costs[] = {2000, 1000, 1500, 1000};
   for (int i = 0; i < 4; ++i) {
-    committer.Append(2000, [&]() { done_at.push_back(loop.Now()); });
+    committer.Append(costs[i], [&, i]() {
+      order.push_back(i);
+      done_at.push_back(loop.Now());
+    });
   }
   loop.Run();
-  ASSERT_EQ(done_at.size(), 4u);
-  for (Micros at : done_at) EXPECT_EQ(at, 2000);  // parallel, not queued
-  EXPECT_EQ(committer.stats().fsyncs, 4u);
-}
-
-TEST(GroupCommitterTest, DurableCallbacksRunInAppendOrderOnBothPaths) {
-  for (const bool batched : {true, false}) {
-    SCOPED_TRACE(batched ? "batched" : "unbatched");
-    sim::EventLoop loop;
-    GroupCommitConfig config;
-    config.enabled = batched;
-    config.max_batch_size = 2;
-    runtime::SimStableStorage device(&loop);
-    GroupCommitter committer(&loop, &device, config);
-    std::vector<int> order;
-    std::vector<Micros> done_at;
-    // A PREPARE-sized record, then records that would flush faster alone.
-    const Micros costs[] = {2000, 1000, 1500, 1000};
-    for (int i = 0; i < 4; ++i) {
-      committer.Append(costs[i], [&, i]() {
-        order.push_back(i);
-        done_at.push_back(loop.Now());
-      });
-    }
-    loop.Run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    if (batched) {
-      // Two batches of two on the serial device.
-      EXPECT_EQ(done_at, (std::vector<Micros>{2000, 2000, 3500, 3500}));
-    } else {
-      // Parallel fsyncs: the faster ones wait for the first to end.
-      EXPECT_EQ(done_at, (std::vector<Micros>{2000, 2000, 2000, 2000}));
-      EXPECT_EQ(committer.stats().fsyncs, 4u);
-      EXPECT_EQ(committer.stats().busy_us, 2000u + 1000u + 1500u + 1000u);
-    }
-  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  // Two batches of two on the serial device.
+  EXPECT_EQ(done_at, (std::vector<Micros>{2000, 2000, 3500, 3500}));
 }
 
 // ---------------------------------------------------------------------------
@@ -276,23 +249,6 @@ TEST(GroupCommitterTest, FlushStartHookFollowsBacklogSplits) {
                         "start 4", "start 5", "flush", "start 6", "flush"}));
 }
 
-TEST(GroupCommitterTest, FlushStartHookOnTheUnbatchedPath) {
-  sim::EventLoop loop;
-  GroupCommitConfig config;
-  config.enabled = false;
-  std::vector<std::string> events;
-  ScriptedDevice device(&loop, {1000}, &events);
-  GroupCommitter committer(&loop, &device, config);
-  LogFlushStarts(&committer, &events);
-  for (uint64_t tag = 1; tag <= 3; ++tag) {
-    committer.Append(1000, "x", []() {}, tag);
-  }
-  EXPECT_EQ(events, (std::vector<std::string>{"start 1", "flush", "start 2",
-                                              "flush", "start 3", "flush"}));
-  loop.Run();
-  EXPECT_EQ(committer.stats().fsyncs, 3u);
-}
-
 TEST(GroupCommitterTest, FlushStartHookNeverSeesEntriesResetDropped) {
   sim::EventLoop loop;
   GroupCommitConfig config;
@@ -349,37 +305,6 @@ TEST(GroupCommitterTest, OldestTagsFollowTheBatchThroughTheDevice) {
   loop.Run();
   EXPECT_EQ(seen, (std::vector<std::pair<uint64_t, uint64_t>>{
                       {0, 4}, {6, 4}, {0, 6}, {0, 0}}));
-}
-
-TEST(GroupCommitterTest, OldestPendingTagOnTheUnbatchedPathIsTheMinimum) {
-  sim::EventLoop loop;
-  GroupCommitConfig config;
-  config.enabled = false;
-  std::vector<std::string> events;
-  // Flushes run in parallel and finish out of order: entry 1 at 1000,
-  // entry 2 at 3000, entry 3 at 1000.
-  ScriptedDevice device(&loop, {1000, 3000, 1000}, &events);
-  GroupCommitter committer(&loop, &device, config);
-  for (uint64_t tag = 1; tag <= 3; ++tag) {
-    committer.Append(1000, "x", []() {}, tag);
-  }
-  EXPECT_EQ(committer.OldestUnstartedTag(), 0u);  // every flush started
-  EXPECT_EQ(committer.OldestPendingTag(), 1u);
-  std::vector<uint64_t> pending;
-  const auto sample = [&]() {
-    pending.push_back(committer.OldestPendingTag());
-  };
-  loop.Schedule(1500, sample);
-  loop.Schedule(3500, sample);
-  loop.Run();
-  // Entries 1 and 3 are durable at 1500; entry 2, appended between them,
-  // still bounds the durable prefix.
-  EXPECT_EQ(pending, (std::vector<uint64_t>{2, 0}));
-  // A crash drops whatever is still on the device.
-  committer.Append(1000, "x", []() {}, 9);
-  EXPECT_EQ(committer.OldestPendingTag(), 9u);
-  committer.Reset();
-  EXPECT_EQ(committer.OldestPendingTag(), 0u);
 }
 
 TEST(GroupCommitterTest, CountsDeviceBusyTimeAndQueueWait) {

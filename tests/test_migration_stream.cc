@@ -309,23 +309,39 @@ TEST(MigrationStream, JournaledCutoverSurvivesSourceFailover) {
 }
 
 // ---------------------------------------------------------------------------
-// Destination-leader failover mid-stream: the promoted destination leader
-// rebuilt its ingest journal from the replicated ingest provenance, so
-// when the balancer re-points the migration at it, the source re-offers
-// every sent chunk's hash and the new leader declines the quorum-applied
-// prefix — the stream resumes past it instead of restarting (or waiting
-// for the timeout cancel).
+// Destination-leader failover mid-stream: when the balancer re-points the
+// migration at the promoted destination leader, the source re-sends its
+// unacked chunks verbatim. The new leader lifts its stream position from
+// the ingest journal its group replicated, re-acks what is already there
+// and applies the rest — the stream does not restart from chunk 1.
 // ---------------------------------------------------------------------------
 
-TEST(MigrationStream, DestLeaderCrashMidStreamResumesViaHashDecline) {
+MiniCluster::Options DestFailoverOptions(Micros apply_cost) {
   MiniCluster::Options options = StreamOptions();
   options.replication_factor = 3;
-  options.ds_tweak = [](datasource::DataSourceConfig* ds) {
+  options.ds_tweak = [apply_cost](datasource::DataSourceConfig* ds) {
     ds->migration_chunk_records = 16;  // 250 records -> 16 chunks
     ds->migration_stream_window = 2;
-    ds->migration_apply_cost = 2000;  // 32 ms per chunk: a long stream
+    ds->migration_apply_cost = apply_cost;  // a long stream
   };
-  MiniCluster c(options);
+  return options;
+}
+
+/// Plays the balancer's re-point: the same migration, new dest leader.
+void Repoint(MiniCluster& c, uint64_t id, NodeId dest_leader) {
+  auto repoint = std::make_unique<ShardMigrateRequest>();
+  repoint->from = 0;
+  repoint->to = 3;
+  repoint->migration_id = id;
+  repoint->range = ShardRange{1, kRangeLo, kRangeHi, 3, 0};
+  repoint->dest = 2;
+  repoint->dest_leader = dest_leader;
+  repoint->new_version = 1;
+  c.network().Send(std::move(repoint));
+}
+
+TEST(MigrationStream, DestLeaderCrashMidStreamResumesByRetransmission) {
+  MiniCluster c(DestFailoverOptions(2000));  // 32 ms per chunk
   c.PreloadRange(1, 250);
 
   StartMigration(c, 107);
@@ -339,36 +355,123 @@ TEST(MigrationStream, DestLeaderCrashMidStreamResumesViaHashDecline) {
   ASSERT_NE(promoted, nullptr);
   EXPECT_NE(promoted->id(), c.source(0).id());
 
-  // The balancer detects the epoch change and re-points the in-flight
-  // migration (same id, new dest leader); this test plays balancer.
-  auto repoint = std::make_unique<ShardMigrateRequest>();
-  repoint->from = 0;
-  repoint->to = 3;
-  repoint->migration_id = 107;
-  repoint->range = ShardRange{1, kRangeLo, kRangeHi, 3, 0};
-  repoint->dest = 2;
-  repoint->dest_leader = promoted->id();
-  repoint->new_version = 1;
-  c.network().Send(std::move(repoint));
+  Repoint(c, 107, promoted->id());
   c.RunFor(6000);
 
   const auto& src = c.source(1).migrator().stats();
-  // The source re-offered its sent-chunk hashes; the promoted leader
-  // declined the prefix its journal proves quorum-applied, and the stream
-  // resumed past it to completion.
-  EXPECT_GE(src.seed_offers_sent, 1u);
-  EXPECT_GT(src.chunks_declined, 0u);
+  EXPECT_GE(src.chunk_retransmits, 1u);
   EXPECT_EQ(src.streams_completed, 1u);
+  // Every chunk was built once (retransmits are not counted here): no
+  // restart from chunk 1.
+  EXPECT_EQ(src.snapshot_chunks_sent, 16u);
   ASSERT_EQ(c.cutovers().size(), 1u);
   EXPECT_EQ(c.cutovers()[0].migration_id, 107u);
   EXPECT_EQ(c.cutovers()[0].range.owner, 2);
-
-  // Every record crossed exactly once overall: nothing lost at the new
-  // leader, declined chunks were already there via replication.
+  // The promoted leader applied only what its group had not.
+  EXPECT_LT(promoted->migrator().stats().snapshot_chunks_applied, 16u);
   for (uint64_t off = 0; off < 250; off += 31) {
     EXPECT_TRUE(promoted->engine().store().Get(c.KeyOn(1, off)).has_value())
         << "offset " << off;
   }
+}
+
+// ---------------------------------------------------------------------------
+// A delta applied at the old destination leader on a key inside a chunk
+// that is still unacked: the chunk is re-sent to the promoted leader, and
+// its (older) copy of the key must not overwrite the delta's value. The
+// promoted leader knows the key from the ingest journal.
+// ---------------------------------------------------------------------------
+
+TEST(MigrationStream, ResentChunkNeverOverwritesAJournaledDelta) {
+  MiniCluster c(DestFailoverOptions(40000));  // 640 ms per chunk
+  c.PreloadRange(1, 80);                      // 5 chunks
+  const RecordKey key = c.KeyOn(1, 56);       // in chunk 4
+  ASSERT_EQ(c.source(1).engine().store().Get(key)->value, 0);
+
+  // A write on the key, executed but not yet committed.
+  c.SendRound(1, {MiniCluster::Write(key, 777)}, true);
+  for (int step = 0; step < 400 && c.txn(1).round_responses.empty(); ++step) {
+    c.RunFor(5);
+  }
+  ASSERT_FALSE(c.txn(1).round_responses.empty());
+
+  StartMigration(c, 108);
+  // The source runs one chunk ahead of the ingest: once chunk 4 is built
+  // (with the key's old value), chunk 3 is mid-ingest.
+  const auto& src = c.source(1).migrator().stats();
+  for (int step = 0; step < 1000 && src.snapshot_chunks_sent < 4; ++step) {
+    c.RunFor(5);
+  }
+  ASSERT_EQ(src.snapshot_chunks_sent, 4u);
+  // Commit now: the delta applies after chunk 3, before chunk 4.
+  c.SendCommit(1);
+  const auto& dst = c.source(0).migrator().stats();
+  for (int step = 0; step < 400 && dst.delta_batches_applied == 0; ++step) {
+    c.RunFor(5);
+  }
+  // Chunk 4 is mid-ingest: the old leader dies before it applies.
+  ASSERT_EQ(dst.delta_batches_applied, 1u);
+  ASSERT_EQ(dst.snapshot_chunks_applied, 3u);
+  ASSERT_TRUE(c.txn(1).result.ok());
+  c.source(0).Crash();
+  c.RunFor(3000);
+  auto* promoted = c.leader_of(0);
+  ASSERT_NE(promoted, nullptr);
+
+  Repoint(c, 108, promoted->id());
+  c.RunFor(6000);
+
+  ASSERT_EQ(c.cutovers().size(), 1u);
+  EXPECT_GE(promoted->migrator().stats().chunk_records_superseded, 1u);
+  auto moved = promoted->engine().store().Get(key);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_EQ(moved->value, 777);
+}
+
+// ---------------------------------------------------------------------------
+// The ingest journal survives a crash, like the store it describes: both
+// destination followers crash and restart mid-stream (while no ingest
+// reaches their group), then the leader dies. Whichever follower is
+// promoted still knows the applied prefix, so the re-sent chunks resume
+// the stream instead of waiting on a gap until the timeout.
+// ---------------------------------------------------------------------------
+
+TEST(MigrationStream, RestartedReplicaKeepsItsIngestJournal) {
+  MiniCluster c(DestFailoverOptions(2000));
+  c.PreloadRange(1, 250);
+
+  StartMigration(c, 109);
+  c.RunFor(250);
+  // Hold back the source's traffic to the destination leader, and let the
+  // ingests already there settle.
+  sim::LinkSpec frozen = sim::LinkSpec::FromRttMs(120000.0);
+  c.network().matrix().SetDirected(3, 2, frozen);
+  c.RunFor(400);
+  const uint64_t applied =
+      c.source(0).migrator().stats().snapshot_chunks_applied;
+  ASSERT_GT(applied, 0u);
+  ASSERT_LT(applied, 16u);
+
+  for (int k = 0; k < 2; ++k) {
+    c.follower(0, k).Crash();
+    c.RunFor(200);
+    c.follower(0, k).Restart();
+    c.RunFor(400);
+  }
+  c.source(0).Crash();
+  c.RunFor(3000);
+  auto* promoted = c.leader_of(0);
+  ASSERT_NE(promoted, nullptr);
+  ASSERT_NE(promoted->id(), c.source(0).id());
+
+  Repoint(c, 109, promoted->id());
+  c.RunFor(6000);
+
+  EXPECT_EQ(c.source(1).migrator().stats().streams_completed, 1u);
+  ASSERT_EQ(c.cutovers().size(), 1u);
+  EXPECT_EQ(c.cutovers()[0].migration_id, 109u);
+  EXPECT_EQ(promoted->migrator().stats().snapshot_chunks_applied,
+            16u - applied);
 }
 
 }  // namespace

@@ -367,7 +367,6 @@ protocol::ReplEntry SampleEntry(bool with_migration) {
   }
   entry.ingest_migration_id = 8;
   entry.ingest_chunk_seq = 2;
-  entry.ingest_content_hash = 0x9e3779b97f4a7c15ull;
   return entry;
 }
 
@@ -785,9 +784,7 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   add(std::move(shed));
 
   auto offer = Stamped<protocol::ShardSeedOffer>();
-  offer->migration_id = 8;
   offer->group = 5;
-  offer->range = SampleRange();
   offer->epoch = 2;
   offer->base_index = 40;
   offer->base_epoch = 2;
@@ -803,12 +800,9 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   add(std::move(offer));
 
   auto decline = Stamped<protocol::ShardSeedDecline>();
-  decline->migration_id = 8;
   decline->group = 5;
   decline->epoch = 2;
   decline->declined = {1, 2};
-  decline->delta_seq = 7;
-  decline->credit = 3;
   add(std::move(decline));
   return out;
 }
@@ -870,14 +864,13 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "0000000b000000000000000200000000000000014d0000000000000003000000"
      "0100000002000000010000000500000000000000320000000000000001000000"
      "0600000000000000fdffffffffffffff00080000000000000002000000000000"
-     "000000000000000000157c4a7fb979379e0b0000000000000002000000000000"
-     "00044d0000000000000003000000010000000200000001000000050000000000"
-     "00003200000000000000010000000600000000000000fdffffffffffffff0108"
-     "00000000000000010000006400000000000000c8000000000000000400000009"
-     "0000000000000005000000060000000a000000000000000100000020a1070000"
-     "0000000400000000000000080000000000000002000000000000000600000000"
-     "000000157c4a7fb979379e090000000000000005000000000000000128000000"
-     "efcdab0000000000020000007a7a"},
+     "0000000000000000000b000000000000000200000000000000044d0000000000"
+     "0000030000000100000002000000010000000500000000000000320000000000"
+     "0000010000000600000000000000fdffffffffffffff01080000000000000001"
+     "0000006400000000000000c80000000000000004000000090000000000000005"
+     "000000060000000a000000000000000100000020a10700000000000400000000"
+     "0000000800000000000000020000000000000006000000000000000900000000"
+     "00000005000000000000000128000000efcdab0000000000020000007a7a"},
     {MessageType::kReplAppendAck,
      "0f00030000000900000001080706050403020111000000000000002200000000"
      "0000000200000003000000000000000c0000000000000000"},
@@ -986,17 +979,15 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "000000050000000000000007000000a861000000000000"},
     {MessageType::kShardSeedOffer,
      "2c00030000000900000001080706050403020111000000000000002200000000"
-     "000000080000000000000005000000010000006400000000000000c800000000"
-     "0000000400000009000000000000000200000000000000280000000000000002"
-     "0000000000000003000000010000000000000001100000000000000100000064"
-     "0000000000000001000000c70000000000000000020000000000000002100000"
-     "0000000001000000c800000000000000010000002b0100000000000000030000"
-     "00000000000310000000000000010000002c01000000000000010000008f0100"
-     "000000000001"},
+     "0000000500000002000000000000002800000000000000020000000000000003"
+     "0000000100000000000000011000000000000001000000640000000000000001"
+     "000000c700000000000000000200000000000000021000000000000001000000"
+     "c800000000000000010000002b01000000000000000300000000000000031000"
+     "0000000000010000002c01000000000000010000008f0100000000000001"},
     {MessageType::kShardSeedDecline,
      "2d00030000000900000001080706050403020111000000000000002200000000"
-     "0000000800000000000000050000000200000000000000020000000100000000"
-     "000000020000000000000007000000000000000300000000000000"},
+     "0000000500000002000000000000000200000001000000000000000200000000"
+     "000000"},
   };
   return *golden;
 }
@@ -1021,13 +1012,12 @@ TEST(RuntimeCodecTest, WanPackersMatchTheirGoldenBytes) {
       "020000000b000000000000000200000000000000014d00000000000000030000"
       "0001000000020000000100000005000000000000003200000000000000010000"
       "000600000000000000fdffffffffffffff000800000000000000020000000000"
-      "00000000000000000000157c4a7fb979379e0b00000000000000020000000000"
-      "0000044d00000000000000030000000100000002000000010000000500000000"
-      "0000003200000000000000010000000600000000000000fdffffffffffffff01"
-      "0800000000000000010000006400000000000000c80000000000000004000000"
-      "090000000000000005000000060000000a000000000000000100000020a10700"
-      "0000000004000000000000000800000000000000020000000000000006000000"
-      "00000000157c4a7fb979379e");
+      "000000000000000000000b000000000000000200000000000000044d00000000"
+      "0000000300000001000000020000000100000005000000000000003200000000"
+      "000000010000000600000000000000fdffffffffffffff010800000000000000"
+      "010000006400000000000000c800000000000000040000000900000000000000"
+      "05000000060000000a000000000000000100000020a107000000000004000000"
+      "00000000080000000000000002000000000000000600000000000000");
   EXPECT_EQ(Hex(protocol::PackWrites(entries[1].writes)),
       "0200000001000000050000000000000032000000000000000100000006000000"
       "00000000fdffffffffffffff");
