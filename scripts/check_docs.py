@@ -12,6 +12,12 @@
 5. Layering: only src/sim/, src/workload/ and src/runtime/sim_runtime.h
    include a sim/ header. Actors see the simulator only through the
    runtime interfaces, so they run unchanged on the loopback runtime.
+6. Every backticked message-type-like name (CamelCase, ending in
+   Request, Response, Ack, Offer, Decline, Batch, Chunk, Announce, Update
+   or Redirect) in src/*/README.md, ARCHITECTURE.md and bench/README.md
+   is an entry of the runtime/message.h X-list, so a deleted message
+   cannot linger in the docs. Handler and sender names (`On...`,
+   `Send...`, `Handle...`) are functions, not messages.
 
 Exits non-zero with a per-problem report.
 """
@@ -115,11 +121,42 @@ def check_sim_layering(problems):
                     problems.append(f"{rel} includes a sim/ header")
 
 
+X_ENTRY_RE = re.compile(r"X\(\w+,\s*(\w+)\)")
+MESSAGE_NAME_RE = re.compile(
+    r"(?<!\w)(?!Send|On[A-Z]|Handle)([A-Z][A-Za-z0-9]*"
+    r"(?:Request|Response|Ack|Offer|Decline|Batch|Chunk|Announce|Update"
+    r"|Redirect))(?!\w)"
+)
+
+
+def check_message_names(problems):
+    with open(os.path.join(REPO, "src/runtime/message.h"),
+              encoding="utf-8") as f:
+        messages = set(X_ENTRY_RE.findall(f.read()))
+    src = os.path.join(REPO, "src")
+    docs = [
+        os.path.join("src", entry, "README.md")
+        for entry in sorted(os.listdir(src))
+        if os.path.isfile(os.path.join(src, entry, "README.md"))
+    ] + ["ARCHITECTURE.md", os.path.join("bench", "README.md")]
+    for rel in docs:
+        with open(os.path.join(REPO, rel), encoding="utf-8") as f:
+            text = re.sub(r"```.*?```", "", f.read(), flags=re.S)
+        for span in re.findall(r"`([^`\n]+)`", text):
+            for name in MESSAGE_NAME_RE.findall(span):
+                if name not in messages:
+                    problems.append(
+                        f"{rel}: `{name}` is not a message type "
+                        "(runtime/message.h)"
+                    )
+
+
 def main():
     problems = []
     check_links(problems)
     check_src_readmes(problems)
     check_sim_layering(problems)
+    check_message_names(problems)
     if problems:
         print(f"docs check: {len(problems)} problem(s)")
         for p in problems:
@@ -127,7 +164,8 @@ def main():
         return 1
     print("docs check: all markdown links resolve, "
           "all src/*/ READMEs present, referenced and naming every header, "
-          "sim/ included only by the simulator's own layers")
+          "sim/ included only by the simulator's own layers, "
+          "every backticked message name a message type")
     return 0
 
 

@@ -4,15 +4,14 @@
 //
 // Every cross-region byte is the scarce resource in a geo-distributed
 // deployment, so the two bulk WAN paths — LogShipper entry batches and
-// migration ShardSnapshotChunks — pack their records into a byte string,
-// compress it, and ship `{payload, codec, uncompressed_len, content_hash}`
-// instead of the plain vectors. The hash is computed over the UNCOMPRESSED
-// packed bytes, so a receiver verifies end-to-end integrity after
-// decompression (a truncated or bit-flipped frame is dropped, never
-// applied). The same hash identifies a store span in the follower
-// bootstrap handshake (ShardSeedOffer / ShardSeedDecline): equal hash
-// means the follower already holds the span byte-for-byte and declines
-// the retransfer.
+// migration/bootstrap ShardSnapshotChunks — pack their records into a
+// byte string, compress it, and ship
+// `{payload, codec, uncompressed_len, content_hash}` instead of the plain
+// vectors. The hash is computed over the UNCOMPRESSED packed bytes, so a
+// receiver verifies end-to-end integrity after decompression (a truncated
+// or bit-flipped frame is dropped, never applied). That is the hash's
+// only use: a plain (uncompressed) payload is not hashed, since nothing
+// verifies it.
 //
 // There is no negotiation: `wan_compression` is a sender-side deployment
 // knob (SenderCodec), and every receiver decodes whatever codec a frame
@@ -28,9 +27,8 @@
 namespace geotp {
 namespace common {
 
-/// FNV-1a 64-bit content hash. Not cryptographic — it guards against
-/// corruption and identifies store spans for bootstrap declines, both
-/// within one trusted deployment.
+/// FNV-1a 64-bit content hash. Not cryptographic — it verifies a
+/// decoded payload against corruption within one trusted deployment.
 uint64_t ContentHash64(const void* data, size_t len);
 inline uint64_t ContentHash64(const std::string& bytes) {
   return ContentHash64(bytes.data(), bytes.size());

@@ -1066,22 +1066,7 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
           // transaction forever once the client's COMMIT arrives.
           if (txn.last_round && p.begun && !p.has_vote &&
               config_.commit_protocol == CommitProtocol::kDecentralized) {
-            const TxnId waiting = txn_id;
-            loop()->Schedule(
-                kFailoverVoteGrace, [this, waiting, logical]() {
-                  Txn* t = FindTxn(waiting);
-                  if (t == nullptr || t->aborting) return;
-                  if (t->phase != Phase::kExecuting &&
-                      t->phase != Phase::kWaitCommitVotes) {
-                    return;
-                  }
-                  auto pit = t->participants.find(logical);
-                  if (pit == t->participants.end() || pit->second.has_vote) {
-                    return;
-                  }
-                  StartAbort(*t, Status::Unavailable(
-                                     "prepare lost in failover"));
-                });
+            ArmFailoverVoteGrace(txn_id, logical);
           }
           break;
         }
@@ -1131,22 +1116,7 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
         // If the prepare reached a quorum the promoted leader re-votes it;
         // otherwise it died with the old leader — presume abort after a
         // grace period.
-        const TxnId waiting = txn_id;
-        loop()->Schedule(kFailoverVoteGrace,
-                         [this, waiting, logical]() {
-                           Txn* t = FindTxn(waiting);
-                           if (t == nullptr || t->aborting ||
-                               t->phase != Phase::kWaitCommitVotes) {
-                             return;
-                           }
-                           auto pit = t->participants.find(logical);
-                           if (pit == t->participants.end() ||
-                               pit->second.has_vote) {
-                             return;
-                           }
-                           StartAbort(*t, Status::Unavailable(
-                                              "prepare lost in failover"));
-                         });
+        ArmFailoverVoteGrace(txn_id, logical);
         break;
       }
       case Phase::kCommitDispatched: {
@@ -1171,6 +1141,22 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
       StartAbort(*txn, Status::Unavailable("data source leader failover"));
     }
   }
+}
+
+void MiddlewareNode::ArmFailoverVoteGrace(TxnId txn_id, NodeId logical) {
+  // A transaction never returns from kWaitCommitVotes to kExecuting, so
+  // one phase test serves both arming sites.
+  loop()->Schedule(kFailoverVoteGrace, [this, txn_id, logical]() {
+    Txn* t = FindTxn(txn_id);
+    if (t == nullptr || t->aborting) return;
+    if (t->phase != Phase::kExecuting &&
+        t->phase != Phase::kWaitCommitVotes) {
+      return;
+    }
+    auto pit = t->participants.find(logical);
+    if (pit == t->participants.end() || pit->second.has_vote) return;
+    StartAbort(*t, Status::Unavailable("prepare lost in failover"));
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -311,6 +311,10 @@ class MiddlewareNode {
   /// leadership changed: retries first-round batches and undecided
   /// decisions, aborts what cannot be replayed safely.
   void HandleFailover(NodeId logical);
+  /// After a failover of `logical`: aborts `txn_id` unless its branch
+  /// there has voted within the grace period (a prepare that never
+  /// reached a quorum died with the old leader; a staged one re-votes).
+  void ArmFailoverVoteGrace(TxnId txn_id, NodeId logical);
   /// Resolves an orphaned PREPARED vote (unknown txn) from the decision
   /// log: presumed abort unless a commit decision was logged.
   void ResolveOrphanVote(const protocol::VoteMessage& vote);

@@ -452,11 +452,11 @@ struct ShardMigrateCancel : runtime::Message<ShardMigrateCancel> {
 ///    chunks outstanding, so a slow destination backpressures the source
 ///    instead of flooding the event loop. `last` marks the final chunk.
 ///  * replication snapshot bootstrap (migration_id == 0): group leader ->
-///    follower whose log was fully compacted away, carrying one chunk
-///    (seq >= 1) of the stream a ShardSeedOffer announced; once every
-///    non-declined chunk landed, base_index/base_epoch position the
-///    follower's (empty) log at the compaction boundary so shipping
-///    resumes from the retained tail.
+///    follower whose log was fully compacted away, carrying chunk seq of
+///    the stream 1..N that slices the leader's committed store; `last`
+///    marks chunk N, the stream's end. Once the follower holds 1..N,
+///    base_index/base_epoch position its (empty) log at the compaction
+///    boundary so shipping resumes from the retained tail.
 struct ShardSnapshotChunk : runtime::Message<ShardSnapshotChunk> {
   uint64_t migration_id = 0;
   NodeId group = kInvalidNode;   ///< dest logical group / repl group id
@@ -470,8 +470,7 @@ struct ShardSnapshotChunk : runtime::Message<ShardSnapshotChunk> {
   // ---- WAN envelope (src/common/compress.h) ----
   // Non-empty `payload` replaces `records` on the wire (packed via
   // protocol::PackWrites, compressed); `content_hash` lets the receiver
-  // verify it after decompression. Sealing stamps the hash on raw chunks
-  // too, where nothing reads it.
+  // verify it after decompression (0 on a raw chunk).
   common::WireCodec payload_codec = common::WireCodec::kRaw;
   uint32_t payload_uncompressed_len = 0;
   uint64_t content_hash = 0;  ///< hash of the packed (uncompressed) records
@@ -534,41 +533,6 @@ struct ShardCutoverReady : runtime::Message<ShardCutoverReady> {
 struct ShardMigrateAborted : runtime::Message<ShardMigrateAborted> {
   uint64_t migration_id = 0;
   GEOTP_WIRE_FIELDS(migration_id)
-};
-
-/// One chunk's identity in a follower bootstrap offer: its stream
-/// sequence, the content hash of its packed records, and the key span it
-/// covers. The offer is built fresh from the leader's store; the key span
-/// lets the follower hash its own records over [lo, hi] and decline spans
-/// it already holds byte-for-byte.
-struct SeedDigest {
-  uint64_t seq = 0;   ///< 1-based chunk sequence
-  uint64_t hash = 0;  ///< ContentHash64 of the packed records
-  RecordKey lo;       ///< first key the chunk covers
-  RecordKey hi;       ///< last key the chunk covers
-  bool last = false;  ///< final chunk of the stream
-  GEOTP_WIRE_FIELDS(seq, hash, lo, hi, last)
-};
-
-/// Group leader -> follower whose log was compacted away: "this is the
-/// chunked store; decline what you hold". base_index/base_epoch position
-/// the follower's log once every non-declined chunk has been applied.
-struct ShardSeedOffer : runtime::Message<ShardSeedOffer> {
-  NodeId group = kInvalidNode;  ///< replica group id
-  uint64_t epoch = 0;           ///< sender's leadership epoch
-  uint64_t base_index = 0;      ///< see ShardSnapshotChunk
-  uint64_t base_epoch = 0;
-  std::vector<SeedDigest> digests;
-  GEOTP_WIRE_FIELDS(group, epoch, base_index, base_epoch, digests)
-};
-
-/// Follower -> group leader: the chunks (by seq) the follower already
-/// holds and therefore declines. Everything not declined is sent.
-struct ShardSeedDecline : runtime::Message<ShardSeedDecline> {
-  NodeId group = kInvalidNode;
-  uint64_t epoch = 0;  ///< receiver's epoch (stale offers die here)
-  std::vector<uint64_t> declined;  ///< chunk seqs held, ascending
-  GEOTP_WIRE_FIELDS(group, epoch, declined)
 };
 
 /// Balancer -> every DM and data-source replica: authoritative shard map.

@@ -1,5 +1,7 @@
 #include "protocol/wan_codec.h"
 
+#include <utility>
+
 namespace geotp {
 namespace protocol {
 
@@ -34,8 +36,8 @@ std::string& OpenBuffer() {
 
 }  // namespace
 
-void SealEntries(common::WireCodec codec, const std::string& raw,
-                 SealedEntries* sealed) {
+void SealPayload(common::WireCodec codec, const std::string& raw,
+                 SealedPayload* sealed) {
   sealed->bytes.raw = raw.size();
   if (codec == common::WireCodec::kRaw) {
     // Compression off: the plain vector ships (no envelope); it still
@@ -53,7 +55,7 @@ void SealEntries(common::WireCodec codec, const std::string& raw,
   sealed->bytes.wire = sealed->payload.size();
 }
 
-void AttachSealed(const SealedEntries& sealed, ReplAppendRequest* req) {
+void AttachSealed(const SealedPayload& sealed, ReplAppendRequest* req) {
   req->payload_codec = sealed.codec;
   req->payload_uncompressed_len = sealed.uncompressed_len;
   req->payload_hash = sealed.hash;
@@ -63,8 +65,8 @@ void AttachSealed(const SealedEntries& sealed, ReplAppendRequest* req) {
 EnvelopeBytes SealAppendPayload(common::WireCodec codec,
                                 ReplAppendRequest* req) {
   if (req->entries.empty()) return EnvelopeBytes();  // heartbeats stay bare
-  SealedEntries sealed;
-  SealEntries(codec, PackEntries(req->entries), &sealed);
+  SealedPayload sealed;
+  SealPayload(codec, PackEntries(req->entries), &sealed);
   if (!sealed.payload.empty()) {
     req->entries.clear();
     AttachSealed(sealed, req);
@@ -87,19 +89,16 @@ bool OpenAppendPayload(ReplAppendRequest* req) {
 
 EnvelopeBytes SealChunkPayload(common::WireCodec codec,
                                ShardSnapshotChunk* chunk) {
-  EnvelopeBytes bytes;
-  const std::string raw = PackWrites(chunk->records);
-  bytes.raw = raw.size();
-  chunk->content_hash = common::ContentHash64(raw);
-  if (codec == common::WireCodec::kRaw) {
-    bytes.wire = raw.size();
-    return bytes;
+  SealedPayload sealed;
+  SealPayload(codec, PackWrites(chunk->records), &sealed);
+  if (!sealed.payload.empty()) {
+    chunk->records.clear();
+    chunk->payload_codec = sealed.codec;
+    chunk->payload_uncompressed_len = sealed.uncompressed_len;
+    chunk->content_hash = sealed.hash;
+    chunk->payload = std::move(sealed.payload);
   }
-  chunk->payload_codec = common::EncodePayload(codec, raw, &chunk->payload);
-  chunk->payload_uncompressed_len = static_cast<uint32_t>(raw.size());
-  chunk->records.clear();
-  bytes.wire = chunk->payload.size();
-  return bytes;
+  return sealed.bytes;
 }
 
 bool OpenChunkPayload(ShardSnapshotChunk* chunk) {

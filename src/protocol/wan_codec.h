@@ -8,8 +8,8 @@
 // out — both run the one serializer in common/wire.h over the structs'
 // GEOTP_WIRE_FIELDS lists. It is the CONTENT being transported, not the
 // frame: the same packed bytes travel inside a sim message object or
-// inside a TCP frame unchanged, which is what makes the content hash a
-// stable chunk identity across runtimes and across retries.
+// inside a TCP frame unchanged, so the content hash verifies the same
+// bytes in either runtime.
 //
 // All decode paths are bounds-checked and total: malformed bytes yield
 // `false`, never a crash or a partial application.
@@ -26,9 +26,7 @@
 namespace geotp {
 namespace protocol {
 
-/// Canonical packed form of a record vector (20 bytes per write). The
-/// ContentHash64 of these bytes is a chunk's identity in the follower
-/// bootstrap handshake, so the encoding must stay deterministic.
+/// Canonical packed form of a record vector (20 bytes per write).
 std::string PackWrites(const std::vector<ReplWrite>& writes);
 bool UnpackWrites(const std::string& bytes, std::vector<ReplWrite>* writes);
 
@@ -52,26 +50,28 @@ struct EnvelopeBytes {
   size_t wire = 0;
 };
 
-/// One entry batch sealed for the WAN: packed, compressed and hashed
-/// once. A leader copies it into every frame that ships the same batch.
-struct SealedEntries {
+/// One packed entry batch or record chunk sealed for the WAN: compressed
+/// and hashed once. A leader copies a sealed batch into every frame that
+/// ships it.
+struct SealedPayload {
   common::WireCodec codec = common::WireCodec::kRaw;
   uint32_t uncompressed_len = 0;
   uint64_t hash = 0;
-  /// Empty when the batch ships as plain entries (compression knob off).
+  /// Empty when the vector ships plain (compression knob off).
   std::string payload;
   EnvelopeBytes bytes;
 };
-/// Seals the packed batch `raw` under `codec` into `sealed`, reusing its
+/// Seals the packed bytes `raw` under `codec` into `sealed`, reusing its
 /// payload buffer. kRaw (the sender's compression knob off) seals
-/// nothing: the batch ships as plain entries, counted at its packed size.
-void SealEntries(common::WireCodec codec, const std::string& raw,
-                 SealedEntries* sealed);
+/// nothing, not even the hash: the vector ships plain, counted at its
+/// packed size.
+void SealPayload(common::WireCodec codec, const std::string& raw,
+                 SealedPayload* sealed);
 /// Makes `sealed` the envelope of `req` (a copy of its payload).
-void AttachSealed(const SealedEntries& sealed, ReplAppendRequest* req);
+void AttachSealed(const SealedPayload& sealed, ReplAppendRequest* req);
 
 /// Seals `req->entries` into the WAN envelope under `codec` (kRaw leaves
-/// the plain vector in place): SealEntries over PackEntries, attached.
+/// the plain vector in place): SealPayload over PackEntries, attached.
 EnvelopeBytes SealAppendPayload(common::WireCodec codec,
                                 ReplAppendRequest* req);
 /// Reverses SealAppendPayload: verifies + unpacks the envelope back into
@@ -80,7 +80,7 @@ EnvelopeBytes SealAppendPayload(common::WireCodec codec,
 /// recovers).
 bool OpenAppendPayload(ReplAppendRequest* req);
 
-/// Chunk counterpart.
+/// Chunk counterpart: SealPayload over PackWrites, attached.
 EnvelopeBytes SealChunkPayload(common::WireCodec codec,
                                ShardSnapshotChunk* chunk);
 bool OpenChunkPayload(ShardSnapshotChunk* chunk);

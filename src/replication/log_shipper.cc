@@ -131,7 +131,7 @@ void LogShipper::ShipTo(NodeId follower, Progress& progress) {
   if (progress.next_index <= last) {
     // The sealed envelope (plain entries when the knob is off); every
     // follower at this next index gets the same bytes.
-    const protocol::SealedEntries& sealed = Seal(progress.next_index, last);
+    const protocol::SealedPayload& sealed = Seal(progress.next_index, last);
     if (sealed.payload.empty()) {
       const auto [first, end] = log_->Range(progress.next_index, last);
       req->entries.assign(first, end);
@@ -149,12 +149,12 @@ void LogShipper::ShipTo(NodeId follower, Progress& progress) {
   progress.shipped = true;
 }
 
-const protocol::SealedEntries& LogShipper::Seal(uint64_t first,
+const protocol::SealedPayload& LogShipper::Seal(uint64_t first,
                                                 uint64_t last) {
   if (sealed_first_ == first && sealed_last_ == last) return sealed_;
   const auto [begin, end] = log_->Range(first, last);
   protocol::PackEntriesInto(begin, end, &packed_);
-  protocol::SealEntries(common::SenderCodec(wan_compression_), packed_,
+  protocol::SealPayload(common::SenderCodec(wan_compression_), packed_,
                         &sealed_);
   sealed_first_ = first;
   sealed_last_ = last;

@@ -248,7 +248,7 @@ class LogShipper {
   /// The entries [first, last] sealed for the WAN: packed straight from
   /// the log into a reused buffer, compressed and hashed, unless the last
   /// seal already covers exactly that range.
-  const protocol::SealedEntries& Seal(uint64_t first, uint64_t last);
+  const protocol::SealedPayload& Seal(uint64_t first, uint64_t last);
   /// Queues `on_quorum` behind every callback for an index <= `index`.
   void AddPending(uint64_t index, QuorumCallback on_quorum);
   /// The log prefix ending before the entry tagged `tag` (all of it for 0).
@@ -283,7 +283,7 @@ class LogShipper {
   /// stays valid until Activate/Deactivate.
   uint64_t sealed_first_ = 0;
   uint64_t sealed_last_ = 0;
-  protocol::SealedEntries sealed_;
+  protocol::SealedPayload sealed_;
   std::string packed_;  ///< reused pack buffer
   LogShipperStats stats_;
 };

@@ -1,6 +1,7 @@
 #include "replication/replicator.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -16,14 +17,7 @@ namespace {
 /// Candidate retry backoff after a failed (split / refused) election.
 constexpr Micros kElectionRetryBackoff = MsToMicros(60);
 
-/// Store-scan ordering shared by the offer builder (leader) and the span
-/// hasher (follower): digests only match if both sides pack a span's
-/// records in the same order.
-bool KeyLess(const RecordKey& a, const RecordKey& b) {
-  if (a.table != b.table) return a.table < b.table;
-  return a.key < b.key;
-}
-
+/// The committed store in key order: the bootstrap stream's slicing.
 std::vector<protocol::ReplWrite> SortedCommittedRecords(
     storage::TransactionEngine& engine) {
   std::vector<protocol::ReplWrite> records;
@@ -32,27 +26,9 @@ std::vector<protocol::ReplWrite> SortedCommittedRecords(
   }
   std::sort(records.begin(), records.end(),
             [](const protocol::ReplWrite& a, const protocol::ReplWrite& b) {
-              return KeyLess(a.key, b.key);
+              return a.key < b.key;
             });
   return records;
-}
-
-/// Packs this replica's committed records within [lo, hi] (inclusive) in
-/// canonical order — hash-comparable against a SeedDigest for the span.
-uint64_t SpanHash(storage::TransactionEngine& engine, const RecordKey& lo,
-                  const RecordKey& hi) {
-  std::vector<protocol::ReplWrite> records;
-  for (const auto& [key, value] : engine.CommittedRecords(
-           [&lo, &hi](const RecordKey& key) {
-             return !KeyLess(key, lo) && !KeyLess(hi, key);
-           })) {
-    records.push_back(protocol::ReplWrite{key, value});
-  }
-  std::sort(records.begin(), records.end(),
-            [](const protocol::ReplWrite& a, const protocol::ReplWrite& b) {
-              return KeyLess(a.key, b.key);
-            });
-  return common::ContentHash64(protocol::PackWrites(records));
 }
 
 }  // namespace
@@ -109,7 +85,7 @@ void Replicator::RetireLeadership() {
   const uint64_t unshipped = shipper_.FirstUnshipped();
   shipper_.Deactivate();  // drops any pending quorum callbacks
   promotion_barrier_ = 0;
-  bootstrap_streams_.clear();  // leader-only re-seed offers die with the term
+  bootstrap_sent_at_.clear();  // leader-only re-seed streams die with the term
   // Entries of this term that never shipped leave the log: no other
   // replica holds them, and a record whose entry did not ship is outside
   // the group when its flush ends.
@@ -291,19 +267,9 @@ bool Replicator::HandleMessage(runtime::MessageBase* msg) {
         return false;
       }
       if (!protocol::OpenChunkPayload(&chunk)) {
-        return true;  // corrupt: drop; the next re-offer round recovers
+        return true;  // corrupt: drop; the next re-sent stream recovers
       }
       OnBootstrapSnapshot(chunk);
-      return true;
-    }
-    case runtime::MessageType::kShardSeedOffer: {
-      const auto& offer = static_cast<protocol::ShardSeedOffer&>(*msg);
-      if (offer.group == group_.logical) OnSeedOffer(offer);
-      return true;
-    }
-    case runtime::MessageType::kShardSeedDecline: {
-      const auto& decline = static_cast<protocol::ShardSeedDecline&>(*msg);
-      if (decline.group == group_.logical) OnSeedDecline(decline);
       return true;
     }
     default:
@@ -546,158 +512,59 @@ void Replicator::OnFollowerRead(const FollowerReadRequest& req) {
 
 void Replicator::SendBootstrapSnapshot(NodeId follower) {
   // The shipper re-fires this every heartbeat while the follower's next
-  // entry stays compacted away; an offer round takes a couple of round
-  // trips, so only re-offer after a quiet period. A re-offer is harmless
-  // beyond the bytes: the follower re-declines (now including any chunks
-  // it applied from the interrupted round) and the leader ships the rest.
-  auto it = bootstrap_streams_.find(follower);
-  if (it != bootstrap_streams_.end() &&
-      loop()->Now() - it->second.offered_at <
-          2 * group_.config.heartbeat_interval) {
+  // entry stays compacted away; a stream takes a round trip to install,
+  // so only re-send after a quiet period. A re-sent stream is harmless
+  // beyond the bytes (values are absolute), and it is what recovers a
+  // chunk the network lost.
+  auto it = bootstrap_sent_at_.find(follower);
+  if (it != bootstrap_sent_at_.end() &&
+      loop()->Now() - it->second < 2 * group_.config.heartbeat_interval) {
     return;
   }
-  BootstrapStream& stream = bootstrap_streams_[follower];
-  stream.offered_at = loop()->Now();
+  bootstrap_sent_at_[follower] = loop()->Now();
   // Position the follower's empty log at our compaction boundary: the
-  // offered chunks cover every compacted entry's effects (they are our
-  // CURRENT committed state, so re-applying the retained tail is
+  // chunks carry our CURRENT committed state, which covers every
+  // compacted entry's effects (re-applying the retained tail is
   // idempotent). Committed state only: live branches' in-place writes
   // stay out — their prepare entries are pinned above the compaction
   // point and ship with the tail.
-  stream.base_index = log_.first_index() - 1;
-  stream.base_epoch = log_.EpochAt(stream.base_index);
-  stream.digests.clear();
+  const uint64_t base_index = log_.first_index() - 1;
+  const uint64_t base_epoch = log_.EpochAt(base_index);
   const std::vector<protocol::ReplWrite> records =
       SortedCommittedRecords(node_->engine());
   const size_t per_chunk =
       std::max<uint64_t>(1, node_->config().migration_chunk_records);
-  for (size_t offset = 0; offset < records.size(); offset += per_chunk) {
-    const size_t count = std::min(per_chunk, records.size() - offset);
-    const std::vector<protocol::ReplWrite> slice(
-        records.begin() + static_cast<ptrdiff_t>(offset),
-        records.begin() + static_cast<ptrdiff_t>(offset + count));
-    protocol::SeedDigest digest;
-    digest.seq = stream.digests.size() + 1;
-    digest.hash = common::ContentHash64(protocol::PackWrites(slice));
-    digest.lo = slice.front().key;
-    digest.hi = slice.back().key;
-    digest.last = offset + count == records.size();
-    stream.digests.push_back(digest);
-  }
-  auto offer = std::make_unique<protocol::ShardSeedOffer>();
-  offer->from = self();
-  offer->to = follower;
-  offer->group = group_.logical;
-  offer->epoch = election_.epoch();
-  offer->base_index = stream.base_index;
-  offer->base_epoch = stream.base_epoch;
-  offer->digests = stream.digests;
-  stats_.bootstrap_offers_sent++;
-  GEOTP_INFO("replica " << self() << ": bootstrap offer (base "
-                        << stream.base_index << ", "
-                        << stream.digests.size() << " chunks, "
-                        << records.size() << " records) -> " << follower);
-  network()->Send(std::move(offer));
-}
-
-void Replicator::OnSeedOffer(const protocol::ShardSeedOffer& offer) {
-  if (offer.epoch < election_.epoch()) return;  // stale leader
-  const bool epoch_changed = offer.epoch > election_.epoch();
-  if (epoch_changed || election_.leader() != offer.from ||
-      election_.role() != Role::kFollower) {
-    election_.AdoptLeader(offer.from, offer.epoch);
-    SyncRoleState();
-    node_->DropUnloggedBranches();
-  }
-  last_leader_contact_ = loop()->Now();
-  if (offer.base_index <= applied_index_) {
-    // Already past the snapshot point (e.g. the previous round finished
-    // and this is a straggler re-offer): a plain ack resumes normal
-    // shipping of the retained tail.
-    pending_bootstrap_.reset();
-    auto ack = std::make_unique<ReplAppendAck>();
-    ack->from = self();
-    ack->to = offer.from;
-    ack->group = group_.logical;
-    ack->epoch = election_.epoch();
-    ack->ok = true;
-    ack->ack_index = consistent_prefix_;
-    network()->Send(std::move(ack));
-    return;
-  }
-  // Decline every chunk whose span this store already holds
-  // byte-identically (journaled applies that survived a log wipe, or a
-  // previous interrupted seed round). Keys are never deleted, so span
-  // content matching the digest hash means the chunk is fully present.
-  auto decline = std::make_unique<protocol::ShardSeedDecline>();
-  decline->from = self();
-  decline->to = offer.from;
-  decline->group = group_.logical;
-  decline->epoch = election_.epoch();
-  PendingBootstrap pending;
-  pending.base_index = offer.base_index;
-  pending.base_epoch = offer.base_epoch;
-  for (const protocol::SeedDigest& digest : offer.digests) {
-    if (SpanHash(node_->engine(), digest.lo, digest.hi) == digest.hash) {
-      decline->declined.push_back(digest.seq);
-    } else {
-      pending.missing.insert(digest.seq);
-    }
-  }
-  GEOTP_INFO("replica " << self() << ": seed offer (base "
-                        << offer.base_index << "): declining "
-                        << decline->declined.size() << "/"
-                        << offer.digests.size() << " chunks");
-  pending_bootstrap_ = std::move(pending);
-  network()->Send(std::move(decline));
-  if (pending_bootstrap_->missing.empty()) {
-    // Everything declined (or an empty store offered): install directly.
-    FinishBootstrapInstall();
-  }
-}
-
-void Replicator::OnSeedDecline(const protocol::ShardSeedDecline& decline) {
-  if (!IsLeader() || decline.epoch != election_.epoch()) return;
-  auto it = bootstrap_streams_.find(decline.from);
-  if (it == bootstrap_streams_.end()) return;  // no offer outstanding
-  const BootstrapStream& stream = it->second;
-  stats_.bootstrap_chunks_declined += decline.declined.size();
-  const std::set<uint64_t> declined(decline.declined.begin(),
-                                    decline.declined.end());
   const common::WireCodec codec =
       common::SenderCodec(node_->config().wan_compression);
-  for (const protocol::SeedDigest& digest : stream.digests) {
-    if (declined.count(digest.seq) > 0) continue;
+  // An empty store still sends one (empty) `last` chunk.
+  size_t offset = 0;
+  uint64_t seq = 0;
+  do {
+    const size_t count = std::min(per_chunk, records.size() - offset);
     auto chunk = std::make_unique<protocol::ShardSnapshotChunk>();
     chunk->from = self();
-    chunk->to = decline.from;
+    chunk->to = follower;
     chunk->migration_id = 0;
     chunk->group = group_.logical;
     chunk->epoch = election_.epoch();
-    chunk->seq = digest.seq;
-    chunk->last = digest.last;
-    chunk->base_index = stream.base_index;
-    chunk->base_epoch = stream.base_epoch;
-    // Fresh scan of the span: content may have drifted since the offer
-    // (commits keep landing), which is safe — values are absolute and
-    // anything newer than base_index re-applies from the retained tail.
-    for (const auto& [key, value] : node_->engine().CommittedRecords(
-             [&digest](const RecordKey& key) {
-               return !KeyLess(key, digest.lo) && !KeyLess(digest.hi, key);
-             })) {
-      chunk->records.push_back(protocol::ReplWrite{key, value});
-    }
-    std::sort(chunk->records.begin(), chunk->records.end(),
-              [](const protocol::ReplWrite& a, const protocol::ReplWrite& b) {
-                return KeyLess(a.key, b.key);
-              });
+    chunk->seq = ++seq;
+    chunk->base_index = base_index;
+    chunk->base_epoch = base_epoch;
+    chunk->records.assign(
+        records.begin() + static_cast<ptrdiff_t>(offset),
+        records.begin() + static_cast<ptrdiff_t>(offset + count));
+    offset += count;
+    chunk->last = offset == records.size();
     const protocol::EnvelopeBytes bytes =
         protocol::SealChunkPayload(codec, chunk.get());
     stats_.wan_bytes_raw += bytes.raw;
     stats_.wan_bytes_wire += bytes.wire;
     stats_.bootstrap_chunks_sent++;
     network()->Send(std::move(chunk));
-  }
+  } while (offset < records.size());
+  GEOTP_INFO("replica " << self() << ": bootstrap stream (base "
+                        << base_index << ", " << seq << " chunks, "
+                        << records.size() << " records) -> " << follower);
 }
 
 void Replicator::FinishBootstrapInstall() {
@@ -705,18 +572,16 @@ void Replicator::FinishBootstrapInstall() {
   const uint64_t base_index = pending_bootstrap_->base_index;
   const uint64_t base_epoch = pending_bootstrap_->base_epoch;
   pending_bootstrap_.reset();
-  if (base_index > applied_index_) {
-    log_.ResetTo(base_index, base_epoch);
-    consistent_prefix_ = base_index;
-    follower_watermark_ = base_index;
-    applied_index_ = base_index;
-    compact_floor_ = std::max(compact_floor_, base_index);
-    unresolved_prepares_.clear();
-    commit_entries_.clear();
-    unresolved_migrations_.clear();
-    fresh_as_of_ = loop()->Now();
-    stats_.snapshot_installs++;
-  }
+  log_.ResetTo(base_index, base_epoch);
+  consistent_prefix_ = base_index;
+  follower_watermark_ = base_index;
+  applied_index_ = base_index;
+  compact_floor_ = std::max(compact_floor_, base_index);
+  unresolved_prepares_.clear();
+  commit_entries_.clear();
+  unresolved_migrations_.clear();
+  fresh_as_of_ = loop()->Now();
+  stats_.snapshot_installs++;
   auto ack = std::make_unique<ReplAppendAck>();
   ack->from = self();
   ack->to = election_.leader();
@@ -740,18 +605,31 @@ void Replicator::OnBootstrapSnapshot(
     node_->DropUnloggedBranches();
   }
   last_leader_contact_ = loop()->Now();
-  // Records apply immediately (the store persists them even across a
-  // crash, turning them into declines on the next offer round); the log
-  // repositions only once the last missing chunk lands.
+  // Already past the snapshot point: a straggler of a stream that
+  // installed. The leader's next append finds the log in place.
+  if (chunk.base_index <= applied_index_) return;
   if (!pending_bootstrap_.has_value() ||
-      pending_bootstrap_->base_index != chunk.base_index) {
-    return;  // stale stream; the next offer round resynchronizes
+      pending_bootstrap_->base_index < chunk.base_index) {
+    pending_bootstrap_ = PendingBootstrap();
+    pending_bootstrap_->base_index = chunk.base_index;
+    pending_bootstrap_->base_epoch = chunk.base_epoch;
+  } else if (pending_bootstrap_->base_index > chunk.base_index) {
+    return;  // straggler of a superseded stream
   }
+  // Records apply at once (values are absolute, so a re-sent stream is
+  // idempotent); the log repositions only once chunks 1..N are all here.
   for (const protocol::ReplWrite& w : chunk.records) {
     node_->engine().store().Apply(w.key, w.value);
   }
-  pending_bootstrap_->missing.erase(chunk.seq);
-  if (pending_bootstrap_->missing.empty()) FinishBootstrapInstall();
+  PendingBootstrap& pending = *pending_bootstrap_;
+  pending.received.insert(chunk.seq);
+  if (chunk.last) pending.last_seq = chunk.seq;
+  const auto held = std::distance(
+      pending.received.begin(), pending.received.upper_bound(pending.last_seq));
+  if (pending.last_seq != 0 &&
+      static_cast<uint64_t>(held) == pending.last_seq) {
+    FinishBootstrapInstall();
+  }
 }
 
 void Replicator::WipeForBootstrap() {
@@ -767,10 +645,9 @@ void Replicator::WipeForBootstrap() {
   unresolved_migrations_.clear();
   pending_bootstrap_.reset();
   node_->OnLogWiped();
-  // NOTE: the committed store is deliberately KEPT (only the log device
-  // is gone). The next seed offer hashes it span by span, so everything
-  // journaled before the wipe comes back as declined chunks instead of
-  // re-crossing the WAN.
+  // NOTE: the committed store is kept (only the log device is gone), as
+  // a crash keeps it. The bootstrap stream re-sends every chunk anyway;
+  // its absolute values overwrite whatever the store held.
 }
 
 // ---------------------------------------------------------------------------

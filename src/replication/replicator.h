@@ -54,10 +54,7 @@ struct ReplicatorStats {
   uint64_t snapshot_installs = 0;  ///< bootstrap snapshots applied
   uint64_t migration_records_appended = 0;  ///< Begin/Cutover/End journaled
   uint64_t migration_handoffs = 0;  ///< unresolved migrations at promotion
-  // Incremental follower re-seed (hash offer/decline instead of one
-  // monolithic store snapshot) + its WAN accounting.
-  uint64_t bootstrap_offers_sent = 0;
-  uint64_t bootstrap_chunks_declined = 0;  ///< chunks the follower held
+  // Follower re-seed chunk stream + its WAN accounting.
   uint64_t bootstrap_chunks_sent = 0;
   uint64_t wan_bytes_raw = 0;   ///< packed bootstrap-chunk bytes pre-codec
   uint64_t wan_bytes_wire = 0;  ///< bytes actually shipped
@@ -66,7 +63,6 @@ struct ReplicatorStats {
                     follower_reads_rejected, not_leader_rejections,
                     log_entries_truncated, snapshot_installs,
                     migration_records_appended, migration_handoffs,
-                    bootstrap_offers_sent, bootstrap_chunks_declined,
                     bootstrap_chunks_sent, wan_bytes_raw, wan_bytes_wire)
 };
 
@@ -212,24 +208,18 @@ class Replicator {
   void OnVoteResponse(const protocol::ReplVoteResponse& resp);
   void OnFollowerRead(const protocol::FollowerReadRequest& req);
   /// Leader side: re-seeds a follower whose next entry was compacted
-  /// away. Instead of one monolithic store snapshot it sends a
-  /// ShardSeedOffer — the chunked content hashes of the committed store —
-  /// and ships only the chunks the follower does not decline. Throttled:
-  /// the shipper re-fires this every heartbeat while the follower lags,
-  /// but a fresh offer goes out at most every two heartbeats (each
-  /// re-offer is idempotent and picks up partially applied chunks as new
-  /// declines, so interrupted re-seeds resume incrementally for free).
+  /// away by streaming the committed store as chunks seq 1..N, `last` on
+  /// chunk N, all sent at once. Throttled: the shipper re-fires this every
+  /// heartbeat while the follower lags, but a fresh stream goes out at
+  /// most every two heartbeats. A re-sent stream is idempotent (values
+  /// are absolute) and is how a lost chunk is recovered.
   void SendBootstrapSnapshot(NodeId follower);
-  /// Follower side: installs one chunk (migration_id == 0, seq >= 1) of
-  /// the offered bootstrap stream; anything else is dropped.
+  /// Follower side: applies one chunk (migration_id == 0, seq >= 1) of a
+  /// bootstrap stream and installs once it holds seqs 1..N for the
+  /// stream's base_index.
   void OnBootstrapSnapshot(const protocol::ShardSnapshotChunk& chunk);
-  /// Follower side: hashes its own store spans against the offer and
-  /// declines every chunk it already holds byte-identically.
-  void OnSeedOffer(const protocol::ShardSeedOffer& offer);
-  /// Leader side: ships the chunks the follower did not decline.
-  void OnSeedDecline(const protocol::ShardSeedDecline& decline);
-  /// Follower side: every expected chunk arrived — position the log at
-  /// the snapshot boundary and ack.
+  /// Follower side: every chunk of the stream arrived — position the log
+  /// at the snapshot boundary and ack.
   void FinishBootstrapInstall();
 
   /// Epoch of the last log entry (0 for an empty log) — the first half of
@@ -322,23 +312,18 @@ class Replicator {
   /// AwaitCommitApplied waiters by entry index, FIFO among equal ones.
   std::multimap<uint64_t, std::function<void()>> commit_waiters_;
 
-  // ----- incremental bootstrap re-seed state -----
-  /// Leader side, per lagging follower: the offer currently outstanding.
-  /// Kept until overwritten (offers are cheap); cleared with leadership.
-  struct BootstrapStream {
-    uint64_t base_index = 0;
-    uint64_t base_epoch = 0;
-    Micros offered_at = 0;  ///< re-offer throttle (2x heartbeat)
-    std::vector<protocol::SeedDigest> digests;
-  };
-  std::unordered_map<NodeId, BootstrapStream> bootstrap_streams_;
+  // ----- bootstrap re-seed state -----
+  /// Leader side: when the last stream to each lagging follower went out
+  /// (the 2x heartbeat re-send throttle); cleared with leadership.
+  std::unordered_map<NodeId, Micros> bootstrap_sent_at_;
   /// Follower side: the install in progress (volatile — a crash mid-seed
-  /// keeps the partially applied store, and the next offer turns that
-  /// progress into declines).
+  /// keeps the partially applied store, and the next stream re-sends
+  /// every chunk).
   struct PendingBootstrap {
     uint64_t base_index = 0;
     uint64_t base_epoch = 0;
-    std::set<uint64_t> missing;  ///< chunk seqs not declined, not yet here
+    std::set<uint64_t> received;  ///< chunk seqs applied so far
+    uint64_t last_seq = 0;        ///< N, once the `last` chunk arrived
   };
   std::optional<PendingBootstrap> pending_bootstrap_;
 

@@ -70,10 +70,7 @@
   X(baselines, YbBatchResponse)                                   \
   X(baselines, YbResolveRequest)                                  \
   /* Overload control. */                                         \
-  X(protocol, OverloadedResponse)                                 \
-  /* Incremental re-seed handshake. */                            \
-  X(protocol, ShardSeedOffer)                                     \
-  X(protocol, ShardSeedDecline)
+  X(protocol, OverloadedResponse)
 
 namespace geotp {
 

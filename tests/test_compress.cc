@@ -406,12 +406,12 @@ TEST(WanCodec, SealOpenChunkEnvelope) {
   ASSERT_TRUE(chunk.records.empty());
   ASSERT_TRUE(protocol::OpenChunkPayload(&chunk));
   EXPECT_EQ(chunk.records.size(), 256u);
-  // Raw sealing (compression off) still stamps the hash and keeps the
-  // plain records.
+  // Raw sealing (compression off) keeps the plain records and stamps no
+  // hash: nothing verifies a raw chunk.
   protocol::ShardSnapshotChunk raw_chunk;
   raw_chunk.records = chunk.records;
   protocol::SealChunkPayload(WireCodec::kRaw, &raw_chunk);
-  EXPECT_EQ(raw_chunk.content_hash, ContentHash64(packed));
+  EXPECT_EQ(raw_chunk.content_hash, 0u);
   EXPECT_FALSE(raw_chunk.records.empty());
   EXPECT_TRUE(raw_chunk.payload.empty());
 }

@@ -1582,7 +1582,7 @@ TEST(ReplicationTest, WipedFollowerBootstrapsFromStoreSnapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// WAN compression knob + incremental re-seed
+// WAN compression knob + bootstrap re-seed stream
 // ---------------------------------------------------------------------------
 
 // Committed store contents in a canonical order, for byte-identical
@@ -1642,79 +1642,134 @@ TEST(ReplicationTest, WanCompressionIsASenderSideKnob) {
   EXPECT_LT(zipped.wan_bytes_wire, zipped.wan_bytes_raw);
 }
 
-// Drives one wiped-follower bootstrap and reports the leader-side WAN
-// accounting plus whether the follower converged byte-identically.
-// `warm` controls whether the wiped follower kept its committed store
-// (the log device is always lost — WipeForBootstrap).
-void RunReseed(bool warm, uint64_t* wire_bytes, uint64_t* chunks_declined,
-               bool* identical) {
+// Group 0 with 512 committed records seeded on the leader and on
+// follower 1 (and on follower 0 too when `warm`), 64 records per
+// bootstrap chunk. Six commits later the leader has compacted its log;
+// then follower 0 loses its log device (WipeForBootstrap keeps the
+// store) and five more commits land while it is down.
+std::unique_ptr<MiniCluster> WipedFollowerCluster(bool warm) {
   MiniCluster::Options options = ReplicatedOptions();
   options.ds_tweak = [](datasource::DataSourceConfig* config) {
-    config->migration_chunk_records = 64;  // 512 seeded records -> 8 chunks
+    config->migration_chunk_records = 64;
   };
-  MiniCluster cluster(options);
-
-  // Seed a large committed range directly. The bootstrapping follower
-  // holds it only in the warm run; its quorum peers always do.
+  auto cluster = std::make_unique<MiniCluster>(options);
   for (uint64_t off = 0; off < 512; ++off) {
-    cluster.source(0).engine().store().Apply(cluster.KeyOn(0, off), 0);
-    cluster.follower(0, 1).engine().store().Apply(cluster.KeyOn(0, off), 0);
+    cluster->source(0).engine().store().Apply(cluster->KeyOn(0, off), 0);
+    cluster->follower(0, 1).engine().store().Apply(cluster->KeyOn(0, off),
+                                                   0);
     if (warm) {
-      cluster.follower(0, 0).engine().store().Apply(cluster.KeyOn(0, off), 0);
+      cluster->follower(0, 0).engine().store().Apply(cluster->KeyOn(0, off),
+                                                     0);
     }
   }
-
   for (uint64_t t = 1; t <= 6; ++t) {
-    ASSERT_TRUE(
-        cluster.RunTxn(t, {MiniCluster::Write(cluster.KeyOn(0, t), 10)})
+    EXPECT_TRUE(
+        cluster->RunTxn(t, {MiniCluster::Write(cluster->KeyOn(0, t), 10)})
             .ok());
+  }
+  cluster->RunFor(2000);
+  EXPECT_GT(cluster->source(0).replicator()->log().first_index(), 1u);
+
+  auto& wiped = cluster->follower(0, 0);
+  wiped.Crash();
+  wiped.replicator()->WipeForBootstrap();
+  for (uint64_t t = 10; t <= 14; ++t) {
+    EXPECT_TRUE(
+        cluster->RunTxn(t, {MiniCluster::Write(cluster->KeyOn(0, t), 33)})
+            .ok());
+  }
+  return cluster;
+}
+
+// Restarts the wiped follower 0 of group 0 and cuts it off the network
+// the moment the leader's first bootstrap stream leaves, so every chunk
+// of that stream is lost in flight; restores it 60 ms later (well inside
+// the election timeout) without it having installed anything.
+void LoseFirstBootstrapStream(MiniCluster& cluster) {
+  auto& wiped = cluster.follower(0, 0);
+  const replication::ReplicatorStats& leader =
+      cluster.source(0).replicator()->stats();
+  wiped.Restart();
+  for (int step = 0; step < 20000 && leader.bootstrap_chunks_sent == 0;
+       ++step) {
+    cluster.RunFor(0.1);
+  }
+  ASSERT_GT(leader.bootstrap_chunks_sent, 0u);
+  cluster.network().Partition(wiped.id());
+  cluster.RunFor(60);
+  EXPECT_EQ(wiped.replicator()->stats().snapshot_installs, 0u);
+  cluster.network().Restore(wiped.id());
+}
+
+// The bootstrapped follower applied everything the leader committed and
+// holds the leader's committed store byte for byte.
+void ExpectConverged(MiniCluster& cluster) {
+  auto& wiped = cluster.follower(0, 0);
+  EXPECT_EQ(wiped.replicator()->stats().snapshot_installs, 1u);
+  EXPECT_GE(wiped.replicator()->applied_index(),
+            cluster.source(0).replicator()->commit_watermark());
+  EXPECT_EQ(SortedStore(wiped), SortedStore(cluster.source(0)));
+}
+
+// Warm (store kept) or cold (store empty), a wiped follower receives the
+// same full stream: 8 chunks for 512 records at 64 per chunk, sent once,
+// and ends byte-identical to the leader.
+TEST(ReplicationTest, WarmAndColdReseedsStreamEveryChunkOnceAndConverge) {
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    auto cluster = WipedFollowerCluster(warm);
+    ASSERT_EQ(cluster->source(0).engine().CommittedRecords().size(), 512u);
+    cluster->follower(0, 0).Restart();
+    cluster->RunFor(4000);  // heartbeat -> gap nack -> stream -> tail
+    EXPECT_EQ(cluster->source(0).replicator()->stats().bootstrap_chunks_sent,
+              8u);
+    ExpectConverged(*cluster);
+  }
+}
+
+// A stream lost in flight is recovered by the leader's throttled re-send.
+TEST(ReplicationTest, BootstrapStreamLostToAPartitionIsReSent) {
+  auto cluster = WipedFollowerCluster(/*warm=*/false);
+  LoseFirstBootstrapStream(*cluster);
+  cluster->RunFor(4000);
+  EXPECT_GE(cluster->source(0).replicator()->stats().bootstrap_chunks_sent,
+            16u);
+  ExpectConverged(*cluster);
+}
+
+// A group that only served distributed reads has logged their prepare
+// and commit entries but holds no committed record: its stream is one
+// empty `last` chunk, which still installs (here from the re-send, the
+// first stream being lost).
+TEST(ReplicationTest, EmptyStoreBootstrapsFromOneEmptyLastChunk) {
+  MiniCluster cluster(ReplicatedOptions());
+  for (uint64_t t = 1; t <= 6; ++t) {
+    ASSERT_TRUE(cluster
+                    .RunTxn(t, {MiniCluster::Read(cluster.KeyOn(0, t)),
+                                MiniCluster::Read(cluster.KeyOn(1, t))})
+                    .ok());
   }
   cluster.RunFor(2000);
   auto* leader_repl = cluster.source(0).replicator();
-  ASSERT_GT(leader_repl->log().first_index(), 1u);  // compaction settled
+  ASSERT_GT(leader_repl->log().first_index(), 1u);
+  ASSERT_TRUE(cluster.source(0).engine().CommittedRecords().empty());
 
   auto& wiped = cluster.follower(0, 0);
   wiped.Crash();
   wiped.replicator()->WipeForBootstrap();
-
-  // More committed traffic while the follower is down; the touched keys
-  // all land in the first 64-record chunk, so the remaining chunks stay
-  // byte-identical to what a warm store already holds.
-  for (uint64_t t = 10; t <= 14; ++t) {
-    ASSERT_TRUE(
-        cluster.RunTxn(t, {MiniCluster::Write(cluster.KeyOn(0, t), 33)})
-            .ok());
-  }
-
-  wiped.Restart();
-  cluster.RunFor(4000);  // heartbeat -> gap nack -> offer/decline -> chunks
-
-  const replication::ReplicatorStats& stats = leader_repl->stats();
-  EXPECT_GE(stats.bootstrap_offers_sent, 1u);
-  *wire_bytes = stats.wan_bytes_wire;
-  *chunks_declined = stats.bootstrap_chunks_declined;
-  EXPECT_GE(wiped.replicator()->applied_index(),
-            leader_repl->commit_watermark());
-  *identical = SortedStore(wiped) == SortedStore(cluster.source(0));
-}
-
-TEST(ReplicationTest, ReseedWithHeldStoreDeclinesChunksAndShipsLess) {
-  uint64_t cold_wire = 0, warm_wire = 0;
-  uint64_t cold_declined = 0, warm_declined = 0;
-  bool cold_identical = false, warm_identical = false;
-  RunReseed(/*warm=*/false, &cold_wire, &cold_declined, &cold_identical);
-  RunReseed(/*warm=*/true, &warm_wire, &warm_declined, &warm_identical);
-
-  // Cold: nothing to decline, the whole range re-crosses the WAN.
-  EXPECT_EQ(cold_declined, 0u);
-  EXPECT_GT(cold_wire, 0u);
-  // Warm: every chunk outside the dirtied head is declined by hash and
-  // never shipped, so the resumed seed is strictly cheaper.
-  EXPECT_GT(warm_declined, 0u);
-  EXPECT_LT(warm_wire, cold_wire);
-  // Both end byte-identical to the leader's committed store.
-  EXPECT_TRUE(cold_identical);
-  EXPECT_TRUE(warm_identical);
+  LoseFirstBootstrapStream(cluster);
+  cluster.RunFor(2000);
+  // One chunk per stream: the lost one and the re-sent one.
+  EXPECT_EQ(leader_repl->stats().bootstrap_chunks_sent, 2u);
+  ExpectConverged(cluster);
+  EXPECT_EQ(wiped.replicator()->log().first_index(),
+            leader_repl->log().first_index());
+  // And it serves as a quorum member again.
+  ASSERT_TRUE(
+      cluster.RunTxn(100, {MiniCluster::Write(cluster.KeyOn(0, 50), 7)})
+          .ok());
+  cluster.RunFor(1000);
+  ExpectConverged(cluster);
 }
 
 }  // namespace

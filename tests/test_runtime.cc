@@ -462,10 +462,9 @@ TEST(RuntimeCodecTest, MalformedInputDecodesToNull) {
 // Golden frames: the bytes every MessageType encodes to, pinned.
 //
 // Captured from the hand-written codec this serializer replaced, with two
-// deliberate differences: the three ack types (ReplAppendAck,
-// ShardSnapshotAck, ShardSeedDecline) lost their 4-byte codec mask, and
-// ReplAppendRequest's plain entries use PackEntries' field order (`at`
-// before `writes`), ReplEntry's one order.
+// deliberate differences: the ack types (ReplAppendAck, ShardSnapshotAck)
+// lost their 4-byte codec mask, and ReplAppendRequest's plain entries use
+// PackEntries' field order (`at` before `writes`), ReplEntry's one order.
 // ---------------------------------------------------------------------------
 
 std::string Hex(const std::string& bytes) {
@@ -782,28 +781,6 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   shed->tenant = 7;
   shed->retry_after_hint = MsToMicros(25);
   add(std::move(shed));
-
-  auto offer = Stamped<protocol::ShardSeedOffer>();
-  offer->group = 5;
-  offer->epoch = 2;
-  offer->base_index = 40;
-  offer->base_epoch = 2;
-  for (uint64_t seq = 1; seq <= 3; ++seq) {
-    protocol::SeedDigest digest;
-    digest.seq = seq;
-    digest.hash = 0x1000 + seq;
-    digest.lo = RecordKey{1, 100 * seq};
-    digest.hi = RecordKey{1, 100 * seq + 99};
-    digest.last = seq == 3;
-    offer->digests.push_back(digest);
-  }
-  add(std::move(offer));
-
-  auto decline = Stamped<protocol::ShardSeedDecline>();
-  decline->group = 5;
-  decline->epoch = 2;
-  decline->declined = {1, 2};
-  add(std::move(decline));
   return out;
 }
 
@@ -977,17 +954,6 @@ const std::map<MessageType, std::string>& GoldenHex() {
     {MessageType::kOverloadedResponse,
      "2b00030000000900000001080706050403020111000000000000002200000000"
      "000000050000000000000007000000a861000000000000"},
-    {MessageType::kShardSeedOffer,
-     "2c00030000000900000001080706050403020111000000000000002200000000"
-     "0000000500000002000000000000002800000000000000020000000000000003"
-     "0000000100000000000000011000000000000001000000640000000000000001"
-     "000000c700000000000000000200000000000000021000000000000001000000"
-     "c800000000000000010000002b01000000000000000300000000000000031000"
-     "0000000000010000002c01000000000000010000008f0100000000000001"},
-    {MessageType::kShardSeedDecline,
-     "2d00030000000900000001080706050403020111000000000000002200000000"
-     "0000000500000002000000000000000200000001000000000000000200000000"
-     "000000"},
   };
   return *golden;
 }
@@ -1026,17 +992,17 @@ TEST(RuntimeCodecTest, WanPackersMatchTheirGoldenBytes) {
 // The enum is the codec's checklist: a MessageType appended without a
 // golden sample (and so, most likely, without a codec entry) fails here.
 TEST(RuntimeCodecTest, EveryMessageTypeIsCovered) {
-  // kShardSeedDecline is the last enumerator; 0 is kUnknown.
-  ASSERT_EQ(static_cast<int>(MessageType::kShardSeedDecline), 45);
+  // kOverloadedResponse is the last enumerator; 0 is kUnknown.
+  ASSERT_EQ(static_cast<int>(MessageType::kOverloadedResponse), 43);
   std::set<MessageType> sampled;
   for (const auto& msg : GoldenSamples()) sampled.insert(msg->type());
-  for (int t = 1; t <= static_cast<int>(MessageType::kShardSeedDecline);
+  for (int t = 1; t <= static_cast<int>(MessageType::kOverloadedResponse);
        ++t) {
     const auto type = static_cast<MessageType>(t);
     EXPECT_EQ(GoldenHex().count(type), 1u) << "no golden frame for " << t;
     EXPECT_EQ(sampled.count(type), 1u) << "no golden sample for " << t;
   }
-  EXPECT_EQ(GoldenHex().size(), 45u);
+  EXPECT_EQ(GoldenHex().size(), 43u);
 }
 
 // Enum bytes past the last enumerator are malformed input: the decoder
