@@ -85,7 +85,7 @@ void Replicator::RetireLeadership() {
   const uint64_t unshipped = shipper_.FirstUnshipped();
   shipper_.Deactivate();  // drops any pending quorum callbacks
   promotion_barrier_ = 0;
-  bootstrap_sent_at_.clear();  // leader-only re-seed streams die with the term
+  bootstrap_streams_.clear();  // leader-only re-seed streams die with the term
   // Entries of this term that never shipped leave the log: no other
   // replica holds them, and a record whose entry did not ship is outside
   // the group when its flush ends.
@@ -516,12 +516,13 @@ void Replicator::SendBootstrapSnapshot(NodeId follower) {
   // so only re-send after a quiet period. A re-sent stream is harmless
   // beyond the bytes (values are absolute), and it is what recovers a
   // chunk the network lost.
-  auto it = bootstrap_sent_at_.find(follower);
-  if (it != bootstrap_sent_at_.end() &&
-      loop()->Now() - it->second < 2 * group_.config.heartbeat_interval) {
+  auto [it, first] = bootstrap_streams_.try_emplace(follower);
+  BootstrapStream& stream = it->second;
+  if (!first &&
+      loop()->Now() - stream.sent_at < 2 * group_.config.heartbeat_interval) {
     return;
   }
-  bootstrap_sent_at_[follower] = loop()->Now();
+  stream.sent_at = loop()->Now();
   // Position the follower's empty log at our compaction boundary: the
   // chunks carry our CURRENT committed state, which covers every
   // compacted entry's effects (re-applying the retained tail is
@@ -532,38 +533,52 @@ void Replicator::SendBootstrapSnapshot(NodeId follower) {
   const uint64_t base_epoch = log_.EpochAt(base_index);
   const std::vector<protocol::ReplWrite> records =
       SortedCommittedRecords(node_->engine());
-  const size_t per_chunk =
-      std::max<uint64_t>(1, node_->config().migration_chunk_records);
+  if (stream.base_index != base_index) {
+    // First stream for this base: slice by record count. Later streams
+    // cut at the same keys (a key committed in between joins the chunk
+    // whose range holds it), so chunk s of one stream and chunk s+1 of
+    // another never leave a record between them.
+    stream.base_index = base_index;
+    const size_t per_chunk =
+        std::max<uint64_t>(1, node_->config().migration_chunk_records);
+    stream.chunk_starts.clear();
+    for (size_t i = per_chunk; i < records.size(); i += per_chunk) {
+      stream.chunk_starts.push_back(records[i].key);
+    }
+  }
   const common::WireCodec codec =
       common::SenderCodec(node_->config().wan_compression);
+  // Chunk s ends before chunk_starts[s-1]; the last one takes the rest.
   // An empty store still sends one (empty) `last` chunk.
-  size_t offset = 0;
-  uint64_t seq = 0;
-  do {
-    const size_t count = std::min(per_chunk, records.size() - offset);
+  const uint64_t chunks = stream.chunk_starts.size() + 1;
+  auto begin = records.begin();
+  for (uint64_t seq = 1; seq <= chunks; ++seq) {
+    auto end = begin;
+    while (end != records.end() &&
+           (seq == chunks || end->key < stream.chunk_starts[seq - 1])) {
+      ++end;
+    }
     auto chunk = std::make_unique<protocol::ShardSnapshotChunk>();
     chunk->from = self();
     chunk->to = follower;
     chunk->migration_id = 0;
     chunk->group = group_.logical;
     chunk->epoch = election_.epoch();
-    chunk->seq = ++seq;
+    chunk->seq = seq;
+    chunk->last = seq == chunks;
     chunk->base_index = base_index;
     chunk->base_epoch = base_epoch;
-    chunk->records.assign(
-        records.begin() + static_cast<ptrdiff_t>(offset),
-        records.begin() + static_cast<ptrdiff_t>(offset + count));
-    offset += count;
-    chunk->last = offset == records.size();
+    chunk->records.assign(begin, end);
+    begin = end;
     const protocol::EnvelopeBytes bytes =
         protocol::SealChunkPayload(codec, chunk.get());
     stats_.wan_bytes_raw += bytes.raw;
     stats_.wan_bytes_wire += bytes.wire;
     stats_.bootstrap_chunks_sent++;
     network()->Send(std::move(chunk));
-  } while (offset < records.size());
+  }
   GEOTP_INFO("replica " << self() << ": bootstrap stream (base "
-                        << base_index << ", " << seq << " chunks, "
+                        << base_index << ", " << chunks << " chunks, "
                         << records.size() << " records) -> " << follower);
 }
 
@@ -608,9 +623,14 @@ void Replicator::OnBootstrapSnapshot(
   // Already past the snapshot point: a straggler of a stream that
   // installed. The leader's next append finds the log in place.
   if (chunk.base_index <= applied_index_) return;
+  // A new leader's stream starts afresh: its base may lie below the old
+  // leader's (a follower learns the compaction floor one append late).
+  // Within one leader's term a higher base supersedes a lower one.
   if (!pending_bootstrap_.has_value() ||
+      pending_bootstrap_->epoch != chunk.epoch ||
       pending_bootstrap_->base_index < chunk.base_index) {
     pending_bootstrap_ = PendingBootstrap();
+    pending_bootstrap_->epoch = chunk.epoch;
     pending_bootstrap_->base_index = chunk.base_index;
     pending_bootstrap_->base_epoch = chunk.base_epoch;
   } else if (pending_bootstrap_->base_index > chunk.base_index) {

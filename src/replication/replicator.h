@@ -211,12 +211,13 @@ class Replicator {
   /// away by streaming the committed store as chunks seq 1..N, `last` on
   /// chunk N, all sent at once. Throttled: the shipper re-fires this every
   /// heartbeat while the follower lags, but a fresh stream goes out at
-  /// most every two heartbeats. A re-sent stream is idempotent (values
-  /// are absolute) and is how a lost chunk is recovered.
+  /// most every two heartbeats. A re-sent stream for the same base cuts
+  /// its chunks at the first stream's keys; it is idempotent (values are
+  /// absolute) and is how a lost chunk is recovered.
   void SendBootstrapSnapshot(NodeId follower);
   /// Follower side: applies one chunk (migration_id == 0, seq >= 1) of a
   /// bootstrap stream and installs once it holds seqs 1..N for the
-  /// stream's base_index.
+  /// stream's (leader epoch, base_index).
   void OnBootstrapSnapshot(const protocol::ShardSnapshotChunk& chunk);
   /// Follower side: every chunk of the stream arrived — position the log
   /// at the snapshot boundary and ack.
@@ -313,13 +314,23 @@ class Replicator {
   std::multimap<uint64_t, std::function<void()>> commit_waiters_;
 
   // ----- bootstrap re-seed state -----
-  /// Leader side: when the last stream to each lagging follower went out
-  /// (the 2x heartbeat re-send throttle); cleared with leadership.
-  std::unordered_map<NodeId, Micros> bootstrap_sent_at_;
+  /// Leader side: the stream to one lagging follower; cleared with
+  /// leadership.
+  struct BootstrapStream {
+    Micros sent_at = 0;  ///< last send (the 2x heartbeat re-send throttle)
+    uint64_t base_index = 0;
+    /// First key of chunks 2..N, fixed while `base_index` holds: a re-sent
+    /// stream cuts at the same keys, so chunk s covers the same key range
+    /// in every stream for the base and any mix of them covers the store.
+    std::vector<RecordKey> chunk_starts;
+  };
+  std::unordered_map<NodeId, BootstrapStream> bootstrap_streams_;
   /// Follower side: the install in progress (volatile — a crash mid-seed
   /// keeps the partially applied store, and the next stream re-sends
-  /// every chunk).
+  /// every chunk). Keyed by the sending leader's epoch and its base: a
+  /// new leader's stream starts a fresh install whatever its base.
   struct PendingBootstrap {
+    uint64_t epoch = 0;
     uint64_t base_index = 0;
     uint64_t base_epoch = 0;
     std::set<uint64_t> received;  ///< chunk seqs applied so far

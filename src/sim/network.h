@@ -45,6 +45,11 @@ class Network : public runtime::ITransport {
   /// Registers the message handler for a node. Must be called before any
   /// message addressed to that node is delivered.
   void RegisterNode(NodeId node, Handler handler) override;
+  /// The handler registered for `node`, so fault injection can wrap it
+  /// (drop chosen messages, then pass the rest through).
+  const Handler& handler(NodeId node) const {
+    return handlers_[static_cast<size_t>(node)];
+  }
 
   /// Marks a node as crashed: messages to it are silently dropped until
   /// Restore() is called (used by the failure-recovery tests).

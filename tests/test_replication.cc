@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <random>
@@ -1642,18 +1643,17 @@ TEST(ReplicationTest, WanCompressionIsASenderSideKnob) {
   EXPECT_LT(zipped.wan_bytes_wire, zipped.wan_bytes_raw);
 }
 
-// Group 0 with 512 committed records seeded on the leader and on
-// follower 1 (and on follower 0 too when `warm`), 64 records per
-// bootstrap chunk. Six commits later the leader has compacted its log;
-// then follower 0 loses its log device (WipeForBootstrap keeps the
-// store) and five more commits land while it is down.
-std::unique_ptr<MiniCluster> WipedFollowerCluster(bool warm) {
+// Group 0 with 512 committed records (key offsets first_off ..
+// first_off + 511) seeded on the leader and on follower 1 (and on
+// follower 0 too when `warm`), 64 records per bootstrap chunk. Six
+// commits to seeded keys follow and the leader compacts its log.
+std::unique_ptr<MiniCluster> SeededCluster(bool warm, uint64_t first_off) {
   MiniCluster::Options options = ReplicatedOptions();
   options.ds_tweak = [](datasource::DataSourceConfig* config) {
     config->migration_chunk_records = 64;
   };
   auto cluster = std::make_unique<MiniCluster>(options);
-  for (uint64_t off = 0; off < 512; ++off) {
+  for (uint64_t off = first_off; off < first_off + 512; ++off) {
     cluster->source(0).engine().store().Apply(cluster->KeyOn(0, off), 0);
     cluster->follower(0, 1).engine().store().Apply(cluster->KeyOn(0, off),
                                                    0);
@@ -1669,7 +1669,14 @@ std::unique_ptr<MiniCluster> WipedFollowerCluster(bool warm) {
   }
   cluster->RunFor(2000);
   EXPECT_GT(cluster->source(0).replicator()->log().first_index(), 1u);
+  return cluster;
+}
 
+// SeededCluster, then follower 0 loses its log device (WipeForBootstrap
+// keeps the store) and five more commits land while it is down.
+std::unique_ptr<MiniCluster> WipedFollowerCluster(bool warm,
+                                                  uint64_t first_off = 0) {
+  auto cluster = SeededCluster(warm, first_off);
   auto& wiped = cluster->follower(0, 0);
   wiped.Crash();
   wiped.replicator()->WipeForBootstrap();
@@ -1701,14 +1708,33 @@ void LoseFirstBootstrapStream(MiniCluster& cluster) {
   cluster.network().Restore(wiped.id());
 }
 
-// The bootstrapped follower applied everything the leader committed and
-// holds the leader's committed store byte for byte.
-void ExpectConverged(MiniCluster& cluster) {
+// The bootstrapped follower 0 applied everything `leader` committed and
+// holds its committed store byte for byte.
+void ExpectConverged(MiniCluster& cluster,
+                     datasource::DataSourceNode* leader = nullptr) {
+  if (leader == nullptr) leader = &cluster.source(0);
   auto& wiped = cluster.follower(0, 0);
   EXPECT_EQ(wiped.replicator()->stats().snapshot_installs, 1u);
   EXPECT_GE(wiped.replicator()->applied_index(),
-            cluster.source(0).replicator()->commit_watermark());
-  EXPECT_EQ(SortedStore(wiped), SortedStore(cluster.source(0)));
+            leader->replicator()->commit_watermark());
+  EXPECT_EQ(SortedStore(wiped), SortedStore(*leader));
+}
+
+// Hands `node` a bootstrap chunk only when `keep` accepts it (the rest
+// are lost at its NIC); every other message passes through.
+void KeepChunksWhere(
+    MiniCluster& cluster, NodeId node,
+    std::function<bool(const protocol::ShardSnapshotChunk&)> keep) {
+  sim::Network& network = cluster.network();
+  network.RegisterNode(
+      node, [inner = network.handler(node), keep = std::move(keep)](
+                std::unique_ptr<runtime::MessageBase> msg) {
+        if (msg->type() == runtime::MessageType::kShardSnapshotChunk &&
+            !keep(static_cast<const protocol::ShardSnapshotChunk&>(*msg))) {
+          return;
+        }
+        inner(std::move(msg));
+      });
 }
 
 // Warm (store kept) or cold (store empty), a wiped follower receives the
@@ -1735,6 +1761,113 @@ TEST(ReplicationTest, BootstrapStreamLostToAPartitionIsReSent) {
   EXPECT_GE(cluster->source(0).replicator()->stats().bootstrap_chunks_sent,
             16u);
   ExpectConverged(*cluster);
+}
+
+// Two streams for one base with a key committed between them: the
+// follower keeps chunks 5..8 of the older stream and 1..4 of a newer
+// one. The newer stream cuts at the older one's keys, so the mix holds
+// every record; cut by count, the new first key would push the record at
+// the 4|5 boundary out of the newer chunk 4 and into no kept chunk.
+TEST(ReplicationTest, ChunksOfTwoStreamsForOneBaseCoverTheStore) {
+  auto cluster = WipedFollowerCluster(/*warm=*/false, /*first_off=*/1);
+  auto& wiped = cluster->follower(0, 0);
+  auto& leader = cluster->source(0);
+  const uint64_t base = leader.replicator()->log().first_index();
+  // 0: keep seqs 5..8; 1: keep none; 2: keep seqs 1..4.
+  int phase = 0;
+  KeepChunksWhere(*cluster, wiped.id(),
+                  [&phase](const protocol::ShardSnapshotChunk& chunk) {
+                    return phase == 0 ? chunk.seq > 4
+                                      : phase == 2 && chunk.seq <= 4;
+                  });
+  wiped.Restart();
+  cluster->RunFor(1000);
+  ASSERT_GE(leader.replicator()->stats().bootstrap_chunks_sent, 8u);
+  EXPECT_EQ(wiped.replicator()->stats().snapshot_installs, 0u);
+
+  // A key that sorts before every seeded one commits. Every chunk is
+  // dropped until the streams sliced without it have landed; then the
+  // front half of the streams sliced with it is kept.
+  phase = 1;
+  const RecordKey first_key = cluster->KeyOn(0, 0);
+  ASSERT_TRUE(
+      cluster->RunTxn(20, {MiniCluster::Write(first_key, 44)}).ok());
+  ASSERT_EQ(leader.engine().CommittedRecords().size(), 513u);
+  cluster->RunFor(1000);
+  EXPECT_EQ(wiped.replicator()->stats().snapshot_installs, 0u);
+  // Every stream so far had one base: the leader cannot compact past the
+  // wiped follower's last match before it installs.
+  ASSERT_EQ(leader.replicator()->log().first_index(), base);
+  phase = 2;
+  cluster->RunFor(4000);
+  ExpectConverged(*cluster);
+}
+
+// The leader dies after part of its stream reached the wiped follower,
+// and the replica promoted in its place compacted less: it learns the
+// compaction floor one append late, so its base lies below the dead
+// leader's. Its stream must start a fresh install, not be taken for a
+// straggler of the old, higher base.
+TEST(ReplicationTest, NewLeadersLowerBaseStreamRestartsAPartialInstall) {
+  auto cluster = SeededCluster(/*warm=*/false, /*first_off=*/0);
+  auto& old_leader = cluster->source(0);
+  auto& wiped = cluster->follower(0, 0);
+  auto& next_leader = cluster->follower(0, 1);
+  // One more commit. Follower 1 is cut off the moment it holds the entry
+  // (its ack still gets out), so it never hears the compaction floor the
+  // leader moves past the entry once every replica acked it.
+  const uint64_t entry = old_leader.replicator()->log().last_index() + 1;
+  cluster->SendRound(7, {MiniCluster::Write(cluster->KeyOn(0, 7), 10)},
+                     /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+                     /*commit=*/true);
+  for (int step = 0;
+       step < 30000 && next_leader.replicator()->log().last_index() < entry;
+       ++step) {
+    cluster->RunFor(0.1);
+  }
+  ASSERT_EQ(next_leader.replicator()->log().last_index(), entry);
+  cluster->network().Partition(next_leader.id());
+  for (int step = 0;
+       step < 3000 && old_leader.replicator()->log().first_index() <= entry;
+       ++step) {
+    cluster->RunFor(1);
+  }
+  next_leader.Crash();
+  ASSERT_LT(next_leader.replicator()->log().first_index(),
+            old_leader.replicator()->log().first_index());
+
+  // Follower 0 loses its log and gets only chunks 1..4 of the old
+  // leader's streams.
+  bool lossy = true;
+  uint64_t kept = 0;
+  KeepChunksWhere(*cluster, wiped.id(),
+                  [&](const protocol::ShardSnapshotChunk& chunk) {
+                    if (lossy && chunk.seq > 4) return false;
+                    ++kept;
+                    return true;
+                  });
+  wiped.Crash();
+  wiped.replicator()->WipeForBootstrap();
+  wiped.Restart();
+  cluster->RunFor(1000);
+  ASSERT_GE(kept, 4u);
+  EXPECT_EQ(wiped.replicator()->stats().snapshot_installs, 0u);
+
+  // Follower 1 comes back only once the dead leader's last appends (which
+  // carry the new floor) have been lost at its NIC.
+  old_leader.Crash();
+  cluster->RunFor(100);
+  lossy = false;
+  next_leader.Restart();
+  cluster->RunFor(5000);
+  ASSERT_TRUE(next_leader.replicator()->IsLeader());
+  ExpectConverged(*cluster, &next_leader);
+  // And the group commits again on the new pair.
+  ASSERT_TRUE(
+      cluster->RunTxn(100, {MiniCluster::Write(cluster->KeyOn(0, 50), 7)})
+          .ok());
+  cluster->RunFor(1000);
+  ExpectConverged(*cluster, &next_leader);
 }
 
 // A group that only served distributed reads has logged their prepare
