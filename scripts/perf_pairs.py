@@ -23,12 +23,17 @@ The claim holds when the change wins at least nine tenths of the pairs
 (ties count for neither side) and the medians differ by more than the
 parent's interquartile range. Every other end-to-end metric in
 BENCHMARK.json is reported as parent median -> change median against its
-bound. Exits 1 when the claim does not hold or a run is not correct.
+bound, and marked WORSE when the change's median is worse by more than
+the bound. Exits 1 when the claim does not hold, a row is WORSE, or a run
+is not correct.
 
 --same-commits checks bit-identity instead of a claim: it compares the
 per-seed "seed N: ... K commits" lines perfbench prints on stderr for
 parent and change in every pair, reports each difference, and exits 1 on
-any (or when a run is not correct), whatever the claimed metric did:
+any (or on a WORSE row, or when a run is not correct), whatever the
+claimed metric did. A side that fit more episodes into its run time
+printed more lines: only the seeds both sides ran are compared, and the
+difference in length is reported:
 
     python3 scripts/perf_pairs.py --parent HEAD~1 --change HEAD \\
         --workload ycsb --workload tpcc --workload hotspot \\
@@ -128,10 +133,17 @@ def compare(workload, args, sides, metrics):
             episodes += " (differ)"
         print("%4d  %4d  %-6s %8.3f  %8.3f  %5.3fx  %s" % (
             i + 1, seed, order[0], p, c, ratio, episodes))
-        if args.same_commits and runs["parent"][2] != runs["change"][2]:
-            identical = False
-            print("  commit lines differ: parent %s, change %s" % (
-                runs["parent"][2], runs["change"][2]))
+        if args.same_commits:
+            parent_lines, change_lines = runs["parent"][2], runs["change"][2]
+            common = min(len(parent_lines), len(change_lines))
+            if len(parent_lines) != len(change_lines):
+                print("  commit lines: parent %d, change %d; comparing the "
+                      "first %d seeds" % (len(parent_lines),
+                                          len(change_lines), common))
+            if parent_lines[:common] != change_lines[:common]:
+                identical = False
+                print("  commit lines differ: parent %s, change %s" % (
+                    parent_lines[:common], change_lines[:common]))
 
     pq1, pmed, pq3 = quartiles(values["parent"][claimed])
     cq1, cmed, cq3 = quartiles(values["change"][claimed])
@@ -144,6 +156,7 @@ def compare(workload, args, sides, metrics):
           "IQR %.3f: claim %s" % (ratio, wins, args.pairs, gap, pq3 - pq1,
                                   "holds" if holds else "NOT met"))
     print("other end-to-end metrics (parent median -> change median):")
+    within_bounds = True
     for name, spec in metrics.items():
         if name == claimed or name not in values["parent"]:
             continue
@@ -151,14 +164,16 @@ def compare(workload, args, sides, metrics):
         cm = statistics.median(values["change"][name])
         worse = (cm - pm) if spec["better"] == "lower" else (pm - cm)
         rel = worse / pm if pm else 0.0
+        beyond = rel > spec["bound"]
+        within_bounds &= not beyond
         print("  %-16s %12.4f -> %12.4f %-6s worse by %+.1f%% (bound %.0f%%)"
-              % (name, pm, cm, spec["unit"], 100 * rel,
-                 100 * spec["bound"]))
+              "%s" % (name, pm, cm, spec["unit"], 100 * rel,
+                      100 * spec["bound"], "  WORSE" if beyond else ""))
     if args.same_commits:
         print("per-seed commit lines: %s" % (
             "identical in every pair" if identical else "DIFFER"))
-        return identical and ok
-    return holds and ok
+        return identical and within_bounds and ok
+    return holds and within_bounds and ok
 
 
 def main():

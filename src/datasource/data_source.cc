@@ -85,21 +85,27 @@ obs::SpanHandle DataSourceNode::BeginBranchSpan(TxnId txn,
     return obs::kInvalidSpan;
   }
   return obs::GlobalTracer().BeginSpan(it->second.trace, name, id_,
-                                       loop()->Now());
+                                       timer_->Now());
 }
 
 void DataSourceNode::EndBranchSpan(obs::SpanHandle span) {
   if (span != obs::kInvalidSpan) {
-    obs::GlobalTracer().EndSpan(span, loop()->Now());
+    obs::GlobalTracer().EndSpan(span, timer_->Now());
   }
 }
 
 void DataSourceNode::SendVote(NodeId to, const Xid& xid, Vote vote) {
+  auto branch = branches_.find(xid.txn_id);
+  if (branch != branches_.end() && branch->second.held_response != nullptr) {
+    SendHeldResponse(std::move(branch->second.held_response), vote);
+    return;
+  }
   auto msg = std::make_unique<VoteMessage>();
   msg->from = id_;
   msg->to = to;
   msg->xid = xid;
   msg->vote = vote;
+  msg->acked_commits = TakeQueuedAcks(to);
   network_->Send(std::move(msg));
 }
 
@@ -113,7 +119,36 @@ void DataSourceNode::SendDecisionAck(NodeId to, const Xid& xid,
   ack->committed = committed;
   ack->one_phase = one_phase;
   ack->status = std::move(status);
+  stats_.acks_sent_alone++;
   network_->Send(std::move(ack));
+}
+
+void DataSourceNode::QueueCommitAck(NodeId dm, TxnId txn) {
+  AckQueue& queue = ack_queues_[dm];
+  queue.txns.push_back(txn);
+  if (queue.txns.size() > 1) return;
+  queue.flush = timer_->Schedule(kAckDelayBound, [this, dm]() {
+    AckQueue& due = ack_queues_[dm];
+    due.flush = runtime::kInvalidTimer;
+    const std::vector<TxnId> txns = std::move(due.txns);
+    due.txns.clear();
+    for (TxnId txn : txns) {
+      SendDecisionAck(dm, Xid{txn, logical_id()}, /*committed=*/true,
+                      /*one_phase=*/false, Status::OK());
+    }
+  });
+}
+
+std::vector<TxnId> DataSourceNode::TakeQueuedAcks(NodeId dm) {
+  auto it = ack_queues_.find(dm);
+  if (it == ack_queues_.end() || it->second.txns.empty()) return {};
+  AckQueue& queue = it->second;
+  timer_->Cancel(queue.flush);
+  queue.flush = runtime::kInvalidTimer;
+  stats_.acks_piggybacked += queue.txns.size();
+  std::vector<TxnId> txns = std::move(queue.txns);
+  queue.txns.clear();
+  return txns;
 }
 
 void DataSourceNode::RegisterMetrics(obs::MetricsRegistry* registry) {
@@ -141,7 +176,7 @@ void DataSourceNode::RegisterMetrics(obs::MetricsRegistry* registry) {
   });
   // Live tombstones; expired ones linger only until the next insert.
   registry->RegisterGauge(prefix + "retained.tombstones", [this]() {
-    const Micros now = loop()->Now();
+    const Micros now = timer_->Now();
     return static_cast<double>(std::count_if(
         tombstones_.begin(), tombstones_.end(), [now](const auto& entry) {
           return entry.second + kTombstoneLifetime > now;
@@ -151,6 +186,12 @@ void DataSourceNode::RegisterMetrics(obs::MetricsRegistry* registry) {
   registry->RegisterGauge(prefix + "retained.commit_waiters", [this]() {
     return static_cast<double>(
         replicator_ != nullptr ? replicator_->commit_waiters() : 0);
+  });
+  // Commit-entry index per committed transaction, kept for decision
+  // retries after a failover (never pruned yet).
+  registry->RegisterGauge(prefix + "retained.commit_entries", [this]() {
+    return static_cast<double>(
+        replicator_ != nullptr ? replicator_->commit_entries() : 0);
   });
 }
 
@@ -190,7 +231,7 @@ void DataSourceNode::PrepareDurably(const Xid& xid, NodeId coordinator,
        on_refused = std::move(on_refused)]() {
         EndBranchSpan(fsync_span);
         if (crashed_) return;
-        if (engine_.Prepare(xid, loop()->Now()).ok()) {
+        if (engine_.Prepare(xid, timer_->Now()).ok()) {
           AfterLocalPrepare(xid, coordinator);
         } else {
           on_refused();
@@ -207,10 +248,10 @@ void DataSourceNode::AfterLocalPrepare(const Xid& xid, NodeId coordinator) {
       // The entry did not ship with the record (the node did not lead
       // when the record's batch went to the device): the group has no
       // prepare to vote for.
-      (void)engine_.Rollback(xid, loop()->Now());
+      (void)engine_.Rollback(xid, timer_->Now());
       stats_.rollbacks++;
-      ForgetBranch(xid.txn_id);
       SendVote(coordinator, xid, Vote::kFailure);
+      ForgetBranch(xid.txn_id);
       return;
     }
     // A replica that lost the leadership after the entry shipped leaves
@@ -252,10 +293,17 @@ void DataSourceNode::DropUnloggedBranches() {
     }
   }
   for (TxnId txn : stale) {
-    branches_.erase(txn);
-    // A batch still running here fails and reports as usual.
-    (void)engine_.Rollback(Xid{txn, logical_id()}, loop()->Now());
+    auto it = branches_.find(txn);
+    const std::shared_ptr<ExecState> held =
+        std::move(it->second.held_response);
+    branches_.erase(it);
+    // A batch still running here fails and reports as usual; a held
+    // response reports the rollback the same way.
+    (void)engine_.Rollback(Xid{txn, logical_id()}, timer_->Now());
     stats_.rollbacks++;
+    if (held != nullptr) {
+      SendHeldResponse(held, Vote::kRollbacked);
+    }
   }
   if (!stale.empty()) migrator_->OnBranchResolved();
 }
@@ -264,7 +312,7 @@ Status DataSourceNode::CommitHeldBranch(const Xid& xid) {
   // Capture the write set before Commit releases it.
   std::vector<std::pair<RecordKey, int64_t>> writes;
   if (ForwardsCommittedWrites()) writes = engine_.WriteSetOf(xid);
-  Status st = engine_.Commit(xid, loop()->Now());
+  Status st = engine_.Commit(xid, timer_->Now());
   if (st.ok()) NoteCommitted(writes);
   return st;
 }
@@ -359,7 +407,7 @@ void DataSourceNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
       auto& decision = static_cast<DecisionRequest&>(*msg);
       if (RedirectIfNotLeader(decision.from)) return;
       OnDecision(DecisionItem{decision.xid, decision.commit,
-                              decision.one_phase},
+                              decision.one_phase, decision.lazy_ack},
                  decision.from);
       return;
     }
@@ -432,7 +480,7 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
   state->ops = req.ops;
   state->last_statement = req.last_statement;
   state->commit_one_phase = req.commit_one_phase;
-  state->started_at = loop()->Now();
+  state->started_at = timer_->Now();
   state->reply_to = req.from;
   if (obs::GlobalTracer().enabled() && req.trace.valid()) {
     state->exec_span = obs::GlobalTracer().BeginSpan(
@@ -500,6 +548,9 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
     return;
   }
   BranchInfo& branch = branches_[req.xid.txn_id];
+  // A later round can add participants: the last statement's prepare and
+  // an early abort go to the peers the DM sent with this batch.
+  branch.peers = req.peers;
   if (!branch.trace.valid()) branch.trace = req.trace;
   if (req.commit_one_phase) branch.one_phase_batch = state;
   for (const protocol::ClientOp& op : req.ops) {
@@ -562,7 +613,7 @@ void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
     const std::shared_ptr<ExecState> state = LiveExec(handle);
     if (state == nullptr) return;  // finished; its timeout is gone too
     if (state->timeout_event != runtime::kInvalidTimer) {
-      loop()->Cancel(state->timeout_event);
+      timer_->Cancel(state->timeout_event);
       state->timeout_event = runtime::kInvalidTimer;
     }
     if (!status.ok()) {
@@ -583,14 +634,14 @@ void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
       RunNextOp(state);
     };
     static_assert(kStoredInline<decltype(after_row_cost)>);
-    loop()->Schedule(cost, after_row_cost);
+    timer_->Schedule(cost, after_row_cost);
   };
   static_assert(kStoredInline<decltype(on_op)>);
   engine_.ExecuteOp(state->xid, op, on_op);
 
   // If the request parked in the lock queue, arm the lock-wait timeout.
   if (engine_.HasPendingOp(state->xid)) {
-    state->timeout_event = loop()->Schedule(
+    state->timeout_event = timer_->Schedule(
         kLockWaitTimeout, [this, handle]() {
           const std::shared_ptr<ExecState> state = LiveExec(handle);
           if (state == nullptr) return;
@@ -608,7 +659,7 @@ void DataSourceNode::FinishExecSuccess(const std::shared_ptr<ExecState>& state) 
     // The batch ends the transaction's only branch and carries its COMMIT:
     // commit now, so the locks go without waiting a WAN round trip for a
     // decision, and respond with the durable outcome.
-    state->finished_at = loop()->Now();
+    state->finished_at = timer_->Now();
     EndBranchSpan(state->exec_span);
     state->exec_span = obs::kInvalidSpan;
     CommitBranch(state->xid, [this, state](Status st) {
@@ -626,22 +677,33 @@ void DataSourceNode::FinishExecSuccess(const std::shared_ptr<ExecState>& state) 
     });
     return;
   }
-  SendExecuteResponse(state, Status::OK(), /*rolled_back=*/false);
-  if (!state->last_statement) return;
-  // Algorithm 1 line 8: a last statement with no peers votes IDLE. The DM
-  // reads that vote off this response (it sent the empty peer list), so
-  // the branch just stays active for the one-phase commit.
   auto it = branches_.find(state->xid.txn_id);
-  if (it != branches_.end() && !it->second.peers.empty()) {
-    AsyncPrepare(state->xid, it->second.peers, it->second.coordinator);
+  if (!state->last_statement || it == branches_.end()) {
+    SendExecuteResponse(state, Status::OK(), /*rolled_back=*/false);
+    return;
   }
+  if (it->second.peers.empty()) {
+    // Algorithm 1 line 8: a last statement with no peers votes IDLE, on
+    // this response; the branch stays active for the one-phase commit.
+    SendExecuteResponse(state, Status::OK(), /*rolled_back=*/false,
+                        /*committed=*/false, Vote::kIdle);
+    return;
+  }
+  // Implicit yes-vote: the response waits for the decentralized prepare
+  // and carries its vote, so the DM gets one message instead of two. The
+  // footprint's local latency still ends with the ops.
+  state->finished_at = timer_->Now();
+  EndBranchSpan(state->exec_span);
+  state->exec_span = obs::kInvalidSpan;
+  it->second.held_response = state;
+  AsyncPrepare(state->xid, it->second.peers, it->second.coordinator);
 }
 
 void DataSourceNode::FinishExecFailure(const std::shared_ptr<ExecState>& state,
                                        Status status) {
   RetireExec(*state);
   if (state->timeout_event != runtime::kInvalidTimer) {
-    loop()->Cancel(state->timeout_event);
+    timer_->Cancel(state->timeout_event);
     state->timeout_event = runtime::kInvalidTimer;
   }
   auto it = branches_.find(state->xid.txn_id);
@@ -662,7 +724,7 @@ void DataSourceNode::FinishExecFailure(const std::shared_ptr<ExecState>& state,
 
 void DataSourceNode::SendExecuteResponse(
     const std::shared_ptr<ExecState>& state, Status status, bool rolled_back,
-    bool committed) {
+    bool committed, Vote vote) {
   auto resp = std::make_unique<BranchExecuteResponse>();
   resp->from = id_;
   resp->to = state->reply_to;
@@ -671,13 +733,22 @@ void DataSourceNode::SendExecuteResponse(
   resp->status = std::move(status);
   resp->values = state->values;
   const Micros end =
-      state->finished_at != 0 ? state->finished_at : loop()->Now();
+      state->finished_at != 0 ? state->finished_at : timer_->Now();
   resp->local_exec_latency = end - state->started_at;
   resp->rolled_back = rolled_back;
   resp->committed = committed;
+  resp->vote = vote;
+  if (vote != Vote::kNone) stats_.votes_on_response++;
+  resp->acked_commits = TakeQueuedAcks(resp->to);
   EndBranchSpan(state->exec_span);
   state->exec_span = obs::kInvalidSpan;
   network_->Send(std::move(resp));
+}
+
+void DataSourceNode::SendHeldResponse(std::shared_ptr<ExecState> held,
+                                      Vote vote) {
+  SendExecuteResponse(held, Status::OK(), /*rolled_back=*/false,
+                      /*committed=*/false, vote);
 }
 
 void DataSourceNode::OnPrepare(const Xid& xid, NodeId coordinator) {
@@ -685,9 +756,9 @@ void DataSourceNode::OnPrepare(const Xid& xid, NodeId coordinator) {
   // that is not processing the transaction's last statement.
   stats_.explicit_prepares++;
   PrepareDurably(xid, coordinator, [this, xid, coordinator]() {
-    (void)engine_.Rollback(xid, loop()->Now());
-    branches_.erase(xid.txn_id);
+    (void)engine_.Rollback(xid, timer_->Now());
     SendVote(coordinator, xid, Vote::kFailure);
+    branches_.erase(xid.txn_id);
   });
 }
 
@@ -696,14 +767,15 @@ void DataSourceNode::AsyncPrepare(const Xid& xid, std::vector<NodeId> peers,
   stats_.prepares_initiated++;
   // conn.end(): one LAN hop between the agent and the database (vs. the
   // WAN round trip the DM-driven prepare would cost, §IV-A).
-  loop()->Schedule(kAgentLanRtt, [this, xid, peers = std::move(peers),
+  timer_->Schedule(kAgentLanRtt, [this, xid, peers = std::move(peers),
                                   coordinator]() mutable {
     if (crashed_) return;
     stats_.decentralized_prepares++;
     PrepareDurably(xid, coordinator, [this, xid, peers = std::move(peers),
                                       coordinator]() {
       // Rolled back while the prepare was in flight (a peer's early
-      // abort): the rollback path already reported to the DM.
+      // abort): the rollback path already reported to the DM, on the
+      // held response.
       if (engine_.StateOf(xid) != storage::TxnState::kActive) return;
       SendVote(coordinator, xid, Vote::kFailure);
       AsyncRollback(xid, peers);
@@ -714,7 +786,7 @@ void DataSourceNode::AsyncPrepare(const Xid& xid, std::vector<NodeId> peers,
 void DataSourceNode::AsyncRollback(const Xid& xid,
                                    const std::vector<NodeId>& peers) {
   Tombstone(xid.txn_id);
-  (void)engine_.Rollback(xid, loop()->Now());
+  (void)engine_.Rollback(xid, timer_->Now());
   NoteLocalRollback(xid.txn_id);
   if (!config_.early_abort) return;
   for (NodeId peer : peers) {
@@ -746,23 +818,28 @@ bool DataSourceNode::AbortBranch(TxnId txn) {
   auto it = branches_.find(txn);
   if (it == branches_.end()) return false;
   const NodeId coordinator = it->second.coordinator;
+  const std::shared_ptr<ExecState> held = std::move(it->second.held_response);
   const Xid xid{txn, logical_id()};
   branches_.erase(it);
   // The DM's abort decision clears the tombstone; expiry covers the
   // participants it skips because they already confirmed.
   Tombstone(txn);
   const bool had_pending = engine_.HasPendingOp(xid);
-  (void)engine_.Rollback(xid, loop()->Now());
+  (void)engine_.Rollback(xid, timer_->Now());
   NoteLocalRollback(txn);
   stats_.rollbacks++;
-  if (!had_pending && coordinator != kInvalidNode) {
+  // A held response answers with the vote; a running batch fails and
+  // reports itself.
+  if (held != nullptr) {
+    SendHeldResponse(held, Vote::kRollbacked);
+  } else if (!had_pending && coordinator != kInvalidNode) {
     SendVote(coordinator, xid, Vote::kRollbacked);
   }
   return true;
 }
 
 void DataSourceNode::Tombstone(TxnId txn) {
-  const Micros now = loop()->Now();
+  const Micros now = timer_->Now();
   while (!tombstone_order_.empty() &&
          tombstone_order_.front().first + kTombstoneLifetime <= now) {
     const auto [at, expired] = tombstone_order_.front();
@@ -785,7 +862,7 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
   tombstones_.erase(item.xid.txn_id);  // the txn is finished
   const Xid xid = item.xid;
   if (!item.commit) {
-    (void)engine_.Rollback(xid, loop()->Now());
+    (void)engine_.Rollback(xid, timer_->Now());
     NoteLocalRollback(xid.txn_id);
     stats_.rollbacks++;
     branches_.erase(xid.txn_id);
@@ -794,7 +871,6 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
                     /*one_phase=*/false, Status::OK());
     return;
   }
-  const bool one_phase = item.one_phase;
   auto branch = branches_.find(xid.txn_id);
   if (branch != branches_.end() && branch->second.one_phase_batch) {
     // The branch's commit-carrying batch still runs or commits here: its
@@ -810,18 +886,27 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
     const storage::TxnState state = engine_.StateOf(xid);
     if (index.has_value() && state != storage::TxnState::kActive &&
         state != storage::TxnState::kPrepared) {
-      replicator_->AwaitQuorum(*index, [this, xid, coordinator, one_phase]() {
+      replicator_->AwaitQuorum(*index, [this, item, coordinator]() {
         if (crashed_) return;
-        SendDecisionAck(coordinator, xid, /*committed=*/true, one_phase,
-                        Status::OK());
+        AckCommit(item, coordinator, Status::OK());
       });
       return;
     }
   }
-  CommitBranch(xid, [this, xid, coordinator, one_phase](Status st) {
-    const bool committed = st.ok();
-    SendDecisionAck(coordinator, xid, committed, one_phase, std::move(st));
+  CommitBranch(xid, [this, item, coordinator](Status st) {
+    AckCommit(item, coordinator, std::move(st));
   });
+}
+
+void DataSourceNode::AckCommit(const DecisionItem& item, NodeId coordinator,
+                               Status status) {
+  if (item.lazy_ack && status.ok()) {
+    QueueCommitAck(coordinator, item.xid.txn_id);
+    return;
+  }
+  const bool committed = status.ok();
+  SendDecisionAck(coordinator, item.xid, committed, item.one_phase,
+                  std::move(status));
 }
 
 void DataSourceNode::CommitBranch(const Xid& xid,
@@ -850,7 +935,7 @@ void DataSourceNode::CommitBranch(const Xid& xid,
     // have changed the rows.
     std::vector<std::pair<RecordKey, int64_t>> writes =
         engine_.WriteSetOf(xid);
-    Status st = engine_.CommitEarly(xid, loop()->Now());
+    Status st = engine_.CommitEarly(xid, timer_->Now());
     committer_.Append(
         config_.engine.commit_fsync_cost, std::move(record),
         [this, xid, fsync_span, st = std::move(st),
@@ -892,7 +977,7 @@ void DataSourceNode::CommitBranch(const Xid& xid,
         // coordinator resolves a prepared one at the leader, which holds
         // it in doubt.
         if (engine_.StateOf(xid) == storage::TxnState::kActive) {
-          (void)engine_.Rollback(xid, loop()->Now());
+          (void)engine_.Rollback(xid, timer_->Now());
           stats_.rollbacks++;
           ForgetBranch(xid.txn_id);
           done(Status::Aborted("commit entry not in the group's log"));
@@ -922,6 +1007,7 @@ void DataSourceNode::OnPing(const PingRequest& req) {
     pong->map_entries = map.ranges();
     stats_.shard_map_serves++;
   }
+  pong->acked_commits = TakeQueuedAcks(pong->to);
   network_->Send(std::move(pong));
 }
 
@@ -937,7 +1023,7 @@ void DataSourceNode::OnCoordinatorFailure(NodeId middleware) {
     }
   }
   for (TxnId txn : to_abort) {
-    (void)engine_.Rollback(Xid{txn, logical_id()}, loop()->Now());
+    (void)engine_.Rollback(Xid{txn, logical_id()}, timer_->Now());
     NoteLocalRollback(txn);
     stats_.rollbacks++;
     branches_.erase(txn);
@@ -955,9 +1041,13 @@ void DataSourceNode::Crash() {
   committer_.Reset();
   // Data sources abort every branch that has not completed the prepare
   // phase (paper §V-A common setting ❷).
-  engine_.Crash(loop()->Now());
+  engine_.Crash(timer_->Now());
   branches_.clear();
   parked_.clear();  // undelivered work dies with the node
+  for (auto& [dm, queue] : ack_queues_) {
+    if (queue.flush != runtime::kInvalidTimer) timer_->Cancel(queue.flush);
+  }
+  ack_queues_.clear();  // the DM re-sends its decisions after the failover
   migrator_->OnCrash();
 }
 

@@ -7,15 +7,19 @@
 //   * the cost model (per-op execution time, fsync time, agent LAN hop),
 //   * the geo-agent role (§IV-A, Algorithm 1):
 //       - decentralized prepare (AsyncPrepare): after the last statement
-//         of a branch with peers, XA END/PREPARE over one LAN hop, vote
-//         straight to the DM — no WAN prepare round (a branch without
-//         peers votes IDLE through its execute response, and one whose
-//         batch carries the client's COMMIT commits one-phase before it
-//         responds);
+//         of a branch with peers, XA END/PREPARE over one LAN hop, and the
+//         vote goes to the DM inside the batch's execute response, held
+//         until the prepare resolves — no WAN prepare round and no vote
+//         message (a branch without peers votes IDLE on its response, and
+//         one whose batch carries the client's COMMIT commits one-phase
+//         before it responds);
 //       - early abort (AsyncRollback): a failed branch notifies its peers
 //         directly (PeerAbortRequest), bypassing the DM;
 //       - tombstones: a peer abort can outrun a postponed batch, so the
-//         aborted transaction is remembered and late batches are refused.
+//         aborted transaction is remembered and late batches are refused;
+//       - lazy commit acks: the ack of a commit the DM already answered
+//         the client for waits (at most kAckDelayBound) for the next
+//         execute response, vote or pong to that DM and rides on it.
 //
 // Batches of operations within one BranchExecuteRequest run sequentially
 // (charging engine costs on the timer); lock waits park the batch and
@@ -33,6 +37,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "core/latency_monitor.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "protocol/messages.h"
@@ -56,6 +61,10 @@ constexpr Micros kLongestPostponement = SecToMicros(5);
 /// postponement, with the lock-wait timeout as margin; after that the
 /// tombstone can refuse nothing and expires.
 constexpr Micros kTombstoneLifetime = kLongestPostponement + kLockWaitTimeout;
+/// Longest a lazy commit ack waits for a message to its DM to ride on
+/// before it leaves alone. Two ping periods: a DM pinging this node gets
+/// every lazy ack on a pong.
+constexpr Micros kAckDelayBound = 2 * core::kPingInterval;
 
 struct DataSourceConfig {
   storage::EngineConfig engine;
@@ -125,6 +134,12 @@ struct DataSourceStats {
   /// round (a subset of `commits`).
   uint64_t exec_commits = 0;
   uint64_t rollbacks = 0;
+  /// How votes and acks travelled: votes inside an execute response (IDLE
+  /// included), lazy commit acks that rode another message, and
+  /// DecisionAck messages sent.
+  uint64_t votes_on_response = 0;
+  uint64_t acks_piggybacked = 0;
+  uint64_t acks_sent_alone = 0;
   // Elastic sharding (src/sharding).
   uint64_t shard_fenced_rejections = 0;  ///< batches refused mid-migration
   uint64_t shard_redirects_sent = 0;     ///< stale-epoch bounces
@@ -137,7 +152,8 @@ struct DataSourceStats {
                     prepares_initiated, decentralized_prepares,
                     explicit_prepares, early_aborts_sent,
                     early_aborts_received, tombstone_hits, commits,
-                    exec_commits, rollbacks, shard_fenced_rejections,
+                    exec_commits, rollbacks, votes_on_response,
+                    acks_piggybacked, acks_sent_alone, shard_fenced_rejections,
                     shard_redirects_sent, HighWater(peak_inflight),
                     shard_map_serves, run_queue_rejections)
 };
@@ -172,8 +188,8 @@ class DataSourceNode {
   /// Elastic sharding: live migration + stale-epoch redirects.
   sharding::ShardMigrator& migrator() { return *migrator_; }
   const DataSourceStats& stats() const { return stats_; }
-  runtime::ITimer* loop() { return timer_; }
-  runtime::ITransport* network() { return network_; }
+  runtime::ITimer* timer() { return timer_; }
+  runtime::ITransport* transport() { return network_; }
 
   /// Crash simulation: partitions the node, rolls back non-prepared
   /// branches (paper §V-A setting ❷). Restart() reconnects it.
@@ -241,6 +257,9 @@ class DataSourceNode {
     /// resolves. A commit decision that arrives meanwhile (a leader kept
     /// the branch across a re-election) waits for that commit's outcome.
     std::shared_ptr<ExecState> one_phase_batch;
+    /// The last-statement batch whose response waits for the branch's
+    /// decentralized prepare: the next vote of this branch rides on it.
+    std::shared_ptr<ExecState> held_response;
   };
 
   /// In-flight execution of one BranchExecuteRequest.
@@ -341,9 +360,16 @@ class DataSourceNode {
   /// when tracing is off or the branch is gone or was never sampled.
   obs::SpanHandle BeginBranchSpan(TxnId txn, const char* name);
   void EndBranchSpan(obs::SpanHandle span);
+  /// Votes to `to`: inside the branch's held execute response if it has
+  /// one (the branch must still be in branches_), else as a VoteMessage.
   void SendVote(NodeId to, const Xid& xid, protocol::Vote vote);
   void SendDecisionAck(NodeId to, const Xid& xid, bool committed,
                        bool one_phase, Status status);
+  /// Queues the ack of a committed lazy_ack decision for `dm`. The first
+  /// ack of an empty queue arms its kAckDelayBound flush.
+  void QueueCommitAck(NodeId dm, TxnId txn);
+  /// Empties `dm`'s ack queue into a message about to leave for it.
+  std::vector<TxnId> TakeQueuedAcks(NodeId dm);
 
   void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
   /// Promotion barrier (see Replicator::ReadyToServe): true for message
@@ -363,6 +389,10 @@ class DataSourceNode {
                          Status status);
   void OnPrepare(const Xid& xid, NodeId coordinator);
   void OnDecision(const protocol::DecisionItem& item, NodeId coordinator);
+  /// Answers a commit decision with its outcome: a successful lazy_ack
+  /// commit joins the ack queue, anything else leaves as a DecisionAck.
+  void AckCommit(const protocol::DecisionItem& item, NodeId coordinator,
+                 Status status);
   /// Commits the branch (XA COMMIT, one- or two-phase): the COMMIT record
   /// joins the WAL device's open batch (span ds.commit_fsync). Without
   /// replication the engine commits as the record is appended, releasing
@@ -383,7 +413,11 @@ class DataSourceNode {
 
   void SendExecuteResponse(const std::shared_ptr<ExecState>& state,
                            Status status, bool rolled_back,
-                           bool committed = false);
+                           bool committed = false,
+                           protocol::Vote vote = protocol::Vote::kNone);
+  /// Sends a held last-statement response (its batch's ops succeeded)
+  /// with the branch's vote.
+  void SendHeldResponse(std::shared_ptr<ExecState> held, protocol::Vote vote);
 
   NodeId id_;
   runtime::ITransport* network_;
@@ -410,6 +444,13 @@ class DataSourceNode {
   /// Client-facing messages held while the replicator's promotion barrier
   /// is up; replayed in arrival order via OnReplicatorReady().
   std::vector<std::unique_ptr<runtime::MessageBase>> parked_;
+  /// Lazy commit acks per DM, oldest first, and the timer that sends them
+  /// alone once the oldest has waited kAckDelayBound.
+  struct AckQueue {
+    std::vector<TxnId> txns;
+    runtime::TimerId flush = runtime::kInvalidTimer;
+  };
+  std::unordered_map<NodeId, AckQueue> ack_queues_;
 };
 
 }  // namespace datasource

@@ -201,15 +201,20 @@ void MiddlewareNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
     case runtime::MessageType::kBranchExecuteResponse:
       OnExecResponse(static_cast<BranchExecuteResponse&>(*msg));
       return;
-    case runtime::MessageType::kVoteMessage:
-      OnVote(static_cast<VoteMessage&>(*msg));
+    case runtime::MessageType::kVoteMessage: {
+      auto& vote = static_cast<VoteMessage&>(*msg);
+      OnLazyAcks(vote.from, vote.acked_commits);
+      OnVote(vote.from, vote.xid, vote.vote);
       return;
+    }
     case runtime::MessageType::kClientFinishRequest:
       OnClientFinish(static_cast<ClientFinishRequest&>(*msg));
       return;
-    case runtime::MessageType::kDecisionAck:
-      OnDecisionAck(static_cast<DecisionAck&>(*msg));
+    case runtime::MessageType::kDecisionAck: {
+      auto& ack = static_cast<DecisionAck&>(*msg);
+      OnDecisionAck(ack.from, ack.xid.txn_id, ack.committed, ack.one_phase);
       return;
+    }
     case runtime::MessageType::kFollowerReadResponse:
       OnFollowerReadResponse(static_cast<FollowerReadResponse&>(*msg));
       return;
@@ -240,7 +245,7 @@ void MiddlewareNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
 void MiddlewareNode::BeginPrepareSpan(Txn& txn) {
   if (!txn.trace.valid() || txn.prepare_span != obs::kInvalidSpan) return;
   txn.prepare_span = obs::GlobalTracer().BeginSpan(
-      txn.trace, "dm.prepare_wait", id_, loop()->Now());
+      txn.trace, "dm.prepare_wait", id_, timer_->Now());
 }
 
 MiddlewareNode::Txn* MiddlewareNode::FindTxn(TxnId id) {
@@ -276,7 +281,7 @@ void MiddlewareNode::OnClientRound(const ClientRoundRequest& req) {
     if (config_.overload.enabled()) {
       const ShedReason verdict =
           admission_.Consider(req.tenant, MaxDispatchDepth(),
-                              monitor_->MaxOccupancy(), loop()->Now());
+                              monitor_->MaxOccupancy(), timer_->Now());
       if (verdict != ShedReason::kNone) {
         ShedClientRound(req);
         return;
@@ -288,7 +293,7 @@ void MiddlewareNode::OnClientRound(const ClientRoundRequest& req) {
     txn.client_tag = req.client_tag;
     txn.tenant = req.tenant;
     txn.client = req.from;
-    txn.ts_begin = loop()->Now();
+    txn.ts_begin = timer_->Now();
     // Trace-sampling decision (dedicated rng stream: the draw must not
     // perturb rng_'s scheduling/jitter sequence). The root span's context
     // is what every outbound envelope of this transaction carries.
@@ -312,10 +317,10 @@ void MiddlewareNode::OnClientRound(const ClientRoundRequest& req) {
   txn->analysis_total += kAnalysisCost;
   if (txn->trace.valid() && txn->analysis_span == obs::kInvalidSpan) {
     txn->analysis_span = obs::GlobalTracer().BeginSpan(
-        txn->trace, "dm.analysis", id_, loop()->Now());
+        txn->trace, "dm.analysis", id_, timer_->Now());
   }
   // Parse / rewrite / route / schedule cost at the DM.
-  loop()->Schedule(kAnalysisCost,
+  timer_->Schedule(kAnalysisCost,
                    [this, id]() { PlanAndDispatchRound(id); });
 }
 
@@ -323,7 +328,7 @@ void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
   Txn* txn = FindTxn(id);
   if (txn == nullptr || txn->aborting) return;
   if (txn->analysis_span != obs::kInvalidSpan) {
-    obs::GlobalTracer().EndSpan(txn->analysis_span, loop()->Now());
+    obs::GlobalTracer().EndSpan(txn->analysis_span, timer_->Now());
     txn->analysis_span = obs::kInvalidSpan;
   }
 
@@ -353,7 +358,7 @@ void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
     if (decision.verdict == core::AdmissionVerdict::kBlock) {
       stats_.admission_blocks++;
       txn->admission_attempts++;
-      loop()->Schedule(decision.retry_backoff,
+      timer_->Schedule(decision.retry_backoff,
                        [this, id]() { PlanAndDispatchRound(id); });
       return;
     }
@@ -409,7 +414,7 @@ void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
     batch_ops.reserve(batch.size());
     for (const auto& [op, slot] : batch) batch_ops.push_back(op);
 
-    loop()->Schedule(postpone, [this, id, target, round_seq,
+    timer_->Schedule(postpone, [this, id, target, round_seq,
                                 ops = std::move(batch_ops)]() mutable {
       Txn* txn = FindTxn(id);
       if (txn == nullptr || txn->aborting) return;
@@ -449,15 +454,16 @@ void MiddlewareNode::SendBranchBatch(Txn& txn, NodeId logical,
     req->peers.push_back(catalog_.LeaderOf(node));
   }
   req->coordinator = id_;
-  // Algorithm 1 line 8: a last statement with no peers votes IDLE, and
-  // that vote is this batch's successful response (OnExecResponse).
-  p.idle_on_success = req->last_statement && req->peers.empty();
+  // A last statement's response carries the branch's vote (Algorithm 1):
+  // IDLE with no peers, else whatever the decentralized prepare ends in.
+  const bool idle = req->last_statement && req->peers.empty();
+  p.vote_on_response = req->last_statement && !idle;
   // With the client's COMMIT on the round and no other branch in the
   // transaction, the IDLE vote is already the decision: the source
   // commits one-phase as the batch ends, a WAN round trip (and its lock
   // hold) sooner than a DM-sent XA COMMIT ... ONE PHASE.
-  p.commit_one_phase = p.idle_on_success && txn.commit_on_round &&
-                       txn.participants.size() == 1;
+  p.commit_one_phase =
+      idle && txn.commit_on_round && txn.participants.size() == 1;
   req->commit_one_phase = p.commit_one_phase;
   p.sent_to = req->to;
   p.begun = true;
@@ -506,7 +512,7 @@ bool MiddlewareNode::TryFollowerRead(Txn& txn, NodeId logical,
   network_->Send(std::move(req));
   // A crashed follower never answers: fall back to the leader.
   const TxnId id = txn.id;
-  loop()->Schedule(config_.follower_read_timeout, [this, id, logical,
+  timer_->Schedule(config_.follower_read_timeout, [this, id, logical,
                                                    round_seq]() {
     Txn* t = FindTxn(id);
     if (t == nullptr || t->aborting || t->round_seq != round_seq + 1) return;
@@ -544,23 +550,39 @@ void MiddlewareNode::OnFollowerReadResponse(const FollowerReadResponse& resp) {
   stats_.follower_reads++;
   p.exec_outstanding = false;
   p.via_follower = false;
-  for (size_t i = 0; i < p.op_slots.size() && i < resp.values.size(); ++i) {
-    txn->round_values[p.op_slots[i]] = resp.values[i];
-  }
+  PlaceReads(*txn, p, resp.values);
   if (txn->round_outstanding > 0) txn->round_outstanding--;
   MaybeCompleteRound(*txn);
 }
 
+void MiddlewareNode::PlaceReads(Txn& txn, const Participant& p,
+                                const std::vector<int64_t>& values) {
+  for (size_t i = 0; i < p.op_slots.size() && i < values.size(); ++i) {
+    if (p.op_slots[i] < txn.round_values.size()) {
+      txn.round_values[p.op_slots[i]] = values[i];
+    }
+  }
+}
+
 void MiddlewareNode::OnExecResponse(const BranchExecuteResponse& resp) {
+  OnLazyAcks(resp.from, resp.acked_commits);
   Txn* txn = FindTxn(resp.xid.txn_id);
-  if (txn == nullptr) return;  // late response after the txn settled
-  auto it = txn->participants.find(catalog_.LogicalOf(resp.from));
-  if (it == txn->participants.end()) return;
-  Participant& p = it->second;
-  // Duplicate/stale, or from a deposed replica whose batch went to the
-  // new leader since (its rollback there says nothing of the batch).
-  if (!p.exec_outstanding || resp.from != p.sent_to) return;
+  Participant* found = nullptr;
+  if (txn != nullptr) {
+    auto it = txn->participants.find(catalog_.LogicalOf(resp.from));
+    if (it != txn->participants.end()) found = &it->second;
+  }
+  // Late (the txn settled), duplicate/stale, or from a deposed replica
+  // whose batch went to the new leader since (its rollback there says
+  // nothing of the batch). A vote it carries still counts as a vote.
+  if (found == nullptr || !found->exec_outstanding ||
+      resp.from != found->sent_to) {
+    OnVote(resp.from, resp.xid, resp.vote);
+    return;
+  }
+  Participant& p = *found;
   p.exec_outstanding = false;
+  p.vote_on_response = false;
 
   // Feed the hotspot footprint (Eq. 4 update + counter maintenance).
   if (p.footprint_charged) {
@@ -579,29 +601,25 @@ void MiddlewareNode::OnExecResponse(const BranchExecuteResponse& resp) {
     return;
   }
 
-  if (p.idle_on_success) {
-    p.has_vote = true;
-    p.vote = Vote::kIdle;
-  }
-  // Place read results into their slots in the client round.
-  for (size_t i = 0; i < p.op_slots.size() && i < resp.values.size(); ++i) {
-    txn->round_values[p.op_slots[i]] = resp.values[i];
-  }
+  PlaceReads(*txn, p, resp.values);
   if (resp.committed) {
     // The only branch committed one-phase as its last batch ended, so the
     // transaction is done: no decision to dispatch, nothing to log.
     stats_.exec_commits++;
-    txn->ts_exec_done = loop()->Now();
+    txn->ts_exec_done = timer_->Now();
     FinishTxn(*txn, /*committed=*/true);
     return;
   }
   if (txn->round_outstanding > 0) txn->round_outstanding--;
-  MaybeCompleteRound(*txn);
+  // The vote lands before the round completes, so a bundled COMMIT that
+  // the round's end starts finds it; a failure vote aborts instead.
+  OnVote(resp.from, resp.xid, resp.vote);
+  if (Txn* live = FindTxn(resp.xid.txn_id)) MaybeCompleteRound(*live);
 }
 
 void MiddlewareNode::MaybeCompleteRound(Txn& txn) {
   if (txn.aborting || txn.round_outstanding != 0) return;
-  txn.ts_exec_done = loop()->Now();
+  txn.ts_exec_done = timer_->Now();
   if (txn.commit_on_round) {
     txn.ts_commit_req = txn.ts_exec_done;
     StartCommit(txn);
@@ -624,7 +642,7 @@ void MiddlewareNode::MaybeCompleteRound(Txn& txn) {
 void MiddlewareNode::OnClientFinish(const ClientFinishRequest& req) {
   Txn* txn = FindTxn(req.txn_id);
   if (txn == nullptr) return;  // settled already (client will see result)
-  txn->ts_commit_req = loop()->Now();
+  txn->ts_commit_req = timer_->Now();
   if (txn->aborting) return;  // abort result is on its way
   if (!req.commit) {
     StartAbort(*txn, Status::Aborted("client rollback"));
@@ -646,7 +664,7 @@ void MiddlewareNode::StartCommit(Txn& txn) {
     case CommitProtocol::kTwoPhase: {
       if (BegunBranches(txn) <= 1) {
         // XA one-phase commit for centralized transactions: 1 WAN RTT.
-        txn.ts_votes = loop()->Now();
+        txn.ts_votes = timer_->Now();
         DispatchDecision(txn, /*commit=*/true, /*one_phase=*/true);
         return;
       }
@@ -661,28 +679,29 @@ void MiddlewareNode::StartCommit(Txn& txn) {
     case CommitProtocol::kLocalNoAtomicity: {
       // SSP(local): decentralized commit, no atomicity guarantee — the
       // decision goes out without a prepare phase.
-      txn.ts_votes = loop()->Now();
+      txn.ts_votes = timer_->Now();
       DispatchDecision(txn, /*commit=*/true, /*one_phase=*/true);
       return;
     }
   }
 }
 
-void MiddlewareNode::OnVote(const VoteMessage& vote) {
-  Txn* txn = FindTxn(vote.xid.txn_id);
+void MiddlewareNode::OnVote(NodeId from, const Xid& xid, Vote vote) {
+  if (vote == Vote::kNone) return;  // a response that carries no vote
+  Txn* txn = FindTxn(xid.txn_id);
   if (txn == nullptr) {
     // A promoted leader re-voted a prepared branch of a transaction we no
     // longer track: resolve it from the decision log (presumed abort).
-    if (vote.vote == Vote::kPrepared) ResolveOrphanVote(vote);
+    if (vote == Vote::kPrepared) ResolveOrphanVote(from, xid);
     return;
   }
-  auto it = txn->participants.find(catalog_.LogicalOf(vote.from));
+  auto it = txn->participants.find(catalog_.LogicalOf(from));
   if (it == txn->participants.end()) return;
   Participant& p = it->second;
   p.has_vote = true;
-  p.vote = vote.vote;
+  p.vote = vote;
 
-  switch (vote.vote) {
+  switch (vote) {
     case Vote::kPrepared:
     case Vote::kIdle:
       if (txn->phase == Phase::kWaitCommitVotes) CheckVotesComplete(*txn);
@@ -695,9 +714,11 @@ void MiddlewareNode::OnVote(const VoteMessage& vote) {
         CheckAbortDone(*txn);
       } else {
         StartAbort(*txn, Status::Aborted("participant voted " +
-                                         std::string(VoteName(vote.vote))));
+                                         std::string(VoteName(vote))));
       }
       return;
+    case Vote::kNone:
+      return;  // returned above
   }
 }
 
@@ -724,11 +745,11 @@ void MiddlewareNode::CheckVotesComplete(Txn& txn) {
   }
   if (begun == 0) {
     // Degenerate: nothing begun (all rounds empty) — commit trivially.
-    txn.ts_votes = loop()->Now();
+    txn.ts_votes = timer_->Now();
     FinishTxn(txn, /*committed=*/true);
     return;
   }
-  txn.ts_votes = loop()->Now();
+  txn.ts_votes = timer_->Now();
   if (txn.prepare_span != obs::kInvalidSpan) {
     obs::GlobalTracer().EndSpan(txn.prepare_span, txn.ts_votes);
     txn.prepare_span = obs::kInvalidSpan;
@@ -750,7 +771,7 @@ void MiddlewareNode::FlushLogAndDispatch(Txn& txn, bool commit) {
   const TxnId id = txn.id;
   if (txn.trace.valid() && txn.fsync_span == obs::kInvalidSpan) {
     txn.fsync_span = obs::GlobalTracer().BeginSpan(
-        txn.trace, "dm.log_fsync", id_, loop()->Now());
+        txn.trace, "dm.log_fsync", id_, timer_->Now());
   }
   log_committer_.Append(
       kLogFlushCost,
@@ -759,26 +780,26 @@ void MiddlewareNode::FlushLogAndDispatch(Txn& txn, bool commit) {
     Txn* txn = FindTxn(id);
     if (txn == nullptr) return;
     if (txn->fsync_span != obs::kInvalidSpan) {
-      obs::GlobalTracer().EndSpan(txn->fsync_span, loop()->Now());
+      obs::GlobalTracer().EndSpan(txn->fsync_span, timer_->Now());
       txn->fsync_span = obs::kInvalidSpan;
     }
     log_.FindOrInsert(id) = commit;  // a later decision overwrites
     stats_.log_entries_flushed++;
-    DispatchDecision(*txn, commit, /*one_phase=*/false);
     // GeoTP answers a commit here: every branch is durably prepared and the
     // decision is durable, so the outcome is fixed. The transaction settles
-    // (FinishTxn) on its last DecisionAck. SSP answers only then, as an XA
-    // commit() returns after phase 2.
+    // (FinishTxn) on its last DecisionAck, which its sources send lazily.
+    // SSP answers only then, as an XA commit() returns after phase 2.
     if (commit && config_.commit_protocol == CommitProtocol::kDecentralized) {
-      if (Txn* settling = FindTxn(id)) AnswerClient(*settling, true);
+      AnswerClient(*txn, true);
     }
+    DispatchDecision(*txn, commit, /*one_phase=*/false);
   });
 }
 
 void MiddlewareNode::DispatchDecision(Txn& txn, bool commit, bool one_phase) {
   txn.phase = commit ? Phase::kCommitDispatched : Phase::kAborting;
   txn.decision_one_phase = one_phase;
-  txn.ts_decision = loop()->Now();
+  txn.ts_decision = timer_->Now();
   if (txn.trace.valid() && txn.commit_span == obs::kInvalidSpan) {
     txn.commit_span = obs::GlobalTracer().BeginSpan(
         txn.trace, commit ? "dm.commit" : "dm.abort", id_, txn.ts_decision);
@@ -788,7 +809,7 @@ void MiddlewareNode::DispatchDecision(Txn& txn, bool commit, bool one_phase) {
     if (!p.begun) continue;
     if (!commit && p.rollback_confirmed) continue;  // already rolled back
     QueueDecision(catalog_.LeaderOf(node), Xid{txn.id, node}, commit,
-                  one_phase);
+                  one_phase, /*lazy_ack=*/txn.answered);
     ++sent;
   }
   if (!commit) {
@@ -810,9 +831,10 @@ void MiddlewareNode::QueuePrepare(NodeId dest, const Xid& xid) {
 }
 
 void MiddlewareNode::QueueDecision(NodeId dest, const Xid& xid, bool commit,
-                                   bool one_phase) {
+                                   bool one_phase, bool lazy_ack) {
   DispatchQueue& queue = dispatch_queues_[dest];
-  queue.decisions.push_back(protocol::DecisionItem{xid, commit, one_phase});
+  queue.decisions.push_back(
+      protocol::DecisionItem{xid, commit, one_phase, lazy_ack});
   admission_.NoteDispatchDepth(queue.depth());
   ScheduleDispatchFlush();
 }
@@ -841,7 +863,7 @@ void MiddlewareNode::ScheduleDispatchFlush() {
   // Delay 0: fires later in the same event-loop tick, after whatever
   // cascade (a group-commit flush releasing many transactions at once)
   // finished queueing — so same-destination messages merge.
-  loop()->Schedule(0, [this]() { FlushDispatchQueues(); });
+  timer_->Schedule(0, [this]() { FlushDispatchQueues(); });
 }
 
 void MiddlewareNode::FlushDispatchQueues() {
@@ -886,6 +908,7 @@ void MiddlewareNode::FlushDispatchQueues() {
       decision->xid = items.front().xid;
       decision->commit = items.front().commit;
       decision->one_phase = items.front().one_phase;
+      decision->lazy_ack = items.front().lazy_ack;
       if (Txn* t = FindTxn(decision->xid.txn_id)) decision->trace = t->trace;
       network_->Send(std::move(decision));
       continue;
@@ -901,15 +924,22 @@ void MiddlewareNode::FlushDispatchQueues() {
   dispatch_queues_.clear();
 }
 
-void MiddlewareNode::OnDecisionAck(const DecisionAck& ack) {
-  Txn* txn = FindTxn(ack.xid.txn_id);
+void MiddlewareNode::OnLazyAcks(NodeId from, const std::vector<TxnId>& txns) {
+  for (TxnId txn : txns) {
+    OnDecisionAck(from, txn, /*committed=*/true, /*one_phase=*/false);
+  }
+}
+
+void MiddlewareNode::OnDecisionAck(NodeId from, TxnId txn_id, bool committed,
+                                   bool one_phase) {
+  Txn* txn = FindTxn(txn_id);
   if (txn == nullptr) return;
-  auto it = txn->participants.find(catalog_.LogicalOf(ack.from));
+  auto it = txn->participants.find(catalog_.LogicalOf(from));
   if (it == txn->participants.end()) return;
   Participant& p = it->second;
   if (txn->phase == Phase::kCommitDispatched) {
-    if (!ack.committed) {
-      if (ack.one_phase) {
+    if (!committed) {
+      if (one_phase) {
         // A one-phase commit can fail cleanly (e.g. the source crashed and
         // aborted the never-prepared branch): the transaction aborts.
         txn->abort_status = Status::Aborted("one-phase commit failed");
@@ -968,7 +998,7 @@ void MiddlewareNode::CheckAbortDone(Txn& txn) {
 void MiddlewareNode::FinishTxn(Txn& txn, bool committed) {
   if (!txn.answered) AnswerClient(txn, committed);
   // Settle: the commit phase (and its span) ends with the last ack.
-  const Micros now = loop()->Now();
+  const Micros now = timer_->Now();
   if (committed && txn.ts_decision > 0) {
     breakdown_.Record(metrics::TxnPhase::kCommit, now - txn.ts_decision);
   }
@@ -980,7 +1010,7 @@ void MiddlewareNode::FinishTxn(Txn& txn, bool committed) {
 
 void MiddlewareNode::AnswerClient(Txn& txn, bool committed) {
   txn.answered = true;
-  const Micros now = loop()->Now();
+  const Micros now = timer_->Now();
   obs::Tracer& tracer = obs::GlobalTracer();
   for (obs::SpanHandle* h : {&txn.analysis_span, &txn.prepare_span,
                              &txn.fsync_span, &txn.root_span}) {
@@ -1049,6 +1079,7 @@ void MiddlewareNode::OnNotLeader(const NotLeaderResponse& redirect) {
 void MiddlewareNode::HandleFailover(NodeId logical) {
   stats_.failovers_observed++;
   std::vector<TxnId> to_abort;
+  std::vector<TxnId> in_doubt;
   for (auto& [txn_id, txn] : txns_) {
     auto it = txn.participants.find(logical);
     if (it == txn.participants.end()) continue;
@@ -1056,14 +1087,15 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
     switch (txn.phase) {
       case Phase::kExecuting: {
         if (!p.exec_outstanding) {
-          // Idle after its round completed. A final-round branch has a
-          // decentralized prepare in flight at the source; if that died
-          // un-replicated with the old leader, no vote will ever come —
-          // promoted leaders only re-vote quorum-staged prepares. Give
-          // the vote the same grace as the kWaitCommitVotes case (it may
-          // still be in flight, or resurface via a re-vote), then abort.
-          // Without this, a crash in the prepare-fsync window wedges the
-          // transaction forever once the client's COMMIT arrives.
+          // Idle after its round completed. A branch that sat out the
+          // final round has an explicit prepare in flight at the source;
+          // if that died un-replicated with the old leader, no vote will
+          // ever come — promoted leaders only re-vote quorum-staged
+          // prepares. Give the vote the same grace as the
+          // kWaitCommitVotes case (it may still be in flight, or
+          // resurface via a re-vote), then abort. Without this, a crash in
+          // the prepare-fsync window wedges the transaction forever once
+          // the client's COMMIT arrives.
           if (txn.last_round && p.begun && !p.has_vote &&
               config_.commit_protocol == CommitProtocol::kDecentralized) {
             ArmFailoverVoteGrace(txn_id, logical);
@@ -1087,12 +1119,27 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
           p.exec_outstanding = false;
           p.commit_one_phase = false;
           txn.round_values.clear();
-          txn.ts_exec_done = loop()->Now();
+          txn.ts_exec_done = timer_->Now();
           txn.phase = Phase::kCommitDispatched;
           txn.decision_one_phase = true;
           txn.ts_decision = txn.ts_exec_done;
           QueueDecision(catalog_.LeaderOf(logical), Xid{txn.id, logical},
                         /*commit=*/true, /*one_phase=*/true);
+          break;
+        }
+        if (p.vote_on_response && txn.commit_on_round) {
+          // The old leader held the response for the branch's prepare, so
+          // the PREPARE entry may have shipped and the new leader may hold
+          // the branch in doubt, where a replay would fail. Resolve it in
+          // doubt like the one-phase case: the new leader's re-vote
+          // decides, and a branch that never prepared aborts after the
+          // vote grace. The round's reads are given up with the response.
+          p.exec_outstanding = false;
+          p.vote_on_response = false;
+          txn.round_values.clear();
+          if (txn.round_outstanding > 0) txn.round_outstanding--;
+          ArmFailoverVoteGrace(txn_id, logical);
+          in_doubt.push_back(txn_id);
           break;
         }
         if (p.begun && p.begun_round + 1 == txn.round_seq) {
@@ -1124,7 +1171,8 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
         // Re-send the undecided commit; the new leader resolves it
         // idempotently against its replicated log.
         QueueDecision(catalog_.LeaderOf(logical), Xid{txn.id, logical},
-                      /*commit=*/true, txn.decision_one_phase);
+                      /*commit=*/true, txn.decision_one_phase,
+                      /*lazy_ack=*/txn.answered);
         break;
       }
       case Phase::kAborting: {
@@ -1134,6 +1182,10 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
         break;
       }
     }
+  }
+  // A bundled COMMIT whose round just completed waits for the re-vote.
+  for (TxnId txn_id : in_doubt) {
+    if (Txn* txn = FindTxn(txn_id)) MaybeCompleteRound(*txn);
   }
   for (TxnId txn_id : to_abort) {
     Txn* txn = FindTxn(txn_id);
@@ -1146,7 +1198,7 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
 void MiddlewareNode::ArmFailoverVoteGrace(TxnId txn_id, NodeId logical) {
   // A transaction never returns from kWaitCommitVotes to kExecuting, so
   // one phase test serves both arming sites.
-  loop()->Schedule(kFailoverVoteGrace, [this, txn_id, logical]() {
+  timer_->Schedule(kFailoverVoteGrace, [this, txn_id, logical]() {
     Txn* t = FindTxn(txn_id);
     if (t == nullptr || t->aborting) return;
     if (t->phase != Phase::kExecuting &&
@@ -1170,6 +1222,7 @@ void MiddlewareNode::OnShardMapUpdate(const protocol::ShardMapUpdate& update) {
 
 void MiddlewareNode::OnPingResponse(const protocol::PingResponse& pong) {
   monitor_->OnPong(pong);
+  OnLazyAcks(pong.from, pong.acked_commits);
   // Anti-entropy, both directions. A source that saw our stale epoch sent
   // its map along: adopt it (bounds DM staleness by one ping interval
   // instead of one redirect). A source whose own epoch trails the catalog
@@ -1187,8 +1240,8 @@ void MiddlewareNode::OnPingResponse(const protocol::PingResponse& pong) {
         std::max<Micros>(monitor_->RttEstimate(pong.from),
                          core::kPingInterval);
     Micros& last = shard_push_at_[pong.from];
-    if (last == 0 || loop()->Now() - last >= spacing) {
-      last = loop()->Now();
+    if (last == 0 || timer_->Now() - last >= spacing) {
+      last = timer_->Now();
       stats_.shard_map_pushes++;
       auto update = std::make_unique<protocol::ShardMapUpdate>();
       update->from = id_;
@@ -1270,11 +1323,11 @@ void MiddlewareNode::OnShardRedirect(const protocol::ShardRedirect& redirect) {
   }
 }
 
-void MiddlewareNode::ResolveOrphanVote(const VoteMessage& vote) {
-  const bool* logged = log_.Find(vote.xid.txn_id);
+void MiddlewareNode::ResolveOrphanVote(NodeId from, const Xid& xid) {
+  const bool* logged = log_.Find(xid.txn_id);
   const bool committed = logged != nullptr && *logged;
   if (!committed) stats_.presumed_aborts++;
-  QueueDecision(vote.from, vote.xid, committed, /*one_phase=*/false);
+  QueueDecision(from, xid, committed, /*one_phase=*/false);
 }
 
 // ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ class MiddlewareNode {
   core::LatencyMonitor& monitor() { return *monitor_; }
   core::HotspotFootprint& footprint() { return *footprint_; }
   Catalog& catalog() { return catalog_; }
-  runtime::ITransport* network() { return network_; }
+  runtime::ITransport* transport() { return network_; }
   /// The balancer, when this DM runs one (nullptr otherwise).
   sharding::ShardBalancer* balancer() { return balancer_.get(); }
   /// Records an adopted/published shard-map epoch in the stats.
@@ -172,10 +172,10 @@ class MiddlewareNode {
     stats_.shard_map_epoch = std::max(stats_.shard_map_epoch, epoch);
   }
   const DecisionLog& decision_log() const { return log_; }
-  runtime::ITimer* loop() { return timer_; }
+  runtime::ITimer* timer() { return timer_; }
 
   /// Number of transactions currently coordinated (in any phase, including
-  /// answered commits still waiting for their DecisionAcks).
+  /// answered commits still waiting for their commit acks).
   size_t InFlight() const { return txns_.size(); }
 
   /// Overload-control state (budget occupancy, shed counters).
@@ -205,9 +205,10 @@ class MiddlewareNode {
     protocol::Vote vote = protocol::Vote::kPrepared;
     bool rollback_confirmed = false;
     bool decision_acked = false;
-    /// The outstanding batch is a last statement sent with no peers: its
-    /// successful response doubles as the branch's IDLE vote.
-    bool idle_on_success = false;
+    /// The outstanding batch is a last statement sent with peers: the
+    /// source holds its response until the decentralized prepare resolves,
+    /// and the response carries the vote.
+    bool vote_on_response = false;
     /// The outstanding batch carries the commit (commit_one_phase): the
     /// source commits as it ends, so the batch is never replayed.
     bool commit_one_phase = false;
@@ -244,7 +245,7 @@ class MiddlewareNode {
     bool commit_on_round = false;
     bool aborting = false;
     /// The client has its result; the transaction only settles (a GeoTP
-    /// commit waits for its DecisionAcks after the answer).
+    /// commit waits for its lazy commit acks after the answer).
     bool answered = false;
     /// Whether the dispatched commit was one-phase (failover retries must
     /// re-send the same flavour; the commit/abort direction is the phase).
@@ -276,9 +277,19 @@ class MiddlewareNode {
   void OnClientRound(const protocol::ClientRoundRequest& req);
   void PlanAndDispatchRound(TxnId id);
   void OnExecResponse(const protocol::BranchExecuteResponse& resp);
-  void OnVote(const protocol::VoteMessage& vote);
+  /// Places a participant's reads into their round slots. A round whose
+  /// reads were given up (an in-doubt branch after a failover) has no
+  /// slots left to fill.
+  static void PlaceReads(Txn& txn, const Participant& p,
+                         const std::vector<int64_t>& values);
+  /// The one vote handler: a VoteMessage's vote and a vote carried in an
+  /// execute response both land here.
+  void OnVote(NodeId from, const Xid& xid, protocol::Vote vote);
   void OnClientFinish(const protocol::ClientFinishRequest& req);
-  void OnDecisionAck(const protocol::DecisionAck& ack);
+  void OnDecisionAck(NodeId from, TxnId txn_id, bool committed,
+                     bool one_phase);
+  /// Settles the lazy commit acks that rode on a message from `from`.
+  void OnLazyAcks(NodeId from, const std::vector<TxnId>& txns);
 
   // ----- replication support ----------------------------------------------
   /// Sends one batch of a branch to the current leader of `logical`.
@@ -317,7 +328,7 @@ class MiddlewareNode {
   void ArmFailoverVoteGrace(TxnId txn_id, NodeId logical);
   /// Resolves an orphaned PREPARED vote (unknown txn) from the decision
   /// log: presumed abort unless a commit decision was logged.
-  void ResolveOrphanVote(const protocol::VoteMessage& vote);
+  void ResolveOrphanVote(NodeId from, const Xid& xid);
 
   void MaybeCompleteRound(Txn& txn);
   void StartCommit(Txn& txn);
@@ -338,8 +349,9 @@ class MiddlewareNode {
   /// event-loop tick leaves as one PrepareBatch/DecisionBatch per
   /// destination (group commit releases many decisions at once).
   void QueuePrepare(NodeId dest, const Xid& xid);
+  /// `lazy_ack`: the client already has its answer (DecisionItem).
   void QueueDecision(NodeId dest, const Xid& xid, bool commit,
-                     bool one_phase);
+                     bool one_phase, bool lazy_ack = false);
   void ScheduleDispatchFlush();
   void FlushDispatchQueues();
 

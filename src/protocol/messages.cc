@@ -15,6 +15,8 @@ const char* VoteName(Vote vote) {
       return "ROLLBACK_ONLY";
     case Vote::kRollbacked:
       return "ROLLBACKED";
+    case Vote::kNone:
+      return "NONE";
   }
   return "?";
 }

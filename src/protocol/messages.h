@@ -115,7 +115,8 @@ struct BranchExecuteRequest : runtime::Message<BranchExecuteRequest> {
   /// the decentralized prepare when the batch completes.
   bool last_statement = false;
   /// Peer data sources of the transaction (for early abort and for the
-  /// centralized/distributed distinction in Algorithm 1).
+  /// centralized/distributed distinction in Algorithm 1). Every batch
+  /// carries the current list; the source keeps the latest.
   std::vector<NodeId> peers;
   /// Middleware to send the implicit-prepare vote to.
   NodeId coordinator = kInvalidNode;
@@ -126,6 +127,20 @@ struct BranchExecuteRequest : runtime::Message<BranchExecuteRequest> {
   GEOTP_WIRE_FIELDS(xid, round_seq, begin_branch, ops, last_statement, peers,
                     coordinator, commit_one_phase)
 };
+
+/// Vote values, per Algorithm 1.
+enum class Vote : uint8_t {
+  kPrepared,      ///< branch prepared, ready to commit
+  kIdle,          ///< centralized branch ended, not prepared (only ever
+                  ///< on the execute response)
+  kFailure,       ///< prepare failed; branch rolled back
+  kRollbackOnly,  ///< end failed; branch rolled back
+  kRollbacked,    ///< branch rolled back (early abort / abort ack)
+  kNone,          ///< an execute response that carries no vote
+};
+
+const char* VoteName(Vote vote);
+constexpr Vote WireMax(Vote) { return Vote::kNone; }
 
 struct BranchExecuteResponse : runtime::Message<BranchExecuteResponse> {
   Xid xid;
@@ -139,8 +154,15 @@ struct BranchExecuteResponse : runtime::Message<BranchExecuteResponse> {
   bool rolled_back = false;
   /// A commit_one_phase batch committed durably: the transaction is done.
   bool committed = false;
+  /// The branch's vote, when this response ends a last statement: IDLE
+  /// without peers; with peers the source holds the response until its
+  /// decentralized prepare resolves, then PREPARED, FAILURE or ROLLBACKED.
+  /// kNone on every other response.
+  Vote vote = Vote::kNone;
+  /// Commit acks queued for this DM (see DecisionItem::lazy_ack).
+  std::vector<TxnId> acked_commits;
   GEOTP_WIRE_FIELDS(xid, round_seq, status, values, local_exec_latency,
-                    rolled_back, committed)
+                    rolled_back, committed, vote, acked_commits)
 };
 
 /// Explicit prepare request (classic 2PC path, and the "notify sources not
@@ -150,23 +172,14 @@ struct PrepareRequest : runtime::Message<PrepareRequest> {
   GEOTP_WIRE_FIELDS(xid)
 };
 
-/// Vote values, per Algorithm 1.
-enum class Vote : uint8_t {
-  kPrepared,      ///< branch prepared, ready to commit
-  kIdle,          ///< centralized branch ended, not prepared (the DM
-                  ///< reads it off the execute response; never sent)
-  kFailure,       ///< prepare failed; branch rolled back
-  kRollbackOnly,  ///< end failed; branch rolled back
-  kRollbacked,    ///< branch rolled back (early abort / abort ack)
-};
-
-const char* VoteName(Vote vote);
-constexpr Vote WireMax(Vote) { return Vote::kRollbacked; }
-
+/// A vote with no execute response to ride on: explicit prepares,
+/// promoted-leader re-votes, and votes whose held response is gone.
 struct VoteMessage : runtime::Message<VoteMessage> {
   Xid xid;
   Vote vote = Vote::kPrepared;
-  GEOTP_WIRE_FIELDS(xid, vote)
+  /// Commit acks queued for this DM (see DecisionItem::lazy_ack).
+  std::vector<TxnId> acked_commits;
+  GEOTP_WIRE_FIELDS(xid, vote, acked_commits)
 };
 
 /// Several explicit prepares bound for one data source, coalesced by the
@@ -179,11 +192,13 @@ struct PrepareBatch : runtime::Message<PrepareBatch> {
 
 /// Final decision from the DM. `one_phase` commits an un-prepared branch
 /// directly (XA COMMIT ... ONE PHASE; centralized transactions).
+/// `lazy_ack`: see DecisionItem.
 struct DecisionRequest : runtime::Message<DecisionRequest> {
   Xid xid;
   bool commit = true;
   bool one_phase = false;
-  GEOTP_WIRE_FIELDS(xid, commit, one_phase)
+  bool lazy_ack = false;
+  GEOTP_WIRE_FIELDS(xid, commit, one_phase, lazy_ack)
 };
 
 struct DecisionAck : runtime::Message<DecisionAck> {
@@ -202,7 +217,13 @@ struct DecisionItem {
   Xid xid;
   bool commit = true;
   bool one_phase = false;
-  GEOTP_WIRE_FIELDS(xid, commit, one_phase)
+  /// The DM answered the client before sending this commit, so nothing
+  /// waits on its ack but the DM's settle bookkeeping: the source queues a
+  /// successful ack and sends it in `acked_commits` of its next execute
+  /// response, vote or pong to this DM, or alone once it has waited
+  /// datasource::kAckDelayBound.
+  bool lazy_ack = false;
+  GEOTP_WIRE_FIELDS(xid, commit, one_phase, lazy_ack)
 };
 
 /// Several decisions bound for one data source, coalesced like
@@ -591,8 +612,10 @@ struct PingResponse : runtime::Message<PingResponse> {
   /// Piggybacked map when the ping's shard_epoch was behind this node's
   /// map (empty otherwise). The DM adopts the entries.
   std::vector<sharding::ShardRange> map_entries;
+  /// Commit acks queued for this DM (see DecisionItem::lazy_ack).
+  std::vector<TxnId> acked_commits;
   GEOTP_WIRE_FIELDS(seq, sent_at, inflight, run_queue, run_queue_limit,
-                    shard_epoch, map_entries)
+                    shard_epoch, map_entries, acked_commits)
 };
 
 }  // namespace protocol

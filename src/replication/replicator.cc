@@ -48,7 +48,7 @@ Replicator::Replicator(datasource::DataSourceNode* node, GroupConfig group)
     : node_(node),
       group_(std::move(group)),
       election_(node->id(), group_.QuorumSize()),
-      shipper_(node->id(), node->network(), node->loop(), &log_) {
+      shipper_(node->id(), node->transport(), node->timer(), &log_) {
   GEOTP_CHECK(!group_.replicas.empty(), "empty replica group");
   auto it = std::find(group_.replicas.begin(), group_.replicas.end(),
                       node_->id());
@@ -62,8 +62,8 @@ Replicator::Replicator(datasource::DataSourceNode* node, GroupConfig group)
   shipper_.set_on_commit([this]() { ApplyCommitted(); });
 }
 
-runtime::ITimer* Replicator::loop() const { return node_->loop(); }
-runtime::ITransport* Replicator::network() const { return node_->network(); }
+runtime::ITimer* Replicator::loop() const { return node_->timer(); }
+runtime::ITransport* Replicator::network() const { return node_->transport(); }
 NodeId Replicator::self() const { return node_->id(); }
 
 uint64_t Replicator::LastLogEpoch() const {
@@ -731,7 +731,7 @@ void Replicator::BecomeLeader() {
       promotion_span_ == obs::kInvalidSpan) {
     promotion_span_ = obs::GlobalTracer().BeginSpan(
         obs::SystemContext(), "repl.promotion", self(),
-        node_->loop()->Now());
+        node_->timer()->Now());
   }
   GEOTP_INFO("replica " << self() << " leads group " << group_.logical
                         << " at epoch " << election_.epoch());
@@ -766,7 +766,7 @@ void Replicator::BecomeLeader() {
 
 void Replicator::FinishPromotion() {
   if (promotion_span_ != obs::kInvalidSpan) {
-    obs::GlobalTracer().EndSpan(promotion_span_, node_->loop()->Now());
+    obs::GlobalTracer().EndSpan(promotion_span_, node_->timer()->Now());
     promotion_span_ = obs::kInvalidSpan;
   }
   if (!IsLeader()) return;  // deposed while the barrier was pending

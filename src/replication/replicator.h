@@ -178,6 +178,9 @@ class Replicator {
   void AwaitCommitApplied(uint64_t index, std::function<void()> on_applied);
   /// Waiters registered by AwaitCommitApplied that have not run yet.
   size_t commit_waiters() const { return commit_waiters_.size(); }
+  /// Commit entries kept for decision retries (one per committed
+  /// transaction; nothing prunes them yet).
+  size_t commit_entries() const { return commit_entries_.size(); }
 
   // ----- lifecycle --------------------------------------------------------
 

@@ -48,7 +48,7 @@ void ShardBalancer::Start() {
 }
 
 void ShardBalancer::ArmTick(uint64_t generation) {
-  dm_->loop()->Schedule(config_.interval, [this, generation]() {
+  dm_->timer()->Schedule(config_.interval, [this, generation]() {
     if (generation != generation_) return;  // superseded by a restart
     if (dm_->crashed()) return;  // chain ends; Restart() starts a new one
     Tick();
@@ -105,7 +105,7 @@ void ShardBalancer::RepointFailedDestinations() {
     req->dest_leader = catalog.LeaderOf(m.dest);
     req->new_version = m.new_version;
     req->timeout = config_.migration_timeout;
-    dm_->network()->Send(std::move(req));
+    dm_->transport()->Send(std::move(req));
   }
 }
 
@@ -141,7 +141,7 @@ void ShardBalancer::SeedSpan(const ShardRange& range) {
 }
 
 void ShardBalancer::CancelExpired() {
-  const Micros now = dm_->loop()->Now();
+  const Micros now = dm_->timer()->Now();
   for (auto it = in_flight_.begin(); it != in_flight_.end();) {
     if (now < it->deadline) {
       ++it;
@@ -155,7 +155,7 @@ void ShardBalancer::CancelExpired() {
       cancel->from = dm_->id();
       cancel->to = dm_->catalog().LeaderOf(end);
       cancel->migration_id = it->id;
-      dm_->network()->Send(std::move(cancel));
+      dm_->transport()->Send(std::move(cancel));
     }
     it = in_flight_.erase(it);
   }
@@ -198,7 +198,7 @@ void ShardBalancer::PlanRangeOps() {
   // except the split's hot child, which migrates right away on the
   // parent's heat evidence.
   if (config_.split_enabled) {
-    const Micros now = dm_->loop()->Now();
+    const Micros now = dm_->timer()->Now();
     for (size_t i = 0; i < ranges.size(); ++i) {
       if (heat[i] < config_.min_heat) continue;
       if (Migrating(ranges[i])) continue;
@@ -324,7 +324,7 @@ bool ShardBalancer::TrySplit(const ShardRange& range, ShardRange* hot_child) {
 bool ShardBalancer::TryMergeCold() {
   middleware::Catalog& catalog = dm_->catalog();
   const std::vector<ShardRange>& ranges = catalog.shard_map().ranges();
-  const Micros now = dm_->loop()->Now();
+  const Micros now = dm_->timer()->Now();
   for (size_t i = 0; i + 1 < ranges.size(); ++i) {
     const ShardRange& left = ranges[i];
     const ShardRange& right = ranges[i + 1];
@@ -415,7 +415,7 @@ std::map<NodeId, int> ShardBalancer::PlacedPressure() const {
 void ShardBalancer::PlanMigrations(const std::vector<uint64_t>& heat) {
   middleware::Catalog& catalog = dm_->catalog();
   const std::vector<ShardRange>& ranges = catalog.shard_map().ranges();
-  const Micros now = dm_->loop()->Now();
+  const Micros now = dm_->timer()->Now();
   std::map<NodeId, int> placed = PlacedPressure();
 
   struct Candidate {
@@ -463,7 +463,7 @@ bool ShardBalancer::StartMigration(const ShardRange& range, uint64_t heat,
   m.source = range.owner;
   m.dest = dest;
   m.new_version = MintVersion();
-  m.deadline = dm_->loop()->Now() + config_.migration_timeout;
+  m.deadline = dm_->timer()->Now() + config_.migration_timeout;
   m.source_leader_epoch = catalog.EpochOf(range.owner);
   m.dest_leader_epoch = catalog.EpochOf(dest);
   stats_.migrations_started++;
@@ -479,7 +479,7 @@ bool ShardBalancer::StartMigration(const ShardRange& range, uint64_t heat,
   req->dest_leader = catalog.LeaderOf(dest);
   req->new_version = m.new_version;
   req->timeout = config_.migration_timeout;
-  dm_->network()->Send(std::move(req));
+  dm_->transport()->Send(std::move(req));
   in_flight_.push_back(m);
   return true;
 }
@@ -546,7 +546,7 @@ void ShardBalancer::OnCutoverReady(const protocol::ShardCutoverReady& ready) {
       cancel->from = dm_->id();
       cancel->to = catalog.LeaderOf(m.source);
       cancel->migration_id = m.id;
-      dm_->network()->Send(std::move(cancel));
+      dm_->transport()->Send(std::move(cancel));
       return;
     }
     // The source group journaled the cutover through its replicated log:
@@ -566,7 +566,7 @@ void ShardBalancer::OnCutoverReady(const protocol::ShardCutoverReady& ready) {
   catalog.mutable_shard_map().Adopt({range});
   dm_->NoteShardEpoch(catalog.ShardEpoch());
   range_state_[KeyOf(range)].cooldown_until =
-      dm_->loop()->Now() + config_.range_cooldown;
+      dm_->timer()->Now() + config_.range_cooldown;
   Publish();
 }
 
@@ -586,7 +586,7 @@ void ShardBalancer::OnMigrateAborted(uint64_t migration_id) {
   cancel->from = dm_->id();
   cancel->to = dm_->catalog().LeaderOf(m.dest);
   cancel->migration_id = m.id;
-  dm_->network()->Send(std::move(cancel));
+  dm_->transport()->Send(std::move(cancel));
 }
 
 void ShardBalancer::Publish() {
@@ -605,7 +605,7 @@ void ShardBalancer::Publish() {
     update->from = dm_->id();
     update->to = target;
     update->entries = catalog.shard_map().ranges();
-    dm_->network()->Send(std::move(update));
+    dm_->transport()->Send(std::move(update));
   }
 }
 

@@ -150,7 +150,7 @@ void ShardMigrator::OnMigrateRequest(const ShardMigrateRequest& req) {
   const Micros self_cancel =
       req.timeout > 0 ? 2 * req.timeout : SecToMicros(30);
   const uint64_t id = out.id;
-  node_->loop()->Schedule(self_cancel, [this, id]() {
+  node_->timer()->Schedule(self_cancel, [this, id]() {
     protocol::ShardMigrateCancel cancel;
     cancel.migration_id = id;
     OnMigrateCancel(cancel);
@@ -238,13 +238,13 @@ void ShardMigrator::PumpChunks(uint64_t migration_id) {
     if (obs::GlobalTracer().enabled()) {
       out->chunk_spans[seq] = obs::GlobalTracer().BeginSpan(
           obs::SystemContext(), "migrate.chunk", node_->id(),
-          node_->loop()->Now());
+          node_->timer()->Now());
     }
     out->unacked[seq] = std::move(records);
     stats_.peak_unacked_chunks = std::max<uint64_t>(
         stats_.peak_unacked_chunks, out->unacked.size());
   }
-  out->last_progress_at = node_->loop()->Now();
+  out->last_progress_at = node_->timer()->Now();
   ArmResendTimer(migration_id);
 }
 
@@ -264,7 +264,7 @@ void ShardMigrator::SendChunk(Outbound& out, uint64_t seq,
       common::SenderCodec(node_->config().wan_compression), chunk.get());
   stats_.wan_bytes_raw += bytes.raw;
   stats_.wan_bytes_wire += bytes.wire;
-  node_->network()->Send(std::move(chunk));
+  node_->transport()->Send(std::move(chunk));
 }
 
 void ShardMigrator::ResendChunks(Outbound& out) {
@@ -272,7 +272,7 @@ void ShardMigrator::ResendChunks(Outbound& out) {
     stats_.chunk_retransmits++;
     SendChunk(out, seq, records, seq == out.last_chunk_seq);
   }
-  out.last_progress_at = node_->loop()->Now();
+  out.last_progress_at = node_->timer()->Now();
 }
 
 void ShardMigrator::SendDelta(const Outbound& out, uint64_t seq,
@@ -283,7 +283,7 @@ void ShardMigrator::SendDelta(const Outbound& out, uint64_t seq,
   batch->migration_id = out.id;
   batch->seq = seq;
   batch->writes = std::move(writes);
-  node_->network()->Send(std::move(batch));
+  node_->transport()->Send(std::move(batch));
 }
 
 void ShardMigrator::ArmResendTimer(uint64_t migration_id) {
@@ -291,12 +291,12 @@ void ShardMigrator::ArmResendTimer(uint64_t migration_id) {
   if (out == nullptr || out->resend_armed) return;
   out->resend_armed = true;
   const Micros check = node_->config().migration_resend_timeout;
-  node_->loop()->Schedule(check, [this, migration_id]() {
+  node_->timer()->Schedule(check, [this, migration_id]() {
     Outbound* late = FindOutbound(migration_id);
     if (late == nullptr || node_->crashed()) return;
     late->resend_armed = false;
     if (late->stream_complete || late->unacked.empty()) return;
-    if (node_->loop()->Now() - late->last_progress_at >=
+    if (node_->timer()->Now() - late->last_progress_at >=
         node_->config().migration_resend_timeout) {
       // No progress in a full window: chunks (or their acks) were lost.
       // Re-send everything outstanding; duplicates re-ack at the
@@ -324,10 +324,10 @@ void ShardMigrator::OnSnapshotAck(const ShardSnapshotAck& ack) {
     while (!out->chunk_spans.empty() &&
            out->chunk_spans.begin()->first <= ack.seq) {
       obs::GlobalTracer().EndSpan(out->chunk_spans.begin()->second,
-                                  node_->loop()->Now());
+                                  node_->timer()->Now());
       out->chunk_spans.erase(out->chunk_spans.begin());
     }
-    out->last_progress_at = node_->loop()->Now();
+    out->last_progress_at = node_->timer()->Now();
   }
   if (out->last_chunk_seq != 0 &&
       out->acked_chunk_seq >= out->last_chunk_seq) {
@@ -472,7 +472,7 @@ void ShardMigrator::SendCutoverReady(Outbound& out, bool logged) {
   ready->range.owner = out.dest;
   ready->range.version = out.new_version;
   ready->logged = logged;
-  node_->network()->Send(std::move(ready));
+  node_->transport()->Send(std::move(ready));
 }
 
 // ---------------------------------------------------------------------------
@@ -540,12 +540,12 @@ void ShardMigrator::OnInheritedMigrations(
       cancel->from = node_->id();
       cancel->to = record.dest_leader;
       cancel->migration_id = record.migration_id;
-      node_->network()->Send(std::move(cancel));
+      node_->transport()->Send(std::move(cancel));
       auto aborted = std::make_unique<ShardMigrateAborted>();
       aborted->from = node_->id();
       aborted->to = record.balancer;
       aborted->migration_id = record.migration_id;
-      node_->network()->Send(std::move(aborted));
+      node_->transport()->Send(std::move(aborted));
       continue;
     }
     // Cutover logged: the migration is sealed — every chunk and delta is
@@ -577,7 +577,7 @@ void ShardMigrator::OnInheritedMigrations(
     const Micros self_cancel =
         record.timeout > 0 ? 2 * record.timeout : SecToMicros(30);
     const uint64_t id = out.id;
-    node_->loop()->Schedule(self_cancel, [this, id]() {
+    node_->timer()->Schedule(self_cancel, [this, id]() {
       protocol::ShardMigrateCancel cancel;
       cancel.migration_id = id;
       OnMigrateCancel(cancel);
@@ -606,7 +606,7 @@ void ShardMigrator::ApplyRecords(std::vector<ReplWrite> records,
   const Micros cost =
       static_cast<Micros>(records.size()) *
       node_->config().migration_apply_cost;
-  node_->loop()->Schedule(
+  node_->timer()->Schedule(
       cost, [this, records = std::move(records), migration_id, chunk_seq,
              delta_seq, still_valid = std::move(still_valid),
              done = std::move(done)]() mutable {
@@ -682,7 +682,7 @@ void ShardMigrator::SendChunkAck(uint64_t migration_id, NodeId source) {
   // room for. Never zero — the grant rides on an apply ack, so at least
   // one slot just freed.
   ack->credit = window > buffered ? window - buffered : 1;
-  node_->network()->Send(std::move(ack));
+  node_->transport()->Send(std::move(ack));
 }
 
 void ShardMigrator::OnSnapshotChunk(const ShardSnapshotChunk& chunk) {
@@ -736,7 +736,7 @@ void ShardMigrator::SendDeltaAck(uint64_t migration_id, NodeId source,
   ack->to = source;
   ack->migration_id = migration_id;
   ack->seq = seq;
-  node_->network()->Send(std::move(ack));
+  node_->transport()->Send(std::move(ack));
 }
 
 void ShardMigrator::DrainIngest(uint64_t migration_id, NodeId source) {

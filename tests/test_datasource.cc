@@ -20,6 +20,8 @@ using protocol::ClientOp;
 using protocol::DecisionAck;
 using protocol::DecisionRequest;
 using protocol::PeerAbortRequest;
+using protocol::PingRequest;
+using protocol::PingResponse;
 using protocol::PrepareRequest;
 using protocol::Vote;
 using protocol::VoteMessage;
@@ -49,6 +51,9 @@ class DataSourceTest : public ::testing::Test {
         votes_.push_back(*vote);
       } else if (auto* ack = dynamic_cast<DecisionAck*>(msg.get())) {
         acks_.push_back(*ack);
+        ack_arrivals_.push_back(loop_.Now());
+      } else if (auto* pong = dynamic_cast<PingResponse*>(msg.get())) {
+        pongs_.push_back(*pong);
       }
     });
   }
@@ -71,14 +76,23 @@ class DataSourceTest : public ::testing::Test {
     net_->Send(std::move(req));
   }
 
-  void SendDecision(NodeId ds, TxnId txn, bool commit, bool one_phase) {
+  void SendDecision(NodeId ds, TxnId txn, bool commit, bool one_phase,
+                    bool lazy_ack = false) {
     auto req = std::make_unique<DecisionRequest>();
     req->from = 0;
     req->to = ds;
     req->xid = Xid{txn, ds};
     req->commit = commit;
     req->one_phase = one_phase;
+    req->lazy_ack = lazy_ack;
     net_->Send(std::move(req));
+  }
+
+  void SendPing(NodeId ds) {
+    auto ping = std::make_unique<PingRequest>();
+    ping->from = 0;
+    ping->to = ds;
+    net_->Send(std::move(ping));
   }
 
   static ClientOp Write(RecordKey key, int64_t value) {
@@ -104,6 +118,8 @@ class DataSourceTest : public ::testing::Test {
   std::vector<uint64_t> wal_commits_at_response_;
   std::vector<VoteMessage> votes_;
   std::vector<DecisionAck> acks_;
+  std::vector<Micros> ack_arrivals_;
+  std::vector<PingResponse> pongs_;
 };
 
 TEST_F(DataSourceTest, ExecutesBatchAndReturnsValues) {
@@ -123,11 +139,11 @@ TEST_F(DataSourceTest, CentralizedLastStatementVotesIdle) {
   SendExecute(1, 100, {Write(RecordKey{1, 1}, 1)}, /*last=*/true,
               /*peers=*/{});
   loop_.Run();
-  // The IDLE vote is the execute response itself: the DM sent the empty
-  // peer list and reads the vote off the successful response. No
-  // VoteMessage, no decentralized prepare.
+  // The IDLE vote rides on the execute response. No VoteMessage, no
+  // decentralized prepare.
   ASSERT_EQ(exec_responses_.size(), 1u);
   EXPECT_TRUE(exec_responses_[0].status.ok());
+  EXPECT_EQ(exec_responses_[0].vote, Vote::kIdle);
   EXPECT_TRUE(votes_.empty());
   EXPECT_EQ(ds1_->stats().prepares_initiated, 0u);
   // Branch stays active for the one-phase commit.
@@ -217,8 +233,13 @@ TEST_F(DataSourceTest, DistributedLastStatementVotesPrepared) {
   SendExecute(1, 100, {Write(RecordKey{1, 1}, 1)}, /*last=*/true,
               /*peers=*/{2});
   loop_.Run();
-  ASSERT_EQ(votes_.size(), 1u);
-  EXPECT_EQ(votes_[0].vote, Vote::kPrepared);
+  // The response waited for the prepare and carries the PREPARED vote;
+  // no VoteMessage leaves.
+  ASSERT_EQ(exec_responses_.size(), 1u);
+  EXPECT_TRUE(exec_responses_[0].status.ok());
+  EXPECT_EQ(exec_responses_[0].vote, Vote::kPrepared);
+  EXPECT_TRUE(votes_.empty());
+  EXPECT_EQ(ds1_->stats().votes_on_response, 1u);
   EXPECT_EQ(ds1_->engine().StateOf(Xid{100, 1}),
             storage::TxnState::kPrepared);
   EXPECT_EQ(ds1_->stats().prepares_initiated, 1u);
@@ -230,8 +251,11 @@ TEST_F(DataSourceTest, DecentralizedPrepareIsLanNotWan) {
   // back — far less than an extra WAN round trip would cost.
   SendExecute(1, 100, {Write(RecordKey{1, 1}, 1)}, true, {2});
   loop_.Run();
-  ASSERT_EQ(votes_.size(), 1u);
+  ASSERT_EQ(exec_responses_.size(), 1u);
+  EXPECT_EQ(exec_responses_[0].vote, Vote::kPrepared);
   EXPECT_LT(loop_.Now(), MsToMicros(15));
+  // The footprint's local latency ends with the ops, not the prepare.
+  EXPECT_LT(exec_responses_[0].local_exec_latency, 1000);
 }
 
 TEST_F(DataSourceTest, ExplicitPrepareRequestVotes) {
@@ -267,6 +291,55 @@ TEST_F(DataSourceTest, CommitDecisionAppliesAndAcks) {
   ASSERT_EQ(acks_.size(), 1u);
   EXPECT_TRUE(acks_[0].committed);
   EXPECT_EQ(ds1_->engine().store().Get(RecordKey{1, 1})->value, 42);
+}
+
+TEST_F(DataSourceTest, LazyCommitAckLeavesAloneAtItsBound) {
+  SendExecute(1, 100, {Write(RecordKey{1, 1}, 42)}, true, {2});
+  loop_.Run();
+  const Micros sent = loop_.Now();
+  SendDecision(1, 100, /*commit=*/true, /*one_phase=*/false,
+               /*lazy_ack=*/true);
+  loop_.RunUntil(sent + MsToMicros(10));
+  EXPECT_EQ(ds1_->stats().commits, 1u);
+  EXPECT_TRUE(acks_.empty());
+  loop_.Run();
+  // No message to the DM came along: the ack left alone once it had
+  // waited its bound (5 ms each way, about 1 ms for the COMMIT record).
+  ASSERT_EQ(acks_.size(), 1u);
+  EXPECT_TRUE(acks_[0].committed);
+  EXPECT_FALSE(acks_[0].one_phase);
+  EXPECT_GE(ack_arrivals_[0] - sent, MsToMicros(10) + kAckDelayBound);
+  EXPECT_LE(ack_arrivals_[0] - sent, MsToMicros(12) + kAckDelayBound);
+  EXPECT_EQ(ds1_->stats().acks_sent_alone, 1u);
+  EXPECT_EQ(ds1_->stats().acks_piggybacked, 0u);
+}
+
+TEST_F(DataSourceTest, LazyCommitAcksRideOnTheNextMessageToTheDm) {
+  SendExecute(1, 100, {Write(RecordKey{1, 1}, 1)}, true, {2});
+  SendExecute(1, 200, {Write(RecordKey{1, 2}, 2)}, true, {2});
+  loop_.Run();
+  ASSERT_EQ(exec_responses_.size(), 2u);
+  // The first ack rides on a pong.
+  const Micros start = loop_.Now();
+  SendDecision(1, 100, /*commit=*/true, /*one_phase=*/false,
+               /*lazy_ack=*/true);
+  loop_.RunUntil(start + MsToMicros(8));
+  SendPing(1);
+  loop_.RunUntil(start + MsToMicros(20));
+  ASSERT_EQ(pongs_.size(), 1u);
+  EXPECT_EQ(pongs_[0].acked_commits, std::vector<TxnId>{100});
+  // The second rides on the next batch's response.
+  SendDecision(1, 200, /*commit=*/true, /*one_phase=*/false,
+               /*lazy_ack=*/true);
+  loop_.RunUntil(start + MsToMicros(28));
+  SendExecute(1, 300, {Read(RecordKey{1, 3})}, false);
+  loop_.Run();
+  ASSERT_EQ(exec_responses_.size(), 3u);
+  EXPECT_EQ(exec_responses_[2].acked_commits, std::vector<TxnId>{200});
+  EXPECT_TRUE(acks_.empty());
+  EXPECT_EQ(ds1_->stats().acks_piggybacked, 2u);
+  EXPECT_EQ(ds1_->stats().acks_sent_alone, 0u);
+  EXPECT_EQ(ds1_->stats().commits, 2u);
 }
 
 TEST_F(DataSourceTest, AbortDecisionRollsBack) {
@@ -370,10 +443,13 @@ TEST_F(HeldPrepareFlushTest, DecentralizedPrepareRefusedAfterPeerAbort) {
               /*peers=*/{1});
   PeerAbortAfter(MsToMicros(30));
   loop_.Run();
-  // The peer-abort path confirmed the rollback; the refused prepare adds
-  // nothing, not even a FAILURE vote.
-  ASSERT_EQ(votes_.size(), 1u);
-  EXPECT_EQ(votes_[0].vote, Vote::kRollbacked);
+  // The peer abort answered through the held response, with the reads;
+  // the refused prepare adds nothing, not even a FAILURE vote.
+  EXPECT_TRUE(votes_.empty());
+  ASSERT_EQ(exec_responses_.size(), 1u);
+  EXPECT_TRUE(exec_responses_[0].status.ok());
+  EXPECT_EQ(exec_responses_[0].vote, Vote::kRollbacked);
+  EXPECT_EQ(exec_responses_[0].values.size(), 1u);
   EXPECT_EQ(ds2_->engine().StateOf(Xid{100, 2}), storage::TxnState::kAborted);
   EXPECT_FALSE(ds2_->HasBranch(100));
   EXPECT_EQ(ds2_->stats().early_aborts_sent, 0u);
@@ -432,8 +508,8 @@ TEST_F(DataSourceTest, CommitDecisionReleasesLocksBeforeItsRecordFlushes) {
   // T100 prepares on DS1; T200 parks on its exclusive lock.
   SendExecute(1, 100, {Write(RecordKey{1, 1}, 1)}, true, {2});
   loop_.Run();
-  ASSERT_EQ(votes_.size(), 1u);
-  ASSERT_EQ(votes_[0].vote, Vote::kPrepared);
+  ASSERT_EQ(exec_responses_.size(), 1u);
+  ASSERT_EQ(exec_responses_[0].vote, Vote::kPrepared);
   SendExecute(1, 200, {Write(RecordKey{1, 1}, 2)}, false);
   loop_.RunUntil(loop_.Now() + MsToMicros(10));
   ASSERT_TRUE(ds1_->engine().HasPendingOp(Xid{200, 1}));

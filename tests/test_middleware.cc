@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "datasource/data_source.h"
 #include "sim_fixture.h"
 
 namespace geotp {
@@ -27,6 +30,38 @@ void SilenceMonitor(MiniCluster& cluster) {
   cluster.dm().monitor().Stop();
   cluster.RunFor(500);
 }
+
+/// Counts the messages delivered to the client, the DM and the sources of
+/// a two-source cluster, by type. The monitor keeps pinging, so lazy
+/// commit acks ride on its pongs; protocol() leaves pings and pongs out.
+class MessageCounter {
+ public:
+  explicit MessageCounter(MiniCluster& cluster) {
+    sim::Network& network = cluster.network();
+    for (NodeId node = 0; node < 4; ++node) {
+      network.RegisterNode(
+          node, [this, inner = network.handler(node)](
+                    std::unique_ptr<runtime::MessageBase> msg) {
+            counts_[msg->type()]++;
+            inner(std::move(msg));
+          });
+    }
+  }
+
+  uint64_t of(runtime::MessageType type) const {
+    auto it = counts_.find(type);
+    return it == counts_.end() ? 0 : it->second;
+  }
+  uint64_t protocol() const {
+    uint64_t total = 0;
+    for (const auto& [type, count] : counts_) total += count;
+    return total - of(runtime::MessageType::kPingRequest) -
+           of(runtime::MessageType::kPingResponse);
+  }
+
+ private:
+  std::map<runtime::MessageType, uint64_t> counts_;
+};
 
 TEST(MiddlewareTest, CentralizedTxnCommits) {
   MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
@@ -225,45 +260,101 @@ TEST(MiddlewareTest, CentralizedCommitSendsNoVote) {
 }
 
 TEST(MiddlewareTest, MessageBudgetPerCommit) {
-  // Every message one GeoTP commit puts on the wire, pings excluded. A
-  // change that adds a message to each transaction fails here.
+  // Every message one GeoTP commit puts on the wire, pings and pongs
+  // excluded. A change that adds a message to each transaction fails here.
   MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
-  SilenceMonitor(cluster);
-  uint64_t before = cluster.network().total_messages();
-  // Centralized: round, execute, response (the IDLE vote), round reply;
+  cluster.RunFor(500);
+  const MessageCounter counter(cluster);
+  uint64_t before = counter.protocol();
+  // Centralized, 8: round, execute, response (the IDLE vote), round reply;
   // commit, one-phase decision, ack, result.
   ASSERT_TRUE(
       cluster.RunTxn(1, {MiniCluster::Write(cluster.KeyOn(0, 2), 1)}).ok());
-  EXPECT_EQ(cluster.network().total_messages() - before, 8u);
+  EXPECT_EQ(counter.protocol() - before, 8u);
 
-  before = cluster.network().total_messages();
-  // Two sources: round, 2 executes, 2 responses, 2 PREPARED votes, round
-  // reply; commit, 2 decisions, 2 acks, result.
+  before = counter.protocol();
+  // Two sources, 10: round, 2 executes, 2 responses (the PREPARED votes),
+  // round reply; commit, 2 decisions, result. The acks ride on pongs.
   ASSERT_TRUE(cluster
                   .RunTxn(2, {MiniCluster::Write(cluster.KeyOn(0, 3), 1),
                               MiniCluster::Write(cluster.KeyOn(1, 3), 2)})
                   .ok());
-  EXPECT_EQ(cluster.network().total_messages() - before, 14u);
+  EXPECT_EQ(counter.protocol() - before, 10u);
 
-  before = cluster.network().total_messages();
-  // Centralized with COMMIT on the round: round, execute, response (the
+  before = counter.protocol();
+  // Centralized with COMMIT on the round, 4: round, execute, response (the
   // branch committed one-phase as it ended), result.
   ASSERT_TRUE(
       cluster.RunBundledTxn(3, {MiniCluster::Write(cluster.KeyOn(0, 4), 1)})
           .ok());
-  EXPECT_EQ(cluster.network().total_messages() - before, 4u);
+  EXPECT_EQ(counter.protocol() - before, 4u);
   EXPECT_EQ(cluster.dm().stats().exec_commits, 1u);
 
-  before = cluster.network().total_messages();
-  // Two sources with COMMIT on the round: round, 2 executes, 2 responses,
-  // 2 PREPARED votes, 2 decisions, 2 acks, result.
+  before = counter.protocol();
+  // Two sources with COMMIT on the round, 8: round, 2 executes, 2
+  // responses (the PREPARED votes), 2 decisions, result. The acks ride on
+  // pongs.
   ASSERT_TRUE(cluster
                   .RunBundledTxn(4, {MiniCluster::Write(cluster.KeyOn(0, 5), 1),
                                      MiniCluster::Write(cluster.KeyOn(1, 5), 2)})
                   .ok());
-  EXPECT_EQ(cluster.network().total_messages() - before, 12u);
+  EXPECT_EQ(counter.protocol() - before, 8u);
   EXPECT_EQ(cluster.dm().stats().exec_commits, 1u);
   EXPECT_EQ(cluster.source(0).stats().exec_commits, 1u);
+
+  // No vote travelled alone; only the one-phase commit's ack did.
+  EXPECT_EQ(counter.of(runtime::MessageType::kVoteMessage), 0u);
+  EXPECT_EQ(counter.of(runtime::MessageType::kDecisionAck), 1u);
+  uint64_t piggybacked = 0;
+  for (int i = 0; i < 2; ++i) {
+    piggybacked += cluster.source(i).stats().acks_piggybacked;
+  }
+  EXPECT_EQ(piggybacked, 4u);
+  EXPECT_EQ(cluster.dm().InFlight(), 0u);
+}
+
+TEST(MiddlewareTest, LazyAcksLeaveAloneWithinTheirBoundWithoutPongs) {
+  // With the monitor silenced no pong comes: each lazy commit ack leaves
+  // as a plain DecisionAck once it has waited its bound, and the DM
+  // settles within a round trip plus that bound of answering.
+  MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
+  SilenceMonitor(cluster);
+  cluster.SendRound(1, {MiniCluster::Write(cluster.KeyOn(0, 1), 1),
+                        MiniCluster::Write(cluster.KeyOn(1, 1), 2)},
+                    /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+                    /*commit=*/true);
+  while (!cluster.txn(1).has_result) cluster.RunFor(0.1);
+  ASSERT_TRUE(cluster.txn(1).result.ok());
+  const Micros answered = cluster.loop().Now();
+  while (cluster.dm().InFlight() > 0) cluster.RunFor(0.1);
+  // Source 1 is 100 ms away; its COMMIT record takes about 2 ms.
+  EXPECT_LE(cluster.loop().Now() - answered,
+            MsToMicros(100 + 5) + datasource::kAckDelayBound);
+  EXPECT_GE(cluster.loop().Now() - answered,
+            MsToMicros(100) + datasource::kAckDelayBound);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(cluster.source(i).stats().acks_sent_alone, 1u);
+    EXPECT_EQ(cluster.source(i).stats().acks_piggybacked, 0u);
+  }
+}
+
+TEST(MiddlewareTest, ParticipantAddedInTheLastRoundStillVotes) {
+  // Source 0 began alone in round 1; the last round adds source 1. Source
+  // 0's last statement now has a peer, so it prepares and votes.
+  MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
+  cluster.SendRound(1, {MiniCluster::Write(cluster.KeyOn(0, 1), 1)}, false);
+  cluster.RunFor(3000);
+  cluster.SendRound(1, {MiniCluster::Write(cluster.KeyOn(0, 2), 1),
+                        MiniCluster::Write(cluster.KeyOn(1, 1), 2)},
+                    true);
+  cluster.RunFor(3000);
+  ASSERT_EQ(cluster.txn(1).round_responses.size(), 2u);
+  cluster.SendCommit(1);
+  cluster.RunFor(3000);
+  ASSERT_TRUE(cluster.txn(1).has_result);
+  EXPECT_TRUE(cluster.txn(1).result.ok());
+  EXPECT_EQ(cluster.source(0).stats().decentralized_prepares, 1u);
+  EXPECT_EQ(cluster.dm().InFlight(), 0u);
 }
 
 TEST(MiddlewareTest, BundledCommitReturnsReadsWithTheResult) {

@@ -509,6 +509,40 @@ TEST(MetricsRegistryTest, CommitWaitersGaugeTracksEntriesAwaitingApply) {
   EXPECT_TRUE(cluster.txn(1).result.ok());
 }
 
+// ds.<id>.retained.commit_entries counts the commit-entry indexes a
+// replica keeps for decision retries after a failover: one per commit on
+// every replica, which log compaction does not prune.
+TEST(MetricsRegistryTest, CommitEntriesGaugeCountsCommitsPastCompaction) {
+  testing_support::MiniCluster::Options options;
+  options.replication_factor = 3;
+  testing_support::MiniCluster cluster(options);
+  obs::MetricsRegistry registry;
+  for (datasource::DataSourceNode* source : cluster.source_ptrs()) {
+    source->RegisterMetrics(&registry);
+  }
+  constexpr uint64_t kCommits = 6;
+  for (uint64_t tag = 1; tag <= kCommits; ++tag) {
+    ASSERT_TRUE(cluster
+                    .RunBundledTxn(tag, {testing_support::MiniCluster::Write(
+                                            cluster.KeyOn(0, tag), 1)})
+                    .ok());
+  }
+  cluster.RunFor(2000);  // heartbeats drain applies and compaction
+  EXPECT_EQ(cluster.dm().stats().exec_commits, kCommits);
+  const std::string json = registry.SnapshotJson();
+  for (datasource::DataSourceNode* replica : cluster.replica_group(0)) {
+    EXPECT_GT(replica->replicator()->stats().log_entries_truncated, 0u)
+        << "replica " << replica->id();
+    const std::string needle = "\"ds." + std::to_string(replica->id()) +
+                               ".retained.commit_entries\":";
+    const size_t at = json.find(needle);
+    ASSERT_NE(at, std::string::npos) << needle;
+    EXPECT_EQ(std::stod(json.substr(at + needle.size())),
+              static_cast<double>(kCommits))
+        << "replica " << replica->id();
+  }
+}
+
 // dm.<n>.settling counts the commits answered but not yet acked by every
 // participant; dm.<n>.inflight still counts them.
 TEST(MetricsRegistryTest, SettlingGaugeTracksAnsweredCommitsAwaitingAcks) {

@@ -921,6 +921,76 @@ TEST(ReplicationTest, CutPrepareEntryRollsBackTheDeposedLeadersBranch) {
   EXPECT_EQ(cluster.dm().InFlight(), 0u);
 }
 
+// The leader of group 0 holds its execute response while the branch's
+// PREPARE entry waits for a quorum, and is cut off right then: the entry
+// has shipped, so the promoted follower holds the branch in doubt. A
+// bundled COMMIT resolves in doubt on the new leader's re-vote and
+// commits, with no reads in its result; a separate COMMIT's round cannot
+// answer its reads and aborts. Neither wedges, and both groups settle.
+TEST(ReplicationTest, LeaderDeposedWhileHoldingItsVoteCarryingResponse) {
+  for (const bool bundled : {true, false}) {
+    SCOPED_TRACE(bundled ? "COMMIT on the round" : "separate COMMIT");
+    // Followers 10 ms from their leader: the quorum acks come well after
+    // the leader's own flush.
+    MiniCluster::Options options = ReplicatedOptions();
+    options.follower_rtt_ms = 20;
+    MiniCluster cluster(options);
+    const RecordKey a = cluster.KeyOn(0, 5);
+    const RecordKey b = cluster.KeyOn(1, 6);
+    ASSERT_TRUE(cluster.RunTxn(1, {MiniCluster::Write(a, 100),
+                                   MiniCluster::Write(b, 200)})
+                    .ok());
+    cluster.RunFor(1000);
+    datasource::DataSourceNode& old_leader = cluster.source(0);
+    const uint64_t held_before = old_leader.stats().votes_on_response;
+
+    cluster.SendRound(2, {MiniCluster::Write(a, 5, /*delta=*/true),
+                          MiniCluster::Read(cluster.KeyOn(0, 9)),
+                          MiniCluster::Write(b, 6, /*delta=*/true)},
+                      /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+                      /*commit=*/bundled);
+    // Step until the branch is prepared locally: its entry shipped at the
+    // flush start, and the quorum acks are still on their way back.
+    for (int step = 0;
+         step < 100000 && old_leader.engine().PreparedXids().empty();
+         ++step) {
+      cluster.RunFor(0.05);
+    }
+    ASSERT_EQ(old_leader.engine().PreparedXids().size(), 1u);
+    ASSERT_EQ(old_leader.stats().votes_on_response, held_before);
+    cluster.network().Partition(old_leader.id());
+    cluster.RunFor(3000);
+    cluster.network().Restore(old_leader.id());
+    cluster.RunFor(2000);
+    if (!bundled && !cluster.txn(2).has_result) {
+      cluster.SendCommit(2);
+      cluster.RunFor(2000);
+    }
+
+    ASSERT_TRUE(cluster.txn(2).has_result);
+    EXPECT_EQ(cluster.dm().InFlight(), 0u);
+    EXPECT_EQ(cluster.dm().stats().branch_retries, bundled ? 0u : 1u);
+    EXPECT_FALSE(old_leader.replicator()->IsLeader());
+    EXPECT_FALSE(old_leader.HasBranch(cluster.txn(2).txn_id));
+    if (bundled) {
+      EXPECT_TRUE(cluster.txn(2).result.ok())
+          << cluster.txn(2).result.ToString();
+      EXPECT_TRUE(cluster.txn(2).result_values.empty());
+      uint64_t revotes = 0;
+      for (datasource::DataSourceNode* replica : cluster.replica_group(0)) {
+        revotes += replica->replicator()->stats().revotes_sent;
+      }
+      EXPECT_EQ(revotes, 1u);
+      ExpectGroupSettled(cluster, 0, a, 105);
+      ExpectGroupSettled(cluster, 1, b, 206);
+    } else {
+      EXPECT_FALSE(cluster.txn(2).result.ok());
+      ExpectGroupSettled(cluster, 0, a, 100);
+      ExpectGroupSettled(cluster, 1, b, 200);
+    }
+  }
+}
+
 // The COMMIT entry ships as the record goes to the device, so it can
 // reach the followers, and a quorum of them, before the leader's own flush
 // ends. A leader that dies then leaves a decided commit: the new leader

@@ -539,6 +539,8 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   exec_resp->values = {17};
   exec_resp->local_exec_latency = 250;
   exec_resp->rolled_back = true;
+  exec_resp->vote = protocol::Vote::kFailure;
+  exec_resp->acked_commits = {77, 78};
   add(std::move(exec_resp));
 
   auto prepare = Stamped<protocol::PrepareRequest>();
@@ -552,16 +554,18 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   auto vote = Stamped<protocol::VoteMessage>();
   vote->xid = xid;
   vote->vote = protocol::Vote::kRollbackOnly;
+  vote->acked_commits = {77};
   add(std::move(vote));
 
   auto decision = Stamped<protocol::DecisionRequest>();
   decision->xid = xid;
   decision->commit = false;
   decision->one_phase = true;
+  decision->lazy_ack = true;
   add(std::move(decision));
 
   auto decisions = Stamped<protocol::DecisionBatch>();
-  decisions->items = {protocol::DecisionItem{xid, true, false},
+  decisions->items = {protocol::DecisionItem{xid, true, false, true},
                       protocol::DecisionItem{Xid{100, 3}, false, true}};
   add(std::move(decisions));
 
@@ -723,6 +727,7 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   pong->run_queue_limit = 32;
   pong->shard_epoch = 3;
   pong->map_entries = {SampleRange()};
+  pong->acked_commits = {77};
   add(std::move(pong));
 
   auto read_req = Stamped<baselines::StoreReadRequest>();
@@ -811,7 +816,8 @@ const std::map<MessageType, std::string>& GoldenHex() {
     {MessageType::kBranchExecuteResponse,
      "0600030000000900000001080706050403020111000000000000002200000000"
      "0000006300000000000000020000000300000000000000060d00000076657273"
-     "696f6e20636865636b010000001100000000000000fa000000000000000100"},
+     "696f6e20636865636b010000001100000000000000fa00000000000000010002"
+     "020000004d000000000000004e00000000000000"},
     {MessageType::kPrepareRequest,
      "0700030000000900000001080706050403020111000000000000002200000000"
      "000000630000000000000002000000"},
@@ -820,14 +826,14 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "00000002000000630000000000000002000000640000000000000003000000"},
     {MessageType::kVoteMessage,
      "0900030000000900000001080706050403020111000000000000002200000000"
-     "00000063000000000000000200000003"},
+     "00000063000000000000000200000003010000004d00000000000000"},
     {MessageType::kDecisionRequest,
      "0a00030000000900000001080706050403020111000000000000002200000000"
-     "0000006300000000000000020000000001"},
+     "000000630000000000000002000000000101"},
     {MessageType::kDecisionBatch,
      "0b00030000000900000001080706050403020111000000000000002200000000"
-     "0000000200000063000000000000000200000001006400000000000000030000"
-     "000001"},
+     "0000000200000063000000000000000200000001000164000000000000000300"
+     "0000000100"},
     {MessageType::kDecisionAck,
      "0c00030000000900000001080706050403020111000000000000002200000000"
      "0000006300000000000000020000000101070b000000736f7572636520646f77"
@@ -918,7 +924,8 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "2100030000000900000001080706050403020111000000000000002200000000"
      "0000000c00000000000000800d00000000000011000000000000000900000000"
      "0000002000000000000000030000000000000001000000010000006400000000"
-     "000000c800000000000000040000000900000000000000"},
+     "000000c800000000000000040000000900000000000000010000004d00000000"
+     "000000"},
     {MessageType::kStoreReadRequest,
      "2200030000000900000001080706050403020111000000000000002200000000"
      "0000006300000000000000010000000000000001000000010000000900000000"
@@ -1008,13 +1015,13 @@ TEST(RuntimeCodecTest, EveryMessageTypeIsCovered) {
 // Enum bytes past the last enumerator are malformed input: the decoder
 // rejects them rather than casting them into the enum.
 TEST(RuntimeCodecTest, OutOfRangeEnumBytesAreRejected) {
-  // Vote: the last byte of a VoteMessage.
+  // Vote: the byte before a VoteMessage's (empty) acked_commits count.
   auto vote = Stamped<protocol::VoteMessage>();
   vote->xid = Xid{99, 2};
   vote->vote = protocol::Vote::kRollbacked;
   std::string bytes = EncodeMessage(*vote);
   EXPECT_NE(DecodeMessage(bytes), nullptr);
-  bytes.back() = 7;
+  bytes[bytes.size() - 5] = 7;
   EXPECT_EQ(DecodeMessage(bytes), nullptr);
 
   // StatusCode: an OK status ends the frame as code byte + empty message.
