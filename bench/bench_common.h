@@ -51,6 +51,24 @@ inline void PrintRow(const std::string& label, const ExperimentResult& r) {
 
 inline std::string Label(SystemKind system) { return SystemName(system); }
 
+/// Prints every counter of a GEOTP_STAT_FIELDS struct on one line as
+/// "name=value" pairs, in the order its field list names them.
+template <class S>
+void PrintStats(const S& stats) {
+  const std::vector<std::string> names =
+      SplitStatFieldNames(stats.FieldNames());
+  size_t next = 0;
+  auto print = [&](const auto&... fields) {
+    ((std::printf("%s%s=%llu", next == 0 ? "" : " ", names[next].c_str(),
+                  static_cast<unsigned long long>(
+                      static_cast<const uint64_t&>(fields))),
+      ++next),
+     ...);
+  };
+  stats.Fields(print);
+  std::printf("\n");
+}
+
 /// The topology of the replicated scenarios: client + DM in one region;
 /// data source i in region i at rtts_ms[i] from both, with two followers
 /// co-located in its region (the builder defaults same-region links to the

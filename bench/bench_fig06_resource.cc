@@ -63,7 +63,7 @@ int main() {
   PrintHeader("Overload-control counters (GeoTP, admission enabled)");
   // A deliberately over-offered run so the admission/shed/backoff path has
   // something to count: 512 closed-loop terminals against an in-flight
-  // budget of 96 and bounded source run queues.
+  // budget of 96.
   ExperimentConfig oc = DefaultConfig();
   oc.system = SystemKind::kGeoTP;
   oc.driver.terminals = 512;
@@ -74,24 +74,9 @@ int main() {
   oc.ycsb.distributed_ratio = 0.2;
   oc.dm_tweak = [](middleware::MiddlewareConfig* dm) {
     dm->overload.max_inflight = 96;
-    dm->overload.max_dispatch_queue = 256;
-  };
-  oc.ds_tweak = [](datasource::DataSourceConfig* ds) {
-    ds->max_run_queue = 64;
   };
   const auto o = RunTracked(oc);
-  std::printf("admitted=%llu shed_inflight=%llu shed_tenant=%llu "
-              "shed_dispatch=%llu shed_source=%llu\n",
-              static_cast<unsigned long long>(o.overload.admitted),
-              static_cast<unsigned long long>(o.overload.shed_inflight),
-              static_cast<unsigned long long>(o.overload.shed_tenant),
-              static_cast<unsigned long long>(o.overload.shed_dispatch),
-              static_cast<unsigned long long>(o.overload.shed_source));
-  std::printf("peak_inflight=%llu peak_dispatch_queue=%llu "
-              "run_queue_rejections=%llu\n",
-              static_cast<unsigned long long>(o.overload.peak_inflight),
-              static_cast<unsigned long long>(o.overload.peak_dispatch_queue),
-              static_cast<unsigned long long>(o.sources.run_queue_rejections));
+  PrintStats(o.overload);
   std::printf("client: sheds=%llu retries=%llu retry_exhausted=%llu "
               "tput=%.1f txn/s\n",
               static_cast<unsigned long long>(o.run.sheds),

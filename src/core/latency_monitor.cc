@@ -56,30 +56,12 @@ void LatencyMonitor::OnPong(const protocol::PingResponse& pong) {
   last_pong_at_[pong.from] = timer_->Now();
   RecordSample(pong.from, sample);
   RecordLoad(pong.from, pong.inflight);
-  RecordOccupancy(pong.from, pong.run_queue, pong.run_queue_limit);
   auto alias = alias_of_.find(pong.from);
   if (alias != alias_of_.end() && alias->second != pong.from &&
       alias->second != kInvalidNode) {
     RecordSample(alias->second, sample);
     RecordLoad(alias->second, pong.inflight);
-    RecordOccupancy(alias->second, pong.run_queue, pong.run_queue_limit);
   }
-}
-
-void LatencyMonitor::RecordOccupancy(NodeId node, uint64_t run_queue,
-                                     uint64_t limit) {
-  // No bound reported means the source runs unbounded: no saturation
-  // signal, decay the estimate toward 0 rather than pinning it.
-  const double sample =
-      limit == 0 ? 0.0
-                 : static_cast<double>(run_queue) / static_cast<double>(limit);
-  const double alpha = config_.ewma_alpha;
-  auto it = occupancy_estimates_.find(node);
-  if (it == occupancy_estimates_.end()) {
-    occupancy_estimates_[node] = sample;
-    return;
-  }
-  it->second = alpha * it->second + (1.0 - alpha) * sample;
 }
 
 void LatencyMonitor::RecordLoad(NodeId node, uint64_t inflight) {
@@ -111,14 +93,6 @@ Micros LatencyMonitor::RttEstimate(NodeId node) const {
 double LatencyMonitor::LoadEstimate(NodeId node) const {
   auto it = load_estimates_.find(node);
   return it == load_estimates_.end() ? 0.0 : it->second;
-}
-
-double LatencyMonitor::MaxOccupancy() const {
-  double worst = 0.0;
-  for (const auto& [node, occupancy] : occupancy_estimates_) {
-    worst = std::max(worst, occupancy);
-  }
-  return worst;
 }
 
 Micros LatencyMonitor::SampleAge(NodeId node) const {

@@ -76,13 +76,6 @@ class LatencyMonitor {
   /// RTT samples, so balancer lookups by logical source id work.
   double LoadEstimate(NodeId node) const;
 
-  /// Worst EWMA of the saturation signal (run_queue / run_queue_limit,
-  /// 0 while a node reports no bound) that nodes piggyback on their
-  /// pongs. The DM admission controller sheds new work when any source is
-  /// saturated (a distributed transaction is only as fast as its slowest
-  /// branch).
-  double MaxOccupancy() const;
-
   /// Virtual time since `node` last answered a ping (max if it never
   /// did). A crashed node's estimate freezes; callers doing
   /// lowest-RTT routing must treat stale estimates as unknown or they
@@ -99,7 +92,6 @@ class LatencyMonitor {
   void SendPings();
   void RecordSample(NodeId node, Micros sample);
   void RecordLoad(NodeId node, uint64_t inflight);
-  void RecordOccupancy(NodeId node, uint64_t run_queue, uint64_t limit);
 
   NodeId self_;
   runtime::ITransport* network_;
@@ -110,7 +102,6 @@ class LatencyMonitor {
   LatencyMonitorConfig config_;
   std::unordered_map<NodeId, Micros> estimates_;
   std::unordered_map<NodeId, double> load_estimates_;
-  std::unordered_map<NodeId, double> occupancy_estimates_;
   std::unordered_map<NodeId, Micros> last_pong_at_;
   /// Alias recorded for each pinged physical node in the latest round.
   std::unordered_map<NodeId, NodeId> alias_of_;

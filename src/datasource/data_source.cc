@@ -406,9 +406,7 @@ void DataSourceNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
     case runtime::MessageType::kDecisionRequest: {
       auto& decision = static_cast<DecisionRequest&>(*msg);
       if (RedirectIfNotLeader(decision.from)) return;
-      OnDecision(DecisionItem{decision.xid, decision.commit,
-                              decision.one_phase, decision.lazy_ack},
-                 decision.from);
+      OnDecision(decision.item, decision.from);
       return;
     }
     case runtime::MessageType::kDecisionBatch: {
@@ -521,17 +519,6 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
   }
 
   if (req.begin_branch) {
-    // Bounded run queue: a full engine refuses NEW branches retryably.
-    // Branches already begun here (the else arm) always run — refusing
-    // them mid-transaction would wedge admitted work behind the very
-    // queue it is supposed to drain.
-    if (config_.max_run_queue > 0 &&
-        engine_.ActiveCount() >= config_.max_run_queue) {
-      stats_.run_queue_rejections++;
-      SendExecuteResponse(state, Status::Unavailable("run queue full"),
-                          /*rolled_back=*/false);
-      return;
-    }
     Status st = engine_.Begin(req.xid);
     if (!st.ok()) {
       SendExecuteResponse(state, st, /*rolled_back=*/false);
@@ -996,9 +983,6 @@ void DataSourceNode::OnPing(const PingRequest& req) {
   // lock waiters) — the balancer's load term.
   pong->inflight = engine_.ActiveCount();
   stats_.peak_inflight = std::max(stats_.peak_inflight, pong->inflight);
-  // Saturation signal: run-queue depth against its bound (0 = unbounded).
-  pong->run_queue = pong->inflight;
-  pong->run_queue_limit = config_.max_run_queue;
   // Shard-map anti-entropy: report our epoch, and hand the whole map to a
   // DM whose ping proves it missed a publish.
   const sharding::ShardMap& map = migrator_->map();

@@ -97,13 +97,6 @@ struct DataSourceConfig {
   /// sender-side knob: receivers decode compressed and plain frames alike,
   /// whatever their own setting.
   bool wan_compression = true;
-  /// Overload control: bound on the engine run queue (live branches,
-  /// including parked lock waiters). A NEW branch (begin_branch batch)
-  /// arriving at a full queue is refused retryably; batches of branches
-  /// already begun here always run — admitted work must finish. The
-  /// current depth and this bound ride on every pong as the saturation
-  /// signal the DM's admission controller sheds on. 0 = unbounded.
-  uint64_t max_run_queue = 0;
 
   static DataSourceConfig MySql() {
     DataSourceConfig config;
@@ -146,8 +139,6 @@ struct DataSourceStats {
   // Capacity signal / shard-map anti-entropy (piggybacked on pings).
   uint64_t peak_inflight = 0;       ///< max branches in flight ever reported
   uint64_t shard_map_serves = 0;    ///< pongs that carried the map to a behind DM
-  // Overload control.
-  uint64_t run_queue_rejections = 0;  ///< new branches refused at a full queue
   GEOTP_STAT_FIELDS(batches_executed, ops_executed, lock_timeouts,
                     prepares_initiated, decentralized_prepares,
                     explicit_prepares, early_aborts_sent,
@@ -155,7 +146,7 @@ struct DataSourceStats {
                     exec_commits, rollbacks, votes_on_response,
                     acks_piggybacked, acks_sent_alone, shard_fenced_rejections,
                     shard_redirects_sent, HighWater(peak_inflight),
-                    shard_map_serves, run_queue_rejections)
+                    shard_map_serves)
 };
 
 class DataSourceNode {

@@ -278,14 +278,10 @@ void MiddlewareNode::OnClientRound(const ClientRoundRequest& req) {
     // Overload gate — NEW transactions only. Continuation rounds of
     // admitted transactions bypass it unconditionally: admitted work must
     // finish, because finishing is what frees the budget.
-    if (config_.overload.enabled()) {
-      const ShedReason verdict =
-          admission_.Consider(req.tenant, MaxDispatchDepth(),
-                              monitor_->MaxOccupancy(), timer_->Now());
-      if (verdict != ShedReason::kNone) {
-        ShedClientRound(req);
-        return;
-      }
+    if (config_.overload.enabled() &&
+        admission_.Consider(req.tenant, timer_->Now()) != ShedReason::kNone) {
+      ShedClientRound(req);
+      return;
     }
     id = MakeTxnId(ordinal_, next_seq_++);
     Txn txn;
@@ -905,11 +901,10 @@ void MiddlewareNode::FlushDispatchQueues() {
       auto decision = std::make_unique<DecisionRequest>();
       decision->from = id_;
       decision->to = dest;
-      decision->xid = items.front().xid;
-      decision->commit = items.front().commit;
-      decision->one_phase = items.front().one_phase;
-      decision->lazy_ack = items.front().lazy_ack;
-      if (Txn* t = FindTxn(decision->xid.txn_id)) decision->trace = t->trace;
+      decision->item = items.front();
+      if (Txn* t = FindTxn(decision->item.xid.txn_id)) {
+        decision->trace = t->trace;
+      }
       network_->Send(std::move(decision));
       continue;
     }

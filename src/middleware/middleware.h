@@ -357,7 +357,7 @@ class MiddlewareNode {
 
   // ----- overload control ---------------------------------------------------
   /// Deepest per-destination dispatch queue (prepares + decisions for one
-  /// data source) — the DM-local backpressure input to admission.
+  /// data source), exported as the `dispatch_depth` gauge.
   size_t MaxDispatchDepth() const;
   /// Sheds a new client transaction with an Overloaded reply.
   void ShedClientRound(const protocol::ClientRoundRequest& req);

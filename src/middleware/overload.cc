@@ -13,10 +13,6 @@ const char* ShedReasonName(ShedReason reason) {
       return "inflight-budget";
     case ShedReason::kTenantShare:
       return "tenant-share";
-    case ShedReason::kDispatchQueue:
-      return "dispatch-queue";
-    case ShedReason::kSourcePressure:
-      return "source-pressure";
   }
   return "?";
 }
@@ -49,52 +45,26 @@ size_t AdmissionController::TenantInFlight(uint32_t tenant) const {
   return it == tenants_.end() ? 0 : it->second.inflight;
 }
 
-ShedReason AdmissionController::Consider(uint32_t tenant,
-                                         size_t dispatch_queue_depth,
-                                         double worst_source_occupancy,
-                                         Micros now) {
+ShedReason AdmissionController::Consider(uint32_t tenant, Micros now) {
   TenantState& state = tenants_[tenant];
   state.last_arrival = now;
 
-  ShedReason reason = ShedReason::kNone;
   if (inflight_ >= config_.max_inflight) {
-    reason = ShedReason::kInflightBudget;
-  } else if (state.inflight >= TenantShare(tenant, now)) {
-    reason = ShedReason::kTenantShare;
-  } else if (config_.max_dispatch_queue > 0 &&
-             dispatch_queue_depth >= config_.max_dispatch_queue) {
-    reason = ShedReason::kDispatchQueue;
-  } else if (worst_source_occupancy >= kSourceOccupancyShed) {
-    reason = ShedReason::kSourcePressure;
+    ++stats_.shed_inflight;
+    ++consecutive_sheds_;
+    return ShedReason::kInflightBudget;
   }
-
-  switch (reason) {
-    case ShedReason::kNone:
-      ++state.inflight;
-      ++inflight_;
-      ++stats_.admitted;
-      stats_.peak_inflight =
-          std::max<uint64_t>(stats_.peak_inflight, inflight_);
-      consecutive_sheds_ = 0;
-      break;
-    case ShedReason::kInflightBudget:
-      ++stats_.shed_inflight;
-      ++consecutive_sheds_;
-      break;
-    case ShedReason::kTenantShare:
-      ++stats_.shed_tenant;
-      ++consecutive_sheds_;
-      break;
-    case ShedReason::kDispatchQueue:
-      ++stats_.shed_dispatch;
-      ++consecutive_sheds_;
-      break;
-    case ShedReason::kSourcePressure:
-      ++stats_.shed_source;
-      ++consecutive_sheds_;
-      break;
+  if (state.inflight >= TenantShare(tenant, now)) {
+    ++stats_.shed_tenant;
+    ++consecutive_sheds_;
+    return ShedReason::kTenantShare;
   }
-  return reason;
+  ++state.inflight;
+  ++inflight_;
+  ++stats_.admitted;
+  stats_.peak_inflight = std::max<uint64_t>(stats_.peak_inflight, inflight_);
+  consecutive_sheds_ = 0;
+  return ShedReason::kNone;
 }
 
 void AdmissionController::Release(uint32_t tenant) {

@@ -10,11 +10,12 @@
 //     queue new work behind saturated queues;
 //   * per-tenant weighted fair shares of the budget — one hot tenant
 //     cannot starve the others;
-//   * backpressure signals from downstream (dispatch-queue depth at the
-//     DM, run-queue occupancy piggybacked on latency-monitor pongs) feed
-//     the same shed decision, so saturation anywhere in the pipeline
-//     surfaces as an Overloaded reply at the entrance, not a timeout in
-//     the middle.
+//   * an exponentially growing retry hint on every Overloaded reply, so
+//     shed clients back off instead of hammering the entrance.
+//
+// The budget is the one shed signal: every queue downstream (the DM's
+// dispatch queues, the sources' engines) holds only work admitted here,
+// so the DM's in-flight count bounds them all.
 //
 // Only NEW transactions are ever considered: continuation rounds, votes,
 // decisions and aborts of admitted transactions always proceed (admitted
@@ -39,11 +40,6 @@ struct OverloadConfig {
   /// overload-control layer (every other knob is then ignored), which is
   /// the default so existing single-tenant configurations are unchanged.
   size_t max_inflight = 0;
-  /// Bound on the per-data-source dispatch queues (coalesced prepares +
-  /// decisions per destination). Admitted work is never dropped — instead
-  /// a queue at or over the bound vetoes NEW admissions until it drains.
-  /// 0 = no dispatch-queue pressure.
-  size_t max_dispatch_queue = 0;
   /// Weighted fair shares: tenant -> weight. Unlisted tenants weigh 1.
   /// A tenant's share of the in-flight budget is
   ///   max_inflight * weight / (sum of active tenants' weights),
@@ -54,11 +50,6 @@ struct OverloadConfig {
   bool enabled() const { return max_inflight > 0; }
 };
 
-/// Source saturation: shed new admissions while any source's estimated
-/// run-queue occupancy (run_queue / run_queue_limit EWMA from the
-/// latency-monitor pongs) is at or above this. Only meaningful when the
-/// data sources run a bounded queue (DataSourceConfig::max_run_queue).
-constexpr double kSourceOccupancyShed = 0.95;
 /// Retry hint attached to Overloaded replies: starts at the base and
 /// doubles with every 8 consecutive sheds up to the max, so persistent
 /// overload pushes clients exponentially further out.
@@ -73,8 +64,6 @@ enum class ShedReason : uint8_t {
   kNone,
   kInflightBudget,  ///< DM in-flight budget exhausted
   kTenantShare,     ///< tenant at its weighted share of the budget
-  kDispatchQueue,   ///< a per-source dispatch queue hit its bound
-  kSourcePressure,  ///< a data source's run queue is saturated
 };
 
 const char* ShedReasonName(ShedReason reason);
@@ -83,17 +72,12 @@ struct OverloadStats {
   uint64_t admitted = 0;
   uint64_t shed_inflight = 0;
   uint64_t shed_tenant = 0;
-  uint64_t shed_dispatch = 0;
-  uint64_t shed_source = 0;
   uint64_t peak_inflight = 0;        ///< high-water admitted in flight
   uint64_t peak_dispatch_queue = 0;  ///< high-water per-dest queue depth
-  GEOTP_STAT_FIELDS(admitted, shed_inflight, shed_tenant, shed_dispatch,
-                    shed_source, HighWater(peak_inflight),
-                    HighWater(peak_dispatch_queue))
+  GEOTP_STAT_FIELDS(admitted, shed_inflight, shed_tenant,
+                    HighWater(peak_inflight), HighWater(peak_dispatch_queue))
 
-  uint64_t Sheds() const {
-    return shed_inflight + shed_tenant + shed_dispatch + shed_source;
-  }
+  uint64_t Sheds() const { return shed_inflight + shed_tenant; }
 };
 
 class AdmissionController {
@@ -105,11 +89,8 @@ class AdmissionController {
   const OverloadStats& stats() const { return stats_; }
 
   /// Admission decision for a NEW transaction of `tenant` arriving now.
-  /// `dispatch_queue_depth` is the deepest per-source dispatch queue at
-  /// the DM; `worst_source_occupancy` the monitor's MaxOccupancy().
   /// Counts the outcome (admitted / shed by reason) in stats().
-  ShedReason Consider(uint32_t tenant, size_t dispatch_queue_depth,
-                      double worst_source_occupancy, Micros now);
+  ShedReason Consider(uint32_t tenant, Micros now);
 
   /// A transaction admitted by Consider() finished (committed, aborted,
   /// or died with a crash-cleared DM — see Reset for the latter).

@@ -190,29 +190,9 @@ struct PrepareBatch : runtime::Message<PrepareBatch> {
   GEOTP_WIRE_FIELDS(xids)
 };
 
-/// Final decision from the DM. `one_phase` commits an un-prepared branch
+/// A final decision from the DM, sent alone (DecisionRequest) or
+/// coalesced (DecisionBatch). `one_phase` commits an un-prepared branch
 /// directly (XA COMMIT ... ONE PHASE; centralized transactions).
-/// `lazy_ack`: see DecisionItem.
-struct DecisionRequest : runtime::Message<DecisionRequest> {
-  Xid xid;
-  bool commit = true;
-  bool one_phase = false;
-  bool lazy_ack = false;
-  GEOTP_WIRE_FIELDS(xid, commit, one_phase, lazy_ack)
-};
-
-struct DecisionAck : runtime::Message<DecisionAck> {
-  Xid xid;
-  bool committed = false;
-  /// Echo of the request's one_phase flag: a failed one-phase commit is a
-  /// clean abort (the branch was never prepared anywhere); a failed
-  /// two-phase commit of a prepared branch would be an atomicity bug.
-  bool one_phase = false;
-  Status status;
-  GEOTP_WIRE_FIELDS(xid, committed, one_phase, status)
-};
-
-/// One decision of a DecisionBatch.
 struct DecisionItem {
   Xid xid;
   bool commit = true;
@@ -224,6 +204,24 @@ struct DecisionItem {
   /// datasource::kAckDelayBound.
   bool lazy_ack = false;
   GEOTP_WIRE_FIELDS(xid, commit, one_phase, lazy_ack)
+};
+
+/// One decision on its own. A nested struct encodes as its fields in
+/// order, so the frame carries exactly the item's fields.
+struct DecisionRequest : runtime::Message<DecisionRequest> {
+  DecisionItem item;
+  GEOTP_WIRE_FIELDS(item)
+};
+
+struct DecisionAck : runtime::Message<DecisionAck> {
+  Xid xid;
+  bool committed = false;
+  /// Echo of the request's one_phase flag: a failed one-phase commit is a
+  /// clean abort (the branch was never prepared anywhere); a failed
+  /// two-phase commit of a prepared branch would be an atomicity bug.
+  bool one_phase = false;
+  Status status;
+  GEOTP_WIRE_FIELDS(xid, committed, one_phase, status)
 };
 
 /// Several decisions bound for one data source, coalesced like
@@ -590,6 +588,9 @@ struct PingRequest : runtime::Message<PingRequest> {
   GEOTP_WIRE_FIELDS(seq, sent_at, shard_epoch)
 };
 
+/// The answer to a PingRequest: an RTT sample, the responder's load and
+/// shard-map epoch, and any queued commit acks. Overload control reads
+/// nothing here; it sheds on the DM's own in-flight budget.
 struct PingResponse : runtime::Message<PingResponse> {
   uint64_t seq = 0;
   Micros sent_at = 0;
@@ -598,14 +599,6 @@ struct PingResponse : runtime::Message<PingResponse> {
   /// subtracts a load penalty derived from this from the RTT gain, so hot
   /// chunks cannot all pile onto the one nearest node.
   uint64_t inflight = 0;
-  /// Saturation signal for overload control: current depth of the engine
-  /// run queue and its configured bound (0 = unbounded). The DM's
-  /// admission controller sheds new transactions when the occupancy
-  /// estimate (run_queue / run_queue_limit) crosses its threshold, so
-  /// backpressure from a saturated source reaches clients as Overloaded
-  /// replies instead of timeouts.
-  uint64_t run_queue = 0;
-  uint64_t run_queue_limit = 0;
   /// Responder's shard-map epoch (anti-entropy: a DM seeing a lower value
   /// than its own pushes the current map to the responder).
   uint64_t shard_epoch = 0;
@@ -614,8 +607,8 @@ struct PingResponse : runtime::Message<PingResponse> {
   std::vector<sharding::ShardRange> map_entries;
   /// Commit acks queued for this DM (see DecisionItem::lazy_ack).
   std::vector<TxnId> acked_commits;
-  GEOTP_WIRE_FIELDS(seq, sent_at, inflight, run_queue, run_queue_limit,
-                    shard_epoch, map_entries, acked_commits)
+  GEOTP_WIRE_FIELDS(seq, sent_at, inflight, shard_epoch, map_entries,
+                    acked_commits)
 };
 
 }  // namespace protocol

@@ -81,10 +81,8 @@ class DataSourceTest : public ::testing::Test {
     auto req = std::make_unique<DecisionRequest>();
     req->from = 0;
     req->to = ds;
-    req->xid = Xid{txn, ds};
-    req->commit = commit;
-    req->one_phase = one_phase;
-    req->lazy_ack = lazy_ack;
+    req->item = protocol::DecisionItem{Xid{txn, ds}, commit, one_phase,
+                                       lazy_ack};
     net_->Send(std::move(req));
   }
 

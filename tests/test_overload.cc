@@ -1,6 +1,6 @@
 // Overload control: DM admission budget, per-tenant fair shares,
-// shed replies with retry hints, bounded data-source run queues, and the
-// whole layer surviving leader failovers without leaking budget.
+// shed replies with retry hints, and the whole layer surviving leader
+// failovers without leaking budget.
 //
 // Structure mirrors the rest of the suite: AdmissionController unit
 // tests first, then MiniCluster integration, then a seeded chaos
@@ -44,9 +44,7 @@ TEST(AdmissionControllerTest, BudgetIsExactAndReleasable) {
   int admitted = 0;
   int shed = 0;
   for (int i = 0; i < 10; ++i) {
-    const ShedReason verdict = admission.Consider(
-        /*tenant=*/0, /*dispatch_queue_depth=*/0,
-        /*worst_source_occupancy=*/0.0, /*now=*/0);
+    const ShedReason verdict = admission.Consider(/*tenant=*/0, /*now=*/0);
     if (verdict == ShedReason::kNone) {
       admitted++;
     } else {
@@ -64,33 +62,33 @@ TEST(AdmissionControllerTest, BudgetIsExactAndReleasable) {
   // Releases restore the budget slot-for-slot.
   for (int i = 0; i < 4; ++i) admission.Release(0);
   EXPECT_EQ(admission.InFlight(), 0u);
-  EXPECT_EQ(admission.Consider(0, 0, 0.0, 0), ShedReason::kNone);
+  EXPECT_EQ(admission.Consider(0, 0), ShedReason::kNone);
 }
 
 TEST(AdmissionControllerTest, RetryHintDoublesUnderSustainedShedding) {
   OverloadConfig config;
   config.max_inflight = 1;
   AdmissionController admission(config);
-  ASSERT_EQ(admission.Consider(0, 0, 0.0, 0), ShedReason::kNone);
+  ASSERT_EQ(admission.Consider(0, 0), ShedReason::kNone);
 
   // Sheds 1..7: base hint. Shed 8 crosses the first doubling step.
   for (int i = 0; i < 7; ++i) {
-    admission.Consider(0, 0, 0.0, 0);
+    admission.Consider(0, 0);
     EXPECT_EQ(admission.RetryHint(), kRetryHintBase);
   }
-  admission.Consider(0, 0, 0.0, 0);
+  admission.Consider(0, 0);
   EXPECT_EQ(admission.RetryHint(), 2 * kRetryHintBase);
-  for (int i = 0; i < 8; ++i) admission.Consider(0, 0, 0.0, 0);
+  for (int i = 0; i < 8; ++i) admission.Consider(0, 0);
   EXPECT_EQ(admission.RetryHint(), 4 * kRetryHintBase);
 
   // Saturates at the cap no matter how long the overload lasts.
-  for (int i = 0; i < 200; ++i) admission.Consider(0, 0, 0.0, 0);
+  for (int i = 0; i < 200; ++i) admission.Consider(0, 0);
   EXPECT_EQ(admission.RetryHint(), kRetryHintMax);
 
   // One admission resets the horizon to the base.
   admission.Release(0);
-  ASSERT_EQ(admission.Consider(0, 0, 0.0, 0), ShedReason::kNone);
-  admission.Consider(0, 0, 0.0, 0);
+  ASSERT_EQ(admission.Consider(0, 0), ShedReason::kNone);
+  admission.Consider(0, 0);
   EXPECT_EQ(admission.RetryHint(), kRetryHintBase);
 }
 
@@ -101,11 +99,11 @@ TEST(AdmissionControllerTest, WeightedSharesAreWorkConserving) {
   AdmissionController admission(config);
 
   // Only tenant 0 is active: it may borrow the whole budget.
-  ASSERT_EQ(admission.Consider(0, 0, 0.0, /*now=*/0), ShedReason::kNone);
+  ASSERT_EQ(admission.Consider(0, /*now=*/0), ShedReason::kNone);
   EXPECT_EQ(admission.TenantShare(0, /*now=*/0), 12u);
 
   // Tenant 1 arrives: shares split 2:1 over the active weight mass.
-  ASSERT_EQ(admission.Consider(1, 0, 0.0, /*now=*/0), ShedReason::kNone);
+  ASSERT_EQ(admission.Consider(1, /*now=*/0), ShedReason::kNone);
   EXPECT_EQ(admission.TenantShare(0, 0), 8u);
   EXPECT_EQ(admission.TenantShare(1, 0), 4u);
 
@@ -114,22 +112,6 @@ TEST(AdmissionControllerTest, WeightedSharesAreWorkConserving) {
   admission.Release(1);
   const Micros later = kTenantActiveWindow + MsToMicros(1);
   EXPECT_EQ(admission.TenantShare(0, later), 12u);
-}
-
-TEST(AdmissionControllerTest, BackpressureSignalsShedNewAdmissions) {
-  OverloadConfig config;
-  config.max_inflight = 8;
-  config.max_dispatch_queue = 2;
-  AdmissionController admission(config);
-
-  EXPECT_EQ(admission.Consider(0, /*dispatch_queue_depth=*/2, 0.0, 0),
-            ShedReason::kDispatchQueue);
-  EXPECT_EQ(admission.Consider(0, 0, /*worst_source_occupancy=*/0.96, 0),
-            ShedReason::kSourcePressure);
-  EXPECT_EQ(admission.stats().shed_dispatch, 1u);
-  EXPECT_EQ(admission.stats().shed_source, 1u);
-  // Both signals gone: admit again.
-  EXPECT_EQ(admission.Consider(0, 1, 0.5, 0), ShedReason::kNone);
 }
 
 // ---------------------------------------------------------------------------
@@ -271,40 +253,6 @@ TEST(OverloadIntegrationTest, TenantShareCapsHotTenantUnderSkew) {
   EXPECT_EQ(admission.stats().shed_inflight, 0u);
 }
 
-TEST(OverloadIntegrationTest, SourceRunQueueBoundRefusesOnlyNewBranches) {
-  MiniCluster::Options options;
-  options.ds_tweak = [](datasource::DataSourceConfig* config) {
-    config->max_run_queue = 1;
-  };
-  MiniCluster cluster(options);
-
-  // Three concurrent single-round transactions on the same source: the
-  // first takes the only run-queue slot; the other two are refused
-  // retryably at begin_branch and abort.
-  for (uint64_t tag = 1; tag <= 3; ++tag) {
-    cluster.SendRound(tag, {MiniCluster::Write(cluster.KeyOn(0, tag), 1)},
-                      /*last_round=*/true);
-  }
-  cluster.RunFor(3000);
-  EXPECT_EQ(cluster.source(0).stats().run_queue_rejections, 2u);
-
-  // The in-flight branch is never evicted: it commits normally.
-  ASSERT_FALSE(cluster.txn(1).round_responses.empty());
-  cluster.SendCommit(1);
-  cluster.RunFor(3000);
-  ASSERT_TRUE(cluster.txn(1).has_result);
-  EXPECT_TRUE(cluster.txn(1).result.ok());
-
-  int aborted = 0;
-  for (uint64_t tag = 2; tag <= 3; ++tag) {
-    if (cluster.txn(tag).has_result && !cluster.txn(tag).result.ok()) {
-      aborted++;
-    }
-  }
-  EXPECT_EQ(aborted, 2);
-  EXPECT_EQ(cluster.source(0).engine().ActiveCount(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Chaos: overload coinciding with replica-leader failovers. The admission
 // budget must come back whole (no wedge), and shed/aborted transactions
@@ -318,9 +266,6 @@ TEST_P(OverloadChaosTest, FailoverUnderOverloadConservesBudgetAndBalances) {
   options.dm = MiddlewareConfig::GeoTP();
   options.dm.overload.max_inflight = 6;
   options.replication_factor = 3;
-  options.ds_tweak = [](datasource::DataSourceConfig* config) {
-    config->max_run_queue = 8;
-  };
   MiniCluster cluster(options);
   Rng rng(GetParam());
   constexpr int kAccounts = 16;

@@ -558,10 +558,7 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   add(std::move(vote));
 
   auto decision = Stamped<protocol::DecisionRequest>();
-  decision->xid = xid;
-  decision->commit = false;
-  decision->one_phase = true;
-  decision->lazy_ack = true;
+  decision->item = protocol::DecisionItem{xid, false, true, true};
   add(std::move(decision));
 
   auto decisions = Stamped<protocol::DecisionBatch>();
@@ -723,8 +720,6 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   pong->seq = 12;
   pong->sent_at = 3456;
   pong->inflight = 17;
-  pong->run_queue = 9;
-  pong->run_queue_limit = 32;
   pong->shard_epoch = 3;
   pong->map_entries = {SampleRange()};
   pong->acked_commits = {77};
@@ -922,10 +917,9 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "0000000c00000000000000800d0000000000000200000000000000"},
     {MessageType::kPingResponse,
      "2100030000000900000001080706050403020111000000000000002200000000"
-     "0000000c00000000000000800d00000000000011000000000000000900000000"
-     "0000002000000000000000030000000000000001000000010000006400000000"
-     "000000c800000000000000040000000900000000000000010000004d00000000"
-     "000000"},
+     "0000000c00000000000000800d00000000000011000000000000000300000000"
+     "00000001000000010000006400000000000000c8000000000000000400000009"
+     "00000000000000010000004d00000000000000"},
     {MessageType::kStoreReadRequest,
      "2200030000000900000001080706050403020111000000000000002200000000"
      "0000006300000000000000010000000000000001000000010000000900000000"
