@@ -52,18 +52,27 @@ inline void PrintRow(const std::string& label, const ExperimentResult& r) {
 inline std::string Label(SystemKind system) { return SystemName(system); }
 
 /// Prints every counter of a GEOTP_STAT_FIELDS struct on one line as
-/// "name=value" pairs, in the order its field list names them.
+/// "name=value" pairs, in the order its field list names them. With
+/// `per` > 0 each value is divided by it ("name/txn=0.123" for a count of
+/// committed transactions).
 template <class S>
-void PrintStats(const S& stats) {
+void PrintStats(const S& stats, uint64_t per = 0) {
   const std::vector<std::string> names =
       SplitStatFieldNames(stats.FieldNames());
   size_t next = 0;
+  auto print_one = [&](uint64_t value) {
+    const char* sep = next == 0 ? "" : " ";
+    if (per == 0) {
+      std::printf("%s%s=%llu", sep, names[next].c_str(),
+                  static_cast<unsigned long long>(value));
+    } else {
+      std::printf("%s%s/txn=%.3f", sep, names[next].c_str(),
+                  static_cast<double>(value) / static_cast<double>(per));
+    }
+    ++next;
+  };
   auto print = [&](const auto&... fields) {
-    ((std::printf("%s%s=%llu", next == 0 ? "" : " ", names[next].c_str(),
-                  static_cast<unsigned long long>(
-                      static_cast<const uint64_t&>(fields))),
-      ++next),
-     ...);
+    (print_one(static_cast<const uint64_t&>(fields)), ...);
   };
   stats.Fields(print);
   std::printf("\n");

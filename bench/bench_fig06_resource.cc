@@ -15,6 +15,7 @@ int main() {
   PrintHeader("Fig. 6a/6b — resource proxies (SSP vs GeoTP, YCSB MC)");
   std::printf("%-12s %16s %16s %16s %14s %14s\n", "system", "events/commit",
               "msgs/commit", "footprint bytes", "wal entries", "fsyncs/commit");
+  std::vector<std::pair<SystemKind, ExperimentResult>> runs;
   for (SystemKind system : {SystemKind::kSSP, SystemKind::kGeoTP}) {
     ExperimentConfig config = DefaultConfig();
     config.system = system;
@@ -30,6 +31,13 @@ int main() {
                 r.footprint_bytes,
                 static_cast<unsigned long long>(r.wal_entries),
                 r.FsyncsPerCommit());
+    runs.emplace_back(system, r);
+  }
+  // The latency monitor's probes per committed txn: pings go only to
+  // sources that no execute round trip sampled within the last interval.
+  for (const auto& [system, r] : runs) {
+    std::printf("%-12s monitor: ", Label(system).c_str());
+    PrintStats(r.monitor, r.run.committed > 0 ? r.run.committed : 1);
   }
   std::printf(
       "Expected shape: GeoTP does LESS coordination per committed txn\n"

@@ -38,6 +38,10 @@ void LatencyMonitor::SendPings() {
   const uint64_t shard_epoch = epoch_provider_ ? epoch_provider_() : 0;
   for (const PingTarget& target : targets) {
     alias_of_[target.node] = target.alias;
+    if (!NeedsPing(target.node, shard_epoch)) {
+      ++stats_.pings_skipped;
+      continue;
+    }
     auto ping = std::make_unique<protocol::PingRequest>();
     ping->from = self_;
     ping->to = target.node;
@@ -45,44 +49,72 @@ void LatencyMonitor::SendPings() {
     ping->sent_at = timer_->Now();
     ping->shard_epoch = shard_epoch;
     network_->Send(std::move(ping));
-    ++pings_sent_;
+    ++stats_.pings_sent;
   }
   timer_->Schedule(kPingInterval, [this]() { SendPings(); });
 }
 
-void LatencyMonitor::OnPong(const protocol::PingResponse& pong) {
-  ++pongs_received_;
-  const Micros sample = timer_->Now() - pong.sent_at;
-  last_pong_at_[pong.from] = timer_->Now();
-  RecordSample(pong.from, sample);
-  RecordLoad(pong.from, pong.inflight);
-  auto alias = alias_of_.find(pong.from);
-  if (alias != alias_of_.end() && alias->second != pong.from &&
-      alias->second != kInvalidNode) {
-    RecordSample(alias->second, sample);
-    RecordLoad(alias->second, pong.inflight);
+bool LatencyMonitor::NeedsPing(NodeId target, uint64_t shard_epoch) const {
+  // Followers carry no execute traffic, so they fall through to a ping.
+  auto traffic = last_traffic_at_.find(target);
+  if (traffic == last_traffic_at_.end() ||
+      timer_->Now() - traffic->second >= kPingInterval) {
+    return true;
   }
+  // The DM is behind this node's map: only a pong carries the map back.
+  auto epoch = reported_epoch_.find(target);
+  return epoch != reported_epoch_.end() && epoch->second > shard_epoch;
 }
 
-void LatencyMonitor::RecordLoad(NodeId node, uint64_t inflight) {
-  const double alpha = config_.ewma_alpha;
-  auto it = load_estimates_.find(node);
-  if (it == load_estimates_.end()) {
-    load_estimates_[node] = static_cast<double>(inflight);
-    return;
+namespace {
+
+/// est = alpha * est + (1 - alpha) * sample; the first sample seeds.
+template <class T>
+void Blend(std::unordered_map<NodeId, T>& estimates, NodeId node, T sample,
+           double alpha) {
+  auto [it, first] = estimates.try_emplace(node, sample);
+  if (first) return;
+  it->second = static_cast<T>(alpha * static_cast<double>(it->second) +
+                              (1.0 - alpha) * static_cast<double>(sample));
+}
+
+}  // namespace
+
+void LatencyMonitor::OnPong(const protocol::PingResponse& pong) {
+  ++stats_.pongs_received;
+  RecordSample(pong.from, timer_->Now() - pong.sent_at);
+}
+
+void LatencyMonitor::OnTrafficSample(NodeId node, Micros rtt) {
+  ++stats_.traffic_samples;
+  last_traffic_at_[node] = timer_->Now();
+  RecordSample(node, rtt);
+}
+
+void LatencyMonitor::OnReport(NodeId node, uint64_t inflight,
+                              uint64_t shard_epoch) {
+  reported_epoch_[node] = shard_epoch;
+  const auto load = static_cast<double>(inflight);
+  Blend(load_estimates_, node, load, config_.ewma_alpha);
+  const NodeId alias = AliasOf(node);
+  if (alias != kInvalidNode) {
+    Blend(load_estimates_, alias, load, config_.ewma_alpha);
   }
-  it->second = alpha * it->second + (1.0 - alpha) * static_cast<double>(inflight);
 }
 
 void LatencyMonitor::RecordSample(NodeId node, Micros sample) {
-  const double alpha = config_.ewma_alpha;
-  auto it = estimates_.find(node);
-  if (it == estimates_.end()) {
-    estimates_[node] = sample;
-    return;
+  last_sample_at_[node] = timer_->Now();
+  Blend(estimates_, node, sample, config_.ewma_alpha);
+  const NodeId alias = AliasOf(node);
+  if (alias != kInvalidNode) {
+    Blend(estimates_, alias, sample, config_.ewma_alpha);
   }
-  it->second = static_cast<Micros>(alpha * static_cast<double>(it->second) +
-                                   (1.0 - alpha) * static_cast<double>(sample));
+}
+
+NodeId LatencyMonitor::AliasOf(NodeId node) const {
+  auto it = alias_of_.find(node);
+  return it == alias_of_.end() || it->second == node ? kInvalidNode
+                                                     : it->second;
 }
 
 Micros LatencyMonitor::RttEstimate(NodeId node) const {
@@ -96,8 +128,8 @@ double LatencyMonitor::LoadEstimate(NodeId node) const {
 }
 
 Micros LatencyMonitor::SampleAge(NodeId node) const {
-  auto it = last_pong_at_.find(node);
-  if (it == last_pong_at_.end()) return std::numeric_limits<Micros>::max();
+  auto it = last_sample_at_.find(node);
+  if (it == last_sample_at_.end()) return std::numeric_limits<Micros>::max();
   return timer_->Now() - it->second;
 }
 

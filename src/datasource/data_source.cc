@@ -62,7 +62,7 @@ DataSourceNode::DataSourceNode(runtime::ActorEnv env, DataSourceConfig config)
 void DataSourceNode::Attach() {
   network_->RegisterNode(
       id_, [this](std::unique_ptr<runtime::MessageBase> msg) {
-        HandleMessage(std::move(msg));
+        HandleMessage(std::move(msg), timer_->Now());
       });
   // Same executor-affinity rule as MiddlewareNode::Attach: announces sent by
   // Replicator::Start can draw same-tick replies on the actor thread, so the
@@ -349,7 +349,8 @@ bool DataSourceNode::RedirectIfNotLeader(NodeId requester) {
   return true;
 }
 
-void DataSourceNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
+void DataSourceNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg,
+                                   Micros arrived_at) {
   if (crashed_) return;
   if (msg->type() == runtime::MessageType::kFollowerReadRequest) {
     // Shard guard ahead of the replicator: a follower of a group the map
@@ -380,7 +381,7 @@ void DataSourceNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
   // it is what clears the barrier.
   if (replicator_ != nullptr && !replicator_->ReadyToServe() &&
       ParkedDuringPromotion(msg->type())) {
-    parked_.push_back(std::move(msg));
+    parked_.push_back(ParkedMessage{arrived_at, std::move(msg)});
     return;
   }
   if (migrator_->HandleMessage(msg.get())) return;
@@ -388,7 +389,7 @@ void DataSourceNode::HandleMessage(std::unique_ptr<runtime::MessageBase> msg) {
     case runtime::MessageType::kBranchExecuteRequest: {
       auto& exec = static_cast<BranchExecuteRequest&>(*msg);
       if (RedirectIfNotLeader(exec.from)) return;
-      OnExecute(exec);
+      OnExecute(exec, arrived_at);
       return;
     }
     case runtime::MessageType::kPrepareRequest: {
@@ -464,15 +465,17 @@ void DataSourceNode::OnReplicatorReady() {
     parked_.clear();
     return;
   }
-  std::vector<std::unique_ptr<runtime::MessageBase>> replay;
+  std::vector<ParkedMessage> replay;
   replay.swap(parked_);
-  for (auto& msg : replay) {
-    HandleMessage(std::move(msg));
+  for (ParkedMessage& parked : replay) {
+    HandleMessage(std::move(parked.msg), parked.arrived_at);
   }
 }
 
-void DataSourceNode::OnExecute(const BranchExecuteRequest& req) {
+void DataSourceNode::OnExecute(const BranchExecuteRequest& req,
+                               Micros arrived_at) {
   auto state = std::make_shared<ExecState>();
+  state->arrived_at = arrived_at;
   state->xid = req.xid;
   state->round_seq = req.round_seq;
   state->ops = req.ops;
@@ -727,6 +730,8 @@ void DataSourceNode::SendExecuteResponse(
   resp->vote = vote;
   if (vote != Vote::kNone) stats_.votes_on_response++;
   resp->acked_commits = TakeQueuedAcks(resp->to);
+  resp->residence = timer_->Now() - state->arrived_at;
+  FillReport(*resp);
   EndBranchSpan(state->exec_span);
   state->exec_span = obs::kInvalidSpan;
   network_->Send(std::move(resp));
@@ -973,20 +978,27 @@ void DataSourceNode::CommitBranch(const Xid& xid,
       tag);
 }
 
+template <class M>
+void DataSourceNode::FillReport(M& msg) {
+  // Capacity signal: live branches (active + prepared, including parked
+  // lock waiters) — the balancer's load term.
+  msg.inflight = engine_.ActiveCount();
+  stats_.peak_inflight = std::max(stats_.peak_inflight, msg.inflight);
+  // Shard-map anti-entropy: a DM whose epoch trails pushes its map here; a
+  // DM behind this epoch pings this node for the map.
+  msg.shard_epoch = migrator_->map().epoch();
+}
+
 void DataSourceNode::OnPing(const PingRequest& req) {
   auto pong = std::make_unique<PingResponse>();
   pong->from = id_;
   pong->to = req.from;
   pong->seq = req.seq;
   pong->sent_at = req.sent_at;
-  // Capacity signal: live branches (active + prepared, including parked
-  // lock waiters) — the balancer's load term.
-  pong->inflight = engine_.ActiveCount();
-  stats_.peak_inflight = std::max(stats_.peak_inflight, pong->inflight);
-  // Shard-map anti-entropy: report our epoch, and hand the whole map to a
-  // DM whose ping proves it missed a publish.
+  FillReport(*pong);
+  // Shard-map anti-entropy: hand the whole map to a DM whose ping proves
+  // it missed a publish.
   const sharding::ShardMap& map = migrator_->map();
-  pong->shard_epoch = map.epoch();
   if (!map.empty() && req.shard_epoch < map.epoch()) {
     pong->map_entries = map.ranges();
     stats_.shard_map_serves++;

@@ -262,6 +262,9 @@ class DataSourceNode {
     std::vector<int64_t> values;
     bool last_statement = false;
     bool commit_one_phase = false;
+    /// When the request reached the node; the response's residence
+    /// counts from here.
+    Micros arrived_at = 0;
     Micros started_at = 0;
     /// When the ops completed, if the response waits for a commit after
     /// them (0 otherwise): the footprint's local latency ends here.
@@ -362,12 +365,16 @@ class DataSourceNode {
   /// Empties `dm`'s ack queue into a message about to leave for it.
   std::vector<TxnId> TakeQueuedAcks(NodeId dm);
 
-  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
+  /// `arrived_at`: when the message reached this node (a parked message
+  /// keeps its first arrival across the replay).
+  void HandleMessage(std::unique_ptr<runtime::MessageBase> msg,
+                     Micros arrived_at);
   /// Promotion barrier (see Replicator::ReadyToServe): true for message
   /// types that read or mutate transactional state and therefore must not
   /// run while a freshly promoted leader's store is behind its log.
   static bool ParkedDuringPromotion(runtime::MessageType type);
-  void OnExecute(const protocol::BranchExecuteRequest& req);
+  void OnExecute(const protocol::BranchExecuteRequest& req,
+                 Micros arrived_at);
   /// Gives `state` a slot and a handle for the closures of its ops.
   void RegisterExec(const std::shared_ptr<ExecState>& state);
   /// The batch `handle` names, or nullptr once it finished.
@@ -401,6 +408,10 @@ class DataSourceNode {
   /// coordinator resolves those at the leader.
   void CommitBranch(const Xid& xid, std::function<void(Status)> done);
   void OnPing(const protocol::PingRequest& req);
+  /// Fills the load and shard-epoch report that a pong and an execute
+  /// response both carry.
+  template <class M>
+  void FillReport(M& msg);
 
   void SendExecuteResponse(const std::shared_ptr<ExecState>& state,
                            Status status, bool rolled_back,
@@ -434,7 +445,11 @@ class DataSourceNode {
   std::vector<uint32_t> free_exec_slots_;
   /// Client-facing messages held while the replicator's promotion barrier
   /// is up; replayed in arrival order via OnReplicatorReady().
-  std::vector<std::unique_ptr<runtime::MessageBase>> parked_;
+  struct ParkedMessage {
+    Micros arrived_at = 0;
+    std::unique_ptr<runtime::MessageBase> msg;
+  };
+  std::vector<ParkedMessage> parked_;
   /// Lazy commit acks per DM, oldest first, and the timer that sends them
   /// alone once the oldest has waited kAckDelayBound.
   struct AckQueue {

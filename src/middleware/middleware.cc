@@ -137,6 +137,7 @@ void MiddlewareNode::AttachMetrics(obs::MetricsRegistry* registry) {
   registry->RegisterStats(prefix, stats_);
   registry->RegisterStats(prefix + "overload.", admission_.stats());
   registry->RegisterStats(prefix + "log_commit.", log_committer_.stats());
+  registry->RegisterStats(prefix + "monitor.", monitor_->stats());
   if (balancer_ != nullptr) {
     registry->RegisterStats(prefix + "balancer.", balancer_->stats());
   }
@@ -462,6 +463,7 @@ void MiddlewareNode::SendBranchBatch(Txn& txn, NodeId logical,
       idle && txn.commit_on_round && txn.participants.size() == 1;
   req->commit_one_phase = p.commit_one_phase;
   p.sent_to = req->to;
+  p.sent_at = timer_->Now();
   p.begun = true;
   p.last_batch = ops;
   req->ops = std::move(ops);
@@ -561,6 +563,7 @@ void MiddlewareNode::PlaceReads(Txn& txn, const Participant& p,
 }
 
 void MiddlewareNode::OnExecResponse(const BranchExecuteResponse& resp) {
+  OnSourceReport(resp.from, resp.inflight, resp.shard_epoch);
   OnLazyAcks(resp.from, resp.acked_commits);
   Txn* txn = FindTxn(resp.xid.txn_id);
   Participant* found = nullptr;
@@ -579,6 +582,12 @@ void MiddlewareNode::OnExecResponse(const BranchExecuteResponse& resp) {
   Participant& p = *found;
   p.exec_outstanding = false;
   p.vote_on_response = false;
+  // The round trip less the time the request spent at the source, which
+  // the source timed on its own clock (clamped: the two clocks may round
+  // apart on a link of near-zero latency).
+  monitor_->OnTrafficSample(
+      resp.from,
+      std::max<Micros>(0, timer_->Now() - p.sent_at - resp.residence));
 
   // Feed the hotspot footprint (Eq. 4 update + counter maintenance).
   if (p.footprint_charged) {
@@ -1218,29 +1227,36 @@ void MiddlewareNode::OnShardMapUpdate(const protocol::ShardMapUpdate& update) {
 void MiddlewareNode::OnPingResponse(const protocol::PingResponse& pong) {
   monitor_->OnPong(pong);
   OnLazyAcks(pong.from, pong.acked_commits);
-  // Anti-entropy, both directions. A source that saw our stale epoch sent
-  // its map along: adopt it (bounds DM staleness by one ping interval
-  // instead of one redirect). A source whose own epoch trails the catalog
-  // missed a publish (partitioned, restarted): push it the current map.
+  // A source that saw our stale epoch sent its map along: adopt it (bounds
+  // DM staleness by one ping interval instead of one redirect; the monitor
+  // pings a source that reports a newer epoch whatever its traffic).
   if (!pong.map_entries.empty() &&
       catalog_.mutable_shard_map().Adopt(pong.map_entries)) {
     stats_.shard_map_pulls++;
     NoteShardEpoch(catalog_.ShardEpoch());
   }
-  if (catalog_.HasShardMap() && pong.shard_epoch < catalog_.ShardEpoch()) {
-    // One push per round trip, not per ping: pings fire every 10 ms while
-    // a WAN repair takes an RTT to reflect in the pong's epoch, so an
-    // unspaced push would send dozens of identical full maps per repair.
+  OnSourceReport(pong.from, pong.inflight, pong.shard_epoch);
+}
+
+void MiddlewareNode::OnSourceReport(NodeId from, uint64_t inflight,
+                                    uint64_t shard_epoch) {
+  monitor_->OnReport(from, inflight, shard_epoch);
+  // A source whose own epoch trails the catalog missed a publish
+  // (partitioned, restarted): push it the current map.
+  if (catalog_.HasShardMap() && shard_epoch < catalog_.ShardEpoch()) {
+    // One push per round trip, not per report: reports arrive every few
+    // ms while a WAN repair takes an RTT to reflect in the source's epoch,
+    // so an unspaced push would send dozens of identical full maps per
+    // repair.
     const Micros spacing =
-        std::max<Micros>(monitor_->RttEstimate(pong.from),
-                         core::kPingInterval);
-    Micros& last = shard_push_at_[pong.from];
+        std::max<Micros>(monitor_->RttEstimate(from), core::kPingInterval);
+    Micros& last = shard_push_at_[from];
     if (last == 0 || timer_->Now() - last >= spacing) {
       last = timer_->Now();
       stats_.shard_map_pushes++;
       auto update = std::make_unique<protocol::ShardMapUpdate>();
       update->from = id_;
-      update->to = pong.from;
+      update->to = from;
       update->entries = catalog_.shard_map().ranges();
       network_->Send(std::move(update));
     }

@@ -212,8 +212,11 @@ class MiddlewareNode {
     /// The outstanding batch carries the commit (commit_one_phase): the
     /// source commits as it ends, so the batch is never replayed.
     bool commit_one_phase = false;
-    /// The replica the outstanding batch went to (the leader then).
+    /// The replica the outstanding batch went to (the leader then), and
+    /// when it left (after any postponement): the response's round trip
+    /// less its residence at the source is an RTT sample.
     NodeId sent_to = kInvalidNode;
+    Micros sent_at = 0;
     std::vector<RecordKey> round_keys;
     std::vector<size_t> op_slots;  ///< positions in the client round
     // Replication support.
@@ -310,10 +313,13 @@ class MiddlewareNode {
   /// Adopts a published shard map (atomic within this actor: the next
   /// planned round routes under the new epoch).
   void OnShardMapUpdate(const protocol::ShardMapUpdate& update);
-  /// Ping-piggybacked anti-entropy: adopts a map a data source handed back
-  /// (this DM was behind) and pushes the map to a responder whose epoch
-  /// trails the catalog's (the source was behind).
+  /// A pong: its RTT sample, its report, its acks, and the map a data
+  /// source handed back because this DM was behind (adopted here).
   void OnPingResponse(const protocol::PingResponse& pong);
+  /// The report every pong and execute response carries: feeds the load
+  /// estimate and the monitor's epoch check, and pushes the map to a
+  /// source whose epoch trails the catalog's (the source was behind).
+  void OnSourceReport(NodeId from, uint64_t inflight, uint64_t shard_epoch);
   /// WrongShardEpoch bounce: adopts the patched range, then re-routes the
   /// bounced batch under the new placement — or aborts the transaction
   /// when its branch already executed earlier rounds at the old owner.
@@ -412,7 +418,7 @@ class MiddlewareNode {
   std::map<NodeId, DispatchQueue> dispatch_queues_;
   bool dispatch_flush_scheduled_ = false;
   /// Last shard-map anti-entropy push per behind node (pushes are spaced
-  /// by about one RTT; see OnPingResponse).
+  /// by about one RTT; see OnSourceReport).
   std::map<NodeId, Micros> shard_push_at_;
 };
 

@@ -5,18 +5,6 @@
 namespace geotp {
 namespace middleware {
 
-const char* ShedReasonName(ShedReason reason) {
-  switch (reason) {
-    case ShedReason::kNone:
-      return "none";
-    case ShedReason::kInflightBudget:
-      return "inflight-budget";
-    case ShedReason::kTenantShare:
-      return "tenant-share";
-  }
-  return "?";
-}
-
 uint32_t AdmissionController::WeightOf(uint32_t tenant) const {
   auto it = config_.tenant_weights.find(tenant);
   return it == config_.tenant_weights.end() ? 1 : std::max(1u, it->second);

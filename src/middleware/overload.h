@@ -66,8 +66,6 @@ enum class ShedReason : uint8_t {
   kTenantShare,     ///< tenant at its weighted share of the budget
 };
 
-const char* ShedReasonName(ShedReason reason);
-
 struct OverloadStats {
   uint64_t admitted = 0;
   uint64_t shed_inflight = 0;

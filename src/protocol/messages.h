@@ -161,8 +161,20 @@ struct BranchExecuteResponse : runtime::Message<BranchExecuteResponse> {
   Vote vote = Vote::kNone;
   /// Commit acks queued for this DM (see DecisionItem::lazy_ack).
   std::vector<TxnId> acked_commits;
+  /// Source-side time from the request's arrival at the node to this send,
+  /// time parked behind a promotion barrier or held for a prepare or a
+  /// one-phase commit included. The DM subtracts it from the round trip,
+  /// so every matched response is an RTT sample with no clock sync
+  /// (NTP's (t4 - t1) - (t3 - t2)) and a busy link needs no ping.
+  Micros residence = 0;
+  /// The pong's report, on every response so a busy link needs no pong:
+  /// branches in flight (PingResponse::inflight) and the source's
+  /// shard-map epoch (PingResponse::shard_epoch).
+  uint64_t inflight = 0;
+  uint64_t shard_epoch = 0;
   GEOTP_WIRE_FIELDS(xid, round_seq, status, values, local_exec_latency,
-                    rolled_back, committed, vote, acked_commits)
+                    rolled_back, committed, vote, acked_commits, residence,
+                    inflight, shard_epoch)
 };
 
 /// Explicit prepare request (classic 2PC path, and the "notify sources not
@@ -589,8 +601,11 @@ struct PingRequest : runtime::Message<PingRequest> {
 };
 
 /// The answer to a PingRequest: an RTT sample, the responder's load and
-/// shard-map epoch, and any queued commit acks. Overload control reads
-/// nothing here; it sheds on the DM's own in-flight budget.
+/// shard-map epoch, and any queued commit acks. The DM pings only sources
+/// that no execute response sampled within the last ping interval, and
+/// BranchExecuteResponse carries the same load and epoch report, so a
+/// busy source sends almost no pongs. Overload control reads nothing
+/// here; it sheds on the DM's own in-flight budget.
 struct PingResponse : runtime::Message<PingResponse> {
   uint64_t seq = 0;
   Micros sent_at = 0;

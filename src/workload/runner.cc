@@ -108,6 +108,7 @@ ExperimentResult RunExperimentInner(const ExperimentConfig& config) {
     result.dm = dm.stats();
     result.breakdown = dm.breakdown();
     result.overload = dm.admission().stats();
+    result.monitor = dm.monitor().stats();
     result.footprint_bytes = dm.footprint().ApproxBytes();
   }
   static_cast<Cluster::SourceTotals&>(result) = cluster->Totals();

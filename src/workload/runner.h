@@ -88,6 +88,7 @@ struct ExperimentResult : Cluster::SourceTotals {
   middleware::MiddlewareStats dm;
   metrics::PhaseBreakdown breakdown;  ///< the DM's per-phase latency
   middleware::OverloadStats overload;  ///< the DM's admission controller
+  core::LatencyMonitorStats monitor;    ///< the DM's latency monitor
   std::unordered_map<int, TypeStats> per_type;
   /// Per-tenant driver accounting (multi-tenant overload runs).
   std::unordered_map<uint32_t, TenantStats> tenants;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "datasource/data_source.h"
 #include "sim_fixture.h"
@@ -606,6 +607,207 @@ TEST(MiddlewareTest, TwoPcSingleParticipantUsesOnePhase) {
       cluster.RunTxn(1, {MiniCluster::Write(cluster.KeyOn(0, 1), 1)}).ok());
   // No prepare request for a centralized transaction.
   EXPECT_EQ(cluster.dm().stats().prepare_requests_sent, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Traffic as the latency probe
+// ---------------------------------------------------------------------------
+
+/// Closed-loop clients against one data source: each terminal runs
+/// single-write transactions with the COMMIT on the round (one round trip,
+/// committed one-phase at the source), back to back on a key of its own.
+/// Terminals start `stagger_ms` apart, so responses arrive spread out.
+class ClosedLoop {
+ public:
+  ClosedLoop(MiniCluster& cluster, int source, int terminals,
+             double stagger_ms)
+      : cluster_(cluster),
+        source_(source),
+        tags_(static_cast<size_t>(terminals), 0),
+        start_(cluster.loop().Now()),
+        stagger_(MsToMicros(stagger_ms)) {}
+
+  /// Advances virtual time by `ms`, starting each terminal's next
+  /// transaction as soon as its last one has its result.
+  void RunFor(double ms) {
+    const Micros end = cluster_.loop().Now() + MsToMicros(ms);
+    while (cluster_.loop().Now() < end) {
+      for (size_t k = 0; k < tags_.size(); ++k) {
+        if (cluster_.loop().Now() < start_ + stagger_ * static_cast<Micros>(k)) {
+          continue;
+        }
+        if (tags_[k] != 0) {
+          const MiniCluster::ClientTxn& txn = cluster_.txn(tags_[k]);
+          if (!txn.has_result) continue;
+          EXPECT_TRUE(txn.result.ok()) << txn.result.ToString();
+        }
+        tags_[k] = next_tag_++;
+        cluster_.SendRound(
+            tags_[k], {MiniCluster::Write(cluster_.KeyOn(source_, 500 + k), 1)},
+            /*last_round=*/true, /*coordinator=*/1, /*tenant=*/0,
+            /*commit=*/true);
+      }
+      cluster_.RunFor(0.1);
+    }
+  }
+
+ private:
+  MiniCluster& cluster_;
+  int source_;
+  std::vector<uint64_t> tags_;
+  Micros start_;
+  Micros stagger_;
+  uint64_t next_tag_ = 1000;
+};
+
+/// Counts the PingRequests delivered to `node` from here on.
+std::shared_ptr<uint64_t> CountPings(MiniCluster& cluster, NodeId node) {
+  auto count = std::make_shared<uint64_t>(0);
+  sim::Network& network = cluster.network();
+  network.RegisterNode(node, [count, inner = network.handler(node)](
+                                 std::unique_ptr<runtime::MessageBase> msg) {
+    if (msg->type() == runtime::MessageType::kPingRequest) ++*count;
+    inner(std::move(msg));
+  });
+  return count;
+}
+
+TEST(MiddlewareTest, TrafficSamplesLeaveOutTheTimeAResponseWasHeld) {
+  // Without pings, the estimates come from execute round trips only. Each
+  // response below is held at its source: through the decentralized
+  // prepare (a prepare record's fsync), or through a one-phase commit (a
+  // commit record's fsync). The source reports that residence and the DM
+  // takes it off the round trip, so the estimates stay on the links' RTTs
+  // (this deployment has no jitter); counted in, they would drift by the
+  // fsyncs.
+  MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
+  SilenceMonitor(cluster);
+  const core::LatencyMonitor& monitor = cluster.dm().monitor();
+  const uint64_t pongs = monitor.stats().pongs_received;
+  for (uint64_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(cluster
+                    .RunTxn(10 + i, {MiniCluster::Write(cluster.KeyOn(0, i), 1),
+                                     MiniCluster::Write(cluster.KeyOn(1, i), 2)})
+                    .ok());
+    ASSERT_TRUE(
+        cluster.RunBundledTxn(20 + i, {MiniCluster::Write(cluster.KeyOn(0, 50 + i), 1)})
+            .ok());
+    ASSERT_TRUE(
+        cluster.RunBundledTxn(30 + i, {MiniCluster::Write(cluster.KeyOn(1, 50 + i), 1)})
+            .ok());
+  }
+  EXPECT_EQ(monitor.stats().pongs_received, pongs);
+  EXPECT_EQ(monitor.stats().traffic_samples, 20u);
+  EXPECT_EQ(cluster.source(0).stats().exec_commits, 5u);
+  EXPECT_EQ(cluster.source(1).stats().exec_commits, 5u);
+  EXPECT_NEAR(static_cast<double>(monitor.RttEstimate(cluster.source(0).id())),
+              static_cast<double>(MsToMicros(10)), 10.0);
+  EXPECT_NEAR(static_cast<double>(monitor.RttEstimate(cluster.source(1).id())),
+              static_cast<double>(MsToMicros(100)), 10.0);
+}
+
+TEST(MiddlewareTest, LoadEstimateFollowsResponsesWithoutPongs) {
+  // Eight transactions open a branch each at source 0 and stay open: every
+  // execute response reports the branches in flight there, and the
+  // balancer's load term follows with no pong.
+  MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
+  SilenceMonitor(cluster);
+  const core::LatencyMonitor& monitor = cluster.dm().monitor();
+  const NodeId source = cluster.source(0).id();
+  EXPECT_EQ(monitor.LoadEstimate(source), 0.0);
+  const uint64_t pongs = monitor.stats().pongs_received;
+  for (uint64_t i = 0; i < 8; ++i) {
+    cluster.SendRound(40 + i, {MiniCluster::Write(cluster.KeyOn(0, i), 1)},
+                      /*last_round=*/false);
+  }
+  cluster.RunFor(50);
+  for (uint64_t i = 0; i < 8; ++i) {
+    ASSERT_EQ(cluster.txn(40 + i).round_responses.size(), 1u);
+  }
+  EXPECT_EQ(monitor.stats().pongs_received, pongs);
+  // Seeded at 0 by the last pong, blended toward 8 by eight reports.
+  EXPECT_GT(monitor.LoadEstimate(source), 5.0);
+  EXPECT_EQ(monitor.LoadEstimate(cluster.source(1).id()), 0.0);
+}
+
+/// Source 0's first chunk split in two, same owner, at map version 1:
+/// routing is unchanged, only the epoch moves.
+sharding::ShardMap SplitFirstChunk(const MiniCluster::Options& options) {
+  sharding::ShardMap map = sharding::ShardMap::FromRangePartition(
+      options.table, options.keys_per_node, {2, 3}, options.chunks_per_source);
+  EXPECT_TRUE(map.Split(0, 100, 1));
+  return map;
+}
+
+TEST(MiddlewareTest, SourceAheadOfTheDmsMapIsPingedDespiteTraffic) {
+  // Source 0 alone learns a newer map. Busy with traffic, it would not be
+  // pinged; but its responses report the newer epoch, so the monitor
+  // pings it anyway and the DM adopts the map off the pong.
+  MiniCluster::Options options = WithDm(MiddlewareConfig::GeoTP());
+  options.sharding = true;
+  MiniCluster cluster(options);
+  const auto pings = CountPings(cluster, cluster.source(0).id());
+  ClosedLoop load(cluster, /*source=*/0, /*terminals=*/8, /*stagger_ms=*/1.5);
+  load.RunFor(300);
+  const uint64_t busy_pings = *pings;
+  load.RunFor(200);
+  EXPECT_LE(*pings - busy_pings, 2u);  // the busy link is not pinged
+
+  auto update = std::make_unique<protocol::ShardMapUpdate>();
+  update->from = 0;
+  update->to = cluster.source(0).id();
+  update->entries = SplitFirstChunk(options).ranges();
+  cluster.network().Send(std::move(update));
+  load.RunFor(100);
+  EXPECT_EQ(cluster.source(0).migrator().map().epoch(), 1u);
+  EXPECT_GE(cluster.dm().stats().shard_map_pulls, 1u);
+  EXPECT_EQ(cluster.dm().catalog().ShardEpoch(), 1u);
+  EXPECT_GE(*pings - busy_pings, 1u);
+}
+
+TEST(MiddlewareTest, SourceBehindTheDmsMapIsPushedItFromAResponse) {
+  // The DM learns a newer map; source 0 does not. With no pong, the
+  // source's next execute response reports its old epoch and the DM pushes
+  // it the map.
+  MiniCluster::Options options = WithDm(MiddlewareConfig::GeoTP());
+  options.sharding = true;
+  MiniCluster cluster(options);
+  SilenceMonitor(cluster);
+  ASSERT_TRUE(cluster.dm().catalog().mutable_shard_map().Adopt(
+      SplitFirstChunk(options).ranges()));
+  const uint64_t pongs = cluster.dm().monitor().stats().pongs_received;
+  ASSERT_TRUE(
+      cluster.RunBundledTxn(1, {MiniCluster::Write(cluster.KeyOn(0, 500), 1)})
+          .ok());
+  EXPECT_EQ(cluster.dm().monitor().stats().pongs_received, pongs);
+  EXPECT_EQ(cluster.dm().stats().shard_map_pushes, 1u);
+  EXPECT_EQ(cluster.source(0).migrator().map().epoch(), 1u);
+  EXPECT_EQ(cluster.source(1).migrator().map().epoch(), 0u);
+}
+
+TEST(MiddlewareTest, EstimateFollowsALatencyChangeOnABusyLinkWithoutPings) {
+  // Source 0's link goes from 10 ms to 15 ms while the link is busy. The
+  // execute round trips alone carry the estimate to the new RTT within
+  // 200 ms, and not one ping goes there meanwhile. (A rise of more than a
+  // ping interval leaves that long a gap between the last fast response
+  // and the first slow one, and a ping goes out in the gap.)
+  MiniCluster cluster(WithDm(MiddlewareConfig::GeoTP()));
+  const NodeId source = cluster.source(0).id();
+  const auto pings = CountPings(cluster, source);
+  ClosedLoop load(cluster, /*source=*/0, /*terminals=*/8, /*stagger_ms=*/1.5);
+  load.RunFor(500);
+  const core::LatencyMonitor& monitor = cluster.dm().monitor();
+  EXPECT_NEAR(static_cast<double>(monitor.RttEstimate(source)),
+              static_cast<double>(MsToMicros(10)), 10.0);
+
+  const uint64_t pings_before = *pings;
+  cluster.network().matrix().SetSymmetric(1, source,
+                                          sim::LinkSpec::FromRttMs(15.0));
+  load.RunFor(200);
+  EXPECT_NEAR(static_cast<double>(monitor.RttEstimate(source)),
+              static_cast<double>(MsToMicros(15)),
+              0.1 * static_cast<double>(MsToMicros(15)));
+  EXPECT_EQ(*pings, pings_before);
 }
 
 TEST(MiddlewareTest, InFlightCountReturnsToZero) {

@@ -1,8 +1,12 @@
-// Tests for the latency monitor: ping scheduling, EWMA estimation, and
-// online adaptation to latency changes (the Fig. 11b mechanism).
+// Tests for the latency monitor: ping scheduling, traffic samples standing
+// in for pings, EWMA estimation, and online adaptation to latency changes
+// (the Fig. 11b mechanism).
 #include "core/latency_monitor.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <map>
 
 #include "datasource/data_source.h"
 #include "runtime/sim_runtime.h"
@@ -50,8 +54,8 @@ TEST_F(MonitorTest, LearnsRttFromPings) {
               static_cast<double>(MsToMicros(40)), 1000.0);
   EXPECT_NEAR(static_cast<double>(monitor.RttEstimate(2)),
               static_cast<double>(MsToMicros(100)), 1000.0);
-  EXPECT_GT(monitor.pings_sent(), 100u);
-  EXPECT_GT(monitor.pongs_received(), 100u);
+  EXPECT_GT(monitor.stats().pings_sent, 100u);
+  EXPECT_GT(monitor.stats().pongs_received, 100u);
 }
 
 TEST_F(MonitorTest, UnknownNodeEstimateIsZero) {
@@ -140,9 +144,53 @@ TEST_F(MonitorTest, StopHaltsPinging) {
   monitor.Start();
   loop_.RunUntil(MsToMicros(100));
   monitor.Stop();
-  const uint64_t sent = monitor.pings_sent();
+  const uint64_t sent = monitor.stats().pings_sent;
   loop_.RunUntil(MsToMicros(500));
-  EXPECT_LE(monitor.pings_sent(), sent + 1);
+  EXPECT_LE(monitor.stats().pings_sent, sent + 1);
+}
+
+TEST_F(MonitorTest, TrafficSamplesReplacePingsOnABusyLinkOnly) {
+  // Node 1 carries traffic: an execute round trip samples it every 5 ms
+  // for a second. Node 2 is idle and only answers pings.
+  LatencyMonitor monitor(0, net_.get(), &loop_, {1, 2});
+  net_->RegisterNode(0, [&](std::unique_ptr<runtime::MessageBase> msg) {
+    monitor.OnPong(static_cast<protocol::PingResponse&>(*msg));
+  });
+  std::map<NodeId, int> pings;
+  for (NodeId node : {NodeId{1}, NodeId{2}}) {
+    net_->RegisterNode(node, [&pings, node, inner = net_->handler(node)](
+                                 std::unique_ptr<runtime::MessageBase> msg) {
+      if (msg->type() == runtime::MessageType::kPingRequest) pings[node]++;
+      inner(std::move(msg));
+    });
+  }
+  std::function<void()> traffic = [&]() {
+    monitor.OnTrafficSample(1, MsToMicros(40));
+    if (loop_.Now() + MsToMicros(5) < SecToMicros(1)) {
+      loop_.Schedule(MsToMicros(5), traffic);
+    }
+  };
+  traffic();
+  monitor.Start();
+  loop_.RunUntil(SecToMicros(1));
+  EXPECT_LE(pings[1], 2);
+  // A pong never suppresses a ping: the idle node is pinged every round,
+  // 101 in all (the last few are still on the wire).
+  const uint64_t idle_pings = monitor.stats().pings_sent - pings[1];
+  EXPECT_GE(idle_pings, 100u);
+  EXPECT_LE(idle_pings, 101u);
+  EXPECT_GE(pings[2], 95);
+  EXPECT_EQ(monitor.stats().traffic_samples, 200u);
+  EXPECT_GE(monitor.stats().pings_skipped, 99u);
+  EXPECT_EQ(monitor.RttEstimate(1), MsToMicros(40));
+  EXPECT_LE(monitor.SampleAge(1), MsToMicros(5));
+
+  // Once the traffic stops, the node is pinged every round again.
+  const int quiet_before = pings[1];
+  loop_.RunUntil(SecToMicros(1) + MsToMicros(100));
+  monitor.Stop();
+  loop_.RunUntil(SecToMicros(1) + MsToMicros(200));
+  EXPECT_GE(pings[1] - quiet_before, 9);
 }
 
 }  // namespace

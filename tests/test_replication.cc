@@ -1555,11 +1555,11 @@ TEST(ReplicationTest, LatencyMonitorRetargetsProbesAfterFailover) {
   // The crashed seed no longer answers; pings must now flow to the new
   // leader and keep the *logical* source estimate alive (scheduling looks
   // the logical id up). Sample counts at the new leader keep growing.
-  const uint64_t pongs_before = monitor.pongs_received();
+  const uint64_t pongs_before = monitor.stats().pongs_received;
   const Micros logical_estimate = monitor.RttEstimate(2);  // logical id of group 0
   EXPECT_GT(logical_estimate, 0);
   cluster.RunFor(500);
-  EXPECT_GT(monitor.pongs_received(), pongs_before);
+  EXPECT_GT(monitor.stats().pongs_received, pongs_before);
   EXPECT_GT(monitor.RttEstimate(new_leader->id()), 0);
   // The logical estimate now tracks the new leader's (longer) path, not
   // the dead seed's: it converges towards the new leader's estimate.

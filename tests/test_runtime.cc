@@ -541,6 +541,9 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   exec_resp->rolled_back = true;
   exec_resp->vote = protocol::Vote::kFailure;
   exec_resp->acked_commits = {77, 78};
+  exec_resp->residence = 4100;
+  exec_resp->inflight = 6;
+  exec_resp->shard_epoch = 9;
   add(std::move(exec_resp));
 
   auto prepare = Stamped<protocol::PrepareRequest>();
@@ -812,7 +815,8 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "0600030000000900000001080706050403020111000000000000002200000000"
      "0000006300000000000000020000000300000000000000060d00000076657273"
      "696f6e20636865636b010000001100000000000000fa00000000000000010002"
-     "020000004d000000000000004e00000000000000"},
+     "020000004d000000000000004e00000000000000041000000000000006000000"
+     "000000000900000000000000"},
     {MessageType::kPrepareRequest,
      "0700030000000900000001080706050403020111000000000000002200000000"
      "000000630000000000000002000000"},
