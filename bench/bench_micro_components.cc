@@ -34,6 +34,24 @@ void BM_LockAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_LockAcquireRelease);
 
+// One owner granted 20 keys, then released at once: a TPC-C new-order
+// branch's lock set, and the per-owner held list that ReleaseAll walks.
+void BM_LockGrantReleaseAll(benchmark::State& state) {
+  constexpr uint64_t kKeys = 20;
+  storage::LockManager lm;
+  uint64_t txn = 1;
+  for (auto _ : state) {
+    const Xid xid{txn++, 0};
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      benchmark::DoNotOptimize(
+          lm.TryLock(xid, RecordKey{1, k}, storage::LockMode::kExclusive));
+    }
+    lm.ReleaseAll(xid);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kKeys));
+}
+BENCHMARK(BM_LockGrantReleaseAll);
+
 void BM_LockContendedQueue(benchmark::State& state) {
   const auto waiters = static_cast<uint64_t>(state.range(0));
   for (auto _ : state) {
@@ -144,10 +162,11 @@ void BM_FootprintDispatchComplete(benchmark::State& state) {
   core::HotspotFootprint fp;
   Rng rng(1);
   std::vector<RecordKey> keys(5);
+  core::FootprintCharge charge;
   for (auto _ : state) {
     for (auto& key : keys) key = RecordKey{1, rng.NextU64(10000)};
-    fp.OnDispatch(keys);
-    fp.OnComplete(keys, 1000, true);
+    fp.OnDispatch(keys, &charge);
+    fp.OnComplete(&charge, 1000, true);
   }
   state.SetItemsProcessed(state.iterations() * 5);
 }
@@ -156,16 +175,17 @@ BENCHMARK(BM_FootprintDispatchComplete);
 void BM_FootprintForecast(benchmark::State& state) {
   core::HotspotFootprint fp;
   Rng rng(2);
+  core::FootprintCharge charge;
   for (int i = 0; i < 50000; ++i) {
-    RecordKey key{1, rng.NextU64(100000)};
-    fp.OnDispatch({key});
-    fp.OnComplete({key}, 500, true);
+    fp.OnDispatch({RecordKey{1, rng.NextU64(100000)}}, &charge);
+    fp.OnComplete(&charge, 500, true);
   }
   std::vector<RecordKey> keys(5);
   for (auto _ : state) {
     for (auto& key : keys) key = RecordKey{1, rng.NextU64(100000)};
-    benchmark::DoNotOptimize(fp.ForecastLel(keys));
-    benchmark::DoNotOptimize(fp.AbortProbability(keys));
+    double success = 1.0;
+    benchmark::DoNotOptimize(fp.Forecast(keys, &success));
+    benchmark::DoNotOptimize(success);
   }
 }
 BENCHMARK(BM_FootprintForecast);
@@ -175,7 +195,8 @@ BENCHMARK(BM_FootprintForecast);
 // 100k-record partitions (a zipf(0.7) partition, then zipf(0.7) within
 // it). A little under half of the dispatched keys miss and evict a record
 // (the miss_rate counter). One iteration is a five-key round as the DM
-// consults it: forecast and abort probability, dispatch, completion.
+// consults it: one scan for the forecast and the abort probability, the
+// dispatch's charge, and the completion that settles it by handle.
 void BM_FootprintAtCapacity(benchmark::State& state) {
   constexpr uint64_t kPerPartition = 100000;
   core::HotspotFootprint fp;
@@ -187,12 +208,14 @@ void BM_FootprintAtCapacity(benchmark::State& state) {
     return RecordKey{1, BoundedZipfSample(lo, lo + kPerPartition, 0.7, rng)};
   };
   std::vector<RecordKey> keys(5);
+  core::FootprintCharge charge;
   auto round = [&]() {
     for (auto& key : keys) key = draw();
-    benchmark::DoNotOptimize(fp.ForecastLel(keys));
-    benchmark::DoNotOptimize(fp.AbortProbability(keys));
-    fp.OnDispatch(keys);
-    fp.OnComplete(keys, 1000, true);
+    double success = 1.0;
+    benchmark::DoNotOptimize(fp.Forecast(keys, &success));
+    benchmark::DoNotOptimize(success);
+    fp.OnDispatch(keys, &charge);
+    fp.OnComplete(&charge, 1000, true);
   };
   while (fp.evictions() < 200000) round();  // fill, then churn a while
   const uint64_t evictions_before = fp.evictions();

@@ -30,22 +30,34 @@ ScheduleDecision GeoScheduler::ScheduleRound(
     const std::vector<ParticipantPlanInput>& participants, int attempt,
     Rng& rng) const {
   ScheduleDecision decision;
-  decision.plans.reserve(participants.size());
+  decision.plans.resize(participants.size());
 
-  // Late transaction scheduling (Eq. 9): predict the abort probability
-  // over every record the round touches; block high-risk transactions.
-  // attempt < 0 disables admission for this call (re-scheduling of later
-  // rounds / prepare dispatch — only whole transactions are admitted).
-  if (attempt >= 0 &&
+  // One footprint scan per participant gives both the Eq. 5 forecast and,
+  // for late transaction scheduling (Eq. 9), the success product over
+  // every record the round touches, multiplied in key order. attempt < 0
+  // disables admission for this call (re-scheduling of later rounds /
+  // prepare dispatch — only whole transactions are admitted).
+  const bool forecast =
       config_.policy == SchedulerPolicy::kLatencyAwareForecast &&
-      footprint_ != nullptr && !participants.empty()) {
-    std::vector<RecordKey> all_keys;
-    for (const auto& p : participants) {
-      all_keys.insert(all_keys.end(), p.keys.begin(), p.keys.end());
-    }
-    const double abort_prob = footprint_->AbortProbability(all_keys);
+      footprint_ != nullptr;
+  const bool admission = forecast && attempt >= 0 && !participants.empty();
+  double success = 1.0;
+  for (size_t i = 0; i < participants.size(); ++i) {
+    const auto& p = participants[i];
+    decision.plans[i].data_source = p.data_source;
+    if (!forecast) continue;
+    // Scaled LEL forecast, kept in `postpone` until the max is known.
+    decision.plans[i].postpone = static_cast<Micros>(
+        config_.forecast_scale *
+        static_cast<double>(
+            footprint_->Forecast(p.keys, admission ? &success : nullptr)));
+  }
+  // Block high-risk transactions.
+  if (admission) {
+    const double abort_prob = 1.0 - success;
     if (abort_prob > kMinConsideredAbortProbability &&
         rng.NextDouble() < abort_prob) {
+      decision.plans.clear();
       if (attempt + 1 >= kAdmissionRetryLimit) {
         decision.verdict = AdmissionVerdict::kAbort;  // Algorithm 2 line 18
       } else {
@@ -57,28 +69,17 @@ ScheduleDecision GeoScheduler::ScheduleRound(
   }
 
   // Effective latency per participant: tau (+ scaled LEL forecast).
-  std::vector<Micros> effective(participants.size(), 0);
+  Micros lat_max = 0;
   for (size_t i = 0; i < participants.size(); ++i) {
-    const auto& p = participants[i];
-    Micros tau =
-        monitor_ != nullptr ? monitor_->RttEstimate(p.data_source) : 0;
-    Micros lel = 0;
-    if (config_.policy == SchedulerPolicy::kLatencyAwareForecast &&
-        footprint_ != nullptr) {
-      lel = static_cast<Micros>(
-          config_.forecast_scale *
-          static_cast<double>(footprint_->ForecastLel(p.keys)));
-    }
-    effective[i] = tau + lel;
+    SubtxnPlan& plan = decision.plans[i];
+    plan.postpone += monitor_ != nullptr
+                         ? monitor_->RttEstimate(plan.data_source)
+                         : 0;
+    lat_max = i == 0 ? plan.postpone : std::max(lat_max, plan.postpone);
   }
-  const Micros lat_max =
-      participants.empty()
-          ? 0
-          : *std::max_element(effective.begin(), effective.end());
 
   for (size_t i = 0; i < participants.size(); ++i) {
-    SubtxnPlan plan;
-    plan.data_source = participants[i].data_source;
+    SubtxnPlan& plan = decision.plans[i];
     switch (config_.policy) {
       case SchedulerPolicy::kImmediate:
         plan.postpone = 0;
@@ -86,7 +87,7 @@ ScheduleDecision GeoScheduler::ScheduleRound(
       case SchedulerPolicy::kLatencyAware:
       case SchedulerPolicy::kLatencyAwareForecast:
         // Eq. 3 / Eq. 8.
-        plan.postpone = lat_max - effective[i];
+        plan.postpone = lat_max - plan.postpone;
         break;
       case SchedulerPolicy::kChiller: {
         // Inner-region (lowest-latency) participant executes after the
@@ -110,7 +111,6 @@ ScheduleDecision GeoScheduler::ScheduleRound(
       }
     }
     if (plan.postpone < 0) plan.postpone = 0;
-    decision.plans.push_back(plan);
   }
   return decision;
 }

@@ -41,13 +41,15 @@ void HotspotFootprint::LruUnlink(Slot slot) {
   node.lru_prev = node.lru_next = kNil;
 }
 
-void HotspotFootprint::MakeRoom() {
+void HotspotFootprint::MakeRoom(Slot keep) {
   // Walk from the cold end. Records with transactions in flight are never
   // evicted (their a_cnt would be lost and Eq. 9 would undercount the
-  // queue); if every record is busy, allow a soft overflow.
+  // queue), nor is `keep`, the record just inserted at the head; if every
+  // other record is busy, allow a soft overflow.
   Slot victim = lru_tail_;
-  while (index_.size() >= config_.capacity) {
-    while (victim != kNil && nodes_[victim].stats.a_cnt > 0) {
+  while (index_.size() > config_.capacity) {
+    while (victim != kNil &&
+           (victim == keep || nodes_[victim].stats.a_cnt > 0)) {
       victim = nodes_[victim].lru_prev;
     }
     if (victim == kNil) return;
@@ -70,14 +72,17 @@ HotspotFootprint::Slot HotspotFootprint::FindNode(const RecordKey& key) const {
   return slot == nullptr ? kNil : *slot;
 }
 
-HotspotFootprint::Node& HotspotFootprint::Touch(const RecordKey& key) {
-  Slot slot = FindNode(key);
-  if (slot != kNil) {
+HotspotFootprint::Slot HotspotFootprint::Touch(const RecordKey& key) {
+  // One probe finds the record or claims its index entry.
+  const size_t tracked = index_.size();
+  Slot& indexed = index_.FindOrInsert(key);
+  if (index_.size() == tracked) {
+    const Slot slot = indexed;
     LruUnlink(slot);
     LruPushFront(slot);
-    return nodes_[slot];
+    return slot;
   }
-  MakeRoom();
+  Slot slot;
   if (free_.empty()) {
     slot = static_cast<Slot>(nodes_.size());
     nodes_.emplace_back();
@@ -85,36 +90,54 @@ HotspotFootprint::Node& HotspotFootprint::Touch(const RecordKey& key) {
     slot = free_.back();
     free_.pop_back();
   }
-  index_.FindOrInsert(key) = slot;
+  indexed = slot;  // before MakeRoom, whose erases move index entries
   ordered_stale_ = true;
   Node& node = nodes_[slot];
   node.key = key;
   node.stats = RecordStats{};
   node.stats.w_lat = kInitialWLat;
   LruPushFront(slot);
-  return node;
+  MakeRoom(slot);
+  return slot;
 }
 
-void HotspotFootprint::OnDispatch(const std::vector<RecordKey>& keys) {
-  for (const RecordKey& key : keys) Touch(key).stats.a_cnt++;
+HotspotFootprint::Node& HotspotFootprint::Charged(Slot slot) {
+  // MakeRoom skips records with a_cnt > 0, so a charged slot still holds
+  // its record; a slot without a charge means a stale or reused handle.
+  GEOTP_CHECK(slot < nodes_.size() && nodes_[slot].stats.a_cnt > 0,
+              "footprint charge on slot " << slot << " holds no a_cnt");
+  return nodes_[slot];
 }
 
-void HotspotFootprint::OnComplete(const std::vector<RecordKey>& keys,
+void HotspotFootprint::OnDispatch(const std::vector<RecordKey>& keys,
+                                  FootprintCharge* charge) {
+  GEOTP_CHECK(charge->empty(), "footprint charge dispatched twice");
+  for (const RecordKey& key : keys) index_.Prefetch(key);
+  charge->slots_.reserve(keys.size());
+  for (const RecordKey& key : keys) {
+    const Slot slot = Touch(key);
+    nodes_[slot].stats.a_cnt++;
+    charge->slots_.push_back(slot);
+  }
+}
+
+void HotspotFootprint::OnComplete(FootprintCharge* charge,
                                   Micros measured_lel, bool committed) {
-  if (keys.empty()) return;
+  std::vector<Slot>& slots = charge->slots_;
+  if (slots.empty()) return;
+  for (const Slot slot : slots) __builtin_prefetch(&nodes_[slot]);
   // Eq. 4 weights: w_r = w_lat_r / sum of w_lat over the accessed records.
   double w_sum = 0.0;
-  for (const RecordKey& key : keys) {
-    const Slot slot = FindNode(key);
-    w_sum += slot != kNil ? nodes_[slot].stats.w_lat : kInitialWLat;
-  }
+  for (const Slot slot : slots) w_sum += Charged(slot).stats.w_lat;
   if (w_sum <= 0.0) w_sum = 1.0;
 
-  for (const RecordKey& key : keys) {
-    RecordStats& stats = Touch(key).stats;
+  for (const Slot slot : slots) {
+    RecordStats& stats = Charged(slot).stats;
+    LruUnlink(slot);
+    LruPushFront(slot);
     if (committed) {
       const double weight = stats.w_lat > 0.0 ? stats.w_lat / w_sum
-                                              : 1.0 / keys.size();
+                                              : 1.0 / slots.size();
       const double contribution =
           static_cast<double>(measured_lel) * weight;
       stats.w_lat = config_.alpha * stats.w_lat +
@@ -122,42 +145,30 @@ void HotspotFootprint::OnComplete(const std::vector<RecordKey>& keys,
     }
     stats.t_cnt++;
     if (committed) stats.c_cnt++;
-    if (stats.a_cnt > 0) stats.a_cnt--;
+    stats.a_cnt--;
   }
+  slots.clear();
 }
 
-void HotspotFootprint::OnRelease(const std::vector<RecordKey>& keys) {
-  for (const RecordKey& key : keys) {
-    const Slot slot = FindNode(key);
-    if (slot != kNil && nodes_[slot].stats.a_cnt > 0) {
-      nodes_[slot].stats.a_cnt--;
-    }
-  }
+void HotspotFootprint::OnRelease(FootprintCharge* charge) {
+  for (const Slot slot : charge->slots_) Charged(slot).stats.a_cnt--;
+  charge->slots_.clear();
 }
 
-Micros HotspotFootprint::ForecastLel(
-    const std::vector<RecordKey>& keys) const {
+Micros HotspotFootprint::Forecast(const std::vector<RecordKey>& keys,
+                                  double* success) const {
   double total = 0.0;
-  for (const RecordKey& key : keys) {
-    const Slot slot = FindNode(key);
-    if (slot != kNil) total += nodes_[slot].stats.w_lat;
-  }
-  return static_cast<Micros>(total);
-}
-
-double HotspotFootprint::AbortProbability(
-    const std::vector<RecordKey>& keys) const {
-  double success = 1.0;
+  for (const RecordKey& key : keys) index_.Prefetch(key);
   for (const RecordKey& key : keys) {
     const Slot slot = FindNode(key);
     if (slot == kNil) continue;
     const RecordStats& stats = nodes_[slot].stats;
-    const auto queue_len =
-        static_cast<double>(std::max<int64_t>(stats.a_cnt - 1, 0));
-    if (queue_len <= 0.0) continue;
-    success *= std::pow(stats.SuccessRatio(), queue_len);
+    total += stats.w_lat;
+    if (success == nullptr || stats.a_cnt <= 1) continue;
+    *success *= std::pow(stats.SuccessRatio(),
+                         static_cast<double>(stats.a_cnt - 1));
   }
-  return 1.0 - success;
+  return static_cast<Micros>(total);
 }
 
 const RecordStats* HotspotFootprint::Lookup(const RecordKey& key) const {

@@ -18,6 +18,13 @@
 // LEL(Tij) of a subtransaction is split across the records it touched
 // proportionally to their current w_lat, then folded in with coefficient
 // alpha.
+//
+// A dispatch is charged once by key and settled by handle: OnDispatch
+// records the node slots it charged in a FootprintCharge, and
+// OnComplete/OnRelease settle those slots without another index probe. A
+// charged record is never evicted, so the slots stay valid. The DM's
+// round path thus probes the index twice per key: Forecast() (Eq. 5 and
+// Eq. 9 together) and the charge.
 #ifndef GEOTP_CORE_HOTSPOT_FOOTPRINT_H_
 #define GEOTP_CORE_HOTSPOT_FOOTPRINT_H_
 
@@ -57,6 +64,22 @@ struct RecordStats {
   }
 };
 
+class HotspotFootprint;
+
+/// The records one dispatch charged (a_cnt++), as node slots in key order;
+/// a key listed twice holds two charges. Valid until OnComplete or
+/// OnRelease settles it, which empties it. Keep one per dispatcher and
+/// reuse it: its buffer survives the settle.
+class FootprintCharge {
+ public:
+  bool empty() const { return slots_.empty(); }
+  size_t size() const { return slots_.size(); }
+
+ private:
+  friend class HotspotFootprint;
+  std::vector<uint32_t> slots_;
+};
+
 class HotspotFootprint {
  public:
   explicit HotspotFootprint(FootprintConfig config = FootprintConfig());
@@ -64,31 +87,33 @@ class HotspotFootprint {
   HotspotFootprint(const HotspotFootprint&) = delete;
   HotspotFootprint& operator=(const HotspotFootprint&) = delete;
 
-  /// Marks the records as being accessed (a_cnt++). Called when the DM
-  /// dispatches a subtransaction.
-  void OnDispatch(const std::vector<RecordKey>& keys);
+  /// Marks the records as being accessed (a_cnt++), tracking new ones,
+  /// and records their slots in `charge`, which must be empty. Called
+  /// when the DM dispatches a subtransaction.
+  void OnDispatch(const std::vector<RecordKey>& keys, FootprintCharge* charge);
 
   /// Feedback after a subtransaction finishes: updates w_lat (Eq. 4,
   /// committed only — aborted latencies embed timeout noise), t_cnt,
-  /// c_cnt, and releases a_cnt.
-  void OnComplete(const std::vector<RecordKey>& keys, Micros measured_lel,
+  /// c_cnt, and releases a_cnt. Settles and empties `charge`.
+  void OnComplete(FootprintCharge* charge, Micros measured_lel,
                   bool committed);
 
   /// Releases a_cnt only (no completion statistics): used when a dispatch
   /// was cancelled or the transaction settled before its response arrived,
-  /// i.e. no lock acquisition outcome was observed.
-  void OnRelease(const std::vector<RecordKey>& keys);
+  /// i.e. no lock acquisition outcome was observed. Settles and empties
+  /// `charge`.
+  void OnRelease(FootprintCharge* charge);
 
-  /// Eq. 5: forecasted local execution latency for a subtransaction that
-  /// will access `keys` — the sum of tracked w_lat values.
-  Micros ForecastLel(const std::vector<RecordKey>& keys) const;
-
-  /// Eq. 9: predicted abort probability for a transaction accessing
-  /// `keys`: 1 - prod (c/t)^max(a-1, 0).
-  double AbortProbability(const std::vector<RecordKey>& keys) const;
+  /// Eq. 5 and Eq. 9 in one probe per key. Returns the forecasted local
+  /// execution latency of a subtransaction that will access `keys`: the
+  /// sum of their tracked w_lat values (Eq. 5). When `success` is given,
+  /// multiplies it by (c/t)^max(a-1, 0) of each tracked key, in key order:
+  /// chained from 1.0 over the participants of a round, 1 - *success is
+  /// the round's Eq. 9 abort probability, the product over all its keys.
+  Micros Forecast(const std::vector<RecordKey>& keys, double* success) const;
 
   /// Point lookup (nullptr if not tracked). Does not touch LRU order. The
-  /// pointer is valid until the next OnDispatch/OnComplete.
+  /// pointer is valid until the next OnDispatch.
   const RecordStats* Lookup(const RecordKey& key) const;
 
   /// Ordered range scan [lo, hi] (predicate estimation). Sorts every
@@ -137,10 +162,13 @@ class HotspotFootprint {
   };
 
   Slot FindNode(const RecordKey& key) const;
-  /// Finds or inserts (possibly evicting others); moves it to the LRU head.
-  Node& Touch(const RecordKey& key);
-  /// Evicts cold records until one more fits within capacity.
-  void MakeRoom();
+  /// Finds or inserts (then evicting others); moves it to the LRU head.
+  Slot Touch(const RecordKey& key);
+  /// The node of a slot a charge holds; stops the run on a stale handle.
+  Node& Charged(Slot slot);
+  /// Evicts cold idle records other than `keep` until the record count is
+  /// back within capacity.
+  void MakeRoom(Slot keep);
 
   // LRU primitives (head = most recent).
   void LruPushFront(Slot slot);

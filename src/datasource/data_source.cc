@@ -472,13 +472,13 @@ void DataSourceNode::OnReplicatorReady() {
   }
 }
 
-void DataSourceNode::OnExecute(const BranchExecuteRequest& req,
-                               Micros arrived_at) {
+void DataSourceNode::OnExecute(BranchExecuteRequest& req, Micros arrived_at) {
   auto state = std::make_shared<ExecState>();
   state->arrived_at = arrived_at;
   state->xid = req.xid;
   state->round_seq = req.round_seq;
-  state->ops = req.ops;
+  state->ops = std::move(req.ops);
+  const std::vector<protocol::ClientOp>& ops = state->ops;
   state->last_statement = req.last_statement;
   state->commit_one_phase = req.commit_one_phase;
   state->started_at = timer_->Now();
@@ -492,7 +492,7 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req,
   // the client retries and, post-cutover, routes to the new owner — and
   // bounce batches routed under a stale shard-map epoch with a redirect.
   const sharding::ShardRange* moved = nullptr;
-  switch (migrator_->CheckOps(req.ops, &moved)) {
+  switch (migrator_->CheckOps(ops, &moved)) {
     case sharding::ShardMigrator::RouteCheck::kServe:
       break;
     case sharding::ShardMigrator::RouteCheck::kFenced:
@@ -543,9 +543,9 @@ void DataSourceNode::OnExecute(const BranchExecuteRequest& req,
   branch.peers = req.peers;
   if (!branch.trace.valid()) branch.trace = req.trace;
   if (req.commit_one_phase) branch.one_phase_batch = state;
-  for (const protocol::ClientOp& op : req.ops) {
-    branch.keys.push_back(op.key);
-  }
+  branch.keys.reserve(branch.keys.size() + ops.size());
+  for (const protocol::ClientOp& op : ops) branch.keys.push_back(op.key);
+  state->values.reserve(ops.size());
 
   stats_.batches_executed++;
   RegisterExec(state);
@@ -627,10 +627,8 @@ void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
     timer_->Schedule(cost, after_row_cost);
   };
   static_assert(kStoredInline<decltype(on_op)>);
-  engine_.ExecuteOp(state->xid, op, on_op);
-
   // If the request parked in the lock queue, arm the lock-wait timeout.
-  if (engine_.HasPendingOp(state->xid)) {
+  if (engine_.ExecuteOp(state->xid, op, on_op)) {
     state->timeout_event = timer_->Schedule(
         kLockWaitTimeout, [this, handle]() {
           const std::shared_ptr<ExecState> state = LiveExec(handle);
@@ -721,7 +719,7 @@ void DataSourceNode::SendExecuteResponse(
   resp->xid = state->xid;
   resp->round_seq = state->round_seq;
   resp->status = std::move(status);
-  resp->values = state->values;
+  resp->values = std::move(state->values);
   const Micros end =
       state->finished_at != 0 ? state->finished_at : timer_->Now();
   resp->local_exec_latency = end - state->started_at;

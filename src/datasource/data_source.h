@@ -373,8 +373,8 @@ class DataSourceNode {
   /// types that read or mutate transactional state and therefore must not
   /// run while a freshly promoted leader's store is behind its log.
   static bool ParkedDuringPromotion(runtime::MessageType type);
-  void OnExecute(const protocol::BranchExecuteRequest& req,
-                 Micros arrived_at);
+  /// Runs one batch; takes the request's ops (the message is spent).
+  void OnExecute(protocol::BranchExecuteRequest& req, Micros arrived_at);
   /// Gives `state` a slot and a handle for the closures of its ops.
   void RegisterExec(const std::shared_ptr<ExecState>& state);
   /// The batch `handle` names, or nullptr once it finished.

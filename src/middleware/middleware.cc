@@ -273,7 +273,7 @@ std::vector<NodeId> MiddlewareNode::ParticipantIds(const Txn& txn) const {
 // Execution phase
 // ---------------------------------------------------------------------------
 
-void MiddlewareNode::OnClientRound(const ClientRoundRequest& req) {
+void MiddlewareNode::OnClientRound(ClientRoundRequest& req) {
   TxnId id = req.txn_id;
   if (id == kInvalidTxn) {
     // Overload gate — NEW transactions only. Continuation rounds of
@@ -307,10 +307,10 @@ void MiddlewareNode::OnClientRound(const ClientRoundRequest& req) {
   GEOTP_CHECK(txn != nullptr, "round for unknown txn");
   if (txn->aborting) return;  // result message will settle the client
 
-  txn->pending_ops = req.ops;
+  txn->pending_ops = std::move(req.ops);
   txn->last_round = req.last_round || req.commit;
   txn->commit_on_round = req.commit;
-  txn->round_values.assign(req.ops.size(), 0);
+  txn->round_values.assign(txn->pending_ops.size(), 0);
   txn->analysis_total += kAnalysisCost;
   if (txn->trace.valid() && txn->analysis_span == obs::kInvalidSpan) {
     txn->analysis_span = obs::GlobalTracer().BeginSpan(
@@ -329,21 +329,37 @@ void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
     txn->analysis_span = obs::kInvalidSpan;
   }
 
-  // Group operations (with their positions in the round) per data source.
-  std::map<NodeId, std::vector<std::pair<ClientOp, size_t>>> groups;
-  for (size_t i = 0; i < txn->pending_ops.size(); ++i) {
-    const ClientOp& op = txn->pending_ops[i];
-    groups[catalog_.Route(op.key)].emplace_back(op, i);
+  // Group operations (with their positions in the round) per data source,
+  // in data-source order: sorting (source, position) pairs keeps each
+  // group's operations in round order.
+  const std::vector<ClientOp>& ops = txn->pending_ops;
+  GEOTP_CHECK(!ops.empty(), "empty round");
+  std::vector<std::pair<NodeId, size_t>>& routes = round_routes_;
+  routes.clear();
+  routes.reserve(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    routes.emplace_back(catalog_.Route(ops[i].key), i);
   }
-  GEOTP_CHECK(!groups.empty(), "empty round");
+  std::sort(routes.begin(), routes.end());
+  // The group that starts at routes[i] ends at group_end(i).
+  const auto group_end = [&routes](size_t i) {
+    const NodeId node = routes[i].first;
+    while (i < routes.size() && routes[i].first == node) ++i;
+    return i;
+  };
+  size_t num_groups = 0;
+  for (size_t i = 0; i < routes.size(); i = group_end(i)) ++num_groups;
 
-  std::vector<core::ParticipantPlanInput> inputs;
-  inputs.reserve(groups.size());
-  for (const auto& [node, ops] : groups) {
-    core::ParticipantPlanInput input;
-    input.data_source = node;
-    for (const auto& [op, slot] : ops) input.keys.push_back(op.key);
-    inputs.push_back(std::move(input));
+  std::vector<core::ParticipantPlanInput> inputs(num_groups);
+  for (size_t begin = 0, g = 0; g < num_groups; ++g) {
+    const size_t end = group_end(begin);
+    core::ParticipantPlanInput& input = inputs[g];
+    input.data_source = routes[begin].first;
+    input.keys.reserve(end - begin);
+    for (size_t r = begin; r < end; ++r) {
+      input.keys.push_back(ops[routes[r].second].key);
+    }
+    begin = end;
   }
 
   // Admission control (late transaction scheduling) applies to the first
@@ -367,52 +383,60 @@ void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
   }
 
   const uint64_t round_seq = txn->round_seq;
-  txn->round_outstanding = groups.size();
+  txn->round_outstanding = num_groups;
 
   // Participants begun in earlier rounds but absent from the final round
   // are told to prepare right away (§III).
   if (txn->last_round &&
       config_.commit_protocol == CommitProtocol::kDecentralized) {
+    size_t g = 0;
     for (auto& [node, p] : txn->participants) {
-      if (p.begun && groups.count(node) == 0) {
+      while (g < num_groups && inputs[g].data_source < node) ++g;
+      const bool in_round = g < num_groups && inputs[g].data_source == node;
+      if (p.begun && !in_round) {
         QueuePrepare(catalog_.LeaderOf(node), Xid{txn->id, node});
       }
     }
   }
 
-  size_t plan_idx = 0;
-  for (auto& [node, ops_slots] : groups) {
-    auto batch = ops_slots;
+  auto batch_end = routes.begin();
+  for (size_t g = 0; g < num_groups; ++g) {
+    const NodeId target = inputs[g].data_source;
+    const auto batch_begin = batch_end;
+    batch_end += static_cast<ptrdiff_t>(inputs[g].keys.size());
     if (config_.quro_reorder) {
       // QURO: exclusive locks as late as possible inside the batch.
-      std::stable_partition(
-          batch.begin(), batch.end(),
-          [](const std::pair<ClientOp, size_t>& e) { return !e.first.is_write; });
+      std::stable_partition(batch_begin, batch_end,
+                            [&ops](const std::pair<NodeId, size_t>& r) {
+                              return !ops[r.second].is_write;
+                            });
     }
-    Participant& p = txn->participants[node];
+    Participant& p = txn->participants[target];
     p.exec_outstanding = true;
     p.round_keys.clear();
     p.op_slots.clear();
+    const auto batch_size = static_cast<size_t>(batch_end - batch_begin);
+    p.round_keys.reserve(batch_size);
+    p.op_slots.reserve(batch_size);
+    std::vector<ClientOp> batch_ops;
+    batch_ops.reserve(batch_size);
     bool all_reads = true;
-    for (const auto& [op, slot] : batch) {
+    for (auto r = batch_begin; r != batch_end; ++r) {
+      const ClientOp& op = ops[r->second];
       p.round_keys.push_back(op.key);
-      p.op_slots.push_back(slot);
+      p.op_slots.push_back(r->second);
+      batch_ops.push_back(op);
       if (op.is_write) all_reads = false;
     }
     // Final-round all-read batches may be served by a replication
     // follower (stale-bounded); everything else runs at the leader.
     p.via_follower = config_.follower_reads && txn->last_round &&
                      !p.begun && all_reads &&
-                     catalog_.HasReplicaGroup(node);
+                     catalog_.HasReplicaGroup(target);
 
-    const Micros postpone = decision.plans[plan_idx++].postpone;
-    const NodeId target = node;
-    std::vector<ClientOp> batch_ops;
-    batch_ops.reserve(batch.size());
-    for (const auto& [op, slot] : batch) batch_ops.push_back(op);
-
-    timer_->Schedule(postpone, [this, id, target, round_seq,
-                                ops = std::move(batch_ops)]() mutable {
+    timer_->Schedule(decision.plans[g].postpone,
+                     [this, id, target, round_seq,
+                      ops = std::move(batch_ops)]() mutable {
       Txn* txn = FindTxn(id);
       if (txn == nullptr || txn->aborting) return;
       Participant& p = txn->participants[target];
@@ -470,10 +494,7 @@ void MiddlewareNode::SendBranchBatch(Txn& txn, NodeId logical,
   // Charge the hotspot footprint at actual dispatch (a_cnt++); the
   // matching release happens in OnExecResponse or FinishTxn. A failover
   // retry keeps the original charge.
-  if (!p.footprint_charged) {
-    footprint_->OnDispatch(p.round_keys);
-    p.footprint_charged = true;
-  }
+  if (p.charge.empty()) footprint_->OnDispatch(p.round_keys, &p.charge);
   network_->Send(std::move(req));
 }
 
@@ -590,11 +611,8 @@ void MiddlewareNode::OnExecResponse(const BranchExecuteResponse& resp) {
       std::max<Micros>(0, timer_->Now() - p.sent_at - resp.residence));
 
   // Feed the hotspot footprint (Eq. 4 update + counter maintenance).
-  if (p.footprint_charged) {
-    footprint_->OnComplete(p.round_keys, resp.local_exec_latency,
-                           resp.status.ok());
-    p.footprint_charged = false;
-  }
+  footprint_->OnComplete(&p.charge, resp.local_exec_latency,
+                         resp.status.ok());
 
   if (!resp.status.ok()) {
     if (resp.rolled_back) p.rollback_confirmed = true;
@@ -1026,12 +1044,7 @@ void MiddlewareNode::AnswerClient(Txn& txn, bool committed) {
   // Release footprint charges for participants whose execute response
   // never arrived (dispatch skipped mid-abort, or settled early) so a_cnt
   // does not leak — a leaked a_cnt drives Eq. 9 to 1 permanently.
-  for (auto& [node, p] : txn.participants) {
-    if (p.footprint_charged) {
-      footprint_->OnRelease(p.round_keys);
-      p.footprint_charged = false;
-    }
-  }
+  for (auto& [node, p] : txn.participants) footprint_->OnRelease(&p.charge);
   if (committed) {
     stats_.committed++;
     if (BegunBranches(txn) > 1) stats_.committed_distributed++;
@@ -1295,11 +1308,8 @@ void MiddlewareNode::OnShardRedirect(const protocol::ShardRedirect& redirect) {
   // split: moved keys go to the new owner, unmoved keys stay.
   std::vector<ClientOp> ops = p.last_batch;
   std::vector<size_t> slots = p.op_slots;
-  if (p.footprint_charged) {
-    // Release the old charge; the re-dispatch re-charges per new group.
-    footprint_->OnRelease(p.round_keys);
-    p.footprint_charged = false;
-  }
+  // Release the old charge; the re-dispatch re-charges per new group.
+  footprint_->OnRelease(&p.charge);
   std::map<NodeId, std::pair<std::vector<ClientOp>, std::vector<size_t>>>
       groups;
   for (size_t i = 0; i < ops.size(); ++i) {

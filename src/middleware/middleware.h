@@ -200,7 +200,6 @@ class MiddlewareNode {
   struct Participant {
     bool begun = false;
     bool exec_outstanding = false;
-    bool footprint_charged = false;  ///< a_cnt++ done, awaiting release
     bool has_vote = false;
     protocol::Vote vote = protocol::Vote::kPrepared;
     bool rollback_confirmed = false;
@@ -219,6 +218,10 @@ class MiddlewareNode {
     Micros sent_at = 0;
     std::vector<RecordKey> round_keys;
     std::vector<size_t> op_slots;  ///< positions in the client round
+    /// The footprint records the outstanding batch charged (a_cnt++) as
+    /// it left; settled in OnExecResponse, or released when the batch is
+    /// re-routed or the transaction settles first. Empty when uncharged.
+    core::FootprintCharge charge;
     // Replication support.
     bool via_follower = false;    ///< current batch is a follower read
     uint64_t begun_round = 0;     ///< round in which the branch began
@@ -277,7 +280,8 @@ class MiddlewareNode {
   };
 
   void HandleMessage(std::unique_ptr<runtime::MessageBase> msg);
-  void OnClientRound(const protocol::ClientRoundRequest& req);
+  /// Takes the round's ops (the message is spent).
+  void OnClientRound(protocol::ClientRoundRequest& req);
   void PlanAndDispatchRound(TxnId id);
   void OnExecResponse(const protocol::BranchExecuteResponse& resp);
   /// Places a participant's reads into their round slots. A round whose
@@ -408,6 +412,9 @@ class MiddlewareNode {
   uint64_t next_seq_ = 1;
   bool crashed_ = false;
   std::unordered_map<TxnId, Txn> txns_;
+  /// PlanAndDispatchRound's scratch, kept for its capacity: the round's
+  /// (data source, op position) pairs, sorted into per-source groups.
+  std::vector<std::pair<NodeId, size_t>> round_routes_;
 
   // Same-tick dispatch coalescing (one envelope per destination).
   struct DispatchQueue {

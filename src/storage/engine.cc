@@ -6,6 +6,13 @@
 
 namespace geotp {
 namespace storage {
+namespace {
+
+/// Retired branch entries kept for reuse: about the branches a data
+/// source begins between two that finish.
+constexpr size_t kSpareBranches = 64;
+
+}  // namespace
 
 EngineConfig MySqlEngineConfig() {
   EngineConfig config;
@@ -40,20 +47,32 @@ const TransactionEngine::TxnData* TransactionEngine::Find(
 }
 
 Status TransactionEngine::Begin(const Xid& xid) {
-  auto [it, inserted] = txns_.try_emplace(xid);
-  if (!inserted) {
+  if (txns_.count(xid) != 0) {
     return Status::AlreadyExists("xa branch exists: " + xid.ToString());
   }
-  (void)it;
+  TxnData* data = nullptr;
+  if (spare_txns_.empty()) {
+    data = &txns_[xid];
+  } else {
+    Txns::node_type node = std::move(spare_txns_.back());
+    spare_txns_.pop_back();
+    node.key() = xid;
+    data = &txns_.insert(std::move(node)).position->second;
+  }
+  // An entry whose undo log went to undurable_ takes a returned buffer.
+  if (data->undo.capacity() == 0 && !spare_undo_.empty()) {
+    data->undo = std::move(spare_undo_.back());
+    spare_undo_.pop_back();
+  }
   return Status::OK();
 }
 
-void TransactionEngine::ExecuteOp(const Xid& xid, const Operation& op,
+bool TransactionEngine::ExecuteOp(const Xid& xid, const Operation& op,
                                   OpCallback callback) {
   TxnData* data = Find(xid);
   if (data == nullptr || data->state != TxnState::kActive) {
     callback(Status::Aborted("op on non-active branch " + xid.ToString()), 0);
-    return;
+    return false;
   }
   GEOTP_CHECK(data->pending_request == kInvalidLockRequest,
               "one outstanding op per branch: " << xid.ToString());
@@ -61,7 +80,7 @@ void TransactionEngine::ExecuteOp(const Xid& xid, const Operation& op,
   const LockMode mode = op.is_write ? LockMode::kExclusive : LockMode::kShared;
   if (locks_.TryLock(xid, op.key, mode)) {
     RunGranted(*data, op, callback);
-    return;
+    return false;
   }
   // Contended: park (or be refused as a deadlock victim). Capture by
   // value: `op` lives on the caller's stack.
@@ -82,13 +101,13 @@ void TransactionEngine::ExecuteOp(const Xid& xid, const Operation& op,
         }
         RunGranted(*txn, operation, cb);
       });
-  if (id != kInvalidLockRequest) {
-    // Parked. The callback above fires later; remember the id so Rollback
-    // or a timeout can cancel it.
-    TxnData* txn = Find(xid);
-    GEOTP_CHECK(txn != nullptr, "txn vanished while parking");
-    txn->pending_request = id;
-  }
+  if (id == kInvalidLockRequest) return false;
+  // Parked. The callback above fires later; remember the id so Rollback
+  // or a timeout can cancel it.
+  TxnData* txn = Find(xid);
+  GEOTP_CHECK(txn != nullptr, "txn vanished while parking");
+  txn->pending_request = id;
+  return true;
 }
 
 void TransactionEngine::RunGranted(TxnData& txn, const Operation& op,
@@ -101,9 +120,10 @@ void TransactionEngine::RunGranted(TxnData& txn, const Operation& op,
   // One probe: read the base, log it for undo, write in place. The slot
   // reference dies before the callback, which may insert.
   int64_t& value = store_.FindOrInsert(op.key);
-  txn.undo.push_back(UndoEntry{op.key, value});
+  const int64_t old_value = value;
   value = op.is_delta ? value + op.write_value : op.write_value;
   const int64_t final_value = value;
+  txn.undo.push_back(UndoEntry{op.key, old_value, final_value});
   callback(Status::OK(), final_value);
 }
 
@@ -177,7 +197,7 @@ Status TransactionEngine::InstallPreparedBranch(
     const bool granted = locks_.TryLock(xid, key, LockMode::kExclusive);
     GEOTP_CHECK(granted, "install: lock contention on " << key.ToString());
     int64_t& slot = store_.FindOrInsert(key);
-    data->undo.push_back(UndoEntry{key, slot});
+    data->undo.push_back(UndoEntry{key, slot, value});
     slot = value;
   }
   data->state = TxnState::kPrepared;
@@ -216,6 +236,10 @@ Status TransactionEngine::CommitEarly(const Xid& xid, Micros now) {
 void TransactionEngine::CommitDurable(const Xid& xid) {
   for (auto it = undurable_.begin(); it != undurable_.end(); ++it) {
     if (it->first == xid) {
+      if (spare_undo_.size() < kSpareBranches) {
+        it->second.clear();
+        spare_undo_.push_back(std::move(it->second));
+      }
       undurable_.erase(it);
       return;
     }
@@ -282,7 +306,19 @@ void TransactionEngine::Finish(const Xid& xid, TxnData& data,
                                TxnState final_state) {
   data.state = final_state;
   locks_.ReleaseAll(xid);
-  txns_.erase(xid);
+  // The wakes above may have touched the map: find the entry again.
+  const auto it = txns_.find(xid);
+  if (it == txns_.end()) return;
+  if (spare_txns_.size() >= kSpareBranches) {
+    txns_.erase(it);
+    return;
+  }
+  Txns::node_type node = txns_.extract(it);
+  TxnData& spare = node.mapped();
+  spare.state = TxnState::kActive;
+  spare.undo.clear();
+  spare.pending_request = kInvalidLockRequest;
+  spare_txns_.push_back(std::move(node));
 }
 
 }  // namespace storage

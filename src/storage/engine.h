@@ -88,8 +88,10 @@ class TransactionEngine {
   /// Executes one operation: acquires the lock (S for reads, X for writes)
   /// and applies it. The callback may fire synchronously (lock free) or
   /// later (lock wait). A pending lock request is cancelled by Rollback()
-  /// or CancelPendingOp().
-  void ExecuteOp(const Xid& xid, const Operation& op, OpCallback callback);
+  /// or CancelPendingOp(). Returns true when the request parked (then
+  /// HasPendingOp() holds and the callback fires later), false when the
+  /// callback already fired.
+  bool ExecuteOp(const Xid& xid, const Operation& op, OpCallback callback);
 
   /// True if the xid has a lock request parked in the wait queue.
   bool HasPendingOp(const Xid& xid) const;
@@ -170,6 +172,9 @@ class TransactionEngine {
   struct UndoEntry {
     RecordKey key;
     int64_t old_value;
+    /// The value this write left, which stays in the store while the
+    /// branch holds the key's exclusive lock: WriteSetOf reads it here.
+    int64_t new_value;
   };
   struct TxnData {
     TxnState state = TxnState::kActive;
@@ -179,6 +184,8 @@ class TransactionEngine {
 
   TxnData* Find(const Xid& xid);
   const TxnData* Find(const Xid& xid) const;
+  /// Ends the branch: releases its locks and retires its entry, keeping
+  /// the entry (map node and undo buffer) for a later Begin to reuse.
   void Finish(const Xid& xid, TxnData& data, TxnState final_state);
   /// Applies `op` under its granted lock and fires `callback`.
   void RunGranted(TxnData& txn, const Operation& op,
@@ -188,7 +195,15 @@ class TransactionEngine {
   RecordStore store_;
   LockManager locks_;
   Wal wal_;
-  std::unordered_map<Xid, TxnData, XidHash> txns_;
+  using Txns = std::unordered_map<Xid, TxnData, XidHash>;
+  Txns txns_;
+  /// Retired branch entries, reset, for Begin to reuse (at most
+  /// kSpareBranches each), and the undo buffers of released one-phase
+  /// commits, returned at CommitDurable for entries that gave theirs to
+  /// undurable_: a branch's undo log then grows only past the largest
+  /// write set the node has seen.
+  std::vector<Txns::node_type> spare_txns_;
+  std::vector<std::vector<UndoEntry>> spare_undo_;
   /// One-phase commits released by CommitEarly whose records are not yet
   /// durable, oldest first, with their undo entries.
   std::deque<std::pair<Xid, std::vector<UndoEntry>>> undurable_;
@@ -199,14 +214,19 @@ std::vector<Write> TransactionEngine::WriteSetOf(const Xid& xid) const {
   std::vector<Write> writes;
   const TxnData* data = Find(xid);
   if (data == nullptr) return writes;
-  const std::vector<UndoEntry>& undo = data->undo;
-  writes.reserve(undo.size());
-  for (size_t i = 0; i < undo.size(); ++i) {
+  writes.reserve(data->undo.size());
+  for (const UndoEntry& undo : data->undo) {
+    // Several writes to one key: one element, in the first write's place,
+    // with the last write's value.
     bool seen = false;
-    for (size_t j = 0; j < i && !seen; ++j) seen = undo[j].key == undo[i].key;
-    if (seen) continue;  // several writes to one key: one final value
-    auto record = store_.Get(undo[i].key);
-    writes.push_back(Write{undo[i].key, record ? record->value : 0});
+    for (Write& write : writes) {
+      auto& [key, value] = write;
+      if (!(key == undo.key)) continue;
+      value = undo.new_value;
+      seen = true;
+      break;
+    }
+    if (!seen) writes.push_back(Write{undo.key, undo.new_value});
   }
   return writes;
 }

@@ -7,6 +7,13 @@
 
 namespace geotp {
 namespace storage {
+namespace {
+
+/// Released held lists kept for reuse: about the owners a data source
+/// starts between two releases.
+constexpr size_t kSpareHeldLists = 64;
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // HolderSet
@@ -119,7 +126,7 @@ bool LockManager::TryGrant(const Xid& owner, const RecordKey& key,
   if (state.holders.size() == 1 || mode == LockMode::kExclusive) {
     state.mode = state.holders.size() == 1 ? mode : LockMode::kShared;
   }
-  held_by_owner_[owner].insert(key);
+  NoteHeld(owner, key);
   stats_.grants_immediate++;
   return true;
 }
@@ -220,18 +227,39 @@ void LockManager::CancelRequest(LockRequestId id, Status status) {
   GEOTP_CHECK(false, "parked request not found in queue");
 }
 
+void LockManager::NoteHeld(const Xid& owner, const RecordKey& key) {
+  auto it = held_by_owner_.find(owner);
+  if (it == held_by_owner_.end()) {
+    if (spare_held_.empty()) {
+      it = held_by_owner_.try_emplace(owner).first;
+    } else {
+      HeldKeys::node_type node = std::move(spare_held_.back());
+      spare_held_.pop_back();
+      node.key() = owner;
+      it = held_by_owner_.insert(std::move(node)).position;
+    }
+  }
+  it->second.push_back(key);
+}
+
 void LockManager::ReleaseAll(const Xid& owner) {
   auto owner_it = held_by_owner_.find(owner);
   if (owner_it == held_by_owner_.end()) return;
+  // Detach the owner's list: the grants below add other owners' keys to
+  // held_by_owner_, which may rehash it.
+  HeldKeys::node_type held = held_by_owner_.extract(owner_it);
   std::vector<LockCallback> to_fire;
-  for (const RecordKey& key : owner_it->second) {
+  for (const RecordKey& key : held.mapped()) {
     LockState* state = locks_.Find(key);
     if (state == nullptr) continue;
     state->holders.Erase(owner);
     ProcessQueue(key, *state, to_fire);
     if (state->holders.empty() && state->queue.empty()) locks_.Erase(key);
   }
-  held_by_owner_.erase(owner_it);
+  if (spare_held_.size() < kSpareHeldLists) {
+    held.mapped().clear();
+    spare_held_.push_back(std::move(held));
+  }
   for (auto& fire : to_fire) fire(Status::OK());
 }
 
@@ -253,7 +281,7 @@ void LockManager::ProcessQueue(const RecordKey& key, LockState& state,
       if (!can_grant) return;
       state.holders.Add(head.owner, head.mode);
       state.mode = head.mode;
-      held_by_owner_[head.owner].insert(key);
+      NoteHeld(head.owner, key);
     }
     stats_.grants_after_wait++;
     parked_.erase(head.id);

@@ -17,6 +17,11 @@
 // Lock state lives inline in a FlatMap slot: the first holder inline, any
 // further (shared) holders and the waiters in vectors. A grant therefore
 // allocates nothing in the table; only a parked request does.
+//
+// Each owner's held keys are one list in grant order, so ReleaseAll frees
+// the keys, and wakes their waiters, in the order the owner was granted
+// them. A released owner's list (map node and buffer) is kept for the
+// next new owner, so in steady state a grant allocates nothing.
 #ifndef GEOTP_STORAGE_LOCK_MANAGER_H_
 #define GEOTP_STORAGE_LOCK_MANAGER_H_
 
@@ -88,8 +93,9 @@ class LockManager {
   /// callback fires with the given status. No-op if already granted.
   void CancelRequest(LockRequestId id, Status status);
 
-  /// Releases every lock held by `owner` and wakes eligible waiters.
-  /// Wake callbacks run synchronously inside this call.
+  /// Releases every lock held by `owner` and wakes eligible waiters, key
+  /// by key in the order the owner was granted them. Wake callbacks run
+  /// synchronously inside this call, in that order.
   void ReleaseAll(const Xid& owner);
 
   /// True if `owner` currently holds a lock on `key` of at least `mode`.
@@ -208,6 +214,9 @@ class LockManager {
       const Xid& requester, const RecordKey& key, int depth,
       std::unordered_set<RecordKey, RecordKeyHash>* visited) const;
 
+  /// Appends `key` to the owner's held list, reusing a released list.
+  void NoteHeld(const Xid& owner, const RecordKey& key);
+
   static bool Compatible(LockMode held, LockMode requested) {
     return held == LockMode::kShared && requested == LockMode::kShared;
   }
@@ -217,10 +226,13 @@ class LockManager {
   std::unordered_map<LockRequestId, RecordKey> parked_;
   // Which key each transaction currently waits on (wait-for graph edges).
   std::unordered_map<Xid, RecordKey, XidHash> waiting_on_;
-  // Held keys per owner, for ReleaseAll.
-  std::unordered_map<Xid, std::unordered_set<RecordKey, RecordKeyHash>,
-                     XidHash>
-      held_by_owner_;
+  // Held keys per owner in grant order, for ReleaseAll.
+  using HeldKeys =
+      std::unordered_map<Xid, std::vector<RecordKey>, XidHash>;
+  HeldKeys held_by_owner_;
+  /// Lists of released owners, emptied, for NoteHeld to reuse (at most
+  /// kSpareHeldLists).
+  std::vector<HeldKeys::node_type> spare_held_;
   LockRequestId next_request_id_ = 1;
   LockStats stats_;
 };

@@ -88,12 +88,13 @@ TxnSpec TpccGenerator::NewOrder(Rng& rng) {
   const bool remote = config_.data_sources.size() > 1 &&
                       rng.NextBool(config_.distributed_ratio);
 
+  const int ol_cnt = static_cast<int>(rng.NextInt(5, 15));
   std::vector<protocol::ClientOp> ops;
+  ops.reserve(5 + 3 * static_cast<size_t>(ol_cnt));
   ops.push_back(Read(kWarehouse, WarehouseKey(w)));           // W_TAX
   ops.push_back(Write(kDistrict, DistrictKey(w, d)));         // D_NEXT_O_ID++
   ops.push_back(Read(kCustomer, CustomerKey(w, d, c)));       // discount
 
-  const int ol_cnt = static_cast<int>(rng.NextInt(5, 15));
   uint64_t remote_w = remote ? RemoteWarehouse(w, rng) : w;
   for (int i = 0; i < ol_cnt; ++i) {
     const uint64_t item = rng.NextU64(config_.items);
@@ -134,6 +135,7 @@ TxnSpec TpccGenerator::Payment(Rng& rng) {
   const uint64_t c = PickCustomer(rng);
 
   std::vector<protocol::ClientOp> ops;
+  ops.reserve(4);
   ops.push_back(Write(kWarehouse, WarehouseKey(w), 100));  // W_YTD (hotspot)
   ops.push_back(Write(kDistrict, DistrictKey(w, d), 100)); // D_YTD
   ops.push_back(Write(kCustomer, CustomerKey(c_w, c_d, c), -100));

@@ -56,6 +56,8 @@ TxnSpec YcsbGenerator::Next(Rng& rng) {
   const uint64_t total_keys =
       config_.records_per_node * static_cast<uint64_t>(num_nodes);
   std::vector<size_t> nodes;
+  nodes.reserve(static_cast<size_t>(
+      std::max(1, config_.nodes_per_distributed_txn)));
   if (config_.pin_anchor_to_first_node) {
     nodes.push_back(0);
   } else {
@@ -80,6 +82,7 @@ TxnSpec YcsbGenerator::Next(Rng& rng) {
   std::vector<protocol::ClientOp> ops;
   ops.reserve(static_cast<size_t>(config_.ops_per_txn));
   std::vector<uint64_t> used;
+  used.reserve(ops.capacity());
   for (int i = 0; i < config_.ops_per_txn; ++i) {
     const size_t node = nodes[static_cast<size_t>(i) % nodes.size()];
     uint64_t key = 0;
@@ -102,6 +105,9 @@ TxnSpec YcsbGenerator::Next(Rng& rng) {
   const int rounds =
       std::min(config_.rounds, static_cast<int>(ops.size()));
   spec.rounds.resize(static_cast<size_t>(rounds));
+  for (auto& round : spec.rounds) {
+    round.reserve(ops.size() / static_cast<size_t>(rounds) + 1);
+  }
   for (size_t i = 0; i < ops.size(); ++i) {
     spec.rounds[i * static_cast<size_t>(rounds) / ops.size()].push_back(
         ops[i]);

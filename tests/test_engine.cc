@@ -46,6 +46,27 @@ TEST_F(EngineTest, BeginTwiceFails) {
   EXPECT_EQ(engine_.Begin(T(1)).code(), StatusCode::kAlreadyExists);
 }
 
+TEST_F(EngineTest, WriteSetHasOneFinalValuePerKeyInFirstWriteOrder) {
+  ASSERT_TRUE(engine_.Begin(T(1)).ok());
+  ASSERT_TRUE(Exec(T(1), WriteOp(9, 1)).ok());
+  ASSERT_TRUE(Exec(T(1), WriteOp(4, 2)).ok());
+  Operation delta = WriteOp(9, 5);
+  delta.is_delta = true;
+  ASSERT_TRUE(Exec(T(1), delta).ok());  // 9: 1 + 5
+  ASSERT_TRUE(Exec(T(1), ReadOp(7)).ok());
+  const std::vector<std::pair<RecordKey, int64_t>> want = {{K(9), 6},
+                                                           {K(4), 2}};
+  EXPECT_EQ(engine_.WriteSetOf(T(1)), want);
+  // A branch that reuses a retired entry starts with an empty write set.
+  ASSERT_TRUE(engine_.Commit(T(1), 0).ok());
+  EXPECT_TRUE(engine_.WriteSetOf(T(1)).empty());
+  ASSERT_TRUE(engine_.Begin(T(2)).ok());
+  EXPECT_TRUE(engine_.WriteSetOf(T(2)).empty());
+  ASSERT_TRUE(Exec(T(2), WriteOp(4, 8)).ok());
+  const std::vector<std::pair<RecordKey, int64_t>> reused = {{K(4), 8}};
+  EXPECT_EQ(engine_.WriteSetOf(T(2)), reused);
+}
+
 TEST_F(EngineTest, ReadMissingKeyReturnsZero) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   int64_t value = -1;

@@ -1,7 +1,7 @@
-// Tests for the hotspot footprint: hash index + LRU structure, Eq. 4 w_lat
-// updates, Eq. 5 forecasts and Eq. 9 abort probability, randomized
-// structural property tests, and a differential test against a naive
-// ordered-map model.
+// Tests for the hotspot footprint: hash index + LRU structure, charge
+// handles, Eq. 4 w_lat updates, Eq. 5 forecasts and Eq. 9 abort
+// probability, randomized structural property tests, and a differential
+// test against a naive key-based ordered-map model.
 #include "core/hotspot_footprint.h"
 
 #include <algorithm>
@@ -24,25 +24,56 @@ std::vector<RecordKey> Keys(std::initializer_list<uint64_t> ks) {
   return out;
 }
 
+/// One access to `keys` that finishes: dispatched, then settled.
+void Access(HotspotFootprint* fp, const std::vector<RecordKey>& keys,
+            Micros lel, bool committed) {
+  FootprintCharge charge;
+  fp->OnDispatch(keys, &charge);
+  fp->OnComplete(&charge, lel, committed);
+}
+
+/// One access to `keys` still in flight (its a_cnt stays charged).
+void Hold(HotspotFootprint* fp, const std::vector<RecordKey>& keys) {
+  FootprintCharge charge;
+  fp->OnDispatch(keys, &charge);
+}
+
+/// Eq. 5 alone.
+Micros ForecastLel(const HotspotFootprint& fp,
+                   const std::vector<RecordKey>& keys) {
+  return fp.Forecast(keys, nullptr);
+}
+
+/// Eq. 9 over one key set.
+double AbortProbability(const HotspotFootprint& fp,
+                        const std::vector<RecordKey>& keys) {
+  double success = 1.0;
+  fp.Forecast(keys, &success);
+  return 1.0 - success;
+}
+
 TEST(FootprintTest, DispatchTracksActiveCount) {
   HotspotFootprint fp;
-  fp.OnDispatch(Keys({1, 2}));
+  FootprintCharge first;
+  FootprintCharge second;
+  fp.OnDispatch(Keys({1, 2}), &first);
+  EXPECT_EQ(first.size(), 2u);
   EXPECT_EQ(fp.Lookup(K(1))->a_cnt, 1);
-  fp.OnDispatch(Keys({1}));
+  fp.OnDispatch(Keys({1}), &second);
   EXPECT_EQ(fp.Lookup(K(1))->a_cnt, 2);
-  fp.OnComplete(Keys({1}), 1000, true);
+  fp.OnComplete(&second, 1000, true);
+  EXPECT_TRUE(second.empty());
   EXPECT_EQ(fp.Lookup(K(1))->a_cnt, 1);
+  EXPECT_EQ(fp.Lookup(K(2))->a_cnt, 1);
 }
 
 TEST(FootprintTest, CompleteUpdatesCounters) {
   HotspotFootprint fp;
-  fp.OnDispatch(Keys({1}));
-  fp.OnComplete(Keys({1}), 1000, true);
+  Access(&fp, Keys({1}), 1000, true);
   const RecordStats* stats = fp.Lookup(K(1));
   EXPECT_EQ(stats->t_cnt, 1u);
   EXPECT_EQ(stats->c_cnt, 1u);
-  fp.OnDispatch(Keys({1}));
-  fp.OnComplete(Keys({1}), 1000, false);
+  Access(&fp, Keys({1}), 1000, false);
   EXPECT_EQ(stats->t_cnt, 2u);
   EXPECT_EQ(stats->c_cnt, 1u);
   EXPECT_DOUBLE_EQ(stats->SuccessRatio(), 0.5);
@@ -55,80 +86,134 @@ TEST(FootprintTest, WLatConvergesTowardMeasurement) {
   // Single-key subtransactions: the weight w_r is 1, so w_lat converges
   // toward the measured LEL.
   for (int i = 0; i < 40; ++i) {
-    fp.OnDispatch(Keys({1}));
-    fp.OnComplete(Keys({1}), 10000, true);
+    Access(&fp, Keys({1}), 10000, true);
   }
   EXPECT_NEAR(fp.Lookup(K(1))->w_lat, 10000.0, 500.0);
 }
 
 TEST(FootprintTest, AbortedCompletionsDoNotMoveWLat) {
   HotspotFootprint fp;
-  fp.OnDispatch(Keys({1}));
-  fp.OnComplete(Keys({1}), 500, true);
+  Access(&fp, Keys({1}), 500, true);
   const double w = fp.Lookup(K(1))->w_lat;
-  fp.OnDispatch(Keys({1}));
-  fp.OnComplete(Keys({1}), 999999, false);
+  Access(&fp, Keys({1}), 999999, false);
   EXPECT_DOUBLE_EQ(fp.Lookup(K(1))->w_lat, w);
 }
 
 TEST(FootprintTest, ForecastSumsTrackedKeys) {
   HotspotFootprint fp;
   for (int i = 0; i < 30; ++i) {
-    fp.OnDispatch(Keys({1}));
-    fp.OnComplete(Keys({1}), 4000, true);
-    fp.OnDispatch(Keys({2}));
-    fp.OnComplete(Keys({2}), 2000, true);
+    Access(&fp, Keys({1}), 4000, true);
+    Access(&fp, Keys({2}), 2000, true);
   }
-  const Micros forecast = fp.ForecastLel(Keys({1, 2}));
+  const Micros forecast = ForecastLel(fp, Keys({1, 2}));
   EXPECT_NEAR(static_cast<double>(forecast), 6000.0, 600.0);
   // Untracked keys contribute nothing.
-  EXPECT_EQ(fp.ForecastLel(Keys({99})), 0);
+  EXPECT_EQ(ForecastLel(fp, Keys({99})), 0);
 }
 
 TEST(FootprintTest, AbortProbabilityMatchesEquation9) {
   HotspotFootprint fp;
   // Build history: 10 accesses, 5 committed -> success ratio 0.5.
   for (int i = 0; i < 10; ++i) {
-    fp.OnDispatch(Keys({1}));
-    fp.OnComplete(Keys({1}), 100, i < 5);
+    Access(&fp, Keys({1}), 100, i < 5);
   }
   // Queue depth: 3 concurrent accessors -> exponent max(3-1, 0) = 2.
-  fp.OnDispatch(Keys({1}));
-  fp.OnDispatch(Keys({1}));
-  fp.OnDispatch(Keys({1}));
-  EXPECT_NEAR(fp.AbortProbability(Keys({1})), 1.0 - std::pow(0.5, 2), 1e-9);
+  Hold(&fp, Keys({1}));
+  Hold(&fp, Keys({1}));
+  Hold(&fp, Keys({1}));
+  EXPECT_NEAR(AbortProbability(fp, Keys({1})), 1.0 - std::pow(0.5, 2), 1e-9);
 }
 
 TEST(FootprintTest, AbortProbabilityZeroWhenIdle) {
   HotspotFootprint fp;
   for (int i = 0; i < 10; ++i) {
-    fp.OnDispatch(Keys({1}));
-    fp.OnComplete(Keys({1}), 100, false);  // terrible history
+    Access(&fp, Keys({1}), 100, false);  // terrible history
   }
   // No concurrent accessors -> exponent 0 -> never blocked.
-  EXPECT_DOUBLE_EQ(fp.AbortProbability(Keys({1})), 0.0);
+  EXPECT_DOUBLE_EQ(AbortProbability(fp, Keys({1})), 0.0);
 }
 
 TEST(FootprintTest, AbortProbabilityMultipliesAcrossKeys) {
   HotspotFootprint fp;
   for (uint64_t k : {1u, 2u}) {
     for (int i = 0; i < 10; ++i) {
-      fp.OnDispatch(Keys({k}));
-      fp.OnComplete(Keys({k}), 100, i < 5);
+      Access(&fp, Keys({k}), 100, i < 5);
     }
-    fp.OnDispatch(Keys({k}));
-    fp.OnDispatch(Keys({k}));  // a_cnt = 2 -> exponent 1
+    Hold(&fp, Keys({k}));
+    Hold(&fp, Keys({k}));  // a_cnt = 2 -> exponent 1
   }
-  EXPECT_NEAR(fp.AbortProbability(Keys({1, 2})), 1.0 - 0.25, 1e-9);
+  EXPECT_NEAR(AbortProbability(fp, Keys({1, 2})), 1.0 - 0.25, 1e-9);
 }
 
 TEST(FootprintTest, OnReleaseOnlyDropsActiveCount) {
   HotspotFootprint fp;
-  fp.OnDispatch(Keys({1}));
-  fp.OnRelease(Keys({1}));
+  FootprintCharge charge;
+  fp.OnDispatch(Keys({1}), &charge);
+  fp.OnRelease(&charge);
+  EXPECT_TRUE(charge.empty());
   const RecordStats* stats = fp.Lookup(K(1));
   EXPECT_EQ(stats->a_cnt, 0);
   EXPECT_EQ(stats->t_cnt, 0u);
+}
+
+TEST(FootprintTest, DuplicateKeyChargedAndSettledTwice) {
+  HotspotFootprint fp;
+  FootprintCharge charge;
+  fp.OnDispatch(Keys({5, 6, 5}), &charge);
+  EXPECT_EQ(charge.size(), 3u);
+  EXPECT_EQ(fp.Lookup(K(5))->a_cnt, 2);
+  fp.OnComplete(&charge, 900, true);
+  EXPECT_EQ(fp.Lookup(K(5))->a_cnt, 0);
+  EXPECT_EQ(fp.Lookup(K(5))->t_cnt, 2u);
+  EXPECT_EQ(fp.Lookup(K(5))->c_cnt, 2u);
+  EXPECT_EQ(fp.Lookup(K(6))->t_cnt, 1u);
+
+  fp.OnDispatch(Keys({5, 5}), &charge);
+  EXPECT_EQ(fp.Lookup(K(5))->a_cnt, 2);
+  fp.OnRelease(&charge);
+  EXPECT_EQ(fp.Lookup(K(5))->a_cnt, 0);
+  EXPECT_EQ(fp.Lookup(K(5))->t_cnt, 2u);
+  EXPECT_TRUE(fp.CheckInvariants());
+}
+
+TEST(FootprintTest, ChargedRecordSurvivesEvictionUntilSettled) {
+  FootprintConfig config;
+  config.capacity = 10;
+  HotspotFootprint fp(config);
+  FootprintCharge held;
+  fp.OnDispatch(Keys({777, 778}), &held);
+  // Churn far past capacity: the charged records sit at the cold end and
+  // eviction skips them.
+  for (uint64_t k = 0; k < 200; ++k) Access(&fp, Keys({k}), 100, true);
+  EXPECT_GT(fp.evictions(), 150u);
+  ASSERT_NE(fp.Lookup(K(777)), nullptr);
+  ASSERT_NE(fp.Lookup(K(778)), nullptr);
+  EXPECT_EQ(fp.Lookup(K(777))->a_cnt, 1);
+  // The handle still reaches the same records: settling updates them.
+  fp.OnComplete(&held, 5000, true);
+  EXPECT_EQ(fp.Lookup(K(777))->a_cnt, 0);
+  EXPECT_EQ(fp.Lookup(K(777))->t_cnt, 1u);
+  EXPECT_EQ(fp.Lookup(K(778))->c_cnt, 1u);
+  EXPECT_TRUE(fp.CheckInvariants());
+  // Settled, they are ordinary records and go with the next churn.
+  for (uint64_t k = 1000; k < 1020; ++k) Access(&fp, Keys({k}), 100, true);
+  EXPECT_EQ(fp.Lookup(K(777)), nullptr);
+  EXPECT_EQ(fp.Lookup(K(778)), nullptr);
+  EXPECT_TRUE(fp.CheckInvariants());
+}
+
+TEST(FootprintDeathTest, StaleChargeStopsTheRun) {
+  // A charge settled twice would decrement another dispatch's a_cnt (or a
+  // recycled slot's record): the footprint stops the run instead.
+  HotspotFootprint fp;
+  FootprintCharge charge;
+  fp.OnDispatch(Keys({1}), &charge);
+  const FootprintCharge stale = charge;
+  fp.OnRelease(&charge);
+  FootprintCharge copy = stale;
+  EXPECT_DEATH(fp.OnRelease(&copy), "holds no a_cnt");
+  copy = stale;
+  EXPECT_DEATH(fp.OnComplete(&copy, 100, true), "holds no a_cnt");
 }
 
 TEST(FootprintTest, LruEvictsColdRecords) {
@@ -136,8 +221,7 @@ TEST(FootprintTest, LruEvictsColdRecords) {
   config.capacity = 100;
   HotspotFootprint fp(config);
   for (uint64_t k = 0; k < 500; ++k) {
-    fp.OnDispatch(Keys({k}));
-    fp.OnComplete(Keys({k}), 100, true);
+    Access(&fp, Keys({k}), 100, true);
   }
   EXPECT_LE(fp.size(), 100u);
   EXPECT_GT(fp.evictions(), 0u);
@@ -151,10 +235,9 @@ TEST(FootprintTest, BusyRecordsNotEvicted) {
   FootprintConfig config;
   config.capacity = 10;
   HotspotFootprint fp(config);
-  fp.OnDispatch(Keys({777}));  // a_cnt = 1, never completed
+  Hold(&fp, Keys({777}));  // a_cnt = 1, never completed
   for (uint64_t k = 0; k < 100; ++k) {
-    fp.OnDispatch(Keys({k}));
-    fp.OnComplete(Keys({k}), 100, true);
+    Access(&fp, Keys({k}), 100, true);
   }
   ASSERT_NE(fp.Lookup(K(777)), nullptr);
   EXPECT_EQ(fp.Lookup(K(777))->a_cnt, 1);
@@ -164,8 +247,7 @@ TEST(FootprintTest, BusyRecordsNotEvicted) {
 TEST(FootprintTest, RangeScanOrdered) {
   HotspotFootprint fp;
   for (uint64_t k : {50u, 10u, 30u, 20u, 40u}) {
-    fp.OnDispatch(Keys({k}));
-    fp.OnComplete(Keys({k}), 100, true);
+    Access(&fp, Keys({k}), 100, true);
   }
   auto range = fp.Range(K(15), K(45));
   ASSERT_EQ(range.size(), 3u);
@@ -176,7 +258,7 @@ TEST(FootprintTest, RangeScanOrdered) {
 
 TEST(FootprintTest, RangeAcrossTables) {
   HotspotFootprint fp;
-  fp.OnDispatch({RecordKey{1, 5}, RecordKey{2, 5}});
+  Hold(&fp, {RecordKey{1, 5}, RecordKey{2, 5}});
   auto range = fp.Range(RecordKey{1, 0}, RecordKey{1, 100});
   ASSERT_EQ(range.size(), 1u);
   EXPECT_EQ(range[0].first.table, 1u);
@@ -187,18 +269,18 @@ TEST(FootprintPropertyTest, RandomTrafficKeepsInvariants) {
   FootprintConfig config;
   config.capacity = 64;
   HotspotFootprint fp(config);
-  std::vector<RecordKey> outstanding;
+  std::vector<FootprintCharge> outstanding;
   for (int step = 0; step < 30000; ++step) {
     const double action = rng.NextDouble();
     if (action < 0.5) {
       std::vector<RecordKey> keys;
       const int n = static_cast<int>(rng.NextU64(4)) + 1;
       for (int i = 0; i < n; ++i) keys.push_back(K(rng.NextU64(1000)));
-      fp.OnDispatch(keys);
-      for (const auto& k : keys) outstanding.push_back(k);
+      outstanding.emplace_back();
+      fp.OnDispatch(keys, &outstanding.back());
     } else if (!outstanding.empty()) {
       const size_t idx = rng.NextU64(outstanding.size());
-      fp.OnComplete({outstanding[idx]}, rng.NextU64(5000),
+      fp.OnComplete(&outstanding[idx], static_cast<Micros>(rng.NextU64(5000)),
                     rng.NextBool(0.8));
       outstanding.erase(outstanding.begin() + static_cast<long>(idx));
     }
@@ -216,8 +298,7 @@ TEST(FootprintPropertyTest, HeavyEvictionChurn) {
   HotspotFootprint fp(config);
   for (int step = 0; step < 20000; ++step) {
     const uint64_t k = rng.NextU64(10000);
-    fp.OnDispatch(Keys({k}));
-    fp.OnComplete(Keys({k}), 100, true);
+    Access(&fp, Keys({k}), 100, true);
     if (step % 500 == 0) {
       ASSERT_TRUE(fp.CheckInvariants());
     }
@@ -229,7 +310,7 @@ TEST(FootprintPropertyTest, HeavyEvictionChurn) {
 TEST(FootprintTest, ApproxBytesGrowsWithSize) {
   HotspotFootprint fp;
   const size_t empty = fp.ApproxBytes();
-  for (uint64_t k = 0; k < 100; ++k) fp.OnDispatch(Keys({k}));
+  for (uint64_t k = 0; k < 100; ++k) Hold(&fp, Keys({k}));
   EXPECT_GT(fp.ApproxBytes(), empty);
 }
 
@@ -237,7 +318,8 @@ TEST(FootprintTest, ApproxBytesGrowsWithSize) {
 // Differential test: the footprint against a naive model of its contract —
 // an ordered map of records plus a list LRU (front = most recent) that
 // evicts from the cold end, skipping busy records and the record being
-// touched.
+// touched. The model settles a dispatch by its keys, the footprint by the
+// charge handle the dispatch returned: both must reach the same records.
 // ---------------------------------------------------------------------------
 
 class ReferenceFootprint {
@@ -388,36 +470,52 @@ TEST(FootprintDifferentialTest, MatchesReferenceModel) {
       for (int i = 0; i < n; ++i) keys.push_back(draw());  // may repeat
       return keys;
     };
-    std::vector<std::vector<RecordKey>> outstanding;
+    struct Outstanding {
+      std::vector<RecordKey> keys;
+      FootprintCharge charge;
+    };
+    std::vector<Outstanding> outstanding;
 
     for (int step = 0; step < 6000; ++step) {
       const double action = rng.NextDouble();
       if (action < 0.45 || outstanding.empty()) {
-        auto keys = draw_set();
-        fp.OnDispatch(keys);
-        ref.OnDispatch(keys);
-        outstanding.push_back(std::move(keys));
+        outstanding.push_back(Outstanding{draw_set(), FootprintCharge()});
+        fp.OnDispatch(outstanding.back().keys, &outstanding.back().charge);
+        ref.OnDispatch(outstanding.back().keys);
       } else if (action < 0.97) {
         // Settle a random outstanding dispatch; old ones linger, so busy
         // records sit at the cold end and force eviction to skip them.
         const size_t idx = rng.NextU64(outstanding.size());
-        const auto keys = outstanding[idx];
+        Outstanding settled = std::move(outstanding[idx]);
         outstanding.erase(outstanding.begin() + static_cast<long>(idx));
         if (rng.NextBool(0.15)) {
-          fp.OnRelease(keys);
-          ref.OnRelease(keys);
+          fp.OnRelease(&settled.charge);
+          ref.OnRelease(settled.keys);
         } else {
           const Micros lel = static_cast<Micros>(rng.NextU64(20000));
           const bool committed = rng.NextBool(0.75);
-          fp.OnComplete(keys, lel, committed);
-          ref.OnComplete(keys, lel, committed);
+          fp.OnComplete(&settled.charge, lel, committed);
+          ref.OnComplete(settled.keys, lel, committed);
         }
       } else {
-        // Feedback for keys that were never dispatched.
-        const auto keys = draw_set();
-        const Micros lel = static_cast<Micros>(rng.NextU64(5000));
-        fp.OnComplete(keys, lel, true);
-        ref.OnComplete(keys, lel, true);
+        // A round of one to three participants, one settled at once: the
+        // fused scan reads Eq. 5 per participant and Eq. 9 over the
+        // round, with the model's per-key values multiplied in order.
+        std::vector<std::vector<RecordKey>> round;
+        std::vector<RecordKey> all_keys;
+        const int participants = static_cast<int>(rng.NextU64(3)) + 1;
+        double success = 1.0;
+        for (int i = 0; i < participants; ++i) {
+          round.push_back(draw_set());
+          all_keys.insert(all_keys.end(), round.back().begin(),
+                          round.back().end());
+          EXPECT_EQ(fp.Forecast(round.back(), &success),
+                    ref.ForecastLel(round.back()));
+        }
+        EXPECT_EQ(1.0 - success, ref.AbortProbability(all_keys));
+        Access(&fp, round.front(), 700, true);
+        ref.OnDispatch(round.front());
+        ref.OnComplete(round.front(), 700, true);
       }
       const std::string where =
           "seed " + std::to_string(seed) + " step " + std::to_string(step);
@@ -438,8 +536,8 @@ TEST(FootprintDifferentialTest, MatchesReferenceModel) {
         }
       }
       const auto probe = draw_set();
-      EXPECT_EQ(fp.ForecastLel(probe), ref.ForecastLel(probe)) << where;
-      EXPECT_EQ(fp.AbortProbability(probe), ref.AbortProbability(probe))
+      EXPECT_EQ(ForecastLel(fp, probe), ref.ForecastLel(probe)) << where;
+      EXPECT_EQ(AbortProbability(fp, probe), ref.AbortProbability(probe))
           << where;
 
       // Range and Histogram over a random window; it may span tables.

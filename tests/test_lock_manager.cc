@@ -191,6 +191,41 @@ TEST(LockManagerTest, ReleaseAllFreesEveryKey) {
   }
 }
 
+TEST(LockManagerTest, ReleaseAllWakesWaitersInGrantOrder) {
+  LockManager lm;
+  // T1 is granted three keys out of key order; T2..T4 each wait on one.
+  const uint64_t granted[] = {30, 10, 20};
+  for (uint64_t k : granted) {
+    ASSERT_TRUE(lm.TryLock(T(1), K(k), LockMode::kExclusive));
+  }
+  std::vector<uint64_t> woken;
+  for (uint64_t k : {10u, 20u, 30u}) {
+    // Waiter T(k / 10 + 1) wants key k.
+    const LockRequestId id =
+        lm.RequestLock(T(k / 10 + 1), K(k), LockMode::kExclusive,
+                       [&woken, k](Status st) {
+                         EXPECT_TRUE(st.ok());
+                         woken.push_back(k);
+                       });
+    ASSERT_NE(id, kInvalidLockRequest);
+  }
+  EXPECT_EQ(lm.owners(), 1u);
+  lm.ReleaseAll(T(1));
+  EXPECT_EQ(woken, std::vector<uint64_t>({30, 10, 20}));
+  EXPECT_EQ(lm.owners(), 3u);
+  EXPECT_EQ(lm.locked_keys(), 3u);
+  for (uint64_t t = 2; t <= 4; ++t) lm.ReleaseAll(T(t));
+  EXPECT_EQ(lm.locked_keys(), 0u);
+  EXPECT_EQ(lm.owners(), 0u);
+  // A new owner reuses a released list and starts empty.
+  ASSERT_TRUE(lm.TryLock(T(5), K(10), LockMode::kShared));
+  EXPECT_EQ(lm.owners(), 1u);
+  lm.ReleaseAll(T(5));
+  EXPECT_FALSE(lm.Holds(T(5), K(10), LockMode::kShared));
+  EXPECT_EQ(lm.locked_keys(), 0u);
+  EXPECT_EQ(lm.owners(), 0u);
+}
+
 TEST(LockManagerTest, ReleaseUnknownOwnerIsNoop) {
   LockManager lm;
   lm.ReleaseAll(T(99));  // must not crash

@@ -1975,5 +1975,94 @@ TEST(ReplicationTest, EmptyStoreBootstrapsFromOneEmptyLastChunk) {
   ExpectConverged(cluster);
 }
 
+
+// A request parked behind a promoted leader's barrier reports, in its
+// response's residence, the time since it first reached the node, parked
+// time included; so the DM's RTT sample from that round trip (round trip
+// less residence) leaves the parked time out.
+TEST(ReplicationTest, ParkedRequestResidenceCountsFromFirstArrival) {
+  MiniCluster::Options options = ReplicatedOptions();
+  // Long enough that the follower cut off below does not call an election
+  // (and depose the new leader) while it is cut off.
+  options.repl.election_timeout = SecToMicros(1);
+  MiniCluster cluster(options);
+  ASSERT_TRUE(
+      cluster.RunTxn(1, {MiniCluster::Write(cluster.KeyOn(0, 1), 1)}).ok());
+  cluster.RunFor(500);
+  cluster.dm().monitor().Stop();  // RTT samples come from traffic only
+  cluster.RunFor(500);
+
+  // Crash group 0's leader; hold the promoted follower's barrier by cutting
+  // off the other follower once it has voted, before the no-op's ack.
+  cluster.source(0).Crash();
+  datasource::DataSourceNode* promoted = nullptr;
+  for (int step = 0; step < 200000 && promoted == nullptr; ++step) {
+    cluster.RunFor(0.1);
+    for (int k = 0; k < 2; ++k) {
+      if (cluster.follower(0, k).replicator()->IsLeader()) {
+        promoted = &cluster.follower(0, k);
+        cluster.network().Partition(cluster.follower(0, 1 - k).id());
+      }
+    }
+  }
+  ASSERT_NE(promoted, nullptr);
+  ASSERT_FALSE(promoted->replicator()->ReadyToServe());
+  const NodeId other =
+      promoted == &cluster.follower(0, 0) ? cluster.follower(0, 1).id()
+                                          : cluster.follower(0, 0).id();
+  cluster.dm().catalog().UpdateLeader(cluster.source(0).id(), promoted->id(),
+                                      promoted->replicator()->epoch());
+
+  // Timestamps of the execute request's arrival and its response's.
+  sim::Network& network = cluster.network();
+  auto request_at = std::make_shared<Micros>(-1);
+  auto response_at = std::make_shared<Micros>(-1);
+  auto residence = std::make_shared<Micros>(-1);
+  sim::EventLoop& loop = cluster.loop();
+  network.RegisterNode(promoted->id(), [&loop, request_at,
+                                        inner = network.handler(promoted->id())](
+                                           std::unique_ptr<runtime::MessageBase> msg) {
+    if (msg->type() == runtime::MessageType::kBranchExecuteRequest) {
+      *request_at = loop.Now();
+    }
+    inner(std::move(msg));
+  });
+  const NodeId dm = cluster.dm().id();
+  network.RegisterNode(dm, [&loop, response_at, residence,
+                            inner = network.handler(dm)](
+                               std::unique_ptr<runtime::MessageBase> msg) {
+    if (msg->type() == runtime::MessageType::kBranchExecuteResponse) {
+      *response_at = loop.Now();
+      *residence =
+          static_cast<protocol::BranchExecuteResponse&>(*msg).residence;
+    }
+    inner(std::move(msg));
+  });
+
+  const uint64_t samples = cluster.dm().monitor().stats().traffic_samples;
+  cluster.SendRound(2, {MiniCluster::Write(cluster.KeyOn(0, 7), 1)},
+                    /*last_round=*/false);
+  cluster.RunFor(300);
+  ASSERT_GE(*request_at, 0);
+  ASSERT_LT(*response_at, 0);  // parked behind the barrier
+  const Micros restored_at = loop.Now();
+  network.Restore(other);
+  cluster.RunFor(200);
+  ASSERT_TRUE(promoted->replicator()->IsLeader());
+  ASSERT_TRUE(promoted->replicator()->ReadyToServe());
+  ASSERT_GE(*response_at, 0);
+  ASSERT_EQ(cluster.txn(2).round_responses.size(), 1u);
+
+  // Residence spans the parked time; what is left of the round trip is the
+  // response's one-way trip (the DM-to-follower link is 12 ms round trip).
+  EXPECT_GE(*residence, restored_at - *request_at);
+  EXPECT_GE(restored_at - *request_at, MsToMicros(290));
+  EXPECT_NEAR(static_cast<double>(*response_at - *request_at - *residence),
+              static_cast<double>(MsToMicros(6)), 100.0);
+  EXPECT_EQ(cluster.dm().monitor().stats().traffic_samples, samples + 1);
+  EXPECT_LT(cluster.dm().monitor().RttEstimate(promoted->id()),
+            MsToMicros(20));
+}
+
 }  // namespace
 }  // namespace geotp

@@ -15,6 +15,20 @@ namespace {
 
 RecordKey K(uint64_t k) { return RecordKey{1, k}; }
 
+/// One access to `key` that finishes: dispatched, then settled.
+void Access(HotspotFootprint* fp, const RecordKey& key, Micros lel,
+            bool committed) {
+  FootprintCharge charge;
+  fp->OnDispatch({key}, &charge);
+  fp->OnComplete(&charge, lel, committed);
+}
+
+/// One access to `key` still in flight (its a_cnt stays charged).
+void Hold(HotspotFootprint* fp, const RecordKey& key) {
+  FootprintCharge charge;
+  fp->OnDispatch({key}, &charge);
+}
+
 // A latency monitor with injected estimates (no network needed).
 class FakeMonitorFixture {
  public:
@@ -120,8 +134,7 @@ TEST(SchedulerTest, ForecastShiftsPostpone) {
   fx.SetRtt(2, MsToMicros(50));
   HotspotFootprint fp;
   for (int i = 0; i < 50; ++i) {
-    fp.OnDispatch({K(1)});
-    fp.OnComplete({K(1)}, MsToMicros(20), true);  // w_lat -> ~20ms
+    Access(&fp, K(1), MsToMicros(20), true);  // w_lat -> ~20ms
   }
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
@@ -148,8 +161,7 @@ TEST(SchedulerTest, ForecastScaleDampens) {
   fx.SetRtt(2, MsToMicros(50));
   HotspotFootprint fp;
   for (int i = 0; i < 50; ++i) {
-    fp.OnDispatch({K(1)});
-    fp.OnComplete({K(1)}, MsToMicros(20), true);
+    Access(&fp, K(1), MsToMicros(20), true);
   }
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
@@ -201,10 +213,9 @@ TEST(SchedulerTest, AdmissionBlocksHotTransactions) {
   HotspotFootprint fp;
   // Terrible success history + deep queue -> abort probability ~1.
   for (int i = 0; i < 20; ++i) {
-    fp.OnDispatch({K(1)});
-    fp.OnComplete({K(1)}, 100, i < 2);
+    Access(&fp, K(1), 100, i < 2);
   }
-  for (int i = 0; i < 10; ++i) fp.OnDispatch({K(1)});
+  for (int i = 0; i < 10; ++i) Hold(&fp, K(1));
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
   GeoScheduler sched(config, fx.monitor(), &fp);
@@ -222,10 +233,9 @@ TEST(SchedulerTest, AdmissionAbortsAfterRetryBudget) {
   fx.SetRtt(1, MsToMicros(10));
   HotspotFootprint fp;
   for (int i = 0; i < 20; ++i) {
-    fp.OnDispatch({K(1)});
-    fp.OnComplete({K(1)}, 100, false);
+    Access(&fp, K(1), 100, false);
   }
-  for (int i = 0; i < 10; ++i) fp.OnDispatch({K(1)});
+  for (int i = 0; i < 10; ++i) Hold(&fp, K(1));
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
   GeoScheduler sched(config, fx.monitor(), &fp);
@@ -246,10 +256,9 @@ TEST(SchedulerTest, AdmissionRunsOnlyUnderForecastPolicy) {
   fx.SetRtt(1, MsToMicros(10));
   HotspotFootprint fp;
   for (int i = 0; i < 20; ++i) {
-    fp.OnDispatch({K(1)});
-    fp.OnComplete({K(1)}, 100, false);
+    Access(&fp, K(1), 100, false);
   }
-  for (int i = 0; i < 10; ++i) fp.OnDispatch({K(1)});
+  for (int i = 0; i < 10; ++i) Hold(&fp, K(1));
   std::vector<ParticipantPlanInput> inputs(1);
   inputs[0].data_source = 1;
   inputs[0].keys = {K(1)};
@@ -279,10 +288,9 @@ TEST(SchedulerTest, AdmissionSkippedForNegativeAttempt) {
   fx.SetRtt(1, MsToMicros(10));
   HotspotFootprint fp;
   for (int i = 0; i < 20; ++i) {
-    fp.OnDispatch({K(1)});
-    fp.OnComplete({K(1)}, 100, false);
+    Access(&fp, K(1), 100, false);
   }
-  for (int i = 0; i < 10; ++i) fp.OnDispatch({K(1)});
+  for (int i = 0; i < 10; ++i) Hold(&fp, K(1));
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kLatencyAwareForecast;
   GeoScheduler sched(config, fx.monitor(), &fp);
