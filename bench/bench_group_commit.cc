@@ -12,10 +12,11 @@
 // >= 30% fewer fsyncs per commit than the unbatched baseline (the closing
 // summary line states the measured reduction).
 // WAN accounting: a second, replicated scenario measures the bytes the
-// leader->follower log shipping puts on the (simulated) WAN, raw shipping
-// vs the block compression. Acceptance additionally requires a
-// >= 2x compression ratio on the shipped entry batches (the "wan:" line;
-// scripts/run_bench.sh lifts it into BENCH_group_commit.json).
+// leader->follower log shipping puts on the (simulated) WAN: the packed
+// entry batches vs their sealed, block-compressed envelopes. Acceptance
+// additionally requires a >= 2x compression ratio on the shipped entry
+// batches (the "wan:" line; scripts/run_bench.sh lifts it into
+// BENCH_group_commit.json).
 #include <cstdio>
 #include <memory>
 
@@ -68,18 +69,15 @@ void PrintDetail(const Row& row) {
 // YCSB mix as the sweep above, built from a workload::Deployment (the
 // single-DM runner does not wire replication). The leaders' shippers count every
 // entry batch twice — packed bytes before the codec and bytes actually
-// sent — so one compressed run yields the ratio directly, and a raw run
-// (wan_compression off everywhere, so every batch ships plain) provides
-// the wire-parity baseline.
+// sent — so one run yields the ratio directly.
 // ---------------------------------------------------------------------------
 
 struct WanResult {
   uint64_t raw = 0;
   uint64_t wire = 0;
-  uint64_t committed = 0;
 };
 
-WanResult RunWanShipping(bool compressed) {
+WanResult RunWanShipping() {
   const ReplicatedTopology topo = MakeReplicatedTopology({27, 73});
   sim::EventLoop loop;
   sim::Network network(&loop, topo.matrix);
@@ -94,9 +92,6 @@ WanResult RunWanShipping(bool compressed) {
   deployment.middlewares = {topo.dm};
   deployment.groups = topo.groups;
   gen.RegisterTables(&deployment.catalog);
-  deployment.ds_tweak = [compressed](NodeId, datasource::DataSourceConfig* ds) {
-    ds->wan_compression = compressed;
-  };
   const std::unique_ptr<workload::Cluster> cluster =
       workload::Build(deployment, &runtime);
 
@@ -111,7 +106,6 @@ WanResult RunWanShipping(bool compressed) {
   loop.RunUntil(driver_config.warmup + driver_config.measure);
 
   WanResult out;
-  out.committed = driver.stats().committed;
   for (const auto& node : cluster->sources()) {
     if (node->replicator() != nullptr && node->replicator()->IsLeader()) {
       out.raw += node->replicator()->shipper_stats().wan_bytes_raw;
@@ -156,20 +150,14 @@ int main() {
   std::printf(
       "\nWAN log shipping (two 3-replica groups, same YCSB mix, group "
       "commit on):\n");
-  const WanResult raw_run = RunWanShipping(/*compressed=*/false);
-  const WanResult zip_run = RunWanShipping(/*compressed=*/true);
+  const WanResult wan = RunWanShipping();
   const double wan_ratio =
-      zip_run.wire == 0 ? 0.0 : static_cast<double>(zip_run.raw) /
-                                    static_cast<double>(zip_run.wire);
-  std::printf(
-      "raw shipping:   committed=%llu wire_bytes=%llu (== packed %llu)\n",
-      static_cast<unsigned long long>(raw_run.committed),
-      static_cast<unsigned long long>(raw_run.wire),
-      static_cast<unsigned long long>(raw_run.raw));
+      wan.wire == 0 ? 0.0 : static_cast<double>(wan.raw) /
+                                static_cast<double>(wan.wire);
   std::printf(
       "wan: raw_bytes=%llu wire_bytes=%llu ratio=%.2f (target >= 2.0)\n",
-      static_cast<unsigned long long>(zip_run.raw),
-      static_cast<unsigned long long>(zip_run.wire), wan_ratio);
+      static_cast<unsigned long long>(wan.raw),
+      static_cast<unsigned long long>(wan.wire), wan_ratio);
 
   if (baseline_64 > 0.0 && best_batched_64 >= 0.0) {
     const double reduction = 1.0 - best_batched_64 / baseline_64;

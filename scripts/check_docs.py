@@ -18,6 +18,9 @@
    is an entry of the runtime/message.h X-list, so a deleted message
    cannot linger in the docs. Handler and sender names (`On...`,
    `Send...`, `Handle...`) are functions, not messages.
+7. Every backticked `XxxConfig::field` in those same docs names a field
+   that struct declares under src/ (parsed with check_knobs'
+   config_fields), so a deleted or renamed setting cannot linger either.
 
 Exits non-zero with a per-problem report.
 """
@@ -25,6 +28,8 @@ Exits non-zero with a per-problem report.
 import os
 import re
 import sys
+
+from check_knobs import config_fields
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SKIP_DIRS = {"build", ".git", ".claude", "bench/out"}
@@ -129,10 +134,9 @@ MESSAGE_NAME_RE = re.compile(
 )
 
 
-def check_message_names(problems):
-    with open(os.path.join(REPO, "src/runtime/message.h"),
-              encoding="utf-8") as f:
-        messages = set(X_ENTRY_RE.findall(f.read()))
+def doc_spans():
+    """Yields (doc, span) for each backticked span outside code fences in
+    src/*/README.md, ARCHITECTURE.md and bench/README.md."""
     src = os.path.join(REPO, "src")
     docs = [
         os.path.join("src", entry, "README.md")
@@ -143,12 +147,39 @@ def check_message_names(problems):
         with open(os.path.join(REPO, rel), encoding="utf-8") as f:
             text = re.sub(r"```.*?```", "", f.read(), flags=re.S)
         for span in re.findall(r"`([^`\n]+)`", text):
-            for name in MESSAGE_NAME_RE.findall(span):
-                if name not in messages:
-                    problems.append(
-                        f"{rel}: `{name}` is not a message type "
-                        "(runtime/message.h)"
-                    )
+            yield rel, span
+
+
+def check_message_names(problems):
+    with open(os.path.join(REPO, "src/runtime/message.h"),
+              encoding="utf-8") as f:
+        messages = set(X_ENTRY_RE.findall(f.read()))
+    for rel, span in doc_spans():
+        for name in MESSAGE_NAME_RE.findall(span):
+            if name not in messages:
+                problems.append(
+                    f"{rel}: `{name}` is not a message type "
+                    "(runtime/message.h)"
+                )
+
+
+CONFIG_FIELD_RE = re.compile(r"(?<!\w)([A-Z]\w*Config)::(\w+)")
+
+
+def check_config_fields(problems):
+    declared = set()
+    for root, _, files in os.walk(os.path.join(REPO, "src")):
+        for name in sorted(files):
+            if name.endswith(".h"):
+                with open(os.path.join(root, name), encoding="utf-8") as f:
+                    declared.update((struct, field) for struct, field, _
+                                    in config_fields(f.read()))
+    for rel, span in doc_spans():
+        for struct, field in CONFIG_FIELD_RE.findall(span):
+            if (struct, field) not in declared:
+                problems.append(
+                    f"{rel}: `{struct}::{field}` is not a declared field"
+                )
 
 
 def main():
@@ -157,6 +188,7 @@ def main():
     check_src_readmes(problems)
     check_sim_layering(problems)
     check_message_names(problems)
+    check_config_fields(problems)
     if problems:
         print(f"docs check: {len(problems)} problem(s)")
         for p in problems:
@@ -165,7 +197,8 @@ def main():
     print("docs check: all markdown links resolve, "
           "all src/*/ READMEs present, referenced and naming every header, "
           "sim/ included only by the simulator's own layers, "
-          "every backticked message name a message type")
+          "every backticked message name a message type and every "
+          "backticked config field a declared one")
     return 0
 
 

@@ -41,7 +41,7 @@ ALLOWLIST = {
 }
 
 # Most `*Config` fields src/ may declare. Lower it when fields go.
-FIELD_CEILING = 100
+FIELD_CEILING = 99
 
 CONFIG_RE = re.compile(r"\bstruct\s+(\w*Config)\s*(?:final\s*)?\{")
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")

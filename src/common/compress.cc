@@ -220,10 +220,6 @@ uint64_t ContentHash64(const void* data, size_t len) {
   return h;
 }
 
-WireCodec SenderCodec(bool wan_compression) {
-  return wan_compression ? WireCodec::kBlock : WireCodec::kRaw;
-}
-
 ICompressor* CompressorFor(WireCodec codec) {
   switch (codec) {
     case WireCodec::kBlock: {

@@ -5,18 +5,17 @@
 // Every cross-region byte is the scarce resource in a geo-distributed
 // deployment, so the two bulk WAN paths — LogShipper entry batches and
 // migration/bootstrap ShardSnapshotChunks — pack their records into a
-// byte string, compress it, and ship
-// `{payload, codec, uncompressed_len, content_hash}` instead of the plain
-// vectors. The hash is computed over the UNCOMPRESSED packed bytes, so a
-// receiver verifies end-to-end integrity after decompression (a truncated
-// or bit-flipped frame is dropped, never applied). That is the hash's
-// only use: a plain (uncompressed) payload is not hashed, since nothing
-// verifies it.
+// byte string, compress it, and ship only the sealed envelope
+// `{payload, codec, uncompressed_len, content_hash}`. The hash is
+// computed over the UNCOMPRESSED packed bytes, so a receiver verifies
+// end-to-end integrity after decompression (a truncated or bit-flipped
+// frame is dropped, never applied), also for an envelope that fell back
+// to the raw codec because compression did not shrink it.
 //
-// There is no negotiation: `wan_compression` is a sender-side deployment
-// knob (SenderCodec), and every receiver decodes whatever codec a frame
-// names, whatever its own knob says. Another codec slots in behind the
-// ICompressor seam with a new WireCodec value and no call-site change.
+// There is no negotiation: every sender seals under the block codec, and
+// every receiver decodes whatever codec a frame names. Another codec
+// slots in behind the ICompressor seam with a new WireCodec value and no
+// call-site change.
 #ifndef GEOTP_COMMON_COMPRESS_H_
 #define GEOTP_COMMON_COMPRESS_H_
 
@@ -42,10 +41,6 @@ enum class WireCodec : uint8_t {
 };
 
 constexpr WireCodec WireMax(WireCodec) { return WireCodec::kBlock; }
-
-/// The codec a WAN sender ships under: the block codec when the sender's
-/// `wan_compression` knob is on, raw when it is off.
-WireCodec SenderCodec(bool wan_compression);
 
 /// Compression seam (SNIPPETS.md snippet 2 idiom): one process-wide
 /// instance per codec. Output depends only on the input bytes; whatever

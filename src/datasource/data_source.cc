@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/wire.h"
 
 namespace geotp {
 namespace datasource {
@@ -226,7 +227,7 @@ void DataSourceNode::PrepareDurably(const Xid& xid, NodeId coordinator,
       AppendRecordEntry(ReplEntryType::kPrepare, xid, coordinator);
   committer_.Append(
       config_.engine.prepare_fsync_cost,
-      "PREPARE xid=" + xid.ToString() + "\n",
+      wire::Pack(storage::LogRecord{storage::LogRecordType::kPrepare, xid}),
       [this, xid, coordinator, fsync_span,
        on_refused = std::move(on_refused)]() {
         EndBranchSpan(fsync_span);
@@ -785,7 +786,6 @@ void DataSourceNode::AsyncRollback(const Xid& xid,
     req->from = id_;
     req->to = peer;
     req->txn_id = xid.txn_id;
-    req->origin = id_;
     network_->Send(std::move(req));
     stats_.early_aborts_sent++;
   }
@@ -914,7 +914,8 @@ void DataSourceNode::CommitBranch(const Xid& xid,
   // prepare/commit records (group commit).
   const obs::SpanHandle fsync_span =
       BeginBranchSpan(xid.txn_id, "ds.commit_fsync");
-  std::string record = "COMMIT xid=" + xid.ToString() + "\n";
+  std::string record =
+      wire::Pack(storage::LogRecord{storage::LogRecordType::kCommit, xid});
   if (replicator_ == nullptr) {
     // Early lock release: the branch commits in the engine as its record
     // joins the batch, and only its outcome waits for the flush. The

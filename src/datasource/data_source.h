@@ -92,11 +92,6 @@ struct DataSourceConfig {
   /// lost by the network are re-sent when no stream progress happened for
   /// this long; duplicates are re-acked at the receiver's position.
   Micros migration_resend_timeout = MsToMicros(600);
-  /// WAN frugality: compress the log-shipping batches and migration/
-  /// bootstrap snapshot chunks this node sends (common/compress.h). A
-  /// sender-side knob: receivers decode compressed and plain frames alike,
-  /// whatever their own setting.
-  bool wan_compression = true;
 
   static DataSourceConfig MySql() {
     DataSourceConfig config;

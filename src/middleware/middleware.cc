@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/wire.h"
 #include "datasource/data_source.h"
 
 namespace geotp {
@@ -798,7 +799,9 @@ void MiddlewareNode::FlushLogAndDispatch(Txn& txn, bool commit) {
   }
   log_committer_.Append(
       kLogFlushCost,
-      "DECISION txn=" + std::to_string(id) + (commit ? " C\n" : " A\n"),
+      wire::Pack(storage::LogRecord{commit ? storage::LogRecordType::kCommit
+                                           : storage::LogRecordType::kAbort,
+                                    Xid{id, kInvalidNode}}),
       [this, id, commit]() {
     Txn* txn = FindTxn(id);
     if (txn == nullptr) return;
@@ -895,7 +898,9 @@ void MiddlewareNode::FlushDispatchQueues() {
     dispatch_queues_.clear();
     return;
   }
-  // Every destination's prepares leave before any decision.
+  // Every destination's prepares leave before any decision. None carries
+  // a trace context: the source opens its prepare and commit spans under
+  // the context it kept from the branch's BranchExecuteRequest.
   for (auto& [dest, queue] : dispatch_queues_) {
     std::vector<Xid>& xids = queue.prepares;
     if (xids.empty()) continue;
@@ -905,10 +910,6 @@ void MiddlewareNode::FlushDispatchQueues() {
       prep->from = id_;
       prep->to = dest;
       prep->xid = xids.front();
-      // Singleton envelopes carry the transaction's context; batches rely
-      // on the branch context stored at the source (one envelope cannot
-      // carry many contexts).
-      if (Txn* t = FindTxn(prep->xid.txn_id)) prep->trace = t->trace;
       network_->Send(std::move(prep));
       continue;
     }
@@ -929,9 +930,6 @@ void MiddlewareNode::FlushDispatchQueues() {
       decision->from = id_;
       decision->to = dest;
       decision->item = items.front();
-      if (Txn* t = FindTxn(decision->item.xid.txn_id)) {
-        decision->trace = t->trace;
-      }
       network_->Send(std::move(decision));
       continue;
     }

@@ -252,8 +252,7 @@ struct DecisionBatch : runtime::Message<DecisionBatch> {
 /// without DM coordination.
 struct PeerAbortRequest : runtime::Message<PeerAbortRequest> {
   TxnId txn_id = kInvalidTxn;
-  NodeId origin = kInvalidNode;  ///< the data source where the failure hit
-  GEOTP_WIRE_FIELDS(txn_id, origin)
+  GEOTP_WIRE_FIELDS(txn_id)
 };
 
 // ---------------------------------------------------------------------------
@@ -342,18 +341,18 @@ struct ReplEntry {
                     ingest_migration_id, ingest_chunk_seq, ingest_delta_seq)
 };
 
-/// Leader -> follower log shipping. Empty `entries` is a heartbeat; both
-/// carry the quorum commit watermark so followers can apply.
+/// Leader -> follower log shipping. A frame without a payload is a
+/// heartbeat; both carry the quorum commit watermark so followers can
+/// apply.
 struct ReplAppendRequest : runtime::Message<ReplAppendRequest> {
   NodeId group = kInvalidNode;  ///< logical data source id
   uint64_t epoch = 0;
-  /// Index of the entry immediately before `entries` (0 = log start).
+  /// Index of the entry immediately before the batch (0 = log start).
   uint64_t prev_index = 0;
   /// Epoch of the entry at prev_index (0 at log start): the follower
   /// accepts only if its own log matches, so divergent tails from deposed
   /// leaders are detected and truncated.
   uint64_t prev_epoch = 0;
-  std::vector<ReplEntry> entries;
   uint64_t commit_watermark = 0;
   /// Highest index every group member is known to hold (leader's min match
   /// bounded by the watermark): followers may compact their log prefix up
@@ -361,19 +360,19 @@ struct ReplAppendRequest : runtime::Message<ReplAppendRequest> {
   /// retained tail to a lagging peer.
   uint64_t compact_floor = 0;
   // ---- WAN envelope (src/common/compress.h) ----
-  // When `payload` is non-empty it replaces `entries` on the wire: the
-  // batch is packed (protocol::PackEntries), optionally compressed under
-  // `payload_codec`, and verified end-to-end against `payload_hash` (the
-  // FNV hash of the UNCOMPRESSED packed bytes) before the receiver unpacks
-  // it back into `entries`. A frame failing the check is dropped whole —
-  // the follower's nack/retransmit path recovers, nothing half-applies.
-  // A leader with wan_compression off ships plain `entries` instead.
+  // The entry batch travels only here: packed (`wire::Pack` of the
+  // ReplEntry vector), compressed under `payload_codec`, and verified
+  // end-to-end against `payload_hash` (the FNV hash of the UNCOMPRESSED
+  // packed bytes) before the receiver unpacks it
+  // (protocol::OpenAppendPayload). A frame failing the check is dropped
+  // whole — the follower's nack/retransmit path recovers, nothing
+  // half-applies.
   common::WireCodec payload_codec = common::WireCodec::kRaw;
   uint32_t payload_uncompressed_len = 0;
   uint64_t payload_hash = 0;
   std::string payload;
-  GEOTP_WIRE_FIELDS(group, epoch, prev_index, prev_epoch, entries,
-                    commit_watermark, compact_floor, payload_codec,
+  GEOTP_WIRE_FIELDS(group, epoch, prev_index, prev_epoch, commit_watermark,
+                    compact_floor, payload_codec,
                     payload_uncompressed_len, payload_hash, payload)
 };
 
@@ -402,8 +401,7 @@ struct ReplVoteResponse : runtime::Message<ReplVoteResponse> {
   NodeId group = kInvalidNode;
   uint64_t epoch = 0;
   bool granted = false;
-  uint64_t voter_last_index = 0;
-  GEOTP_WIRE_FIELDS(group, epoch, granted, voter_last_index)
+  GEOTP_WIRE_FIELDS(group, epoch, granted)
 };
 
 /// Broadcast by a freshly elected leader to the middlewares so they update
@@ -497,17 +495,16 @@ struct ShardSnapshotChunk : runtime::Message<ShardSnapshotChunk> {
   uint64_t epoch = 0;            ///< leadership epoch (bootstrap only)
   uint64_t base_index = 0;       ///< log index covered through (bootstrap)
   uint64_t base_epoch = 0;       ///< epoch of the entry at base_index
-  std::vector<ReplWrite> records;
   // ---- WAN envelope (src/common/compress.h) ----
-  // Non-empty `payload` replaces `records` on the wire (packed via
-  // protocol::PackWrites, compressed); `content_hash` lets the receiver
-  // verify it after decompression (0 on a raw chunk).
+  // The chunk's records travel only here (`wire::Pack` of the ReplWrite
+  // vector, compressed); `content_hash` lets the receiver verify them
+  // after decompression (protocol::OpenChunkPayload).
   common::WireCodec payload_codec = common::WireCodec::kRaw;
   uint32_t payload_uncompressed_len = 0;
   uint64_t content_hash = 0;  ///< hash of the packed (uncompressed) records
   std::string payload;
   GEOTP_WIRE_FIELDS(migration_id, group, range, seq, last, epoch, base_index,
-                    base_epoch, records, payload_codec,
+                    base_epoch, payload_codec,
                     payload_uncompressed_len, content_hash, payload)
 };
 

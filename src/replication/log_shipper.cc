@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/wire.h"
 #include "protocol/wan_codec.h"
 
 namespace geotp {
@@ -129,19 +130,13 @@ void LogShipper::ShipTo(NodeId follower, Progress& progress) {
   req->commit_watermark = commit_watermark_;
   req->compact_floor = std::min(MinMatchIndex(), commit_watermark_);
   if (progress.next_index <= last) {
-    // The sealed envelope (plain entries when the knob is off); every
-    // follower at this next index gets the same bytes.
+    // Every follower at this next index gets the same sealed bytes.
     const protocol::SealedPayload& sealed = Seal(progress.next_index, last);
-    if (sealed.payload.empty()) {
-      const auto [first, end] = log_->Range(progress.next_index, last);
-      req->entries.assign(first, end);
-    } else {
-      protocol::AttachSealed(sealed, req.get());
-    }
+    protocol::AttachSealed(sealed, req.get());
     stats_.entries_shipped += last - progress.next_index + 1;
     stats_.append_batches_shipped++;
-    stats_.wan_bytes_raw += sealed.bytes.raw;
-    stats_.wan_bytes_wire += sealed.bytes.wire;
+    stats_.wan_bytes_raw += sealed.uncompressed_len;
+    stats_.wan_bytes_wire += sealed.payload.size();
   }
   network_->Send(std::move(req));
   // Optimistically advance; a failed ack rewinds next_index.
@@ -153,9 +148,9 @@ const protocol::SealedPayload& LogShipper::Seal(uint64_t first,
                                                 uint64_t last) {
   if (sealed_first_ == first && sealed_last_ == last) return sealed_;
   const auto [begin, end] = log_->Range(first, last);
-  protocol::PackEntriesInto(begin, end, &packed_);
-  protocol::SealPayload(common::SenderCodec(wan_compression_), packed_,
-                        &sealed_);
+  packed_.clear();
+  wire::Writer(&packed_).PutRange(begin, end);
+  protocol::SealPayload(packed_, &sealed_);
   sealed_first_ = first;
   sealed_last_ = last;
   stats_.batches_sealed++;

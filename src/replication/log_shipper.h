@@ -126,8 +126,7 @@ struct LogShipperStats {
   uint64_t quorum_callbacks_fired = 0;
   uint64_t snapshots_sent = 0;  ///< bootstrap snapshots to wiped followers
   /// WAN accounting for shipped entry batches, per frame: packed size
-  /// before compression vs bytes actually put on the wire (equal when a
-  /// batch ships raw — compression disabled on this leader).
+  /// before compression vs bytes actually put on the wire.
   uint64_t wan_bytes_raw = 0;
   uint64_t wan_bytes_wire = 0;
   /// Batches packed, compressed and hashed. Followers at the same next
@@ -163,10 +162,6 @@ class LogShipper {
   void set_on_commit(std::function<void()> hook) {
     on_commit_ = std::move(hook);
   }
-
-  /// Leader-side compression knob (DataSourceConfig::wan_compression):
-  /// on, batches ship compressed (common::SenderCodec); off, plain.
-  void set_wan_compression(bool on) { wan_compression_ = on; }
 
   /// Activates shipping for a leadership term. `floor` is the commit
   /// watermark known when leadership was acquired — the watermark never
@@ -264,7 +259,6 @@ class LogShipper {
   SnapshotSender snapshot_sender_;
   const storage::GroupCommitter* wal_ = nullptr;
   std::function<void()> on_commit_;
-  bool wan_compression_ = true;
   bool active_ = false;
   NodeId group_ = kInvalidNode;
   uint64_t epoch_ = 0;

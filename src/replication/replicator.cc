@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/wire.h"
 #include "datasource/data_source.h"
 #include "protocol/wan_codec.h"
 
@@ -57,7 +58,6 @@ Replicator::Replicator(datasource::DataSourceNode* node, GroupConfig group)
   ordinal_ = static_cast<int>(it - group_.replicas.begin());
   shipper_.set_snapshot_sender(
       [this](NodeId follower) { SendBootstrapSnapshot(follower); });
-  shipper_.set_wan_compression(node_->config().wan_compression);
   shipper_.set_wal(&node_->committer());
   shipper_.set_on_commit([this]() { ApplyCommitted(); });
 }
@@ -235,16 +235,14 @@ std::optional<uint64_t> Replicator::CommitEntryIndex(TxnId txn) const {
 bool Replicator::HandleMessage(runtime::MessageBase* msg) {
   switch (msg->type()) {
     case runtime::MessageType::kReplAppendRequest: {
-      auto& req = static_cast<ReplAppendRequest&>(*msg);
-      // A sealed frame opens into the entry vector the previous one left
-      // behind (OnAppend moved its entries into the log), reusing its
-      // capacity, and hands it back afterwards.
-      const bool sealed = !req.payload.empty();
-      if (sealed) req.entries.swap(opened_entries_);
+      const auto& req = static_cast<const ReplAppendRequest&>(*msg);
+      // The batch opens into the vector the previous one left behind
+      // (OnAppend moved its entries into the log), reusing its capacity.
       // A corrupt envelope (hash or bounds check failed) drops the whole
       // frame. No ack — the leader's heartbeat retransmit recovers.
-      if (protocol::OpenAppendPayload(&req)) OnAppend(req);
-      if (sealed) req.entries.swap(opened_entries_);
+      if (protocol::OpenAppendPayload(req, &opened_entries_)) {
+        OnAppend(req, opened_entries_);
+      }
       return true;
     }
     case runtime::MessageType::kReplAppendAck:
@@ -266,10 +264,11 @@ bool Replicator::HandleMessage(runtime::MessageBase* msg) {
       if (chunk.migration_id != 0 || chunk.group != group_.logical) {
         return false;
       }
-      if (!protocol::OpenChunkPayload(&chunk)) {
+      std::vector<protocol::ReplWrite> records;
+      if (!protocol::OpenChunkPayload(chunk, &records)) {
         return true;  // corrupt: drop; the next re-sent stream recovers
       }
-      OnBootstrapSnapshot(chunk);
+      OnBootstrapSnapshot(chunk, records);
       return true;
     }
     default:
@@ -277,7 +276,8 @@ bool Replicator::HandleMessage(runtime::MessageBase* msg) {
   }
 }
 
-void Replicator::OnAppend(ReplAppendRequest& req) {
+void Replicator::OnAppend(const ReplAppendRequest& req,
+                          std::vector<ReplEntry>& entries) {
   stats_.appends_received++;
   auto ack = std::make_unique<ReplAppendAck>();
   ack->from = self();
@@ -314,7 +314,7 @@ void Replicator::OnAppend(ReplAppendRequest& req) {
     return;
   }
 
-  for (ReplEntry& entry : req.entries) {
+  for (ReplEntry& entry : entries) {
     // Entries at or below our compacted prefix are quorum-applied
     // duplicates (a conservative retransmit after leadership churn).
     if (entry.index < log_.first_index()) continue;
@@ -331,7 +331,7 @@ void Replicator::OnAppend(ReplAppendRequest& req) {
     Track(log_.Append(std::move(entry)));
   }
 
-  const uint64_t verified = req.prev_index + req.entries.size();
+  const uint64_t verified = req.prev_index + entries.size();
   compact_floor_ = std::max(compact_floor_, req.compact_floor);
   consistent_prefix_ = std::max(consistent_prefix_, verified);
   follower_watermark_ = std::max(
@@ -469,7 +469,6 @@ void Replicator::OnVoteRequest(const ReplVoteRequest& req) {
   resp->group = group_.logical;
   resp->epoch = granted ? req.epoch : election_.epoch();
   resp->granted = granted;
-  resp->voter_last_index = log_.last_index();
   network()->Send(std::move(resp));
 }
 
@@ -546,12 +545,11 @@ void Replicator::SendBootstrapSnapshot(NodeId follower) {
       stream.chunk_starts.push_back(records[i].key);
     }
   }
-  const common::WireCodec codec =
-      common::SenderCodec(node_->config().wan_compression);
   // Chunk s ends before chunk_starts[s-1]; the last one takes the rest.
   // An empty store still sends one (empty) `last` chunk.
   const uint64_t chunks = stream.chunk_starts.size() + 1;
   auto begin = records.begin();
+  std::string packed;
   for (uint64_t seq = 1; seq <= chunks; ++seq) {
     auto end = begin;
     while (end != records.end() &&
@@ -568,12 +566,12 @@ void Replicator::SendBootstrapSnapshot(NodeId follower) {
     chunk->last = seq == chunks;
     chunk->base_index = base_index;
     chunk->base_epoch = base_epoch;
-    chunk->records.assign(begin, end);
+    packed.clear();
+    wire::Writer(&packed).PutRange(begin, end);
     begin = end;
-    const protocol::EnvelopeBytes bytes =
-        protocol::SealChunkPayload(codec, chunk.get());
-    stats_.wan_bytes_raw += bytes.raw;
-    stats_.wan_bytes_wire += bytes.wire;
+    protocol::SealChunkPayload(packed, chunk.get());
+    stats_.wan_bytes_raw += chunk->payload_uncompressed_len;
+    stats_.wan_bytes_wire += chunk->payload.size();
     stats_.bootstrap_chunks_sent++;
     network()->Send(std::move(chunk));
   }
@@ -608,7 +606,8 @@ void Replicator::FinishBootstrapInstall() {
 }
 
 void Replicator::OnBootstrapSnapshot(
-    const protocol::ShardSnapshotChunk& chunk) {
+    const protocol::ShardSnapshotChunk& chunk,
+    const std::vector<protocol::ReplWrite>& records) {
   // Stream chunks are numbered from 1; no sender produces seq 0.
   if (chunk.seq == 0) return;
   if (chunk.epoch < election_.epoch()) return;  // stale leader
@@ -638,7 +637,7 @@ void Replicator::OnBootstrapSnapshot(
   }
   // Records apply at once (values are absolute, so a re-sent stream is
   // idempotent); the log repositions only once chunks 1..N are all here.
-  for (const protocol::ReplWrite& w : chunk.records) {
+  for (const protocol::ReplWrite& w : records) {
     node_->engine().store().Apply(w.key, w.value);
   }
   PendingBootstrap& pending = *pending_bootstrap_;

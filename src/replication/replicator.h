@@ -204,8 +204,9 @@ class Replicator {
   void WipeForBootstrap();
 
  private:
-  /// Moves the request's entries into the log.
-  void OnAppend(protocol::ReplAppendRequest& req);
+  /// Moves `entries`, the request's opened batch, into the log.
+  void OnAppend(const protocol::ReplAppendRequest& req,
+                std::vector<protocol::ReplEntry>& entries);
   void OnAppendAck(const protocol::ReplAppendAck& ack);
   void OnVoteRequest(const protocol::ReplVoteRequest& req);
   void OnVoteResponse(const protocol::ReplVoteResponse& resp);
@@ -221,7 +222,8 @@ class Replicator {
   /// Follower side: applies one chunk (migration_id == 0, seq >= 1) of a
   /// bootstrap stream and installs once it holds seqs 1..N for the
   /// stream's (leader epoch, base_index).
-  void OnBootstrapSnapshot(const protocol::ShardSnapshotChunk& chunk);
+  void OnBootstrapSnapshot(const protocol::ShardSnapshotChunk& chunk,
+                           const std::vector<protocol::ReplWrite>& records);
   /// Follower side: every chunk of the stream arrived — position the log
   /// at the snapshot boundary and ack.
   void FinishBootstrapInstall();
@@ -285,7 +287,7 @@ class Replicator {
   ElectionState election_;
   ReplicationLog log_;
   LogShipper shipper_;
-  /// Decode target of sealed appends, kept for its capacity.
+  /// Decode target of appends, kept for its capacity.
   std::vector<protocol::ReplEntry> opened_entries_;
 
   // Follower-side state.

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/compress.h"
 #include "common/logging.h"
+#include "common/wire.h"
 #include "datasource/data_source.h"
 #include "protocol/wan_codec.h"
 
@@ -33,12 +33,13 @@ bool ShardMigrator::HandleMessage(runtime::MessageBase* msg) {
       OnMigrateCancel(static_cast<ShardMigrateCancel&>(*msg));
       return true;
     case runtime::MessageType::kShardSnapshotChunk: {
-      auto& chunk = static_cast<ShardSnapshotChunk&>(*msg);
+      const auto& chunk = static_cast<const ShardSnapshotChunk&>(*msg);
       // A corrupt envelope is dropped whole — never half-applied; the
       // source's resend timer recovers it. (Bootstrap chunks were already
       // consumed — and opened — by the Replicator.)
-      if (!protocol::OpenChunkPayload(&chunk)) return true;
-      OnSnapshotChunk(chunk);
+      std::vector<ReplWrite> records;
+      if (!protocol::OpenChunkPayload(chunk, &records)) return true;
+      OnSnapshotChunk(chunk, std::move(records));
       return true;
     }
     case runtime::MessageType::kShardSnapshotAck:
@@ -259,11 +260,9 @@ void ShardMigrator::SendChunk(Outbound& out, uint64_t seq,
   chunk->range = out.range;
   chunk->seq = seq;
   chunk->last = last;
-  chunk->records = records;
-  const protocol::EnvelopeBytes bytes = protocol::SealChunkPayload(
-      common::SenderCodec(node_->config().wan_compression), chunk.get());
-  stats_.wan_bytes_raw += bytes.raw;
-  stats_.wan_bytes_wire += bytes.wire;
+  protocol::SealChunkPayload(wire::Pack(records), chunk.get());
+  stats_.wan_bytes_raw += chunk->payload_uncompressed_len;
+  stats_.wan_bytes_wire += chunk->payload.size();
   node_->transport()->Send(std::move(chunk));
 }
 
@@ -685,7 +684,8 @@ void ShardMigrator::SendChunkAck(uint64_t migration_id, NodeId source) {
   node_->transport()->Send(std::move(ack));
 }
 
-void ShardMigrator::OnSnapshotChunk(const ShardSnapshotChunk& chunk) {
+void ShardMigrator::OnSnapshotChunk(const ShardSnapshotChunk& chunk,
+                                    std::vector<ReplWrite> records) {
   // migration_id == 0 chunks are replication bootstrap snapshots and are
   // consumed by the Replicator before this handler runs.
   if (chunk.migration_id == 0) return;
@@ -709,7 +709,7 @@ void ShardMigrator::OnSnapshotChunk(const ShardSnapshotChunk& chunk) {
   if (!already_buffered && in.pending_chunks.size() >= window) {
     return;  // credit overrun; the retransmit path recovers
   }
-  in.pending_chunks[chunk.seq] = chunk.records;
+  in.pending_chunks[chunk.seq] = std::move(records);
   stats_.peak_buffered_chunks = std::max<uint64_t>(
       stats_.peak_buffered_chunks, in.pending_chunks.size());
   DrainIngest(id, source);

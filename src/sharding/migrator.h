@@ -249,7 +249,9 @@ class ShardMigrator {
 
   void OnMigrateRequest(const protocol::ShardMigrateRequest& req);
   void OnMigrateCancel(const protocol::ShardMigrateCancel& req);
-  void OnSnapshotChunk(const protocol::ShardSnapshotChunk& chunk);
+  /// `records` is the chunk's opened envelope.
+  void OnSnapshotChunk(const protocol::ShardSnapshotChunk& chunk,
+                       std::vector<protocol::ReplWrite> records);
   void OnSnapshotAck(const protocol::ShardSnapshotAck& ack);
   void OnDeltaBatch(const protocol::ShardDeltaBatch& batch);
   void OnDeltaAck(const protocol::ShardDeltaAck& ack);
@@ -259,7 +261,7 @@ class ShardMigrator {
   /// Builds + sends chunks while the receiver's credit window allows.
   void PumpChunks(uint64_t migration_id);
   /// Sends one already-built chunk (fresh or retransmit): seals it into
-  /// the WAN envelope (common::SenderCodec) and counts the bytes.
+  /// the WAN envelope and counts the bytes.
   void SendChunk(Outbound& out, uint64_t seq,
                  const std::vector<protocol::ReplWrite>& records, bool last);
   /// Re-sends every unacked chunk to the current destination leader.

@@ -43,6 +43,20 @@
 namespace geotp {
 namespace storage {
 
+/// What one log record holds (the committer's `payload`, written with
+/// `wire::Pack`): a data source's PREPARE or COMMIT of a branch, or a
+/// DM's decision for a transaction (its xid names no data source). Its
+/// 13 bytes fit a string's inline buffer, so a record allocates nothing.
+enum class LogRecordType : uint8_t { kPrepare, kCommit, kAbort };
+constexpr LogRecordType WireMax(LogRecordType) {
+  return LogRecordType::kAbort;
+}
+struct LogRecord {
+  LogRecordType type = LogRecordType::kPrepare;
+  Xid xid;
+  GEOTP_WIRE_FIELDS(type, xid)
+};
+
 struct GroupCommitConfig {
   /// How long an open batch waits for co-travellers before flushing.
   /// 0 still merges every append from the same event-loop tick.

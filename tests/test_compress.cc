@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/compress.h"
+#include "common/wire.h"
 #include "protocol/wan_codec.h"
 #include "runtime/codec.h"
 
@@ -51,7 +52,7 @@ std::string RecordLikeBytes(std::mt19937_64* rng, size_t records) {
     w.value = static_cast<int64_t>((*rng)() % 100);
     writes.push_back(w);
   }
-  return protocol::PackWrites(writes);
+  return wire::Pack(writes);
 }
 
 void ExpectRoundTrip(WireCodec want, const std::string& raw) {
@@ -117,7 +118,7 @@ std::string FixedEntryBatch() {
     e.writes.push_back(ReplWrite{RecordKey{2, 64 + i}, -5});
     entries.push_back(std::move(e));
   }
-  return protocol::PackEntries(entries);
+  return wire::Pack(entries);
 }
 
 std::string BlockCompress(const std::string& raw) {
@@ -288,9 +289,9 @@ TEST(WanCodec, WritesRoundTripAndIdentity) {
     w.value = static_cast<int64_t>(rng());
     writes.push_back(w);
   }
-  const std::string packed = protocol::PackWrites(writes);
+  const std::string packed = wire::Pack(writes);
   std::vector<ReplWrite> back;
-  ASSERT_TRUE(protocol::UnpackWrites(packed, &back));
+  ASSERT_TRUE(wire::Unpack(packed, &back));
   ASSERT_EQ(back.size(), writes.size());
   for (size_t i = 0; i < writes.size(); ++i) {
     EXPECT_EQ(back[i].key, writes[i].key);
@@ -298,11 +299,11 @@ TEST(WanCodec, WritesRoundTripAndIdentity) {
   }
   // Determinism: the hash IS the chunk identity in the re-seed handshake,
   // so packing the same records twice must produce identical bytes.
-  EXPECT_EQ(packed, protocol::PackWrites(writes));
+  EXPECT_EQ(packed, wire::Pack(writes));
   // Truncations reject totally.
   for (size_t cut = 0; cut < packed.size(); cut += 3) {
     std::vector<ReplWrite> scratch;
-    EXPECT_FALSE(protocol::UnpackWrites(packed.substr(0, cut), &scratch));
+    EXPECT_FALSE(wire::Unpack(packed.substr(0, cut), &scratch));
   }
 }
 
@@ -335,9 +336,9 @@ TEST(WanCodec, EntriesRoundTrip) {
     e.ingest_chunk_seq = i % 3 == 0 ? 2 : 0;
     entries.push_back(std::move(e));
   }
-  const std::string packed = protocol::PackEntries(entries);
+  const std::string packed = wire::Pack(entries);
   std::vector<ReplEntry> back;
-  ASSERT_TRUE(protocol::UnpackEntries(packed, &back));
+  ASSERT_TRUE(wire::Unpack(packed, &back));
   ASSERT_EQ(back.size(), entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
     EXPECT_EQ(back[i].index, entries[i].index);
@@ -353,67 +354,78 @@ TEST(WanCodec, EntriesRoundTrip) {
   EXPECT_EQ(back[6].migration->delta_next_seq, 6u);
   for (size_t cut = 0; cut < packed.size(); cut += 7) {
     std::vector<ReplEntry> scratch;
-    EXPECT_FALSE(protocol::UnpackEntries(packed.substr(0, cut), &scratch));
+    EXPECT_FALSE(wire::Unpack(packed.substr(0, cut), &scratch));
   }
 }
 
 TEST(WanCodec, SealOpenAppendEnvelope) {
-  protocol::ReplAppendRequest req;
-  req.group = 2;
-  req.epoch = 1;
+  std::vector<ReplEntry> entries;
   for (uint64_t i = 1; i <= 64; ++i) {
     ReplEntry e;
     e.index = i;
     e.epoch = 1;
     e.xid = Xid{i, 2};
     e.writes.push_back(ReplWrite{RecordKey{1, 1000 + i}, 5});
-    req.entries.push_back(std::move(e));
+    entries.push_back(std::move(e));
   }
-  const protocol::ReplAppendRequest plain = req;
-  const auto bytes =
-      protocol::SealAppendPayload(WireCodec::kBlock, &req);
-  ASSERT_TRUE(req.entries.empty());
-  ASSERT_FALSE(req.payload.empty());
-  EXPECT_LT(bytes.wire, bytes.raw);  // structured entries must compress
+  const std::string packed = wire::Pack(entries);
+  protocol::SealedPayload sealed;
+  protocol::SealPayload(packed, &sealed);
+  EXPECT_EQ(sealed.codec, WireCodec::kBlock);
+  EXPECT_EQ(sealed.uncompressed_len, packed.size());
+  EXPECT_EQ(sealed.hash, ContentHash64(packed));
+  // Structured entries must compress.
+  EXPECT_LT(sealed.payload.size(), packed.size());
+  protocol::ReplAppendRequest req;
+  req.group = 2;
+  req.epoch = 1;
+  protocol::AttachSealed(sealed, &req);
   // The traffic accounting counts the sealed frame, so the simulator sees
   // the compression too.
   EXPECT_EQ(req.WireSize(), runtime::EncodeMessage(req).size());
-  EXPECT_LT(req.WireSize(), plain.WireSize());
-  ASSERT_TRUE(protocol::OpenAppendPayload(&req));
-  EXPECT_EQ(req.entries.size(), plain.entries.size());
-  EXPECT_TRUE(req.payload.empty());
+  std::vector<ReplEntry> back;
+  ASSERT_TRUE(protocol::OpenAppendPayload(req, &back));
+  EXPECT_EQ(wire::Pack(back), packed);
+  // A heartbeat carries no envelope and opens to no entries.
+  protocol::ReplAppendRequest heartbeat;
+  ASSERT_TRUE(protocol::OpenAppendPayload(heartbeat, &back));
+  EXPECT_TRUE(back.empty());
   // Corrupt envelope: flip a payload byte — the open must fail whole.
-  protocol::ReplAppendRequest corrupt;
-  corrupt.entries = req.entries;
-  protocol::SealAppendPayload(WireCodec::kBlock, &corrupt);
+  protocol::ReplAppendRequest corrupt = req;
   corrupt.payload[corrupt.payload.size() / 2] ^= 0x20;
-  EXPECT_FALSE(protocol::OpenAppendPayload(&corrupt));
+  EXPECT_FALSE(protocol::OpenAppendPayload(corrupt, &back));
 }
 
 TEST(WanCodec, SealOpenChunkEnvelope) {
+  std::vector<ReplWrite> records;
+  for (uint64_t i = 0; i < 256; ++i) {
+    records.push_back(
+        ReplWrite{RecordKey{1, 5000 + i}, static_cast<int64_t>(i % 7)});
+  }
+  const std::string packed = wire::Pack(records);
   protocol::ShardSnapshotChunk chunk;
   chunk.migration_id = 9;
   chunk.seq = 3;
-  for (uint64_t i = 0; i < 256; ++i) {
-    chunk.records.push_back(
-        ReplWrite{RecordKey{1, 5000 + i}, static_cast<int64_t>(i % 7)});
-  }
-  const std::string packed = protocol::PackWrites(chunk.records);
-  const auto bytes =
-      protocol::SealChunkPayload(WireCodec::kBlock, &chunk);
-  EXPECT_EQ(bytes.raw, packed.size());
+  protocol::SealChunkPayload(packed, &chunk);
+  EXPECT_EQ(chunk.payload_codec, WireCodec::kBlock);
+  EXPECT_EQ(chunk.payload_uncompressed_len, packed.size());
   EXPECT_EQ(chunk.content_hash, ContentHash64(packed));
-  ASSERT_TRUE(chunk.records.empty());
-  ASSERT_TRUE(protocol::OpenChunkPayload(&chunk));
-  EXPECT_EQ(chunk.records.size(), 256u);
-  // Raw sealing (compression off) keeps the plain records and stamps no
-  // hash: nothing verifies a raw chunk.
-  protocol::ShardSnapshotChunk raw_chunk;
-  raw_chunk.records = chunk.records;
-  protocol::SealChunkPayload(WireCodec::kRaw, &raw_chunk);
-  EXPECT_EQ(raw_chunk.content_hash, 0u);
-  EXPECT_FALSE(raw_chunk.records.empty());
-  EXPECT_TRUE(raw_chunk.payload.empty());
+  std::vector<ReplWrite> back;
+  ASSERT_TRUE(protocol::OpenChunkPayload(chunk, &back));
+  EXPECT_EQ(wire::Pack(back), packed);
+  // An empty chunk (an empty store's bootstrap stream) does not shrink
+  // under the block codec: it seals as a raw-codec envelope, still hashed
+  // and verified.
+  protocol::ShardSnapshotChunk empty;
+  const std::string none = wire::Pack(std::vector<ReplWrite>());
+  protocol::SealChunkPayload(none, &empty);
+  EXPECT_EQ(empty.payload_codec, WireCodec::kRaw);
+  EXPECT_EQ(empty.payload, none);
+  EXPECT_EQ(empty.content_hash, ContentHash64(none));
+  ASSERT_TRUE(protocol::OpenChunkPayload(empty, &back));
+  EXPECT_TRUE(back.empty());
+  empty.payload[0] ^= 0x01;
+  EXPECT_FALSE(protocol::OpenChunkPayload(empty, &back));
 }
 
 }  // namespace

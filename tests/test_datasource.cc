@@ -396,7 +396,6 @@ TEST_F(DataSourceTest, PeerAbortBeforeBranchArrivalTombstones) {
   peer_abort->from = 1;
   peer_abort->to = 2;
   peer_abort->txn_id = 100;
-  peer_abort->origin = 1;
   net_->Send(std::move(peer_abort));
   loop_.Run();
   EXPECT_TRUE(ds2_->IsTombstoned(100));
@@ -428,7 +427,6 @@ class HeldPrepareFlushTest : public DataSourceTest {
       req->from = 1;
       req->to = 2;
       req->txn_id = 100;
-      req->origin = 1;
       net_->Send(std::move(req));
     });
   }

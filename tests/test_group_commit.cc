@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/wire.h"
 #include "runtime/runtime.h"
 #include "sim/event_loop.h"
 #include "sim_fixture.h"
@@ -206,6 +207,19 @@ void LogFlushStarts(GroupCommitter* committer,
   committer->set_on_flush_start([events](uint64_t tag) {
     events->push_back("start " + std::to_string(tag));
   });
+}
+
+// A log record is its type byte and xid through the one serializer: 13
+// bytes, no formatted text.
+TEST(GroupCommitterTest, LogRecordsPackTheirTypeAndXid) {
+  const storage::LogRecord record{storage::LogRecordType::kCommit,
+                                  Xid{77, 3}};
+  const std::string bytes = wire::Pack(record);
+  EXPECT_EQ(bytes.size(), 13u);
+  storage::LogRecord back;
+  ASSERT_TRUE(wire::Unpack(bytes, &back));
+  EXPECT_EQ(back.type, record.type);
+  EXPECT_EQ(back.xid, record.xid);
 }
 
 TEST(GroupCommitterTest, FlushStartHookReportsEachEntryBeforeTheFlush) {

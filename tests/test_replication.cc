@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/wire.h"
 #include "replication/log_shipper.h"
 #include "replication/replicator.h"
 #include "replication/unresolved_prepares.h"
@@ -127,9 +128,11 @@ protocol::ReplAppendAck AckUpTo(uint64_t index, bool ok = true) {
 }
 
 /// The entries a frame carries, opened like a follower would.
-std::vector<protocol::ReplEntry> Opened(protocol::ReplAppendRequest frame) {
-  EXPECT_TRUE(protocol::OpenAppendPayload(&frame));
-  return frame.entries;
+std::vector<protocol::ReplEntry> Opened(
+    const protocol::ReplAppendRequest& frame) {
+  std::vector<protocol::ReplEntry> entries;
+  EXPECT_TRUE(protocol::OpenAppendPayload(frame, &entries));
+  return entries;
 }
 
 TEST(LogShipperTest, OneTickSealsOnceForCaughtUpFollowers) {
@@ -155,8 +158,7 @@ TEST(LogShipperTest, OneTickSealsOnceForCaughtUpFollowers) {
   // The sealed payload opens to exactly what the log holds.
   const std::vector<protocol::ReplEntry> shipped = Opened(frames[0]);
   ASSERT_EQ(shipped.size(), 3u);
-  EXPECT_EQ(protocol::PackEntries(shipped),
-            protocol::PackEntries(log.Slice(1, 3)));
+  EXPECT_EQ(wire::Pack(shipped), wire::Pack(log.Slice(1, 3)));
   // Accounting stays per frame: two frames of three entries each.
   const replication::LogShipperStats& stats = shipper.stats();
   EXPECT_EQ(stats.append_batches_shipped, 2u);
@@ -237,7 +239,6 @@ TEST(LogShipperTest, AppendStandsInForTheNextHeartbeat) {
   std::vector<protocol::ReplAppendRequest> frames = transport.TakeAppends();
   ASSERT_EQ(frames.size(), 2u);
   for (const protocol::ReplAppendRequest& frame : frames) {
-    EXPECT_TRUE(frame.entries.empty());
     EXPECT_TRUE(frame.payload.empty());
     EXPECT_EQ(frame.prev_index, 1u);
   }
@@ -263,30 +264,6 @@ TEST(LogShipperTest, AppendStandsInForTheNextHeartbeat) {
     }
   }
   EXPECT_EQ(shipper.stats().retransmissions, retransmissions + 2);
-}
-
-TEST(LogShipperTest, PlainEntriesWhenCompressionIsOff) {
-  sim::EventLoop loop;
-  CapturingTransport transport;
-  replication::ReplicationLog log;
-  replication::LogShipper shipper(1, &transport, &loop, &log);
-  shipper.set_wan_compression(false);
-  shipper.Activate(1, 1, {2, 3}, 2, 0);
-  shipper.AppendAndShip(CommitEntry(1), nullptr);
-  shipper.AppendAndShip(CommitEntry(2), nullptr);
-  loop.Run();
-  const std::vector<protocol::ReplAppendRequest> frames =
-      transport.TakeAppends();
-  ASSERT_EQ(frames.size(), 2u);
-  const size_t packed = protocol::PackEntries(log.Slice(1, 2)).size();
-  for (const protocol::ReplAppendRequest& frame : frames) {
-    EXPECT_TRUE(frame.payload.empty());
-    EXPECT_EQ(protocol::PackEntries(frame.entries),
-              protocol::PackEntries(log.Slice(1, 2)));
-  }
-  EXPECT_EQ(shipper.stats().batches_sealed, 1u);
-  EXPECT_EQ(shipper.stats().wan_bytes_raw, 2 * packed);
-  EXPECT_EQ(shipper.stats().wan_bytes_wire, 2 * packed);
 }
 
 TEST(LogShipperTest, QuorumCallbacksFireInIndexOrderFifoAmongEquals) {
@@ -1653,7 +1630,7 @@ TEST(ReplicationTest, WipedFollowerBootstrapsFromStoreSnapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// WAN compression knob + bootstrap re-seed stream
+// Sealed WAN streams + bootstrap re-seed stream
 // ---------------------------------------------------------------------------
 
 // Committed store contents in a canonical order, for byte-identical
@@ -1672,10 +1649,11 @@ std::vector<std::pair<RecordKey, int64_t>> SortedStore(
   return records;
 }
 
-// Ships eight single-write transactions through group 0 and returns the
-// leader's log-shipping stats once every follower applied them.
-replication::LogShipperStats ShipAndConverge(MiniCluster::Options options) {
-  MiniCluster cluster(options);
+// Every batch ships sealed and compressed: followers open the stream and
+// apply every commit, and the leader put fewer bytes on the wire than it
+// packed.
+TEST(ReplicationTest, CompressedLogStreamConverges) {
+  MiniCluster cluster(ReplicatedOptions());
   for (uint64_t t = 1; t <= 8; ++t) {
     EXPECT_TRUE(
         cluster.RunTxn(t, {MiniCluster::Write(cluster.KeyOn(0, t), 5)}).ok());
@@ -1686,29 +1664,8 @@ replication::LogShipperStats ShipAndConverge(MiniCluster::Options options) {
         cluster.follower(0, k).engine().store().Get(cluster.KeyOn(0, 3));
     EXPECT_TRUE(record.has_value() && record->value == 5) << "follower " << k;
   }
-  return cluster.source(0).replicator()->shipper_stats();
-}
-
-// wan_compression is a sender-side knob; receivers decode either form.
-TEST(ReplicationTest, WanCompressionIsASenderSideKnob) {
-  // Leaders (ids 2 and 3) with the knob off ship plain batches: wire == raw.
-  MiniCluster::Options raw_leaders = ReplicatedOptions();
-  raw_leaders.ds_tweak_node = [](NodeId id,
-                                 datasource::DataSourceConfig* config) {
-    if (id < 4) config->wan_compression = false;
-  };
-  const replication::LogShipperStats raw = ShipAndConverge(raw_leaders);
-  EXPECT_GT(raw.wan_bytes_raw, 0u);
-  EXPECT_EQ(raw.wan_bytes_wire, raw.wan_bytes_raw);
-
-  // Followers (ids >= 4) with the knob off still decode a compressed
-  // leader's stream and converge; every batch ships compressed.
-  MiniCluster::Options raw_followers = ReplicatedOptions();
-  raw_followers.ds_tweak_node = [](NodeId id,
-                                   datasource::DataSourceConfig* config) {
-    if (id >= 4) config->wan_compression = false;
-  };
-  const replication::LogShipperStats zipped = ShipAndConverge(raw_followers);
+  const replication::LogShipperStats& zipped =
+      cluster.source(0).replicator()->shipper_stats();
   EXPECT_GT(zipped.wan_bytes_raw, 0u);
   EXPECT_LT(zipped.wan_bytes_wire, zipped.wan_bytes_raw);
 }
@@ -1973,6 +1930,98 @@ TEST(ReplicationTest, EmptyStoreBootstrapsFromOneEmptyLastChunk) {
           .ok());
   cluster.RunFor(1000);
   ExpectConverged(cluster);
+}
+
+// A sealed append whose payload has one byte flipped in flight fails the
+// envelope check: the follower drops the whole frame (it appends and acks
+// nothing), the leader's next heartbeat finds the gap and re-ships, and
+// the group converges byte for byte.
+TEST(ReplicationTest, CorruptAppendFrameIsDroppedWholeAndReShipped) {
+  MiniCluster cluster(ReplicatedOptions());
+  auto& follower = cluster.follower(0, 0);
+  const replication::Replicator& repl = *follower.replicator();
+  sim::Network& network = cluster.network();
+  bool corrupted = false;
+  network.RegisterNode(
+      follower.id(), [&, inner = network.handler(follower.id())](
+                         std::unique_ptr<runtime::MessageBase> msg) {
+        if (corrupted ||
+            msg->type() != runtime::MessageType::kReplAppendRequest ||
+            static_cast<const protocol::ReplAppendRequest&>(*msg)
+                .payload.empty()) {
+          inner(std::move(msg));
+          return;
+        }
+        corrupted = true;
+        auto& req = static_cast<protocol::ReplAppendRequest&>(*msg);
+        req.payload[req.payload.size() / 2] ^= 0x20;
+        std::vector<protocol::ReplEntry> opened;
+        EXPECT_FALSE(protocol::OpenAppendPayload(req, &opened));
+        const uint64_t last = repl.log().last_index();
+        const uint64_t applied = repl.applied_index();
+        const uint64_t appends = repl.stats().appends_received;
+        inner(std::move(msg));
+        EXPECT_EQ(repl.log().last_index(), last);
+        EXPECT_EQ(repl.applied_index(), applied);
+        EXPECT_EQ(repl.stats().appends_received, appends);
+      });
+  const replication::Replicator& leader = *cluster.source(0).replicator();
+  const uint64_t retransmissions = leader.shipper_stats().retransmissions;
+  for (uint64_t t = 1; t <= 6; ++t) {
+    ASSERT_TRUE(
+        cluster.RunTxn(t, {MiniCluster::Write(cluster.KeyOn(0, t), 9)}).ok());
+  }
+  cluster.RunFor(1000);
+  ASSERT_TRUE(corrupted);
+  EXPECT_GT(leader.shipper_stats().retransmissions, retransmissions);
+  const auto store = SortedStore(cluster.source(0));
+  ASSERT_EQ(store.size(), 6u);
+  for (int k = 0; k < 2; ++k) {
+    SCOPED_TRACE(k);
+    const replication::Replicator& peer = *cluster.follower(0, k).replicator();
+    EXPECT_EQ(SortedStore(cluster.follower(0, k)), store);
+    EXPECT_EQ(peer.applied_index(), leader.commit_watermark());
+    ASSERT_EQ(peer.log().last_index(), leader.log().last_index());
+    const uint64_t from =
+        std::max(peer.log().first_index(), leader.log().first_index());
+    EXPECT_EQ(wire::Pack(peer.log().Slice(from, peer.log().last_index())),
+              wire::Pack(leader.log().Slice(from, leader.log().last_index())));
+  }
+}
+
+// A bootstrap chunk corrupted in flight is dropped whole. The first
+// stream cannot install without it; the install happens once, from the
+// leader's re-sent stream.
+TEST(ReplicationTest, CorruptBootstrapChunkIsDroppedAndTheStreamReSent) {
+  auto cluster = WipedFollowerCluster(/*warm=*/false);
+  auto& wiped = cluster->follower(0, 0);
+  const replication::ReplicatorStats& stats = wiped.replicator()->stats();
+  sim::Network& network = cluster->network();
+  uint64_t delivered = 0;
+  uint64_t installs_after_first_stream = 0;
+  network.RegisterNode(
+      wiped.id(), [&, inner = network.handler(wiped.id())](
+                      std::unique_ptr<runtime::MessageBase> msg) {
+        if (msg->type() != runtime::MessageType::kShardSnapshotChunk) {
+          inner(std::move(msg));
+          return;
+        }
+        if (++delivered == 1) {
+          auto& chunk = static_cast<protocol::ShardSnapshotChunk&>(*msg);
+          chunk.payload[chunk.payload.size() / 2] ^= 0x20;
+          std::vector<protocol::ReplWrite> opened;
+          EXPECT_FALSE(protocol::OpenChunkPayload(chunk, &opened));
+        }
+        inner(std::move(msg));
+        if (delivered == 8) {
+          installs_after_first_stream = stats.snapshot_installs;
+        }
+      });
+  wiped.Restart();
+  cluster->RunFor(4000);
+  ASSERT_GE(delivered, 16u);
+  EXPECT_EQ(installs_after_first_stream, 0u);
+  ExpectConverged(*cluster);  // installed exactly once
 }
 
 

