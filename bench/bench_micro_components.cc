@@ -243,8 +243,10 @@ void BM_SchedulerPlanRound(benchmark::State& state) {
     inputs[static_cast<size_t>(i)].data_source = i + 1;
     inputs[static_cast<size_t>(i)].keys = {RecordKey{1, rng.NextU64(100)}};
   }
+  core::ScheduleDecision decision;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.ScheduleRound(inputs, -1, rng));
+    scheduler.ScheduleRound(inputs, -1, rng, &decision);
+    benchmark::DoNotOptimize(decision);
   }
 }
 BENCHMARK(BM_SchedulerPlanRound);

@@ -22,6 +22,16 @@ sample). Inlined functions are reported under their own names.
 --every-th call of malloc, calloc or realloc) and prints the same two
 shares per allocating function: which code allocates during the run.
 
+--focus FUNC prints, in place of the two tables, one function's
+breakdown: its self and inclusive shares, then its callers (the frame
+just outside its outermost occurrence on each stack) and its direct
+callees (the frame just inside its innermost occurrence, or "(self)"),
+each as a share of all run-phase samples. FUNC matches a function name
+as the tables print it, or any name that ends in "::FUNC":
+
+    python3 scripts/host_profile.py --workload ycsb --focus \
+        MiddlewareNode::PlanAndDispatchRound --mode alloc
+
 The perfbench binary and its sources are not modified: the sampler is
 an LD_PRELOAD library. Needs g++, addr2line and c++filt; perf and
 valgrind are not used.
@@ -152,6 +162,35 @@ def strip_args(name):
     return name
 
 
+def matches(func, focus):
+    return func == focus or func.endswith("::" + focus)
+
+
+def print_focus(focus, stacks, run_samples):
+    """One function's callers and direct callees; `stacks` holds each
+    run-phase sample's stripped frame names, innermost first."""
+    callers = collections.Counter()
+    callees = collections.Counter()
+    incl = 0
+    for funcs in stacks:
+        hits = [i for i, f in enumerate(funcs) if matches(f, focus)]
+        if not hits:
+            continue
+        incl += 1
+        outer, inner = hits[-1], hits[0]
+        callers[funcs[outer + 1] if outer + 1 < len(funcs) else "(root)"] += 1
+        callees[funcs[inner - 1] if inner > 0 else "(self)"] += 1
+    if incl == 0:
+        sys.exit("host_profile: no run-phase sample holds %s" % focus)
+    print("\n%s: %.2f%% inclusive, %.2f%% self" %
+          (focus, 100.0 * incl / run_samples,
+           100.0 * callees["(self)"] / run_samples))
+    for title, counts in (("caller", callers), ("direct callee", callees)):
+        print("\n%7s  %s" % ("share%", title))
+        for func, n in counts.most_common():
+            print("%7.2f  %s" % (100.0 * n / run_samples, func))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -163,6 +202,8 @@ def main():
     parser.add_argument("--every", type=int, default=16,
                         help="alloc mode: record one call in this many")
     parser.add_argument("--top", type=int, default=30)
+    parser.add_argument("--focus", metavar="FUNC",
+                        help="print FUNC's callers and direct callees")
     args = parser.parse_args()
 
     build_sampler()
@@ -188,7 +229,7 @@ def main():
     names = symbolize(stacks, info, binary)
     self_count = collections.Counter()
     incl_count = collections.Counter()
-    run_samples = 0
+    run_stacks = []
     for timed, stack in stacks:
         if not timed:
             continue
@@ -197,11 +238,12 @@ def main():
             frames.extend(names[(addr, depth == 0)] or ["??"])
         if not any(RUN_PHASE_FRAME in f for f in frames):
             continue
-        run_samples += 1
         funcs = [strip_args(f) for f in frames]
+        run_stacks.append(funcs)
         self_count[funcs[0]] += 1
         for func in set(funcs):
             incl_count[func] += 1
+    run_samples = len(run_stacks)
 
     unit = "CPU samples" if args.mode == "cpu" else "sampled allocations"
     print("%s seed %d, %d s: %d run-phase %s of %d (%s); perfbench "
@@ -210,6 +252,9 @@ def main():
            len(stacks), header, commits))
     if run_samples == 0:
         sys.exit("host_profile: no run-phase samples")
+    if args.focus:
+        print_focus(args.focus, run_stacks, run_samples)
+        return 0
     print("\n%7s %7s  %s" % ("self%", "incl%", "function (by self)"))
     for func, n in self_count.most_common(args.top):
         print("%7.2f %7.2f  %s" % (100.0 * n / run_samples,

@@ -121,8 +121,8 @@ void ScalarDbNode::PlanRound(TxnId id) {
     inputs.push_back(std::move(input));
   }
 
-  const core::ScheduleDecision decision =
-      scheduler_->ScheduleRound(inputs, /*attempt=*/-1, rng_);
+  core::ScheduleDecision decision;
+  scheduler_->ScheduleRound(inputs, /*attempt=*/-1, rng_, &decision);
 
   txn->outstanding = groups.size();
   size_t plan_idx = 0;
@@ -222,8 +222,8 @@ void ScalarDbNode::Commit(Txn& txn) {
     for (const auto& op : staged.ops) input.keys.push_back(op.key);
     inputs.push_back(std::move(input));
   }
-  core::ScheduleDecision decision =
-      scheduler_->ScheduleRound(inputs, /*attempt=*/-1, rng_);
+  core::ScheduleDecision decision;
+  scheduler_->ScheduleRound(inputs, /*attempt=*/-1, rng_, &decision);
 
   const TxnId id = txn.id;
   txn.outstanding = txn.participants.size();

@@ -26,11 +26,13 @@ GeoScheduler::GeoScheduler(SchedulerConfig config,
                            const HotspotFootprint* footprint)
     : config_(config), monitor_(monitor), footprint_(footprint) {}
 
-ScheduleDecision GeoScheduler::ScheduleRound(
+void GeoScheduler::ScheduleRound(
     const std::vector<ParticipantPlanInput>& participants, int attempt,
-    Rng& rng) const {
-  ScheduleDecision decision;
-  decision.plans.resize(participants.size());
+    Rng& rng, ScheduleDecision* out) const {
+  ScheduleDecision& decision = *out;
+  decision.verdict = AdmissionVerdict::kAdmit;
+  decision.retry_backoff = 0;
+  decision.plans.assign(participants.size(), SubtxnPlan{});
 
   // One footprint scan per participant gives both the Eq. 5 forecast and,
   // for late transaction scheduling (Eq. 9), the success product over
@@ -64,7 +66,7 @@ ScheduleDecision GeoScheduler::ScheduleRound(
         decision.verdict = AdmissionVerdict::kBlock;
         decision.retry_backoff = kAdmissionRetryBackoff;
       }
-      return decision;
+      return;
     }
   }
 
@@ -112,7 +114,6 @@ ScheduleDecision GeoScheduler::ScheduleRound(
     }
     if (plan.postpone < 0) plan.postpone = 0;
   }
-  return decision;
 }
 
 void GeoScheduler::ReorderQuro(std::vector<protocol::ClientOp>& ops) {

@@ -87,12 +87,12 @@ class GeoScheduler {
   GeoScheduler(SchedulerConfig config, const LatencyMonitor* monitor,
                const HotspotFootprint* footprint);
 
-  /// Plans one round. `attempt` counts admission retries for this round
+  /// Plans one round into `decision`, which is overwritten (its plan
+  /// buffer is reused). `attempt` counts admission retries for this round
   /// (Algorithm 2's retry_cnt); pass 0 on first try, or -1 to skip
   /// admission. Admission runs only under kLatencyAwareForecast.
-  ScheduleDecision ScheduleRound(
-      const std::vector<ParticipantPlanInput>& participants, int attempt,
-      Rng& rng) const;
+  void ScheduleRound(const std::vector<ParticipantPlanInput>& participants,
+                     int attempt, Rng& rng, ScheduleDecision* decision) const;
 
   /// QURO preprocessing: reorders a batch so reads come before writes
   /// (exclusive locks acquired as late as possible), stably.

@@ -1,7 +1,6 @@
 #include "datasource/data_source.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,13 +9,6 @@
 namespace geotp {
 namespace datasource {
 namespace {
-
-/// True when std::function keeps a callable of type F in its own small
-/// buffer instead of a heap block: at most two pointers, trivially
-/// copyable (libstdc++'s rule).
-template <class F>
-constexpr bool kStoredInline =
-    sizeof(F) <= 2 * sizeof(void*) && std::is_trivially_copyable_v<F>;
 
 /// Geo-agent <-> database LAN round trip (the decentralized prepare costs
 /// one of these instead of a WAN round trip; paper §IV-A).
@@ -624,10 +616,10 @@ void DataSourceNode::RunNextOp(const std::shared_ptr<ExecState>& state) {
       state->next_op++;
       RunNextOp(state);
     };
-    static_assert(kStoredInline<decltype(after_row_cost)>);
+    static_assert(runtime::kStoredInline<decltype(after_row_cost)>);
     timer_->Schedule(cost, after_row_cost);
   };
-  static_assert(kStoredInline<decltype(on_op)>);
+  static_assert(runtime::kStoredInline<decltype(on_op)>);
   // If the request parked in the lock queue, arm the lock-wait timeout.
   if (engine_.ExecuteOp(state->xid, op, on_op)) {
     state->timeout_event = timer_->Schedule(

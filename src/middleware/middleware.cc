@@ -34,6 +34,10 @@ namespace {
 constexpr Micros kAnalysisCost = 300;
 /// Commit/abort decision log fsync at the DM (Algorithm 1 FlushLog).
 constexpr Micros kLogFlushCost = 500;
+/// Retired transaction entries and participant map nodes kept for reuse:
+/// about the transactions a DM starts between two that settle.
+constexpr size_t kSpareTxns = 256;
+constexpr size_t kSpareParticipants = 512;
 /// After a leader failover, branches whose prepare vote does not resurface
 /// within this grace period are aborted (their prepare never reached a
 /// quorum and died with the old leader).
@@ -255,6 +259,66 @@ MiddlewareNode::Txn* MiddlewareNode::FindTxn(TxnId id) {
   return it == txns_.end() ? nullptr : &it->second;
 }
 
+MiddlewareNode::Txn& MiddlewareNode::AddTxn(TxnId id) {
+  Txn* txn = nullptr;
+  if (spare_txns_.empty()) {
+    txn = &txns_[id];
+  } else {
+    Txns::node_type node = std::move(spare_txns_.back());
+    spare_txns_.pop_back();
+    node.key() = id;
+    txn = &txns_.insert(std::move(node)).position->second;
+  }
+  txn->id = id;
+  return *txn;
+}
+
+void MiddlewareNode::Participant::Reset() {
+  Participant fresh;
+  fresh.round_keys.swap(round_keys);
+  fresh.op_slots.swap(op_slots);
+  fresh.next_batch.swap(next_batch);
+  fresh.last_batch.swap(last_batch);
+  std::swap(fresh.charge, charge);
+  *this = std::move(fresh);
+  round_keys.clear();
+  op_slots.clear();
+  next_batch.clear();
+  last_batch.clear();
+}
+
+void MiddlewareNode::RetireTxn(Txn& txn) {
+  Participants& participants = txn.participants;
+  while (!participants.empty()) {
+    Participants::node_type node = participants.extract(participants.begin());
+    footprint_->OnRelease(&node.mapped().charge);  // settled at the answer
+    if (spare_participants_.size() >= kSpareParticipants) continue;
+    node.mapped().Reset();
+    spare_participants_.push_back(std::move(node));
+  }
+  Txns::node_type node = txns_.extract(txn.id);
+  if (spare_txns_.size() >= kSpareTxns) return;
+  Txn& spare = node.mapped();
+  std::vector<int64_t> values = std::move(spare.round_values);
+  spare = Txn();
+  spare.round_values = std::move(values);
+  spare.round_values.clear();
+  spare_txns_.push_back(std::move(node));
+}
+
+MiddlewareNode::Participant& MiddlewareNode::JoinParticipant(Txn& txn,
+                                                             NodeId node) {
+  auto it = txn.participants.lower_bound(node);
+  if (it != txn.participants.end() && it->first == node) return it->second;
+  if (spare_participants_.empty()) {
+    return txn.participants.emplace_hint(it, node, Participant())->second;
+  }
+  Participants::node_type spare = std::move(spare_participants_.back());
+  spare_participants_.pop_back();
+  spare.key() = node;
+  return txn.participants.insert(it, std::move(spare))->second;
+}
+
 size_t MiddlewareNode::BegunBranches(const Txn& txn) {
   size_t begun = 0;
   for (const auto& [node, p] : txn.participants) {
@@ -286,8 +350,7 @@ void MiddlewareNode::OnClientRound(ClientRoundRequest& req) {
       return;
     }
     id = MakeTxnId(ordinal_, next_seq_++);
-    Txn txn;
-    txn.id = id;
+    Txn& txn = AddTxn(id);
     txn.client_tag = req.client_tag;
     txn.tenant = req.tenant;
     txn.client = req.from;
@@ -302,7 +365,6 @@ void MiddlewareNode::OnClientRound(ClientRoundRequest& req) {
       txn.root_span =
           tracer.BeginSpan(root, "dm.txn", id_, txn.ts_begin, &txn.trace);
     }
-    txns_.emplace(id, std::move(txn));
   }
   Txn* txn = FindTxn(id);
   GEOTP_CHECK(txn != nullptr, "round for unknown txn");
@@ -318,8 +380,9 @@ void MiddlewareNode::OnClientRound(ClientRoundRequest& req) {
         txn->trace, "dm.analysis", id_, timer_->Now());
   }
   // Parse / rewrite / route / schedule cost at the DM.
-  timer_->Schedule(kAnalysisCost,
-                   [this, id]() { PlanAndDispatchRound(id); });
+  const auto plan = [this, id]() { PlanAndDispatchRound(id); };
+  static_assert(runtime::kStoredInline<decltype(plan)>);
+  timer_->Schedule(kAnalysisCost, plan);
 }
 
 void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
@@ -351,12 +414,24 @@ void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
   size_t num_groups = 0;
   for (size_t i = 0; i < routes.size(); i = group_end(i)) ++num_groups;
 
-  std::vector<core::ParticipantPlanInput> inputs(num_groups);
+  std::vector<core::ParticipantPlanInput>& inputs = round_inputs_;
+  while (inputs.size() > num_groups) {
+    spare_inputs_.push_back(std::move(inputs.back()));
+    inputs.pop_back();
+  }
+  while (inputs.size() < num_groups) {
+    if (spare_inputs_.empty()) {
+      inputs.emplace_back();
+      continue;
+    }
+    inputs.push_back(std::move(spare_inputs_.back()));
+    spare_inputs_.pop_back();
+  }
   for (size_t begin = 0, g = 0; g < num_groups; ++g) {
     const size_t end = group_end(begin);
     core::ParticipantPlanInput& input = inputs[g];
     input.data_source = routes[begin].first;
-    input.keys.reserve(end - begin);
+    input.keys.clear();
     for (size_t r = begin; r < end; ++r) {
       input.keys.push_back(ops[routes[r].second].key);
     }
@@ -366,14 +441,16 @@ void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
   // Admission control (late transaction scheduling) applies to the first
   // round — the paper's Algorithm 2 admits whole transactions.
   const bool allow_admission = txn->round_seq == 0;
-  core::ScheduleDecision decision = scheduler_->ScheduleRound(
-      inputs, allow_admission ? txn->admission_attempts : -1, rng_);
+  core::ScheduleDecision& decision = round_decision_;
+  scheduler_->ScheduleRound(
+      inputs, allow_admission ? txn->admission_attempts : -1, rng_, &decision);
   if (allow_admission) {
     if (decision.verdict == core::AdmissionVerdict::kBlock) {
       stats_.admission_blocks++;
       txn->admission_attempts++;
-      timer_->Schedule(decision.retry_backoff,
-                       [this, id]() { PlanAndDispatchRound(id); });
+      const auto retry = [this, id]() { PlanAndDispatchRound(id); };
+      static_assert(runtime::kStoredInline<decltype(retry)>);
+      timer_->Schedule(decision.retry_backoff, retry);
       return;
     }
     if (decision.verdict == core::AdmissionVerdict::kAbort) {
@@ -412,21 +489,17 @@ void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
                               return !ops[r.second].is_write;
                             });
     }
-    Participant& p = txn->participants[target];
+    Participant& p = JoinParticipant(*txn, target);
     p.exec_outstanding = true;
     p.round_keys.clear();
     p.op_slots.clear();
-    const auto batch_size = static_cast<size_t>(batch_end - batch_begin);
-    p.round_keys.reserve(batch_size);
-    p.op_slots.reserve(batch_size);
-    std::vector<ClientOp> batch_ops;
-    batch_ops.reserve(batch_size);
+    p.next_batch.clear();
     bool all_reads = true;
     for (auto r = batch_begin; r != batch_end; ++r) {
       const ClientOp& op = ops[r->second];
       p.round_keys.push_back(op.key);
       p.op_slots.push_back(r->second);
-      batch_ops.push_back(op);
+      p.next_batch.push_back(op);
       if (op.is_write) all_reads = false;
     }
     // Final-round all-read batches may be served by a replication
@@ -435,25 +508,39 @@ void MiddlewareNode::PlanAndDispatchRound(TxnId id) {
                      !p.begun && all_reads &&
                      catalog_.HasReplicaGroup(target);
 
-    timer_->Schedule(decision.plans[g].postpone,
-                     [this, id, target, round_seq,
-                      ops = std::move(batch_ops)]() mutable {
-      Txn* txn = FindTxn(id);
-      if (txn == nullptr || txn->aborting) return;
-      Participant& p = txn->participants[target];
-      if (p.via_follower) {
-        p.last_batch = ops;
-        if (TryFollowerRead(*txn, target, ops, round_seq)) return;
-        p.via_follower = false;  // no usable follower
-      }
-      SendBranchBatch(*txn, target, std::move(ops), round_seq);
-    });
+    uint32_t ticket;
+    if (free_tickets_.empty()) {
+      ticket = static_cast<uint32_t>(postponed_.size());
+      postponed_.emplace_back();
+    } else {
+      ticket = free_tickets_.back();
+      free_tickets_.pop_back();
+    }
+    postponed_[ticket] = PostponedDispatch{id, target, round_seq};
+    const auto dispatch = [this, ticket]() { DispatchPostponed(ticket); };
+    static_assert(runtime::kStoredInline<decltype(dispatch)>);
+    timer_->Schedule(decision.plans[g].postpone, dispatch);
   }
   txn->round_seq++;
 }
 
+void MiddlewareNode::DispatchPostponed(uint32_t ticket) {
+  const PostponedDispatch postponed = postponed_[ticket];
+  free_tickets_.push_back(ticket);
+  Txn* txn = FindTxn(postponed.txn);
+  if (txn == nullptr || txn->aborting) return;
+  const NodeId target = postponed.target;
+  Participant& p = txn->participants[target];
+  p.last_batch.swap(p.next_batch);
+  if (p.via_follower &&
+      TryFollowerRead(*txn, target, p.last_batch, postponed.round_seq)) {
+    return;
+  }
+  p.via_follower = false;  // no usable follower
+  SendBranchBatch(*txn, target, postponed.round_seq);
+}
+
 void MiddlewareNode::SendBranchBatch(Txn& txn, NodeId logical,
-                                     std::vector<ClientOp> ops,
                                      uint64_t round_seq) {
   Participant& p = txn.participants[logical];
   p.exec_outstanding = true;
@@ -490,8 +577,7 @@ void MiddlewareNode::SendBranchBatch(Txn& txn, NodeId logical,
   p.sent_to = req->to;
   p.sent_at = timer_->Now();
   p.begun = true;
-  p.last_batch = ops;
-  req->ops = std::move(ops);
+  req->ops = p.last_batch;
   // Charge the hotspot footprint at actual dispatch (a_cnt++); the
   // matching release happens in OnExecResponse or FinishTxn. A failover
   // retry keeps the original charge.
@@ -547,10 +633,7 @@ bool MiddlewareNode::TryFollowerRead(Txn& txn, NodeId logical,
 }
 
 void MiddlewareNode::FallBackToLeader(Txn& txn, NodeId logical) {
-  Participant& p = txn.participants[logical];
-  p.via_follower = false;
-  std::vector<ClientOp> ops = p.last_batch;
-  SendBranchBatch(txn, logical, std::move(ops), txn.round_seq - 1);
+  SendBranchBatch(txn, logical, txn.round_seq - 1);
 }
 
 void MiddlewareNode::OnFollowerReadResponse(const FollowerReadResponse& resp) {
@@ -1025,7 +1108,7 @@ void MiddlewareNode::FinishTxn(Txn& txn, bool committed) {
   if (txn.commit_span != obs::kInvalidSpan) {
     obs::GlobalTracer().EndSpan(txn.commit_span, now);
   }
-  txns_.erase(txn.id);
+  RetireTxn(txn);
 }
 
 void MiddlewareNode::AnswerClient(Txn& txn, bool committed) {
@@ -1164,8 +1247,7 @@ void MiddlewareNode::HandleFailover(NodeId logical) {
           stats_.branch_retries++;
           p.begun = false;
           p.has_vote = false;
-          std::vector<ClientOp> ops = p.last_batch;
-          SendBranchBatch(txn, logical, std::move(ops), txn.round_seq - 1);
+          SendBranchBatch(txn, logical, txn.round_seq - 1);
         } else {
           // Effects of earlier rounds were lost with the old leader; the
           // batch cannot be replayed in isolation.
@@ -1331,14 +1413,15 @@ void MiddlewareNode::OnShardRedirect(const protocol::ShardRedirect& redirect) {
   // Every target joins the transaction before any batch leaves, so each
   // batch's peer list (and its IDLE/one-phase eligibility) sees the rest.
   for (auto& [target, group] : groups) {
-    Participant& q = txn->participants[target];
+    Participant& q = JoinParticipant(*txn, target);
     q.op_slots = std::move(group.second);
     q.round_keys.clear();
     for (const ClientOp& op : group.first) q.round_keys.push_back(op.key);
   }
   const uint64_t round_seq = txn->round_seq - 1;
   for (auto& [target, group] : groups) {
-    SendBranchBatch(*txn, target, std::move(group.first), round_seq);
+    txn->participants[target].last_batch = std::move(group.first);
+    SendBranchBatch(*txn, target, round_seq);
   }
 }
 

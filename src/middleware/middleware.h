@@ -225,8 +225,16 @@ class MiddlewareNode {
     // Replication support.
     bool via_follower = false;    ///< current batch is a follower read
     uint64_t begun_round = 0;     ///< round in which the branch began
+    /// The round's batch while it waits out its postponement; it becomes
+    /// `last_batch` as it leaves.
+    std::vector<protocol::ClientOp> next_batch;
     std::vector<protocol::ClientOp> last_batch;  ///< for failover retry
+
+    /// A fresh participant that keeps this one's buffers (emptied); the
+    /// charge must be settled.
+    void Reset();
   };
+  using Participants = std::map<NodeId, Participant>;
 
   enum class Phase : uint8_t {
     kExecuting,
@@ -241,7 +249,7 @@ class MiddlewareNode {
     uint32_t tenant = 0;  ///< admission accounting; released at the answer
     NodeId client = kInvalidNode;
     Phase phase = Phase::kExecuting;
-    std::map<NodeId, Participant> participants;
+    Participants participants;
     uint64_t round_seq = 0;
     size_t round_outstanding = 0;
     std::vector<int64_t> round_values;
@@ -283,6 +291,9 @@ class MiddlewareNode {
   /// Takes the round's ops (the message is spent).
   void OnClientRound(protocol::ClientRoundRequest& req);
   void PlanAndDispatchRound(TxnId id);
+  /// Sends a planned batch whose postponement is over (the closure's
+  /// ticket names the entry of postponed_).
+  void DispatchPostponed(uint32_t ticket);
   void OnExecResponse(const protocol::BranchExecuteResponse& resp);
   /// Places a participant's reads into their round slots. A round whose
   /// reads were given up (an in-doubt branch after a failover) has no
@@ -299,10 +310,9 @@ class MiddlewareNode {
   void OnLazyAcks(NodeId from, const std::vector<TxnId>& txns);
 
   // ----- replication support ----------------------------------------------
-  /// Sends one batch of a branch to the current leader of `logical`.
-  void SendBranchBatch(Txn& txn, NodeId logical,
-                       std::vector<protocol::ClientOp> ops,
-                       uint64_t round_seq);
+  /// Sends the participant's `last_batch` to the current leader of
+  /// `logical`.
+  void SendBranchBatch(Txn& txn, NodeId logical, uint64_t round_seq);
   /// Dispatches an all-read final-round batch to a follower. Returns false
   /// if no follower is usable (caller executes at the leader).
   bool TryFollowerRead(Txn& txn, NodeId logical,
@@ -378,6 +388,14 @@ class MiddlewareNode {
   void BeginPrepareSpan(Txn& txn);
 
   Txn* FindTxn(TxnId id);
+  /// A new transaction's entry, reusing a retired one when there is one.
+  Txn& AddTxn(TxnId id);
+  /// Forgets a settled transaction, keeping its entry and its
+  /// participants' map nodes, with their buffers, for later reuse.
+  void RetireTxn(Txn& txn);
+  /// `node`'s participant in `txn`, added (from a retired map node when
+  /// there is one) if absent.
+  Participant& JoinParticipant(Txn& txn, NodeId node);
   /// Participants whose branch began at a source. A participant served by
   /// a follower read sits in the map with no branch; it neither votes nor
   /// gets a decision.
@@ -411,10 +429,31 @@ class MiddlewareNode {
   storage::GroupCommitter log_committer_;
   uint64_t next_seq_ = 1;
   bool crashed_ = false;
-  std::unordered_map<TxnId, Txn> txns_;
+  using Txns = std::unordered_map<TxnId, Txn>;
+  Txns txns_;
+  /// Retired entries, reset, for AddTxn and JoinParticipant to reuse (at
+  /// most kSpareTxns and kSpareParticipants): a settled transaction's map
+  /// nodes and buffers serve the next one.
+  std::vector<Txns::node_type> spare_txns_;
+  std::vector<Participants::node_type> spare_participants_;
   /// PlanAndDispatchRound's scratch, kept for its capacity: the round's
-  /// (data source, op position) pairs, sorted into per-source groups.
+  /// (data source, op position) pairs, sorted into per-source groups; one
+  /// plan input per group (inputs a smaller round drops wait in
+  /// spare_inputs_ with their key buffers); the scheduler's decision.
   std::vector<std::pair<NodeId, size_t>> round_routes_;
+  std::vector<core::ParticipantPlanInput> round_inputs_;
+  std::vector<core::ParticipantPlanInput> spare_inputs_;
+  core::ScheduleDecision round_decision_;
+  /// Batches waiting out their postponement. The timer's closure holds
+  /// only a ticket (an index here), so it fits std::function's inline
+  /// buffer; a fired ticket goes back to free_tickets_.
+  struct PostponedDispatch {
+    TxnId txn = kInvalidTxn;
+    NodeId target = kInvalidNode;
+    uint64_t round_seq = 0;
+  };
+  std::vector<PostponedDispatch> postponed_;
+  std::vector<uint32_t> free_tickets_;
 
   // Same-tick dispatch coalescing (one envelope per destination).
   struct DispatchQueue {

@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -66,6 +67,14 @@ class ITimer : public IClock {
   /// not fired yet. Cancelling an already-fired or unknown id is a no-op.
   virtual bool Cancel(TimerId id) = 0;
 };
+
+/// True when std::function keeps a callable of type F in its own small
+/// buffer instead of a heap block: at most two pointers, trivially
+/// copyable (libstdc++'s rule). Hot paths static_assert it on the closures
+/// they hand to ITimer::Schedule.
+template <class F>
+constexpr bool kStoredInline =
+    sizeof(F) <= 2 * sizeof(void*) && std::is_trivially_copyable_v<F>;
 
 /// Message passing between nodes. Delivery is asynchronous and runs the
 /// destination's registered handler on the destination's execution

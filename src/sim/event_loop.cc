@@ -9,12 +9,14 @@ namespace geotp {
 namespace sim {
 
 EventId EventLoop::Schedule(Micros delay, std::function<void()> fn) {
-  if (delay < 0) delay = 0;
-  return ScheduleAt(now_ + delay, std::move(fn));
+  return Push(now_ + std::max<Micros>(delay, 0), fn);
 }
 
 EventId EventLoop::ScheduleAt(Micros when, std::function<void()> fn) {
-  if (when < now_) when = now_;
+  return Push(std::max(when, now_), fn);
+}
+
+EventId EventLoop::Push(Micros when, std::function<void()>& fn) {
   uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<uint32_t>(slots_.size());
@@ -24,11 +26,10 @@ EventId EventLoop::ScheduleAt(Micros when, std::function<void()> fn) {
     free_slots_.pop_back();
   }
   Slot& state = slots_[slot];
-  state.fn = std::move(fn);
+  state.fn.swap(fn);  // the slot's callback is empty
   state.pending = true;
   ++live_;
-  heap_.push_back(Entry{when, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  HeapPush(Entry{when, next_seq_++, slot});
   return static_cast<EventId>(state.generation) << 32 | slot;
 }
 
@@ -43,13 +44,49 @@ bool EventLoop::Cancel(EventId id) {
   return true;
 }
 
-std::function<void()> EventLoop::PopTop() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const uint32_t slot = heap_.back().slot;
+void EventLoop::HeapPush(const Entry& entry) {
+  // Sift the hole up from the new leaf.
+  size_t hole = heap_.size();
+  heap_.emplace_back();
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / kArity;
+    if (!Later{}(heap_[parent], entry)) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = entry;
+}
+
+uint32_t EventLoop::HeapPop() {
+  const uint32_t top = heap_.front().slot;
+  const Entry last = heap_.back();
   heap_.pop_back();
+  const size_t size = heap_.size();
+  if (size == 0) return top;
+  // Sift the hole down from the root, pulling up the earliest child,
+  // until `last` fits.
+  size_t hole = 0;
+  while (true) {
+    const size_t first = hole * kArity + 1;
+    if (first >= size) break;
+    const size_t end = std::min(first + kArity, size);
+    size_t earliest = first;
+    for (size_t child = first + 1; child < end; ++child) {
+      if (Later{}(heap_[earliest], heap_[child])) earliest = child;
+    }
+    if (!Later{}(last, heap_[earliest])) break;
+    heap_[hole] = heap_[earliest];
+    hole = earliest;
+  }
+  heap_[hole] = last;
+  return top;
+}
+
+std::function<void()> EventLoop::PopTop() {
+  const uint32_t slot = HeapPop();
   Slot& state = slots_[slot];
-  std::function<void()> fn = std::move(state.fn);
-  state.fn = nullptr;
+  std::function<void()> fn;
+  fn.swap(state.fn);
   const bool fire = state.pending;
   if (fire) --live_;
   state.pending = false;

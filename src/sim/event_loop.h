@@ -91,6 +91,15 @@ class EventLoop : public runtime::ITimer {
     }
   };
 
+  /// The heap is 4-ary: half the depth of a binary heap, and a node's
+  /// children share cache lines. The (when, seq) order is total, so the
+  /// pop order does not depend on the heap's shape.
+  static constexpr size_t kArity = 4;
+  /// Files `fn` (taken, leaving it empty) for `when` in a free slot.
+  EventId Push(Micros when, std::function<void()>& fn);
+  void HeapPush(const Entry& entry);
+  /// Removes the earliest entry; returns its slot.
+  uint32_t HeapPop();
   /// Pops cancelled entries off the top of the heap.
   void DropCancelledTop();
   /// Pops the top entry, retires its slot and returns its callback (empty
@@ -100,7 +109,7 @@ class EventLoop : public runtime::ITimer {
   Micros now_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
-  std::vector<Entry> heap_;  ///< binary min-heap under Later
+  std::vector<Entry> heap_;  ///< 4-ary min-heap under Later
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   size_t live_ = 0;  ///< pending (scheduled, not cancelled) events

@@ -204,6 +204,9 @@ class TransactionEngine {
   /// write set the node has seen.
   std::vector<Txns::node_type> spare_txns_;
   std::vector<std::vector<UndoEntry>> spare_undo_;
+  /// WriteSetOf's key index, kept for its capacity (the engine runs on one
+  /// actor's thread, so the const method may reuse it).
+  mutable std::vector<uint32_t> write_index_;
   /// One-phase commits released by CommitEarly whose records are not yet
   /// durable, oldest first, with their undo entries.
   std::deque<std::pair<Xid, std::vector<UndoEntry>>> undurable_;
@@ -215,18 +218,27 @@ std::vector<Write> TransactionEngine::WriteSetOf(const Xid& xid) const {
   const TxnData* data = Find(xid);
   if (data == nullptr) return writes;
   writes.reserve(data->undo.size());
+  // Several writes to one key: one element, in the first write's place,
+  // with the last write's value. An open-addressing index at most half
+  // full (element + 1 per slot, 0 when empty) finds a key's element.
+  size_t slots = 2;
+  while (slots < 2 * data->undo.size()) slots *= 2;
+  write_index_.assign(slots, 0);
+  const size_t mask = slots - 1;
   for (const UndoEntry& undo : data->undo) {
-    // Several writes to one key: one element, in the first write's place,
-    // with the last write's value.
-    bool seen = false;
-    for (Write& write : writes) {
-      auto& [key, value] = write;
-      if (!(key == undo.key)) continue;
-      value = undo.new_value;
-      seen = true;
-      break;
+    size_t pos = RecordKeyHash()(undo.key) & mask;
+    while (write_index_[pos] != 0) {
+      auto& [key, value] = writes[write_index_[pos] - 1];
+      if (key == undo.key) break;
+      pos = (pos + 1) & mask;
     }
-    if (!seen) writes.push_back(Write{undo.key, undo.new_value});
+    if (write_index_[pos] == 0) {
+      writes.push_back(Write{undo.key, undo.new_value});
+      write_index_[pos] = static_cast<uint32_t>(writes.size());
+    } else {
+      auto& [key, value] = writes[write_index_[pos] - 1];
+      value = undo.new_value;
+    }
   }
   return writes;
 }

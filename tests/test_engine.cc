@@ -2,6 +2,8 @@
 // undo, crash behaviour, pending-operation cancellation.
 #include "storage/engine.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 namespace geotp {
@@ -65,6 +67,29 @@ TEST_F(EngineTest, WriteSetHasOneFinalValuePerKeyInFirstWriteOrder) {
   ASSERT_TRUE(Exec(T(2), WriteOp(4, 8)).ok());
   const std::vector<std::pair<RecordKey, int64_t>> reused = {{K(4), 8}};
   EXPECT_EQ(engine_.WriteSetOf(T(2)), reused);
+}
+
+TEST_F(EngineTest, WriteSetKeepsFirstWriteOrderUnderManyRewrites) {
+  // 60 writes over 13 keys, each key rewritten several times, interleaved:
+  // one element per key, ordered by the key's first write, carrying the
+  // key's last value (the order a follower or a migration target applies).
+  ASSERT_TRUE(engine_.Begin(T(1)).ok());
+  std::vector<std::pair<RecordKey, int64_t>> want;
+  for (int64_t i = 0; i < 60; ++i) {
+    const RecordKey key = K(static_cast<uint64_t>((i * 7) % 13) * 1000 + 3);
+    ASSERT_TRUE(Exec(T(1), WriteOp(key.key, i + 1)).ok());
+    auto it = std::find_if(want.begin(), want.end(),
+                           [&](const auto& w) { return w.first == key; });
+    if (it == want.end()) {
+      want.emplace_back(key, i + 1);
+    } else {
+      it->second = i + 1;
+    }
+  }
+  ASSERT_EQ(want.size(), 13u);
+  EXPECT_EQ(want.front().first, K(3));
+  EXPECT_EQ(want[1].first, K(7003));
+  EXPECT_EQ(engine_.WriteSetOf(T(1)), want);
 }
 
 TEST_F(EngineTest, ReadMissingKeyReturnsZero) {

@@ -1,7 +1,11 @@
 // Tests for the virtual-time discrete-event loop.
 #include "sim/event_loop.h"
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -153,6 +157,51 @@ TEST(EventLoopTest, ManyEventsStressOrdering) {
   }
   loop.Run();
   EXPECT_TRUE(monotonic);
+}
+
+// The heap against a sorted model: delays with many ties, cancellations,
+// and callbacks that schedule more events as they fire. Every event that
+// is not cancelled fires exactly once, in (time, scheduling order).
+TEST(EventLoopTest, FiringOrderMatchesSortedModel) {
+  EventLoop loop;
+  std::mt19937_64 rng(42);
+  struct Event {
+    Micros when;
+    EventId id;
+    bool cancelled;
+  };
+  std::vector<Event> events;  // by scheduling order
+  std::vector<size_t> fired;
+  std::function<void(int)> schedule = [&](int children) {
+    for (int c = 0; c < children; ++c) {
+      const auto delay = static_cast<Micros>(rng() % 40);
+      const size_t n = events.size();
+      const EventId id = loop.Schedule(delay, [&, n]() {
+        fired.push_back(n);
+        schedule(static_cast<int>(rng() % 3));
+        if (rng() % 4 == 0) {
+          Event& victim = events[rng() % events.size()];
+          if (loop.Cancel(victim.id)) victim.cancelled = true;
+        }
+      });
+      events.push_back(Event{loop.Now() + delay, id, false});
+      if (events.size() >= 20000) return;
+    }
+  };
+  schedule(500);
+  loop.Run();
+
+  std::vector<size_t> want;
+  for (size_t n = 0; n < events.size(); ++n) {
+    if (!events[n].cancelled) want.push_back(n);
+  }
+  std::sort(want.begin(), want.end(), [&](size_t a, size_t b) {
+    return std::tie(events[a].when, a) < std::tie(events[b].when, b);
+  });
+  ASSERT_GT(events.size(), 5000u);
+  ASSERT_GT(events.size() - want.size(), 100u);  // cancellations happened
+  EXPECT_EQ(fired, want);
+  EXPECT_TRUE(loop.Empty());
 }
 
 // Ids are (slot, generation) pairs and slots are recycled: an id must

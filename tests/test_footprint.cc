@@ -399,6 +399,8 @@ class ReferenceFootprint {
 
   size_t size() const { return records_.size(); }
   uint64_t evictions() const { return evictions_; }
+  /// Busy records passed over on the way to a victim.
+  uint64_t busy_skips() const { return busy_skips_; }
 
  private:
   struct Entry {
@@ -423,6 +425,7 @@ class ReferenceFootprint {
       const auto victim = std::find_if(
           lru_.rbegin(), head,
           [&](const RecordKey& k) { return records_.at(k).stats.a_cnt == 0; });
+      busy_skips_ += static_cast<uint64_t>(std::distance(lru_.rbegin(), victim));
       if (victim == head) break;  // everything busy: soft overflow
       records_.erase(*victim);
       lru_.erase(std::next(victim).base());
@@ -435,6 +438,7 @@ class ReferenceFootprint {
   std::map<RecordKey, Entry> records_;
   std::list<RecordKey> lru_;
   uint64_t evictions_ = 0;
+  uint64_t busy_skips_ = 0;
 };
 
 void ExpectSameStats(const RecordStats& got, const RecordStats& want,
@@ -519,12 +523,23 @@ TEST(FootprintDifferentialTest, MatchesReferenceModel) {
       }
       const std::string where =
           "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      // After every step: the same tracked records with the same stats,
+      // the same evictions, and a consistent structure.
       ASSERT_EQ(fp.size(), ref.size()) << where;
       ASSERT_EQ(fp.evictions(), ref.evictions()) << where;
+      ASSERT_TRUE(fp.CheckInvariants()) << where;
+      const RecordKey all_lo{0, 0};
+      const RecordKey all_hi{UINT32_MAX, UINT64_MAX};
+      const auto tracked = fp.Range(all_lo, all_hi);
+      const auto want_tracked = ref.Range(all_lo, all_hi);
+      ASSERT_EQ(tracked.size(), want_tracked.size()) << where;
+      for (size_t r = 0; r < tracked.size(); ++r) {
+        ASSERT_EQ(tracked[r].first, want_tracked[r].first) << where;
+        ExpectSameStats(tracked[r].second, want_tracked[r].second, where);
+      }
       overflowed |= fp.size() > config.capacity;
       if (step % 100 != 0) continue;
 
-      ASSERT_TRUE(fp.CheckInvariants()) << where;
       for (uint32_t table = 1; table <= 2; ++table) {
         for (uint64_t k = 0; k < kKeys; ++k) {
           const RecordKey key{table, k};
@@ -577,6 +592,7 @@ TEST(FootprintDifferentialTest, MatchesReferenceModel) {
     }
     // The traffic really exercised eviction past busy records.
     EXPECT_GT(fp.evictions(), 1000u) << "seed " << seed;
+    EXPECT_GT(ref.busy_skips(), 100u) << "seed " << seed;
     if (config.capacity == 8) {
       EXPECT_TRUE(overflowed) << "seed " << seed;
     }

@@ -52,6 +52,15 @@ class FakeMonitorFixture {
   LatencyMonitor monitor_;
 };
 
+/// One round planned into a fresh decision.
+ScheduleDecision Plan(const GeoScheduler& sched,
+                      const std::vector<ParticipantPlanInput>& inputs,
+                      int attempt, Rng& rng) {
+  ScheduleDecision decision;
+  sched.ScheduleRound(inputs, attempt, rng, &decision);
+  return decision;
+}
+
 std::vector<ParticipantPlanInput> ThreeParticipants() {
   // DS 1 at 10ms, DS 2 at 100ms, DS 3 at 40ms (RTT).
   std::vector<ParticipantPlanInput> inputs(3);
@@ -72,7 +81,7 @@ TEST(SchedulerTest, ImmediatePolicyNeverPostpones) {
   config.policy = SchedulerPolicy::kImmediate;
   GeoScheduler sched(config, fx.monitor(), nullptr);
   Rng rng(1);
-  auto decision = sched.ScheduleRound(ThreeParticipants(), -1, rng);
+  auto decision = Plan(sched, ThreeParticipants(), -1, rng);
   ASSERT_EQ(decision.plans.size(), 3u);
   for (const auto& plan : decision.plans) EXPECT_EQ(plan.postpone, 0);
 }
@@ -86,7 +95,7 @@ TEST(SchedulerTest, LatencyAwareMatchesEquation3) {
   config.policy = SchedulerPolicy::kLatencyAware;
   GeoScheduler sched(config, fx.monitor(), nullptr);
   Rng rng(1);
-  auto decision = sched.ScheduleRound(ThreeParticipants(), -1, rng);
+  auto decision = Plan(sched, ThreeParticipants(), -1, rng);
   ASSERT_EQ(decision.verdict, AdmissionVerdict::kAdmit);
   // t_start = max tau - tau_j (Eq. 3).
   EXPECT_EQ(decision.plans[0].postpone, MsToMicros(90));
@@ -104,7 +113,7 @@ TEST(SchedulerTest, Equation2ConstraintHolds) {
   config.policy = SchedulerPolicy::kLatencyAware;
   GeoScheduler sched(config, fx.monitor(), nullptr);
   Rng rng(1);
-  auto decision = sched.ScheduleRound(ThreeParticipants(), -1, rng);
+  auto decision = Plan(sched, ThreeParticipants(), -1, rng);
   const Micros max_tau = MsToMicros(251);
   const Micros taus[3] = {MsToMicros(13), MsToMicros(251), MsToMicros(73)};
   for (int i = 0; i < 3; ++i) {
@@ -122,7 +131,7 @@ TEST(SchedulerTest, SingleParticipantNeverPostponed) {
   Rng rng(1);
   std::vector<ParticipantPlanInput> one(1);
   one[0].data_source = 1;
-  auto decision = sched.ScheduleRound(one, -1, rng);
+  auto decision = Plan(sched, one, -1, rng);
   EXPECT_EQ(decision.plans[0].postpone, 0);
 }
 
@@ -146,7 +155,7 @@ TEST(SchedulerTest, ForecastShiftsPostpone) {
   inputs[0].keys = {K(1)};  // hot
   inputs[1].data_source = 2;
   inputs[1].keys = {K(99)};  // cold
-  auto decision = sched.ScheduleRound(inputs, -1, rng);
+  auto decision = Plan(sched, inputs, -1, rng);
   // Hot participant dispatches first (postpone 0), cold one is delayed by
   // roughly the hot LEL forecast.
   EXPECT_EQ(decision.plans[0].postpone, 0);
@@ -173,7 +182,7 @@ TEST(SchedulerTest, ForecastScaleDampens) {
   inputs[0].keys = {K(1)};
   inputs[1].data_source = 2;
   inputs[1].keys = {K(99)};
-  auto decision = sched.ScheduleRound(inputs, -1, rng);
+  auto decision = Plan(sched, inputs, -1, rng);
   EXPECT_NEAR(static_cast<double>(decision.plans[1].postpone),
               static_cast<double>(MsToMicros(10)),
               static_cast<double>(MsToMicros(3)));
@@ -188,7 +197,7 @@ TEST(SchedulerTest, ChillerPostponesInnerRegionOnly) {
   config.policy = SchedulerPolicy::kChiller;
   GeoScheduler sched(config, fx.monitor(), nullptr);
   Rng rng(1);
-  auto decision = sched.ScheduleRound(ThreeParticipants(), -1, rng);
+  auto decision = Plan(sched, ThreeParticipants(), -1, rng);
   EXPECT_EQ(decision.plans[0].postpone, MsToMicros(100));  // inner: last
   EXPECT_EQ(decision.plans[1].postpone, 0);
   EXPECT_EQ(decision.plans[2].postpone, 0);  // middle: immediate
@@ -203,7 +212,7 @@ TEST(SchedulerTest, ChillerSingleParticipantNotPostponed) {
   Rng rng(1);
   std::vector<ParticipantPlanInput> one(1);
   one[0].data_source = 1;
-  auto decision = sched.ScheduleRound(one, -1, rng);
+  auto decision = Plan(sched, one, -1, rng);
   EXPECT_EQ(decision.plans[0].postpone, 0);
 }
 
@@ -223,7 +232,7 @@ TEST(SchedulerTest, AdmissionBlocksHotTransactions) {
   std::vector<ParticipantPlanInput> inputs(1);
   inputs[0].data_source = 1;
   inputs[0].keys = {K(1)};
-  auto decision = sched.ScheduleRound(inputs, /*attempt=*/0, rng);
+  auto decision = Plan(sched, inputs, /*attempt=*/0, rng);
   EXPECT_EQ(decision.verdict, AdmissionVerdict::kBlock);
   EXPECT_GT(decision.retry_backoff, 0);
 }
@@ -244,7 +253,7 @@ TEST(SchedulerTest, AdmissionAbortsAfterRetryBudget) {
   inputs[0].data_source = 1;
   inputs[0].keys = {K(1)};
   auto decision =
-      sched.ScheduleRound(inputs, /*attempt=*/kAdmissionRetryLimit - 1, rng);
+      Plan(sched, inputs, /*attempt=*/kAdmissionRetryLimit - 1, rng);
   EXPECT_EQ(decision.verdict, AdmissionVerdict::kAbort);
 }
 
@@ -270,7 +279,7 @@ TEST(SchedulerTest, AdmissionRunsOnlyUnderForecastPolicy) {
     GeoScheduler sched(config, fx.monitor(), &fp);
     Rng rng(1);
     const ScheduleDecision decision =
-        sched.ScheduleRound(inputs, /*attempt=*/0, rng);
+        Plan(sched, inputs, /*attempt=*/0, rng);
     if (policy == SchedulerPolicy::kLatencyAwareForecast) {
       EXPECT_EQ(decision.verdict, AdmissionVerdict::kBlock);
       EXPECT_EQ(decision.retry_backoff, kAdmissionRetryBackoff);
@@ -298,9 +307,46 @@ TEST(SchedulerTest, AdmissionSkippedForNegativeAttempt) {
   std::vector<ParticipantPlanInput> inputs(1);
   inputs[0].data_source = 1;
   inputs[0].keys = {K(1)};
-  auto decision = sched.ScheduleRound(inputs, /*attempt=*/-1, rng);
+  auto decision = Plan(sched, inputs, /*attempt=*/-1, rng);
   EXPECT_EQ(decision.verdict, AdmissionVerdict::kAdmit);
   EXPECT_EQ(decision.plans.size(), 1u);
+}
+
+TEST(SchedulerTest, ReusedDecisionIsOverwritten) {
+  // The DM plans every round into one decision: a block verdict, its
+  // backoff and an earlier round's plans must not leak into the next.
+  FakeMonitorFixture fx;
+  fx.SetRtt(1, MsToMicros(10));
+  fx.SetRtt(2, MsToMicros(100));
+  HotspotFootprint fp;
+  for (int i = 0; i < 20; ++i) Access(&fp, K(1), 100, false);
+  for (int i = 0; i < 10; ++i) Hold(&fp, K(1));
+  SchedulerConfig config;
+  config.policy = SchedulerPolicy::kLatencyAwareForecast;
+  GeoScheduler sched(config, fx.monitor(), &fp);
+  Rng rng(1);
+  std::vector<ParticipantPlanInput> hot(1);
+  hot[0].data_source = 1;
+  hot[0].keys = {K(1)};
+  ScheduleDecision decision;
+  sched.ScheduleRound(ThreeParticipants(), -1, rng, &decision);
+  ASSERT_EQ(decision.plans.size(), 3u);
+  sched.ScheduleRound(hot, /*attempt=*/0, rng, &decision);
+  ASSERT_EQ(decision.verdict, AdmissionVerdict::kBlock);
+  EXPECT_TRUE(decision.plans.empty());
+  std::vector<ParticipantPlanInput> two(2);
+  two[0].data_source = 1;
+  two[1].data_source = 2;
+  sched.ScheduleRound(two, -1, rng, &decision);
+  const ScheduleDecision fresh = Plan(sched, two, -1, rng);
+  EXPECT_EQ(decision.verdict, AdmissionVerdict::kAdmit);
+  EXPECT_EQ(decision.retry_backoff, 0);
+  ASSERT_EQ(decision.plans.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(decision.plans[i].data_source, fresh.plans[i].data_source);
+    EXPECT_EQ(decision.plans[i].postpone, fresh.plans[i].postpone);
+  }
+  EXPECT_EQ(decision.plans[0].postpone, MsToMicros(90));
 }
 
 TEST(SchedulerTest, AdmissionAdmitsColdTransactions) {
@@ -315,7 +361,7 @@ TEST(SchedulerTest, AdmissionAdmitsColdTransactions) {
   inputs[0].data_source = 1;
   inputs[0].keys = {K(42)};
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(sched.ScheduleRound(inputs, 0, rng).verdict,
+    EXPECT_EQ(Plan(sched, inputs, 0, rng).verdict,
               AdmissionVerdict::kAdmit);
   }
 }
