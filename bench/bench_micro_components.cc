@@ -149,8 +149,8 @@ void BM_EngineExecuteOpUncontended(benchmark::State& state) {
         sum += value;
       });
     }
-    ok &= engine.Prepare(xid, 0).ok();
-    ok &= engine.Commit(xid, 0).ok();
+    ok &= engine.Prepare(xid).ok();
+    ok &= engine.Commit(xid).ok();
   }
   if (!ok) state.SkipWithError("an engine call failed");
   benchmark::DoNotOptimize(sum);

@@ -212,38 +212,43 @@ int main() {
       static_cast<unsigned long long>(kStreamWindow));
   const Row streaming = RunLargeRangeStreaming();
   PrintDetail(1.2, "stream", streaming);
-  const auto& mig = streaming.result.migration;
+  const auto& stream = streaming.result.migration.stream;
   std::printf(
-      "summary: streaming chunks=%llu records=%llu peak_unacked=%llu "
-      "(window %llu) retransmits=%llu streams_completed=%llu "
-      "cutovers_reported=%llu map_epoch=%llu\n",
-      static_cast<unsigned long long>(mig.snapshot_chunks_sent),
-      static_cast<unsigned long long>(mig.snapshot_records_sent),
-      static_cast<unsigned long long>(mig.peak_unacked_chunks),
+      "summary: streaming chunks=%llu sealed=%llu records=%llu "
+      "peak_unacked=%llu (window %llu) retransmits=%llu "
+      "streams_completed=%llu cutovers_reported=%llu map_epoch=%llu\n",
+      static_cast<unsigned long long>(stream.snapshot_chunks_sent),
+      static_cast<unsigned long long>(stream.chunks_sealed),
+      static_cast<unsigned long long>(stream.snapshot_records_sent),
+      static_cast<unsigned long long>(stream.peak_unacked_chunks),
       static_cast<unsigned long long>(kStreamWindow),
-      static_cast<unsigned long long>(mig.chunk_retransmits),
-      static_cast<unsigned long long>(mig.streams_completed),
-      static_cast<unsigned long long>(mig.cutovers_reported),
+      static_cast<unsigned long long>(stream.chunk_retransmits),
+      static_cast<unsigned long long>(stream.streams_completed),
+      static_cast<unsigned long long>(
+          streaming.result.migration.cutovers_reported),
       static_cast<unsigned long long>(streaming.result.dm.shard_map_epoch));
   const double wan_ratio =
-      mig.wan_bytes_wire == 0
+      stream.wan_bytes_wire == 0
           ? 0.0
-          : static_cast<double>(mig.wan_bytes_raw) /
-                static_cast<double>(mig.wan_bytes_wire);
+          : static_cast<double>(stream.wan_bytes_raw) /
+                static_cast<double>(stream.wan_bytes_wire);
   std::printf("wan: raw_bytes=%llu wire_bytes=%llu ratio=%.2f\n",
-              static_cast<unsigned long long>(mig.wan_bytes_raw),
-              static_cast<unsigned long long>(mig.wan_bytes_wire), wan_ratio);
+              static_cast<unsigned long long>(stream.wan_bytes_raw),
+              static_cast<unsigned long long>(stream.wan_bytes_wire),
+              wan_ratio);
 
   const bool sweep_pass =
       headline_p50_gain >= 0.20 || headline_dist_gain >= 0.20;
   const bool split_pass = split_p50_gain >= 0.20;
   // The oversized move must complete (epoch advanced past 0) by streaming
   // in bounded chunks, with the source's stream memory capped by the
-  // receiver's credit window.
-  const bool stream_pass = streaming.result.dm.shard_map_epoch >= 1 &&
-                           mig.streams_completed >= 1 &&
-                           mig.snapshot_chunks_sent >= 16 &&
-                           mig.peak_unacked_chunks <= kStreamWindow;
+  // receiver's credit window, and every chunk sealed once (a resend is a
+  // copy of the sealed chunk).
+  const bool stream_pass =
+      streaming.result.dm.shard_map_epoch >= 1 &&
+      stream.streams_completed >= 1 && stream.snapshot_chunks_sent >= 16 &&
+      stream.chunks_sealed == stream.snapshot_chunks_sent &&
+      stream.peak_unacked_chunks <= kStreamWindow;
   const bool pass = sweep_pass && split_pass && stream_pass;
   PrintSimWallSummary();
   std::printf("acceptance: %s\n", pass ? "PASS" : "FAIL");

@@ -28,14 +28,16 @@
 /// Names a stats struct's uint64_t counters once. Registry export
 /// (obs::MetricsRegistry::RegisterStats) and cross-node aggregation
 /// (metrics::Accumulate) walk this list. Wrap a high-water field in
-/// HighWater(...) so aggregation takes the max instead of the sum. A
-/// member left out of the list fails the static_assert.
+/// HighWater(...) so aggregation takes the max instead of the sum. An
+/// embedded stats struct is listed by name and walked in turn (exported
+/// under `<name>.`). A member left out of the list fails the
+/// static_assert.
 #define GEOTP_STAT_FIELDS(...)                                           \
   GEOTP_WIRE_FIELDS(__VA_ARGS__)                                         \
   const char* FieldNames() const {                                       \
     static_assert(sizeof(*this) ==                                       \
                       sizeof(uint64_t) *                                 \
-                          decltype(::geotp::CountStatFields(             \
+                          decltype(::geotp::StatFieldWords(              \
                               __VA_ARGS__))::value,                      \
                   "a stats field is missing from GEOTP_STAT_FIELDS");    \
     return #__VA_ARGS__;                                                 \
@@ -53,9 +55,16 @@ template <class T>
 HighWaterRef<T> HighWater(T& value) {
   return {value};
 }
+/// uint64_t words of one GEOTP_STAT_FIELDS entry (an embedded struct's all).
+template <class F, class = void>
+struct StatWords : std::integral_constant<size_t, 1> {};
+template <class F>
+struct StatWords<F, std::void_t<decltype(&F::FieldNames)>>
+    : std::integral_constant<size_t, sizeof(F) / sizeof(uint64_t)> {};
 /// Declared only: GEOTP_STAT_FIELDS counts its list with it, unevaluated.
 template <class... F>
-std::integral_constant<size_t, sizeof...(F)> CountStatFields(const F&...);
+std::integral_constant<size_t, (StatWords<F>::value + ... + 0)>
+StatFieldWords(const F&...);
 
 /// Splits FieldNames() into bare names: "a, HighWater(b)" -> {"a", "b"}.
 std::vector<std::string> SplitStatFieldNames(const char* list);

@@ -224,7 +224,7 @@ void DataSourceNode::PrepareDurably(const Xid& xid, NodeId coordinator,
        on_refused = std::move(on_refused)]() {
         EndBranchSpan(fsync_span);
         if (crashed_) return;
-        if (engine_.Prepare(xid, timer_->Now()).ok()) {
+        if (engine_.Prepare(xid).ok()) {
           AfterLocalPrepare(xid, coordinator);
         } else {
           on_refused();
@@ -241,7 +241,7 @@ void DataSourceNode::AfterLocalPrepare(const Xid& xid, NodeId coordinator) {
       // The entry did not ship with the record (the node did not lead
       // when the record's batch went to the device): the group has no
       // prepare to vote for.
-      (void)engine_.Rollback(xid, timer_->Now());
+      (void)engine_.Rollback(xid);
       stats_.rollbacks++;
       SendVote(coordinator, xid, Vote::kFailure);
       ForgetBranch(xid.txn_id);
@@ -292,7 +292,7 @@ void DataSourceNode::DropUnloggedBranches() {
     branches_.erase(it);
     // A batch still running here fails and reports as usual; a held
     // response reports the rollback the same way.
-    (void)engine_.Rollback(Xid{txn, logical_id()}, timer_->Now());
+    (void)engine_.Rollback(Xid{txn, logical_id()});
     stats_.rollbacks++;
     if (held != nullptr) {
       SendHeldResponse(held, Vote::kRollbacked);
@@ -305,7 +305,7 @@ Status DataSourceNode::CommitHeldBranch(const Xid& xid) {
   // Capture the write set before Commit releases it.
   std::vector<std::pair<RecordKey, int64_t>> writes;
   if (ForwardsCommittedWrites()) writes = engine_.WriteSetOf(xid);
-  Status st = engine_.Commit(xid, timer_->Now());
+  Status st = engine_.Commit(xid);
   if (st.ok()) NoteCommitted(writes);
   return st;
 }
@@ -739,7 +739,7 @@ void DataSourceNode::OnPrepare(const Xid& xid, NodeId coordinator) {
   // that is not processing the transaction's last statement.
   stats_.explicit_prepares++;
   PrepareDurably(xid, coordinator, [this, xid, coordinator]() {
-    (void)engine_.Rollback(xid, timer_->Now());
+    (void)engine_.Rollback(xid);
     SendVote(coordinator, xid, Vote::kFailure);
     branches_.erase(xid.txn_id);
   });
@@ -769,7 +769,7 @@ void DataSourceNode::AsyncPrepare(const Xid& xid, std::vector<NodeId> peers,
 void DataSourceNode::AsyncRollback(const Xid& xid,
                                    const std::vector<NodeId>& peers) {
   Tombstone(xid.txn_id);
-  (void)engine_.Rollback(xid, timer_->Now());
+  (void)engine_.Rollback(xid);
   NoteLocalRollback(xid.txn_id);
   if (!config_.early_abort) return;
   for (NodeId peer : peers) {
@@ -807,7 +807,7 @@ bool DataSourceNode::AbortBranch(TxnId txn) {
   // participants it skips because they already confirmed.
   Tombstone(txn);
   const bool had_pending = engine_.HasPendingOp(xid);
-  (void)engine_.Rollback(xid, timer_->Now());
+  (void)engine_.Rollback(xid);
   NoteLocalRollback(txn);
   stats_.rollbacks++;
   // A held response answers with the vote; a running batch fails and
@@ -844,7 +844,7 @@ void DataSourceNode::OnDecision(const DecisionItem& item,
   tombstones_.erase(item.xid.txn_id);  // the txn is finished
   const Xid xid = item.xid;
   if (!item.commit) {
-    (void)engine_.Rollback(xid, timer_->Now());
+    (void)engine_.Rollback(xid);
     NoteLocalRollback(xid.txn_id);
     stats_.rollbacks++;
     branches_.erase(xid.txn_id);
@@ -918,7 +918,7 @@ void DataSourceNode::CommitBranch(const Xid& xid,
     // have changed the rows.
     std::vector<std::pair<RecordKey, int64_t>> writes =
         engine_.WriteSetOf(xid);
-    Status st = engine_.CommitEarly(xid, timer_->Now());
+    Status st = engine_.CommitEarly(xid);
     committer_.Append(
         config_.engine.commit_fsync_cost, std::move(record),
         [this, xid, fsync_span, st = std::move(st),
@@ -960,7 +960,7 @@ void DataSourceNode::CommitBranch(const Xid& xid,
         // coordinator resolves a prepared one at the leader, which holds
         // it in doubt.
         if (engine_.StateOf(xid) == storage::TxnState::kActive) {
-          (void)engine_.Rollback(xid, timer_->Now());
+          (void)engine_.Rollback(xid);
           stats_.rollbacks++;
           ForgetBranch(xid.txn_id);
           done(Status::Aborted("commit entry not in the group's log"));
@@ -1010,7 +1010,7 @@ void DataSourceNode::OnCoordinatorFailure(NodeId middleware) {
     }
   }
   for (TxnId txn : to_abort) {
-    (void)engine_.Rollback(Xid{txn, logical_id()}, timer_->Now());
+    (void)engine_.Rollback(Xid{txn, logical_id()});
     NoteLocalRollback(txn);
     stats_.rollbacks++;
     branches_.erase(txn);
@@ -1028,7 +1028,7 @@ void DataSourceNode::Crash() {
   committer_.Reset();
   // Data sources abort every branch that has not completed the prepare
   // phase (paper §V-A common setting ❷).
-  engine_.Crash(timer_->Now());
+  engine_.Crash();
   branches_.clear();
   parked_.clear();  // undelivered work dies with the node
   for (auto& [dm, queue] : ack_queues_) {

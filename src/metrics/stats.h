@@ -55,7 +55,6 @@ struct RunStats {
   uint64_t committed = 0;
   uint64_t aborted = 0;         ///< user-visible aborts (after retries, if any)
   uint64_t abort_events = 0;    ///< every internal abort, incl. retried ones
-  uint64_t admission_blocked = 0;  ///< late-scheduling blocks (O3)
   // Overload control (client side).
   uint64_t sheds = 0;            ///< Overloaded replies received
   uint64_t retries = 0;          ///< resubmits after an abort or a shed
@@ -98,11 +97,19 @@ class ThroughputSeries {
   std::vector<uint64_t> counts_;
 };
 
+template <class S>
+void Accumulate(S* into, const S& from);
+
 namespace internal {
 inline void AccumulateField(uint64_t& into, uint64_t from) { into += from; }
 inline void AccumulateField(HighWaterRef<uint64_t> into,
                             HighWaterRef<const uint64_t> from) {
   into.value = std::max(into.value, from.value);
+}
+/// An embedded stats struct folds field by field.
+template <class S, class = decltype(&S::FieldNames)>
+void AccumulateField(S& into, const S& from) {
+  Accumulate(&into, from);
 }
 }  // namespace internal
 

@@ -327,13 +327,6 @@ size_t MiddlewareNode::BegunBranches(const Txn& txn) {
   return begun;
 }
 
-std::vector<NodeId> MiddlewareNode::ParticipantIds(const Txn& txn) const {
-  std::vector<NodeId> ids;
-  ids.reserve(txn.participants.size());
-  for (const auto& [node, p] : txn.participants) ids.push_back(node);
-  return ids;
-}
-
 // ---------------------------------------------------------------------------
 // Execution phase
 // ---------------------------------------------------------------------------

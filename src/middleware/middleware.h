@@ -400,7 +400,6 @@ class MiddlewareNode {
   /// a follower read sits in the map with no branch; it neither votes nor
   /// gets a decision.
   static size_t BegunBranches(const Txn& txn);
-  std::vector<NodeId> ParticipantIds(const Txn& txn) const;
 
   NodeId id_;
   uint32_t ordinal_;

@@ -68,6 +68,11 @@ class MetricsRegistry {
   void RegisterStat(const std::string& name, const uint64_t& value) {
     RegisterGauge(name, [&value]() { return static_cast<double>(value); });
   }
+  /// An embedded stats struct registers its fields under `<name>.`.
+  template <class S, class = decltype(&S::FieldNames)>
+  void RegisterStat(const std::string& name, const S& nested) {
+    RegisterStats(name + ".", nested);
+  }
 
   mutable std::mutex mu_;
   std::map<std::string, GaugeFn> gauges_;

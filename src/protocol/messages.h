@@ -473,19 +473,13 @@ struct ShardMigrateCancel : runtime::Message<ShardMigrateCancel> {
   GEOTP_WIRE_FIELDS(migration_id)
 };
 
-/// Bulk record transfer. Two users share this install path:
-///  * shard migration (migration_id != 0): source leader -> dest leader,
-///    carrying one bounded, sequenced chunk of the moving range's committed
-///    records. The stream is windowed by receiver-driven credit (see
-///    ShardSnapshotAck): the source may have at most `acked + credit`
-///    chunks outstanding, so a slow destination backpressures the source
-///    instead of flooding the event loop. `last` marks the final chunk.
-///  * replication snapshot bootstrap (migration_id == 0): group leader ->
-///    follower whose log was fully compacted away, carrying chunk seq of
-///    the stream 1..N that slices the leader's committed store; `last`
-///    marks chunk N, the stream's end. Once the follower holds 1..N,
-///    base_index/base_epoch position its (empty) log at the compaction
-///    boundary so shipping resumes from the retained tail.
+/// One chunk of a snapshot stream (replication/snapshot_stream.h), sent
+/// under the receiver's credit (see ShardSnapshotAck); `last` marks chunk
+/// N. Shard migration (migration_id != 0): source leader -> dest leader, a
+/// slice of the moving range. Follower re-seed (migration_id == 0): group
+/// leader -> a follower whose log was compacted away, a slice of the
+/// committed store; once chunk N is applied, base_index/base_epoch position
+/// the follower's empty log at the compaction boundary.
 struct ShardSnapshotChunk : runtime::Message<ShardSnapshotChunk> {
   uint64_t migration_id = 0;
   NodeId group = kInvalidNode;   ///< dest logical group / repl group id
@@ -508,16 +502,19 @@ struct ShardSnapshotChunk : runtime::Message<ShardSnapshotChunk> {
                     payload_uncompressed_len, content_hash, payload)
 };
 
-/// Dest leader -> source leader: chunk `seq` (and everything before it) is
-/// durably applied (with a replicated destination, quorum-durable). Carries
-/// the receiver's flow-control grant: the source may send chunks up to
-/// seq + credit. Duplicate chunks re-ack with the current position so a
-/// lost ack cannot wedge the stream.
+/// Receiver -> sender of a snapshot stream: chunk `seq` and everything
+/// before it is applied (quorum-durable on a replicated migration
+/// destination); the sender may send up to seq + credit. Duplicates re-ack,
+/// so a lost ack cannot wedge the stream. A re-seed ack (migration_id == 0)
+/// goes to the leader's Replicator and echoes the stream's epoch and base,
+/// so an earlier stream's ack is never taken for a restarted one's.
 struct ShardSnapshotAck : runtime::Message<ShardSnapshotAck> {
   uint64_t migration_id = 0;
   uint64_t seq = 0;     ///< highest contiguously applied chunk
   uint64_t credit = 1;  ///< additional chunks the receiver will buffer
-  GEOTP_WIRE_FIELDS(migration_id, seq, credit)
+  uint64_t epoch = 0;       ///< re-seed stream's leader epoch
+  uint64_t base_index = 0;  ///< re-seed stream's base
+  GEOTP_WIRE_FIELDS(migration_id, seq, credit, epoch, base_index)
 };
 
 /// Source leader -> dest leader: writes committed on the moving range

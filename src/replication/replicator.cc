@@ -1,12 +1,11 @@
 #include "replication/replicator.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/wire.h"
 #include "datasource/data_source.h"
 #include "protocol/wan_codec.h"
 
@@ -17,20 +16,6 @@ namespace {
 
 /// Candidate retry backoff after a failed (split / refused) election.
 constexpr Micros kElectionRetryBackoff = MsToMicros(60);
-
-/// The committed store in key order: the bootstrap stream's slicing.
-std::vector<protocol::ReplWrite> SortedCommittedRecords(
-    storage::TransactionEngine& engine) {
-  std::vector<protocol::ReplWrite> records;
-  for (const auto& [key, value] : engine.CommittedRecords()) {
-    records.push_back(protocol::ReplWrite{key, value});
-  }
-  std::sort(records.begin(), records.end(),
-            [](const protocol::ReplWrite& a, const protocol::ReplWrite& b) {
-              return a.key < b.key;
-            });
-  return records;
-}
 
 }  // namespace
 
@@ -258,17 +243,23 @@ bool Replicator::HandleMessage(runtime::MessageBase* msg) {
       OnFollowerRead(static_cast<FollowerReadRequest&>(*msg));
       return true;
     case runtime::MessageType::kShardSnapshotChunk: {
-      // migration_id == 0 marks a replication bootstrap snapshot; shard
-      // migration chunks fall through to the ShardMigrator.
+      // migration_id == 0 marks a re-seed stream; shard migration chunks
+      // fall through to the ShardMigrator.
       auto& chunk = static_cast<protocol::ShardSnapshotChunk&>(*msg);
       if (chunk.migration_id != 0 || chunk.group != group_.logical) {
         return false;
       }
       std::vector<protocol::ReplWrite> records;
-      if (!protocol::OpenChunkPayload(chunk, &records)) {
-        return true;  // corrupt: drop; the next re-sent stream recovers
-      }
-      OnBootstrapSnapshot(chunk, records);
+      if (protocol::OpenChunkPayload(chunk, &records)) {
+        OnBootstrapSnapshot(chunk, std::move(records));
+      }  // else corrupt: dropped whole; the leader's resend recovers it
+      return true;
+    }
+    case runtime::MessageType::kShardSnapshotAck: {
+      const auto& ack = static_cast<const protocol::ShardSnapshotAck&>(*msg);
+      if (ack.migration_id != 0) return false;
+      auto it = bootstrap_streams_.find(ack.from);
+      if (it != bootstrap_streams_.end()) it->second->OnAck(ack);
       return true;
     }
     default:
@@ -413,7 +404,7 @@ void Replicator::TruncateFrom(uint64_t from) {
         state != storage::TxnState::kActive) {
       continue;
     }
-    (void)engine.Rollback(it->xid, loop()->Now());
+    (void)engine.Rollback(it->xid);
     node_->ForgetBranch(it->xid.txn_id);
   }
   CutLog(from);
@@ -447,6 +438,12 @@ void Replicator::OnAppendAck(const ReplAppendAck& ack) {
     election_.ObserveEpoch(ack.epoch);
     SyncRoleState();
     return;
+  }
+  // A follower whose log holds a re-seed stream's base has installed it
+  // (or never needed it): the stream is over.
+  if (ack.ok && bootstrap_streams_.count(ack.from) > 0 &&
+      ack.ack_index >= bootstrap_streams_[ack.from]->header().base_index) {
+    bootstrap_streams_.erase(ack.from);
   }
   shipper_.OnAck(ack.from, ack);
 }
@@ -510,104 +507,33 @@ void Replicator::OnFollowerRead(const FollowerReadRequest& req) {
 // ---------------------------------------------------------------------------
 
 void Replicator::SendBootstrapSnapshot(NodeId follower) {
-  // The shipper re-fires this every heartbeat while the follower's next
-  // entry stays compacted away; a stream takes a round trip to install,
-  // so only re-send after a quiet period. A re-sent stream is harmless
-  // beyond the bytes (values are absolute), and it is what recovers a
-  // chunk the network lost.
-  auto [it, first] = bootstrap_streams_.try_emplace(follower);
-  BootstrapStream& stream = it->second;
-  if (!first &&
-      loop()->Now() - stream.sent_at < 2 * group_.config.heartbeat_interval) {
-    return;
-  }
-  stream.sent_at = loop()->Now();
   // Position the follower's empty log at our compaction boundary: the
-  // chunks carry our CURRENT committed state, which covers every
-  // compacted entry's effects (re-applying the retained tail is
-  // idempotent). Committed state only: live branches' in-place writes
-  // stay out — their prepare entries are pinned above the compaction
-  // point and ship with the tail.
+  // chunks carry our committed state, which covers every compacted
+  // entry's effects, and the retained tail re-applies idempotently
+  // (values are absolute) — so a key committed behind the stream's cursor
+  // reaches the follower through the tail. Committed state only: live
+  // branches' in-place writes stay out; their prepare entries are pinned
+  // above the compaction point and ship with the tail.
   const uint64_t base_index = log_.first_index() - 1;
-  const uint64_t base_epoch = log_.EpochAt(base_index);
-  const std::vector<protocol::ReplWrite> records =
-      SortedCommittedRecords(node_->engine());
-  if (stream.base_index != base_index) {
-    // First stream for this base: slice by record count. Later streams
-    // cut at the same keys (a key committed in between joins the chunk
-    // whose range holds it), so chunk s of one stream and chunk s+1 of
-    // another never leave a record between them.
-    stream.base_index = base_index;
-    const size_t per_chunk =
-        std::max<uint64_t>(1, node_->config().migration_chunk_records);
-    stream.chunk_starts.clear();
-    for (size_t i = per_chunk; i < records.size(); i += per_chunk) {
-      stream.chunk_starts.push_back(records[i].key);
-    }
-  }
-  // Chunk s ends before chunk_starts[s-1]; the last one takes the rest.
-  // An empty store still sends one (empty) `last` chunk.
-  const uint64_t chunks = stream.chunk_starts.size() + 1;
-  auto begin = records.begin();
-  std::string packed;
-  for (uint64_t seq = 1; seq <= chunks; ++seq) {
-    auto end = begin;
-    while (end != records.end() &&
-           (seq == chunks || end->key < stream.chunk_starts[seq - 1])) {
-      ++end;
-    }
-    auto chunk = std::make_unique<protocol::ShardSnapshotChunk>();
-    chunk->from = self();
-    chunk->to = follower;
-    chunk->migration_id = 0;
-    chunk->group = group_.logical;
-    chunk->epoch = election_.epoch();
-    chunk->seq = seq;
-    chunk->last = seq == chunks;
-    chunk->base_index = base_index;
-    chunk->base_epoch = base_epoch;
-    packed.clear();
-    wire::Writer(&packed).PutRange(begin, end);
-    begin = end;
-    protocol::SealChunkPayload(packed, chunk.get());
-    stats_.wan_bytes_raw += chunk->payload_uncompressed_len;
-    stats_.wan_bytes_wire += chunk->payload.size();
-    stats_.bootstrap_chunks_sent++;
-    network()->Send(std::move(chunk));
-  }
-  GEOTP_INFO("replica " << self() << ": bootstrap stream (base "
-                        << base_index << ", " << chunks << " chunks, "
-                        << records.size() << " records) -> " << follower);
-}
-
-void Replicator::FinishBootstrapInstall() {
-  GEOTP_CHECK(pending_bootstrap_.has_value(), "no bootstrap pending");
-  const uint64_t base_index = pending_bootstrap_->base_index;
-  const uint64_t base_epoch = pending_bootstrap_->base_epoch;
-  pending_bootstrap_.reset();
-  log_.ResetTo(base_index, base_epoch);
-  consistent_prefix_ = base_index;
-  follower_watermark_ = base_index;
-  applied_index_ = base_index;
-  compact_floor_ = std::max(compact_floor_, base_index);
-  unresolved_prepares_.clear();
-  commit_entries_.clear();
-  unresolved_migrations_.clear();
-  fresh_as_of_ = loop()->Now();
-  stats_.snapshot_installs++;
-  auto ack = std::make_unique<ReplAppendAck>();
-  ack->from = self();
-  ack->to = election_.leader();
-  ack->group = group_.logical;
-  ack->epoch = election_.epoch();
-  ack->ok = true;
-  ack->ack_index = consistent_prefix_;
-  network()->Send(std::move(ack));
+  std::unique_ptr<SnapshotSender>& stream = bootstrap_streams_[follower];
+  if (stream != nullptr && stream->header().base_index == base_index) return;
+  protocol::ShardSnapshotChunk header;
+  header.from = self();
+  header.to = follower;
+  header.group = group_.logical;
+  header.epoch = election_.epoch();
+  header.base_index = base_index;
+  header.base_epoch = log_.EpochAt(base_index);
+  stream = std::make_unique<SnapshotSender>(node_, std::move(header),
+                                            nullptr, &stats_.reseed);
+  stream->Pump();
+  GEOTP_INFO("replica " << self() << ": re-seed stream (base " << base_index
+                        << ") -> " << follower);
 }
 
 void Replicator::OnBootstrapSnapshot(
     const protocol::ShardSnapshotChunk& chunk,
-    const std::vector<protocol::ReplWrite>& records) {
+    std::vector<protocol::ReplWrite> records) {
   // Stream chunks are numbered from 1; no sender produces seq 0.
   if (chunk.seq == 0) return;
   if (chunk.epoch < election_.epoch()) return;  // stale leader
@@ -628,27 +554,56 @@ void Replicator::OnBootstrapSnapshot(
   if (!pending_bootstrap_.has_value() ||
       pending_bootstrap_->epoch != chunk.epoch ||
       pending_bootstrap_->base_index < chunk.base_index) {
-    pending_bootstrap_ = PendingBootstrap();
-    pending_bootstrap_->epoch = chunk.epoch;
-    pending_bootstrap_->base_index = chunk.base_index;
-    pending_bootstrap_->base_epoch = chunk.base_epoch;
+    pending_bootstrap_ = PendingBootstrap{
+        chunk.epoch, chunk.base_index, chunk.base_epoch,
+        SnapshotReceiver(node_->config().migration_stream_window)};
   } else if (pending_bootstrap_->base_index > chunk.base_index) {
     return;  // straggler of a superseded stream
   }
-  // Records apply at once (values are absolute, so a re-sent stream is
-  // idempotent); the log repositions only once chunks 1..N are all here.
-  for (const protocol::ReplWrite& w : records) {
-    node_->engine().store().Apply(w.key, w.value);
-  }
   PendingBootstrap& pending = *pending_bootstrap_;
-  pending.received.insert(chunk.seq);
-  if (chunk.last) pending.last_seq = chunk.seq;
-  const auto held = std::distance(
-      pending.received.begin(), pending.received.upper_bound(pending.last_seq));
-  if (pending.last_seq != 0 &&
-      static_cast<uint64_t>(held) == pending.last_seq) {
-    FinishBootstrapInstall();
+  const bool stale = !pending.chunks.Offer(chunk.seq, chunk.last,
+                                           std::move(records), &stats_.reseed);
+  // Chunks apply in seq order as they arrive (values are absolute); the
+  // log repositions once chunk N is applied.
+  uint64_t seq = 0;
+  std::vector<protocol::ReplWrite> next;
+  bool applied = false;
+  while (pending.chunks.Next(&seq, &next)) {
+    for (const protocol::ReplWrite& w : next) {
+      node_->engine().store().Apply(w.key, w.value);
+    }
+    pending.chunks.MarkApplied(seq);
+    applied = true;
   }
+  if (applied || stale) {
+    auto ack = std::make_unique<protocol::ShardSnapshotAck>();
+    ack->from = self();
+    ack->to = chunk.from;
+    ack->epoch = pending.epoch;
+    ack->base_index = pending.base_index;
+    pending.chunks.FillAck(ack.get());
+    network()->Send(std::move(ack));
+  }
+  if (!pending.chunks.done()) return;
+  // Chunk N is applied: position the log at the snapshot boundary and ack.
+  const uint64_t base_index = pending.base_index;
+  log_.ResetTo(base_index, pending.base_epoch);
+  pending_bootstrap_.reset();
+  consistent_prefix_ = follower_watermark_ = applied_index_ = base_index;
+  compact_floor_ = std::max(compact_floor_, base_index);
+  unresolved_prepares_.clear();
+  commit_entries_.clear();
+  unresolved_migrations_.clear();
+  fresh_as_of_ = loop()->Now();
+  stats_.snapshot_installs++;
+  auto installed = std::make_unique<ReplAppendAck>();
+  installed->from = self();
+  installed->to = election_.leader();
+  installed->group = group_.logical;
+  installed->epoch = election_.epoch();
+  installed->ok = true;
+  installed->ack_index = base_index;
+  network()->Send(std::move(installed));
 }
 
 void Replicator::WipeForBootstrap() {
@@ -662,11 +617,11 @@ void Replicator::WipeForBootstrap() {
   unresolved_prepares_.clear();
   commit_entries_.clear();
   unresolved_migrations_.clear();
-  pending_bootstrap_.reset();
   node_->OnLogWiped();
   // NOTE: the committed store is kept (only the log device is gone), as
-  // a crash keeps it. The bootstrap stream re-sends every chunk anyway;
-  // its absolute values overwrite whatever the store held.
+  // a crash keeps it, and so is an install in progress, whose applied
+  // chunks are in that store. A full stream's absolute values overwrite
+  // whatever else the store held.
 }
 
 // ---------------------------------------------------------------------------
@@ -817,8 +772,7 @@ void Replicator::InstallStagedPrepares() {
       for (const protocol::ReplWrite& w : entry.writes) {
         writes.emplace_back(w.key, w.value);
       }
-      Status st = node_->engine().InstallPreparedBranch(entry.xid, writes,
-                                                        loop()->Now());
+      Status st = node_->engine().InstallPreparedBranch(entry.xid, writes);
       GEOTP_CHECK(st.ok(), "installing staged prepare: " << st.ToString());
       stats_.prepared_installs++;
     }
@@ -889,7 +843,7 @@ void Replicator::ApplyEntry(const ReplEntry& entry) {
         // executed): a local XA commit releases locks; the data is already
         // in place. It is this node's commit, counted as one.
         Status st = node_->CommitHeldBranch(entry.xid);
-        if (!st.ok()) (void)engine.Rollback(entry.xid, loop()->Now());
+        if (!st.ok()) (void)engine.Rollback(entry.xid);
         node_->ForgetBranch(entry.xid.txn_id);
         if (st.ok()) break;
       }
@@ -908,7 +862,7 @@ void Replicator::ApplyEntry(const ReplEntry& entry) {
     case ReplEntryType::kAbort:
       if (state == storage::TxnState::kPrepared ||
           state == storage::TxnState::kActive) {
-        (void)engine.Rollback(entry.xid, loop()->Now());
+        (void)engine.Rollback(entry.xid);
         node_->ForgetBranch(entry.xid.txn_id);
       }
       break;
@@ -943,7 +897,6 @@ void Replicator::OnCrash() {
   RetireLeadership();
   CutLog(durable + 1);
   commit_waiters_.clear();
-  pending_bootstrap_.reset();  // reassembly state is volatile
 }
 
 void Replicator::OnRestart() {

@@ -21,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "replication/log_shipper.h"
 #include "runtime/runtime.h"
 #include "replication/replication_config.h"
+#include "replication/snapshot_stream.h"
 #include "replication/unresolved_prepares.h"
 
 namespace geotp {
@@ -49,21 +49,17 @@ struct ReplicatorStats {
   uint64_t revotes_sent = 0;
   uint64_t follower_reads_served = 0;
   uint64_t follower_reads_rejected = 0;
-  uint64_t not_leader_rejections = 0;
   uint64_t log_entries_truncated = 0;  ///< compacted-away prefix entries
   uint64_t snapshot_installs = 0;  ///< bootstrap snapshots applied
   uint64_t migration_records_appended = 0;  ///< Begin/Cutover/End journaled
   uint64_t migration_handoffs = 0;  ///< unresolved migrations at promotion
-  // Follower re-seed chunk stream + its WAN accounting.
-  uint64_t bootstrap_chunks_sent = 0;
-  uint64_t wan_bytes_raw = 0;   ///< packed bootstrap-chunk bytes pre-codec
-  uint64_t wan_bytes_wire = 0;  ///< bytes actually shipped
+  /// Follower re-seed streams, both roles.
+  SnapshotStreamStats reseed;
   GEOTP_STAT_FIELDS(appends_received, entries_applied, promotions,
                     prepared_installs, revotes_sent, follower_reads_served,
-                    follower_reads_rejected, not_leader_rejections,
+                    follower_reads_rejected,
                     log_entries_truncated, snapshot_installs,
-                    migration_records_appended, migration_handoffs,
-                    bootstrap_chunks_sent, wan_bytes_raw, wan_bytes_wire)
+                    migration_records_appended, migration_handoffs, reseed)
 };
 
 class Replicator {
@@ -212,21 +208,16 @@ class Replicator {
   void OnVoteResponse(const protocol::ReplVoteResponse& resp);
   void OnFollowerRead(const protocol::FollowerReadRequest& req);
   /// Leader side: re-seeds a follower whose next entry was compacted
-  /// away by streaming the committed store as chunks seq 1..N, `last` on
-  /// chunk N, all sent at once. Throttled: the shipper re-fires this every
-  /// heartbeat while the follower lags, but a fresh stream goes out at
-  /// most every two heartbeats. A re-sent stream for the same base cuts
-  /// its chunks at the first stream's keys; it is idempotent (values are
-  /// absolute) and is how a lost chunk is recovered.
+  /// away with a snapshot stream of the committed store, based at the
+  /// compaction boundary. The shipper calls this on every nack while the
+  /// follower lags; a stream already running for the current base is left
+  /// to its own acks and resends.
   void SendBootstrapSnapshot(NodeId follower);
-  /// Follower side: applies one chunk (migration_id == 0, seq >= 1) of a
-  /// bootstrap stream and installs once it holds seqs 1..N for the
-  /// stream's (leader epoch, base_index).
+  /// Follower side: offers one chunk (migration_id == 0) of a re-seed
+  /// stream, applies what is next in seq order, and installs (positions
+  /// the log at the stream's base) once chunk N is applied.
   void OnBootstrapSnapshot(const protocol::ShardSnapshotChunk& chunk,
-                           const std::vector<protocol::ReplWrite>& records);
-  /// Follower side: every chunk of the stream arrived — position the log
-  /// at the snapshot boundary and ack.
-  void FinishBootstrapInstall();
+                           std::vector<protocol::ReplWrite> records);
 
   /// Epoch of the last log entry (0 for an empty log) — the first half of
   /// the (epoch, index) log-position pair elections compare.
@@ -319,27 +310,19 @@ class Replicator {
   std::multimap<uint64_t, std::function<void()>> commit_waiters_;
 
   // ----- bootstrap re-seed state -----
-  /// Leader side: the stream to one lagging follower; cleared with
-  /// leadership.
-  struct BootstrapStream {
-    Micros sent_at = 0;  ///< last send (the 2x heartbeat re-send throttle)
-    uint64_t base_index = 0;
-    /// First key of chunks 2..N, fixed while `base_index` holds: a re-sent
-    /// stream cuts at the same keys, so chunk s covers the same key range
-    /// in every stream for the base and any mix of them covers the store.
-    std::vector<RecordKey> chunk_starts;
-  };
-  std::unordered_map<NodeId, BootstrapStream> bootstrap_streams_;
-  /// Follower side: the install in progress (volatile — a crash mid-seed
-  /// keeps the partially applied store, and the next stream re-sends
-  /// every chunk). Keyed by the sending leader's epoch and its base: a
-  /// new leader's stream starts a fresh install whatever its base.
+  /// Leader side: the stream to each lagging follower, kept until the
+  /// follower acks an append at or past its base; cleared with leadership.
+  std::unordered_map<NodeId, std::unique_ptr<SnapshotSender>>
+      bootstrap_streams_;
+  /// Follower side: the install in progress. It survives a crash and a
+  /// log wipe, like the store its applied chunks are in, so the leader's
+  /// resends complete it. Keyed by the sending leader's epoch and its
+  /// base: a new leader's stream starts a fresh install whatever its base.
   struct PendingBootstrap {
     uint64_t epoch = 0;
     uint64_t base_index = 0;
     uint64_t base_epoch = 0;
-    std::set<uint64_t> received;  ///< chunk seqs applied so far
-    uint64_t last_seq = 0;        ///< N, once the `last` chunk arrived
+    SnapshotReceiver chunks;
   };
   std::optional<PendingBootstrap> pending_bootstrap_;
 

@@ -1,10 +1,10 @@
 #include "sharding/migrator.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/wire.h"
 #include "datasource/data_source.h"
 #include "protocol/wan_codec.h"
 
@@ -35,10 +35,13 @@ bool ShardMigrator::HandleMessage(runtime::MessageBase* msg) {
     case runtime::MessageType::kShardSnapshotChunk: {
       const auto& chunk = static_cast<const ShardSnapshotChunk&>(*msg);
       // A corrupt envelope is dropped whole — never half-applied; the
-      // source's resend timer recovers it. (Bootstrap chunks were already
-      // consumed — and opened — by the Replicator.)
+      // source's resend timer recovers it. Re-seed chunks (migration id 0)
+      // belong to the Replicator.
       std::vector<ReplWrite> records;
-      if (!protocol::OpenChunkPayload(chunk, &records)) return true;
+      if (chunk.migration_id == 0 ||
+          !protocol::OpenChunkPayload(chunk, &records)) {
+        return true;
+      }
       OnSnapshotChunk(chunk, std::move(records));
       return true;
     }
@@ -106,12 +109,6 @@ ShardMigrator::Outbound* ShardMigrator::FindOutbound(uint64_t migration_id) {
   return nullptr;
 }
 
-uint64_t ShardMigrator::UnackedChunks() const {
-  uint64_t unacked = 0;
-  for (const Outbound& out : outbound_) unacked += out.unacked.size();
-  return unacked;
-}
-
 void ShardMigrator::OnMigrateRequest(const ShardMigrateRequest& req) {
   // Only the current leader of the source group runs migrations; a
   // follower (or a deposed leader) ignores the request and the balancer's
@@ -126,7 +123,9 @@ void ShardMigrator::OnMigrateRequest(const ShardMigrateRequest& req) {
     if (req.dest_leader != kInvalidNode &&
         req.dest_leader != existing->dest_leader) {
       existing->dest_leader = req.dest_leader;
-      ResendChunks(*existing);
+      if (existing->chunks != nullptr) {
+        existing->chunks->Redirect(req.dest_leader);
+      }
       for (const auto& [seq, writes] : existing->unacked_deltas) {
         SendDelta(*existing, seq, writes);
       }
@@ -143,19 +142,8 @@ void ShardMigrator::OnMigrateRequest(const ShardMigrateRequest& req) {
   out.new_version = req.new_version;
   out.balancer = req.from;
   out.timeout = req.timeout;
-  out.scan_cursor = req.range.lo;
-  // Self-cancellation backstop: if neither the balancer's cancel nor a
-  // cutover publish arrives (the balancer may have died), unfence rather
-  // than refuse the range's traffic forever. Twice the balancer's own
-  // timeout, so the normal cancel always wins the race.
-  const Micros self_cancel =
-      req.timeout > 0 ? 2 * req.timeout : SecToMicros(30);
   const uint64_t id = out.id;
-  node_->timer()->Schedule(self_cancel, [this, id]() {
-    protocol::ShardMigrateCancel cancel;
-    cancel.migration_id = id;
-    OnMigrateCancel(cancel);
-  });
+  ArmSelfCancel(id, req.timeout);
   outbound_.push_back(std::move(out));
   if (repl != nullptr) {
     // Journal the Begin record before any chunk leaves the node: a
@@ -167,111 +155,41 @@ void ShardMigrator::OnMigrateRequest(const ShardMigrateRequest& req) {
                              Outbound* begun = FindOutbound(id);
                              if (begun == nullptr) return;  // cancelled
                              begun->begin_logged = true;
-                             PumpChunks(id);
+                             StartStream(*begun);
                            });
   } else {
-    PumpChunks(id);
+    StartStream(outbound_.back());
   }
 }
 
-void ShardMigrator::PumpChunks(uint64_t migration_id) {
-  Outbound* out = FindOutbound(migration_id);
-  if (out == nullptr || out->stream_complete || out->scan_exhausted ||
-      out->next_chunk_seq > out->acked_chunk_seq + out->credit) {
-    return;
-  }
-  const uint64_t chunk_cap =
-      std::max<uint64_t>(1, node_->config().migration_chunk_records);
-  // One committed-records scan + sort per pump, sliced into as many
-  // chunks as the credit window allows (re-scanning per chunk would make
-  // the stream quadratic in resident records). Values are read at send
-  // time: they already include post-cut commits, which also forward as
-  // deltas — absolute values make the duplicate application idempotent,
-  // and the destination's delta-written skip keeps the newer delta value
-  // when the orders race.
-  const ShardRange range = out->range;
-  const uint64_t cursor = out->scan_cursor;
-  std::vector<ReplWrite> remainder;
-  for (const auto& [key, value] : node_->engine().CommittedRecords(
-           [&range, cursor](const RecordKey& key) {
-             return range.Contains(key) && key.key >= cursor;
-           })) {
-    remainder.push_back(ReplWrite{key, value});
-  }
-  const auto by_key = [](const ReplWrite& a, const ReplWrite& b) {
-    return a.key < b.key;
-  };
-  // Only the window's worth of smallest keys needs to be ordered; the
-  // +1 extra element becomes the next pump's cursor. Selecting before
-  // sorting keeps a pump O(remaining + window log window) instead of
-  // fully sorting the remainder just to slice its head off.
-  const size_t total = remainder.size();
-  const uint64_t budget_chunks =
-      out->acked_chunk_seq + out->credit - out->next_chunk_seq + 1;
-  const size_t need = static_cast<size_t>(budget_chunks * chunk_cap + 1);
-  if (total > need) {
-    std::nth_element(remainder.begin(),
-                     remainder.begin() + static_cast<ptrdiff_t>(need) - 1,
-                     remainder.end(), by_key);
-    remainder.resize(need);
-  }
-  std::sort(remainder.begin(), remainder.end(), by_key);
-  size_t offset = 0;
-  while (!out->scan_exhausted &&
-         out->next_chunk_seq <= out->acked_chunk_seq + out->credit) {
-    const size_t left = total - offset;
-    const bool last = left <= chunk_cap;
-    std::vector<ReplWrite> records(
-        remainder.begin() + static_cast<ptrdiff_t>(offset),
-        remainder.begin() +
-            static_cast<ptrdiff_t>(offset + (last ? left : chunk_cap)));
-    if (last) {
-      out->scan_exhausted = true;
-      out->last_chunk_seq = out->next_chunk_seq;
-    } else {
-      offset += chunk_cap;
-      out->scan_cursor = remainder[offset].key.key;
-    }
-    const uint64_t seq = out->next_chunk_seq++;
-    stats_.snapshot_chunks_sent++;
-    stats_.snapshot_records_sent += records.size();
-    SendChunk(*out, seq, records, last);
-    if (obs::GlobalTracer().enabled()) {
-      out->chunk_spans[seq] = obs::GlobalTracer().BeginSpan(
-          obs::SystemContext(), "migrate.chunk", node_->id(),
-          node_->timer()->Now());
-    }
-    out->unacked[seq] = std::move(records);
-    stats_.peak_unacked_chunks = std::max<uint64_t>(
-        stats_.peak_unacked_chunks, out->unacked.size());
-  }
-  out->last_progress_at = node_->timer()->Now();
-  ArmResendTimer(migration_id);
+void ShardMigrator::ArmSelfCancel(uint64_t migration_id, Micros timeout) {
+  // If neither the balancer's cancel nor a cutover publish arrives (the
+  // balancer may have died), unfence rather than refuse the range's traffic
+  // forever. Twice the balancer's own timeout, so its cancel always wins.
+  node_->timer()->Schedule(
+      timeout > 0 ? 2 * timeout : SecToMicros(30), [this, migration_id]() {
+        protocol::ShardMigrateCancel cancel;
+        cancel.migration_id = migration_id;
+        OnMigrateCancel(cancel);
+      });
 }
 
-void ShardMigrator::SendChunk(Outbound& out, uint64_t seq,
-                              const std::vector<ReplWrite>& records,
-                              bool last) {
-  auto chunk = std::make_unique<ShardSnapshotChunk>();
-  chunk->from = node_->id();
-  chunk->to = out.dest_leader;
-  chunk->migration_id = out.id;
-  chunk->group = out.dest;
-  chunk->range = out.range;
-  chunk->seq = seq;
-  chunk->last = last;
-  protocol::SealChunkPayload(wire::Pack(records), chunk.get());
-  stats_.wan_bytes_raw += chunk->payload_uncompressed_len;
-  stats_.wan_bytes_wire += chunk->payload.size();
-  node_->transport()->Send(std::move(chunk));
-}
-
-void ShardMigrator::ResendChunks(Outbound& out) {
-  for (const auto& [seq, records] : out.unacked) {
-    stats_.chunk_retransmits++;
-    SendChunk(out, seq, records, seq == out.last_chunk_seq);
-  }
-  out.last_progress_at = node_->timer()->Now();
+void ShardMigrator::StartStream(Outbound& out) {
+  ShardSnapshotChunk header;
+  header.from = node_->id();
+  header.to = out.dest_leader;
+  header.migration_id = out.id;
+  header.group = out.dest;
+  header.range = out.range;
+  // Chunk values are read at cut time: they already include post-cut
+  // commits, which also forward as deltas. Absolute values make the
+  // duplicate application idempotent, and the destination's delta-written
+  // skip keeps the newer delta value when the orders race.
+  out.chunks = std::make_unique<replication::SnapshotSender>(
+      node_, std::move(header),
+      [range = out.range](const RecordKey& key) { return range.Contains(key); },
+      &stats_.stream);
+  out.chunks->Pump();
 }
 
 void ShardMigrator::SendDelta(const Outbound& out, uint64_t seq,
@@ -285,59 +203,15 @@ void ShardMigrator::SendDelta(const Outbound& out, uint64_t seq,
   node_->transport()->Send(std::move(batch));
 }
 
-void ShardMigrator::ArmResendTimer(uint64_t migration_id) {
-  Outbound* out = FindOutbound(migration_id);
-  if (out == nullptr || out->resend_armed) return;
-  out->resend_armed = true;
-  const Micros check = node_->config().migration_resend_timeout;
-  node_->timer()->Schedule(check, [this, migration_id]() {
-    Outbound* late = FindOutbound(migration_id);
-    if (late == nullptr || node_->crashed()) return;
-    late->resend_armed = false;
-    if (late->stream_complete || late->unacked.empty()) return;
-    if (node_->timer()->Now() - late->last_progress_at >=
-        node_->config().migration_resend_timeout) {
-      // No progress in a full window: chunks (or their acks) were lost.
-      // Re-send everything outstanding; duplicates re-ack at the
-      // receiver's position, so a lost ack also recovers here.
-      ResendChunks(*late);
-    }
-    ArmResendTimer(migration_id);
-  });
-}
-
 void ShardMigrator::OnSnapshotAck(const ShardSnapshotAck& ack) {
   Outbound* out = FindOutbound(ack.migration_id);
-  if (out == nullptr || out->stream_complete) return;
-  // Take the grant only from acks at (or past) the current position: a
-  // reordered older ack can carry a larger grant than the receiver's
-  // buffer now has room for, and over-sending just gets chunks dropped
-  // at the credit-overrun check — a resend-timeout stall for nothing.
-  if (ack.seq >= out->acked_chunk_seq) {
-    out->credit = std::max<uint64_t>(1, ack.credit);
-  }
-  if (ack.seq > out->acked_chunk_seq) {
-    out->acked_chunk_seq = ack.seq;
-    out->unacked.erase(out->unacked.begin(),
-                       out->unacked.upper_bound(ack.seq));
-    while (!out->chunk_spans.empty() &&
-           out->chunk_spans.begin()->first <= ack.seq) {
-      obs::GlobalTracer().EndSpan(out->chunk_spans.begin()->second,
-                                  node_->timer()->Now());
-      out->chunk_spans.erase(out->chunk_spans.begin());
-    }
-    out->last_progress_at = node_->timer()->Now();
-  }
-  if (out->last_chunk_seq != 0 &&
-      out->acked_chunk_seq >= out->last_chunk_seq) {
-    out->stream_complete = true;
-    out->unacked.clear();
-    stats_.streams_completed++;
-    FenceRange(*out);
-    MaybeReportCutover(*out);
+  if (out == nullptr || out->chunks == nullptr ||
+      !out->chunks->OnAck(ack)) {
     return;
   }
-  PumpChunks(ack.migration_id);
+  out->chunks.reset();
+  FenceRange(*out);
+  MaybeReportCutover(*out);
 }
 
 void ShardMigrator::OnMigrateCancel(const ShardMigrateCancel& req) {
@@ -405,10 +279,8 @@ void ShardMigrator::OnCommittedWrites(
 void ShardMigrator::OnDeltaAck(const ShardDeltaAck& ack) {
   Outbound* out = FindOutbound(ack.migration_id);
   if (out == nullptr) return;
-  out->acked_seq = std::max(out->acked_seq, ack.seq);
-  out->unacked_deltas.erase(
-      out->unacked_deltas.begin(),
-      out->unacked_deltas.upper_bound(out->acked_seq));
+  out->unacked_deltas.erase(out->unacked_deltas.begin(),
+                            out->unacked_deltas.upper_bound(ack.seq));
   MaybeReportCutover(*out);
 }
 
@@ -417,8 +289,9 @@ void ShardMigrator::OnBranchResolved() {
 }
 
 void ShardMigrator::MaybeReportCutover(Outbound& out) {
-  if (!out.fenced || !out.stream_complete || out.cutover_reported) return;
-  if (out.acked_seq + 1 != out.next_seq) return;  // deltas in flight
+  // Fenced: every chunk is acked (the fence follows the stream).
+  if (!out.fenced || out.cutover_reported) return;
+  if (!out.unacked_deltas.empty()) return;  // deltas in flight
   // Any live branch still touching the range (a prepared branch awaiting
   // its decision) blocks the cutover: its commit must forward first.
   for (const auto& [txn, info] : node_->branches_) {
@@ -566,21 +439,10 @@ void ShardMigrator::OnInheritedMigrations(
     out.new_version = record.new_version;
     out.balancer = record.balancer;
     out.timeout = record.timeout;
-    out.scan_exhausted = true;
-    out.stream_complete = true;
     out.begin_logged = true;
     out.cutover_logged = true;
-    out.resumed = true;
     out.next_seq = std::max<uint64_t>(1, record.delta_next_seq);
-    out.acked_seq = out.next_seq - 1;
-    const Micros self_cancel =
-        record.timeout > 0 ? 2 * record.timeout : SecToMicros(30);
-    const uint64_t id = out.id;
-    node_->timer()->Schedule(self_cancel, [this, id]() {
-      protocol::ShardMigrateCancel cancel;
-      cancel.migration_id = id;
-      OnMigrateCancel(cancel);
-    });
+    ArmSelfCancel(out.id, record.timeout);
     outbound_.push_back(std::move(out));
     FenceRange(outbound_.back());
     MaybeReportCutover(outbound_.back());
@@ -645,7 +507,12 @@ uint64_t ShardMigrator::Term() const {
 }
 
 ShardMigrator::Inbound& ShardMigrator::InboundFor(uint64_t migration_id) {
-  Inbound& in = inbound_[migration_id];
+  auto [it, fresh] = inbound_.try_emplace(migration_id);
+  Inbound& in = it->second;
+  if (fresh) {
+    in.chunks =
+        replication::SnapshotReceiver(node_->config().migration_stream_window);
+  }
   const uint64_t term = Term();
   if (in.term == term) return in;
   // First ingest traffic of this leadership term. An ingest started in an
@@ -655,64 +522,43 @@ ShardMigrator::Inbound& ShardMigrator::InboundFor(uint64_t migration_id) {
   // promotion barrier clears.
   in.term = term;
   in.applying = false;
-  auto it = ingest_journal_.find(migration_id);
-  if (it != ingest_journal_.end()) {
-    const IngestJournal& journal = it->second;
-    in.applied_chunk_seq = std::max(in.applied_chunk_seq, journal.chunk_seq);
-    in.applied_seq = std::max(in.applied_seq, journal.delta_seq);
+  auto journaled = ingest_journal_.find(migration_id);
+  if (journaled != ingest_journal_.end()) {
+    const IngestJournal& journal = journaled->second;
+    in.chunks.MarkApplied(journal.chunk_seq);
+    in.deltas.MarkApplied(journal.delta_seq);
     in.delta_written.insert(journal.delta_keys.begin(),
                             journal.delta_keys.end());
   }
   return in;
 }
 
-void ShardMigrator::SendChunkAck(uint64_t migration_id, NodeId source) {
-  auto it = inbound_.find(migration_id);
-  if (it == inbound_.end()) return;
-  const uint64_t window =
-      std::max<uint64_t>(1, node_->config().migration_stream_window);
-  const uint64_t buffered = it->second.pending_chunks.size();
+void ShardMigrator::SendChunkAck(const Inbound& in, uint64_t migration_id,
+                                 NodeId source) {
   auto ack = std::make_unique<ShardSnapshotAck>();
   ack->from = node_->id();
   ack->to = source;
   ack->migration_id = migration_id;
-  ack->seq = it->second.applied_chunk_seq;
-  // Receiver-driven flow control: grant only what the ordering buffer has
-  // room for. Never zero — the grant rides on an apply ack, so at least
-  // one slot just freed.
-  ack->credit = window > buffered ? window - buffered : 1;
+  in.chunks.FillAck(ack.get());
   node_->transport()->Send(std::move(ack));
 }
 
 void ShardMigrator::OnSnapshotChunk(const ShardSnapshotChunk& chunk,
                                     std::vector<ReplWrite> records) {
-  // migration_id == 0 chunks are replication bootstrap snapshots and are
-  // consumed by the Replicator before this handler runs.
-  if (chunk.migration_id == 0) return;
   replication::Replicator* repl = node_->replicator();
   if (repl != nullptr && !repl->IsLeader()) return;  // balancer will retry
   if (retired_inbound_.count(chunk.migration_id) > 0) return;  // cancelled
-  const NodeId source = chunk.from;
-  const uint64_t id = chunk.migration_id;
-  Inbound& in = InboundFor(id);
+  Inbound& in = InboundFor(chunk.migration_id);
   if (in.range.hi == 0) in.range = chunk.range;
-  if (chunk.seq <= in.applied_chunk_seq) {
+  if (!in.chunks.Offer(chunk.seq, chunk.last, std::move(records),
+                       &stats_.stream)) {
     // Retransmit of an applied chunk (its ack was lost, or the group
     // applied it under an earlier leader): re-ack the current position so
     // the source advances.
-    SendChunkAck(id, source);
+    SendChunkAck(in, chunk.migration_id, chunk.from);
     return;
   }
-  const uint64_t window =
-      std::max<uint64_t>(1, node_->config().migration_stream_window);
-  const bool already_buffered = in.pending_chunks.count(chunk.seq) > 0;
-  if (!already_buffered && in.pending_chunks.size() >= window) {
-    return;  // credit overrun; the retransmit path recovers
-  }
-  in.pending_chunks[chunk.seq] = std::move(records);
-  stats_.peak_buffered_chunks = std::max<uint64_t>(
-      stats_.peak_buffered_chunks, in.pending_chunks.size());
-  DrainIngest(id, source);
+  DrainIngest(chunk.migration_id, chunk.from);
 }
 
 void ShardMigrator::OnDeltaBatch(const ShardDeltaBatch& batch) {
@@ -720,12 +566,11 @@ void ShardMigrator::OnDeltaBatch(const ShardDeltaBatch& batch) {
   if (repl != nullptr && !repl->IsLeader()) return;
   if (retired_inbound_.count(batch.migration_id) > 0) return;  // cancelled
   Inbound& in = InboundFor(batch.migration_id);
-  if (batch.seq <= in.applied_seq) {
+  if (!in.deltas.Offer(batch.seq, false, batch.writes, nullptr)) {
     // Duplicate: re-ack the current position (see OnSnapshotChunk).
-    SendDeltaAck(batch.migration_id, batch.from, in.applied_seq);
+    SendDeltaAck(batch.migration_id, batch.from, in.deltas.applied());
     return;
   }
-  in.pending[batch.seq] = batch.writes;
   DrainIngest(batch.migration_id, batch.from);
 }
 
@@ -765,22 +610,17 @@ void ShardMigrator::DrainIngest(uint64_t migration_id, NodeId source) {
   // cursor instead of queueing until the stream ends (the drain at
   // cutover waits on their acks). A gap in the delta sequence falls
   // through to the chunk stream below.
-  while (!in.pending.empty() && in.pending.begin()->first <= in.applied_seq) {
-    in.pending.erase(in.pending.begin());  // stale duplicate
-  }
-  if (!in.pending.empty() &&
-      in.pending.begin()->first == in.applied_seq + 1) {
-    std::vector<ReplWrite> writes = std::move(in.pending.begin()->second);
-    in.pending.erase(in.pending.begin());
+  uint64_t seq = 0;
+  std::vector<ReplWrite> writes;
+  if (in.deltas.Next(&seq, &writes)) {
     in.applying = true;
-    const uint64_t seq = in.applied_seq + 1;
     for (const ReplWrite& w : writes) in.delta_written.insert(w.key);
     ApplyRecords(std::move(writes), migration_id, 0, seq, still_inbound,
                  [this, source, migration_id, seq, live_in_term]() {
                    Inbound* live = live_in_term();
                    if (live == nullptr) return;  // cancelled or deposed
                    live->applying = false;
-                   live->applied_seq = seq;
+                   live->deltas.MarkApplied(seq);
                    stats_.delta_batches_applied++;
                    SendDeltaAck(migration_id, source, seq);
                    DrainIngest(migration_id, source);
@@ -788,48 +628,33 @@ void ShardMigrator::DrainIngest(uint64_t migration_id, NodeId source) {
     return;
   }
 
-  // Chunks, in sequence order. Out-of-order arrivals (independent
-  // per-message link delays) wait in the bounded pending_chunks buffer.
-  // Prune stale duplicates first (a retransmit can re-buffer the chunk
-  // that was mid-apply when it arrived — seq == applied+1 at buffering
-  // time, already applied now); left in place they would pin window
-  // slots forever and shrink every future credit grant.
-  while (!in.pending_chunks.empty() &&
-         in.pending_chunks.begin()->first <= in.applied_chunk_seq) {
-    in.pending_chunks.erase(in.pending_chunks.begin());
-  }
-  auto chunk_it = in.pending_chunks.find(in.applied_chunk_seq + 1);
-  if (chunk_it == in.pending_chunks.end()) return;
-  std::vector<ReplWrite> chunk = std::move(chunk_it->second);
-  in.pending_chunks.erase(chunk_it);
+  // Chunks, in sequence order; out-of-order arrivals (independent
+  // per-message link delays) wait in the receiver's bounded buffer.
+  if (!in.chunks.Next(&seq, &writes)) return;
   // Deltas interleave behind the stream cursor: any key a delta already
   // wrote carries a post-cut (newer) value, so the chunk's committed-cut
   // copy must not overwrite it. Ingests are serialized by the `applying`
   // flag, so the set cannot change during this one.
-  std::vector<ReplWrite> records;
-  records.reserve(chunk.size());
-  for (ReplWrite& w : chunk) {
-    if (in.delta_written.count(w.key) > 0) {
-      stats_.chunk_records_superseded++;
-      continue;
-    }
-    records.push_back(std::move(w));
-  }
-  const uint64_t seq = in.applied_chunk_seq + 1;
-  const size_t record_count = records.size();
+  const auto superseded = std::remove_if(
+      writes.begin(), writes.end(), [&in](const ReplWrite& w) {
+        return in.delta_written.count(w.key) > 0;
+      });
+  stats_.chunk_records_superseded += writes.end() - superseded;
+  writes.erase(superseded, writes.end());
+  const size_t record_count = writes.size();
   in.applying = true;
-  ApplyRecords(std::move(records), migration_id, seq, 0, still_inbound,
+  ApplyRecords(std::move(writes), migration_id, seq, 0, still_inbound,
                [this, migration_id, source, seq, record_count,
                 live_in_term]() {
                  Inbound* live = live_in_term();
                  if (live == nullptr) return;  // cancelled or deposed
                  live->applying = false;
-                 live->applied_chunk_seq = seq;
+                 live->chunks.MarkApplied(seq);
                  // Counted only here: a cancel or crash during the ingest
                  // delay means the records never hit the store.
                  stats_.snapshot_chunks_applied++;
                  stats_.snapshot_records_applied += record_count;
-                 SendChunkAck(migration_id, source);
+                 SendChunkAck(*live, migration_id, source);
                  DrainIngest(migration_id, source);
                });
 }

@@ -1,58 +1,14 @@
-// ShardMigrator: the data-source side of live shard migration.
-//
-// Each DataSourceNode owns one migrator. It plays two roles:
-//
-//  * Source (replica-group leader only): on a ShardMigrateRequest it
-//    journals a MigrationBegin record through the replica group's log
-//    (epoch-fenced like prepares), then STREAMS the committed records of
-//    the moving range as bounded, sequenced ShardSnapshotChunks under
-//    receiver-driven credit: the destination acks each applied chunk with
-//    a flow-control grant, so a slow destination backpressures the source
-//    (whose only stream memory is the unacked-chunk retransmit buffer,
-//    capped by the credit window) instead of flooding the event loop.
-//    Writes committed during the stream forward as sequenced
-//    ShardDeltaBatch messages. Once the last chunk is acked it FENCES the
-//    range: new batches touching it are refused (retryable), in-flight
-//    active branches on it are aborted (the client retries), and prepared
-//    branches drain — their commit write sets still forward as deltas.
-//    When no live branch touches the range and every delta is acked, the
-//    migrator journals a MigrationCutover record and, once that is
-//    quorum-durable, reports ShardCutoverReady{logged} to the balancer,
-//    which publishes the new placement.
-//
-//  * Destination: applies chunks in sequence order, one bounded ingest at
-//    a time (`migration_apply_cost` per record per chunk), buffering at
-//    most the advertised credit window of out-of-order chunks. Deltas
-//    interleave behind the stream cursor: they apply immediately in delta
-//    order, and a chunk arriving later skips any key a delta already
-//    wrote (the delta is always newer than the chunk's committed cut).
-//    On a replicated destination every ingest is funnelled through the
-//    replica group's log (Replicator::ReplicateIngest with a synthetic
-//    migration xid, tagged with the chunk/delta seq it covers), so
-//    followers receive it through the existing LogShipper entry stream
-//    and acks are quorum-durable — the journaled tag is the crash-
-//    consistent ChunkAck record.
-//
-// Destination failover: every replica folds the journaled tags into an
-// ingest journal. When the balancer re-points a stream at a promoted
-// destination leader, the source re-sends its unacked chunks and deltas
-// verbatim; the new leader lifts its stream position from the journal
-// and re-acks what its group already applied.
-//
-// Source failover: stream state is volatile, but the Begin/Cutover records
-// survive in the group log. A promoted source leader inherits every
-// unresolved migration (Replicator::FinishPromotion) and resolves it
-// deterministically: Cutover logged -> re-fence the range and re-report
-// readiness (the balancer's publish stays safe even if its leader-epoch
-// view is stale — the record IS the fence); Begin only -> journal a
-// MigrationEnd, notify the balancer with ShardMigrateAborted, and leave
-// the range serving at the source. This closes the in-flight-
-// LeaderAnnounce publish race the balancer's epoch compare could not.
-//
-// Every data source also keeps an adopted copy of the shard map
-// (ShardMapUpdate). A batch whose keys the local map places elsewhere is
-// bounced with a ShardRedirect ("WrongShardEpoch") carrying the patched
-// range, so stale DMs converge without a central refresh.
+// ShardMigrator: the data-source side of live shard migration. Each
+// DataSourceNode owns one. As the source (replica-group leader only) it
+// journals MigrationBegin, streams the range's committed records as a
+// snapshot stream (replication/snapshot_stream.h) with the writes committed
+// meanwhile following as ShardDeltaBatches, fences the range, journals
+// MigrationCutover and reports ShardCutoverReady. As the destination it
+// ingests chunks and deltas in order through its group's log, one bounded
+// ingest at a time, a delta's key never overwritten by an older chunk. It
+// also resolves migrations inherited at promotion and keeps the adopted
+// shard map that bounces misrouted batches. The protocol, its failover
+// paths and the journal are walked through in src/sharding/README.md.
 #ifndef GEOTP_SHARDING_MIGRATOR_H_
 #define GEOTP_SHARDING_MIGRATOR_H_
 
@@ -62,9 +18,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "obs/trace.h"
 #include "protocol/messages.h"
 #include "replication/replicator.h"
+#include "replication/snapshot_stream.h"
+#include "replication/snapshot_stream.h"
 #include "sharding/shard_map.h"
 
 namespace geotp {
@@ -78,14 +35,6 @@ struct ShardMigratorStats {
   uint64_t migrations_started = 0;    ///< source role
   uint64_t migrations_cancelled = 0;
   uint64_t cutovers_reported = 0;
-  uint64_t snapshot_records_sent = 0;
-  uint64_t snapshot_chunks_sent = 0;   ///< excludes retransmits
-  uint64_t chunk_retransmits = 0;
-  /// High-water mark of the source's unacked-chunk buffer — the stream's
-  /// only source-side memory. Flow control caps it at the receiver's
-  /// credit window.
-  uint64_t peak_unacked_chunks = 0;
-  uint64_t streams_completed = 0;      ///< all chunks acked
   uint64_t delta_batches_sent = 0;
   uint64_t delta_writes_sent = 0;
   uint64_t fence_aborts = 0;  ///< active branches aborted at fence
@@ -93,9 +42,6 @@ struct ShardMigratorStats {
   // the refusal responses are actually sent.)
   uint64_t snapshot_records_applied = 0;  ///< destination role
   uint64_t snapshot_chunks_applied = 0;
-  /// High-water mark of the destination's out-of-order chunk buffer;
-  /// bounded by the window it advertises as credit.
-  uint64_t peak_buffered_chunks = 0;
   uint64_t delta_batches_applied = 0;
   /// Chunk records skipped at apply time because a delta (always newer
   /// than the chunk's committed cut) already wrote the key.
@@ -103,19 +49,14 @@ struct ShardMigratorStats {
   // Failover path (replicated migration state).
   uint64_t migration_resumes = 0;         ///< cutover re-reported from log
   uint64_t migration_aborts_from_log = 0; ///< Begin-only inherited, aborted
-  // WAN-frugal streaming: compressed chunks.
-  uint64_t wan_bytes_raw = 0;   ///< packed chunk bytes before the codec
-  uint64_t wan_bytes_wire = 0;  ///< chunk bytes actually sent (incl. resends)
+  /// The chunk streams, both roles.
+  replication::SnapshotStreamStats stream;
   GEOTP_STAT_FIELDS(migrations_started, migrations_cancelled,
-                    cutovers_reported, snapshot_records_sent,
-                    snapshot_chunks_sent, chunk_retransmits,
-                    HighWater(peak_unacked_chunks), streams_completed,
-                    delta_batches_sent, delta_writes_sent, fence_aborts,
-                    snapshot_records_applied, snapshot_chunks_applied,
-                    HighWater(peak_buffered_chunks), delta_batches_applied,
+                    cutovers_reported, delta_batches_sent, delta_writes_sent,
+                    fence_aborts, snapshot_records_applied,
+                    snapshot_chunks_applied, delta_batches_applied,
                     chunk_records_superseded, migration_resumes,
-                    migration_aborts_from_log, wan_bytes_raw,
-                    wan_bytes_wire)
+                    migration_aborts_from_log, stream)
 };
 
 class ShardMigrator {
@@ -183,8 +124,6 @@ class ShardMigrator {
 
   const ShardMap& map() const { return map_; }
   const ShardMigratorStats& stats() const { return stats_; }
-  /// Chunks currently unacked on any outbound stream (test/bench probe).
-  uint64_t UnackedChunks() const;
 
  private:
   struct Outbound {
@@ -195,36 +134,20 @@ class ShardMigrator {
     uint64_t new_version = 0;
     NodeId balancer = kInvalidNode;  ///< where ShardCutoverReady goes
     Micros timeout = 0;              ///< balancer cancellation window
-    // ---- chunk stream (source -> dest) ----
-    uint64_t next_chunk_seq = 1;   ///< next chunk to build
-    uint64_t acked_chunk_seq = 0;  ///< highest contiguously acked chunk
-    uint64_t credit = 1;           ///< receiver grant beyond acked_chunk_seq
-    uint64_t last_chunk_seq = 0;   ///< seq of the final chunk (0 = unknown)
-    uint64_t scan_cursor = 0;      ///< next key offset to scan
-    bool scan_exhausted = false;
-    bool stream_complete = false;  ///< every chunk acked
-    /// Sent-but-unacked chunks, kept verbatim for retransmit. The stream's
-    /// only bulk source-side memory; flow control bounds it to the credit
-    /// window.
-    std::map<uint64_t, std::vector<protocol::ReplWrite>> unacked;
+    /// The range's chunk stream (source -> dest); released once every
+    /// chunk is acked, when the range is fenced.
+    std::unique_ptr<replication::SnapshotSender> chunks;
     /// Sent-but-unacked delta batches, re-sent when the stream is
     /// re-pointed at a new destination leader.
     std::map<uint64_t, std::vector<protocol::ReplWrite>> unacked_deltas;
-    /// "migrate.chunk" system spans (first send -> ack), keyed like
-    /// `unacked`; retransmits extend the original span.
-    std::map<uint64_t, obs::SpanHandle> chunk_spans;
-    Micros last_progress_at = 0;
-    bool resend_armed = false;
     // ---- migration control records (replicated source) ----
     bool begin_logged = false;    ///< Begin record quorum-durable
     bool cutover_pending = false; ///< Cutover appended, awaiting quorum
     bool cutover_logged = false;  ///< Cutover record quorum-durable
-    bool resumed = false;         ///< recreated from the log at promotion
     // ---- fence / cutover ----
-    bool fenced = false;
+    bool fenced = false;  ///< set once the stream completed
     bool cutover_reported = false;
     uint64_t next_seq = 1;  ///< next delta batch to send
-    uint64_t acked_seq = 0; ///< highest delta batch acked
   };
   struct Inbound {
     ShardRange range;  ///< for pruning once the map places it here
@@ -235,16 +158,13 @@ class ShardMigrator {
     /// `migration_apply_cost` per record on the event loop, so later
     /// ingests queue behind the one in flight.
     bool applying = false;
-    // ---- chunk stream ----
-    uint64_t applied_chunk_seq = 0;  ///< highest contiguously applied chunk
-    /// Out-of-order chunks, bounded by the credit window we advertise.
-    std::map<uint64_t, std::vector<protocol::ReplWrite>> pending_chunks;
+    replication::SnapshotReceiver chunks;
+    /// Delta batches in seq order (not windowed: the source sends each
+    /// once, and re-sends only when re-pointed).
+    replication::SnapshotReceiver deltas{UINT64_MAX};
     /// Keys a delta wrote: a chunk applied later must not overwrite them
     /// with its older committed-cut value.
     std::unordered_set<RecordKey, RecordKeyHash> delta_written;
-    // ---- deltas ----
-    uint64_t applied_seq = 0;  ///< highest contiguously applied delta
-    std::map<uint64_t, std::vector<protocol::ReplWrite>> pending;
   };
 
   void OnMigrateRequest(const protocol::ShardMigrateRequest& req);
@@ -258,18 +178,13 @@ class ShardMigrator {
   void OnMapUpdate(const protocol::ShardMapUpdate& update);
 
   Outbound* FindOutbound(uint64_t migration_id);
-  /// Builds + sends chunks while the receiver's credit window allows.
-  void PumpChunks(uint64_t migration_id);
-  /// Sends one already-built chunk (fresh or retransmit): seals it into
-  /// the WAN envelope and counts the bytes.
-  void SendChunk(Outbound& out, uint64_t seq,
-                 const std::vector<protocol::ReplWrite>& records, bool last);
-  /// Re-sends every unacked chunk to the current destination leader.
-  void ResendChunks(Outbound& out);
+  /// Self-cancellation backstop of a source-side migration.
+  void ArmSelfCancel(uint64_t migration_id, Micros timeout);
+  /// Starts the range's chunk stream (once the Begin record is durable on
+  /// a replicated source).
+  void StartStream(Outbound& out);
   void SendDelta(const Outbound& out, uint64_t seq,
                  std::vector<protocol::ReplWrite> writes);
-  /// Arms the per-migration retransmit check chain.
-  void ArmResendTimer(uint64_t migration_id);
   /// Journals one migration control record if this node leads a replica
   /// group (no-op otherwise); `on_quorum` may be null.
   void JournalMigrationRecord(protocol::ReplEntryType type,
@@ -308,7 +223,7 @@ class ShardMigrator {
   /// delta in seq order), one at a time.
   void DrainIngest(uint64_t migration_id, NodeId source);
   /// Acks the destination's current chunk position + credit grant.
-  void SendChunkAck(uint64_t migration_id, NodeId source);
+  void SendChunkAck(const Inbound& in, uint64_t migration_id, NodeId source);
   void SendDeltaAck(uint64_t migration_id, NodeId source, uint64_t seq);
 
   datasource::DataSourceNode* node_;

@@ -113,16 +113,6 @@ bool ShardMap::Merge(size_t idx, uint64_t version) {
   return true;
 }
 
-void ShardMap::InsertSorted(const ShardRange& entry) {
-  auto pos = std::upper_bound(
-      ranges_.begin(), ranges_.end(), entry,
-      [](const ShardRange& a, const ShardRange& b) {
-        if (a.table != b.table) return a.table < b.table;
-        return a.lo < b.lo;
-      });
-  ranges_.insert(pos, entry);
-}
-
 bool ShardMap::AdoptOne(const ShardRange& entry) {
   // The incoming entry claims the sub-spans of [entry.lo, entry.hi) where
   // every local range covering them is strictly older; newer local ranges

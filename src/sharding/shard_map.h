@@ -106,7 +106,6 @@ class ShardMap {
  private:
   /// Index of the range covering `key`, or npos.
   size_t Find(const RecordKey& key) const;
-  void InsertSorted(const ShardRange& entry);
   bool AdoptOne(const ShardRange& entry);
 
   std::vector<ShardRange> ranges_;  ///< sorted by (table, lo)

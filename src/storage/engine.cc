@@ -140,7 +140,7 @@ void TransactionEngine::CancelPendingOp(const Xid& xid, Status status) {
   locks_.CancelRequest(id, std::move(status));
 }
 
-Status TransactionEngine::Prepare(const Xid& xid, Micros /*now*/) {
+Status TransactionEngine::Prepare(const Xid& xid) {
   TxnData* data = Find(xid);
   if (data == nullptr) {
     return Status::NotFound("prepare: unknown branch " + xid.ToString());
@@ -187,8 +187,7 @@ TransactionEngine::CommittedRecords(
 }
 
 Status TransactionEngine::InstallPreparedBranch(
-    const Xid& xid, const std::vector<std::pair<RecordKey, int64_t>>& writes,
-    Micros /*now*/) {
+    const Xid& xid, const std::vector<std::pair<RecordKey, int64_t>>& writes) {
   GEOTP_RETURN_NOT_OK(Begin(xid));
   TxnData* data = Find(xid);
   for (const auto& [key, value] : writes) {
@@ -205,7 +204,7 @@ Status TransactionEngine::InstallPreparedBranch(
   return Status::OK();
 }
 
-Status TransactionEngine::Commit(const Xid& xid, Micros /*now*/) {
+Status TransactionEngine::Commit(const Xid& xid) {
   TxnData* data = Find(xid);
   if (data == nullptr) {
     return Status::NotFound("commit: unknown branch " + xid.ToString());
@@ -222,7 +221,7 @@ Status TransactionEngine::Commit(const Xid& xid, Micros /*now*/) {
   return Status::OK();
 }
 
-Status TransactionEngine::CommitEarly(const Xid& xid, Micros now) {
+Status TransactionEngine::CommitEarly(const Xid& xid) {
   TxnData* data = Find(xid);
   // A one-phase commit keeps its undo entries until its record is durable;
   // Commit refuses (and undurable_ skips) a branch with an op in flight.
@@ -230,7 +229,7 @@ Status TransactionEngine::CommitEarly(const Xid& xid, Micros now) {
       data->pending_request == kInvalidLockRequest) {
     undurable_.emplace_back(xid, std::move(data->undo));
   }
-  return Commit(xid, now);
+  return Commit(xid);
 }
 
 void TransactionEngine::CommitDurable(const Xid& xid) {
@@ -246,7 +245,7 @@ void TransactionEngine::CommitDurable(const Xid& xid) {
   }
 }
 
-Status TransactionEngine::Rollback(const Xid& xid, Micros /*now*/) {
+Status TransactionEngine::Rollback(const Xid& xid) {
   TxnData* data = Find(xid);
   if (data == nullptr) return Status::OK();  // idempotent
   if (data->state == TxnState::kCommitted) {
@@ -274,13 +273,13 @@ TxnState TransactionEngine::StateOf(const Xid& xid) const {
   return data == nullptr ? TxnState::kAborted : data->state;
 }
 
-void TransactionEngine::Crash(Micros now) {
+void TransactionEngine::Crash() {
   std::vector<Xid> to_abort;
   for (const auto& [xid, data] : txns_) {
     if (data.state != TxnState::kPrepared) to_abort.push_back(xid);
   }
   for (const Xid& xid : to_abort) {
-    (void)Rollback(xid, now);
+    (void)Rollback(xid);
   }
   // A branch that wrote over a released commit logs its PREPARE after
   // that COMMIT record, so it cannot be PREPARED while the commit is not

@@ -103,7 +103,7 @@ class TransactionEngine {
 
   /// XA prepare: persists the branch (WAL entry). ACTIVE -> PREPARED.
   /// Fails with kAborted if there is a pending (unfinished) operation.
-  Status Prepare(const Xid& xid, Micros now);
+  Status Prepare(const Xid& xid);
 
   /// The branch's write set as (key, final absolute value) elements, one
   /// per key in first-write order, each built as `Write{key, value}`.
@@ -127,12 +127,16 @@ class TransactionEngine {
   /// straight to PREPARED so a later Commit/Rollback behaves normally.
   /// The caller guarantees a quiescent engine (locks must be free).
   Status InstallPreparedBranch(
-      const Xid& xid, const std::vector<std::pair<RecordKey, int64_t>>& writes,
-      Micros now);
+      const Xid& xid, const std::vector<std::pair<RecordKey, int64_t>>& writes);
 
   /// XA commit: PREPARED -> COMMITTED (or ACTIVE -> COMMITTED for the
   /// one-phase path). Releases all locks.
-  Status Commit(const Xid& xid, Micros now);
+  Status Commit(const Xid& xid);
+
+  /// The two-argument forms perfbench/geotp_perf.cc still calls; they go
+  /// when that file next changes (the time argument is unused).
+  Status Prepare(const Xid& xid, Micros) { return Prepare(xid); }
+  Status Commit(const Xid& xid, Micros) { return Commit(xid); }
 
   /// Commit with early lock release, before the branch's COMMIT record is
   /// durable: its writes become visible and its locks go at once. A
@@ -143,7 +147,7 @@ class TransactionEngine {
   /// still treats it as live. The caller makes COMMIT records durable in
   /// the order it called this, so a branch that takes a released lock
   /// logs its own record after the commit it read.
-  Status CommitEarly(const Xid& xid, Micros now);
+  Status CommitEarly(const Xid& xid);
 
   /// The COMMIT record of a branch committed by CommitEarly is durable:
   /// drops the undo entries it kept (a no-op for any other branch).
@@ -151,7 +155,7 @@ class TransactionEngine {
 
   /// Rolls back: undoes writes, cancels pending lock requests, releases
   /// locks. Legal from ACTIVE or PREPARED; idempotent on ABORTED.
-  Status Rollback(const Xid& xid, Micros now);
+  Status Rollback(const Xid& xid);
 
   /// State query; kAborted for unknown xids (they may have been GC'ed).
   TxnState StateOf(const Xid& xid) const;
@@ -160,7 +164,7 @@ class TransactionEngine {
   /// (paper §V-A setting ❷); PREPARED branches survive as in-doubt. Then
   /// the one-phase commits whose records were not durable are undone,
   /// newest first.
-  void Crash(Micros now);
+  void Crash();
 
   /// In-doubt branches after a crash/restart, for coordinator recovery.
   std::vector<Xid> PreparedXids() const;

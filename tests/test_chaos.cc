@@ -810,7 +810,7 @@ TEST_P(StreamingShardChaosTest, MidStreamCrashesResumeOrAbortFromTheLog) {
   for (auto* src : cluster.source_ptrs()) {
     resumes += src->migrator().stats().migration_resumes;
     log_aborts += src->migrator().stats().migration_aborts_from_log;
-    chunks += src->migrator().stats().snapshot_chunks_sent;
+    chunks += src->migrator().stats().stream.snapshot_chunks_sent;
   }
 
   std::fprintf(stderr,
@@ -982,7 +982,7 @@ TEST_P(DestFailoverStreamingShardChaosTest, ResumesByRetransmission) {
   EXPECT_GE(balancer->stats().migrations_completed, 1u) << repro;
   uint64_t built = 0, applied = 0;
   for (auto* src : cluster.source_ptrs()) {
-    built += src->migrator().stats().snapshot_chunks_sent;
+    built += src->migrator().stats().stream.snapshot_chunks_sent;
     applied += src->migrator().stats().snapshot_chunks_applied;
   }
   EXPECT_LE(applied, built) << repro;

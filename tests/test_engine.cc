@@ -60,7 +60,7 @@ TEST_F(EngineTest, WriteSetHasOneFinalValuePerKeyInFirstWriteOrder) {
                                                            {K(4), 2}};
   EXPECT_EQ(engine_.WriteSetOf(T(1)), want);
   // A branch that reuses a retired entry starts with an empty write set.
-  ASSERT_TRUE(engine_.Commit(T(1), 0).ok());
+  ASSERT_TRUE(engine_.Commit(T(1)).ok());
   EXPECT_TRUE(engine_.WriteSetOf(T(1)).empty());
   ASSERT_TRUE(engine_.Begin(T(2)).ok());
   EXPECT_TRUE(engine_.WriteSetOf(T(2)).empty());
@@ -110,8 +110,8 @@ TEST_F(EngineTest, WriteThenReadOwnWrite) {
 TEST_F(EngineTest, CommitMakesWriteDurable) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 42)).ok());
-  ASSERT_TRUE(engine_.Prepare(T(1), 10).ok());
-  ASSERT_TRUE(engine_.Commit(T(1), 20).ok());
+  ASSERT_TRUE(engine_.Prepare(T(1)).ok());
+  ASSERT_TRUE(engine_.Commit(T(1)).ok());
   EXPECT_EQ(engine_.store().Get(K(5))->value, 42);
   EXPECT_EQ(engine_.StateOf(T(1)), TxnState::kAborted);  // GC'ed
 }
@@ -121,14 +121,14 @@ TEST_F(EngineTest, RollbackUndoesWritesInReverse) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 2)).ok());
-  ASSERT_TRUE(engine_.Rollback(T(1), 10).ok());
+  ASSERT_TRUE(engine_.Rollback(T(1)).ok());
   EXPECT_EQ(engine_.store().Get(K(5))->value, 100);
 }
 
 TEST_F(EngineTest, RollbackReleasesLocks) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 1)).ok());
-  ASSERT_TRUE(engine_.Rollback(T(1), 10).ok());
+  ASSERT_TRUE(engine_.Rollback(T(1)).ok());
   ASSERT_TRUE(engine_.Begin(T(2)).ok());
   EXPECT_TRUE(Exec(T(2), WriteOp(5, 2)).ok());  // lock must be free
 }
@@ -136,49 +136,49 @@ TEST_F(EngineTest, RollbackReleasesLocks) {
 TEST_F(EngineTest, PrepareBlocksFurtherOps) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 1)).ok());
-  ASSERT_TRUE(engine_.Prepare(T(1), 10).ok());
+  ASSERT_TRUE(engine_.Prepare(T(1)).ok());
   EXPECT_TRUE(Exec(T(1), WriteOp(6, 2)).IsAborted());
 }
 
 TEST_F(EngineTest, PrepareTwiceFails) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
-  ASSERT_TRUE(engine_.Prepare(T(1), 10).ok());
-  EXPECT_TRUE(engine_.Prepare(T(1), 20).IsAborted());
+  ASSERT_TRUE(engine_.Prepare(T(1)).ok());
+  EXPECT_TRUE(engine_.Prepare(T(1)).IsAborted());
 }
 
 TEST_F(EngineTest, OnePhaseCommitFromActive) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 7)).ok());
-  ASSERT_TRUE(engine_.Commit(T(1), 10).ok());  // XA COMMIT ... ONE PHASE
+  ASSERT_TRUE(engine_.Commit(T(1)).ok());  // XA COMMIT ... ONE PHASE
   EXPECT_EQ(engine_.store().Get(K(5))->value, 7);
 }
 
 TEST_F(EngineTest, CommitUnknownBranchFails) {
-  EXPECT_TRUE(engine_.Commit(T(9), 10).IsNotFound());
+  EXPECT_TRUE(engine_.Commit(T(9)).IsNotFound());
 }
 
 TEST_F(EngineTest, RollbackUnknownBranchIsIdempotent) {
-  EXPECT_TRUE(engine_.Rollback(T(9), 10).ok());
+  EXPECT_TRUE(engine_.Rollback(T(9)).ok());
 }
 
 TEST_F(EngineTest, RollbackAfterPrepareAllowed) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 1)).ok());
-  ASSERT_TRUE(engine_.Prepare(T(1), 10).ok());
-  ASSERT_TRUE(engine_.Rollback(T(1), 20).ok());
+  ASSERT_TRUE(engine_.Prepare(T(1)).ok());
+  ASSERT_TRUE(engine_.Rollback(T(1)).ok());
   EXPECT_EQ(engine_.store().Get(K(5))->value, 0);
 }
 
 TEST_F(EngineTest, WalRecordsPrepareAndCommit) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
-  ASSERT_TRUE(engine_.Prepare(T(1), 10).ok());
+  ASSERT_TRUE(engine_.Prepare(T(1)).ok());
   EXPECT_EQ(engine_.wal().stats().prepares, 1u);
   EXPECT_EQ(engine_.wal().stats().commits, 0u);
-  ASSERT_TRUE(engine_.Commit(T(1), 20).ok());
+  ASSERT_TRUE(engine_.Commit(T(1)).ok());
   EXPECT_EQ(engine_.wal().stats().prepares, 1u);
   EXPECT_EQ(engine_.wal().stats().commits, 1u);
   ASSERT_TRUE(engine_.Begin(T(2)).ok());
-  ASSERT_TRUE(engine_.Rollback(T(2), 30).ok());
+  ASSERT_TRUE(engine_.Rollback(T(2)).ok());
   EXPECT_EQ(engine_.wal().stats().aborts, 1u);
   // Appending buffers entries; physical flushes are accounted separately
   // (under group commit the two diverge — one fsync can cover them all).
@@ -197,7 +197,7 @@ TEST_F(EngineTest, LockWaitParksOp) {
     waiter_status = std::move(st);
   });
   EXPECT_TRUE(engine_.HasPendingOp(T(2)));
-  ASSERT_TRUE(engine_.Commit(T(1), 10).ok());
+  ASSERT_TRUE(engine_.Commit(T(1)).ok());
   EXPECT_TRUE(waiter_status.ok());
   EXPECT_FALSE(engine_.HasPendingOp(T(2)));
   EXPECT_EQ(engine_.store().Get(K(5))->value, 2);
@@ -224,7 +224,7 @@ TEST_F(EngineTest, RollbackCancelsPendingOp) {
   engine_.ExecuteOp(T(2), WriteOp(5, 2), [&](Status st, int64_t) {
     waiter_status = std::move(st);
   });
-  ASSERT_TRUE(engine_.Rollback(T(2), 10).ok());
+  ASSERT_TRUE(engine_.Rollback(T(2)).ok());
   EXPECT_TRUE(waiter_status.IsAborted());
 }
 
@@ -233,18 +233,18 @@ TEST_F(EngineTest, PrepareWithPendingOpFails) {
   ASSERT_TRUE(engine_.Begin(T(2)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 1)).ok());
   engine_.ExecuteOp(T(2), WriteOp(5, 2), [](Status, int64_t) {});
-  EXPECT_TRUE(engine_.Prepare(T(2), 10).IsAborted());
-  (void)engine_.Rollback(T(2), 11);
+  EXPECT_TRUE(engine_.Prepare(T(2)).IsAborted());
+  (void)engine_.Rollback(T(2));
 }
 
 TEST_F(EngineTest, CrashAbortsActiveKeepsPrepared) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 1)).ok());
-  ASSERT_TRUE(engine_.Prepare(T(1), 10).ok());
+  ASSERT_TRUE(engine_.Prepare(T(1)).ok());
   ASSERT_TRUE(engine_.Begin(T(2)).ok());
   ASSERT_TRUE(Exec(T(2), WriteOp(6, 2)).ok());
 
-  engine_.Crash(20);
+  engine_.Crash();
 
   // T1 (prepared) survives as in-doubt; T2 (active) rolled back.
   auto prepared = engine_.PreparedXids();
@@ -252,7 +252,7 @@ TEST_F(EngineTest, CrashAbortsActiveKeepsPrepared) {
   EXPECT_EQ(prepared[0].txn_id, T(1).txn_id);
   EXPECT_EQ(engine_.store().Get(K(6))->value, 0);
   // The in-doubt branch can still commit after recovery.
-  ASSERT_TRUE(engine_.Commit(T(1), 30).ok());
+  ASSERT_TRUE(engine_.Commit(T(1)).ok());
   EXPECT_EQ(engine_.store().Get(K(5))->value, 1);
 }
 
@@ -260,7 +260,7 @@ TEST_F(EngineTest, EarlyOnePhaseCommitIsLiveUntilDurable) {
   engine_.store().Put(K(5), 1);
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 7)).ok());
-  ASSERT_TRUE(engine_.CommitEarly(T(1), 10).ok());
+  ASSERT_TRUE(engine_.CommitEarly(T(1)).ok());
   // The write is visible and the lock is free at once...
   ASSERT_TRUE(engine_.Begin(T(2)).ok());
   int64_t read = 0;
@@ -277,7 +277,7 @@ TEST_F(EngineTest, EarlyOnePhaseCommitIsLiveUntilDurable) {
   EXPECT_EQ(value_of_5(), 1);
   engine_.CommitDurable(T(1));
   EXPECT_EQ(value_of_5(), 7);  // T2 is still live
-  ASSERT_TRUE(engine_.Commit(T(2), 20).ok());
+  ASSERT_TRUE(engine_.Commit(T(2)).ok());
   EXPECT_EQ(value_of_5(), 9);
 }
 
@@ -287,19 +287,19 @@ TEST_F(EngineTest, CrashUndoesEarlyCommitsThatAreNotDurable) {
   // still active. T4 commits early and its record is durable.
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 7)).ok());
-  ASSERT_TRUE(engine_.CommitEarly(T(1), 10).ok());
+  ASSERT_TRUE(engine_.CommitEarly(T(1)).ok());
   ASSERT_TRUE(engine_.Begin(T(2)).ok());
   ASSERT_TRUE(Exec(T(2), WriteOp(5, 9)).ok());
   ASSERT_TRUE(Exec(T(2), WriteOp(6, 4)).ok());
-  ASSERT_TRUE(engine_.CommitEarly(T(2), 11).ok());
+  ASSERT_TRUE(engine_.CommitEarly(T(2)).ok());
   ASSERT_TRUE(engine_.Begin(T(3)).ok());
   ASSERT_TRUE(Exec(T(3), WriteOp(5, 11)).ok());
   ASSERT_TRUE(engine_.Begin(T(4)).ok());
   ASSERT_TRUE(Exec(T(4), WriteOp(7, 3)).ok());
-  ASSERT_TRUE(engine_.CommitEarly(T(4), 12).ok());
+  ASSERT_TRUE(engine_.CommitEarly(T(4)).ok());
   engine_.CommitDurable(T(4));
 
-  engine_.Crash(20);
+  engine_.Crash();
 
   EXPECT_EQ(engine_.store().Get(K(5))->value, 1);
   EXPECT_EQ(engine_.store().Get(K(6))->value, 0);
@@ -310,13 +310,13 @@ TEST_F(EngineTest, CrashUndoesEarlyCommitsThatAreNotDurable) {
 TEST_F(EngineTest, EarlyCommitOfAPreparedBranchIsFinal) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(Exec(T(1), WriteOp(5, 7)).ok());
-  ASSERT_TRUE(engine_.Prepare(T(1), 10).ok());
-  ASSERT_TRUE(engine_.CommitEarly(T(1), 20).ok());
+  ASSERT_TRUE(engine_.Prepare(T(1)).ok());
+  ASSERT_TRUE(engine_.CommitEarly(T(1)).ok());
   // Its outcome was already fixed: snapshots ship it, and a crash keeps it.
   const auto records = engine_.CommittedRecords();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].second, 7);
-  engine_.Crash(30);
+  engine_.Crash();
   EXPECT_EQ(engine_.store().Get(K(5))->value, 7);
 }
 
@@ -346,7 +346,7 @@ TEST_F(EngineTest, ActiveCountTracksLiveBranches) {
   ASSERT_TRUE(engine_.Begin(T(1)).ok());
   ASSERT_TRUE(engine_.Begin(T(2)).ok());
   EXPECT_EQ(engine_.ActiveCount(), 2u);
-  ASSERT_TRUE(engine_.Commit(T(1), 10).ok());
+  ASSERT_TRUE(engine_.Commit(T(1)).ok());
   EXPECT_EQ(engine_.ActiveCount(), 1u);
 }
 

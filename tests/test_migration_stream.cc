@@ -3,10 +3,12 @@
 // over the simulated network, and the replicated migration-state records
 // that let a failover mid-stream resume or abort deterministically from
 // the group log.
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "protocol/wan_codec.h"
 #include "sharding/shard_map.h"
 #include "sim/latency.h"
 #include "sim_fixture.h"
@@ -70,16 +72,16 @@ TEST(MigrationStream, LargeRangeStreamsInBoundedChunks) {
   const auto& src = c.source(1).migrator().stats();
   const auto& dst = c.source(0).migrator().stats();
   // 250 records / 32 per chunk = 8 chunks, none lost, all applied.
-  EXPECT_EQ(src.snapshot_chunks_sent, 8u);
-  EXPECT_EQ(src.streams_completed, 1u);
-  EXPECT_EQ(src.snapshot_records_sent, 250u);
+  EXPECT_EQ(src.stream.snapshot_chunks_sent, 8u);
+  EXPECT_EQ(src.stream.streams_completed, 1u);
+  EXPECT_EQ(src.stream.snapshot_records_sent, 250u);
   EXPECT_EQ(dst.snapshot_chunks_applied, 8u);
   EXPECT_EQ(dst.snapshot_records_applied, 250u);
   // Flow control: never more chunks in flight than the receiver's window,
   // on either side of the stream.
-  EXPECT_LE(src.peak_unacked_chunks, 4u);
-  EXPECT_LE(dst.peak_buffered_chunks, 4u);
-  EXPECT_EQ(src.chunk_retransmits, 0u);
+  EXPECT_LE(src.stream.peak_unacked_chunks, 4u);
+  EXPECT_LE(dst.stream.peak_buffered_chunks, 4u);
+  EXPECT_EQ(src.stream.chunk_retransmits, 0u);
 
   // Every preloaded record made it across.
   for (uint64_t off = 0; off < 250; off += 41) {
@@ -108,14 +110,14 @@ TEST(MigrationStream, StalledDestinationBackpressuresSource) {
   // the source must be parked at the window, not 8 chunks deep.
   c.RunFor(200);
   const auto& src = c.source(1).migrator().stats();
-  EXPECT_LT(src.snapshot_chunks_sent, 8u);
-  EXPECT_LE(c.source(1).migrator().UnackedChunks(), 4u);
+  EXPECT_LT(src.stream.snapshot_chunks_sent, 8u);
+  EXPECT_LE(src.stream.peak_unacked_chunks, 4u);
 
   // The stalled stream still finishes — slowly, honestly.
   c.RunFor(3000);
   ASSERT_EQ(c.cutovers().size(), 1u);
-  EXPECT_EQ(src.snapshot_chunks_sent, 8u);
-  EXPECT_LE(src.peak_unacked_chunks, 4u);
+  EXPECT_EQ(src.stream.snapshot_chunks_sent, 8u);
+  EXPECT_LE(src.stream.peak_unacked_chunks, 4u);
   EXPECT_EQ(c.source(0).migrator().stats().snapshot_records_applied, 250u);
 }
 
@@ -161,7 +163,7 @@ TEST(MigrationStream, ReorderedChunksAndInterleavedDeltasConverge) {
   ASSERT_EQ(c.cutovers().size(), 1u);
   const auto& dst = c.source(0).migrator().stats();
   EXPECT_EQ(dst.snapshot_chunks_applied, 16u);
-  EXPECT_LE(dst.peak_buffered_chunks, 8u);
+  EXPECT_LE(dst.stream.peak_buffered_chunks, 8u);
   EXPECT_GE(dst.delta_batches_applied, 1u);
   // The delta (post-cut, newer) value won over the chunk's committed-cut
   // copy that applied after it.
@@ -193,13 +195,72 @@ TEST(MigrationStream, ChunkLossRecoversViaRetransmit) {
 
   ASSERT_EQ(c.cutovers().size(), 1u);
   const auto& src = c.source(1).migrator().stats();
-  EXPECT_GE(src.chunk_retransmits, 1u);
-  EXPECT_EQ(src.streams_completed, 1u);
-  EXPECT_LE(src.peak_unacked_chunks, 4u);
+  EXPECT_GE(src.stream.chunk_retransmits, 1u);
+  EXPECT_EQ(src.stream.chunks_sealed, src.stream.snapshot_chunks_sent);
+  EXPECT_EQ(src.stream.streams_completed, 1u);
+  EXPECT_LE(src.stream.peak_unacked_chunks, 4u);
   EXPECT_EQ(c.source(0).migrator().stats().snapshot_records_applied, 250u);
   for (uint64_t off = 0; off < 250; off += 59) {
     EXPECT_TRUE(c.source(0).engine().store().Get(c.KeyOn(1, off)).has_value())
         << "offset " << off;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A chunk corrupted in flight fails the envelope check and is dropped
+// whole: the destination neither applies nor acks it. The source re-sends
+// only its unacked window — copies of envelopes it sealed once, never a
+// re-cut or a restart of the stream — and the range converges.
+// ---------------------------------------------------------------------------
+
+TEST(MigrationStream, CorruptChunkIsDroppedWholeAndReSentUnsealed) {
+  MiniCluster c(StreamOptions());
+  c.PreloadRange(1, 250);
+  sim::Network& network = c.network();
+  uint64_t chunk3_deliveries = 0;
+  uint64_t acked_before_resend = 0;
+  network.RegisterNode(2, [&, inner = network.handler(2)](
+                              std::unique_ptr<runtime::MessageBase> msg) {
+    if (msg->type() == runtime::MessageType::kShardSnapshotChunk) {
+      auto& chunk = static_cast<protocol::ShardSnapshotChunk&>(*msg);
+      if (chunk.seq == 3 && ++chunk3_deliveries == 1) {
+        chunk.payload[chunk.payload.size() / 2] ^= 0x20;
+        std::vector<protocol::ReplWrite> opened;
+        EXPECT_FALSE(protocol::OpenChunkPayload(chunk, &opened));
+      }
+    }
+    inner(std::move(msg));
+  });
+  network.RegisterNode(3, [&, inner = network.handler(3)](
+                              std::unique_ptr<runtime::MessageBase> msg) {
+    if (msg->type() == runtime::MessageType::kShardSnapshotAck &&
+        chunk3_deliveries == 1) {
+      acked_before_resend = std::max(
+          acked_before_resend,
+          static_cast<const protocol::ShardSnapshotAck&>(*msg).seq);
+    }
+    inner(std::move(msg));
+  });
+
+  StartMigration(c, 110);
+  c.RunFor(5000);
+
+  ASSERT_EQ(chunk3_deliveries, 2u);
+  EXPECT_EQ(acked_before_resend, 2u);  // the corrupt chunk 3 never applied
+  const auto& src = c.source(1).migrator().stats();
+  EXPECT_GE(src.stream.chunk_retransmits, 1u);
+  EXPECT_LE(src.stream.chunk_retransmits, 4u);  // the window, not the stream
+  EXPECT_EQ(src.stream.snapshot_chunks_sent, 8u);
+  EXPECT_EQ(src.stream.chunks_sealed, src.stream.snapshot_chunks_sent);
+  ASSERT_EQ(c.cutovers().size(), 1u);
+  const auto& dst = c.source(0).migrator().stats();
+  EXPECT_EQ(dst.snapshot_chunks_applied, 8u);
+  EXPECT_EQ(dst.snapshot_records_applied, 250u);
+  for (uint64_t off = 0; off < 250; ++off) {
+    const auto moved = c.source(0).engine().store().Get(c.KeyOn(1, off));
+    const auto kept = c.source(1).engine().store().Get(c.KeyOn(1, off));
+    ASSERT_TRUE(moved.has_value() && kept.has_value()) << "offset " << off;
+    EXPECT_EQ(moved->value, kept->value) << "offset " << off;
   }
 }
 
@@ -223,8 +284,8 @@ TEST(MigrationStream, SourceLeaderCrashMidStreamAbortsFromLog) {
 
   StartMigration(c, 105);
   c.RunFor(150);  // Begin journaled, stream a few chunks in
-  ASSERT_GT(c.source(1).migrator().stats().snapshot_chunks_sent, 0u);
-  ASSERT_EQ(c.source(1).migrator().stats().streams_completed, 0u);
+  ASSERT_GT(c.source(1).migrator().stats().stream.snapshot_chunks_sent, 0u);
+  ASSERT_EQ(c.source(1).migrator().stats().stream.streams_completed, 0u);
   c.source(1).Crash();
   c.RunFor(4000);  // election + promotion + abort-from-log
 
@@ -347,7 +408,7 @@ TEST(MigrationStream, DestLeaderCrashMidStreamResumesByRetransmission) {
   StartMigration(c, 107);
   c.RunFor(250);  // several chunks quorum-applied at the destination
   ASSERT_GT(c.source(0).migrator().stats().snapshot_chunks_applied, 0u);
-  ASSERT_EQ(c.source(1).migrator().stats().streams_completed, 0u);
+  ASSERT_EQ(c.source(1).migrator().stats().stream.streams_completed, 0u);
 
   c.source(0).Crash();  // destination leader dies mid-stream
   c.RunFor(3000);       // election in the destination group
@@ -359,11 +420,12 @@ TEST(MigrationStream, DestLeaderCrashMidStreamResumesByRetransmission) {
   c.RunFor(6000);
 
   const auto& src = c.source(1).migrator().stats();
-  EXPECT_GE(src.chunk_retransmits, 1u);
-  EXPECT_EQ(src.streams_completed, 1u);
-  // Every chunk was built once (retransmits are not counted here): no
+  EXPECT_GE(src.stream.chunk_retransmits, 1u);
+  EXPECT_EQ(src.stream.streams_completed, 1u);
+  // Every chunk was cut and sealed once (retransmits are copies): no
   // restart from chunk 1.
-  EXPECT_EQ(src.snapshot_chunks_sent, 16u);
+  EXPECT_EQ(src.stream.snapshot_chunks_sent, 16u);
+  EXPECT_EQ(src.stream.chunks_sealed, 16u);
   ASSERT_EQ(c.cutovers().size(), 1u);
   EXPECT_EQ(c.cutovers()[0].migration_id, 107u);
   EXPECT_EQ(c.cutovers()[0].range.owner, 2);
@@ -399,10 +461,11 @@ TEST(MigrationStream, ResentChunkNeverOverwritesAJournaledDelta) {
   // The source runs one chunk ahead of the ingest: once chunk 4 is built
   // (with the key's old value), chunk 3 is mid-ingest.
   const auto& src = c.source(1).migrator().stats();
-  for (int step = 0; step < 1000 && src.snapshot_chunks_sent < 4; ++step) {
+  for (int step = 0; step < 1000 && src.stream.snapshot_chunks_sent < 4;
+       ++step) {
     c.RunFor(5);
   }
-  ASSERT_EQ(src.snapshot_chunks_sent, 4u);
+  ASSERT_EQ(src.stream.snapshot_chunks_sent, 4u);
   // Commit now: the delta applies after chunk 3, before chunk 4.
   c.SendCommit(1);
   const auto& dst = c.source(0).migrator().stats();
@@ -467,7 +530,7 @@ TEST(MigrationStream, RestartedReplicaKeepsItsIngestJournal) {
   Repoint(c, 109, promoted->id());
   c.RunFor(6000);
 
-  EXPECT_EQ(c.source(1).migrator().stats().streams_completed, 1u);
+  EXPECT_EQ(c.source(1).migrator().stats().stream.streams_completed, 1u);
   ASSERT_EQ(c.cutovers().size(), 1u);
   EXPECT_EQ(c.cutovers()[0].migration_id, 109u);
   EXPECT_EQ(promoted->migrator().stats().snapshot_chunks_applied,

@@ -410,15 +410,15 @@ TEST(MetricsRegistryTest, AccumulateSumsCountersAndMaxesHighWater) {
   EXPECT_EQ(gc.queued_us, 100u);
   sharding::ShardMigratorStats a;
   sharding::ShardMigratorStats b;
-  a.snapshot_chunks_sent = 4;
-  a.peak_unacked_chunks = 6;
-  b.snapshot_chunks_sent = 3;
-  b.peak_unacked_chunks = 2;
-  b.peak_buffered_chunks = 9;
+  a.stream.snapshot_chunks_sent = 4;
+  a.stream.peak_unacked_chunks = 6;
+  b.stream.snapshot_chunks_sent = 3;
+  b.stream.peak_unacked_chunks = 2;
+  b.stream.peak_buffered_chunks = 9;
   metrics::Accumulate(&a, b);
-  EXPECT_EQ(a.snapshot_chunks_sent, 7u);
-  EXPECT_EQ(a.peak_unacked_chunks, 6u);
-  EXPECT_EQ(a.peak_buffered_chunks, 9u);
+  EXPECT_EQ(a.stream.snapshot_chunks_sent, 7u);
+  EXPECT_EQ(a.stream.peak_unacked_chunks, 6u);
+  EXPECT_EQ(a.stream.peak_buffered_chunks, 9u);
 }
 
 TEST(MetricsRegistryTest, ReplicatedShardedClusterExportsEveryStatsStruct) {
@@ -441,7 +441,7 @@ TEST(MetricsRegistryTest, ReplicatedShardedClusterExportsEveryStatsStruct) {
                     .ok());
   }
   const std::string json = registry.SnapshotJson();
-  // One named field from each of the ten stats structs.
+  // One named field from each of the stats structs, embedded ones too.
   for (const char* name : {
            "dm.0.committed",                    // MiddlewareStats
            "dm.0.overload.admitted",            // OverloadStats
@@ -453,6 +453,8 @@ TEST(MetricsRegistryTest, ReplicatedShardedClusterExportsEveryStatsStruct) {
            "ds.2.group_commit.busy_us",         // GroupCommitStats
            "dm.0.log_commit.queued_us",         // GroupCommitStats (DM log)
            "ds.2.migrator.migrations_started",  // ShardMigratorStats
+           "ds.2.migrator.stream.chunks_sealed",   // SnapshotStreamStats
+           "ds.2.replicator.reseed.chunks_sealed",  // SnapshotStreamStats
            "ds.2.prepares_initiated",           // DataSourceStats
            "ds.2.replicator.appends_received",  // ReplicatorStats
            "ds.2.shipper.entries_shipped",      // LogShipperStats

@@ -1233,8 +1233,8 @@ TEST(ReplicationTest, ReelectedLeaderForwardsAMidFlushCommitToItsMigration) {
   migrate->new_version = 1;
   cluster.network().Send(std::move(migrate));
   cluster.RunFor(150);  // the key's chunk went out with its old value
-  ASSERT_GT(leader.migrator().stats().snapshot_chunks_sent, 0u);
-  ASSERT_EQ(leader.migrator().stats().streams_completed, 0u);
+  ASSERT_GT(leader.migrator().stats().stream.snapshot_chunks_sent, 0u);
+  ASSERT_EQ(leader.migrator().stats().stream.streams_completed, 0u);
 
   const uint64_t commits = leader.stats().commits;
   cluster.SendRound(2, {MiniCluster::Write(key, 5, /*delta=*/true)},
@@ -1670,17 +1670,19 @@ TEST(ReplicationTest, CompressedLogStreamConverges) {
   EXPECT_LT(zipped.wan_bytes_wire, zipped.wan_bytes_raw);
 }
 
-// Group 0 with 512 committed records (key offsets first_off ..
-// first_off + 511) seeded on the leader and on follower 1 (and on
-// follower 0 too when `warm`), 64 records per bootstrap chunk. Six
-// commits to seeded keys follow and the leader compacts its log.
-std::unique_ptr<MiniCluster> SeededCluster(bool warm, uint64_t first_off) {
+// Group 0 with `records` committed records (key offsets first_off ..
+// first_off + records - 1) seeded on the leader and on follower 1 (and on
+// follower 0 too when `warm`), `chunk_records` records per re-seed chunk.
+// Six commits to seeded keys follow and the leader compacts its log.
+std::unique_ptr<MiniCluster> SeededCluster(bool warm, uint64_t first_off,
+                                           uint64_t records = 512,
+                                           uint64_t chunk_records = 64) {
   MiniCluster::Options options = ReplicatedOptions();
-  options.ds_tweak = [](datasource::DataSourceConfig* config) {
-    config->migration_chunk_records = 64;
+  options.ds_tweak = [chunk_records](datasource::DataSourceConfig* config) {
+    config->migration_chunk_records = chunk_records;
   };
   auto cluster = std::make_unique<MiniCluster>(options);
-  for (uint64_t off = first_off; off < first_off + 512; ++off) {
+  for (uint64_t off = first_off; off < first_off + records; ++off) {
     cluster->source(0).engine().store().Apply(cluster->KeyOn(0, off), 0);
     cluster->follower(0, 1).engine().store().Apply(cluster->KeyOn(0, off),
                                                    0);
@@ -1701,9 +1703,10 @@ std::unique_ptr<MiniCluster> SeededCluster(bool warm, uint64_t first_off) {
 
 // SeededCluster, then follower 0 loses its log device (WipeForBootstrap
 // keeps the store) and five more commits land while it is down.
-std::unique_ptr<MiniCluster> WipedFollowerCluster(bool warm,
-                                                  uint64_t first_off = 0) {
-  auto cluster = SeededCluster(warm, first_off);
+std::unique_ptr<MiniCluster> WipedFollowerCluster(
+    bool warm, uint64_t first_off = 0, uint64_t records = 512,
+    uint64_t chunk_records = 64) {
+  auto cluster = SeededCluster(warm, first_off, records, chunk_records);
   auto& wiped = cluster->follower(0, 0);
   wiped.Crash();
   wiped.replicator()->WipeForBootstrap();
@@ -1716,19 +1719,20 @@ std::unique_ptr<MiniCluster> WipedFollowerCluster(bool warm,
 }
 
 // Restarts the wiped follower 0 of group 0 and cuts it off the network
-// the moment the leader's first bootstrap stream leaves, so every chunk
-// of that stream is lost in flight; restores it 60 ms later (well inside
-// the election timeout) without it having installed anything.
+// the moment the leader's re-seed stream starts, so what it sent (chunk
+// 1, all the initial credit allows) is lost in flight; restores it 60 ms
+// later (well inside the election timeout) without it having installed
+// anything.
 void LoseFirstBootstrapStream(MiniCluster& cluster) {
   auto& wiped = cluster.follower(0, 0);
-  const replication::ReplicatorStats& leader =
-      cluster.source(0).replicator()->stats();
+  const replication::SnapshotStreamStats& leader =
+      cluster.source(0).replicator()->stats().reseed;
   wiped.Restart();
-  for (int step = 0; step < 20000 && leader.bootstrap_chunks_sent == 0;
+  for (int step = 0; step < 20000 && leader.snapshot_chunks_sent == 0;
        ++step) {
     cluster.RunFor(0.1);
   }
-  ASSERT_GT(leader.bootstrap_chunks_sent, 0u);
+  ASSERT_GT(leader.snapshot_chunks_sent, 0u);
   cluster.network().Partition(wiped.id());
   cluster.RunFor(60);
   EXPECT_EQ(wiped.replicator()->stats().snapshot_installs, 0u);
@@ -1765,8 +1769,8 @@ void KeepChunksWhere(
 }
 
 // Warm (store kept) or cold (store empty), a wiped follower receives the
-// same full stream: 8 chunks for 512 records at 64 per chunk, sent once,
-// and ends byte-identical to the leader.
+// same full stream: 8 chunks for 512 records at 64 per chunk, each sealed
+// and sent once, and ends byte-identical to the leader.
 TEST(ReplicationTest, WarmAndColdReseedsStreamEveryChunkOnceAndConverge) {
   for (const bool warm : {false, true}) {
     SCOPED_TRACE(warm ? "warm" : "cold");
@@ -1774,59 +1778,123 @@ TEST(ReplicationTest, WarmAndColdReseedsStreamEveryChunkOnceAndConverge) {
     ASSERT_EQ(cluster->source(0).engine().CommittedRecords().size(), 512u);
     cluster->follower(0, 0).Restart();
     cluster->RunFor(4000);  // heartbeat -> gap nack -> stream -> tail
-    EXPECT_EQ(cluster->source(0).replicator()->stats().bootstrap_chunks_sent,
-              8u);
+    const replication::SnapshotStreamStats& sent =
+        cluster->source(0).replicator()->stats().reseed;
+    EXPECT_EQ(sent.snapshot_chunks_sent, 8u);
+    EXPECT_EQ(sent.chunks_sealed, 8u);
+    EXPECT_EQ(sent.chunk_retransmits, 0u);
+    EXPECT_EQ(sent.streams_completed, 1u);
     ExpectConverged(*cluster);
   }
 }
 
-// A stream lost in flight is recovered by the leader's throttled re-send.
+// Only what was lost is re-sent: the stream's first chunk dies in the
+// partition and the leader's resend timer re-sends that one chunk, a copy
+// of its sealed envelope.
 TEST(ReplicationTest, BootstrapStreamLostToAPartitionIsReSent) {
   auto cluster = WipedFollowerCluster(/*warm=*/false);
   LoseFirstBootstrapStream(*cluster);
   cluster->RunFor(4000);
-  EXPECT_GE(cluster->source(0).replicator()->stats().bootstrap_chunks_sent,
-            16u);
+  const replication::SnapshotStreamStats& sent =
+      cluster->source(0).replicator()->stats().reseed;
+  EXPECT_EQ(sent.snapshot_chunks_sent, 8u);
+  EXPECT_EQ(sent.chunks_sealed, 8u);
+  EXPECT_EQ(sent.chunk_retransmits, 1u);
   ExpectConverged(*cluster);
 }
 
-// Two streams for one base with a key committed between them: the
-// follower keeps chunks 5..8 of the older stream and 1..4 of a newer
-// one. The newer stream cuts at the older one's keys, so the mix holds
-// every record; cut by count, the new first key would push the record at
-// the 4|5 boundary out of the newer chunk 4 and into no kept chunk.
-TEST(ReplicationTest, ChunksOfTwoStreamsForOneBaseCoverTheStore) {
+// A key committed while the stream runs, behind its cursor: no chunk
+// carries it, and it reaches the follower through the log tail shipped
+// after the install. Chunks 5..8 are lost (and re-sent as copies) until
+// the key has committed below every chunk's first key.
+TEST(ReplicationTest, KeyCommittedBehindTheCursorConvergesThroughTheTail) {
   auto cluster = WipedFollowerCluster(/*warm=*/false, /*first_off=*/1);
   auto& wiped = cluster->follower(0, 0);
   auto& leader = cluster->source(0);
-  const uint64_t base = leader.replicator()->log().first_index();
-  // 0: keep seqs 5..8; 1: keep none; 2: keep seqs 1..4.
-  int phase = 0;
+  const replication::SnapshotStreamStats& sent =
+      leader.replicator()->stats().reseed;
+  bool hold = true;
   KeepChunksWhere(*cluster, wiped.id(),
-                  [&phase](const protocol::ShardSnapshotChunk& chunk) {
-                    return phase == 0 ? chunk.seq > 4
-                                      : phase == 2 && chunk.seq <= 4;
+                  [&hold](const protocol::ShardSnapshotChunk& chunk) {
+                    return !hold || chunk.seq <= 4;
                   });
   wiped.Restart();
-  cluster->RunFor(1000);
-  ASSERT_GE(leader.replicator()->stats().bootstrap_chunks_sent, 8u);
+  cluster->RunFor(1500);  // past a resend of the lost chunks
+  // Every chunk is cut: the cursor is past every seeded key.
+  ASSERT_EQ(sent.snapshot_chunks_sent, 8u);
+  EXPECT_GE(sent.chunk_retransmits, 4u);
   EXPECT_EQ(wiped.replicator()->stats().snapshot_installs, 0u);
 
-  // A key that sorts before every seeded one commits. Every chunk is
-  // dropped until the streams sliced without it have landed; then the
-  // front half of the streams sliced with it is kept.
-  phase = 1;
+  // A key that sorts before every seeded one commits, behind the cursor.
   const RecordKey first_key = cluster->KeyOn(0, 0);
   ASSERT_TRUE(
       cluster->RunTxn(20, {MiniCluster::Write(first_key, 44)}).ok());
   ASSERT_EQ(leader.engine().CommittedRecords().size(), 513u);
-  cluster->RunFor(1000);
-  EXPECT_EQ(wiped.replicator()->stats().snapshot_installs, 0u);
-  // Every stream so far had one base: the leader cannot compact past the
-  // wiped follower's last match before it installs.
-  ASSERT_EQ(leader.replicator()->log().first_index(), base);
-  phase = 2;
+  hold = false;
   cluster->RunFor(4000);
+  EXPECT_EQ(sent.snapshot_chunks_sent, 8u);
+  EXPECT_EQ(sent.snapshot_records_sent, 512u);  // no chunk carried the key
+  EXPECT_EQ(sent.chunks_sealed, sent.snapshot_chunks_sent);
+  ExpectConverged(*cluster);
+  auto record = wiped.engine().store().Get(first_key);
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->value, 44);
+}
+
+// A follower that crashes mid-install picks the stream up where it
+// stopped: its install position survives the crash, like the store the
+// applied chunks are in, so the leader's resends of the chunks it lacks
+// complete the install. Nothing is cut or sealed twice.
+TEST(ReplicationTest, FollowerCrashMidInstallResumesTheStream) {
+  auto cluster = WipedFollowerCluster(/*warm=*/false);
+  auto& wiped = cluster->follower(0, 0);
+  const replication::SnapshotStreamStats& sent =
+      cluster->source(0).replicator()->stats().reseed;
+  bool hold = true;
+  KeepChunksWhere(*cluster, wiped.id(),
+                  [&hold](const protocol::ShardSnapshotChunk& chunk) {
+                    return !hold || chunk.seq <= 4;
+                  });
+  wiped.Restart();
+  cluster->RunFor(500);
+  ASSERT_EQ(sent.snapshot_chunks_sent, 8u);
+  EXPECT_EQ(wiped.replicator()->stats().snapshot_installs, 0u);
+  wiped.Crash();
+  cluster->RunFor(100);
+  hold = false;
+  wiped.Restart();
+  cluster->RunFor(4000);
+  EXPECT_EQ(sent.snapshot_chunks_sent, 8u);
+  EXPECT_EQ(sent.chunks_sealed, 8u);
+  ExpectConverged(*cluster);
+}
+
+// A re-seed of a 120k-record store at the default 512 records per chunk
+// (235 chunks) never has more than the credit window of chunks unacked at
+// the leader or buffered at the follower, seals each chunk once, and
+// installs once.
+TEST(ReplicationTest, LargeReseedStaysWithinTheCreditWindow) {
+  auto cluster = WipedFollowerCluster(/*warm=*/false, /*first_off=*/0,
+                                      /*records=*/120000,
+                                      /*chunk_records=*/512);
+  auto& wiped = cluster->follower(0, 0);
+  wiped.Restart();
+  for (int step = 0;
+       step < 1200 && wiped.replicator()->stats().snapshot_installs == 0;
+       ++step) {
+    cluster->RunFor(50);
+  }
+  cluster->RunFor(1000);
+  const replication::SnapshotStreamStats& sent =
+      cluster->source(0).replicator()->stats().reseed;
+  const uint64_t window =
+      cluster->source(0).config().migration_stream_window;
+  EXPECT_EQ(sent.snapshot_chunks_sent, 235u);
+  EXPECT_EQ(sent.snapshot_records_sent, 120000u);
+  EXPECT_EQ(sent.chunks_sealed, sent.snapshot_chunks_sent);
+  EXPECT_EQ(sent.chunk_retransmits, 0u);
+  EXPECT_LE(sent.peak_unacked_chunks, window);
+  EXPECT_LE(wiped.replicator()->stats().reseed.peak_buffered_chunks, window);
   ExpectConverged(*cluster);
 }
 
@@ -1919,8 +1987,10 @@ TEST(ReplicationTest, EmptyStoreBootstrapsFromOneEmptyLastChunk) {
   wiped.replicator()->WipeForBootstrap();
   LoseFirstBootstrapStream(cluster);
   cluster.RunFor(2000);
-  // One chunk per stream: the lost one and the re-sent one.
-  EXPECT_EQ(leader_repl->stats().bootstrap_chunks_sent, 2u);
+  // One chunk, sealed once: sent, lost, and re-sent as a copy.
+  const replication::SnapshotStreamStats& sent = leader_repl->stats().reseed;
+  EXPECT_EQ(sent.snapshot_chunks_sent + sent.chunk_retransmits, 2u);
+  EXPECT_EQ(sent.chunks_sealed, 1u);
   ExpectConverged(cluster);
   EXPECT_EQ(wiped.replicator()->log().first_index(),
             leader_repl->log().first_index());
@@ -1989,16 +2059,17 @@ TEST(ReplicationTest, CorruptAppendFrameIsDroppedWholeAndReShipped) {
   }
 }
 
-// A bootstrap chunk corrupted in flight is dropped whole. The first
-// stream cannot install without it; the install happens once, from the
-// leader's re-sent stream.
+// A re-seed chunk corrupted in flight is dropped whole, and only it is
+// re-sent: the follower gets 9 deliveries for 8 chunks. After the 8th it
+// still lacks the corrupt chunk, so nothing installs before the re-sent
+// copy; then it installs once.
 TEST(ReplicationTest, CorruptBootstrapChunkIsDroppedAndTheStreamReSent) {
   auto cluster = WipedFollowerCluster(/*warm=*/false);
   auto& wiped = cluster->follower(0, 0);
   const replication::ReplicatorStats& stats = wiped.replicator()->stats();
   sim::Network& network = cluster->network();
   uint64_t delivered = 0;
-  uint64_t installs_after_first_stream = 0;
+  uint64_t installs_after_eight = 0;
   network.RegisterNode(
       wiped.id(), [&, inner = network.handler(wiped.id())](
                       std::unique_ptr<runtime::MessageBase> msg) {
@@ -2013,14 +2084,17 @@ TEST(ReplicationTest, CorruptBootstrapChunkIsDroppedAndTheStreamReSent) {
           EXPECT_FALSE(protocol::OpenChunkPayload(chunk, &opened));
         }
         inner(std::move(msg));
-        if (delivered == 8) {
-          installs_after_first_stream = stats.snapshot_installs;
-        }
+        if (delivered == 8) installs_after_eight = stats.snapshot_installs;
       });
   wiped.Restart();
   cluster->RunFor(4000);
-  ASSERT_GE(delivered, 16u);
-  EXPECT_EQ(installs_after_first_stream, 0u);
+  ASSERT_EQ(delivered, 9u);
+  EXPECT_EQ(installs_after_eight, 0u);
+  const replication::SnapshotStreamStats& sent =
+      cluster->source(0).replicator()->stats().reseed;
+  EXPECT_EQ(sent.snapshot_chunks_sent, 8u);
+  EXPECT_EQ(sent.chunks_sealed, sent.snapshot_chunks_sent);
+  EXPECT_EQ(sent.chunk_retransmits, 1u);
   ExpectConverged(*cluster);  // installed exactly once
 }
 

@@ -673,6 +673,8 @@ std::vector<std::unique_ptr<MessageBase>> GoldenSamples() {
   chunk_ack->migration_id = 8;
   chunk_ack->seq = 3;
   chunk_ack->credit = 4;
+  chunk_ack->epoch = 5;
+  chunk_ack->base_index = 6;
   add(std::move(chunk_ack));
 
   auto delta = Stamped<protocol::ShardDeltaBatch>();
@@ -877,7 +879,8 @@ const std::map<MessageType, std::string>& GoldenHex() {
      "007979"},
     {MessageType::kShardSnapshotAck,
      "1900030000000900000001080706050403020111000000000000002200000000"
-     "000000080000000000000003000000000000000400000000000000"},
+     "0000000800000000000000030000000000000004000000000000000500000000"
+     "0000000600000000000000"},
     {MessageType::kShardDeltaBatch,
      "1a00030000000900000001080706050403020111000000000000002200000000"
      "0000000800000000000000020000000000000001000000010000000800000000"
